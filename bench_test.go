@@ -67,7 +67,7 @@ func BenchmarkE4Bounds(b *testing.B) {
 	fp := adversary.Stagger(p.N, p.T, p.X()+1, p.K, p.RMax())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := core.Run(p, c, input, fp, false)
+		res, err := core.Run(p, c, input, fp)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -91,7 +91,7 @@ func BenchmarkE5Tradeoff(b *testing.B) {
 			}
 			c := condition.MustNewMax(n, m, p.X(), l)
 			fp := adversary.Stagger(n, t, p.X()+1, k, p.RMax())
-			if _, err := core.Run(p, c, input, fp, false); err != nil {
+			if _, err := core.Run(p, c, input, fp); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -112,7 +112,7 @@ func BenchmarkE6Dividing(b *testing.B) {
 			p := core.Params{N: n, T: t, K: k, D: d, L: 1}
 			c := condition.MustNewMax(n, m, p.X(), 1)
 			fp := adversary.Stagger(n, t, p.X()+1, k, p.RMax())
-			if _, err := core.Run(p, c, input, fp, false); err != nil {
+			if _, err := core.Run(p, c, input, fp); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -127,7 +127,7 @@ func BenchmarkE7Early(b *testing.B) {
 	input := vector.OfInts(4, 3, 2, 1, 1, 2, 3, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.RunEarly(p, c, input, rounds.FailurePattern{}, false); err != nil {
+		if _, err := core.RunEarly(p, c, input, rounds.FailurePattern{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -143,14 +143,14 @@ func BenchmarkE8Baseline(b *testing.B) {
 	c := condition.MustNewMax(n, m, p.X(), 1)
 	b.Run("condition", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.Run(p, c, inC, rounds.FailurePattern{}, false); err != nil {
+			if _, err := core.Run(p, c, inC, rounds.FailurePattern{}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("classical", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.RunClassical(n, t, k, inC, rounds.FailurePattern{}, false); err != nil {
+			if _, err := core.RunClassical(n, t, k, inC, rounds.FailurePattern{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -196,13 +196,11 @@ func BenchmarkE10Async(b *testing.B) {
 	}
 }
 
-// BenchmarkCampaignThroughput contrasts the three ways to drive N
-// executions of the same workload through the public API: the deprecated
-// one-shot Agree free function (per-call validation, goroutine-per-process
-// executor — the library's historical hot path), a reusable System's Run
-// (construction-time validation, pooled workers, fresh Result per call),
-// and a Campaign (per-worker engines, recycled Results, bounded fan-out).
-// The campaign must win both ns/op and allocs/op.
+// BenchmarkCampaignThroughput contrasts the two ways to drive N
+// executions of the same workload through the public API: a reusable
+// System's Run (construction-time validation, pooled workers, fresh
+// Result per call) and a Campaign (per-worker engines, recycled Results,
+// bounded fan-out). The campaign must win both ns/op and allocs/op.
 func BenchmarkCampaignThroughput(b *testing.B) {
 	p := kset.Params{N: 8, T: 5, K: 2, D: 3, L: 1}
 	c, err := kset.NewMaxCondition(p.N, 4, p.X(), p.L)
@@ -226,15 +224,6 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 	}
 	ctx := context.Background()
 
-	b.Run("independent-agree", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sc := &base[i%len(base)]
-			if _, err := kset.Agree(p, c, sc.Input, sc.FP); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("system-run", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -419,23 +408,7 @@ func BenchmarkEngineRound(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.RunClassical(n, t, k, input, rounds.FailurePattern{}, false); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEngineConcurrent is the same run on the goroutine-per-process
-// executor, measuring the coordination overhead.
-func BenchmarkEngineConcurrent(b *testing.B) {
-	n, t, k := 64, 32, 4
-	input := vector.New(n)
-	for i := range input {
-		input[i] = vector.Value(1 + i%8)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.RunClassical(n, t, k, input, rounds.FailurePattern{}, true); err != nil {
+		if _, err := core.RunClassical(n, t, k, input, rounds.FailurePattern{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -64,7 +64,7 @@ func run(args []string) error {
 	}
 
 	p := kset.Params{N: *n, T: *t, K: *k, D: *d, L: *l}
-	opts := []kset.Option{kset.WithParams(p), kset.WithProcessGoroutines()}
+	opts := []kset.Option{kset.WithParams(p)}
 	var exec kset.Executor
 	switch *variant {
 	case "cond", "early":
@@ -95,9 +95,8 @@ func run(args []string) error {
 
 	var res *kset.Result
 	if *trace {
-		// The trace path drives the engine directly (deterministic in-line
-		// executor, trace hooks) — the one workflow the System does not
-		// cover.
+		// The trace path drives the engine directly (trace hooks) — the
+		// one workflow the System does not cover.
 		res, err = runTraced(p, *variant, *n, *t, *k, *m, input, fp)
 	} else {
 		res, err = sys.Run(context.Background(), input, fp)
@@ -132,8 +131,8 @@ func run(args []string) error {
 	return nil
 }
 
-// runTraced executes the run on the deterministic in-line executor with
-// trace capture and renders the trace.
+// runTraced executes the run on the engine directly with trace capture
+// and renders the trace.
 func runTraced(p kset.Params, variant string, n, t, k, m int, input kset.Vector, fp kset.FailurePattern) (*kset.Result, error) {
 	var procs []rounds.Process
 	var err error

@@ -52,9 +52,9 @@
 //
 // # Quick start
 //
-// Construct a System once — parameters, condition and executor are
-// validated there — then Run it as many times as the workload demands
-// (Run is safe for concurrent use):
+// A System is the package's one run entry point. Construct it once —
+// parameters, condition and executor are validated there — then Run it
+// as many times as the workload demands (Run is safe for concurrent use):
 //
 //	p := kset.Params{N: 6, T: 3, K: 2, D: 1, L: 1}
 //	c, _ := kset.NewMaxCondition(p.N, 4, p.X(), p.L) // C ∈ S^d_t[ℓ]

@@ -16,12 +16,11 @@ var (
 	//
 	// Returned by: New (missing or out-of-range Params, condition/executor
 	// mismatch) and everything that constructs a System internally —
-	// RunSweep on a bad SweepPoint and the deprecated Agree, AgreeEarly,
-	// AgreeClassical free functions; the condition constructors
+	// RunSweep on a bad SweepPoint; the condition constructors
 	// NewMaxCondition, NewMinCondition, NewExplicitCondition (bad n, m, ℓ
 	// or x); the counting functions ConditionSize, ConditionFraction (bad
-	// n, m, ℓ or x out of 0 ≤ x < n); AgreeAsync / Asynchronous runs
-	// (bad n, x, condition dimensions, or more crashes than x); and the
+	// n, m, ℓ or x out of 0 ≤ x < n); Asynchronous runs (bad n, x,
+	// condition dimensions, or more crashes than x); and the
 	// fault plane — New on an invalid WithFaultPlan plan, and runs whose
 	// Scenario.Faults plan fails validation (out-of-range rates, bad
 	// process IDs, scheduled delays without a delay bound).
@@ -41,9 +40,8 @@ var (
 	// ⊥ entries, or values outside the proposable range.
 	//
 	// Returned by: System.Run, System.RunScenario and campaign runs (as
-	// the Outcome.Err of the offending scenario), the deprecated free
-	// functions, and AgreeAsync — everything that accepts a per-run input
-	// vector. Constructors never return it.
+	// the Outcome.Err of the offending scenario) — everything that accepts
+	// a per-run input vector. Constructors never return it.
 	ErrBadInput = kerr.ErrBadInput
 
 	// ErrBadFrame marks a malformed wire datagram: wrong version byte,

@@ -160,6 +160,38 @@ func TestLossyCampaignWorkerCountInvariance(t *testing.T) {
 	}
 }
 
+// TestFaultCampaignAcrossSystemSizes runs a reordering fault campaign on
+// an n=8 System, one on an n=48 System, then the n=8 one again. Every
+// System draws its workers from one shared pool, so the third campaign
+// runs on engines the second grew: a send order left at 48 entries would
+// have the reordering transport deliver to processes an 8-process run
+// lacks. No run may error, and the two n=8 reports must be identical.
+func TestFaultCampaignAcrossSystemSizes(t *testing.T) {
+	plan := &kset.FaultPlan{Seed: 5, Reorder: 0.5}
+	report := func(n int) []byte {
+		sys := testSystem(t, kset.WithParams(kset.Params{N: n, T: n / 2, K: 2, L: 1}),
+			kset.WithExecutor(kset.Classical), kset.WithFaultPlan(plan))
+		stats, err := sys.RunSource(context.Background(), kset.RandomInputs(3, n, 4, 200))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Runs != 200 || stats.Errors != 0 {
+			t.Fatalf("n=%d: runs=%d errors=%d", n, stats.Runs, stats.Errors)
+		}
+		raw, err := json.Marshal(stats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+
+	first := report(8)
+	report(48)
+	if again := report(8); string(again) != string(first) {
+		t.Fatalf("n=8 report changed after an n=48 campaign:\n%s\nvs\n%s", first, again)
+	}
+}
+
 // TestFaultGenerators pins the generator combinators: sizes, plan
 // pointer stability across FaultSchedules iterations, and SweepFaults
 // keys.

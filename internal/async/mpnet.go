@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"kset/internal/prng"
 	"kset/internal/vector"
 )
 
@@ -38,7 +39,7 @@ type Network struct {
 	n, x    int
 	numRegs int
 	viewLen int
-	rng     prng
+	rng     prng.Rand
 	// replicas[p][r] is replica p's copy of register r.
 	replicas [][]*snapReg
 	crashed  []bool
@@ -72,7 +73,7 @@ func (nw *Network) reset(n, x, numRegs, viewLen int, seed int64) {
 	defer nw.mu.Unlock()
 	sameShape := nw.n == n && nw.numRegs == numRegs && nw.viewLen == viewLen
 	nw.n, nw.x, nw.numRegs, nw.viewLen = n, x, numRegs, viewLen
-	nw.rng.reseed(seed)
+	nw.rng = prng.New(uint64(seed))
 	if !sameShape {
 		nw.initial = &snapReg{value: vector.Bottom, view: vector.New(viewLen)}
 		nw.replicas = make([][]*snapReg, n)
@@ -122,7 +123,7 @@ func (nw *Network) drawQuorum() []int {
 		q = len(live)
 	}
 	for i := 0; i < q; i++ {
-		j := i + nw.rng.intn(len(live)-i)
+		j := i + nw.rng.Intn(len(live)-i)
 		live[i], live[j] = live[j], live[i]
 	}
 	return live[:q]

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"kset/internal/condition"
+	"kset/internal/prng"
 	"kset/internal/vector"
 )
 
@@ -68,7 +69,7 @@ const (
 // allocation. A Runner is not safe for concurrent use; the package-level
 // Run checks Runners out of an internal pool.
 type Runner struct {
-	rng   prng
+	rng   prng.Rand
 	delay []int
 	scans []int
 	state []procState
@@ -128,7 +129,7 @@ func (r *Runner) RunInto(cfg Config, out *Outcome) error {
 	// after at most delayRange+budget+2 passes.
 	live := r.live
 	for len(live) > 0 {
-		r.rng.shuffle(live)
+		prng.Shuffle(&r.rng, live)
 		w := 0
 		for _, id := range live {
 			if !r.step(id, &cfg, crashes, budget, values, decisions, out) {
@@ -255,7 +256,7 @@ func (r *Runner) substrates(n int, cfg *Config) (values, decisions Store, err er
 
 // reset prepares the scheduler's process table for a run of n processes.
 func (r *Runner) reset(n int, seed int64) {
-	r.rng.reseed(seed)
+	r.rng = prng.New(uint64(seed))
 	if cap(r.delay) < n {
 		r.delay = make([]int, n)
 		r.scans = make([]int, n)
@@ -268,7 +269,7 @@ func (r *Runner) reset(n int, seed int64) {
 	r.live = r.live[:n]
 	dr := schedDelayRange(n)
 	for i := 0; i < n; i++ {
-		r.delay[i] = r.rng.intn(dr)
+		r.delay[i] = r.rng.Intn(dr)
 		r.scans[i] = 0
 		r.state[i] = procDelay
 		r.live[i] = i

@@ -57,12 +57,12 @@ func (c *ClassicalProcess) Step(round int, recv []any) (vector.Value, bool) {
 }
 
 // RunClassical executes the baseline to completion on a pooled Runner.
-func RunClassical(n, t, k int, input vector.Vector, fp rounds.FailurePattern, concurrent bool) (*rounds.Result, error) {
+func RunClassical(n, t, k int, input vector.Vector, fp rounds.FailurePattern) (*rounds.Result, error) {
 	if err := ValidateClassical(n, t, k); err != nil {
 		return nil, err
 	}
 	r := GetRunner()
-	res, err := r.RunClassical(n, t, k, input, fp, concurrent, nil, nil, nil)
+	res, err := r.RunClassical(n, t, k, input, fp, false, nil, nil, nil)
 	PutRunner(r)
 	return res, err
 }

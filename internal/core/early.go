@@ -186,12 +186,12 @@ func (e *EarlyCondProcess) Step(round int, recv []any) (vector.Value, bool) {
 
 // RunEarly executes the early-deciding condition-based algorithm on a
 // pooled Runner, reusing its process cells, trackers and view storage.
-func RunEarly(p Params, c condition.Condition, input vector.Vector, fp rounds.FailurePattern, concurrent bool) (*rounds.Result, error) {
+func RunEarly(p Params, c condition.Condition, input vector.Vector, fp rounds.FailurePattern) (*rounds.Result, error) {
 	if err := p.ValidateWith(c); err != nil {
 		return nil, err
 	}
 	r := GetRunner()
-	res, err := r.RunEarly(p, c, input, fp, concurrent, nil, nil, nil)
+	res, err := r.RunEarly(p, c, input, fp, false, nil, nil, nil)
 	PutRunner(r)
 	return res, err
 }
@@ -254,12 +254,12 @@ func (e *EarlyClassicalProcess) Step(round int, recv []any) (vector.Value, bool)
 }
 
 // RunEarlyClassical executes the early-deciding baseline.
-func RunEarlyClassical(n, t, k int, input vector.Vector, fp rounds.FailurePattern, concurrent bool) (*rounds.Result, error) {
+func RunEarlyClassical(n, t, k int, input vector.Vector, fp rounds.FailurePattern) (*rounds.Result, error) {
 	procs, err := NewEarlyClassicalRun(n, t, k, input)
 	if err != nil {
 		return nil, err
 	}
-	return runPooled(procs, fp, rounds.Options{MaxRounds: t/k + 1, Concurrent: concurrent})
+	return runPooled(procs, fp, rounds.Options{MaxRounds: t/k + 1})
 }
 
 // EarlyBound returns the early-deciding round bound min(⌊f/k⌋+2, ⌊t/k⌋+1)

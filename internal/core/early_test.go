@@ -30,7 +30,7 @@ func TestEarlyBound(t *testing.T) {
 func TestEarlyClassicalFailureFree(t *testing.T) {
 	n, tt, k := 7, 6, 1
 	input := vector.OfInts(1, 2, 3, 4, 5, 6, 7)
-	res, err := RunEarlyClassical(n, tt, k, input, adversary.None(), false)
+	res, err := RunEarlyClassical(n, tt, k, input, adversary.None())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestEarlyClassicalExhaustive(t *testing.T) {
 		vector.ForEach(cfg.n, cfg.m, func(in vector.Vector) bool {
 			input := in.Clone()
 			err := adversary.Enumerate(cfg.n, cfg.t, cfg.t/cfg.k+1, func(fp rounds.FailurePattern) bool {
-				res, err := RunEarlyClassical(cfg.n, cfg.t, cfg.k, input, fp, false)
+				res, err := RunEarlyClassical(cfg.n, cfg.t, cfg.k, input, fp)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -105,7 +105,7 @@ func TestEarlyCondExhaustive(t *testing.T) {
 			input := in.Clone()
 			inC := c.Contains(input)
 			err := adversary.Enumerate(p.N, p.T, p.RMax(), func(fp rounds.FailurePattern) bool {
-				res, err := RunEarly(p, c, input, fp, false)
+				res, err := RunEarly(p, c, input, fp)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -147,11 +147,11 @@ func TestEarlyCondNeverSlower(t *testing.T) {
 			input[i] = vector.Value(1 + r.Intn(3))
 		}
 		fp := adversary.Random(r, p.N, p.T, p.RMax())
-		plain, err := Run(p, c, input, fp, false)
+		plain, err := Run(p, c, input, fp)
 		if err != nil {
 			t.Fatal(err)
 		}
-		early, err := RunEarly(p, c, input, fp, false)
+		early, err := RunEarly(p, c, input, fp)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -85,8 +85,9 @@ func (r *Runner) earlyState(n int) {
 // see internal/faultnet); nil is the reliable delivery matrix. cancel,
 // when non-nil, aborts the run between rounds once closed (the engine
 // returns rounds.ErrCanceled); batch drivers pass a context's Done
-// channel so cancellation stops in-flight synchronous work.
-func (r *Runner) RunCond(p Params, c condition.Condition, input vector.Vector, fp rounds.FailurePattern, concurrent bool, tr rounds.Transport, cancel <-chan struct{}, res *rounds.Result) (*rounds.Result, error) {
+// channel so cancellation stops in-flight synchronous work. The blank
+// bool of the three Run* methods is pinned by bench/'s positional calls.
+func (r *Runner) RunCond(p Params, c condition.Condition, input vector.Vector, fp rounds.FailurePattern, _ bool, tr rounds.Transport, cancel <-chan struct{}, res *rounds.Result) (*rounds.Result, error) {
 	if err := ValidateInput(p.N, input); err != nil {
 		return nil, err
 	}
@@ -95,12 +96,12 @@ func (r *Runner) RunCond(p Params, c condition.Condition, input vector.Vector, f
 		r.cells[i] = newCondProcess(p, c, input, i, r.views[i*p.N:(i+1)*p.N])
 		r.procs[i] = &r.cells[i]
 	}
-	return r.eng.RunInto(res, r.procs, fp, rounds.Options{MaxRounds: p.RMax(), Concurrent: concurrent, Transport: tr, Cancel: cancel})
+	return r.eng.RunInto(res, r.procs, fp, rounds.Options{MaxRounds: p.RMax(), Transport: tr, Cancel: cancel})
 }
 
 // RunEarly executes one early-deciding condition-based run under the same
 // contract as RunCond.
-func (r *Runner) RunEarly(p Params, c condition.Condition, input vector.Vector, fp rounds.FailurePattern, concurrent bool, tr rounds.Transport, cancel <-chan struct{}, res *rounds.Result) (*rounds.Result, error) {
+func (r *Runner) RunEarly(p Params, c condition.Condition, input vector.Vector, fp rounds.FailurePattern, _ bool, tr rounds.Transport, cancel <-chan struct{}, res *rounds.Result) (*rounds.Result, error) {
 	if err := ValidateInput(p.N, input); err != nil {
 		return nil, err
 	}
@@ -111,12 +112,12 @@ func (r *Runner) RunEarly(p Params, c condition.Condition, input vector.Vector, 
 		r.ecells[i] = EarlyCondProcess{inner: &r.einner[i], early: &r.etrk[i], unwrapped: r.ecells[i].unwrapped}
 		r.eprocs[i] = &r.ecells[i]
 	}
-	return r.eng.RunInto(res, r.eprocs, fp, rounds.Options{MaxRounds: p.RMax(), Concurrent: concurrent, Transport: tr, Cancel: cancel})
+	return r.eng.RunInto(res, r.eprocs, fp, rounds.Options{MaxRounds: p.RMax(), Transport: tr, Cancel: cancel})
 }
 
 // RunClassical executes one classical flood run. The caller has already
 // validated (n, t, k) via ValidateClassical; only the input is checked.
-func (r *Runner) RunClassical(n, t, k int, input vector.Vector, fp rounds.FailurePattern, concurrent bool, tr rounds.Transport, cancel <-chan struct{}, res *rounds.Result) (*rounds.Result, error) {
+func (r *Runner) RunClassical(n, t, k int, input vector.Vector, fp rounds.FailurePattern, _ bool, tr rounds.Transport, cancel <-chan struct{}, res *rounds.Result) (*rounds.Result, error) {
 	if err := ValidateInput(n, input); err != nil {
 		return nil, err
 	}
@@ -130,7 +131,7 @@ func (r *Runner) RunClassical(n, t, k int, input vector.Vector, fp rounds.Failur
 		r.ccells[i] = ClassicalProcess{n: n, t: t, k: k, est: input[i], lastRound: t/k + 1}
 		r.cprocs[i] = &r.ccells[i]
 	}
-	return r.eng.RunInto(res, r.cprocs, fp, rounds.Options{MaxRounds: t/k + 1, Concurrent: concurrent, Transport: tr, Cancel: cancel})
+	return r.eng.RunInto(res, r.cprocs, fp, rounds.Options{MaxRounds: t/k + 1, Transport: tr, Cancel: cancel})
 }
 
 // runnerPool shares Runners across the package's one-shot Run helpers, so

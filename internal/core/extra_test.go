@@ -19,7 +19,7 @@ func TestMinConditionProtocol(t *testing.T) {
 	if !c.Contains(input) {
 		t.Fatal("input must be in the min condition")
 	}
-	res, err := Run(p, c, input, adversary.InitialLast(p.N, 2), false)
+	res, err := Run(p, c, input, adversary.InitialLast(p.N, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestMinConditionExhaustive(t *testing.T) {
 		input := in.Clone()
 		inC := c.Contains(input)
 		err := adversary.Enumerate(p.N, p.T, p.RMax(), func(fp rounds.FailurePattern) bool {
-			res, err := Run(p, c, input, fp, false)
+			res, err := Run(p, c, input, fp)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -110,18 +110,18 @@ func TestScale(t *testing.T) {
 	if !c.Contains(input) {
 		t.Fatal("input must be in C")
 	}
-	for _, concurrent := range []bool{false, true} {
+	for trial := 0; trial < 2; trial++ {
 		fp := adversary.Random(r, p.N, p.T, p.RMax())
-		res, err := Run(p, c, input, fp, concurrent)
+		res, err := Run(p, c, input, fp)
 		if err != nil {
 			t.Fatal(err)
 		}
 		verdict := Verify(input, fp, res, p.K)
 		if !verdict.OK() {
-			t.Fatalf("concurrent=%v: %v", concurrent, verdict)
+			t.Fatalf("trial %d: %v", trial, verdict)
 		}
 		if bound := PredictRounds(p, true, fp); verdict.MaxRound > bound {
-			t.Fatalf("concurrent=%v: round %d > bound %d", concurrent, verdict.MaxRound, bound)
+			t.Fatalf("trial %d: round %d > bound %d", trial, verdict.MaxRound, bound)
 		}
 	}
 }
@@ -138,11 +138,11 @@ func TestMessageComplexity(t *testing.T) {
 	if !c.Contains(input) {
 		t.Fatal("input must be in C")
 	}
-	cond, err := Run(p, c, input, adversary.None(), false)
+	cond, err := Run(p, c, input, adversary.None())
 	if err != nil {
 		t.Fatal(err)
 	}
-	classical, err := RunClassical(n, tt, k, input, adversary.None(), false)
+	classical, err := RunClassical(n, tt, k, input, adversary.None())
 	if err != nil {
 		t.Fatal(err)
 	}

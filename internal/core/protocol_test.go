@@ -114,7 +114,7 @@ func TestLemma1FastPath(t *testing.T) {
 		adversary.InitialLast(p.N, 2),
 		{Crashes: map[rounds.ProcessID]rounds.Crash{2: {Round: 1, AfterSends: 3}}},
 	} {
-		res, err := Run(p, c, input, fp, false)
+		res, err := Run(p, c, input, fp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +144,7 @@ func TestLemma1SlowPath(t *testing.T) {
 	// x = 2; crash 3 processes in round 1 with staggered prefixes so some
 	// survivor sees > 2 bottoms.
 	fp := adversary.Stagger(p.N, 3, 3, 0, p.RMax())
-	res, err := Run(p, c, input, fp, false)
+	res, err := Run(p, c, input, fp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestLemma2(t *testing.T) {
 		t.Fatal("input must be outside C")
 	}
 
-	res, err := Run(p, c, input, adversary.None(), false)
+	res, err := Run(p, c, input, adversary.None())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestLemma2(t *testing.T) {
 	}
 
 	fp := adversary.InitialLast(p.N, 3) // > x = 2 initial crashes
-	res, err = Run(p, c, input, fp, false)
+	res, err = Run(p, c, input, fp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestConsensusSpecialCase(t *testing.T) {
 		t.Fatal("input must be in C")
 	}
 	fp := adversary.Stagger(p.N, p.T, 2, 1, p.RMax())
-	res, err := Run(p, c, input, fp, false)
+	res, err := Run(p, c, input, fp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestExhaustiveSmall(t *testing.T) {
 			input := in.Clone()
 			inC := c.Contains(input)
 			err := adversary.Enumerate(p.N, p.T, p.RMax(), func(fp rounds.FailurePattern) bool {
-				res, err := Run(p, c, input, fp, false)
+				res, err := Run(p, c, input, fp)
 				if err != nil {
 					t.Fatalf("cfg %+v input %v: %v", p, input, err)
 				}
@@ -286,7 +286,7 @@ func TestPropertyRandomRuns(t *testing.T) {
 			input[i] = vector.Value(1 + r.Intn(m))
 		}
 		fp := adversary.Random(r, n, tt, p.RMax())
-		res, err := Run(p, c, input, fp, trial%2 == 0)
+		res, err := Run(p, c, input, fp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -301,8 +301,14 @@ func TestPropertyRandomRuns(t *testing.T) {
 	}
 }
 
-// TestExecutorsAgree runs identical scenarios on the sequential and
-// concurrent executors and requires identical outcomes.
+// seamTransport is the reliable matrix behind a distinct type, so the
+// engine routes the run through its transport seam instead of the
+// shared-row fast path.
+type seamTransport struct{ rounds.MatrixTransport }
+
+// TestExecutorsAgree runs identical scenarios on the engine's shared-row
+// fast path and through its transport seam and requires identical
+// outcomes.
 func TestExecutorsAgree(t *testing.T) {
 	p := Params{N: 6, T: 3, K: 2, D: 2, L: 2}
 	c := condition.MustNewMax(p.N, 3, p.X(), p.L)
@@ -313,11 +319,11 @@ func TestExecutorsAgree(t *testing.T) {
 			input[i] = vector.Value(1 + r.Intn(3))
 		}
 		fp := adversary.Random(r, p.N, p.T, p.RMax())
-		seq, err := Run(p, c, input, fp, false)
+		seq, err := Run(p, c, input, fp)
 		if err != nil {
 			t.Fatal(err)
 		}
-		con, err := Run(p, c, input, fp, true)
+		con, err := NewRunner().RunCond(p, c, input, fp, false, &seamTransport{}, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -326,7 +332,7 @@ func TestExecutorsAgree(t *testing.T) {
 		}
 		for id, v := range seq.Decisions {
 			if con.Decisions[id] != v {
-				t.Fatalf("p%d: sequential %v, concurrent %v", id, v, con.Decisions[id])
+				t.Fatalf("p%d: fast path %v, seam %v", id, v, con.Decisions[id])
 			}
 			if seq.DecisionRound[id] != con.DecisionRound[id] {
 				t.Fatalf("p%d: rounds differ", id)
@@ -342,7 +348,7 @@ func TestClassicalBaseline(t *testing.T) {
 		adversary.None(),
 		adversary.Stagger(n, tt, 2, 1, tt/k+1),
 	} {
-		res, err := RunClassical(n, tt, k, input, fp, false)
+		res, err := RunClassical(n, tt, k, input, fp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -371,7 +377,7 @@ func TestClassicalExhaustive(t *testing.T) {
 	vector.ForEach(n, m, func(in vector.Vector) bool {
 		input := in.Clone()
 		err := adversary.Enumerate(n, tt, tt/k+1, func(fp rounds.FailurePattern) bool {
-			res, err := RunClassical(n, tt, k, input, fp, false)
+			res, err := RunClassical(n, tt, k, input, fp)
 			if err != nil {
 				t.Fatal(err)
 			}

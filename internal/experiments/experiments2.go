@@ -6,6 +6,7 @@ import (
 
 	"kset"
 	"kset/internal/adversary"
+	"kset/internal/async"
 	"kset/internal/condition"
 	"kset/internal/core"
 	"kset/internal/stats"
@@ -312,20 +313,14 @@ func runE10(cfg Params) Report {
 	// The same algorithm over the message-passing substrate (ABD quorum
 	// registers, x < n/2): identical guarantees with no shared memory at
 	// all.
-	mpSys, err := kset.New(kset.WithParams(p), kset.WithCondition(c),
-		kset.WithExecutor(kset.Asynchronous),
-		kset.WithAsyncMemory(kset.MessagePassingMemory))
+	mpOut, err := async.Run(async.Config{X: x, Cond: c, Input: inC, Seed: 19, Memory: async.MessagePassingMemory})
 	if err != nil {
 		return r.Fail(err)
 	}
-	mpRes, err := mpSys.RunScenario(ctx, kset.Scenario{Input: inC, Seed: 19})
-	if err != nil {
-		return r.Fail(err)
-	}
-	mpBlocked := n - len(mpRes.Decisions)
-	r.Check(mpBlocked == 0 && mpRes.DistinctDecisions().Len() <= l)
-	tbl.Row("I∈C, message passing", fmt.Sprint(len(mpRes.Decisions)),
-		mpRes.DistinctDecisions().String(), fmt.Sprint(mpBlocked))
+	mpBlocked := n - mpOut.DecidedCount()
+	r.Check(mpBlocked == 0 && mpOut.DistinctDecisions().Len() <= l)
+	tbl.Row("I∈C, message passing", fmt.Sprint(mpOut.DecidedCount()),
+		mpOut.DistinctDecisions().String(), fmt.Sprint(mpBlocked))
 
 	// Blocking face: an explicit condition none of whose members matches
 	// any view of the input.

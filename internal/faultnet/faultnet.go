@@ -1,6 +1,7 @@
 package faultnet
 
 import (
+	"kset/internal/prng"
 	"kset/internal/rounds"
 )
 
@@ -37,7 +38,7 @@ type Transport struct {
 	maxDelay int
 
 	seed uint64 // per-run base; rng rewinds to it on Reset
-	rng  uint64
+	rng  prng.Rand
 
 	n                                    int
 	delivered, lost, delayed, duplicated int64
@@ -113,7 +114,7 @@ func (t *Transport) Reseed(seed uint64) { t.seed = seed }
 // random stream rewound to the base seed.
 func (t *Transport) Reset(n int) {
 	t.n = n
-	t.rng = t.seed
+	t.rng = prng.New(t.seed)
 	t.delivered, t.lost, t.delayed, t.duplicated = 0, 0, 0, 0
 	slots := t.maxDelay + 1
 	if cap(t.flight) < slots {
@@ -156,7 +157,7 @@ func (t *Transport) Send(r int, src rounds.ProcessID, payload any, order []round
 	if limit <= 0 {
 		return
 	}
-	if t.plan.Reorder > 0 && t.rand() < t.plan.Reorder {
+	if t.plan.Reorder > 0 && t.rng.Float64() < t.plan.Reorder {
 		order = t.shuffled(order)
 	}
 	frozen := any(nil)
@@ -182,19 +183,19 @@ func (t *Transport) Send(r int, src rounds.ProcessID, payload any, order []round
 				lf = o
 			}
 		}
-		if lf.Loss > 0 && t.rand() < lf.Loss {
+		if lf.Loss > 0 && t.rng.Float64() < lf.Loss {
 			t.lost++
 			continue
 		}
 		d := 0
-		if lf.DelayProb > 0 && t.rand() < lf.DelayProb {
-			d = 1 + t.randN(lf.MaxDelay)
+		if lf.DelayProb > 0 && t.rng.Float64() < lf.DelayProb {
+			d = t.delayDraw(lf.MaxDelay)
 			t.delayed++
 		}
 		t.enqueue(r, d, src, dst, payload, &frozen)
-		if lf.Duplicate > 0 && t.rand() < lf.Duplicate {
+		if lf.Duplicate > 0 && t.rng.Float64() < lf.Duplicate {
 			t.duplicated++
-			t.enqueue(r, 1+t.randN(lf.MaxDelay), src, dst, payload, &frozen)
+			t.enqueue(r, t.delayDraw(lf.MaxDelay), src, dst, payload, &frozen)
 		}
 	}
 }
@@ -251,30 +252,15 @@ func (t *Transport) FaultCounts() (lost, delayed, duplicated int64) {
 func (t *Transport) shuffled(order []rounds.ProcessID) []rounds.ProcessID {
 	s := t.order[:len(order)]
 	copy(s, order)
-	for i := len(s) - 1; i > 0; i-- {
-		j := t.randN(i + 1)
-		s[i], s[j] = s[j], s[i]
-	}
+	prng.Shuffle(&t.rng, s)
 	return s
 }
 
-// next advances the splitmix64 stream — allocation-free, unlike a
-// per-run math/rand source, and trivially reseedable per scenario.
-func (t *Transport) next() uint64 {
-	t.rng += 0x9e3779b97f4a7c15
-	z := t.rng
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// rand returns a uniform draw from [0, 1).
-func (t *Transport) rand() float64 { return float64(t.next()>>11) / (1 << 53) }
-
-// randN returns a uniform draw from {0, …, n−1}.
-func (t *Transport) randN(n int) int {
-	if n <= 1 {
-		return 0
+// delayDraw returns a uniform delay from {1, …, max} rounds; a bound of
+// at most one round is no choice and consumes no draw.
+func (t *Transport) delayDraw(max int) int {
+	if max <= 1 {
+		return 1
 	}
-	return int(t.next() % uint64(n))
+	return 1 + t.rng.Intn(max)
 }

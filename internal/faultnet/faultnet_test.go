@@ -69,8 +69,7 @@ func resultsEqual(a, b *rounds.Result) bool {
 // TestZeroFaultPlanMatchesMatrix is the refactor's equivalence property:
 // under a fault-free plan the fault transport must reproduce the matrix
 // transport's results — decisions, rounds, crash sets and the delivered-
-// copies count — over randomized crash patterns, both inline and
-// concurrent.
+// copies count — over randomized crash patterns.
 func TestZeroFaultPlanMatchesMatrix(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	plan := &Plan{Seed: 7}
@@ -87,21 +86,20 @@ func TestZeroFaultPlanMatchesMatrix(t *testing.T) {
 			vals[i] = vector.Value(1 + r.Intn(5))
 		}
 		decideAt := 1 + r.Intn(maxRounds)
-		concurrent := trial%3 == 0
 
 		matrix, err := rounds.Run(newFloodRun(vals, decideAt), fp,
-			rounds.Options{MaxRounds: maxRounds, Concurrent: concurrent})
+			rounds.Options{MaxRounds: maxRounds})
 		if err != nil {
 			t.Fatal(err)
 		}
 		faulty, err := rounds.Run(newFloodRun(vals, decideAt), fp,
-			rounds.Options{MaxRounds: maxRounds, Concurrent: concurrent, Transport: tr})
+			rounds.Options{MaxRounds: maxRounds, Transport: tr})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !resultsEqual(matrix, faulty) {
-			t.Fatalf("trial %d (n=%d, rounds=%d, concurrent=%v):\nmatrix %+v\nfaultnet %+v",
-				trial, n, maxRounds, concurrent, matrix, faulty)
+			t.Fatalf("trial %d (n=%d, rounds=%d):\nmatrix %+v\nfaultnet %+v",
+				trial, n, maxRounds, matrix, faulty)
 		}
 		if lost, delayed, dup := tr.FaultCounts(); lost != 0 || delayed != 0 || dup != 0 {
 			t.Fatalf("zero-fault plan injected faults: %d/%d/%d", lost, delayed, dup)

@@ -52,22 +52,26 @@ func TestRunCancelBeforeStart(t *testing.T) {
 // TestRunCancelMidRun checks cancellation closed during round 2 stops the
 // run at the round-3 boundary: rounds 1 and 2 complete, round 3 never
 // starts, and the engine reports ErrCanceled. Both the shared-row fast
-// path and the transport path honor the bound.
+// path and the transport path (forced via tracing) honor the bound.
 func TestRunCancelMidRun(t *testing.T) {
-	for _, concurrent := range []bool{false, true} {
+	for _, traced := range []bool{false, true} {
 		cancel := make(chan struct{})
 		procs := []Process{
 			&cancelingProcess{closeAt: 2, cancel: cancel},
 			&cancelingProcess{},
 			&cancelingProcess{},
 		}
-		_, err := NewEngine().Run(procs, FailurePattern{}, Options{MaxRounds: 50, Concurrent: concurrent, Cancel: cancel})
+		opts := Options{MaxRounds: 50, Cancel: cancel}
+		if traced {
+			opts.Trace = &Trace{}
+		}
+		_, err := NewEngine().Run(procs, FailurePattern{}, opts)
 		if !errors.Is(err, ErrCanceled) {
-			t.Fatalf("concurrent=%v: err = %v, want ErrCanceled", concurrent, err)
+			t.Fatalf("traced=%v: err = %v, want ErrCanceled", traced, err)
 		}
 		for i, p := range procs {
 			if got := p.(*cancelingProcess).rounds; got != 2 {
-				t.Fatalf("concurrent=%v: process %d ran %d rounds, want exactly 2", concurrent, i+1, got)
+				t.Fatalf("traced=%v: process %d ran %d rounds, want exactly 2", traced, i+1, got)
 			}
 		}
 	}

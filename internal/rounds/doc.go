@@ -12,19 +12,20 @@
 // In later rounds the adversary may reorder deliveries (the paper permits
 // any order after round 1).
 //
-// Two executors with identical semantics are provided: a deterministic
-// in-line executor used for exhaustive adversary model checking, and a
-// goroutine-per-process executor exercised under the race detector.
+// There is one executor: processes are stepped in-line in id order. A
+// process's compute phase touches only its own state, so that order is the
+// lock-step model itself, and it keeps every run deterministic — the basis
+// of exhaustive adversary model checking.
 //
 // Paper map:
 //
 //	Section 6.2   the model: rounds, prefix-send crashes, FailurePattern
 //	Section 6.3   the view-containment invariant round 1 establishes
 //
-// The Engine is the module's synchronous hot path: it reuses its n×n
-// message matrix and per-round buffers across runs (RunInto + Result.Reset
-// make stats-only campaign runs allocation-free), with a shared-row fast
-// path for rounds in which no sender crashed.
+// The Engine is the module's synchronous hot path: it reuses its receive
+// row and per-round buffers across runs (RunInto + Result.Reset make
+// stats-only campaign runs allocation-free), with a shared-row fast path
+// for runs on the default transport with identity send orders.
 //
 // Message delivery itself sits behind the Transport seam: the engine
 // applies the crash adversary to each round's sends (order and prefix

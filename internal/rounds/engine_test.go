@@ -38,9 +38,8 @@ func randPattern(r *rand.Rand, n, t, maxRounds int) FailurePattern {
 }
 
 // TestEngineSharedRowMatchesMatrix cross-checks the shared-row fast path
-// against the n×n-matrix executor (forced via tracing) and the concurrent
-// executor over randomized failure patterns: all three must produce
-// identical results.
+// against the transport seam's n×n matrix (forced via tracing) over
+// randomized failure patterns: both must produce identical results.
 func TestEngineSharedRowMatchesMatrix(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 300; trial++ {
@@ -62,25 +61,35 @@ func TestEngineSharedRowMatchesMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		conc, err := Run(newFloodRun(vals, decideAt), fp, Options{MaxRounds: maxRounds, Concurrent: true})
-		if err != nil {
-			t.Fatal(err)
-		}
 		if !resultsEqual(fast, matrix) {
 			t.Fatalf("row path diverged from matrix path: fp=%+v vals=%v\nrow:    %+v\nmatrix: %+v",
 				fp, vals, fast, matrix)
 		}
-		if !resultsEqual(fast, conc) {
-			t.Fatalf("row path diverged from concurrent executor: fp=%+v vals=%v\nrow:  %+v\nconc: %+v",
-				fp, vals, fast, conc)
-		}
 	}
 }
 
-// TestEngineReuse runs one Engine across runs of different sizes and
-// checks each result against a fresh one-shot Run.
+// orderLenTransport is a MatrixTransport that records every Send whose
+// order is not exactly one entry per process of the current run.
+type orderLenTransport struct {
+	MatrixTransport
+	bad []int
+}
+
+func (t *orderLenTransport) Send(r int, src ProcessID, payload any, order []ProcessID, limit int) {
+	if len(order) != t.n {
+		t.bad = append(t.bad, len(order))
+	}
+	t.MatrixTransport.Send(r, src, payload, order, limit)
+}
+
+// TestEngineReuse runs one Engine across runs of different sizes — growing
+// and shrinking, on the fast path and through the transport seam — and
+// checks each result against a fresh one-shot Run. On the seam every Send
+// must carry a send order of exactly n entries: a transport that shuffles
+// the order would otherwise deliver to processes a smaller run lacks.
 func TestEngineReuse(t *testing.T) {
 	e := NewEngine()
+	tr := &orderLenTransport{}
 	r := rand.New(rand.NewSource(12))
 	for _, n := range []int{6, 2, 8, 3, 8, 5} {
 		fp := randPattern(r, n, n-1, 3)
@@ -88,16 +97,21 @@ func TestEngineReuse(t *testing.T) {
 		for i := range vals {
 			vals[i] = vector.Value(1 + r.Intn(4))
 		}
-		got, err := e.Run(newFloodRun(vals, 2), fp, Options{MaxRounds: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
 		want, err := Run(newFloodRun(vals, 2), fp, Options{MaxRounds: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !resultsEqual(got, want) {
-			t.Fatalf("n=%d: reused engine %+v, fresh run %+v", n, got, want)
+		for _, opts := range []Options{{MaxRounds: 3}, {MaxRounds: 3, Transport: tr}} {
+			got, err := e.Run(newFloodRun(vals, 2), fp, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !resultsEqual(got, want) {
+				t.Fatalf("n=%d seam=%v: reused engine %+v, fresh run %+v", n, opts.Transport != nil, got, want)
+			}
+		}
+		if len(tr.bad) > 0 {
+			t.Fatalf("n=%d: Send got orders of length %v, want %d", n, tr.bad, n)
 		}
 	}
 }

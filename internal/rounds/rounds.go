@@ -3,8 +3,6 @@ package rounds
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"kset/internal/vector"
 )
@@ -199,15 +197,6 @@ type Options struct {
 	// MaxRounds caps the execution; the engine also stops as soon as every
 	// live process has decided.
 	MaxRounds int
-	// Concurrent runs each round's compute phase on a bounded per-run
-	// worker pool (min(GOMAXPROCS, 8) goroutines, spawned lazily at the
-	// first concurrent round and retired at run end) instead of in-line.
-	// Each worker computes a contiguous span of processes into
-	// per-process outcome slots, so outcome order — and thus every
-	// Result — is identical to the in-line executor's. The concurrent
-	// executor exists to exercise protocol implementations under the
-	// race detector and to model the paper's "n processes" faithfully.
-	Concurrent bool
 	// Trace, when non-nil, is filled with the round-by-round events of the
 	// execution (rendering payloads with fmt).
 	Trace *Trace
@@ -226,16 +215,14 @@ type Options struct {
 }
 
 // Engine executes synchronous runs while reusing its internal buffers
-// (the n×n delivery matrix, liveness bitmaps, the identity send order and
+// (the shared receive row, liveness bitmaps, the identity send order and
 // the per-round outcome scratch) across calls. Sweeps that drive thousands
 // of runs — exhaustive adversary model checking above all — should create
 // one Engine and call its Run repeatedly; each call then costs only the
 // small per-run Result (which the caller may retain freely).
 //
-// An Engine is not safe for concurrent use; Run itself may still use the
-// concurrent per-process executor internally.
+// An Engine is not safe for concurrent use.
 type Engine struct {
-	recv     []any // n×n receive-row scratch; recv[(dst-1)*n:] is dst's row
 	alive    []bool
 	halted   []bool
 	identity []ProcessID
@@ -245,22 +232,15 @@ type Engine struct {
 	// an Options.Transport override reuse its matrix across runs.
 	mt MatrixTransport
 
-	// Row-sharing fast path (in-line executor, identity send orders): the
-	// send phase records one payload and delivery limit per sender, and a
-	// single receive row is patched incrementally as the destination
+	// row is the one receive row every destination's Step reads: the
+	// transport path has Deliver fill it per destination; the fast path
+	// (identity send orders) records one payload and delivery limit per
+	// sender and patches the row incrementally as the destination
 	// advances, instead of materializing the n×n matrix.
-	pay     []any
 	row     []any
+	pay     []any
 	limits  []int
 	partial []int // senders whose delivery prefix ends mid-row this round
-
-	// Concurrent executor state: a per-run bounded worker pool fed
-	// contiguous process spans over concWork, writing outcomes into
-	// per-process slots of concOut (id 0 marks a skipped process).
-	// Started lazily by the first concurrent round, stopped at run end.
-	concWork chan concSpan
-	concWG   sync.WaitGroup
-	concOut  []outcome
 }
 
 type outcome struct {
@@ -275,8 +255,7 @@ func NewEngine() *Engine { return &Engine{} }
 
 // reset sizes the scratch buffers for a run over n processes.
 func (e *Engine) reset(n int) {
-	if cap(e.recv) < n*n {
-		e.recv = make([]any, n*n)
+	if cap(e.row) < n {
 		e.alive = make([]bool, n+1)
 		e.halted = make([]bool, n+1)
 		e.identity = make([]ProcessID, n)
@@ -289,9 +268,11 @@ func (e *Engine) reset(n int) {
 		e.limits = make([]int, n)
 		e.partial = make([]int, 0, n)
 	}
-	e.recv = e.recv[:n*n]
 	e.alive = e.alive[:n+1]
 	e.halted = e.halted[:n+1]
+	// A transport sizes its send loop by len(order), so the identity
+	// order of a larger earlier run must not leak into a smaller one.
+	e.identity = e.identity[:n]
 	e.pay = e.pay[:n]
 	e.row = e.row[:n]
 	e.limits = e.limits[:n]
@@ -343,16 +324,15 @@ func (e *Engine) RunInto(res *Result, procs []Process, fp FailurePattern, opts O
 	}
 
 	// Resolve the transport. The shared-row fast path applies only to the
-	// default reliable delivery with the in-line executor, no tracing and
-	// no send-order overrides; everything else — traced, concurrent,
-	// order-overridden or fault-injected runs — flows through the
-	// transport seam.
+	// default reliable delivery with no tracing and no send-order
+	// overrides; everything else — traced, order-overridden or
+	// fault-injected runs — flows through the transport seam.
 	tr := opts.Transport
 	if tr == nil {
 		tr = &e.mt
 	}
 	_, isMatrix := tr.(*MatrixTransport)
-	fast := isMatrix && !opts.Concurrent && opts.Trace == nil && len(fp.Orders) == 0
+	fast := isMatrix && opts.Trace == nil && len(fp.Orders) == 0
 	if !fast {
 		tr.Reset(n)
 		// Blocking transports (the wire plane) honor the run's cancel
@@ -367,9 +347,6 @@ func (e *Engine) RunInto(res *Result, procs []Process, fp FailurePattern, opts O
 		opts.Trace.N = n
 		opts.Trace.Rounds = opts.Trace.Rounds[:0]
 	}
-	// The concurrent executor's workers live at most until run end,
-	// whichever way the round loop exits.
-	defer e.stopConc()
 	for r := 1; r <= opts.MaxRounds; r++ {
 		if opts.Cancel != nil {
 			select {
@@ -393,7 +370,7 @@ func (e *Engine) RunInto(res *Result, procs []Process, fp FailurePattern, opts O
 			})
 			rt = &opts.Trace.Rounds[len(opts.Trace.Rounds)-1]
 		}
-		if e.runRoundTransport(procs, fp, r, res, opts, tr, rt) {
+		if e.runRoundTransport(procs, fp, r, res, tr, rt) {
 			break
 		}
 	}
@@ -404,10 +381,10 @@ func (e *Engine) RunInto(res *Result, procs []Process, fp FailurePattern, opts O
 }
 
 // runRoundTransport executes round r through the transport seam — the
-// path of every traced, concurrent, order-overridden or fault-injected
-// run — and reports whether the run should stop. With a MatrixTransport
-// its results are identical to the shared-row fast path's.
-func (e *Engine) runRoundTransport(procs []Process, fp FailurePattern, r int, res *Result, opts Options, tr Transport, rt *RoundTrace) (stop bool) {
+// path of every traced, order-overridden or fault-injected run — and
+// reports whether the run should stop. With a MatrixTransport its results
+// are identical to the shared-row fast path's.
+func (e *Engine) runRoundTransport(procs []Process, fp FailurePattern, r int, res *Result, tr Transport, rt *RoundTrace) (stop bool) {
 	n := len(procs)
 	tr.BeginRound(r)
 
@@ -443,29 +420,16 @@ func (e *Engine) runRoundTransport(procs []Process, fp FailurePattern, r int, re
 	res.Rounds = r
 	res.MessagesDelivered = tr.Delivered()
 
-	// Receive + compute phase. Rows are delivered sequentially — the
-	// transport may reuse internal scratch between Deliver calls — into
-	// per-destination slices of the engine's receive scratch, so the
-	// concurrent executor's Steps still run in parallel safely.
+	// Receive + compute phase: each live destination's arrivals are
+	// delivered into the shared row and consumed by its Step in turn.
 	outcomes := e.outcomes[:0]
-	if opts.Concurrent {
-		for id := 1; id <= n; id++ {
-			if !e.alive[id] || e.halted[id] {
-				continue
-			}
-			tr.Deliver(r, ProcessID(id), e.recv[(id-1)*n:id*n])
+	for id := 1; id <= n; id++ {
+		if !e.alive[id] || e.halted[id] {
+			continue
 		}
-		outcomes = e.stepConcurrent(procs, r, outcomes)
-	} else {
-		for id := 1; id <= n; id++ {
-			if !e.alive[id] || e.halted[id] {
-				continue
-			}
-			row := e.recv[(id-1)*n : id*n]
-			tr.Deliver(r, ProcessID(id), row)
-			v, done := procs[id-1].Step(r, row)
-			outcomes = append(outcomes, outcome{ProcessID(id), v, done})
-		}
+		tr.Deliver(r, ProcessID(id), e.row)
+		v, done := procs[id-1].Step(r, e.row)
+		outcomes = append(outcomes, outcome{ProcessID(id), v, done})
 	}
 	e.outcomes = outcomes[:0]
 	for _, o := range outcomes {
@@ -488,98 +452,6 @@ func (e *Engine) runRoundTransport(procs []Process, fp FailurePattern, r int, re
 		}
 	}
 	return true
-}
-
-// concSpan is one unit of concurrent compute work: run round r's Step for
-// the processes in [lo, hi] (1-based, inclusive).
-type concSpan struct{ lo, hi, r int }
-
-// concWorkers returns the concurrent executor's pool size for n
-// processes: enough goroutines to exercise protocols under the race
-// detector and saturate the cores, bounded so per-run spawn cost stays
-// flat as n grows.
-func concWorkers(n int) int {
-	w := runtime.GOMAXPROCS(0)
-	if w < 2 {
-		w = 2
-	}
-	if w > 8 {
-		w = 8
-	}
-	if w > n {
-		w = n
-	}
-	return w
-}
-
-// startConc spawns the run's compute workers. They live for one run —
-// stepConcurrent feeds them a batch of spans per round — and exit when
-// RunInto closes the work channel, so an Engine holds no goroutines
-// between runs. Workers write each process's outcome into its own slot
-// of concOut (no lock, no append), and the per-round channel/WaitGroup
-// handoff orders those writes with the main goroutine's reads.
-func (e *Engine) startConc(procs []Process) {
-	n := len(procs)
-	if cap(e.concOut) < n {
-		e.concOut = make([]outcome, n)
-	}
-	e.concOut = e.concOut[:n]
-	work := make(chan concSpan)
-	e.concWork = work
-	for i := 0; i < concWorkers(n); i++ {
-		go func() {
-			for sp := range work {
-				for id := sp.lo; id <= sp.hi; id++ {
-					if !e.alive[id] || e.halted[id] {
-						e.concOut[id-1] = outcome{}
-						continue
-					}
-					v, done := procs[id-1].Step(sp.r, e.recv[(id-1)*n:id*n])
-					e.concOut[id-1] = outcome{ProcessID(id), v, done}
-				}
-				e.concWG.Done()
-			}
-		}()
-	}
-}
-
-// stopConc shuts the run's compute workers down (no-op when the run never
-// used the concurrent executor).
-func (e *Engine) stopConc() {
-	if e.concWork != nil {
-		close(e.concWork)
-		e.concWork = nil
-	}
-}
-
-// stepConcurrent runs one round's receive/compute phase on the engine's
-// bounded worker pool (started lazily on the round's first use) and
-// returns the appended outcomes. Each worker computes a contiguous span
-// of processes into per-process outcome slots; collecting the slots in id
-// order afterwards makes the outcome order deterministic, unlike the
-// former goroutine-per-process executor's completion-order append.
-func (e *Engine) stepConcurrent(procs []Process, r int, outcomes []outcome) []outcome {
-	if e.concWork == nil {
-		e.startConc(procs)
-	}
-	n := len(procs)
-	w := concWorkers(n)
-	span := (n + w - 1) / w
-	for lo := 1; lo <= n; lo += span {
-		hi := lo + span - 1
-		if hi > n {
-			hi = n
-		}
-		e.concWG.Add(1)
-		e.concWork <- concSpan{lo: lo, hi: hi, r: r}
-	}
-	e.concWG.Wait()
-	for id := 1; id <= n; id++ {
-		if o := e.concOut[id-1]; o.id != 0 {
-			outcomes = append(outcomes, o)
-		}
-	}
-	return outcomes
 }
 
 // runRoundShared executes round r on the shared-row fast path and reports

@@ -36,36 +36,34 @@ func newFloodRun(vals []vector.Value, decideAt int) []Process {
 }
 
 func TestRunFailureFree(t *testing.T) {
-	for _, concurrent := range []bool{false, true} {
-		procs := newFloodRun([]vector.Value{4, 2, 7, 5}, 2)
-		res, err := Run(procs, FailurePattern{}, Options{MaxRounds: 5, Concurrent: concurrent})
-		if err != nil {
-			t.Fatal(err)
+	procs := newFloodRun([]vector.Value{4, 2, 7, 5}, 2)
+	res, err := Run(procs, FailurePattern{}, Options{MaxRounds: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rounds != 2 {
+		t.Errorf("rounds = %d, want 2 (early stop)", res.Rounds)
+	}
+	if len(res.Decisions) != 4 {
+		t.Fatalf("%d decisions, want 4", len(res.Decisions))
+	}
+	for id, v := range res.Decisions {
+		if v != 2 {
+			t.Errorf("p%d decided %v, want 2", id, v)
 		}
-		if res.Rounds != 2 {
-			t.Errorf("concurrent=%v: rounds = %d, want 2 (early stop)", concurrent, res.Rounds)
+		if res.DecisionRound[id] != 2 {
+			t.Errorf("p%d decided at round %d, want 2", id, res.DecisionRound[id])
 		}
-		if len(res.Decisions) != 4 {
-			t.Fatalf("concurrent=%v: %d decisions, want 4", concurrent, len(res.Decisions))
-		}
-		for id, v := range res.Decisions {
-			if v != 2 {
-				t.Errorf("concurrent=%v: p%d decided %v, want 2", concurrent, id, v)
-			}
-			if res.DecisionRound[id] != 2 {
-				t.Errorf("concurrent=%v: p%d decided at round %d, want 2", concurrent, id, res.DecisionRound[id])
-			}
-		}
-		if got := res.DistinctDecisions(); !got.Equal(vector.SetOf(2)) {
-			t.Errorf("distinct = %v", got)
-		}
-		if res.MaxDecisionRound() != 2 {
-			t.Errorf("MaxDecisionRound = %d", res.MaxDecisionRound())
-		}
-		// Round 1: 4 senders × 4 recipients; round 2 same.
-		if res.MessagesDelivered != 32 {
-			t.Errorf("messages = %d, want 32", res.MessagesDelivered)
-		}
+	}
+	if got := res.DistinctDecisions(); !got.Equal(vector.SetOf(2)) {
+		t.Errorf("distinct = %v", got)
+	}
+	if res.MaxDecisionRound() != 2 {
+		t.Errorf("MaxDecisionRound = %d", res.MaxDecisionRound())
+	}
+	// Round 1: 4 senders × 4 recipients; round 2 same.
+	if res.MessagesDelivered != 32 {
+		t.Errorf("messages = %d, want 32", res.MessagesDelivered)
 	}
 }
 

@@ -40,17 +40,16 @@ type Transport interface {
 	// before any of the round's Send calls.
 	BeginRound(r int)
 	// Send hands over one sender's broadcast of round r: one copy of
-	// payload addressed to each of the first limit destinations of order
-	// (the engine has already applied the crash adversary to compute
-	// both). order must be treated as read-only; payload is valid for the
-	// current round only — a transport that retains it longer must
-	// Freeze it (see Freezer).
+	// payload addressed to each of the first limit destinations of order,
+	// a permutation of the run's n processes (the engine has already
+	// applied the crash adversary to compute both). order must be treated
+	// as read-only; payload is valid for the current round only — a
+	// transport that retains it longer must Freeze it (see Freezer).
 	Send(r int, src ProcessID, payload any, order []ProcessID, limit int)
 	// Deliver fills row — row[i] is the payload arriving at dst from
 	// process i+1, nil if none — with round r's arrivals for dst. The
 	// engine calls it once per live destination per round; the filled row
-	// is consumed by the destination's Step before the next Deliver on
-	// the non-concurrent path, and before the next round either way.
+	// is consumed by the destination's Step before the next Deliver.
 	Deliver(r int, dst ProcessID, row []any)
 	// Delivered returns the number of message copies the transport has
 	// accepted for delivery since Reset. For MatrixTransport this is

@@ -5,6 +5,7 @@ import (
 	"os"
 	"time"
 
+	"kset/internal/prng"
 	"kset/internal/rounds"
 )
 
@@ -53,7 +54,7 @@ type Loopback struct {
 	lost      int64
 	round     int
 	cancel    <-chan struct{}
-	rng       prng
+	rng       prng.Rand
 	firstErr  error
 	readBuf   [64]byte
 }
@@ -142,7 +143,7 @@ func (t *Loopback) Reset(n int) {
 	t.delivered = 0
 	t.lost = 0
 	t.round = 0
-	t.rng = prng{s: t.cfg.Seed}
+	t.rng = prng.New(t.cfg.Seed)
 }
 
 func (t *Loopback) clearSlots() {
@@ -231,7 +232,7 @@ func (t *Loopback) await(r int, dst rounds.ProcessID, base, pending int) {
 	conn := t.conns[int(dst)-1]
 	deadline := time.Now().Add(t.cfg.RoundTimeout)
 	interval := t.cfg.Retransmit
-	next := time.Now().Add(t.rng.jittered(interval))
+	next := time.Now().Add(jittered(&t.rng, interval))
 	const pollTick = 100 * time.Millisecond
 	for pending > 0 {
 		select {
@@ -253,7 +254,7 @@ func (t *Loopback) await(r int, dst rounds.ProcessID, base, pending int) {
 				}
 			}
 			interval = backoff(interval, t.cfg.RoundTimeout/4)
-			next = now.Add(t.rng.jittered(interval))
+			next = now.Add(jittered(&t.rng, interval))
 		}
 		wait := minTime(deadline, next)
 		if poll := now.Add(pollTick); poll.Before(wait) {

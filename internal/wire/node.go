@@ -6,6 +6,7 @@ import (
 	"os"
 	"time"
 
+	"kset/internal/prng"
 	"kset/internal/rounds"
 	"kset/internal/vector"
 )
@@ -72,7 +73,7 @@ type futKey struct {
 // node is the run state of one peer.
 type node struct {
 	cfg NodeConfig
-	rng prng
+	rng prng.Rand
 	res NodeResult
 
 	suspected []bool // suspected[p-1]
@@ -125,7 +126,7 @@ func RunNode(proc rounds.Process, cfg NodeConfig) (*NodeResult, error) {
 	}
 	nd := &node{
 		cfg:       cfg,
-		rng:       prng{s: cfg.Seed},
+		rng:       prng.New(cfg.Seed),
 		suspected: make([]bool, cfg.N),
 		finished:  make([]bool, cfg.N),
 		finRound:  make([]int, cfg.N),
@@ -249,7 +250,7 @@ func (nd *node) exchange() error {
 			}
 			first = false
 			interval = backoff(interval, nd.cfg.RoundTimeout/4)
-			next = now.Add(nd.rng.jittered(interval))
+			next = now.Add(jittered(&nd.rng, interval))
 		}
 		if err := nd.readOne(deadline, next, pollTick); err != nil {
 			return err
@@ -392,7 +393,7 @@ func (nd *node) finish() (*NodeResult, error) {
 				return &nd.res, nil
 			}
 			interval = backoff(interval, nd.cfg.Linger/4)
-			next = now.Add(nd.rng.jittered(interval))
+			next = now.Add(jittered(&nd.rng, interval))
 		}
 		if err := nd.readOne(deadline, next, pollTick); err != nil {
 			break

@@ -1,28 +1,19 @@
 package wire
 
-import "time"
+import (
+	"time"
 
-// prng is a splitmix64 stream — the same tiny generator faultnet uses —
-// seeding the retransmission jitter. Deterministic per seed, allocation
-// free, and unrelated to protocol randomness (there is none).
-type prng struct{ s uint64 }
-
-func (p *prng) next() uint64 {
-	p.s += 0x9e3779b97f4a7c15
-	z := p.s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
+	"kset/internal/prng"
+)
 
 // jittered spreads a retransmission interval over [d/2, 3d/2) so that
 // colliding peers (or colliding destinations of one loopback process)
 // decorrelate instead of retransmitting in lock step.
-func (p *prng) jittered(d time.Duration) time.Duration {
+func jittered(rng *prng.Rand, d time.Duration) time.Duration {
 	if d <= 0 {
 		return 0
 	}
-	return d/2 + time.Duration(p.next()%uint64(d))
+	return d/2 + time.Duration(rng.Intn(int(d)))
 }
 
 // backoff doubles the retransmission interval up to the cap.

@@ -1,7 +1,6 @@
 package kset
 
 import (
-	"context"
 	"math/big"
 
 	"kset/internal/adversary"
@@ -126,64 +125,14 @@ func NoFailures() FailurePattern { return adversary.None() }
 // before they send anything.
 func InitialCrashes(n, count int) FailurePattern { return adversary.InitialLast(n, count) }
 
-// Agree runs the condition-based synchronous k-set agreement algorithm
-// (Figure 2) on the goroutine-per-process executor and returns the
-// execution result.
-//
-// Deprecated: Agree re-validates p and c on every call. Construct a
-// System once — kset.New(kset.WithParams(p), kset.WithCondition(c),
-// kset.WithProcessGoroutines()) — and call its Run; for batches, use a
-// Campaign. Agree remains as a thin wrapper over such a one-shot System.
-func Agree(p Params, c Condition, input Vector, fp FailurePattern) (*Result, error) {
-	return runOnce(p, c, Figure2, input, fp)
-}
-
-// AgreeEarly runs the early-deciding variant (Section 8), which
-// additionally never decides later than min(⌊f/k⌋+3, the plain bounds)
-// where f is the number of actual crashes.
-//
-// Deprecated: construct a System with kset.WithExecutor(kset.EarlyDeciding)
-// instead; see Agree.
-func AgreeEarly(p Params, c Condition, input Vector, fp FailurePattern) (*Result, error) {
-	return runOnce(p, c, EarlyDeciding, input, fp)
-}
-
-// AgreeClassical runs the classical (condition-free) k-set agreement
-// baseline, deciding in exactly ⌊t/k⌋+1 rounds.
-//
-// Deprecated: construct a System with kset.WithExecutor(kset.Classical)
-// instead; see Agree.
-func AgreeClassical(n, t, k int, input Vector, fp FailurePattern) (*Result, error) {
-	return runOnce(Params{N: n, T: t, K: k, D: 0, L: 1}, nil, Classical, input, fp)
-}
-
-// runOnce backs the deprecated free functions with a one-shot System on
-// the goroutine-per-process executor (their historical semantics). The
-// System's worker pool is shared package-wide, so even the one-shot path
-// reuses warmed engine buffers.
-func runOnce(p Params, c Condition, ex Executor, input Vector, fp FailurePattern) (*Result, error) {
-	sys, err := New(WithParams(p), WithCondition(c), WithExecutor(ex), WithProcessGoroutines())
-	if err != nil {
-		return nil, err
-	}
-	return sys.Run(context.Background(), input, fp)
-}
-
 // Verify checks an execution result against the k-set agreement
 // specification.
 func Verify(input Vector, fp FailurePattern, res *Result, k int) Verdict {
 	return core.Verify(input, fp, res, k)
 }
 
-// Asynchronous-system types.
-type (
-	// AsyncConfig describes one asynchronous execution (Section 4).
-	AsyncConfig = async.Config
-	// AsyncOutcome reports one asynchronous execution.
-	AsyncOutcome = async.Outcome
-	// CrashPoint says where an asynchronous process crashes.
-	CrashPoint = async.CrashPoint
-)
+// CrashPoint says where an asynchronous process crashes.
+type CrashPoint = async.CrashPoint
 
 // Asynchronous crash points.
 const (
@@ -191,29 +140,6 @@ const (
 	CrashBeforeWrite = async.CrashBeforeWrite
 	CrashAfterWrite  = async.CrashAfterWrite
 )
-
-// MemoryKind selects the asynchronous shared-memory substrate.
-type MemoryKind = async.MemoryKind
-
-// Available substrates: the lock-serialized snapshot simulation, the
-// wait-free Afek-et-al atomic snapshot, and the ABD quorum emulation over
-// an asynchronous message-passing network (requires x < n/2). All three
-// are linearizable and interchangeable.
-const (
-	MutexMemory          = async.MutexMemory
-	WaitFreeMemory       = async.WaitFreeMemory
-	MessagePassingMemory = async.MessagePassingMemory
-)
-
-// AgreeAsync runs the condition-based asynchronous ℓ-set agreement
-// algorithm over an atomic-snapshot shared memory. Termination is
-// guaranteed when the input belongs to the condition; agreement (at most ℓ
-// values) and validity hold unconditionally.
-//
-// Deprecated: construct a System with kset.WithExecutor(kset.Asynchronous)
-// instead; Scenario.Seed and Scenario.AsyncCrashes carry the per-run
-// adversary. AgreeAsync remains for callers that want the raw Outcome.
-func AgreeAsync(cfg AsyncConfig) (*AsyncOutcome, error) { return async.Run(cfg) }
 
 // ConditionSize returns NB(x,ℓ): the number of vectors in the
 // max_ℓ-generated (x,ℓ)-legal condition over {1..m}^n (Theorems 3 and 13).

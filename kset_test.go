@@ -4,6 +4,7 @@
 package kset_test
 
 import (
+	"context"
 	"testing"
 
 	"kset"
@@ -16,7 +17,11 @@ func TestQuickstartFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	input := kset.VectorOf(4, 4, 4, 2, 1, 2)
-	res, err := kset.Agree(p, c, input, kset.NoFailures())
+	sys, err := kset.New(kset.WithParams(p), kset.WithCondition(c))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sys.Run(context.Background(), input, kset.NoFailures())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +62,12 @@ func TestFacadeEarlyAndClassical(t *testing.T) {
 	input := kset.VectorOf(3, 3, 3, 1, 2)
 	fp := kset.InitialCrashes(p.N, 1)
 
-	early, err := kset.AgreeEarly(p, c, input, fp)
+	sys, err := kset.New(kset.WithParams(p), kset.WithCondition(c))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	early, err := sys.RunScenario(ctx, kset.Scenario{Input: input, FP: fp, Executor: kset.EarlyDeciding})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +75,7 @@ func TestFacadeEarlyAndClassical(t *testing.T) {
 		t.Fatalf("early: %v", v)
 	}
 
-	classical, err := kset.AgreeClassical(p.N, p.T, p.K, input, fp)
+	classical, err := sys.RunScenario(ctx, kset.Scenario{Input: input, FP: fp, Executor: kset.Classical})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,24 +92,27 @@ func TestFacadeEarlyAndClassical(t *testing.T) {
 }
 
 func TestFacadeAsync(t *testing.T) {
-	c, err := kset.NewMaxCondition(5, 3, 2, 2)
+	p := kset.Params{N: 5, T: 2, K: 2, D: 0, L: 2} // x = 2
+	c, err := kset.NewMaxCondition(p.N, 3, p.X(), p.L)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := kset.AgreeAsync(kset.AsyncConfig{
-		X:       2,
-		Cond:    c,
-		Input:   kset.VectorOf(3, 3, 2, 1, 2),
-		Crashes: map[int]kset.CrashPoint{5: kset.CrashBeforeWrite},
-		Seed:    1,
+	sys, err := kset.New(kset.WithParams(p), kset.WithCondition(c), kset.WithExecutor(kset.Asynchronous))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sys.RunScenario(context.Background(), kset.Scenario{
+		Input:        kset.VectorOf(3, 3, 2, 1, 2),
+		AsyncCrashes: map[int]kset.CrashPoint{5: kset.CrashBeforeWrite},
+		Seed:         1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Undecided) != 0 {
-		t.Fatalf("undecided: %v", out.Undecided)
+	if undecided := p.N - len(res.Decisions) - len(res.Crashed); undecided != 0 {
+		t.Fatalf("%d undecided: %v", undecided, res.Decisions)
 	}
-	if d := out.DistinctDecisions(); d.Len() > 2 {
+	if d := res.DistinctDecisions(); d.Len() > p.L {
 		t.Fatalf("too many values: %v", d)
 	}
 }

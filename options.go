@@ -43,21 +43,6 @@ func WithWorkers(n int) Option {
 	return func(s *System) { s.workers = n }
 }
 
-// WithProcessGoroutines makes synchronous runs execute each round's
-// compute phase on a bounded concurrent worker pool — the executor that
-// models the paper's "n processes" faithfully and exercises protocols
-// under the race detector. The default is the in-line executor, which is
-// semantically identical and much faster.
-func WithProcessGoroutines() Option {
-	return func(s *System) { s.procGoroutines = true }
-}
-
-// WithAsyncMemory selects the shared-memory substrate of Asynchronous
-// runs: MutexMemory (default), WaitFreeMemory or MessagePassingMemory.
-func WithAsyncMemory(kind MemoryKind) Option {
-	return func(s *System) { s.asyncMemory = kind }
-}
-
 // WithAsyncBudget bounds how many fruitless re-scans an undecided
 // asynchronous process performs before giving up (default: a small bound
 // derived from n that always suffices for in-condition inputs). The

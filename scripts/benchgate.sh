@@ -40,11 +40,8 @@ cd "$(dirname "$0")/.."
 # both snapshot substrates are epoch-published and allocation-free — and
 # the wait-free construction must never cost more than the mutex stand-in
 # (measured: 0 / 0); E10Async is one full virtual-scheduler agreement run
-# (measured: 5); EngineConcurrent is a 64-process classical run on the
-# bounded worker-pool executor (measured: 15, was 1189 on the
-# goroutine-per-process executor); AsyncCampaign is a fixed 512-scenario
-# asynchronous campaign through pooled worker Runners (measured: 2553,
-# ~5 allocs/run).
+# (measured: 5); AsyncCampaign is a fixed 512-scenario asynchronous
+# campaign through pooled worker Runners (measured: 2553, ~5 allocs/run).
 budgets='
 BenchmarkE1Lattice 2400
 BenchmarkE9Adversary 400
@@ -58,7 +55,6 @@ BenchmarkWireEncode 0
 BenchmarkSnapshotScan/mutex 1
 BenchmarkSnapshotScan/waitfree 1
 BenchmarkE10Async 40
-BenchmarkEngineConcurrent 60
 BenchmarkAsyncCampaign 3000
 '
 
@@ -71,7 +67,7 @@ nsbudgets='
 BenchmarkE10Async 120000
 '
 
-raw="$(go test -run '^$' -bench 'E1Lattice$|E9Adversary$|CampaignThroughput/campaign|CollectorPath$|EngineTransport|SubmitPath$|CheckpointEncode$|WireEncode$|E10Async$|SnapshotScan|EngineConcurrent$|AsyncCampaign$' \
+raw="$(go test -run '^$' -bench 'E1Lattice$|E9Adversary$|CampaignThroughput/campaign|CollectorPath$|EngineTransport|SubmitPath$|CheckpointEncode$|WireEncode$|E10Async$|SnapshotScan|AsyncCampaign$' \
 	-benchmem -benchtime "$benchtime" -count 1 . ./internal/rounds/ ./internal/service/ ./internal/wire/)"
 printf '%s\n' "$raw"
 

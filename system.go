@@ -38,10 +38,8 @@ type System struct {
 	faults      *FaultPlan
 	wireFactory TransportFactory
 
-	workers        int
-	procGoroutines bool
-	asyncMemory    MemoryKind
-	asyncBudget    int
+	workers     int
+	asyncBudget int
 }
 
 // New constructs a System from functional options, validating the
@@ -182,13 +180,13 @@ var (
 	// Figure2 is the paper's synchronous condition-based k-set agreement
 	// algorithm: max(2, ⌊(d+ℓ−1)/k⌋+1) rounds when the input is in the
 	// condition, ⌊t/k⌋+1 otherwise.
-	Figure2 Executor = figure2Exec{}
+	Figure2 Executor = figure2Alg
 	// EarlyDeciding is the Section-8 extension: additionally never later
 	// than min(⌊f/k⌋+3, the plain bounds), f the number of actual crashes.
-	EarlyDeciding Executor = earlyExec{}
+	EarlyDeciding Executor = earlyAlg
 	// Classical is the condition-free flood baseline: exactly ⌊t/k⌋+1
 	// rounds. It ignores the system's condition.
-	Classical Executor = classicalExec{}
+	Classical Executor = classicalAlg
 	// Asynchronous is the Section-4 condition-based ℓ-set agreement
 	// algorithm over an atomic-snapshot memory. Results have no rounds
 	// (Result.Rounds is 0); undecided processes are absent from
@@ -196,61 +194,46 @@ var (
 	Asynchronous Executor = asyncExec{}
 )
 
-type figure2Exec struct{}
+// syncExec is the one synchronous executor; its value names the algorithm
+// the worker's runner steps, the only thing the three differ in.
+type syncExec int
 
-func (figure2Exec) Name() string      { return "figure2" }
-func (figure2Exec) synchronous() bool { return true }
-func (figure2Exec) check(s *System) error {
+const (
+	figure2Alg syncExec = iota
+	earlyAlg
+	classicalAlg
+)
+
+func (e syncExec) Name() string {
+	switch e {
+	case earlyAlg:
+		return "early"
+	case classicalAlg:
+		return "classical"
+	}
+	return "figure2"
+}
+func (syncExec) synchronous() bool { return true }
+func (e syncExec) check(s *System) error {
+	if e == classicalAlg {
+		return core.ValidateClassical(s.p.N, s.p.T, s.p.K)
+	}
 	return s.p.ValidateWith(s.cond)
 }
-func (figure2Exec) run(ctx context.Context, s *System, w *worker, sc *Scenario, res *Result) (*Result, error) {
+func (e syncExec) run(ctx context.Context, s *System, w *worker, sc *Scenario, res *Result) (*Result, error) {
 	tr, err := w.transport(s, sc)
 	if err != nil {
 		return nil, err
 	}
-	out, err := w.runner.RunCond(s.p, s.cond, sc.Input, sc.FP, s.procGoroutines, tr, ctx.Done(), res)
-	if err == nil {
-		if terr := transportErr(tr); terr != nil {
-			return nil, fmt.Errorf("kset: wire transport: %w", terr)
-		}
+	var out *Result
+	switch e {
+	case earlyAlg:
+		out, err = w.runner.RunEarly(s.p, s.cond, sc.Input, sc.FP, false, tr, ctx.Done(), res)
+	case classicalAlg:
+		out, err = w.runner.RunClassical(s.p.N, s.p.T, s.p.K, sc.Input, sc.FP, false, tr, ctx.Done(), res)
+	default:
+		out, err = w.runner.RunCond(s.p, s.cond, sc.Input, sc.FP, false, tr, ctx.Done(), res)
 	}
-	return mapCanceled(ctx, out, err)
-}
-
-type earlyExec struct{}
-
-func (earlyExec) Name() string      { return "early" }
-func (earlyExec) synchronous() bool { return true }
-func (earlyExec) check(s *System) error {
-	return s.p.ValidateWith(s.cond)
-}
-func (earlyExec) run(ctx context.Context, s *System, w *worker, sc *Scenario, res *Result) (*Result, error) {
-	tr, err := w.transport(s, sc)
-	if err != nil {
-		return nil, err
-	}
-	out, err := w.runner.RunEarly(s.p, s.cond, sc.Input, sc.FP, s.procGoroutines, tr, ctx.Done(), res)
-	if err == nil {
-		if terr := transportErr(tr); terr != nil {
-			return nil, fmt.Errorf("kset: wire transport: %w", terr)
-		}
-	}
-	return mapCanceled(ctx, out, err)
-}
-
-type classicalExec struct{}
-
-func (classicalExec) Name() string      { return "classical" }
-func (classicalExec) synchronous() bool { return true }
-func (classicalExec) check(s *System) error {
-	return core.ValidateClassical(s.p.N, s.p.T, s.p.K)
-}
-func (classicalExec) run(ctx context.Context, s *System, w *worker, sc *Scenario, res *Result) (*Result, error) {
-	tr, err := w.transport(s, sc)
-	if err != nil {
-		return nil, err
-	}
-	out, err := w.runner.RunClassical(s.p.N, s.p.T, s.p.K, sc.Input, sc.FP, s.procGoroutines, tr, ctx.Done(), res)
 	if err == nil {
 		if terr := transportErr(tr); terr != nil {
 			return nil, fmt.Errorf("kset: wire transport: %w", terr)
@@ -308,7 +291,6 @@ func (asyncExec) run(ctx context.Context, s *System, w *worker, sc *Scenario, re
 		CrashPoints: cp,
 		Seed:        sc.Seed,
 		ScanBudget:  s.asyncBudget,
-		Memory:      s.asyncMemory,
 		Cancel:      ctx.Done(),
 	}, out)
 	if err != nil {
@@ -415,8 +397,7 @@ func (w *worker) transport(s *System, sc *Scenario) (rounds.Transport, error) {
 }
 
 // workerPool is shared by every System: workers carry no per-System state,
-// so short-lived Systems — including the deprecated free functions, which
-// construct one per call — still reuse warmed engine buffers.
+// so short-lived Systems still reuse warmed engine buffers.
 var workerPool = sync.Pool{New: func() any { return &worker{runner: core.NewRunner()} }}
 
 func getWorker() *worker  { return workerPool.Get().(*worker) }

@@ -3,7 +3,6 @@ package kset_test
 import (
 	"context"
 	"errors"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -108,46 +107,6 @@ func TestRunInputSentinels(t *testing.T) {
 	}
 	if _, err := sys.Run(ctx, kset.VectorOf(1, 2, 3, 1, 2, 65), kset.NoFailures()); !errors.Is(err, kset.ErrDomainTooLarge) {
 		t.Errorf("oversized value: %v, want ErrDomainTooLarge", err)
-	}
-}
-
-// TestSystemMatchesDeprecatedWrappers checks that the System executors and
-// the deprecated free functions produce identical executions.
-func TestSystemMatchesDeprecatedWrappers(t *testing.T) {
-	p := testParams()
-	cond := testCondition(t, p)
-	input := kset.VectorOf(4, 4, 4, 2, 1, 2)
-	fp := kset.InitialCrashes(p.N, 2)
-	ctx := context.Background()
-
-	for _, tc := range []struct {
-		exec kset.Executor
-		free func() (*kset.Result, error)
-	}{
-		{kset.Figure2, func() (*kset.Result, error) { return kset.Agree(p, cond, input, fp) }},
-		{kset.EarlyDeciding, func() (*kset.Result, error) { return kset.AgreeEarly(p, cond, input, fp) }},
-		{kset.Classical, func() (*kset.Result, error) { return kset.AgreeClassical(p.N, p.T, p.K, input, fp) }},
-	} {
-		t.Run(tc.exec.Name(), func(t *testing.T) {
-			sys := testSystem(t, kset.WithParams(p), kset.WithCondition(cond), kset.WithExecutor(tc.exec))
-			got, err := sys.Run(ctx, input, fp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := tc.free()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got.Decisions, want.Decisions) {
-				t.Errorf("decisions %v, free function got %v", got.Decisions, want.Decisions)
-			}
-			if !reflect.DeepEqual(got.DecisionRound, want.DecisionRound) {
-				t.Errorf("rounds %v, free function got %v", got.DecisionRound, want.DecisionRound)
-			}
-			if v := kset.Verify(input, fp, got, p.K); !v.OK() {
-				t.Errorf("verdict: %v", v)
-			}
-		})
 	}
 }
 
