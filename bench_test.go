@@ -6,6 +6,7 @@ package kset_test
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -248,6 +249,81 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 			b.Fatalf("campaign ran %d/%d with %d errors", stats.Runs, b.N, stats.Errors)
 		}
 	})
+}
+
+// BenchmarkCampaignFeeds prices the three ways scenarios reach campaign
+// workers — slice (RunCampaign: workers steal indices), source (RunSource:
+// a producer feeds the bounded queue) and submit (NewCampaign + SubmitAll:
+// the caller feeds it) — on the same materialized scenarios, so only the
+// feed differs, at CampaignWorkers 1, 2 and 4 and at a run size where the
+// feed is a visible share (n=8, ~2 µs) and one where it is not (n=48,
+// ~40 µs). ns/op is per run. Run it with -cpu 1,2: ROADMAP item 3(d) holds
+// the table that keeps both worker loops.
+func BenchmarkCampaignFeeds(b *testing.B) {
+	ctx := context.Background()
+	for _, shape := range []struct {
+		p kset.Params
+		m int
+	}{
+		{kset.Params{N: 8, T: 5, K: 2, D: 3, L: 1}, 4},
+		{kset.Params{N: 48, T: 24, K: 4, D: 12, L: 1}, 8},
+	} {
+		p := shape.p
+		c, err := kset.NewMaxCondition(p.N, shape.m, p.X(), p.L)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sys, err := kset.New(kset.WithParams(p), kset.WithCondition(c))
+		if err != nil {
+			b.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(11))
+		base := make([]kset.Scenario, 256)
+		for i := range base {
+			input := make(kset.Vector, p.N)
+			for j := range input {
+				input[j] = kset.Value(1 + rng.Intn(shape.m))
+			}
+			base[i] = kset.Scenario{Input: input, FP: kset.RandomCrashes(rng, p.N, p.T, p.RMax())}
+		}
+		feeds := []struct {
+			name string
+			run  func(scs []kset.Scenario, workers kset.CampaignOption) (*kset.CampaignStats, error)
+		}{
+			{"slice", func(scs []kset.Scenario, workers kset.CampaignOption) (*kset.CampaignStats, error) {
+				return sys.RunCampaign(ctx, scs, workers)
+			}},
+			{"source", func(scs []kset.Scenario, workers kset.CampaignOption) (*kset.CampaignStats, error) {
+				return sys.RunSource(ctx, kset.ScenariosOf(scs...), workers)
+			}},
+			{"submit", func(scs []kset.Scenario, workers kset.CampaignOption) (*kset.CampaignStats, error) {
+				camp := sys.NewCampaign(ctx, workers)
+				if err := camp.SubmitAll(scs); err != nil {
+					return nil, err
+				}
+				return camp.Wait()
+			}},
+		}
+		for _, feed := range feeds {
+			for _, workers := range []int{1, 2, 4} {
+				feed := feed
+				b.Run(fmt.Sprintf("n%d/%s/w%d", p.N, feed.name, workers), func(b *testing.B) {
+					scs := make([]kset.Scenario, b.N)
+					for i := range scs {
+						scs[i] = base[i%len(base)]
+					}
+					b.ResetTimer()
+					stats, err := feed.run(scs, kset.CampaignWorkers(workers))
+					if err != nil {
+						b.Fatal(err)
+					}
+					if stats.Runs != int64(b.N) || stats.Errors != 0 {
+						b.Fatalf("campaign ran %d/%d with %d errors", stats.Runs, b.N, stats.Errors)
+					}
+				})
+			}
+		}
+	}
 }
 
 // BenchmarkSweep times the generator-fed campaign path: the same system

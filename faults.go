@@ -100,42 +100,25 @@ func StormFamily(seed int64, size, maxDelay int, intensity float64) FaultFamily 
 // installed. A nil plan entry yields the scenario fault-free, so a
 // reliable baseline can ride in the same product.
 func CrossFaults(src ScenarioSource, plans ...*FaultPlan) ScenarioSource {
-	size, sized := scaled(src, len(plans))
-	return funcSource{size: size, sized: sized, each: func(yield func(Scenario) bool) {
-		src.ForEach(func(sc Scenario) bool {
-			for _, p := range plans {
-				sc.Faults = p
-				if !yield(sc) {
-					return false
-				}
-			}
-			return true
-		})
-	}}
+	return crossSource(src, len(plans), func(sc Scenario, j int) Scenario {
+		sc.Faults = plans[j]
+		return sc
+	})
 }
 
 // FaultSchedules takes the cross product of a source with a fault family:
 // each scenario is yielded once per family plan. The family's plans are
-// materialized once per iteration, not once per input scenario, so every
-// scenario sharing plan i carries the same *FaultPlan pointer and the
-// transport's per-plan caches stay warm.
+// materialized once, when the product source is built (like
+// FailureSchedules' patterns), not once per iteration: every scenario
+// sharing plan i — in every pass, shard and checkpoint chunk over the
+// source — carries the same *FaultPlan pointer, so the transport's
+// per-plan caches stay warm.
 func FaultSchedules(src ScenarioSource, fam FaultFamily) ScenarioSource {
-	size, sized := scaled(src, fam.Size())
-	return funcSource{size: size, sized: sized, each: func(yield func(Scenario) bool) {
-		plans := make([]*FaultPlan, fam.Size())
-		for i := range plans {
-			plans[i] = fam.Plan(i)
-		}
-		src.ForEach(func(sc Scenario) bool {
-			for i := range plans {
-				sc.Faults = plans[i]
-				if !yield(sc) {
-					return false
-				}
-			}
-			return true
-		})
-	}}
+	plans := make([]*FaultPlan, fam.Size())
+	for i := range plans {
+		plans[i] = fam.Plan(i)
+	}
+	return CrossFaults(src, plans...)
 }
 
 // SweepFaults expands one grid point into one point per plan of the

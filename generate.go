@@ -33,33 +33,27 @@ type ScenarioSource interface {
 	Size() (int64, bool)
 }
 
-// funcSource adapts a yield function (plus an optional size) to
+// funcSource adapts one range function (plus an optional size) to
 // ScenarioSource; every builder and combinator is one of these.
 type funcSource struct {
 	size  int64
 	sized bool
-	each  func(yield func(Scenario) bool)
-	// ranged, when non-nil, yields only the scenarios with stream indices
-	// in [lo, hi) — the seam shard and checkpoint ranges ride. Callers
-	// guarantee 0 ≤ lo < hi; implementations seek instead of replaying
+	// ranged yields the scenarios with stream indices in [lo, hi), in
+	// order, ending early where the stream does — the one iterator whole
+	// streams, shards and checkpoint chunks all ride. Callers guarantee
+	// 0 ≤ lo < hi, and hi may be math.MaxInt64 (ForEach), so
+	// implementations must not add to it; they seek instead of replaying
 	// the prefix wherever the underlying stream allows it.
 	ranged func(lo, hi int64, yield func(Scenario) bool)
 }
 
-func (s funcSource) ForEach(yield func(Scenario) bool) { s.each(yield) }
+func (s funcSource) ForEach(yield func(Scenario) bool) { s.ranged(0, math.MaxInt64, yield) }
 func (s funcSource) Size() (int64, bool)               { return s.size, s.sized }
 
 // ScenariosOf wraps an explicit scenario list as a source.
 func ScenariosOf(scs ...Scenario) ScenarioSource {
 	return funcSource{
 		size: int64(len(scs)), sized: true,
-		each: func(yield func(Scenario) bool) {
-			for i := range scs {
-				if !yield(scs[i]) {
-					return
-				}
-			}
-		},
 		ranged: func(lo, hi int64, yield func(Scenario) bool) {
 			for i := lo; i < min(hi, int64(len(scs))); i++ {
 				if !yield(scs[i]) {
@@ -75,13 +69,6 @@ func ScenariosOf(scs ...Scenario) ScenarioSource {
 func Inputs(inputs ...Vector) ScenarioSource {
 	return funcSource{
 		size: int64(len(inputs)), sized: true,
-		each: func(yield func(Scenario) bool) {
-			for _, in := range inputs {
-				if !yield(Scenario{Input: in}) {
-					return
-				}
-			}
-		},
 		ranged: func(lo, hi int64, yield func(Scenario) bool) {
 			for i := lo; i < min(hi, int64(len(inputs))); i++ {
 				if !yield(Scenario{Input: inputs[i]}) {
@@ -102,14 +89,6 @@ func ExhaustiveInputs(n, m int) ScenarioSource {
 	size, sized := powInt64(m, n)
 	return funcSource{
 		size: size, sized: sized,
-		each: func(yield func(Scenario) bool) {
-			e := vector.NewEnum(n, m)
-			for v, ok := e.Next(); ok; v, ok = e.Next() {
-				if !yield(Scenario{Input: v.Clone()}) {
-					return
-				}
-			}
-		},
 		ranged: func(lo, hi int64, yield func(Scenario) bool) {
 			e := vector.NewEnum(n, m)
 			e.SeekTo(lo)
@@ -132,10 +111,11 @@ func ExhaustiveInputs(n, m int) ScenarioSource {
 // fits in an int64).
 func ConditionMembers(c Condition) ScenarioSource {
 	size, sized := memberCount(c)
-	return funcSource{size: size, sized: sized, each: func(yield func(Scenario) bool) {
+	return funcSource{size: size, sized: sized, ranged: func(lo, hi int64, yield func(Scenario) bool) {
 		st := condition.NewStream(c)
-		for v, ok := st.Next(); ok; v, ok = st.Next() {
-			if !yield(Scenario{Input: v.Clone()}) {
+		for i := int64(0); i < hi; i++ {
+			v, ok := st.Next()
+			if !ok || (i >= lo && !yield(Scenario{Input: v.Clone()})) {
 				return
 			}
 		}
@@ -193,22 +173,8 @@ func RandomInputs(seed int64, n, m, count int) ScenarioSource {
 	}
 	return funcSource{
 		size: int64(count), sized: true,
-		each: func(yield func(Scenario) bool) {
-			rng := rand.New(rand.NewSource(seed))
-			for i := 0; i < count; i++ {
-				in := make(Vector, n)
-				for j := range in {
-					in[j] = Value(1 + rng.Intn(m))
-				}
-				if !yield(Scenario{Input: in}) {
-					return
-				}
-			}
-		},
 		ranged: func(lo, hi int64, yield func(Scenario) bool) {
-			if hi > int64(count) {
-				hi = int64(count)
-			}
+			hi = min(hi, int64(count))
 			if lo >= hi {
 				return
 			}
@@ -234,39 +200,31 @@ func RandomInputs(seed int64, n, m, count int) ScenarioSource {
 
 // crossSource is the shared core of the cross-product combinators: each
 // source scenario is yielded k times, variant j produced by set. The
-// product stream's range support splits on the outer axis — product index
-// i maps to source index i/k and variant i mod k — so shards of a crossed
-// sweep seek the underlying source instead of replaying it.
+// product stream splits on the outer axis — product index i maps to source
+// index i/k and variant i mod k — so shards of a crossed sweep seek the
+// underlying source instead of replaying it.
 func crossSource(src ScenarioSource, k int, set func(sc Scenario, j int) Scenario) ScenarioSource {
 	size, sized := scaled(src, k)
-	fs := funcSource{size: size, sized: sized, each: func(yield func(Scenario) bool) {
-		src.ForEach(func(sc Scenario) bool {
+	return funcSource{size: size, sized: sized, ranged: func(lo, hi int64, yield func(Scenario) bool) {
+		if k == 0 {
+			return
+		}
+		k64 := int64(k)
+		i := lo / k64 * k64 // product index of the outer range's start
+		// (hi−1)/k+1 is ⌈hi/k⌉ without the overflow of hi+k−1.
+		forEachRange(src, lo/k64, (hi-1)/k64+1, func(sc Scenario) bool {
 			for j := 0; j < k; j++ {
-				if !yield(set(sc, j)) {
+				if i >= hi {
 					return false
 				}
+				if i >= lo && !yield(set(sc, j)) {
+					return false
+				}
+				i++
 			}
 			return true
 		})
 	}}
-	if k > 0 {
-		fs.ranged = func(lo, hi int64, yield func(Scenario) bool) {
-			i := (lo / int64(k)) * int64(k) // product index of the outer range's start
-			forEachRange(src, lo/int64(k), (hi+int64(k)-1)/int64(k), func(sc Scenario) bool {
-				for j := 0; j < k; j++ {
-					if i >= hi {
-						return false
-					}
-					if i >= lo && !yield(set(sc, j)) {
-						return false
-					}
-					i++
-				}
-				return true
-			})
-		}
-	}
-	return fs
 }
 
 // CrossFailures takes the cross product of a source with an explicit
@@ -314,48 +272,31 @@ func Concat(srcs ...ScenarioSource) ScenarioSource {
 		}
 		size += n
 	}
-	fs := funcSource{size: size, sized: sized, each: func(yield func(Scenario) bool) {
+	return funcSource{size: size, sized: sized, ranged: func(lo, hi int64, yield func(Scenario) bool) {
+		stopped := false
+		pass := func(sc Scenario) bool {
+			stopped = !yield(sc)
+			return !stopped
+		}
+		off := int64(0) // stream index of the current child's first scenario
 		for _, s := range srcs {
-			stopped := false
-			s.ForEach(func(sc Scenario) bool {
-				if !yield(sc) {
-					stopped = true
-					return false
-				}
-				return true
-			})
-			if stopped {
+			n, ok := s.Size()
+			if ok {
+				forEachRange(s, max(lo-off, 0), min(hi-off, n), pass)
+			} else {
+				// An unsized child is walked whole (up to hi), counting,
+				// because the next child's offset is this one's length.
+				n = 0
+				s.ForEach(func(sc Scenario) bool {
+					n++
+					return (off+n <= lo || pass(sc)) && off+n < hi
+				})
+			}
+			if off += n; stopped || off >= hi {
 				return
 			}
 		}
 	}}
-	if sized {
-		fs.ranged = func(lo, hi int64, yield func(Scenario) bool) {
-			off := int64(0)
-			for _, s := range srcs {
-				n, _ := s.Size()
-				sLo, sHi := max(lo-off, 0), min(hi-off, n)
-				if sLo < sHi {
-					stopped := false
-					forEachRange(s, sLo, sHi, func(sc Scenario) bool {
-						if !yield(sc) {
-							stopped = true
-							return false
-						}
-						return true
-					})
-					if stopped {
-						return
-					}
-				}
-				off += n
-				if off >= hi {
-					return
-				}
-			}
-		}
-	}
-	return fs
 }
 
 // scaled returns the source's size times k, unknown when the source's

@@ -25,8 +25,8 @@ func randomExplicit(t *testing.T, r *rand.Rand, n, m, l, count int) *Explicit {
 }
 
 // TestCompiledMatchesExplicit is the core compiled-vs-reference property:
-// across randomized (n, m, ℓ) grids — including the n > 10 and value-64
-// shapes that defeat Key64 packing — Contains, Recognize, Lookup and
+// across randomized (n, m, ℓ) grids — including n > 10 and value-64
+// shapes — Contains, Recognize, Lookup and
 // member enumeration agree between an Explicit and its Compile.
 func TestCompiledMatchesExplicit(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
@@ -36,8 +36,8 @@ func TestCompiledMatchesExplicit(t *testing.T) {
 		{4, 3, 2, 35},
 		{5, 4, 2, 60},
 		{6, 3, 3, 100},
-		{12, 5, 2, 40}, // n > 10: string-key fallback
-		{4, 64, 1, 30}, // value 64 possible: mixed packed/string members
+		{12, 5, 2, 40}, // n > 10: the hash wraps past 64 bits
+		{4, 64, 1, 30}, // value 64: the widest entry the hash must hold
 	} {
 		e := randomExplicit(t, r, tc.n, tc.m, tc.l, tc.count)
 		c := Compile(e)
@@ -190,10 +190,11 @@ func TestCompileMaxMin(t *testing.T) {
 	}
 }
 
-// TestBuilderContract pins the Builder's Explicit.Add-compatible error
-// behavior.
-func TestBuilderContract(t *testing.T) {
-	b := MustNewBuilder(3, 3, 1)
+// TestExplicitAddContract pins Explicit.Add's error behavior — the contract
+// every enumerated condition is built through — and that Compile carries
+// the accepted members over.
+func TestExplicitAddContract(t *testing.T) {
+	b := MustNewExplicit(3, 3, 1)
 	i := vector.OfInts(2, 2, 1)
 	if err := b.Add(i, vector.SetOf(2)); err != nil {
 		t.Fatal(err)
@@ -213,11 +214,11 @@ func TestBuilderContract(t *testing.T) {
 	if err := b.Add(vector.OfInts(1, 2, 3), vector.SetOf(1, 2)); err == nil {
 		t.Error("want error for validity-violating h")
 	}
-	c := b.Compile()
+	c := Compile(b)
 	if c.Size() != 1 || !c.Contains(i) {
 		t.Errorf("compiled size=%d", c.Size())
 	}
-	if _, err := NewBuilder(2, 200, 1); err == nil {
+	if _, err := NewExplicit(2, 200, 1); err == nil {
 		t.Error("want domain-cap error")
 	}
 }
@@ -380,9 +381,9 @@ func TestExistsRecognizerCompiledMatchesExplicit(t *testing.T) {
 // beyond the condition's domain instead of panicking (a Set may hold
 // values up to 64 regardless of m).
 func TestMassOutOfDomain(t *testing.T) {
-	b := MustNewBuilder(3, 3, 1)
-	b.MustAdd(vector.OfInts(2, 2, 1), vector.SetOf(2))
-	c := b.Compile()
+	e := MustNewExplicit(3, 3, 1)
+	e.MustAdd(vector.OfInts(2, 2, 1), vector.SetOf(2))
+	c := Compile(e)
 	if got := c.Mass(0, vector.SetOf(2, 64)); got != 2 {
 		t.Errorf("Mass with out-of-domain value = %d, want 2", got)
 	}

@@ -50,14 +50,9 @@ type Condition interface {
 // Explicit is a finite, enumerated condition with a per-vector recognizing
 // function. It is the representation used for the paper's counterexample
 // conditions (Table 1, Theorems 5, 7, 14, 15) and for user-supplied
-// conditions.
-type Explicit struct {
-	n, m, l int
-	keys64  map[uint64]int // members with packable vectors (Vector.Key64)
-	keys    map[string]int // members needing the string-key fallback
-	vecs    []vector.Vector
-	hs      []vector.Set
-}
+// conditions: the mutable form, grown one Add at a time over the shared
+// member index.
+type Explicit struct{ index }
 
 var _ Indexed = (*Explicit)(nil)
 
@@ -77,7 +72,7 @@ func NewExplicit(n, m, l int) (*Explicit, error) {
 	case l < 1:
 		return nil, fmt.Errorf("condition: explicit: ℓ=%d, want ≥ 1: %w", l, kerr.ErrBadParams)
 	}
-	return &Explicit{n: n, m: m, l: l, keys64: make(map[uint64]int), keys: make(map[string]int)}, nil
+	return &Explicit{index{n: n, m: m, l: l}}, nil
 }
 
 // MustNewExplicit is NewExplicit that panics on error; for tests and fixed
@@ -90,29 +85,10 @@ func MustNewExplicit(n, m, l int) *Explicit {
 	return c
 }
 
-// lookup finds the member index of i, using the packed integer key when i
-// packs and the string key otherwise. Insertion uses the same
-// discriminator, so the two maps partition the members consistently.
-func (c *Explicit) lookup(i vector.Vector) (int, bool) {
-	if k, ok := i.Key64(); ok {
-		idx, ok := c.keys64[k]
-		return idx, ok
-	}
-	idx, ok := c.keys[i.Key()]
-	return idx, ok
-}
-
-func (c *Explicit) insert(i vector.Vector, idx int) {
-	if k, ok := i.Key64(); ok {
-		c.keys64[k] = idx
-	} else {
-		c.keys[i.Key()] = idx
-	}
-}
-
-// Add inserts vector i with recognized set h. It returns an error if i has
-// the wrong size, values outside {1..m} or ⊥ entries, if h violates the
-// validity property, or if i is already present with a different h.
+// Add inserts vector i with recognized set h, copying i. It returns an
+// error if i has the wrong size, values outside {1..m} or ⊥ entries, if h
+// violates the validity property, or if i is already present with a
+// different h; re-adding a vector with the same h is a no-op.
 func (c *Explicit) Add(i vector.Vector, h vector.Set) error {
 	if len(i) != c.n {
 		return fmt.Errorf("condition: vector %v has size %d, want %d", i, len(i), c.n)
@@ -129,15 +105,13 @@ func (c *Explicit) Add(i vector.Vector, h vector.Set) error {
 	if h.Len() != want || !h.SubsetOf(i.Vals()) {
 		return fmt.Errorf("condition: h=%v violates (x,%d)-validity for %v", h, c.l, i)
 	}
-	if idx, ok := c.lookup(i); ok {
-		if !c.hs[idx].Equal(h) {
-			return fmt.Errorf("condition: vector %v already present with h=%v", i, c.hs[idx])
+	if k, ok := c.IndexOf(i); ok {
+		if !c.hs[k].Equal(h) {
+			return fmt.Errorf("condition: vector %v already present with h=%v", i, c.hs[k])
 		}
 		return nil
 	}
-	c.insert(i, len(c.vecs))
-	c.vecs = append(c.vecs, i.Clone())
-	c.hs = append(c.hs, h.Clone())
+	c.add(i, h)
 	return nil
 }
 
@@ -151,76 +125,13 @@ func (c *Explicit) MustAdd(i vector.Vector, h vector.Set) {
 // AddAuto inserts i recognized by the given Recognizer.
 func (c *Explicit) AddAuto(i vector.Vector, h Recognizer) error { return c.Add(i, h(i)) }
 
-// Size implements Indexed: the number of member vectors.
-func (c *Explicit) Size() int { return len(c.vecs) }
-
-// Members returns an independent deep copy of the member vectors, in
-// insertion order. Mutating the copies cannot corrupt the condition's
-// index (the previous shared-storage contract let a careless caller do
-// exactly that); iteration that needs no ownership should use the
-// allocation-free Indexed accessors Size/MemberAt instead.
-func (c *Explicit) Members() []vector.Vector {
-	out := make([]vector.Vector, len(c.vecs))
-	for k, v := range c.vecs {
-		out[k] = v.Clone()
-	}
-	return out
-}
-
-// MemberAt implements Indexed: member k in insertion order, as a read-only
-// view of the condition's own storage (do not mutate).
-func (c *Explicit) MemberAt(k int) vector.Vector { return c.vecs[k] }
-
-// RecognizedAt implements Indexed.
-func (c *Explicit) RecognizedAt(k int) vector.Set { return c.hs[k] }
-
-// Lookup returns h(i) and whether i is a member, in a single map probe —
-// the fused Contains+Recognize the view decoder uses per completion.
-func (c *Explicit) Lookup(i vector.Vector) (vector.Set, bool) {
-	if idx, ok := c.lookup(i); ok {
-		return c.hs[idx], true
-	}
-	return vector.Set{}, false
-}
-
-// SetRecognized replaces the recognized set of an existing member.
+// SetRecognized replaces the recognized set of an existing member. It
+// accepts any set: Check is what reports a validity violation.
 func (c *Explicit) SetRecognized(i vector.Vector, h vector.Set) error {
-	idx, ok := c.lookup(i)
+	k, ok := c.IndexOf(i)
 	if !ok {
 		return fmt.Errorf("condition: %v is not a member", i)
 	}
-	c.hs[idx] = h.Clone()
+	c.hs[k] = h
 	return nil
-}
-
-// N implements Condition.
-func (c *Explicit) N() int { return c.n }
-
-// M implements Condition.
-func (c *Explicit) M() int { return c.m }
-
-// L implements Condition.
-func (c *Explicit) L() int { return c.l }
-
-// Contains implements Condition.
-func (c *Explicit) Contains(i vector.Vector) bool {
-	_, ok := c.lookup(i)
-	return ok
-}
-
-// Recognize implements Condition.
-func (c *Explicit) Recognize(i vector.Vector) vector.Set {
-	if idx, ok := c.lookup(i); ok {
-		return c.hs[idx]
-	}
-	return vector.Set{}
-}
-
-// ForEachMember implements Condition.
-func (c *Explicit) ForEachMember(fn func(vector.Vector) bool) {
-	for _, v := range c.vecs {
-		if !fn(v) {
-			return
-		}
-	}
 }

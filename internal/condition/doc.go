@@ -27,19 +27,22 @@
 //	Definition 2          Checker, Check, ExistsRecognizer  (legality)
 //	Section 2.3           MaxCondition, MinCondition        (Theorem 2)
 //	Definition 4 / Thm 1  DecodeView, Predicate             (view decoding)
-//	Table 1 etc.          Explicit, Builder                 (enumerated conditions)
+//	Table 1 etc.          Explicit                          (enumerated conditions)
 //	(representation)      Compiled, Compile, CompileMax/Min (the compiled index)
 //
 // # Two representations of an enumerated condition
 //
-// Explicit is the mutable construction-time form: a map-backed set that
-// vectors are added to one by one. Compiled is the immutable analysis- and
-// run-time form produced by Compile (or directly by a Builder, or by the
-// CompileMax/CompileMin enumerating constructors): a flat member array
-// indexed by a sorted packed-key table with open addressing, so Contains,
-// Recognize and the fused Lookup cost one probe and zero allocations, and
-// per-member count/densest-mass tables answer the mass queries of
-// legality checking and recognizer search in O(|set|). Both implement
+// Both are built on one unexported index: the members in one flat array
+// in insertion order, their recognized sets, and one open-addressing table
+// from a 64-bit hash of a vector's entries to its member position, every
+// hit verified against the stored member — so Contains, Recognize and the
+// fused Lookup cost one probe and zero allocations whatever the vector
+// size and values. Explicit is the mutable construction-time form:
+// vectors are added to it one by one, each Add validated. Compiled is the
+// immutable analysis- and run-time form produced by Compile (or by the
+// CompileMax/CompileMin enumerating constructors): a copy of the index
+// plus per-member count/densest-mass tables that answer the mass queries
+// of legality checking and recognizer search in O(|set|). Both implement
 // Indexed, the read-only positional view that the legality Checker, the
 // Stream iterator and the root package's scenario generators walk without
 // copying. kset.System compiles explicit conditions at construction.

@@ -45,7 +45,7 @@ func Theorem5Condition(n, m, x, l int) (*condition.Compiled, error) {
 	if x+1 > n {
 		return nil, fmt.Errorf("lattice: theorem 5 needs x+1 ≤ n, got x=%d n=%d", x, n)
 	}
-	b, err := condition.NewBuilder(n, m, l)
+	b, err := condition.NewExplicit(n, m, l)
 	if err != nil {
 		return nil, err
 	}
@@ -65,7 +65,7 @@ func Theorem5Condition(n, m, x, l int) (*condition.Compiled, error) {
 	if b.Size() == 0 {
 		return nil, fmt.Errorf("lattice: theorem 5 condition empty for n=%d m=%d x=%d ℓ=%d", n, m, x, l)
 	}
-	return b.Compile(), nil
+	return condition.Compile(b), nil
 }
 
 // Theorem7Condition builds a condition that is (x,ℓ+1)-legal but not
@@ -74,7 +74,7 @@ func Theorem5Condition(n, m, x, l int) (*condition.Compiled, error) {
 // occupies at most x — so no ℓ-value recognizing function can satisfy the
 // density property. The returned condition carries ℓ+1 as its L.
 func Theorem7Condition(n, m, x, l int) (*condition.Compiled, error) {
-	b, err := condition.NewBuilder(n, m, l+1)
+	b, err := condition.NewExplicit(n, m, l+1)
 	if err != nil {
 		return nil, err
 	}
@@ -94,7 +94,7 @@ func Theorem7Condition(n, m, x, l int) (*condition.Compiled, error) {
 	if b.Size() == 0 {
 		return nil, fmt.Errorf("lattice: theorem 7 condition empty for n=%d m=%d x=%d ℓ=%d", n, m, x, l)
 	}
-	return b.Compile(), nil
+	return condition.Compile(b), nil
 }
 
 // BoostL implements the constructive step of Theorem 6: given a condition
@@ -104,7 +104,7 @@ func Theorem7Condition(n, m, x, l int) (*condition.Compiled, error) {
 // value of I otherwise (we take the greatest value outside h_ℓ(I)). If the
 // input is (x,ℓ)-legal the output is (x,ℓ+1)-legal.
 func BoostL(c *condition.Compiled) (*condition.Compiled, error) {
-	out, err := condition.NewBuilder(c.N(), c.M(), c.L()+1)
+	out, err := condition.NewExplicit(c.N(), c.M(), c.L()+1)
 	if err != nil {
 		return nil, err
 	}
@@ -119,7 +119,7 @@ func BoostL(c *condition.Compiled) (*condition.Compiled, error) {
 			return nil, fmt.Errorf("lattice: boost: %w", err)
 		}
 	}
-	return out.Compile(), nil
+	return condition.Compile(out), nil
 }
 
 // AllVectorsCondition returns the condition C_all containing every input
@@ -136,24 +136,24 @@ func AllVectorsCondition(n, m, l int) *condition.Compiled {
 // proves it is not (2,2)-legal.
 func Table1Condition() *condition.Compiled {
 	const a, b, c, d = 1, 2, 3, 4
-	cond := condition.MustNewBuilder(4, 4, 1)
+	cond := condition.MustNewExplicit(4, 4, 1)
 	cond.MustAdd(vector.OfInts(a, a, c, d), vector.SetOf(a))
 	cond.MustAdd(vector.OfInts(b, b, c, d), vector.SetOf(b))
 	cond.MustAdd(vector.OfInts(a, b, c, c), vector.SetOf(c))
 	cond.MustAdd(vector.OfInts(a, b, d, d), vector.SetOf(d))
-	return cond.Compile()
+	return condition.Compile(cond)
 }
 
 // WithL returns the same vector set as c re-labelled with parameter l and
 // recognized by max_l; it is the form handed to the legality decider when
 // asking whether any recognizing function for a different ℓ exists.
 func WithL(c *condition.Compiled, l int) *condition.Compiled {
-	out := condition.MustNewBuilder(c.N(), c.M(), l)
+	out := condition.MustNewExplicit(c.N(), c.M(), l)
 	for k, size := 0, c.Size(); k < size; k++ {
 		i := c.MemberAt(k)
 		out.MustAdd(i, i.TopL(l))
 	}
-	return out.Compile()
+	return condition.Compile(out)
 }
 
 // Theorem15Condition builds the Appendix-B construction: ℓ+1 vectors over
@@ -184,7 +184,7 @@ func Theorem15Condition(n, x, l int) (*condition.Compiled, error) {
 	if tail < l+1 {
 		return nil, fmt.Errorf("lattice: theorem 15 internal: tail %d < ℓ+1", tail)
 	}
-	c := condition.MustNewBuilder(n, tail, l+1)
+	c := condition.MustNewExplicit(n, tail, l+1)
 	uniform := vector.SetOf()
 	for v := 1; v <= l+1; v++ {
 		uniform = uniform.Add(vector.Value(v))
@@ -201,5 +201,5 @@ func Theorem15Condition(n, x, l int) (*condition.Compiled, error) {
 			return nil, fmt.Errorf("lattice: theorem 15: %w", err)
 		}
 	}
-	return c.Compile(), nil
+	return condition.Compile(c), nil
 }

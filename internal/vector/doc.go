@@ -17,6 +17,6 @@
 // Two representation choices carry the module's performance budget: the
 // value domain is capped at 64 (MaxSetValue) so a value Set is one
 // machine word with allocation-free operations, and Vector.Key64 packs
-// small vectors into one uint64 map key. Enumeration (ForEach and the
+// small vectors into one uint64 (the wire codec's state payload). Enumeration (ForEach and the
 // resumable Enum pull iterator) streams over a single reusable buffer.
 package vector

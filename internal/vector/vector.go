@@ -273,8 +273,8 @@ func (v Vector) slowKey() string {
 
 // Key64 packs v into a single integer key: ok when len(v) ≤ 10 and every
 // entry lies in 0..63 (⊥ included). The packing is prefixed with a sentinel
-// bit, so vectors of different lengths never collide. Explicit condition
-// membership maps use it to avoid string hashing entirely.
+// bit, so vectors of different lengths never collide. The wire codec
+// moves the protocols' state triples as one such integer.
 func (v Vector) Key64() (uint64, bool) {
 	if len(v) > 10 {
 		return 0, false

@@ -46,7 +46,7 @@ type (
 	// ExplicitCondition is a finite enumerated condition.
 	ExplicitCondition = condition.Explicit
 	// CompiledCondition is the immutable, index-backed form of an explicit
-	// condition: O(1) Contains/Recognize over packed vector keys with no
+	// condition: O(1) Contains/Recognize over a hashed member index with no
 	// per-probe allocation. Build one with CompileCondition; New compiles
 	// explicit conditions automatically.
 	CompiledCondition = condition.Compiled

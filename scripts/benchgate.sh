@@ -42,6 +42,11 @@ cd "$(dirname "$0")/.."
 # (measured: 0 / 0); E10Async is one full virtual-scheduler agreement run
 # (measured: 5); AsyncCampaign is a fixed 512-scenario asynchronous
 # campaign through pooled worker Runners (measured: 2553, ~5 allocs/run).
+# ConditionIndex is one membership probe of an enumerated condition, on
+# Explicit and on Compiled, at a vector size inside the range the old
+# packed key covered (n=8) and one past it (n=16, where the string-key
+# fallback cost 1 alloc/probe): the shared hashed index must stay
+# allocation-free on all four (measured: 0 at PR 14).
 budgets='
 BenchmarkE1Lattice 2400
 BenchmarkE9Adversary 400
@@ -56,6 +61,10 @@ BenchmarkSnapshotScan/mutex 1
 BenchmarkSnapshotScan/waitfree 1
 BenchmarkE10Async 40
 BenchmarkAsyncCampaign 3000
+BenchmarkConditionIndex/n8/explicit 0
+BenchmarkConditionIndex/n8/compiled 0
+BenchmarkConditionIndex/n16/explicit 0
+BenchmarkConditionIndex/n16/compiled 0
 '
 
 # Wall-clock budgets (ns/op), used sparingly: ns/op is noisy in CI, so only
@@ -67,8 +76,8 @@ nsbudgets='
 BenchmarkE10Async 120000
 '
 
-raw="$(go test -run '^$' -bench 'E1Lattice$|E9Adversary$|CampaignThroughput/campaign|CollectorPath$|EngineTransport|SubmitPath$|CheckpointEncode$|WireEncode$|E10Async$|SnapshotScan|AsyncCampaign$' \
-	-benchmem -benchtime "$benchtime" -count 1 . ./internal/rounds/ ./internal/service/ ./internal/wire/)"
+raw="$(go test -run '^$' -bench 'E1Lattice$|E9Adversary$|CampaignThroughput/campaign|CollectorPath$|EngineTransport|SubmitPath$|CheckpointEncode$|WireEncode$|E10Async$|SnapshotScan|AsyncCampaign$|ConditionIndex' \
+	-benchmem -benchtime "$benchtime" -count 1 . ./internal/rounds/ ./internal/service/ ./internal/wire/ ./internal/condition/)"
 printf '%s\n' "$raw"
 
 printf '%s\n' "$raw" | awk -v budgets="$budgets" -v nsbudgets="$nsbudgets" '

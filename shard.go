@@ -56,10 +56,10 @@ func CursorSource(src ScenarioSource, cur Cursor) ScenarioSource {
 }
 
 // Range returns the sub-stream of src covering stream indices [lo, hi),
-// clamped to the stream. Sources with native range support (exhaustive
-// enumerations, seeded random streams, literal lists, cross products and
-// concatenations of such) seek straight to lo; other sources replay and
-// discard the prefix, preserving correctness at O(lo) iteration cost.
+// clamped to the stream. Every source this package builds seeks straight
+// to lo (a source over stored or filtered members counts up to it); a
+// foreign ScenarioSource implementation is replayed and its prefix
+// discarded, preserving correctness at O(lo) iteration cost.
 func Range(src ScenarioSource, lo, hi int64) ScenarioSource {
 	if lo < 0 {
 		lo = 0
@@ -71,37 +71,28 @@ func Range(src ScenarioSource, lo, hi int64) ScenarioSource {
 	if sized {
 		lo, hi = min(lo, n), min(hi, n)
 	}
-	return funcSource{
-		size: hi - lo, sized: sized,
-		each: func(yield func(Scenario) bool) {
-			forEachRange(src, lo, hi, yield)
-		},
-		ranged: func(rlo, rhi int64, yield func(Scenario) bool) {
-			forEachRange(src, lo+rlo, min(lo+rhi, hi), yield)
-		},
-	}
+	return funcSource{size: hi - lo, sized: sized, ranged: func(rlo, rhi int64, yield func(Scenario) bool) {
+		// Clamp before offsetting: rhi is math.MaxInt64 under ForEach.
+		if rhi = min(rhi, hi-lo); rlo < rhi {
+			forEachRange(src, lo+rlo, lo+rhi, yield)
+		}
+	}}
 }
 
-// forEachRange yields src's scenarios with stream indices in [lo, hi),
-// using the source's native range support when it has one and otherwise
-// replaying and discarding the prefix.
+// forEachRange yields src's scenarios with stream indices in [lo, hi):
+// through the source's range function when it is one of ours, and for a
+// foreign ScenarioSource by replaying and discarding the prefix.
 func forEachRange(src ScenarioSource, lo, hi int64, yield func(Scenario) bool) {
 	if lo >= hi {
 		return
 	}
-	if fs, ok := src.(funcSource); ok && fs.ranged != nil {
+	if fs, ok := src.(funcSource); ok {
 		fs.ranged(lo, hi, yield)
 		return
 	}
 	i := int64(0)
 	src.ForEach(func(sc Scenario) bool {
-		if i >= hi {
-			return false
-		}
-		ok := true
-		if i >= lo {
-			ok = yield(sc)
-		}
+		ok := i < lo || yield(sc)
 		i++
 		return ok && i < hi
 	})

@@ -5,16 +5,18 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
 
 	"kset"
+	"kset/internal/shard"
 )
 
-// sig renders a scenario as a canonical comparison key: input, executor
-// and the sorted crash schedule. Map iteration order never leaks in, so
-// equal scenarios always collide.
+// sig renders a scenario as a canonical comparison key: input, executor,
+// the sorted crash schedule and the fault plan. Map iteration order never
+// leaks in, so equal scenarios always collide.
 func sig(sc kset.Scenario) string {
 	s := "in=" + sc.Input.String()
 	if sc.Executor != nil {
@@ -31,7 +33,23 @@ func sig(sc kset.Scenario) string {
 			s += fmt.Sprintf(" c%d@%d.%d", id, cr.Round, cr.AfterSends)
 		}
 	}
+	if sc.Faults != nil {
+		s += fmt.Sprintf(" f=%+v", *sc.Faults)
+	}
 	return s
+}
+
+// foreignSource is a ScenarioSource this package did not build — no range
+// function to seek with, and no size.
+type foreignSource []kset.Vector
+
+func (f foreignSource) Size() (int64, bool) { return 0, false }
+func (f foreignSource) ForEach(yield func(kset.Scenario) bool) {
+	for _, in := range f {
+		if !yield(kset.Scenario{Input: in}) {
+			return
+		}
+	}
 }
 
 // sigs collects a source's full stream as signature sequence.
@@ -46,7 +64,9 @@ func sigs(src kset.ScenarioSource) []string {
 
 // shardKinds builds one source of every kind the sharding plane must
 // split correctly: exhaustive enumeration, seeded random, condition
-// members, literal lists, cross products and concatenations.
+// members, literal lists, cross products (crash, executor and fault axes,
+// a nil plan included) and concatenations, sized and — around a foreign
+// child — unsized.
 func shardKinds(t *testing.T) map[string]kset.ScenarioSource {
 	t.Helper()
 	cond, err := kset.NewMaxCondition(4, 3, 2, 1)
@@ -74,25 +94,49 @@ func shardKinds(t *testing.T) map[string]kset.ScenarioSource {
 			kset.RandomInputs(9, 2, 2, 5),
 			kset.Inputs(lit[0][:2], lit[1][:2]),
 		),
+		"faults": kset.FaultSchedules(
+			kset.FailureSchedules(
+				kset.RandomInputs(5, 4, 3, 6),
+				kset.RandomCrashFamily(8, 4, 2, 3, 2),
+			),
+			kset.StormFamily(11, 3, 2, 0.3),
+		),
+		"crossfaults": kset.CrossFaults(kset.ExhaustiveInputs(2, 3),
+			nil, kset.UniformLoss(5, 0.2), kset.UniformDelay(6, 0.1, 2)),
+		"foreign": kset.Concat(
+			kset.ExhaustiveInputs(2, 2),
+			foreignSource{lit[2][:2], lit[0][:2], lit[4][:2]},
+			kset.RandomInputs(9, 2, 2, 5),
+		),
 	}
 }
 
 // TestShardStreamUnion pins the partition law on real sources: for every
 // source kind and K, the shard streams concatenated in shard order are
 // exactly the unsharded stream — each scenario once, in order, no seams.
+// An unsized source cannot be planned, so its shards are the same plan's
+// ranges over its counted length.
 func TestShardStreamUnion(t *testing.T) {
 	for name, src := range shardKinds(t) {
 		t.Run(name, func(t *testing.T) {
 			want := sigs(src)
+			_, sized := src.Size()
 			for _, k := range []int{1, 2, 3, 7, 16} {
+				plan, err := shard.NewPlan(int64(len(want)), k)
+				if err != nil {
+					t.Fatal(err)
+				}
 				var got []string
 				for i := 0; i < k; i++ {
-					sh, err := kset.ShardSource(src, i, k)
-					if err != nil {
-						t.Fatalf("ShardSource(%d, %d): %v", i, k, err)
+					lo, hi := plan.Bounds(i)
+					sh := kset.Range(src, lo, hi)
+					if sized {
+						if sh, err = kset.ShardSource(src, i, k); err != nil {
+							t.Fatalf("ShardSource(%d, %d): %v", i, k, err)
+						}
 					}
 					part := sigs(sh)
-					if n, ok := sh.Size(); !ok || int(n) != len(part) {
+					if n, ok := sh.Size(); ok != sized || (ok && int(n) != len(part)) {
 						t.Fatalf("shard %d/%d Size() = %d, %v; yielded %d", i, k, n, ok, len(part))
 					}
 					got = append(got, part...)
@@ -192,6 +236,12 @@ func TestRangeSemantics(t *testing.T) {
 	inner := sigs(kset.Range(kset.Range(src, 2, 8), 1, 3))
 	if len(inner) != 2 || inner[0] != full[3] || inner[1] != full[4] {
 		t.Fatalf("Range(Range(2,8),1,3) = %v, want full[3:5]", inner)
+	}
+	// Unbounded above and offset below: ForEach's math.MaxInt64 bound must
+	// not be added to either lo, through a cross product's ⌈hi/k⌉ as well.
+	open := sigs(kset.Range(kset.Range(kset.CrossFaults(src, nil, nil), 4, 16), 2, math.MaxInt64))
+	if len(open) != 10 || open[0] != full[3] || open[9] != full[7] {
+		t.Fatalf("Range(Range(cross,4,16),2,max) = %v, want full[3:8] twice each", open)
 	}
 	// A cursor is just a serializable range address.
 	cur := kset.Cursor{Lo: 3, Hi: 6}
