@@ -475,18 +475,37 @@ func BenchmarkPredicate(b *testing.B) {
 }
 
 // BenchmarkEngineRound times the synchronous kernel itself: one classical
-// run over 64 processes (n² message routing per round).
+// run over 64 processes on a held core.Runner with a recycled Result. The
+// clean arm is failure-free (one distinct receive row per round, folded
+// once); the crashes arm spreads t crashes over the rounds, each ending
+// its delivery prefix at a different destination — one more distinct row,
+// and one more fold, per crash: the fold path's worst case.
 func BenchmarkEngineRound(b *testing.B) {
 	n, t, k := 64, 32, 4
 	input := vector.New(n)
 	for i := range input {
 		input[i] = vector.Value(1 + i%8)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.RunClassical(n, t, k, input, rounds.FailurePattern{}); err != nil {
-			b.Fatal(err)
-		}
+	crashes := rounds.FailurePattern{Crashes: make(map[rounds.ProcessID]rounds.Crash, t)}
+	for i := 0; i < t; i++ {
+		crashes.Crashes[rounds.ProcessID(2*i+1)] = rounds.Crash{Round: 1 + i%(t/k+1), AfterSends: 1 + (7*i)%(n-1)}
+	}
+	for name, fp := range map[string]rounds.FailurePattern{"clean": {}, "crashes": crashes} {
+		b.Run(name, func(b *testing.B) {
+			runner := core.NewRunner()
+			var res rounds.Result
+			run := func() {
+				if _, err := runner.RunClassical(n, t, k, input, fp, false, nil, nil, &res); err != nil {
+					b.Fatal(err)
+				}
+			}
+			run() // size the runner and the Result's maps
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+		})
 	}
 }
 

@@ -109,6 +109,11 @@ func (e *earlyTracker) raise(guard bool) {
 // EarlyCondProcess is the condition-based algorithm extended with early
 // decision. Its decisions never come later than the Figure-2 algorithm's
 // and never later than round ⌊f/k⌋+2.
+//
+// Neither early-deciding wrapper is a rounds.Folder: what a row
+// contributes depends on the reader's own flagged history (a silent
+// sender is a crash to one process and a decider to another), so no
+// digest serves every receiver and the engine calls Step on each.
 type EarlyCondProcess struct {
 	inner *CondProcess
 	early *earlyTracker
@@ -154,16 +159,16 @@ func (e *EarlyCondProcess) Step(round int, recv []any) (vector.Value, bool) {
 			unwrapped[i] = nil
 		}
 	}
+	// The state below was the payload of this round's send (from round 2
+	// on; round 1 sends the proposal and enters with the ⊥ triple).
+	sent := e.inner.state
+	if v, done := e.inner.Step(round, unwrapped); done {
+		return v, true
+	}
 	if round == 1 {
-		e.inner.stepFirstRound(unwrapped)
 		// Round 1 always changes the state triple: no stability, no flag.
 		e.early.raise(false)
 		return vector.Bottom, false
-	}
-	// The state below was the payload of this round's send.
-	sent := StateMsg{Cond: e.inner.vCond, Out: e.inner.vOut, Tmf: e.inner.vTmf}
-	if v, done := e.inner.stepFloodRound(round, unwrapped); done {
-		return v, true
 	}
 	if decideNow {
 		// Early decision with the algorithm's priority, on the state as
@@ -179,8 +184,7 @@ func (e *EarlyCondProcess) Step(round int, recv []any) (vector.Value, bool) {
 			return sent.Out, true
 		}
 	}
-	stable := sent == StateMsg{Cond: e.inner.vCond, Out: e.inner.vOut, Tmf: e.inner.vTmf}
-	e.early.raise(stable)
+	e.early.raise(sent == e.inner.state)
 	return vector.Bottom, false
 }
 

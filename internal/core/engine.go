@@ -9,12 +9,12 @@ import (
 )
 
 // Runner executes synchronous agreement runs while owning every piece of
-// reusable state a run needs: the rounds.Engine scratch (delivery matrix,
-// liveness bitmaps) plus per-algorithm process cells, view storage and
-// early-decision bookkeeping. A batch driver creates one Runner per worker
-// and calls its Run* methods millions of times; each call then allocates
-// nothing beyond the Result — and not even that when a recycled Result is
-// passed in.
+// reusable state a run needs: the rounds.Engine scratch (receive row,
+// liveness bitmaps) plus per-algorithm process cells, the state the cells
+// of a run share (one view, the fold digest) and early-decision
+// bookkeeping. A batch driver creates one Runner per worker and calls its
+// Run* methods millions of times; each call then allocates nothing beyond
+// the Result — and not even that when a recycled Result is passed in.
 //
 // The Run* methods do NOT re-validate parameters or the condition: the
 // caller establishes Params.ValidateWith / ValidateClassical once (e.g. at
@@ -23,59 +23,58 @@ import (
 type Runner struct {
 	eng *rounds.Engine
 
-	// Figure-2 state: n process cells over one flat n×n view array.
+	// Figure-2 state, which the early-deciding wrappers run on too: n
+	// process cells sharing one fold (and its one n-entry view).
 	procs []rounds.Process
 	cells []CondProcess
-	views []vector.Value
+	fold  condFold
 
 	// Early-deciding state: wrappers, trackers and their flag arrays.
 	eprocs []rounds.Process
 	ecells []EarlyCondProcess
-	einner []CondProcess
 	etrk   []earlyTracker
-	eflags []bool         // n trackers × (n+1) flags
-	eviews []vector.Value // n views of n entries
+	eflags []bool // n trackers × (n+1) flags
 
 	// Classical state.
 	cprocs []rounds.Process
 	ccells []ClassicalProcess
+	cfold  classicalFold
 }
 
 // NewRunner returns an empty Runner; its buffers grow to the largest n
 // seen and are reused afterwards.
 func NewRunner() *Runner { return &Runner{eng: rounds.NewEngine()} }
 
-// condState sizes the Figure-2 state for n processes and zeroes the views.
-func (r *Runner) condState(n int) {
-	if cap(r.cells) < n || cap(r.views) < n*n {
+// condState sizes the Figure-2 state and initializes the n cells of a run.
+func (r *Runner) condState(p Params, c condition.Condition, input vector.Vector) {
+	n := p.N
+	if cap(r.cells) < n {
 		r.procs = make([]rounds.Process, n)
 		r.cells = make([]CondProcess, n)
-		r.views = make([]vector.Value, n*n)
+		r.fold.view = vector.New(n)
 	}
 	r.procs = r.procs[:n]
 	r.cells = r.cells[:n]
-	r.views = r.views[:n*n]
-	clear(r.views)
+	r.fold = newCondFold(p, c, r.fold.view[:n])
+	for i := range r.cells {
+		r.cells[i] = CondProcess{proposal: input[i], fold: &r.fold, view: r.fold.view}
+		r.procs[i] = &r.cells[i]
+	}
 }
 
 // earlyState sizes the early-deciding state for n processes.
 func (r *Runner) earlyState(n int) {
-	if cap(r.ecells) < n || cap(r.eviews) < n*n {
+	if cap(r.ecells) < n {
 		r.eprocs = make([]rounds.Process, n)
 		r.ecells = make([]EarlyCondProcess, n)
-		r.einner = make([]CondProcess, n)
 		r.etrk = make([]earlyTracker, n)
 		r.eflags = make([]bool, n*(n+1))
-		r.eviews = make([]vector.Value, n*n)
 	}
 	r.eprocs = r.eprocs[:n]
 	r.ecells = r.ecells[:n]
-	r.einner = r.einner[:n]
 	r.etrk = r.etrk[:n]
 	r.eflags = r.eflags[:n*(n+1)]
-	r.eviews = r.eviews[:n*n]
 	clear(r.eflags)
-	clear(r.eviews)
 }
 
 // RunCond executes one Figure-2 condition-based run. The caller has
@@ -91,11 +90,7 @@ func (r *Runner) RunCond(p Params, c condition.Condition, input vector.Vector, f
 	if err := ValidateInput(p.N, input); err != nil {
 		return nil, err
 	}
-	r.condState(p.N)
-	for i := 0; i < p.N; i++ {
-		r.cells[i] = newCondProcess(p, c, input, i, r.views[i*p.N:(i+1)*p.N])
-		r.procs[i] = &r.cells[i]
-	}
+	r.condState(p, c, input)
 	return r.eng.RunInto(res, r.procs, fp, rounds.Options{MaxRounds: p.RMax(), Transport: tr, Cancel: cancel})
 }
 
@@ -105,11 +100,11 @@ func (r *Runner) RunEarly(p Params, c condition.Condition, input vector.Vector, 
 	if err := ValidateInput(p.N, input); err != nil {
 		return nil, err
 	}
+	r.condState(p, c, input)
 	r.earlyState(p.N)
 	for i := 0; i < p.N; i++ {
-		r.einner[i] = newCondProcess(p, c, input, i, r.eviews[i*p.N:(i+1)*p.N])
 		r.etrk[i] = earlyTracker{n: p.N, k: p.K, flagged: r.eflags[i*(p.N+1) : (i+1)*(p.N+1)]}
-		r.ecells[i] = EarlyCondProcess{inner: &r.einner[i], early: &r.etrk[i], unwrapped: r.ecells[i].unwrapped}
+		r.ecells[i] = EarlyCondProcess{inner: &r.cells[i], early: &r.etrk[i], unwrapped: r.ecells[i].unwrapped}
 		r.eprocs[i] = &r.ecells[i]
 	}
 	return r.eng.RunInto(res, r.eprocs, fp, rounds.Options{MaxRounds: p.RMax(), Transport: tr, Cancel: cancel})
@@ -127,8 +122,9 @@ func (r *Runner) RunClassical(n, t, k int, input vector.Vector, fp rounds.Failur
 	}
 	r.cprocs = r.cprocs[:n]
 	r.ccells = r.ccells[:n]
+	r.cfold = classicalFold{lastRound: t/k + 1}
 	for i := 0; i < n; i++ {
-		r.ccells[i] = ClassicalProcess{n: n, t: t, k: k, est: input[i], lastRound: t/k + 1}
+		r.ccells[i] = ClassicalProcess{est: input[i], fold: &r.cfold}
 		r.cprocs[i] = &r.ccells[i]
 	}
 	return r.eng.RunInto(res, r.cprocs, fp, rounds.Options{MaxRounds: t/k + 1, Transport: tr, Cancel: cancel})

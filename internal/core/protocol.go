@@ -25,15 +25,8 @@ func (s StateMsg) String() string {
 // CondProcess is one process of the Figure-2 condition-based synchronous
 // k-set agreement algorithm. Create the n processes of a run with NewRun.
 type CondProcess struct {
-	id   rounds.ProcessID
-	p    Params
-	cond condition.Condition
-
 	proposal vector.Value
-	view     vector.Vector
-	vCond    vector.Value
-	vOut     vector.Value
-	vTmf     vector.Value
+	state    StateMsg // v_cond, v_out, v_tmf
 
 	// msg is the reusable flood payload: Send repopulates it and hands out
 	// its address, so a round's broadcast costs no allocation. The engine's
@@ -41,6 +34,31 @@ type CondProcess struct {
 	// reads them) makes the reuse safe; a transport that retains the
 	// payload past its round copies it first (StateMsg.Freeze).
 	msg StateMsg
+
+	fold *condFold
+	// view is Step's round-1 scratch: a NewRun process owns it, so that
+	// Step writes nothing the run's processes share (wire nodes step them
+	// from n goroutines); a Runner, single-goroutine, lends the fold's.
+	view vector.Vector
+}
+
+// condFold is the per-run state the n processes of a run share: the run's
+// constants, read-only once the run starts, and the digest of the receive
+// row Fold read last, which only the engine's Fold/StepFolded calls touch.
+// Everything a compute phase takes from a row is in the digest — round 1's
+// view V and its one classification (lines 4–8), a flood round's max-merged
+// state triple (lines 15–17) — so receivers of the same row share one Fold.
+type condFold struct {
+	cond        condition.Condition
+	x           int // t − d
+	rCond, rMax int
+
+	view   vector.Vector // round 1: the view the row carries
+	digest StateMsg
+}
+
+func newCondFold(p Params, c condition.Condition, view vector.Vector) condFold {
+	return condFold{cond: c, x: p.X(), rCond: p.RCond(), rMax: p.RMax(), view: view}
 }
 
 // Freeze implements rounds.Freezer: a transport delaying or duplicating
@@ -51,7 +69,7 @@ func (s *StateMsg) Freeze() any {
 	return &c
 }
 
-var _ rounds.Process = (*CondProcess)(nil)
+var _ rounds.Folder = (*CondProcess)(nil)
 
 // validateRun checks the shared preconditions of every condition-based
 // run constructor.
@@ -86,29 +104,19 @@ func validateInputDomain(input vector.Vector) error {
 	return nil
 }
 
-// newCondProcess initializes the protocol instance of process i+1 over the
-// given (zeroed) view storage. Both the allocating and the pooled
-// construction paths go through it.
-func newCondProcess(p Params, c condition.Condition, input vector.Vector, i int, view vector.Vector) CondProcess {
-	return CondProcess{
-		id:       rounds.ProcessID(i + 1),
-		p:        p,
-		cond:     c,
-		proposal: input[i],
-		view:     view,
-	}
-}
-
 // NewRun builds the n protocol instances for input vector input (entry i
 // is p_{i+1}'s proposal; it must be a full vector of proposable values).
+// The instances may be stepped concurrently, one goroutine each; Fold and
+// StepFolded are for one engine driving the whole slice.
 func NewRun(p Params, c condition.Condition, input vector.Vector) ([]rounds.Process, error) {
 	if err := validateRun(p, c, input); err != nil {
 		return nil, err
 	}
+	views := vector.New((p.N + 1) * p.N) // the fold's, then one per process
+	fold := newCondFold(p, c, views[:p.N])
 	procs := make([]rounds.Process, p.N)
-	for i := 0; i < p.N; i++ {
-		cp := newCondProcess(p, c, input, i, vector.New(p.N))
-		procs[i] = &cp
+	for i := range procs {
+		procs[i] = &CondProcess{proposal: input[i], fold: &fold, view: views[(i+1)*p.N : (i+2)*p.N]}
 	}
 	return procs, nil
 }
@@ -120,80 +128,109 @@ func (c *CondProcess) Send(round int) any {
 	if round == 1 {
 		return c.proposal
 	}
-	c.msg = StateMsg{Cond: c.vCond, Out: c.vOut, Tmf: c.vTmf}
+	c.msg = c.state
 	return &c.msg
 }
 
-// Step implements rounds.Process: the compute phases of Figure 2.
+// Step implements rounds.Process: the compute phases of Figure 2, Fold then
+// StepFolded on a digest of the process's own.
 func (c *CondProcess) Step(round int, recv []any) (vector.Value, bool) {
-	if round == 1 {
-		c.stepFirstRound(recv)
-		return vector.Bottom, false
-	}
-	return c.stepFloodRound(round, recv)
+	var d StateMsg
+	c.fold.foldRow(&d, c.view, round, recv)
+	return c.stepDigest(round, &d)
 }
 
-// stepFirstRound is lines 4–9: build the view V_i and classify it.
-func (c *CondProcess) stepFirstRound(recv []any) {
-	for j, payload := range recv {
-		if v, ok := payload.(vector.Value); ok {
-			c.view[j] = v
+// Fold implements rounds.Folder: the part of a compute phase that reads
+// the row and nothing of the process.
+func (c *CondProcess) Fold(round int, recv []any) {
+	c.fold.foldRow(&c.fold.digest, c.fold.view, round, recv)
+}
+
+// StepFolded implements rounds.Folder.
+func (c *CondProcess) StepFolded(round int) (vector.Value, bool) {
+	return c.stepDigest(round, &c.fold.digest)
+}
+
+// FoldState implements rounds.Folder.
+func (c *CondProcess) FoldState() any { return c.fold }
+
+// foldRow digests recv into d, with view as round 1's scratch. It writes
+// nothing else.
+func (f *condFold) foldRow(d *StateMsg, view vector.Vector, round int, recv []any) {
+	*d = StateMsg{}
+	if round == 1 {
+		f.foldFirstRound(d, view, recv)
+		return
+	}
+	// Lines 15–17: max-merge the received states. A faulty transport can
+	// delay a round-1 proposal into a flood round; such stale payloads are
+	// not StateMsgs and are discarded — flood rounds ignore late proposals.
+	for _, payload := range recv {
+		if s, ok := payload.(*StateMsg); ok {
+			d.merge(s)
 		}
 	}
-	if c.view.BottomCount() <= c.p.X() {
+}
+
+// foldFirstRound is lines 4–8: build the view V and classify it. Exactly
+// one field of the digest is set.
+func (f *condFold) foldFirstRound(d *StateMsg, view vector.Vector, recv []any) {
+	for j, payload := range recv {
+		view[j], _ = payload.(vector.Value)
+	}
+	if view.BottomCount() <= f.x {
 		// Lines 6–7 fused: DecodeView reports ok exactly when P(J) holds
 		// (some member contains the view) on both the closed-form and the
 		// enumeration path, so one decode answers the predicate and yields
 		// the candidate value (Definition 4 / Theorem 1) in a single pass.
-		if h, ok := condition.DecodeView(c.cond, c.view); ok && !h.Empty() {
-			c.vCond = h.Max()
+		if h, ok := condition.DecodeView(f.cond, view); ok && !h.Empty() {
+			d.Cond = h.Max()
 			return
 		}
 		// Line 7: the view proves the input vector is outside C (or the
 		// condition misbehaved and decoded an empty set; degrade to the
 		// out branch so that validity and termination survive it).
-		c.vOut = c.view.Max()
+		d.Out = view.Max()
 		return
 	}
 	// Line 8: too many failures witnessed to tell.
-	c.vTmf = c.view.Max()
+	d.Tmf = view.Max()
 }
 
-// stepFloodRound is lines 13–22 for rounds 2..⌊t/k⌋+1. The payload of this
-// round was already sent (line 13); deciding at line 14 therefore uses the
-// value as sent, before merging this round's received states.
-func (c *CondProcess) stepFloodRound(round int, recv []any) (vector.Value, bool) {
-	if c.vCond != vector.Bottom {
-		return c.vCond, true // line 14
+// merge max-merges t into s, field by field.
+func (s *StateMsg) merge(t *StateMsg) {
+	s.Cond = maxValue(s.Cond, t.Cond)
+	s.Out = maxValue(s.Out, t.Out)
+	s.Tmf = maxValue(s.Tmf, t.Tmf)
+}
+
+// stepDigest is the part of a compute phase that reads the row's digest d
+// and the process: line 9 in round 1, lines 14–22 in rounds 2..⌊t/k⌋+1. A
+// flood round's payload was already sent (line 13); deciding at line 14
+// therefore uses the value as sent, before merging this round's received
+// states.
+func (c *CondProcess) stepDigest(round int, d *StateMsg) (vector.Value, bool) {
+	f := c.fold
+	if round == 1 {
+		c.state = *d
+		return vector.Bottom, false
 	}
-	// Lines 15–17: max-merge received states (the sender's own message is
-	// always among them while it is alive). A faulty transport can delay
-	// a round-1 proposal into a flood round; such stale payloads are not
-	// StateMsgs and are discarded — flood rounds ignore late proposals.
-	for _, payload := range recv {
-		if payload == nil {
-			continue
-		}
-		s, ok := payload.(*StateMsg)
-		if !ok {
-			continue
-		}
-		c.vCond = maxValue(c.vCond, s.Cond)
-		c.vOut = maxValue(c.vOut, s.Out)
-		c.vTmf = maxValue(c.vTmf, s.Tmf)
+	if c.state.Cond != vector.Bottom {
+		return c.state.Cond, true // line 14
 	}
+	c.state.merge(d)
 	// Line 18: decide at the condition round (when some process witnessed
 	// more than t−d crashes and none disproved the condition) or at the
 	// classical last round.
-	if (round == c.p.RCond() && c.vTmf != vector.Bottom && c.vOut == vector.Bottom) ||
-		round == c.p.RMax() {
+	if (round == f.rCond && c.state.Tmf != vector.Bottom && c.state.Out == vector.Bottom) ||
+		round == f.rMax {
 		switch {
-		case c.vCond != vector.Bottom:
-			return c.vCond, true // line 19
-		case c.vTmf != vector.Bottom:
-			return c.vTmf, true // line 20
-		case c.vOut != vector.Bottom:
-			return c.vOut, true // line 21
+		case c.state.Cond != vector.Bottom:
+			return c.state.Cond, true // line 19
+		case c.state.Tmf != vector.Bottom:
+			return c.state.Tmf, true // line 20
+		case c.state.Out != vector.Bottom:
+			return c.state.Out, true // line 21
 		}
 		// All three classes are ⊥: the process received nothing in any
 		// round, not even its own echo — impossible under the paper's

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"kset/internal/adversary"
@@ -307,35 +308,49 @@ func TestPropertyRandomRuns(t *testing.T) {
 type seamTransport struct{ rounds.MatrixTransport }
 
 // TestExecutorsAgree runs identical scenarios on the engine's shared-row
-// fast path and through its transport seam and requires identical
-// outcomes.
+// fast path (where the processes fold each distinct row once) and through
+// its transport seam (where each steps its own row) and requires identical
+// results — for both Folders, at model-checking size and at the n=48 the
+// benchmark runs, where random patterns crash several senders mid-row in
+// one round.
 func TestExecutorsAgree(t *testing.T) {
-	p := Params{N: 6, T: 3, K: 2, D: 2, L: 2}
-	c := condition.MustNewMax(p.N, 3, p.X(), p.L)
-	r := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 50; trial++ {
-		input := vector.New(p.N)
-		for i := range input {
-			input[i] = vector.Value(1 + r.Intn(3))
-		}
-		fp := adversary.Random(r, p.N, p.T, p.RMax())
-		seq, err := Run(p, c, input, fp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		con, err := NewRunner().RunCond(p, c, input, fp, false, &seamTransport{}, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(seq.Decisions) != len(con.Decisions) {
-			t.Fatalf("decision counts differ: %v vs %v", seq.Decisions, con.Decisions)
-		}
-		for id, v := range seq.Decisions {
-			if con.Decisions[id] != v {
-				t.Fatalf("p%d: fast path %v, seam %v", id, v, con.Decisions[id])
+	for _, p := range []Params{
+		{N: 6, T: 3, K: 2, D: 2, L: 2},
+		{N: 48, T: 24, K: 3, D: 8, L: 2},
+	} {
+		const m = 6
+		c := condition.MustNewMax(p.N, m, p.X(), p.L)
+		fam := adversary.RandomFamily(31, p.N, p.T, p.RMax(), 50)
+		r := rand.New(rand.NewSource(31))
+		runner := NewRunner()
+		for trial := 0; trial < fam.Size(); trial++ {
+			fp := fam.Pattern(trial)
+			input := vector.New(p.N)
+			for i := range input {
+				input[i] = vector.Value(1 + r.Intn(m))
+				if trial%2 == 0 && i < p.N/2 {
+					input[i] = m // dense enough to be in the condition
+				}
 			}
-			if seq.DecisionRound[id] != con.DecisionRound[id] {
-				t.Fatalf("p%d: rounds differ", id)
+			for name, run := range map[string]func(tr rounds.Transport) (*rounds.Result, error){
+				"figure2": func(tr rounds.Transport) (*rounds.Result, error) {
+					return runner.RunCond(p, c, input, fp, false, tr, nil, nil)
+				},
+				"classical": func(tr rounds.Transport) (*rounds.Result, error) {
+					return runner.RunClassical(p.N, p.T, p.K, input, fp, false, tr, nil, nil)
+				},
+			} {
+				fast, err := run(nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				seam, err := run(&seamTransport{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(fast, seam) {
+					t.Fatalf("n=%d %s input %v fp %+v:\nfast path %+v\nseam      %+v", p.N, name, input, fp.Crashes, fast, seam)
+				}
 			}
 		}
 	}

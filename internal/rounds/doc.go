@@ -27,6 +27,23 @@
 // stats-only campaign runs allocation-free), with a shared-row fast path
 // for runs on the default transport with identity send orders.
 //
+// On the fast path a round's receivers can only disagree about the senders
+// that crash in that round: the fixed p_1..p_n order makes their rows a
+// containment chain, so a round with c crashing senders has at most c+1
+// distinct rows. A Process may therefore also implement Folder — Step ≡
+// Fold; StepFolded, where Fold digests a row into state the run's
+// processes share (FoldState names it) and StepFolded computes from the
+// digest — and the engine then calls Fold once per distinct row (when the
+// row changed since the previous live destination: at round start, or
+// where a crashing sender's prefix just ended) and StepFolded for every
+// live destination: n·(1+c) merges per round instead of n². The choice is
+// per destination: plain Processes in the same slice, and Folders that do
+// not share the first Folder's state, get Step on the same row. Step itself
+// writes nothing shared, so the processes of one run may also be stepped
+// from separate goroutines, as wire nodes do. Runs through the transport
+// seam, where every destination may receive something different, always
+// call Step.
+//
 // Message delivery itself sits behind the Transport seam: the engine
 // applies the crash adversary to each round's sends (order and prefix
 // length) and hands the surviving copies to a Transport, which decides

@@ -1,7 +1,9 @@
 package rounds
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"kset/internal/vector"
@@ -155,5 +157,173 @@ func TestEngineRoundAllocBudget(t *testing.T) {
 	})
 	if avg > 12 {
 		t.Errorf("engine round allocates %.1f times per run, want ≤ 12", avg)
+	}
+}
+
+// foldMin is floodMin as a Folder: the row's digest is its smallest value.
+// The processes of one run share the digest and the per-round logs of the
+// rows Fold was given and of the StepFolded calls.
+type foldMin struct {
+	floodMin
+	run *foldLog
+}
+
+type foldLog struct {
+	digest vector.Value
+	folds  map[int][]string
+	steps  map[int]int
+}
+
+// Step keeps its digest to itself, as the contract asks: it writes neither
+// the shared digest nor the logs.
+func (f *foldMin) Step(round int, recv []any) (vector.Value, bool) {
+	return f.stepDigest(round, rowMin(recv))
+}
+
+func (f *foldMin) Fold(round int, recv []any) {
+	f.run.digest = rowMin(recv)
+	f.run.folds[round] = append(f.run.folds[round], fmt.Sprint(recv))
+}
+
+func (f *foldMin) FoldState() any { return f.run }
+
+func rowMin(recv []any) vector.Value {
+	least := vector.Bottom
+	for _, p := range recv {
+		if v, ok := p.(vector.Value); ok && (least == vector.Bottom || v < least) {
+			least = v
+		}
+	}
+	return least
+}
+
+func (f *foldMin) StepFolded(round int) (vector.Value, bool) {
+	f.run.steps[round]++
+	return f.stepDigest(round, f.run.digest)
+}
+
+func (f *foldMin) stepDigest(round int, d vector.Value) (vector.Value, bool) {
+	if d != vector.Bottom && d < f.min {
+		f.min = d
+	}
+	return f.min, round >= f.decideAt
+}
+
+// rowLogger is a plain Process logging the row of every Step: the
+// reference the fold counts are checked against.
+type rowLogger struct {
+	floodMin
+	rows map[int][]string
+}
+
+func (l *rowLogger) Step(round int, recv []any) (vector.Value, bool) {
+	l.rows[round] = append(l.rows[round], fmt.Sprint(recv))
+	return l.floodMin.Step(round, recv)
+}
+
+// TestEngineFoldCount pins what the fast path promises a Folder: Fold runs
+// exactly once per distinct row a live destination reads — at most one
+// more than the round's crashes — and StepFolded once per live
+// destination, with results identical to the all-Step run.
+func TestEngineFoldCount(t *testing.T) {
+	const n, rounds = 8, 3
+	vals := []vector.Value{5, 3, 7, 2, 6, 4, 8, 1}
+	patterns := map[string]map[ProcessID]Crash{
+		"none":    nil,
+		"one":     {4: {Round: 2, AfterSends: 3}},
+		"several": {8: {Round: 1, AfterSends: 2}, 2: {Round: 1, AfterSends: 5}, 5: {Round: 1, AfterSends: 5}, 3: {Round: 2, AfterSends: 6}},
+		"edges":   {1: {Round: 1, AfterSends: 0}, 6: {Round: 1, AfterSends: n}, 7: {Round: 2, AfterSends: 7}, 8: {Round: 2, AfterSends: 1}},
+	}
+	for name, crashes := range patterns {
+		fp := FailurePattern{Crashes: crashes}
+		log := &foldLog{folds: map[int][]string{}, steps: map[int]int{}}
+		rows := map[int][]string{}
+		folders, loggers := make([]Process, n), make([]Process, n)
+		for i, v := range vals {
+			folders[i] = &foldMin{floodMin{v, rounds}, log}
+			loggers[i] = &rowLogger{floodMin{v, rounds}, rows}
+		}
+		got, err := Run(folders, fp, Options{MaxRounds: rounds})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Run(loggers, fp, Options{MaxRounds: rounds})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !resultsEqual(got, want) {
+			t.Fatalf("%s: folded run %+v, stepped run %+v", name, got, want)
+		}
+		for r := 1; r <= rounds; r++ {
+			if distinct := slices.Compact(slices.Clone(rows[r])); !slices.Equal(log.folds[r], distinct) {
+				t.Errorf("%s round %d: folded rows %v, distinct rows read %v", name, r, log.folds[r], distinct)
+			}
+			crashed := 0
+			for _, cr := range crashes {
+				if cr.Round == r {
+					crashed++
+				}
+			}
+			if len(log.folds[r]) > 1+crashed {
+				t.Errorf("%s round %d: %d folds with %d crashes", name, r, len(log.folds[r]), crashed)
+			}
+			if log.steps[r] != len(rows[r]) {
+				t.Errorf("%s round %d: %d StepFolded calls for %d live destinations", name, r, log.steps[r], len(rows[r]))
+			}
+		}
+	}
+}
+
+// TestEngineFoldMixedSlice pins the rule for mixed slices — Folders of two
+// shared states and plain Processes: the choice is per destination, so the
+// results are those of the all-Step run; the Folders sharing the first
+// Folder's state fold each row at most once, the foreign Folders are
+// stepped (their Fold and StepFolded never run).
+func TestEngineFoldMixedSlice(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 300; trial++ {
+		n := 2 + r.Intn(7)
+		maxRounds := 1 + r.Intn(4)
+		fp := randPattern(r, n, n-1, maxRounds)
+		decideAt := 1 + r.Intn(maxRounds)
+		var logs [2]*foldLog
+		for i := range logs {
+			logs[i] = &foldLog{folds: map[int][]string{}, steps: map[int]int{}}
+		}
+		first := -1 // the log of the slice's first Folder
+		vals := make([]vector.Value, n)
+		mixed := make([]Process, n)
+		for i := range vals {
+			vals[i] = vector.Value(1 + r.Intn(5))
+			if g := r.Intn(3); g < 2 {
+				mixed[i] = &foldMin{floodMin{vals[i], decideAt}, logs[g]}
+				if first < 0 {
+					first = g
+				}
+			} else {
+				mixed[i] = &floodMin{vals[i], decideAt}
+			}
+		}
+		got, err := Run(mixed, fp, Options{MaxRounds: maxRounds})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Run(newFloodRun(vals, decideAt), fp, Options{MaxRounds: maxRounds})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !resultsEqual(got, want) {
+			t.Fatalf("mixed slice diverged: fp=%+v vals=%v\nmixed: %+v\nsteps: %+v", fp, vals, got, want)
+		}
+		for g, log := range logs {
+			if g != first && len(log.folds)+len(log.steps) > 0 {
+				t.Fatalf("foreign Folders were folded: %+v (fp=%+v)", log, fp)
+			}
+			for round, folds := range log.folds {
+				if len(slices.Compact(slices.Clone(folds))) != len(folds) {
+					t.Fatalf("round %d: a row was folded twice: %v (fp=%+v)", round, folds, fp)
+				}
+			}
+		}
 	}
 }

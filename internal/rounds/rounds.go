@@ -31,6 +31,45 @@ type Process interface {
 	Step(round int, recv []any) (value vector.Value, done bool)
 }
 
+// Folder is an optional extension of Process for protocols whose compute
+// phase reads the receive row only through a digest of it — a merged
+// state, a classified view — that does not depend on which process reads.
+// The contract is
+//
+//	Step(round, recv)  ≡  Fold(round, recv); StepFolded(round)
+//
+// on the process's state and return values, where Fold computes the
+// digest, a pure function of (round, recv), into the state FoldState names
+// and StepFolded performs the compute phase from that digest and the
+// process's own state. Only Fold writes the shared state — Step keeps its
+// digest to itself, so the processes of a run may be stepped from separate
+// goroutines (wire nodes are) — and only one engine at a time calls Fold
+// and StepFolded.
+//
+// In the Section 6.2 model the receivers of a round disagree only about
+// senders that crash in that round, so a round with c crashing senders has
+// at most c+1 distinct rows. The shared-row fast path therefore calls Fold
+// once per distinct row — on the first live Folder that reads it — and
+// StepFolded on every live Folder: n·(1+c) merges per round instead of n².
+// The choice is made per destination: the Folders whose FoldState equals
+// that of the slice's first Folder fold each distinct row once, and every
+// other process in the slice — a plain Process, a Folder of another
+// constructor call — gets Step on the same row. The transport seam (traced,
+// order-overridden and fault-injected runs, where rows differ per
+// destination) always calls Step.
+//
+// A type that embeds a Folder inherits all three methods with it: if it
+// overrides Step, the fast path would bypass the override. Hold the Folder
+// in a named field instead, as core's early-deciding wrappers do.
+type Folder interface {
+	Process
+	Fold(round int, recv []any)
+	StepFolded(round int) (value vector.Value, done bool)
+	// FoldState identifies the shared state Fold writes and StepFolded
+	// reads: a pointer, equal exactly for Folders that share it.
+	FoldState() any
+}
+
 // Crash schedules the crash of one process.
 type Crash struct {
 	// Round is the round during whose send phase the process crashes
@@ -215,11 +254,12 @@ type Options struct {
 }
 
 // Engine executes synchronous runs while reusing its internal buffers
-// (the shared receive row, liveness bitmaps, the identity send order and
-// the per-round outcome scratch) across calls. Sweeps that drive thousands
-// of runs — exhaustive adversary model checking above all — should create
-// one Engine and call its Run repeatedly; each call then costs only the
-// small per-run Result (which the caller may retain freely).
+// (the shared receive row, liveness bitmaps, the resolved crash schedule,
+// the identity send order and the per-round outcome scratch) across calls.
+// Sweeps that drive thousands of runs — exhaustive adversary model checking
+// above all — should create one Engine and call its Run repeatedly; each
+// call then costs only the small per-run Result (which the caller may
+// retain freely).
 //
 // An Engine is not safe for concurrent use.
 type Engine struct {
@@ -227,6 +267,12 @@ type Engine struct {
 	halted   []bool
 	identity []ProcessID
 	outcomes []outcome
+
+	// The run's crash schedule, resolved from fp.Crashes once per run:
+	// process id crashes in round crashRound[id-1] (0: never) after
+	// crashPrefix[id-1] deliveries.
+	crashRound  []int
+	crashPrefix []int
 
 	// mt is the built-in default transport, embedded so that runs without
 	// an Options.Transport override reuse its matrix across runs.
@@ -241,6 +287,11 @@ type Engine struct {
 	pay     []any
 	limits  []int
 	partial []int // senders whose delivery prefix ends mid-row this round
+
+	// folders[i] is procs[i] as a Folder, nil when it is a plain Process or
+	// does not share the first Folder's FoldState; resolved once per run
+	// for the fast path.
+	folders []Folder
 }
 
 type outcome struct {
@@ -263,6 +314,9 @@ func (e *Engine) reset(n int) {
 			e.identity[i] = ProcessID(i + 1)
 		}
 		e.outcomes = make([]outcome, 0, n)
+		e.crashRound = make([]int, n)
+		e.crashPrefix = make([]int, n)
+		e.folders = make([]Folder, n)
 		e.pay = make([]any, n)
 		e.row = make([]any, n)
 		e.limits = make([]int, n)
@@ -273,6 +327,9 @@ func (e *Engine) reset(n int) {
 	// A transport sizes its send loop by len(order), so the identity
 	// order of a larger earlier run must not leak into a smaller one.
 	e.identity = e.identity[:n]
+	e.crashRound = e.crashRound[:n]
+	e.crashPrefix = e.crashPrefix[:n]
+	e.folders = e.folders[:n]
 	e.pay = e.pay[:n]
 	e.row = e.row[:n]
 	e.limits = e.limits[:n]
@@ -280,6 +337,7 @@ func (e *Engine) reset(n int) {
 		e.alive[i] = true
 		e.halted[i] = false
 	}
+	clear(e.crashRound)
 }
 
 // Run executes the processes lock-step under the failure pattern. procs[i]
@@ -313,6 +371,9 @@ func (e *Engine) RunInto(res *Result, procs []Process, fp FailurePattern, opts O
 	}
 
 	e.reset(n)
+	for id, cr := range fp.Crashes {
+		e.crashRound[id-1], e.crashPrefix[id-1] = cr.Round, cr.AfterSends
+	}
 	if res == nil {
 		res = &Result{
 			Decisions:     make(map[ProcessID]vector.Value, n),
@@ -333,7 +394,22 @@ func (e *Engine) RunInto(res *Result, procs []Process, fp FailurePattern, opts O
 	}
 	_, isMatrix := tr.(*MatrixTransport)
 	fast := isMatrix && opts.Trace == nil && len(fp.Orders) == 0
-	if !fast {
+	if fast {
+		var shared any
+		for i, p := range procs {
+			f, _ := p.(Folder)
+			if f != nil {
+				state := f.FoldState()
+				if shared == nil {
+					shared = state
+				}
+				if state != shared {
+					f = nil // another run's Folder: Step it
+				}
+			}
+			e.folders[i] = f
+		}
+	} else {
 		tr.Reset(n)
 		// Blocking transports (the wire plane) honor the run's cancel
 		// channel inside Deliver; the engine still checks it at every
@@ -356,7 +432,7 @@ func (e *Engine) RunInto(res *Result, procs []Process, fp FailurePattern, opts O
 			}
 		}
 		if fast {
-			if e.runRoundShared(procs, fp, r, res) {
+			if e.runRoundShared(procs, r, res) {
 				break
 			}
 			continue
@@ -398,8 +474,8 @@ func (e *Engine) runRoundTransport(procs []Process, fp FailurePattern, r int, re
 		payload := procs[src-1].Send(r)
 		order := e.sendOrder(fp, ProcessID(src), r)
 		limit := n
-		if cr, ok := fp.Crashes[ProcessID(src)]; ok && cr.Round == r {
-			limit = cr.AfterSends
+		if e.crashRound[src-1] == r {
+			limit = e.crashPrefix[src-1]
 			e.alive[src] = false
 			res.Crashed[ProcessID(src)] = true
 			if rt != nil {
@@ -458,8 +534,9 @@ func (e *Engine) runRoundTransport(procs []Process, fp FailurePattern, r int, re
 // whether the run should stop (every process crashed/halted, or everyone
 // alive has decided). Semantics match the matrix path exactly: a sender
 // crashing after s sends delivers to destinations p_1..p_s of the fixed
-// identity order.
-func (e *Engine) runRoundShared(procs []Process, fp FailurePattern, r int, res *Result) (stop bool) {
+// identity order. Destinations that are Folders share one Fold per distinct
+// row (see Folder); the others Step the row.
+func (e *Engine) runRoundShared(procs []Process, r int, res *Result) (stop bool) {
 	n := len(procs)
 	// Send phase: one payload and delivery limit per sender. limits[src-1]
 	// is −1 for non-senders, otherwise the length of the delivery prefix.
@@ -473,8 +550,8 @@ func (e *Engine) runRoundShared(procs []Process, fp FailurePattern, r int, res *
 		}
 		e.pay[src-1] = procs[src-1].Send(r)
 		limit := n
-		if cr, ok := fp.Crashes[ProcessID(src)]; ok && cr.Round == r {
-			limit = cr.AfterSends
+		if e.crashRound[src-1] == r {
+			limit = e.crashPrefix[src-1]
 			e.alive[src] = false
 			res.Crashed[ProcessID(src)] = true
 		}
@@ -492,7 +569,8 @@ func (e *Engine) runRoundShared(procs []Process, fp FailurePattern, r int, res *
 
 	// Receive + compute phase: the row for destination 1, then per
 	// destination only the partial senders' entries can change (their
-	// prefix ends at dst = limit).
+	// prefix ends at dst = limit). folded says the Folders' shared digest
+	// is of the row as it stands.
 	for src := 1; src <= n; src++ {
 		if e.limits[src-1] >= 1 {
 			e.row[src-1] = e.pay[src-1]
@@ -501,16 +579,28 @@ func (e *Engine) runRoundShared(procs []Process, fp FailurePattern, r int, res *
 		}
 	}
 	outcomes := e.outcomes[:0]
+	folded := false
 	for dst := 1; dst <= n; dst++ {
 		for _, src := range e.partial {
 			if e.limits[src-1] == dst-1 {
 				e.row[src-1] = nil // dst is past this sender's prefix
+				folded = false
 			}
 		}
 		if !e.alive[dst] || e.halted[dst] {
 			continue
 		}
-		v, done := procs[dst-1].Step(r, e.row)
+		var v vector.Value
+		var done bool
+		if f := e.folders[dst-1]; f != nil {
+			if !folded {
+				f.Fold(r, e.row)
+				folded = true
+			}
+			v, done = f.StepFolded(r)
+		} else {
+			v, done = procs[dst-1].Step(r, e.row)
+		}
 		outcomes = append(outcomes, outcome{ProcessID(dst), v, done})
 	}
 	e.outcomes = outcomes[:0]

@@ -47,6 +47,11 @@ cd "$(dirname "$0")/.."
 # packed key covered (n=8) and one past it (n=16, where the string-key
 # fallback cost 1 alloc/probe): the shared hashed index must stay
 # allocation-free on all four (measured: 0 at PR 14).
+# EngineRound is one n=64 classical run on a held core.Runner with a
+# recycled Result, failure-free (clean) and with t mid-row crashes spread
+# over the rounds (crashes: one more distinct receive row, so one more
+# Fold, per crash). The per-run fold state lives in the Runner, so both
+# must stay allocation-free (measured: 0 / 0 at PR 15).
 budgets='
 BenchmarkE1Lattice 2400
 BenchmarkE9Adversary 400
@@ -65,6 +70,8 @@ BenchmarkConditionIndex/n8/explicit 0
 BenchmarkConditionIndex/n8/compiled 0
 BenchmarkConditionIndex/n16/explicit 0
 BenchmarkConditionIndex/n16/compiled 0
+BenchmarkEngineRound/clean 0
+BenchmarkEngineRound/crashes 0
 '
 
 # Wall-clock budgets (ns/op), used sparingly: ns/op is noisy in CI, so only
@@ -76,7 +83,7 @@ nsbudgets='
 BenchmarkE10Async 120000
 '
 
-raw="$(go test -run '^$' -bench 'E1Lattice$|E9Adversary$|CampaignThroughput/campaign|CollectorPath$|EngineTransport|SubmitPath$|CheckpointEncode$|WireEncode$|E10Async$|SnapshotScan|AsyncCampaign$|ConditionIndex' \
+raw="$(go test -run '^$' -bench 'E1Lattice$|E9Adversary$|CampaignThroughput/campaign|CollectorPath$|EngineTransport|SubmitPath$|CheckpointEncode$|WireEncode$|E10Async$|SnapshotScan|AsyncCampaign$|ConditionIndex|EngineRound' \
 	-benchmem -benchtime "$benchtime" -count 1 . ./internal/rounds/ ./internal/service/ ./internal/wire/ ./internal/condition/)"
 printf '%s\n' "$raw"
 
