@@ -479,7 +479,10 @@ func BenchmarkPredicate(b *testing.B) {
 // clean arm is failure-free (one distinct receive row per round, folded
 // once); the crashes arm spreads t crashes over the rounds, each ending
 // its delivery prefix at a different destination — one more distinct row,
-// and one more fold, per crash: the fold path's worst case.
+// and one more fold, per crash: the fold path's worst case. The early arms
+// run the early-deciding condition-based algorithm under the same two
+// patterns: its sends reuse a per-process buffer and its flag bookkeeping
+// folds with the row.
 func BenchmarkEngineRound(b *testing.B) {
 	n, t, k := 64, 32, 4
 	input := vector.New(n)
@@ -490,12 +493,31 @@ func BenchmarkEngineRound(b *testing.B) {
 	for i := 0; i < t; i++ {
 		crashes.Crashes[rounds.ProcessID(2*i+1)] = rounds.Crash{Round: 1 + i%(t/k+1), AfterSends: 1 + (7*i)%(n-1)}
 	}
-	for name, fp := range map[string]rounds.FailurePattern{"clean": {}, "crashes": crashes} {
-		b.Run(name, func(b *testing.B) {
-			runner := core.NewRunner()
-			var res rounds.Result
+	p := core.Params{N: n, T: t, K: k, D: t / 2, L: 1}
+	c := condition.MustNewMax(n, 8, p.X(), p.L)
+	runner := core.NewRunner()
+	var res rounds.Result
+	classical := func(fp rounds.FailurePattern) error {
+		_, err := runner.RunClassical(n, t, k, input, fp, false, nil, nil, &res)
+		return err
+	}
+	early := func(fp rounds.FailurePattern) error {
+		_, err := runner.RunEarly(p, c, input, fp, false, nil, nil, &res)
+		return err
+	}
+	for _, arm := range []struct {
+		name string
+		run  func(rounds.FailurePattern) error
+		fp   rounds.FailurePattern
+	}{
+		{"clean", classical, rounds.FailurePattern{}},
+		{"crashes", classical, crashes},
+		{"early-clean", early, rounds.FailurePattern{}},
+		{"early-crashes", early, crashes},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
 			run := func() {
-				if _, err := runner.RunClassical(n, t, k, input, fp, false, nil, nil, &res); err != nil {
+				if err := arm.run(arm.fp); err != nil {
 					b.Fatal(err)
 				}
 			}

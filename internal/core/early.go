@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"math/bits"
+
 	"kset/internal/condition"
 	"kset/internal/rounds"
 	"kset/internal/vector"
@@ -39,7 +42,8 @@ import (
 // configurations (see early_test.go), which also pins its measured bound
 // min(⌊f/k⌋+3, plain bound).
 
-// EarlyMsg wraps a protocol payload with the early-decision flag.
+// EarlyMsg wraps a protocol payload with the early-decision flag. It
+// travels as a pointer into its sender's reused buffer.
 type EarlyMsg struct {
 	// Payload is the wrapped protocol message (a proposal value in round
 	// 1, a StateMsg in later rounds of the condition algorithm, an
@@ -49,48 +53,82 @@ type EarlyMsg struct {
 	Flag bool
 }
 
-// Freeze implements rounds.Freezer: the wrapper is a value, but its
-// Payload may point into the sender's reused buffer, so a transport
-// retaining the message past its round freezes recursively.
-func (m EarlyMsg) Freeze() any {
-	if fz, ok := m.Payload.(rounds.Freezer); ok {
-		m.Payload = fz.Freeze()
+// String implements fmt.Stringer (used by execution traces).
+func (m EarlyMsg) String() string {
+	return fmt.Sprintf("(%v flag=%v)", m.Payload, m.Flag)
+}
+
+// Freeze implements rounds.Freezer: a transport retaining the message past
+// its round keeps this copy, its Payload frozen in turn, instead of the
+// sender's reused buffers.
+func (m *EarlyMsg) Freeze() any {
+	c := *m
+	if fz, ok := c.Payload.(rounds.Freezer); ok {
+		c.Payload = fz.Freeze()
 	}
-	return m
+	return &c
 }
 
-// earlyTracker holds the shared flag bookkeeping.
+// earlyRow is what a receive row says about early decision, the same to
+// every reader: which senders were silent, which carried a flag (bit i is
+// p_{i+1}), and the payloads under the wrappers. What depends on the reader
+// — a silent sender is a crash to one process and a decider to another — is
+// one popcount against the reader's own history (earlyTracker.observe), so
+// the wrappers are rounds.Folders: a run's processes share one earlyRow that
+// only Fold fills, and Step fills one of the process's own (a Runner,
+// single-goroutine, lends all its cells the shared one).
+type earlyRow struct {
+	silent, flags []uint64
+	unwrapped     []any
+}
+
+func newEarlyRow(n int) earlyRow {
+	words := make([]uint64, 2*bitWords(n))
+	return earlyRow{silent: words[:len(words)/2], flags: words[len(words)/2:], unwrapped: make([]any, n)}
+}
+
+func bitWords(n int) int { return (n + 63) / 64 }
+
+// read digests recv, which has the n entries the row was made for (the
+// engine's and the wire nodes' rows always do). A non-EarlyMsg payload (a
+// stale copy from a fault-injecting transport) still proves the sender
+// alive; it just carries neither flag nor payload.
+func (w *earlyRow) read(recv []any) {
+	clear(w.silent)
+	clear(w.flags)
+	for i, payload := range recv {
+		w.unwrapped[i] = nil
+		if payload == nil {
+			w.silent[i>>6] |= 1 << (i & 63)
+		} else if m, ok := payload.(*EarlyMsg); ok {
+			w.unwrapped[i] = m.Payload
+			if m.Flag {
+				w.flags[i>>6] |= 1 << (i & 63)
+			}
+		}
+	}
+}
+
+// earlyTracker holds one process's flag bookkeeping.
 type earlyTracker struct {
-	n, k      int
-	flagged   []bool // sender announced a decision (never a crash suspect)
-	flag      bool   // decide at the end of the next round
-	decideNow bool   // this round's send carried the flag: decide this round
-	clean     bool   // the perceived-crash rule held this round
-}
-
-func newEarlyTracker(n, k int) *earlyTracker {
-	return &earlyTracker{n: n, k: k, flagged: make([]bool, n+1)}
+	k         int
+	flagged   []uint64 // senders that announced a decision (never crash suspects)
+	flag      bool     // decide at the end of the next round
+	decideNow bool     // this round's send carried the flag: decide this round
+	clean     bool     // the perceived-crash rule held this round
 }
 
 // observe ingests one round's receptions and reports whether this process
 // decides at the end of this round (its flag was already relayed in this
 // round's send). Raising the process's own flag is split out into raise so
 // that protocols can impose additional guards (state stability).
-func (e *earlyTracker) observe(round int, recv []any) bool {
+func (e *earlyTracker) observe(round int, w *earlyRow) bool {
 	e.decideNow = e.flag
 	perceived := 0
-	for i, payload := range recv {
-		if payload == nil {
-			if !e.flagged[i+1] {
-				perceived++
-			}
-			continue
-		}
-		// A non-EarlyMsg payload (a stale copy from a fault-injecting
-		// transport) still proves the sender alive; it just carries no
-		// flag.
-		if m, ok := payload.(EarlyMsg); ok && m.Flag {
-			e.flagged[i+1] = true
+	for i, silent := range w.silent {
+		perceived += bits.OnesCount64(silent &^ e.flagged[i])
+		e.flagged[i] |= w.flags[i]
+		if w.flags[i] != 0 {
 			e.flag = true // relay next round, then decide
 		}
 	}
@@ -109,60 +147,73 @@ func (e *earlyTracker) raise(guard bool) {
 // EarlyCondProcess is the condition-based algorithm extended with early
 // decision. Its decisions never come later than the Figure-2 algorithm's
 // and never later than round ⌊f/k⌋+2.
-//
-// Neither early-deciding wrapper is a rounds.Folder: what a row
-// contributes depends on the reader's own flagged history (a silent
-// sender is a crash to one process and a decider to another), so no
-// digest serves every receiver and the engine calls Step on each.
 type EarlyCondProcess struct {
 	inner *CondProcess
-	early *earlyTracker
-
-	// unwrapped is the reusable buffer Step unwraps each round's EarlyMsg
-	// payloads into; the engine's lock-step structure (the inner Step
-	// consumes it before Step returns) makes the reuse safe.
-	unwrapped []any
+	early earlyTracker
+	msg   EarlyMsg  // the reusable send buffer, as CondProcess.msg
+	fold  *earlyRow // the run's shared row digest
+	row   *earlyRow // Step's own
 }
 
-var _ rounds.Process = (*EarlyCondProcess)(nil)
+var _ rounds.Folder = (*EarlyCondProcess)(nil)
 
 // NewEarlyRun builds the n early-deciding condition-based protocol
-// instances for the input vector.
+// instances for the input vector. Like NewRun's, they may be stepped
+// concurrently, one goroutine each.
 func NewEarlyRun(p Params, c condition.Condition, input vector.Vector) ([]rounds.Process, error) {
 	base, err := NewRun(p, c, input)
 	if err != nil {
 		return nil, err
 	}
+	fold := newEarlyRow(p.N)
 	procs := make([]rounds.Process, len(base))
 	for i, b := range base {
-		procs[i] = &EarlyCondProcess{inner: b.(*CondProcess), early: newEarlyTracker(p.N, p.K)}
+		row := newEarlyRow(p.N)
+		procs[i] = &EarlyCondProcess{inner: b.(*CondProcess), early: newEarlyTracker(p.N, p.K), fold: &fold, row: &row}
 	}
 	return procs, nil
 }
 
-// Send implements rounds.Process.
-func (e *EarlyCondProcess) Send(round int) any {
-	return EarlyMsg{Payload: e.inner.Send(round), Flag: e.early.flag}
+func newEarlyTracker(n, k int) earlyTracker {
+	return earlyTracker{k: k, flagged: make([]uint64, bitWords(n))}
 }
 
-// Step implements rounds.Process.
+// Send implements rounds.Process.
+func (e *EarlyCondProcess) Send(round int) any {
+	e.msg = EarlyMsg{Payload: e.inner.Send(round), Flag: e.early.flag}
+	return &e.msg
+}
+
+// Step implements rounds.Process: Fold then StepFolded on digests of the
+// process's own.
 func (e *EarlyCondProcess) Step(round int, recv []any) (vector.Value, bool) {
-	decideNow := e.early.observe(round, recv)
-	if cap(e.unwrapped) < len(recv) {
-		e.unwrapped = make([]any, len(recv))
-	}
-	unwrapped := e.unwrapped[:len(recv)]
-	for i, payload := range recv {
-		if m, ok := payload.(EarlyMsg); ok {
-			unwrapped[i] = m.Payload
-		} else {
-			unwrapped[i] = nil
-		}
-	}
+	e.row.read(recv)
+	var d StateMsg
+	e.inner.fold.foldRow(&d, e.inner.view, round, e.row.unwrapped)
+	return e.stepDigest(round, e.row, &d)
+}
+
+// Fold implements rounds.Folder: the row's bitsets, then the inner
+// algorithm's digest of the unwrapped row.
+func (e *EarlyCondProcess) Fold(round int, recv []any) {
+	e.fold.read(recv)
+	e.inner.Fold(round, e.fold.unwrapped)
+}
+
+// StepFolded implements rounds.Folder.
+func (e *EarlyCondProcess) StepFolded(round int) (vector.Value, bool) {
+	return e.stepDigest(round, e.fold, &e.inner.fold.digest)
+}
+
+// FoldState implements rounds.Folder.
+func (e *EarlyCondProcess) FoldState() any { return e.fold }
+
+func (e *EarlyCondProcess) stepDigest(round int, w *earlyRow, d *StateMsg) (vector.Value, bool) {
+	decideNow := e.early.observe(round, w)
 	// The state below was the payload of this round's send (from round 2
 	// on; round 1 sends the proposal and enters with the ⊥ triple).
 	sent := e.inner.state
-	if v, done := e.inner.Step(round, unwrapped); done {
+	if v, done := e.inner.stepDigest(round, d); done {
 		return v, true
 	}
 	if round == 1 {
@@ -204,12 +255,14 @@ func RunEarly(p Params, c condition.Condition, input vector.Vector, fp rounds.Fa
 // same early-decision machinery: it decides by round
 // min(⌊f/k⌋+2, ⌊t/k⌋+1).
 type EarlyClassicalProcess struct {
-	est       vector.Value
-	lastRound int
-	early     *earlyTracker
+	inner ClassicalProcess
+	early earlyTracker
+	msg   EarlyMsg
+	fold  *earlyRow
+	row   *earlyRow
 }
 
-var _ rounds.Process = (*EarlyClassicalProcess)(nil)
+var _ rounds.Folder = (*EarlyClassicalProcess)(nil)
 
 // NewEarlyClassicalRun builds the n early-deciding baseline instances.
 func NewEarlyClassicalRun(n, t, k int, input vector.Vector) ([]rounds.Process, error) {
@@ -219,36 +272,50 @@ func NewEarlyClassicalRun(n, t, k int, input vector.Vector) ([]rounds.Process, e
 	if err := ValidateInput(n, input); err != nil {
 		return nil, err
 	}
+	inner := ClassicalProcess{fold: &classicalFold{lastRound: t/k + 1}}
+	fold := newEarlyRow(n)
 	procs := make([]rounds.Process, n)
-	for i := 0; i < n; i++ {
-		procs[i] = &EarlyClassicalProcess{
-			est:       input[i],
-			lastRound: t/k + 1,
-			early:     newEarlyTracker(n, k),
-		}
+	for i := range procs {
+		inner.est = input[i]
+		row := newEarlyRow(n)
+		procs[i] = &EarlyClassicalProcess{inner: inner, early: newEarlyTracker(n, k), fold: &fold, row: &row}
 	}
 	return procs, nil
 }
 
 // Send implements rounds.Process.
-func (e *EarlyClassicalProcess) Send(int) any {
-	return EarlyMsg{Payload: e.est, Flag: e.early.flag}
+func (e *EarlyClassicalProcess) Send(round int) any {
+	e.msg = EarlyMsg{Payload: e.inner.Send(round), Flag: e.early.flag}
+	return &e.msg
 }
 
 // Step implements rounds.Process.
 func (e *EarlyClassicalProcess) Step(round int, recv []any) (vector.Value, bool) {
-	decideNow := e.early.observe(round, recv)
-	for _, payload := range recv {
-		m, ok := payload.(EarlyMsg)
-		if !ok {
-			continue
-		}
-		if v, ok := m.Payload.(vector.Value); ok && v > e.est {
-			e.est = v
-		}
+	e.row.read(recv)
+	return e.stepDigest(round, e.row, rowMax(e.row.unwrapped))
+}
+
+// Fold implements rounds.Folder.
+func (e *EarlyClassicalProcess) Fold(round int, recv []any) {
+	e.fold.read(recv)
+	e.inner.Fold(round, e.fold.unwrapped)
+}
+
+// StepFolded implements rounds.Folder.
+func (e *EarlyClassicalProcess) StepFolded(round int) (vector.Value, bool) {
+	return e.stepDigest(round, e.fold, e.inner.fold.digest)
+}
+
+// FoldState implements rounds.Folder.
+func (e *EarlyClassicalProcess) FoldState() any { return e.fold }
+
+func (e *EarlyClassicalProcess) stepDigest(round int, w *earlyRow, digest vector.Value) (vector.Value, bool) {
+	decideNow := e.early.observe(round, w)
+	if v, done := e.inner.stepDigest(round, digest); done {
+		return v, true
 	}
-	if decideNow || round >= e.lastRound {
-		return e.est, true
+	if decideNow {
+		return e.inner.est, true
 	}
 	// A single max-flooded estimate has no cross-class priority, so no
 	// stability guard is needed; the perceived-crash rule alone is safe

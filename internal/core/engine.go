@@ -29,11 +29,12 @@ type Runner struct {
 	cells []CondProcess
 	fold  condFold
 
-	// Early-deciding state: wrappers, trackers and their flag arrays.
+	// Early-deciding state: wrappers, their flagged bitsets and the one
+	// row digest they share.
 	eprocs []rounds.Process
 	ecells []EarlyCondProcess
-	etrk   []earlyTracker
-	eflags []bool // n trackers × (n+1) flags
+	eflags []uint64 // n trackers × ⌈n/64⌉ words
+	erow   earlyRow
 
 	// Classical state.
 	cprocs []rounds.Process
@@ -62,19 +63,28 @@ func (r *Runner) condState(p Params, c condition.Condition, input vector.Vector)
 	}
 }
 
-// earlyState sizes the early-deciding state for n processes.
-func (r *Runner) earlyState(n int) {
+// earlyState sizes the early-deciding state and initializes the n wrappers
+// of a run over the Figure-2 cells.
+func (r *Runner) earlyState(n, k int) {
+	words := bitWords(n)
 	if cap(r.ecells) < n {
 		r.eprocs = make([]rounds.Process, n)
 		r.ecells = make([]EarlyCondProcess, n)
-		r.etrk = make([]earlyTracker, n)
-		r.eflags = make([]bool, n*(n+1))
+		r.eflags = make([]uint64, n*words)
 	}
+	if cap(r.erow.unwrapped) < n {
+		r.erow = newEarlyRow(n)
+	}
+	r.erow = earlyRow{silent: r.erow.silent[:words], flags: r.erow.flags[:words], unwrapped: r.erow.unwrapped[:n]}
 	r.eprocs = r.eprocs[:n]
 	r.ecells = r.ecells[:n]
-	r.etrk = r.etrk[:n]
-	r.eflags = r.eflags[:n*(n+1)]
+	r.eflags = r.eflags[:n*words]
 	clear(r.eflags)
+	for i := range r.ecells {
+		early := earlyTracker{k: k, flagged: r.eflags[i*words : (i+1)*words]}
+		r.ecells[i] = EarlyCondProcess{inner: &r.cells[i], early: early, fold: &r.erow, row: &r.erow}
+		r.eprocs[i] = &r.ecells[i]
+	}
 }
 
 // RunCond executes one Figure-2 condition-based run. The caller has
@@ -101,12 +111,7 @@ func (r *Runner) RunEarly(p Params, c condition.Condition, input vector.Vector, 
 		return nil, err
 	}
 	r.condState(p, c, input)
-	r.earlyState(p.N)
-	for i := 0; i < p.N; i++ {
-		r.etrk[i] = earlyTracker{n: p.N, k: p.K, flagged: r.eflags[i*(p.N+1) : (i+1)*(p.N+1)]}
-		r.ecells[i] = EarlyCondProcess{inner: &r.cells[i], early: &r.etrk[i], unwrapped: r.ecells[i].unwrapped}
-		r.eprocs[i] = &r.ecells[i]
-	}
+	r.earlyState(p.N, p.K)
 	return r.eng.RunInto(res, r.eprocs, fp, rounds.Options{MaxRounds: p.RMax(), Transport: tr, Cancel: cancel})
 }
 

@@ -58,6 +58,94 @@ func (c *refCond) step(round int, recv []any) (vector.Value, bool) {
 	return vector.Bottom, false
 }
 
+// refEarly is the early-decision flag bookkeeping as it read before the
+// bitsets: one bool per sender, one pass over the reader's own row.
+type refEarly struct {
+	k                      int
+	flagged                []bool
+	flag, decideNow, clean bool
+}
+
+// observe is the pre-change loop; it also returns the unwrapped row.
+func (e *refEarly) observe(round int, recv []any) []any {
+	e.decideNow = e.flag
+	perceived := 0
+	unwrapped := make([]any, len(recv))
+	for i, payload := range recv {
+		if payload == nil {
+			if !e.flagged[i] {
+				perceived++
+			}
+			continue
+		}
+		if m, ok := payload.(*EarlyMsg); ok {
+			unwrapped[i] = m.Payload
+			if m.Flag {
+				e.flagged[i] = true
+				e.flag = true
+			}
+		}
+	}
+	e.clean = perceived < e.k*round
+	return unwrapped
+}
+
+// same compares the reference bookkeeping with a tracker's.
+func (e *refEarly) same(tr *earlyTracker) bool {
+	for i, f := range e.flagged {
+		if f != (tr.flagged[i>>6]>>(i&63)&1 == 1) {
+			return false
+		}
+	}
+	return e.flag == tr.flag && e.decideNow == tr.decideNow && e.clean == tr.clean
+}
+
+// stepCond is EarlyCondProcess's compute phase before the split.
+func (e *refEarly) stepCond(c *refCond, round int, recv []any) (vector.Value, bool) {
+	unwrapped := e.observe(round, recv)
+	sent := c.state
+	if v, done := c.step(round, unwrapped); done {
+		return v, true
+	}
+	if round > 1 && e.decideNow {
+		if sent.Tmf != vector.Bottom {
+			return sent.Tmf, true
+		}
+		if sent.Out != vector.Bottom {
+			return sent.Out, true
+		}
+	}
+	if round > 1 && e.clean && sent == c.state {
+		e.flag = true
+	}
+	return vector.Bottom, false
+}
+
+// refFlood is the classical flood's estimate update as it read before the
+// split, written out here so that no production helper is its own oracle:
+// the largest proposal in the row or est; stale payloads of other kinds
+// count for nothing.
+func refFlood(est vector.Value, recv []any) vector.Value {
+	for _, payload := range recv {
+		if v, ok := payload.(vector.Value); ok && v > est {
+			est = v
+		}
+	}
+	return est
+}
+
+// stepClassical is EarlyClassicalProcess's compute phase before the split.
+func (e *refEarly) stepClassical(est *vector.Value, lastRound, round int, recv []any) (vector.Value, bool) {
+	*est = refFlood(*est, e.observe(round, recv))
+	if e.decideNow || round >= lastRound {
+		return *est, true
+	}
+	if e.clean {
+		e.flag = true
+	}
+	return vector.Bottom, false
+}
+
 // randomRow draws a receive row of n entries: nil holes, proposals and
 // state triples mixed regardless of the round — the stale payload kinds a
 // fault-injecting transport delivers — or, one time in eight, nothing.
@@ -82,13 +170,56 @@ func randomRow(r *rand.Rand, n, m int) []any {
 		case 2:
 			row[i] = &StateMsg{Cond: val(), Out: val(), Tmf: val()}
 		case 3:
-			row[i] = EarlyMsg{Payload: val()}
+			row[i] = &EarlyMsg{Payload: val()}
 		}
 	}
 	return row
 }
 
-// TestStepEqualsFoldStepFolded pins the rounds.Folder contract on both
+// wrapRow puts most of a row's payloads under the early-decision wrapper,
+// one flag in three set; the rest stay as the stale bare payloads a
+// fault-injecting transport can mix in.
+func wrapRow(r *rand.Rand, row []any) []any {
+	for i, payload := range row {
+		if _, wrapped := payload.(*EarlyMsg); payload != nil && !wrapped && r.Intn(8) != 0 {
+			row[i] = &EarlyMsg{Payload: payload, Flag: r.Intn(3) == 0}
+		}
+	}
+	return row
+}
+
+// randomTracker draws the flag history a process may enter a round with
+// into the reference and the trackers under test.
+func randomTracker(r *rand.Rand, n, k int, trackers ...*earlyTracker) *refEarly {
+	ref := &refEarly{k: k, flagged: make([]bool, n), flag: r.Intn(2) == 0}
+	for i := range ref.flagged {
+		ref.flagged[i] = r.Intn(4) == 0
+	}
+	for _, tr := range trackers {
+		tr.flag = ref.flag
+		clear(tr.flagged)
+		for i, f := range ref.flagged {
+			if f {
+				tr.flagged[i>>6] |= 1 << (i & 63)
+			}
+		}
+	}
+	return ref
+}
+
+// foldShape is the run the contract tests build processes for: x=3,
+// RCond=3, RMax=4 at n=8 and at n=70, where the sender bitsets take two
+// words.
+func foldShape(n int) (Params, condition.Condition, vector.Vector) {
+	p := Params{N: n, T: 6, K: 2, D: 3, L: 2}
+	input := vector.New(n)
+	for i := range input {
+		input[i] = vector.Value(1 + i%4)
+	}
+	return p, condition.MustNewMax(n, 4, p.X(), p.L), input
+}
+
+// TestStepEqualsFoldStepFolded pins the rounds.Folder contract on all four
 // Folders: Step, Fold-then-StepFolded and the pre-split reference leave the
 // same process state and return the same values on random rows, in round 1,
 // round 2, RCond and RMax. The folding processes are reused across trials,
@@ -96,117 +227,184 @@ func randomRow(r *rand.Rand, n, m int) []any {
 // its digest to itself: the shared state of the slices that were only ever
 // stepped is untouched at the end.
 func TestStepEqualsFoldStepFolded(t *testing.T) {
-	p := Params{N: 8, T: 6, K: 2, D: 3, L: 2} // x=3, RCond=3, RMax=4
-	const m = 4
-	c := condition.MustNewMax(p.N, m, p.X(), p.L)
-	input := vector.OfInts(1, 2, 3, 4, 1, 2, 3, 4)
-	stepped, err := NewRun(p, c, input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	folded, err := NewRun(p, c, input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cStepped, err := NewClassicalRun(p.N, p.T, p.K, input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cFolded, err := NewClassicalRun(p.N, p.T, p.K, input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rand.New(rand.NewSource(61))
-	for trial := 0; trial < 4000; trial++ {
-		round := []int{1, 2, p.RCond(), p.RMax()}[r.Intn(4)]
-		row := randomRow(r, p.N, m)
-		i := r.Intn(p.N)
-
-		// A process enters round 1 with the ⊥ triple, later rounds with
-		// any state round 1 or a merge can leave.
-		var state StateMsg
-		if round > 1 {
-			state = StateMsg{Cond: vector.Value(r.Intn(2) * r.Intn(m+1)), Out: vector.Value(r.Intn(m + 1)), Tmf: vector.Value(r.Intn(m + 1))}
+	for _, n := range []int{8, 70} {
+		p, c, input := foldShape(n)
+		const m = 4
+		build := func(mk func() ([]rounds.Process, error)) (stepped, folded []rounds.Process) {
+			var err error
+			if stepped, err = mk(); err != nil {
+				t.Fatal(err)
+			}
+			if folded, err = mk(); err != nil {
+				t.Fatal(err)
+			}
+			return stepped, folded
 		}
-		ref := &refCond{p: p, cond: c, state: state}
-		a, b := stepped[i].(*CondProcess), folded[i].(*CondProcess)
-		a.state, b.state = state, state
-		wantV, wantDone := ref.step(round, row)
-		aV, aDone := a.Step(round, row)
-		b.Fold(round, row)
-		bV, bDone := b.StepFolded(round)
-		if aV != wantV || aDone != wantDone || a.state != ref.state || bV != wantV || bDone != wantDone || b.state != ref.state {
-			t.Fatalf("figure2 round %d row %v from %v: reference (%v,%v) %v, Step (%v,%v) %v, Fold+StepFolded (%v,%v) %v",
-				round, row, state, wantV, wantDone, ref.state, aV, aDone, a.state, bV, bDone, b.state)
-		}
+		stepped, folded := build(func() ([]rounds.Process, error) { return NewRun(p, c, input) })
+		cStepped, cFolded := build(func() ([]rounds.Process, error) { return NewClassicalRun(p.N, p.T, p.K, input) })
+		eStepped, eFolded := build(func() ([]rounds.Process, error) { return NewEarlyRun(p, c, input) })
+		ecStepped, ecFolded := build(func() ([]rounds.Process, error) { return NewEarlyClassicalRun(p.N, p.T, p.K, input) })
+		r := rand.New(rand.NewSource(61))
+		for trial := 0; trial < 4000; trial++ {
+			round := []int{1, 2, p.RCond(), p.RMax()}[r.Intn(4)]
+			row := randomRow(r, p.N, m)
+			i := r.Intn(p.N)
 
-		// The classical flood, as it read before the split.
-		est := vector.Value(1 + r.Intn(m))
-		want := est
-		for _, payload := range row {
-			if v, ok := payload.(vector.Value); ok && v > want {
-				want = v
+			// A process enters round 1 with the ⊥ triple, later rounds with
+			// any state round 1 or a merge can leave.
+			var state StateMsg
+			if round > 1 {
+				state = StateMsg{Cond: vector.Value(r.Intn(2) * r.Intn(m+1)), Out: vector.Value(r.Intn(m + 1)), Tmf: vector.Value(r.Intn(m + 1))}
+			}
+			ref := &refCond{p: p, cond: c, state: state}
+			a, b := stepped[i].(*CondProcess), folded[i].(*CondProcess)
+			a.state, b.state = state, state
+			wantV, wantDone := ref.step(round, row)
+			aV, aDone := a.Step(round, row)
+			b.Fold(round, row)
+			bV, bDone := b.StepFolded(round)
+			if aV != wantV || aDone != wantDone || a.state != ref.state || bV != wantV || bDone != wantDone || b.state != ref.state {
+				t.Fatalf("figure2 round %d row %v from %v: reference (%v,%v) %v, Step (%v,%v) %v, Fold+StepFolded (%v,%v) %v",
+					round, row, state, wantV, wantDone, ref.state, aV, aDone, a.state, bV, bDone, b.state)
+			}
+
+			// The classical flood, as it read before the split.
+			est := vector.Value(1 + r.Intn(m))
+			want := refFlood(est, row)
+			ca, cb := cStepped[i].(*ClassicalProcess), cFolded[i].(*ClassicalProcess)
+			ca.est, cb.est = est, est
+			caV, caDone := ca.Step(round, row)
+			cb.Fold(round, row)
+			cbV, cbDone := cb.StepFolded(round)
+			wantDone = round >= p.T/p.K+1
+			if wantV = vector.Bottom; wantDone {
+				wantV = want
+			}
+			if ca.est != want || caV != wantV || caDone != wantDone || cb.est != want || cbV != wantV || cbDone != wantDone {
+				t.Fatalf("classical round %d row %v from %v: want (%v,%v) %v, Step (%v,%v) %v, Fold+StepFolded (%v,%v) %v",
+					round, row, est, wantV, wantDone, want, caV, caDone, ca.est, cbV, cbDone, cb.est)
+			}
+
+			// Both early-deciding wrappers, on the row with most payloads
+			// wrapped, from a random flag history.
+			row = wrapRow(r, row)
+			ea, eb := eStepped[i].(*EarlyCondProcess), eFolded[i].(*EarlyCondProcess)
+			eref := randomTracker(r, p.N, p.K, &ea.early, &eb.early)
+			ref = &refCond{p: p, cond: c, state: state}
+			ea.inner.state, eb.inner.state = state, state
+			wantV, wantDone = eref.stepCond(ref, round, row)
+			aV, aDone = ea.Step(round, row)
+			eb.Fold(round, row)
+			bV, bDone = eb.StepFolded(round)
+			if aV != wantV || aDone != wantDone || ea.inner.state != ref.state || !eref.same(&ea.early) ||
+				bV != wantV || bDone != wantDone || eb.inner.state != ref.state || !eref.same(&eb.early) {
+				t.Fatalf("early round %d row %v from %v: reference (%v,%v) %v %+v, Step (%v,%v) %v %+v, Fold+StepFolded (%v,%v) %v %+v",
+					round, row, state, wantV, wantDone, ref.state, eref, aV, aDone, ea.inner.state, ea.early, bV, bDone, eb.inner.state, eb.early)
+			}
+
+			eca, ecb := ecStepped[i].(*EarlyClassicalProcess), ecFolded[i].(*EarlyClassicalProcess)
+			eref = randomTracker(r, p.N, p.K, &eca.early, &ecb.early)
+			eca.inner.est, ecb.inner.est, want = est, est, est
+			wantV, wantDone = eref.stepClassical(&want, p.T/p.K+1, round, row)
+			caV, caDone = eca.Step(round, row)
+			ecb.Fold(round, row)
+			cbV, cbDone = ecb.StepFolded(round)
+			if eca.inner.est != want || caV != wantV || caDone != wantDone || !eref.same(&eca.early) ||
+				ecb.inner.est != want || cbV != wantV || cbDone != wantDone || !eref.same(&ecb.early) {
+				t.Fatalf("early classical round %d row %v from %v: want (%v,%v) %v %+v, Step (%v,%v) %v %+v, Fold+StepFolded (%v,%v) %v %+v",
+					round, row, est, wantV, wantDone, want, eref, caV, caDone, eca.inner.est, eca.early, cbV, cbDone, ecb.inner.est, ecb.early)
 			}
 		}
-		ca, cb := cStepped[i].(*ClassicalProcess), cFolded[i].(*ClassicalProcess)
-		ca.est, cb.est = est, est
-		caV, caDone := ca.Step(round, row)
-		cb.Fold(round, row)
-		cbV, cbDone := cb.StepFolded(round)
-		wantDone = round >= p.T/p.K+1
-		if wantV = vector.Bottom; wantDone {
-			wantV = want
+		if f := stepped[0].(*CondProcess).fold; f.digest != (StateMsg{}) || f.view.BottomCount() != p.N {
+			t.Errorf("CondProcess.Step wrote the run's shared state: digest %v view %v", f.digest, f.view)
 		}
-		if ca.est != want || caV != wantV || caDone != wantDone || cb.est != want || cbV != wantV || cbDone != wantDone {
-			t.Fatalf("classical round %d row %v from %v: want (%v,%v) %v, Step (%v,%v) %v, Fold+StepFolded (%v,%v) %v",
-				round, row, est, wantV, wantDone, want, caV, caDone, ca.est, cbV, cbDone, cb.est)
+		if f := cStepped[0].(*ClassicalProcess).fold; f.digest != vector.Bottom {
+			t.Errorf("ClassicalProcess.Step wrote the run's shared digest: %v", f.digest)
 		}
-	}
-	if f := stepped[0].(*CondProcess).fold; f.digest != (StateMsg{}) || f.view.BottomCount() != p.N {
-		t.Errorf("CondProcess.Step wrote the run's shared state: digest %v view %v", f.digest, f.view)
-	}
-	if f := cStepped[0].(*ClassicalProcess).fold; f.digest != vector.Bottom {
-		t.Errorf("ClassicalProcess.Step wrote the run's shared digest: %v", f.digest)
+		e, ec := eStepped[0].(*EarlyCondProcess), ecStepped[0].(*EarlyClassicalProcess)
+		for name, f := range map[string]*earlyRow{"EarlyCondProcess": e.fold, "EarlyClassicalProcess": ec.fold} {
+			if !reflect.DeepEqual(*f, newEarlyRow(p.N)) {
+				t.Errorf("%s.Step wrote the run's shared row: %+v", name, *f)
+			}
+		}
+		if f := e.inner.fold; f.digest != (StateMsg{}) || f.view.BottomCount() != p.N {
+			t.Errorf("EarlyCondProcess.Step wrote the inner run's shared state: digest %v view %v", f.digest, f.view)
+		}
+		if f := ec.inner.fold; f.digest != vector.Bottom {
+			t.Errorf("EarlyClassicalProcess.Step wrote the inner run's shared digest: %v", f.digest)
+		}
 	}
 }
 
-// TestStepFromSeparateGoroutines steps the processes of one NewRun the way
-// wire nodes do, each from its own goroutine, on rows that differ per
-// process; every process must end where a process stepped alone ends. Run
-// under -race it also proves Step shares no writes.
+// TestStepFromSeparateGoroutines steps the processes of one constructor
+// call the way wire nodes do, each from its own goroutine, on rows that
+// differ per process; every process must end where a process stepped alone
+// ends. Run under -race it also proves Step shares no writes — for the
+// early-deciding wrappers too, whose Step fills sender bitsets and an
+// unwrapped row.
 func TestStepFromSeparateGoroutines(t *testing.T) {
-	p := Params{N: 8, T: 6, K: 2, D: 3, L: 2}
+	p, c, input := foldShape(8)
 	const m = 4
-	c := condition.MustNewMax(p.N, m, p.X(), p.L)
-	input := vector.OfInts(1, 2, 3, 4, 1, 2, 3, 4)
 	procs, err := NewRun(p, c, input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	early, err := NewEarlyRun(p, c, input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	earlyClassical, err := NewEarlyClassicalRun(p.N, p.T, p.K, input)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := rand.New(rand.NewSource(67))
 	rows := make([][][]any, p.N) // per process, per round
+	wrapped := make([][][]any, p.N)
 	for i := range rows {
 		for round := 1; round <= p.RMax(); round++ {
 			rows[i] = append(rows[i], randomRow(r, p.N, m))
+			wrapped[i] = append(wrapped[i], wrapRow(r, randomRow(r, p.N, m)))
 		}
 	}
 	var wg sync.WaitGroup
-	for i, proc := range procs {
+	// each runs step, a closure over one process and its reference, round by
+	// round on its own goroutine until it decides.
+	each := func(step func(round int) (done bool)) {
 		wg.Add(1)
-		go func(i int, proc *CondProcess) {
+		go func() {
 			defer wg.Done()
-			ref := &refCond{p: p, cond: c}
-			for round := 1; round <= p.RMax(); round++ {
-				wantV, wantDone := ref.step(round, rows[i][round-1])
-				v, done := proc.Step(round, rows[i][round-1])
-				if v != wantV || done != wantDone || proc.state != ref.state {
-					t.Errorf("p%d round %d: (%v,%v) %v, alone (%v,%v) %v", i+1, round, v, done, proc.state, wantV, wantDone, ref.state)
-				}
-				if done {
-					return
-				}
+			for round := 1; round <= p.RMax() && !step(round); round++ {
 			}
-		}(i, proc.(*CondProcess))
+		}()
+	}
+	for i := range procs {
+		i, proc, ref := i, procs[i].(*CondProcess), &refCond{p: p, cond: c}
+		each(func(round int) bool {
+			wantV, wantDone := ref.step(round, rows[i][round-1])
+			v, done := proc.Step(round, rows[i][round-1])
+			if v != wantV || done != wantDone || proc.state != ref.state {
+				t.Errorf("p%d round %d: (%v,%v) %v, alone (%v,%v) %v", i+1, round, v, done, proc.state, wantV, wantDone, ref.state)
+			}
+			return done
+		})
+		e, eref, inner := early[i].(*EarlyCondProcess), &refEarly{k: p.K, flagged: make([]bool, p.N)}, &refCond{p: p, cond: c}
+		each(func(round int) bool {
+			wantV, wantDone := eref.stepCond(inner, round, wrapped[i][round-1])
+			v, done := e.Step(round, wrapped[i][round-1])
+			if v != wantV || done != wantDone || e.inner.state != inner.state || !eref.same(&e.early) {
+				t.Errorf("early p%d round %d: (%v,%v) %v %+v, alone (%v,%v) %v %+v", i+1, round, v, done, e.inner.state, e.early, wantV, wantDone, inner.state, eref)
+			}
+			return done
+		})
+		ec, ecref, est := earlyClassical[i].(*EarlyClassicalProcess), &refEarly{k: p.K, flagged: make([]bool, p.N)}, input[i]
+		each(func(round int) bool {
+			wantV, wantDone := ecref.stepClassical(&est, p.T/p.K+1, round, wrapped[i][round-1])
+			v, done := ec.Step(round, wrapped[i][round-1])
+			if v != wantV || done != wantDone || ec.inner.est != est || !ecref.same(&ec.early) {
+				t.Errorf("early classical p%d round %d: (%v,%v) %v %+v, alone (%v,%v) %v %+v", i+1, round, v, done, ec.inner.est, ec.early, wantV, wantDone, est, ecref)
+			}
+			return done
+		})
 	}
 	wg.Wait()
 }
@@ -222,6 +420,10 @@ func TestSplicedRunsStepTheForeignFolders(t *testing.T) {
 	for name, build := range map[string]func() ([]rounds.Process, error){
 		"figure2":   func() ([]rounds.Process, error) { return NewRun(p, c, input) },
 		"classical": func() ([]rounds.Process, error) { return NewClassicalRun(p.N, p.T, p.K, input) },
+		"early":     func() ([]rounds.Process, error) { return NewEarlyRun(p, c, input) },
+		"early-classical": func() ([]rounds.Process, error) {
+			return NewEarlyClassicalRun(p.N, p.T, p.K, input)
+		},
 	} {
 		r := rand.New(rand.NewSource(71))
 		fam := adversary.RandomFamily(71, p.N, p.T, p.RMax(), 100)
@@ -249,6 +451,87 @@ func TestSplicedRunsStepTheForeignFolders(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: spliced run diverged under %+v:\n got %+v\nwant %+v", name, fp, got, want)
+			}
+		}
+	}
+}
+
+// countingFolder counts the engine's calls into a Folder per round; the
+// promoted FoldState keeps the wrapped run's Folders on one shared state.
+type countingFolder struct {
+	rounds.Folder
+	folds, folded, stepped map[int]int
+}
+
+func (c countingFolder) Step(round int, recv []any) (vector.Value, bool) {
+	c.stepped[round]++
+	return c.Folder.Step(round, recv)
+}
+
+func (c countingFolder) Fold(round int, recv []any) {
+	c.folds[round]++
+	c.Folder.Fold(round, recv)
+}
+
+func (c countingFolder) StepFolded(round int) (vector.Value, bool) {
+	c.folded[round]++
+	return c.Folder.StepFolded(round)
+}
+
+// TestEarlyRunsFoldOncePerDistinctRow pins that early-deciding runs are on
+// the fold path: per round at most one Fold more than the round's crashes,
+// one StepFolded per live destination and no Step, with the results of the
+// all-Step run through the transport seam.
+func TestEarlyRunsFoldOncePerDistinctRow(t *testing.T) {
+	p, c, input := foldShape(8)
+	for name, crashes := range map[string]map[rounds.ProcessID]rounds.Crash{
+		"none":    nil,
+		"one":     {4: {Round: 2, AfterSends: 3}},
+		"several": {8: {Round: 1, AfterSends: 2}, 2: {Round: 1, AfterSends: 5}, 5: {Round: 1, AfterSends: 5}, 3: {Round: 2, AfterSends: 6}, 6: {Round: 2, AfterSends: 1}},
+	} {
+		fp := rounds.FailurePattern{Crashes: crashes}
+		for variant, build := range map[string]func() ([]rounds.Process, error){
+			"early":           func() ([]rounds.Process, error) { return NewEarlyRun(p, c, input) },
+			"early-classical": func() ([]rounds.Process, error) { return NewEarlyClassicalRun(p.N, p.T, p.K, input) },
+		} {
+			procs, err := build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			folds, folded, stepped := map[int]int{}, map[int]int{}, map[int]int{}
+			for i, proc := range procs {
+				procs[i] = countingFolder{proc.(rounds.Folder), folds, folded, stepped}
+			}
+			got, err := rounds.Run(procs, fp, rounds.Options{MaxRounds: p.RMax()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if procs, err = build(); err != nil {
+				t.Fatal(err)
+			}
+			want, err := rounds.Run(procs, fp, rounds.Options{MaxRounds: p.RMax(), Transport: &seamTransport{}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s %s: folded run %+v, stepped run %+v", variant, name, got, want)
+			}
+			for r := 1; r <= got.Rounds; r++ {
+				crashed, live := 0, 0
+				for id := rounds.ProcessID(1); int(id) <= p.N; id++ {
+					cr, crashes := fp.Crashes[id]
+					if crashes && cr.Round == r {
+						crashed++
+					}
+					decided, halts := got.DecisionRound[id]
+					if !(crashes && cr.Round <= r) && !(halts && decided < r) {
+						live++
+					}
+				}
+				if folds[r] < 1 || folds[r] > 1+crashed || folded[r] != live || stepped[r] != 0 {
+					t.Errorf("%s %s round %d: %d Folds with %d crashes, %d StepFolded and %d Step calls for %d live destinations",
+						variant, name, r, folds[r], crashed, folded[r], stepped[r], live)
+				}
 			}
 		}
 	}

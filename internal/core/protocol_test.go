@@ -307,13 +307,51 @@ func TestPropertyRandomRuns(t *testing.T) {
 // shared-row fast path.
 type seamTransport struct{ rounds.MatrixTransport }
 
+// executorsAgree runs one scenario on the engine's shared-row fast path and
+// through its transport seam, for every synchronous algorithm, and requires
+// identical Results.
+func executorsAgree(t *testing.T, runner *Runner, p Params, c condition.Condition, input vector.Vector, fp rounds.FailurePattern) {
+	t.Helper()
+	for name, run := range map[string]func(tr rounds.Transport) (*rounds.Result, error){
+		"figure2": func(tr rounds.Transport) (*rounds.Result, error) {
+			return runner.RunCond(p, c, input, fp, false, tr, nil, nil)
+		},
+		"classical": func(tr rounds.Transport) (*rounds.Result, error) {
+			return runner.RunClassical(p.N, p.T, p.K, input, fp, false, tr, nil, nil)
+		},
+		"early": func(tr rounds.Transport) (*rounds.Result, error) {
+			return runner.RunEarly(p, c, input, fp, false, tr, nil, nil)
+		},
+		"early-classical": func(tr rounds.Transport) (*rounds.Result, error) {
+			procs, err := NewEarlyClassicalRun(p.N, p.T, p.K, input)
+			if err != nil {
+				return nil, err
+			}
+			return rounds.Run(procs, fp, rounds.Options{MaxRounds: p.T/p.K + 1, Transport: tr})
+		},
+	} {
+		fast, err := run(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seam, err := run(&seamTransport{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(fast, seam) {
+			t.Fatalf("n=%d %s input %v fp %+v:\nfast path %+v\nseam      %+v", p.N, name, input, fp.Crashes, fast, seam)
+		}
+	}
+}
+
 // TestExecutorsAgree runs identical scenarios on the engine's shared-row
 // fast path (where the processes fold each distinct row once) and through
 // its transport seam (where each steps its own row) and requires identical
-// results — for both Folders, at model-checking size and at the n=48 the
-// benchmark runs, where random patterns crash several senders mid-row in
-// one round.
+// results — for all four Folders, exhaustively at model-checking size and
+// on random patterns there and at the n=48 the benchmark runs, where
+// several senders crash mid-row in one round.
 func TestExecutorsAgree(t *testing.T) {
+	runner := NewRunner()
 	for _, p := range []Params{
 		{N: 6, T: 3, K: 2, D: 2, L: 2},
 		{N: 48, T: 24, K: 3, D: 8, L: 2},
@@ -322,9 +360,7 @@ func TestExecutorsAgree(t *testing.T) {
 		c := condition.MustNewMax(p.N, m, p.X(), p.L)
 		fam := adversary.RandomFamily(31, p.N, p.T, p.RMax(), 50)
 		r := rand.New(rand.NewSource(31))
-		runner := NewRunner()
 		for trial := 0; trial < fam.Size(); trial++ {
-			fp := fam.Pattern(trial)
 			input := vector.New(p.N)
 			for i := range input {
 				input[i] = vector.Value(1 + r.Intn(m))
@@ -332,28 +368,24 @@ func TestExecutorsAgree(t *testing.T) {
 					input[i] = m // dense enough to be in the condition
 				}
 			}
-			for name, run := range map[string]func(tr rounds.Transport) (*rounds.Result, error){
-				"figure2": func(tr rounds.Transport) (*rounds.Result, error) {
-					return runner.RunCond(p, c, input, fp, false, tr, nil, nil)
-				},
-				"classical": func(tr rounds.Transport) (*rounds.Result, error) {
-					return runner.RunClassical(p.N, p.T, p.K, input, fp, false, tr, nil, nil)
-				},
-			} {
-				fast, err := run(nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				seam, err := run(&seamTransport{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(fast, seam) {
-					t.Fatalf("n=%d %s input %v fp %+v:\nfast path %+v\nseam      %+v", p.N, name, input, fp.Crashes, fast, seam)
-				}
-			}
+			executorsAgree(t, runner, p, c, input, fam.Pattern(trial))
 		}
 	}
+	if testing.Short() {
+		return
+	}
+	p := Params{N: 4, T: 3, K: 2, D: 1, L: 1}
+	c := condition.MustNewMax(p.N, 2, p.X(), p.L)
+	vector.ForEach(p.N, 2, func(in vector.Vector) bool {
+		input := in.Clone()
+		if err := adversary.Enumerate(p.N, p.T, p.RMax(), func(fp rounds.FailurePattern) bool {
+			executorsAgree(t, runner, p, c, input, fp)
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return true
+	})
 }
 
 func TestClassicalBaseline(t *testing.T) {
@@ -431,5 +463,43 @@ func TestVerifyReportsViolations(t *testing.T) {
 	v2 := Verify(input, rounds.FailurePattern{}, res2, 1)
 	if v2.Termination {
 		t.Error("termination must fail (nobody decided)")
+	}
+}
+
+// TestRunnerAlternatingSizes pins NewRunner's promise for the early-deciding
+// state: buffers grow to the largest n seen, so a held Runner that alternates
+// between two sizes allocates nothing once it has seen both, and its results
+// are a fresh Runner's.
+func TestRunnerAlternatingSizes(t *testing.T) {
+	small, c8, in8 := foldShape(8)
+	large, c70, in70 := foldShape(70)
+	fp := rounds.FailurePattern{Crashes: map[rounds.ProcessID]rounds.Crash{3: {Round: 1, AfterSends: 4}}}
+	runner, res := NewRunner(), &rounds.Result{}
+	alternate := func() {
+		for _, run := range []struct {
+			p     Params
+			c     condition.Condition
+			input vector.Vector
+		}{{large, c70, in70}, {small, c8, in8}} {
+			got, err := runner.RunEarly(run.p, run.c, run.input, fp, false, nil, nil, res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := NewRunner().RunEarly(run.p, run.c, run.input, fp, false, nil, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("n=%d: held runner %+v, fresh runner %+v", run.p.N, got, want)
+			}
+		}
+	}
+	alternate()
+	alternate()
+	if avg := testing.AllocsPerRun(20, func() {
+		runner.RunEarly(large, c70, in70, fp, false, nil, nil, res)
+		runner.RunEarly(small, c8, in8, fp, false, nil, nil, res)
+	}); avg != 0 {
+		t.Errorf("a Runner alternating between n=70 and n=8 allocates %v times per pair, want 0", avg)
 	}
 }

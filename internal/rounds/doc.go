@@ -36,13 +36,16 @@
 // digest — and the engine then calls Fold once per distinct row (when the
 // row changed since the previous live destination: at round start, or
 // where a crashing sender's prefix just ended) and StepFolded for every
-// live destination: n·(1+c) merges per round instead of n². The choice is
-// per destination: plain Processes in the same slice, and Folders that do
-// not share the first Folder's state, get Step on the same row. Step itself
-// writes nothing shared, so the processes of one run may also be stepped
-// from separate goroutines, as wire nodes do. Runs through the transport
-// seam, where every destination may receive something different, always
-// call Step.
+// live destination: n·(1+c) merges per round instead of n². All three
+// synchronous algorithms of package core fold — Figure 2, the classical
+// flood and the early-deciding wrappers of both, whose digest adds two
+// sender bitsets (silent, flag-carrying) to the inner algorithm's. The
+// choice is per destination: plain Processes in the same slice, and Folders
+// that do not share the first Folder's state, get Step on the same row. Step
+// itself writes nothing shared, so the processes of one run may also be
+// stepped from separate goroutines, as wire nodes do. Runs through the
+// transport seam — traced, order-overridden and fault-injected ones, where
+// every destination may receive something different — always call Step.
 //
 // Message delivery itself sits behind the Transport seam: the engine
 // applies the crash adversary to each round's sends (order and prefix

@@ -58,9 +58,15 @@ type Process interface {
 // order-overridden and fault-injected runs, where rows differ per
 // destination) always calls Step.
 //
+// A digest need not be a merged value: core's early-deciding wrappers keep
+// two sender bitsets (who was silent, who carried a flag) beside the inner
+// algorithm's digest, and what depends on the reader — a silent sender is a
+// crash to one, a decider to another — is one popcount in StepFolded.
+//
 // A type that embeds a Folder inherits all three methods with it: if it
 // overrides Step, the fast path would bypass the override. Hold the Folder
-// in a named field instead, as core's early-deciding wrappers do.
+// in a named field instead, as core's early-deciding wrappers do — they
+// implement Folder themselves, over the inner process's two halves.
 type Folder interface {
 	Process
 	Fold(round int, recv []any)

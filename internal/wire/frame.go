@@ -25,7 +25,7 @@ import (
 //	0x02  state       8 bytes: Key64 of the (cond, out, tmf) state triple
 //	0x03  state-raw   3 bytes: one per field — canonical only when the
 //	                  triple is not Key64-packable (some field is 64)
-//	0x40  early       payload is wrapped in a core.EarlyMsg
+//	0x40  early       payload is wrapped in a *core.EarlyMsg
 //	0x80  decide      the EarlyMsg flag is set (requires 0x40)
 //
 // Bits 0x30 are reserved and must be zero. Every frame has exactly one
@@ -80,7 +80,7 @@ func (t FrameType) String() string {
 
 // Frame is one decoded datagram. For data frames Payload holds the round
 // payload exactly as the engine hands it to Transport.Send: a
-// vector.Value, a *core.StateMsg, or a core.EarlyMsg wrapping one of
+// vector.Value, a *core.StateMsg, or a *core.EarlyMsg wrapping one of
 // those. For the other types Payload is nil and Round carries the frame's
 // round context (for a fin: the last round the sender participated in).
 type Frame struct {

@@ -37,18 +37,18 @@ func roundTripFrames() []Frame {
 		{Type: TypeData, Round: 2, Src: 4, Dst: 2, Payload: &core.StateMsg{Cond: 63, Out: 63, Tmf: 63}},
 		{Type: TypeData, Round: 3, Src: 1, Dst: 2, Payload: &core.StateMsg{Cond: 64, Out: 0, Tmf: 5}},
 		{Type: TypeData, Round: 3, Src: 1, Dst: 2, Payload: &core.StateMsg{Cond: 64, Out: 64, Tmf: 64}},
-		{Type: TypeData, Round: 1, Src: 5, Dst: 6, Payload: core.EarlyMsg{Payload: vector.Value(4), Flag: false}},
-		{Type: TypeData, Round: 1, Src: 5, Dst: 6, Payload: core.EarlyMsg{Payload: vector.Value(4), Flag: true}},
-		{Type: TypeData, Round: 4, Src: 6, Dst: 5, Payload: core.EarlyMsg{Payload: &core.StateMsg{Cond: 2, Out: 1, Tmf: 0}, Flag: true}},
-		{Type: TypeData, Round: 4, Src: 6, Dst: 5, Payload: core.EarlyMsg{Payload: &core.StateMsg{Out: 64}, Flag: false}},
+		{Type: TypeData, Round: 1, Src: 5, Dst: 6, Payload: &core.EarlyMsg{Payload: vector.Value(4), Flag: false}},
+		{Type: TypeData, Round: 1, Src: 5, Dst: 6, Payload: &core.EarlyMsg{Payload: vector.Value(4), Flag: true}},
+		{Type: TypeData, Round: 4, Src: 6, Dst: 5, Payload: &core.EarlyMsg{Payload: &core.StateMsg{Cond: 2, Out: 1, Tmf: 0}, Flag: true}},
+		{Type: TypeData, Round: 4, Src: 6, Dst: 5, Payload: &core.EarlyMsg{Payload: &core.StateMsg{Out: 64}, Flag: false}},
 	}
 }
 
 // samePayload compares payloads by value (state messages cross the codec
 // by content, not pointer).
 func samePayload(a, b any) bool {
-	if ea, ok := a.(core.EarlyMsg); ok {
-		eb, ok := b.(core.EarlyMsg)
+	if ea, ok := a.(*core.EarlyMsg); ok {
+		eb, ok := b.(*core.EarlyMsg)
 		return ok && ea.Flag == eb.Flag && samePayload(ea.Payload, eb.Payload)
 	}
 	if sa, ok := a.(*core.StateMsg); ok {
@@ -82,6 +82,27 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEarlyFrameBytes pins the encoding of the early-deciding wrapper byte
+// for byte, as it was while the wrapper still travelled by value: the
+// pointer form is an in-process representation, not a format change.
+func TestEarlyFrameBytes(t *testing.T) {
+	for _, tc := range []struct {
+		f    Frame
+		want []byte
+	}{
+		{Frame{Type: TypeData, Round: 1, Src: 5, Dst: 6, Payload: &core.EarlyMsg{Payload: vector.Value(4), Flag: true}},
+			[]byte{Version, 1, 0, 1, 5, 6, 0xc1, 4}},
+		{Frame{Type: TypeData, Round: 4, Src: 6, Dst: 5, Payload: &core.EarlyMsg{Payload: &core.StateMsg{Cond: 2, Out: 1, Tmf: 0}}},
+			[]byte{Version, 1, 0, 4, 6, 5, 0x42, 0, 0, 0, 0, 0, 4, 0x20, 0x40}},
+		{Frame{Type: TypeData, Round: 4, Src: 6, Dst: 5, Payload: &core.EarlyMsg{Payload: &core.StateMsg{Out: 64}, Flag: true}},
+			[]byte{Version, 1, 0, 4, 6, 5, 0xc3, 0, 64, 0}},
+	} {
+		if got := mustEncode(t, &tc.f); !bytes.Equal(got, tc.want) {
+			t.Errorf("%+v encodes to %x, want %x", tc.f, got, tc.want)
+		}
+	}
+}
+
 func TestEncodeRejects(t *testing.T) {
 	cases := []struct {
 		name string
@@ -99,8 +120,10 @@ func TestEncodeRejects(t *testing.T) {
 		{"negative value", Frame{Type: TypeData, Round: 1, Src: 1, Dst: 2, Payload: vector.Value(-1)}},
 		{"state field above cap", Frame{Type: TypeData, Round: 1, Src: 1, Dst: 2, Payload: &core.StateMsg{Cond: 65}}},
 		{"unsupported payload", Frame{Type: TypeData, Round: 1, Src: 1, Dst: 2, Payload: "nope"}},
+		{"nil early", Frame{Type: TypeData, Round: 1, Src: 1, Dst: 2, Payload: (*core.EarlyMsg)(nil)}},
 		{"nested early", Frame{Type: TypeData, Round: 1, Src: 1, Dst: 2,
-			Payload: core.EarlyMsg{Payload: core.EarlyMsg{Payload: vector.Value(1)}}}},
+			Payload: &core.EarlyMsg{Payload: &core.EarlyMsg{Payload: vector.Value(1)}}}},
+		{"early by value", Frame{Type: TypeData, Round: 1, Src: 1, Dst: 2, Payload: core.EarlyMsg{Payload: vector.Value(1)}}},
 	}
 	var buf [MaxFrame]byte
 	for _, tc := range cases {

@@ -24,15 +24,15 @@ const (
 // the types the engine moves through Transport.Send.
 func encodePayload(buf []byte, p any) (int, error) {
 	var kind byte
-	if em, ok := p.(core.EarlyMsg); ok {
+	if em, ok := p.(*core.EarlyMsg); ok {
+		if em == nil {
+			return 0, badFrame("nil early-deciding wrapper")
+		}
 		kind = kindEarly
 		if em.Flag {
 			kind |= kindDecide
 		}
-		p = em.Payload
-		if _, nested := p.(core.EarlyMsg); nested {
-			return 0, badFrame("nested early-deciding wrapper")
-		}
+		p = em.Payload // a nested wrapper is an unsupported type below
 	}
 	switch m := p.(type) {
 	case vector.Value:
@@ -138,7 +138,7 @@ func decodePayload(data []byte) (any, error) {
 		return nil, badFrame("unknown payload kind %#x", kind)
 	}
 	if early {
-		return core.EarlyMsg{Payload: inner, Flag: decide}, nil
+		return &core.EarlyMsg{Payload: inner, Flag: decide}, nil
 	}
 	return inner, nil
 }

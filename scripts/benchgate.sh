@@ -51,7 +51,10 @@ cd "$(dirname "$0")/.."
 # recycled Result, failure-free (clean) and with t mid-row crashes spread
 # over the rounds (crashes: one more distinct receive row, so one more
 # Fold, per crash). The per-run fold state lives in the Runner, so both
-# must stay allocation-free (measured: 0 / 0 at PR 15).
+# must stay allocation-free (measured: 0 / 0 at PR 15). The early arms are
+# Runner.RunEarly under the same two patterns: the wrappers fold too and
+# send from a per-process buffer, where boxing each send cost n·rounds
+# (measured: 192 / 227 → 0 / 0 at PR 16).
 budgets='
 BenchmarkE1Lattice 2400
 BenchmarkE9Adversary 400
@@ -72,6 +75,8 @@ BenchmarkConditionIndex/n16/explicit 0
 BenchmarkConditionIndex/n16/compiled 0
 BenchmarkEngineRound/clean 0
 BenchmarkEngineRound/crashes 0
+BenchmarkEngineRound/early-clean 0
+BenchmarkEngineRound/early-crashes 0
 '
 
 # Wall-clock budgets (ns/op), used sparingly: ns/op is noisy in CI, so only
