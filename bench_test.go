@@ -16,6 +16,7 @@ import (
 	"kset/internal/condition"
 	"kset/internal/core"
 	"kset/internal/count"
+	"kset/internal/faultnet"
 	"kset/internal/lattice"
 	"kset/internal/rounds"
 	"kset/internal/vector"
@@ -482,7 +483,10 @@ func BenchmarkPredicate(b *testing.B) {
 // and one more fold, per crash: the fold path's worst case. The early arms
 // run the early-deciding condition-based algorithm under the same two
 // patterns: its sends reuse a per-process buffer and its flag bookkeeping
-// folds with the row.
+// folds with the row. The storm arm is a Figure-2 run with the crashes
+// under a storm faultnet.Transport — every fault kind on every link, so
+// *StateMsg copies are frozen in every flood round: a warm transport
+// freezes into the copies its last run retired.
 func BenchmarkEngineRound(b *testing.B) {
 	n, t, k := 64, 32, 4
 	input := vector.New(n)
@@ -505,6 +509,18 @@ func BenchmarkEngineRound(b *testing.B) {
 		_, err := runner.RunEarly(p, c, input, fp, false, nil, nil, &res)
 		return err
 	}
+	tr, err := faultnet.New(&faultnet.Plan{
+		Seed:    3,
+		Default: faultnet.LinkFaults{Loss: 0.1, DelayProb: 0.1, MaxDelay: 2, Duplicate: 0.05},
+		Reorder: 0.1,
+	}, n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	storm := func(fp rounds.FailurePattern) error {
+		_, err := runner.RunCond(p, c, input, fp, false, tr, nil, &res)
+		return err
+	}
 	for _, arm := range []struct {
 		name string
 		run  func(rounds.FailurePattern) error
@@ -514,6 +530,7 @@ func BenchmarkEngineRound(b *testing.B) {
 		{"crashes", classical, crashes},
 		{"early-clean", early, rounds.FailurePattern{}},
 		{"early-crashes", early, crashes},
+		{"storm", storm, crashes},
 	} {
 		b.Run(arm.name, func(b *testing.B) {
 			run := func() {

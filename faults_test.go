@@ -160,6 +160,70 @@ func TestLossyCampaignWorkerCountInvariance(t *testing.T) {
 	}
 }
 
+// TestZeroFaultPlansLeaveTheSeam: a plan that injects nothing is validated
+// and then run as if there were none — the campaign's stats JSON is
+// byte-identical to the plan-free campaign's at any worker count, with no
+// fault tally — while an invalid plan whose profiles are all zero still
+// fails, as does any plan on a wire system.
+func TestZeroFaultPlansLeaveTheSeam(t *testing.T) {
+	p := testParams()
+	cond := testCondition(t, p)
+	const seed = 31
+	report := func(workers int, plans kset.FaultFamily) []byte {
+		sys := testSystem(t, kset.WithParams(p), kset.WithCondition(cond), kset.WithWorkers(workers))
+		src := kset.FaultSchedules(
+			kset.CrossExecutors(
+				kset.FailureSchedules(
+					kset.RandomInputs(seed, p.N, 4, 40),
+					kset.RandomCrashFamily(seed+1, p.N, p.T, p.RMax(), 3),
+				),
+				kset.Figure2, kset.EarlyDeciding, kset.Classical,
+			), plans)
+		stats, err := sys.RunSource(context.Background(), src, kset.VerifyRuns())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := int64(40 * 3 * 3 * 2); stats.Runs != want || stats.Errors != 0 {
+			t.Fatalf("workers=%d: runs=%d (want %d) errors=%d", workers, stats.Runs, want, stats.Errors)
+		}
+		if stats.Metrics.Faults != nil {
+			t.Fatalf("workers=%d: fault tally %+v without a fault", workers, stats.Metrics.Faults)
+		}
+		raw, err := json.Marshal(stats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	want := report(1, kset.FaultPlansOf(nil, nil))
+	for _, workers := range []int{1, 4} {
+		got := report(workers, kset.FaultPlansOf(&kset.FaultPlan{}, kset.UniformLoss(seed, 0)))
+		if string(got) != string(want) {
+			t.Fatalf("workers=%d: zero-plan campaign diverged from the plan-free one:\n%s\nvs\n%s", workers, got, want)
+		}
+	}
+
+	sys := testSystem(t, kset.WithParams(p), kset.WithCondition(cond))
+	input := kset.VectorOf(4, 4, 4, 2, 1, 2)
+	for name, bad := range map[string]*kset.FaultPlan{
+		"link beyond n":     {Links: map[kset.FaultLink]kset.LinkFaults{{From: 1, To: kset.ProcessID(p.N + 1)}: {}}},
+		"negative MaxDelay": {Default: kset.LinkFaults{MaxDelay: -1}},
+	} {
+		if !bad.Zero() {
+			t.Fatalf("%s: the plan is meant to inject nothing", name)
+		}
+		_, err := sys.RunScenario(context.Background(), kset.Scenario{Input: input, Faults: bad})
+		if !errors.Is(err, kset.ErrBadParams) {
+			t.Errorf("%s: err = %v, want ErrBadParams", name, err)
+		}
+	}
+	wired := testSystem(t, kset.WithParams(p), kset.WithCondition(cond), kset.WithTransport(kset.PipeWire()))
+	_, err := wired.RunScenario(context.Background(), kset.Scenario{Input: input, Faults: &kset.FaultPlan{}})
+	if !errors.Is(err, kset.ErrBadParams) {
+		t.Errorf("zero plan on a wire system: err = %v, want ErrBadParams", err)
+	}
+}
+
 // TestFaultCampaignAcrossSystemSizes runs a reordering fault campaign on
 // an n=8 System, one on an n=48 System, then the n=8 one again. Every
 // System draws its workers from one shared pool, so the third campaign

@@ -60,13 +60,19 @@ func (m EarlyMsg) String() string {
 
 // Freeze implements rounds.Freezer: a transport retaining the message past
 // its round keeps this copy, its Payload frozen in turn, instead of the
-// sender's reused buffers.
-func (m *EarlyMsg) Freeze() any {
-	c := *m
-	if fz, ok := c.Payload.(rounds.Freezer); ok {
-		c.Payload = fz.Freeze()
+// sender's reused buffers. A retired copy owns its frozen Payload, so both
+// levels are overwritten in place.
+func (m *EarlyMsg) Freeze(into any) any {
+	c, ok := into.(*EarlyMsg)
+	if !ok {
+		c = new(EarlyMsg)
 	}
-	return &c
+	retired := c.Payload
+	*c = *m
+	if fz, ok := m.Payload.(rounds.Freezer); ok {
+		c.Payload = fz.Freeze(retired)
+	}
+	return c
 }
 
 // earlyRow is what a receive row says about early decision, the same to

@@ -62,11 +62,15 @@ func newCondFold(p Params, c condition.Condition, view vector.Vector) condFold {
 }
 
 // Freeze implements rounds.Freezer: a transport delaying or duplicating
-// the flood payload past its send round retains this copy instead of the
-// sender's reused buffer.
-func (s *StateMsg) Freeze() any {
-	c := *s
-	return &c
+// the flood payload past its send round retains this copy — into, when it
+// is a retired one — instead of the sender's reused buffer.
+func (s *StateMsg) Freeze(into any) any {
+	c, ok := into.(*StateMsg)
+	if !ok {
+		c = new(StateMsg)
+	}
+	*c = *s
+	return c
 }
 
 var _ rounds.Folder = (*CondProcess)(nil)

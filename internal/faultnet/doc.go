@@ -19,7 +19,10 @@
 // splitmix64 stream rewound on each Reset to a per-run seed (Reseed),
 // which batch drivers derive from the plan seed, the scenario seed and
 // the input vector — so a campaign's faults are byte-reproducible at
-// any worker count. Delayed copies ride a ring of maxDelay+1 in-flight
-// slots and are frozen (rounds.Freezer) when their payload would
-// otherwise be reused by the sending protocol.
+// any worker count; the stream is pinned draw for draw by
+// testdata/draws_v1.json. On-time copies are stores into the round's n×n
+// matrix; only delayed and duplicated copies ride a ring of maxDelay+1
+// arrival slots, frozen (rounds.Freezer) into copies the transport
+// recycles from run to run. A plan that injects nothing needs no
+// transport: kset's workers validate it and take the engine's fast path.
 package faultnet

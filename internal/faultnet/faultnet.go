@@ -1,16 +1,33 @@
 package faultnet
 
 import (
+	"math"
+
 	"kset/internal/prng"
 	"kset/internal/rounds"
 )
 
-// message is one in-flight copy: who sent it and when, and the payload
-// (frozen when retained past its send round).
-type message struct {
-	src       rounds.ProcessID
-	sentRound int
-	payload   any
+// lateCopy is one copy in flight past its send round, its payload frozen.
+type lateCopy struct {
+	src     rounds.ProcessID
+	payload any
+}
+
+// profile is a compiled LinkFaults: each probability as its thresh.
+type profile struct {
+	loss, delay, dup uint64
+	maxDelay         int
+}
+
+// thresh compiles a probability into the integer T = ⌈p·2⁵³⌉, for which
+// rng.Float64() < p ⟺ rng.Next()>>11 < T exactly: Float64 is the 53-bit
+// draw x scaled by 2⁻⁵³, both scalings are exact, and an integer x is
+// below the real p·2⁵³ exactly when it is below its ceiling. T is 0 only
+// for p = 0, which never fires and consumes no draw (see hit).
+func thresh(p float64) uint64 { return uint64(math.Ceil(p * (1 << 53))) }
+
+func compile(lf LinkFaults) profile {
+	return profile{thresh(lf.Loss), thresh(lf.DelayProb), thresh(lf.Duplicate), lf.MaxDelay}
 }
 
 // Transport is a deterministic fault-injecting rounds.Transport: it
@@ -20,22 +37,40 @@ type message struct {
 // engine already applied. The zero value is unusable; call SetPlan (or
 // New) first.
 //
-// Delayed and duplicated copies ride a ring of maxDelay+1 in-flight
-// slots indexed by arrival round, so a warm transport injects faults
-// without allocating. Arrivals are resolved per (destination, sender)
-// with a latest-send-round-wins rule: a round's own copy shadows a
-// stale delayed one, and a delayed copy arriving alone surfaces as that
-// round's payload from its sender — exactly the at-most-one-message-
-// per-sender-per-round shape rounds.Process implementations expect,
-// with stale payload types left to the protocol's receive filters.
+// Copies live on two planes. An on-time copy is one store into the
+// current round's n×n matrix (rounds.MatrixTransport's layout); only
+// delayed and duplicated copies ride the ring of maxDelay+1 slots indexed
+// by arrival round, one list per destination. Deliver copies the matrix
+// row and overlays the round's late arrivals in the order they were sent,
+// skipping senders with an on-time copy: a round's own copy shadows a
+// stale one, of several stale ones the latest sent wins, and a delayed
+// copy arriving alone surfaces as that round's payload from its sender —
+// the at-most-one-message-per-sender-per-round shape rounds.Process
+// implementations expect, with stale payload types left to the protocol's
+// receive filters. (A nil payload is, as on the matrix, silence.)
+//
+// SetPlan compiles the plan once: probabilities to integer thresholds,
+// scheduled faults to an index, and whether it injects anything at all
+// (Zero). Late copies of rounds.Freezer payloads are frozen once per Send
+// into copies the transport owns: they stay valid until the next Reset,
+// which hands them back to Freeze to be overwritten — receivers retain no
+// payload past their Step (see rounds.Process) — so a warm transport
+// injects faults without allocating.
 //
 // A Transport is driven by one engine at a time (see rounds.Transport)
-// and reusable across runs: Reset rewinds the counters, the ring and
-// the random stream (to the seed set by Reseed, or the plan's).
+// and reusable across runs and system sizes: Reset rewinds the counters,
+// both planes and the random stream (to Reseed's seed, or the plan's).
 type Transport struct {
-	plan     *Plan
-	sched    map[schedKey]Fault
+	plan  *Plan
+	planN int // the n the plan was validated against
+
+	// The compiled plan.
+	def      profile
+	links    map[Link]profile   // nil without per-link overrides
+	sched    map[schedKey]Fault // nil without scheduled faults
+	reorder  uint64
 	maxDelay int
+	zero     bool
 
 	seed uint64 // per-run base; rng rewinds to it on Reset
 	rng  prng.Rand
@@ -43,12 +78,17 @@ type Transport struct {
 	n                                    int
 	delivered, lost, delayed, duplicated int64
 
-	// flight[slot][dst-1] holds the copies arriving at dst in rounds
-	// ≡ slot (mod maxDelay+1); BeginRound retires the slot whose round
-	// has passed before it is refilled for round r+maxDelay.
-	flight [][][]message
+	// now[(dst-1)*n+src-1] is the on-time copy of the current round.
+	now []any
+	// late[slot*n+dst-1] lists the late copies arriving at dst in rounds
+	// ≡ slot (mod maxDelay+1), in send order; BeginRound retires the slot
+	// whose round has passed before it is refilled for round r+maxDelay.
+	late [][]lateCopy
+	// frozen holds the copies Freeze returned: the first used belong to
+	// the current run, the rest are retired ones awaiting reuse.
+	frozen []any
+	used   int
 	order  []rounds.ProcessID // reorder scratch
-	latest []int              // per-sender latest send round seen by Deliver
 }
 
 // schedKey indexes the scheduled faults by (round, link).
@@ -63,8 +103,7 @@ var (
 )
 
 // New returns a Transport executing the given plan, validated against a
-// system of n processes (n ≤ 0 defers the ID bound checks to the first
-// run).
+// system of n processes (n ≤ 0 skips the ID bound checks).
 func New(plan *Plan, n int) (*Transport, error) {
 	t := &Transport{}
 	if err := t.SetPlan(plan, n); err != nil {
@@ -74,23 +113,30 @@ func New(plan *Plan, n int) (*Transport, error) {
 }
 
 // SetPlan installs a plan, validating it against n processes (n ≤ 0
-// skips the ID bounds) and rebuilding the scheduled-fault index. The
-// plan pointer is the cache key — installing the already-installed plan
-// is free, and mutating an installed plan is undefined. The random
-// stream reseeds to the plan's seed; override per run with Reseed.
+// skips the ID bounds) and compiling it. The plan pointer and n are the
+// cache key — installing the already-installed plan is free, and mutating
+// an installed plan is undefined. The random stream reseeds to the plan's
+// seed; override per run with Reseed.
 func (t *Transport) SetPlan(plan *Plan, n int) error {
 	if plan == nil {
 		return errNilPlan
 	}
-	if plan == t.plan {
+	if plan == t.plan && n == t.planN {
 		return nil
 	}
 	if err := plan.Validate(n); err != nil {
 		return err
 	}
-	t.plan = plan
-	t.maxDelay = plan.maxDelay()
-	t.sched = nil
+	t.plan, t.planN = plan, n
+	t.def, t.reorder = compile(plan.Default), thresh(plan.Reorder)
+	t.maxDelay, t.zero = plan.maxDelay(), plan.Zero()
+	t.links, t.sched = nil, nil
+	if len(plan.Links) > 0 {
+		t.links = make(map[Link]profile, len(plan.Links))
+		for link, lf := range plan.Links {
+			t.links[link] = compile(lf)
+		}
+	}
 	if len(plan.Scheduled) > 0 {
 		t.sched = make(map[schedKey]Fault, len(plan.Scheduled))
 		for _, f := range plan.Scheduled {
@@ -104,134 +150,136 @@ func (t *Transport) SetPlan(plan *Plan, n int) error {
 // Plan returns the installed plan.
 func (t *Transport) Plan() *Plan { return t.plan }
 
+// Zero is the installed plan's Plan.Zero, computed once by SetPlan: such a
+// run is identical on the engine's default transport.
+func (t *Transport) Zero() bool { return t.zero }
+
 // Reseed fixes the base seed of the next runs' random fault stream.
 // Batch drivers derive it per scenario (plan seed mixed with the
 // scenario's seed and input), making every run's faults independent of
 // worker count and execution order.
 func (t *Transport) Reseed(seed uint64) { t.seed = seed }
 
-// Reset implements rounds.Transport: counters to zero, ring emptied,
-// random stream rewound to the base seed.
+// Reset implements rounds.Transport: counters to zero, the ring emptied,
+// the previous run's frozen copies retired for reuse, random stream
+// rewound to the base seed.
 func (t *Transport) Reset(n int) {
 	t.n = n
 	t.rng = prng.New(t.seed)
 	t.delivered, t.lost, t.delayed, t.duplicated = 0, 0, 0, 0
-	slots := t.maxDelay + 1
-	if cap(t.flight) < slots {
-		t.flight = make([][][]message, slots)
-	}
-	t.flight = t.flight[:slots]
-	for s := range t.flight {
-		if cap(t.flight[s]) < n {
-			t.flight[s] = make([][]message, n)
-		}
-		t.flight[s] = t.flight[s][:n]
-		for d := range t.flight[s] {
-			t.flight[s][d] = t.flight[s][d][:0]
-		}
-	}
-	if cap(t.order) < n {
+	t.used = 0
+	if cap(t.now) < n*n {
+		t.now = make([]any, n*n)
 		t.order = make([]rounds.ProcessID, n)
-		t.latest = make([]int, n)
 	}
-	t.order = t.order[:n]
-	t.latest = t.latest[:n]
+	t.now = t.now[:n*n] // cleared by every BeginRound
+	// Lists past this run's (maxDelay+1)·n are emptied when a run needs them.
+	for len(t.late) < (t.maxDelay+1)*n {
+		t.late = append(t.late, nil)
+	}
+	for i := range t.late[:(t.maxDelay+1)*n] {
+		t.late[i] = t.late[i][:0]
+	}
 }
 
-// BeginRound implements rounds.Transport: it retires the ring slot whose
-// arrival round has passed, freeing it for round r+maxDelay arrivals.
+// BeginRound implements rounds.Transport: the on-time matrix is cleared
+// and the ring slot whose arrival round has passed is retired, freeing it
+// for round r+maxDelay arrivals.
 func (t *Transport) BeginRound(r int) {
-	slot := t.flight[(r+t.maxDelay)%(t.maxDelay+1)]
-	for d := range slot {
-		slot[d] = slot[d][:0]
+	clear(t.now)
+	slot := (r + t.maxDelay) % (t.maxDelay + 1)
+	for i := slot * t.n; i < (slot+1)*t.n; i++ {
+		t.late[i] = t.late[i][:0]
 	}
 }
+
+// hit draws whether a fault of threshold T strikes; T = 0 draws nothing.
+func (t *Transport) hit(T uint64) bool { return T != 0 && t.rng.Next()>>11 < T }
 
 // Send implements rounds.Transport: each copy of the broadcast runs the
 // link's fault gauntlet — scheduled fault first, then seeded loss,
-// delay and duplication — and the survivors are filed under their
-// arrival round. Copies retained past round r (delays, duplicates) are
-// frozen (rounds.Freezer) so protocols may keep reusing their send
-// buffers.
+// delay and duplication — and the survivors are stored on time or filed
+// under their arrival round.
 func (t *Transport) Send(r int, src rounds.ProcessID, payload any, order []rounds.ProcessID, limit int) {
 	if limit <= 0 {
 		return
 	}
-	if t.plan.Reorder > 0 && t.rng.Float64() < t.plan.Reorder {
+	if t.hit(t.reorder) {
 		order = t.shuffled(order)
 	}
+	sched, links := t.sched, t.links
+	now := t.now[int(src)-1:]
 	frozen := any(nil)
-	for k := 0; k < limit; k++ {
-		dst := order[k]
-		if f, ok := t.sched[schedKey{r, src, dst}]; ok {
-			switch f.Kind {
-			case Drop:
-				t.lost++
-			case Delay:
-				t.delayed++
-				t.enqueue(r, f.Delay, src, dst, payload, &frozen)
-			case Duplicate:
-				t.duplicated++
-				t.enqueue(r, 0, src, dst, payload, &frozen)
-				t.enqueue(r, f.Delay, src, dst, payload, &frozen)
+	for _, dst := range order[:limit] {
+		if sched != nil {
+			if f, ok := sched[schedKey{r, src, dst}]; ok {
+				switch f.Kind {
+				case Drop:
+					t.lost++
+				case Delay:
+					t.delayed++
+					t.postpone(r+f.Delay, src, dst, payload, &frozen)
+				case Duplicate:
+					t.duplicated++
+					now[(int(dst)-1)*t.n] = payload
+					t.delivered++
+					t.postpone(r+f.Delay, src, dst, payload, &frozen)
+				}
+				continue
 			}
-			continue
 		}
-		lf := t.plan.Default
-		if len(t.plan.Links) > 0 {
-			if o, ok := t.plan.Links[Link{From: src, To: dst}]; ok {
+		lf := t.def
+		if links != nil {
+			if o, ok := links[Link{From: src, To: dst}]; ok {
 				lf = o
 			}
 		}
-		if lf.Loss > 0 && t.rng.Float64() < lf.Loss {
+		if t.hit(lf.loss) {
 			t.lost++
 			continue
 		}
-		d := 0
-		if lf.DelayProb > 0 && t.rng.Float64() < lf.DelayProb {
-			d = t.delayDraw(lf.MaxDelay)
+		if t.hit(lf.delay) {
 			t.delayed++
+			t.postpone(r+t.delayDraw(lf.maxDelay), src, dst, payload, &frozen)
+		} else {
+			now[(int(dst)-1)*t.n] = payload
+			t.delivered++
 		}
-		t.enqueue(r, d, src, dst, payload, &frozen)
-		if lf.Duplicate > 0 && t.rng.Float64() < lf.Duplicate {
+		if t.hit(lf.dup) {
 			t.duplicated++
-			t.enqueue(r, t.delayDraw(lf.MaxDelay), src, dst, payload, &frozen)
+			t.postpone(r+t.delayDraw(lf.maxDelay), src, dst, payload, &frozen)
 		}
 	}
 }
 
-// enqueue files one copy sent in round r for arrival d rounds later,
-// freezing the payload (once per Send) when it outlives its round.
-func (t *Transport) enqueue(r, d int, src, dst rounds.ProcessID, payload any, frozen *any) {
-	if d > 0 {
-		if *frozen == nil {
-			if fz, ok := payload.(rounds.Freezer); ok {
-				*frozen = fz.Freeze()
-			} else {
-				*frozen = payload
+// postpone files one copy for arrival in a later round, freezing the
+// payload (once per Send) into a retired copy when there is one.
+func (t *Transport) postpone(arrival int, src, dst rounds.ProcessID, payload any, frozen *any) {
+	if *frozen == nil {
+		*frozen = payload
+		if fz, ok := payload.(rounds.Freezer); ok {
+			if t.used == len(t.frozen) {
+				t.frozen = append(t.frozen, nil)
 			}
+			*frozen = fz.Freeze(t.frozen[t.used])
+			t.frozen[t.used] = *frozen
+			t.used++
 		}
-		payload = *frozen
 	}
-	row := t.flight[(r+d)%(t.maxDelay+1)]
-	row[dst-1] = append(row[dst-1], message{src: src, sentRound: r, payload: payload})
+	list := &t.late[arrival%(t.maxDelay+1)*t.n+int(dst)-1]
+	*list = append(*list, lateCopy{src, *frozen})
 	t.delivered++
 }
 
-// Deliver implements rounds.Transport: round r's arrivals for dst,
-// resolved per sender by latest send round (an on-time copy shadows a
-// stale delayed one; ties — duplicates of one copy — carry the same
-// payload).
+// Deliver implements rounds.Transport: round r's on-time row for dst,
+// overlaid with the round's late arrivals from senders without an
+// on-time copy — in send order, so the latest sent surfaces.
 func (t *Transport) Deliver(r int, dst rounds.ProcessID, row []any) {
-	for i := range row {
-		row[i] = nil
-	}
-	for i := range t.latest {
-		t.latest[i] = 0
-	}
-	for _, m := range t.flight[r%(t.maxDelay+1)][dst-1] {
-		if m.sentRound >= t.latest[m.src-1] {
-			t.latest[m.src-1] = m.sentRound
+	d := int(dst) - 1
+	now := t.now[d*t.n : (d+1)*t.n]
+	copy(row, now)
+	for _, m := range t.late[r%(t.maxDelay+1)*t.n+d] {
+		if now[m.src-1] == nil {
 			row[m.src-1] = m.payload
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"kset/internal/prng"
 	"kset/internal/rounds"
 	"kset/internal/vector"
 )
@@ -244,7 +245,7 @@ func TestScheduledDuplicate(t *testing.T) {
 // buffer every round, so a delayed copy is correct only if frozen.
 type frozenPayload struct{ round *int }
 
-func (f frozenPayload) Freeze() any { r := *f.round; return frozenPayload{round: &r} }
+func (f frozenPayload) Freeze(any) any { r := *f.round; return frozenPayload{round: &r} }
 
 type mutatingSender struct {
 	round int
@@ -383,5 +384,64 @@ func TestSetPlanPointerCache(t *testing.T) {
 	}
 	if tr.Plan() != plan {
 		t.Error("failed SetPlan must leave the old plan installed")
+	}
+}
+
+// TestSetPlanRevalidatesPerSize: the cache key is (plan, n) — a pooled
+// transport that accepted a plan for a large system must still reject it
+// for a smaller one its links do not fit.
+func TestSetPlanRevalidatesPerSize(t *testing.T) {
+	plan := &Plan{Links: map[Link]LinkFaults{{From: 1, To: 7}: {}}}
+	tr, err := New(plan, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.SetPlan(plan, 6); err == nil {
+		t.Error("a link naming p7 passed on a 6-process system")
+	}
+	if err := tr.SetPlan(plan, 8); err != nil {
+		t.Errorf("the plan is valid for 8 processes: %v", err)
+	}
+}
+
+// TestThresholdMatchesFloat64 is the compiled plan's equivalence
+// property: comparing the 53-bit draw against thresh(p) decides exactly
+// what Float64() < p decided, at the boundaries and over a long stream;
+// p = 0 never fires and consumes no draw, p = 1 always fires.
+func TestThresholdMatchesFloat64(t *testing.T) {
+	const ulp = 1.0 / (1 << 53)
+	ps := []float64{0, ulp, 1.0 / 3, 0.2, 0.2 / 3, 1 - ulp, 1}
+	for i := 1; i <= 7; i++ {
+		// adversary.Storm(·, 4, ·, 0.2) and adversary.LossSweep(·, 8, 0.5)
+		ps = append(ps, 0.2*(float64(i%4)/3), 0.5*(float64(i)/7))
+	}
+	for _, p := range ps {
+		T := thresh(p)
+		check := func(x uint64) {
+			if x < 1<<53 && (float64(x)/(1<<53) < p) != (x < T) {
+				t.Fatalf("p=%v T=%d: draw %d fires %v under Float64, %v under the threshold",
+					p, T, x, float64(x)/(1<<53) < p, x < T)
+			}
+		}
+		for _, x := range []uint64{0, T - 1, T, T + 1, 1<<53 - 1} {
+			check(x)
+		}
+		rng := prng.New(uint64(T))
+		for i := 0; i < 1e6; i++ {
+			check(rng.Next() >> 11)
+		}
+	}
+
+	tr := &Transport{rng: prng.New(1)}
+	if before := tr.rng; tr.hit(thresh(0)) || tr.rng != before {
+		t.Error("p = 0 fired or consumed a draw")
+	}
+	for i := 0; i < 1000; i++ {
+		if !tr.hit(thresh(1)) {
+			t.Fatal("p = 1 failed to fire")
+		}
+	}
+	if tr.rng == prng.New(1) {
+		t.Error("p = 1 consumed no draw")
 	}
 }

@@ -59,5 +59,7 @@
 // rounds, duplicate or reorder copies, report its tampering through the
 // optional FaultCounter interface, and retain payloads past their send
 // round by freezing them (Freezer) instead of aliasing sender-reused
-// buffers.
+// buffers. Freeze takes the retired copy to overwrite, so a transport
+// recycles the copies of its finished runs; what makes that safe is the
+// Process contract that a received payload is not retained past Step.
 package rounds

@@ -27,7 +27,9 @@ type Process interface {
 	// Step consumes the payloads received in the given round — recv[i]
 	// holds the payload from process i+1, nil if none — and performs the
 	// compute phase. It returns done=true with the decided value when the
-	// process decides and halts.
+	// process decides and halts. recv and the payloads in it belong to the
+	// engine and its transport, which reuse them: a process copies out
+	// what it needs and retains neither past the call.
 	Step(round int, recv []any) (value vector.Value, done bool)
 }
 

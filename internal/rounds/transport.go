@@ -65,9 +65,11 @@ type Transport interface {
 // duplicating it into a later round — must call Freeze and retain the
 // returned copy instead.
 type Freezer interface {
-	// Freeze returns a copy of the payload that remains valid
-	// indefinitely.
-	Freeze() any
+	// Freeze returns a copy of the payload that remains valid until the
+	// caller hands it back: into is a copy an earlier Freeze returned and
+	// nobody reads any more, to be overwritten and returned in place of a
+	// fresh allocation. nil, or a value of a foreign type, allocates.
+	Freeze(into any) any
 }
 
 // CancelAware is implemented by transports whose Deliver blocks on

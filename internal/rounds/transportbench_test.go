@@ -28,8 +28,8 @@ func (f *benchFlood) Step(round int, recv []any) (vector.Value, bool) {
 // BenchmarkEngineTransport measures the transport seam on a recycled
 // engine + Result at n=16: the matrix arm is the campaign hot path and
 // must stay allocation-free — the seam is an interface, not a cost — and
-// the faultnet arm prices a warm zero-fault fault-injecting transport on
-// the same workload.
+// the faultnet arms price a warm fault-injecting transport on the same
+// workload, zero-fault and under a storm plan: both allocation-free too.
 func BenchmarkEngineTransport(b *testing.B) {
 	const n, maxRounds = 16, 4
 	fp := rounds.FailurePattern{Crashes: map[rounds.ProcessID]rounds.Crash{

@@ -25,6 +25,12 @@ cd "$(dirname "$0")/.."
 # matrix arm is the campaign hot path and must stay allocation-free (the
 # seam is an interface dispatch, not a cost), and the warmed zero-fault
 # faultnet arm must amortize to zero as well (measured: 0 / 0 at PR 6).
+# The faultnet-storm arm injects every fault kind into plain values; the
+# EngineRound storm arm does the same to a Figure-2 run, whose flood
+# payloads are frozen when delayed or duplicated — before PR 17 one
+# allocation per freezing Send (≈ 4.6 per n=8 fault_storm run, 77 per op
+# of the n=64 arm), now overwritten in place from the copies the last run
+# retired (measured: 0 / 0 at PR 17).
 # SubmitPath is ksetd's submission loop — decode a JobSpec, compile it to
 # a System + scenario stream, register and enqueue the job — which must
 # stay flat for the daemon to absorb thousands of queued submissions on a
@@ -62,6 +68,7 @@ BenchmarkCampaignThroughput/campaign 4
 BenchmarkCollectorPath 700
 BenchmarkEngineTransport/matrix 0
 BenchmarkEngineTransport/faultnet 0
+BenchmarkEngineTransport/faultnet-storm 0
 BenchmarkSubmitPath 40
 BenchmarkCheckpointEncode 60
 BenchmarkWireEncode 0
@@ -77,6 +84,7 @@ BenchmarkEngineRound/clean 0
 BenchmarkEngineRound/crashes 0
 BenchmarkEngineRound/early-clean 0
 BenchmarkEngineRound/early-crashes 0
+BenchmarkEngineRound/storm 0
 '
 
 # Wall-clock budgets (ns/op), used sparingly: ns/op is noisy in CI, so only

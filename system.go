@@ -358,10 +358,11 @@ type worker struct {
 
 // transport resolves the run's transport: the System's wire transport
 // when one is installed (cached per worker), otherwise the scenario's
-// fault plan (falling back to the system default) — nil meaning the
-// engine's allocation-free matrix fast path. Fault-transport draws are
-// reseeded per run so they depend only on (plan, scenario), never on
-// worker count or submission order.
+// fault plan (falling back to the system default) — nil, for no plan or
+// one that injects nothing, meaning the engine's allocation-free
+// shared-row fast path. Fault-transport draws are reseeded per run so
+// they depend only on (plan, scenario), never on worker count or
+// submission order.
 func (w *worker) transport(s *System, sc *Scenario) (rounds.Transport, error) {
 	plan := sc.Faults
 	if plan == nil {
@@ -391,6 +392,9 @@ func (w *worker) transport(s *System, sc *Scenario) (rounds.Transport, error) {
 	}
 	if err := w.ft.SetPlan(plan, s.p.N); err != nil {
 		return nil, fmt.Errorf("kset: bad fault plan: %w: %w", err, ErrBadParams)
+	}
+	if w.ft.Zero() {
+		return nil, nil // validated, and identical on the fold path
 	}
 	w.ft.Reseed(faultSeed(plan, sc))
 	return w.ft, nil
