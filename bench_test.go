@@ -252,14 +252,18 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 	})
 }
 
-// BenchmarkCampaignFeeds prices the three ways scenarios reach campaign
-// workers — slice (RunCampaign: workers steal indices), source (RunSource:
-// a producer feeds the bounded queue) and submit (NewCampaign + SubmitAll:
-// the caller feeds it) — on the same materialized scenarios, so only the
-// feed differs, at CampaignWorkers 1, 2 and 4 and at a run size where the
-// feed is a visible share (n=8, ~2 µs) and one where it is not (n=48,
-// ~40 µs). ns/op is per run. Run it with -cpu 1,2: ROADMAP item 3(d) holds
-// the table that keeps both worker loops.
+// BenchmarkCampaignFeeds prices the two ways scenarios reach campaign
+// workers — pulled (the workers claim index ranges of a sized source: the
+// slice arm through RunCampaign, the source arm through RunSource, one
+// code path) and pushed (submit: NewCampaign + SubmitAll through the
+// bounded queue) — on the same materialized scenarios, so only the feed
+// differs, at CampaignWorkers 1, 2 and 4 and at a run size where the feed
+// is a visible share (n=8, ~2 µs) and one where it is not (n=48, ~10 µs).
+// The random arm pulls failure-free RandomInputs instead — generated on the
+// workers, and the one arm whose claims pay a seek (lo·n draws each), so it
+// is where too many claims per worker show. ns/op is per run. Run it with
+// -cpu 1,2: the second P is where the queue's hand-off costs, and this
+// table chose claimLen's constant (CHANGES.md PR 18 has it).
 func BenchmarkCampaignFeeds(b *testing.B) {
 	ctx := context.Background()
 	for _, shape := range []struct {
@@ -303,6 +307,9 @@ func BenchmarkCampaignFeeds(b *testing.B) {
 					return nil, err
 				}
 				return camp.Wait()
+			}},
+			{"random", func(scs []kset.Scenario, workers kset.CampaignOption) (*kset.CampaignStats, error) {
+				return sys.RunSource(ctx, kset.RandomInputs(11, p.N, shape.m, len(scs)), workers)
 			}},
 		}
 		for _, feed := range feeds {

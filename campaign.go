@@ -29,6 +29,8 @@ func CampaignWorkers(n int) CampaignOption {
 // channel concurrently with submission, or the workers block. Without this
 // option outcomes are folded into the campaign's collectors only and each
 // worker recycles one Result, making the per-run cost allocation-free.
+// RunCampaign and RunSource return before anyone could receive, so they
+// ignore it.
 //
 // Ownership: a Result that crosses the channel belongs to the receiver.
 // The campaign allocates it fresh for the run and never recycles it into
@@ -186,9 +188,12 @@ type Campaign struct {
 	nworkers int
 	verify   bool
 
+	// The two feeds: producers push through queue (NewCampaign), or the
+	// workers claim claim-long index ranges of pull off next (RunSource).
 	queue   chan Scenario
-	slice   []Scenario   // fixed-slice mode (RunCampaign): no queue at all
-	next    atomic.Int64 // next slice index to steal
+	pull    funcSource
+	claim   int64
+	next    atomic.Int64
 	results chan Outcome
 
 	// The collector pipeline: acc backs Wait's CampaignStats, extra holds
@@ -213,53 +218,66 @@ type Campaign struct {
 // that outrun the workers.
 func (s *System) NewCampaign(ctx context.Context, opts ...CampaignOption) *Campaign {
 	c := s.newCampaign(ctx, opts)
-	c.queue = make(chan Scenario, 4*c.nworkers+64)
 	c.start()
 	return c
 }
 
 // RunCampaign runs a fixed scenario slice to completion and returns the
-// aggregate stats — the high-throughput form of NewCampaign + SubmitAll +
-// Wait. With the whole workload known up front, the workers steal indices
-// from the slice directly (no per-scenario channel operation), which is
-// what makes campaign batching beat even sequential System.Run at
-// microsecond-sized runs. Outcomes are folded into the stats only; use
-// NewCampaign with CollectResults to stream per-scenario results.
+// aggregate stats: RunSource over ScenariosOf(scenarios...).
 func (s *System) RunCampaign(ctx context.Context, scenarios []Scenario, opts ...CampaignOption) (*CampaignStats, error) {
-	c := s.newCampaign(ctx, opts)
-	c.slice = scenarios
-	c.closed = true // fixed workload: Submit is rejected
-	c.start()
-	c.discardResults()
-	return c.Wait()
+	return s.RunSource(ctx, ScenariosOf(scenarios...), opts...)
 }
 
-// discardResults drains the results channel of a run-to-completion entry
-// point (RunCampaign, RunSource), where no consumer exists: without the
-// drain, a CollectResults option would block every worker.
-func (c *Campaign) discardResults() {
-	if c.results == nil {
-		return
-	}
-	go func() {
-		for range c.results {
-		}
-	}()
-}
-
-// RunSource streams a scenario source through a campaign to completion
-// and returns the aggregate stats — the generator-fed form of
-// RunCampaign. The source is generated concurrently with execution under
-// the queue's backpressure, so arbitrarily large scenario spaces run in
-// constant memory. Outcomes are folded into the stats only; use
-// NewCampaign with CollectResults to stream per-scenario results.
+// RunSource runs a scenario source through a campaign to completion and
+// returns the aggregate stats. A sized source built by this package is
+// pulled: the workers claim index ranges of the stream with one atomic
+// add each and generate their own scenarios — no producer, no queue, no
+// channel operation per scenario, and an m^n-sized source in constant
+// memory. An unsized or foreign source cannot be cut into ranges; it is
+// generated here and pushed through the bounded queue, under its
+// backpressure. The stats are the same, byte for byte. Outcomes are
+// folded into the stats only; use NewCampaign with CollectResults to
+// stream per-scenario results.
 func (s *System) RunSource(ctx context.Context, src ScenarioSource, opts ...CampaignOption) (*CampaignStats, error) {
-	c := s.NewCampaign(ctx, opts...)
-	c.discardResults()
-	// A submission error means cancellation (Close is ours alone); Wait
-	// reports it alongside the stats of the scenarios that did run.
-	_ = c.SubmitSource(src)
+	c := s.newCampaign(ctx, opts)
+	c.results = nil // nobody could receive before RunSource returns
+	if fs, ok := src.(funcSource); ok && fs.sized {
+		c.pull, c.claim = fs, claimLen(fs.size, c.nworkers)
+		c.closed = true // nothing to submit to, no queue to close
+	}
+	c.start()
+	if c.queue != nil {
+		// A submission error means cancellation (Close is ours alone); Wait
+		// reports it alongside the stats of the scenarios that did run.
+		_ = c.SubmitSource(src)
+	}
 	return c.Wait()
+}
+
+// claimsPerWorker cuts a pulled stream into that many claims per worker.
+// Both directions cost; BenchmarkCampaignFeeds -cpu 1,2 priced them (n=8,
+// lower quartile of 10 alternating repetitions, ns per run; CHANGES.md PR
+// 18): every claim seeks, so the random arm at four workers read 2245,
+// 2275, 2236, 3513, 3846 for 1, 2, 4, 8, 16 (20 more repetitions split
+// the first three: 2141, 2585, 2664) with the seek-free source arm flat,
+// and one claim per worker is a static split — a stream whose second half
+// is the dearer ran at 12.4 µs per run against 9.9 with two (n=48, two
+// workers, two Ps). Two is the smallest count that rebalances.
+const claimsPerWorker = 2
+
+// claimLen returns how many stream indices a pulling worker claims at a
+// time: the whole stream when it is alone (nothing to balance), otherwise
+// ⌈size / (claimsPerWorker·workers)⌉. A share of the stream, never a fixed
+// count: RandomInputs burns lo·n draws to reach lo, so fixed-length claims
+// would make a long stream quadratic, while claimsPerWorker·workers claims
+// cost (claims+1)/2 stream lengths of generation at worst (a replayed
+// foreign base), whatever the length.
+func claimLen(size int64, workers int) int64 {
+	parts := int64(1)
+	if workers > 1 {
+		parts = claimsPerWorker * int64(workers)
+	}
+	return (size-1)/parts + 1
 }
 
 // newCampaign builds the campaign shell: options applied, workers not yet
@@ -283,8 +301,12 @@ func (s *System) newCampaign(ctx context.Context, opts []CampaignOption) *Campai
 	return c
 }
 
-// start launches the workers and the results-closing watchdog.
+// start launches the workers — behind a queue unless the campaign pulls —
+// and the results-closing watchdog.
 func (c *Campaign) start() {
+	if c.pull.ranged == nil {
+		c.queue = make(chan Scenario, 4*c.nworkers+64)
+	}
 	c.wg.Add(c.nworkers)
 	for i := 0; i < c.nworkers; i++ {
 		go c.worker(i)
@@ -352,19 +374,6 @@ func (c *Campaign) Close() {
 	}
 }
 
-// stealNext hands out the next fixed-slice scenario index, or false when
-// the slice is exhausted or the context cancelled.
-func (c *Campaign) stealNext() (int, bool) {
-	if c.ctx.Err() != nil {
-		return 0, false
-	}
-	i := c.next.Add(1) - 1
-	if i >= int64(len(c.slice)) {
-		return 0, false
-	}
-	return int(i), true
-}
-
 // Results returns the streaming outcome channel (nil unless the campaign
 // was built with CollectResults). It closes once the campaign is Closed
 // and every worker has exited, so ranging over it terminates.
@@ -405,22 +414,28 @@ func safeRun(ctx context.Context, ex Executor, s *System, w *worker, sc *Scenari
 }
 
 // worker is one campaign worker: it checks engine/protocol buffers out of
-// the shared pool once and runs scenarios until the queue closes or the
-// context is cancelled, folding each run's Observation into its own
+// the shared pool once and runs scenarios — the ranges it claims of a
+// pulled source, or whatever the queue hands it — until the feed ends or
+// the context is cancelled, folding each run's Observation into its own
 // collector shards (joined, deterministically, by Wait).
 func (c *Campaign) worker(i int) {
 	defer c.wg.Done()
 	w := getWorker()
 	defer putWorker(w)
 	shard := c.shards[i]
-	if c.slice != nil {
-		for {
-			idx, ok := c.stealNext()
-			if !ok {
+	if c.pull.ranged != nil {
+		run := func(sc Scenario) bool {
+			c.runOne(w, shard, sc)
+			return c.ctx.Err() == nil
+		}
+		for c.ctx.Err() == nil {
+			lo := c.next.Add(c.claim) - c.claim
+			if lo >= c.pull.size {
 				return
 			}
-			c.runOne(w, shard, c.slice[idx])
+			c.pull.ranged(c.ctx, lo, min(lo+c.claim, c.pull.size), run)
 		}
+		return
 	}
 	for {
 		select {

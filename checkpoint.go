@@ -2,6 +2,7 @@ package kset
 
 import (
 	"context"
+	"fmt"
 
 	"kset/internal/shard"
 	"kset/internal/stats"
@@ -49,13 +50,15 @@ type CheckpointSink func(Checkpoint) error
 // the whole remainder runs as one chunk, with one final checkpoint.
 //
 // Resume semantics: pass resume = nil to start fresh over the whole
-// source, or a checkpoint (validated; ErrBadCheckpoint on a corrupt one)
-// to continue an interrupted run — its cursor selects the shard, its
-// RunsDone runs are skipped, and its snapshot seeds the accumulator. A
-// resumed run is byte-identical to the uninterrupted one: chunks only
-// ever cut the stream at run boundaries, and the accumulator's Merge is
-// order- and grouping-invariant, so where the stream was cut leaves no
-// trace in the result.
+// source, or a checkpoint to continue an interrupted run — its cursor
+// selects the shard, its RunsDone runs are skipped, and its snapshot
+// seeds the accumulator. The checkpoint is validated: a corrupt one, or
+// one whose cursor runs past a sized source (it was taken over a
+// different stream), is ErrBadCheckpoint. A resumed run is byte-identical
+// to the uninterrupted one: chunks only ever cut the stream at run
+// boundaries, and the accumulator's Merge is order- and
+// grouping-invariant, so where the stream was cut leaves no trace in the
+// result.
 //
 // Checkpoints are emitted only at chunk boundaries — the workers inside
 // a chunk finish out of order, so no consistent cursor exists mid-chunk.
@@ -69,6 +72,10 @@ func (s *System) RunCheckpointed(ctx context.Context, src ScenarioSource, resume
 	if resume != nil {
 		if err := resume.Validate(); err != nil {
 			return nil, err
+		}
+		if total, ok := src.Size(); ok && resume.Cursor.Hi > total {
+			return nil, fmt.Errorf("%w: cursor [%d, %d) runs past the source's %d scenarios",
+				ErrBadCheckpoint, resume.Cursor.Lo, resume.Cursor.Hi, total)
 		}
 		cur, done = resume.Cursor, resume.RunsDone
 		if resume.Stats != nil {
@@ -87,9 +94,7 @@ func (s *System) RunCheckpointed(ctx context.Context, src ScenarioSource, resume
 			chunk = every
 		}
 		st, err := s.RunSource(ctx, Range(src, cur.Lo+done, cur.Lo+done+chunk), opts...)
-		if st != nil && st.Metrics != nil {
-			acc.Merge(st.Metrics)
-		}
+		acc.Merge(st.Metrics)
 		if err != nil {
 			// A cancelled chunk ran an unknown prefix: surface the partial
 			// stats, but no checkpoint — its cursor would be inconsistent.

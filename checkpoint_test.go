@@ -185,6 +185,43 @@ func TestRunCheckpointedValidation(t *testing.T) {
 	if _, err := sys.RunCheckpointed(context.Background(), src, &bad, 5, nil); !errors.Is(err, kset.ErrBadCheckpoint) {
 		t.Fatalf("bad resume: %v, want ErrBadCheckpoint", err)
 	}
+	// A resume checkpoint must fit the source it is resumed over and
+	// carry stats over exactly its RunsDone runs; otherwise Range clamps
+	// the stream while the cursor keeps counting, and the last checkpoint
+	// claims runs that never happened.
+	short := kset.RandomInputs(3, 6, 4, 50)
+	for _, tc := range []struct {
+		name     string
+		cursor   kset.Cursor
+		done     int64
+		stats    *kset.Accumulator
+		wantRuns int64 // -1: ErrBadCheckpoint
+	}{
+		{"cursor past the source", kset.Cursor{Lo: 0, Hi: 1000}, 0, nil, -1},
+		{"cursor starts past the source", kset.Cursor{Lo: 60, Hi: 70}, 0, nil, -1},
+		{"runs_done without stats", kset.Cursor{Lo: 0, Hi: 50}, 10, nil, -1},
+		{"stats short of runs_done", kset.Cursor{Lo: 0, Hi: 50}, 10, &kset.Accumulator{Runs: 9}, -1},
+		{"whole source", kset.Cursor{Lo: 0, Hi: 50}, 0, nil, 50},
+		{"inner shard", kset.Cursor{Lo: 10, Hi: 30}, 0, nil, 20},
+		{"resumed mid-shard", kset.Cursor{Lo: 10, Hi: 30}, 5, &kset.Accumulator{Runs: 5}, 20},
+	} {
+		cp := kset.Checkpoint{Version: kset.CheckpointVersion, Cursor: tc.cursor, RunsDone: tc.done, Stats: tc.stats}
+		var last kset.Checkpoint
+		st, err := sys.RunCheckpointed(context.Background(), short, &cp, 100, func(c kset.Checkpoint) error {
+			last = c
+			return nil
+		})
+		if tc.wantRuns < 0 {
+			if !errors.Is(err, kset.ErrBadCheckpoint) {
+				t.Errorf("%s: err = %v (stats %+v), want ErrBadCheckpoint", tc.name, err, st)
+			}
+			continue
+		}
+		if err != nil || st.Runs != tc.wantRuns || last.RunsDone != tc.wantRuns || last.Stats.Runs != tc.wantRuns {
+			t.Errorf("%s: err = %v, %d runs, last checkpoint %d done over %d runs; want %d",
+				tc.name, err, st.Runs, last.RunsDone, last.Stats.Runs, tc.wantRuns)
+		}
+	}
 	// Root-level decode rejects corrupt bytes with the same sentinel.
 	if _, err := kset.DecodeCheckpoint([]byte("{")); !errors.Is(err, kset.ErrBadCheckpoint) {
 		t.Fatalf("DecodeCheckpoint: %v, want ErrBadCheckpoint", err)

@@ -109,6 +109,14 @@
 //	)
 //	stats, _ := sys.RunSource(ctx, src, kset.VerifyRuns())
 //
+// A campaign has two feeds. RunSource pulls a sized source: the workers
+// claim index ranges of the stream and generate their own scenarios, with
+// no producer and no queue (RunCampaign is RunSource over ScenariosOf).
+// NewCampaign with Submit, SubmitAll or SubmitSource pushes through a
+// bounded queue — for callers that produce scenarios as they go or read
+// per-scenario Results, and for sources whose size is unknown, which
+// cannot be cut into ranges.
+//
 // For trade-off curves across a parameter grid — the paper's d and f
 // sweeps — RunSweep runs one campaign per SweepPoint and returns keyed
 // stats; SweepDegrees, SweepFailures and SweepExecutors build the grids.

@@ -57,9 +57,7 @@ var (
 	ErrBadFrame = kerr.ErrBadFrame
 
 	// ErrCampaignClosed is returned by Campaign.Submit, SubmitAll and
-	// SubmitSource after Close (or after Wait, which closes implicitly),
-	// and by Submit on a campaign created by RunCampaign, whose fixed
-	// workload admits no further scenarios.
+	// SubmitSource after Close (or after Wait, which closes implicitly).
 	ErrCampaignClosed = errors.New("kset: campaign closed")
 
 	// ErrUnsizedSource marks a scenario source whose Size is unknown where
@@ -73,11 +71,12 @@ var (
 
 	// ErrBadCheckpoint marks a checkpoint or cursor that failed decoding
 	// or validation: malformed JSON, unknown fields, trailing bytes, a
-	// version this build does not read, or a cursor/progress pair that
-	// contradicts itself.
+	// version this build does not read, or a cursor, progress count and
+	// stats snapshot that contradict each other.
 	//
 	// Returned by: DecodeCheckpoint on any such input, EncodeCheckpoint on
 	// an envelope that fails validation, and System.RunCheckpointed when
-	// handed an invalid resume checkpoint.
+	// handed an invalid resume checkpoint or one whose cursor runs past
+	// the (sized) source it is resumed over.
 	ErrBadCheckpoint = shard.ErrBadCheckpoint
 )

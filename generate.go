@@ -1,6 +1,7 @@
 package kset
 
 import (
+	"context"
 	"math"
 	"math/rand"
 
@@ -18,8 +19,8 @@ import (
 //
 // Build sources with the builders (ScenariosOf, Inputs, ExhaustiveInputs,
 // ConditionMembers, RandomInputs), shape them with the combinators
-// (CrossFailures, FailureSchedules, CrossExecutors, Concat), and feed them
-// to System.RunSource, Campaign.SubmitSource or a Sweep.
+// (CrossFailures, FailureSchedules, CrossExecutors, Labeled, Concat), and
+// feed them to System.RunSource, Campaign.SubmitSource or a Sweep.
 //
 // Ownership: yielded scenarios remain valid after yield returns, but
 // their Input vectors must be treated as read-only — a source may share
@@ -43,18 +44,28 @@ type funcSource struct {
 	// streams, shards and checkpoint chunks all ride. Callers guarantee
 	// 0 ≤ lo < hi, and hi may be math.MaxInt64 (ForEach), so
 	// implementations must not add to it; they seek instead of replaying
-	// the prefix wherever the underlying stream allows it.
-	ranged func(lo, hi int64, yield func(Scenario) bool)
+	// the prefix wherever the underlying stream allows it, and where it
+	// does not — the seek costs O(lo) — they give up once ctx is done
+	// (seekStopped), so a campaign worker is never out of cancellation's
+	// reach for the length of a stream.
+	ranged func(ctx context.Context, lo, hi int64, yield func(Scenario) bool)
 }
 
-func (s funcSource) ForEach(yield func(Scenario) bool) { s.ranged(0, math.MaxInt64, yield) }
-func (s funcSource) Size() (int64, bool)               { return s.size, s.sized }
+func (s funcSource) ForEach(yield func(Scenario) bool) {
+	s.ranged(context.Background(), 0, math.MaxInt64, yield)
+}
+func (s funcSource) Size() (int64, bool) { return s.size, s.sized }
+
+// seekStopped reports, once every 64k steps of a seek, whether ctx is done.
+func seekStopped(ctx context.Context, step int64) bool {
+	return step&0xffff == 0 && ctx.Err() != nil
+}
 
 // ScenariosOf wraps an explicit scenario list as a source.
 func ScenariosOf(scs ...Scenario) ScenarioSource {
 	return funcSource{
 		size: int64(len(scs)), sized: true,
-		ranged: func(lo, hi int64, yield func(Scenario) bool) {
+		ranged: func(_ context.Context, lo, hi int64, yield func(Scenario) bool) {
 			for i := lo; i < min(hi, int64(len(scs))); i++ {
 				if !yield(scs[i]) {
 					return
@@ -69,7 +80,7 @@ func ScenariosOf(scs ...Scenario) ScenarioSource {
 func Inputs(inputs ...Vector) ScenarioSource {
 	return funcSource{
 		size: int64(len(inputs)), sized: true,
-		ranged: func(lo, hi int64, yield func(Scenario) bool) {
+		ranged: func(_ context.Context, lo, hi int64, yield func(Scenario) bool) {
 			for i := lo; i < min(hi, int64(len(inputs))); i++ {
 				if !yield(Scenario{Input: inputs[i]}) {
 					return
@@ -89,7 +100,7 @@ func ExhaustiveInputs(n, m int) ScenarioSource {
 	size, sized := powInt64(m, n)
 	return funcSource{
 		size: size, sized: sized,
-		ranged: func(lo, hi int64, yield func(Scenario) bool) {
+		ranged: func(_ context.Context, lo, hi int64, yield func(Scenario) bool) {
 			e := vector.NewEnum(n, m)
 			e.SeekTo(lo)
 			for i := lo; i < hi; i++ {
@@ -111,11 +122,11 @@ func ExhaustiveInputs(n, m int) ScenarioSource {
 // fits in an int64).
 func ConditionMembers(c Condition) ScenarioSource {
 	size, sized := memberCount(c)
-	return funcSource{size: size, sized: sized, ranged: func(lo, hi int64, yield func(Scenario) bool) {
+	return funcSource{size: size, sized: sized, ranged: func(ctx context.Context, lo, hi int64, yield func(Scenario) bool) {
 		st := condition.NewStream(c)
 		for i := int64(0); i < hi; i++ {
 			v, ok := st.Next()
-			if !ok || (i >= lo && !yield(Scenario{Input: v.Clone()})) {
+			if !ok || seekStopped(ctx, i) || (i >= lo && !yield(Scenario{Input: v.Clone()})) {
 				return
 			}
 		}
@@ -173,7 +184,7 @@ func RandomInputs(seed int64, n, m, count int) ScenarioSource {
 	}
 	return funcSource{
 		size: int64(count), sized: true,
-		ranged: func(lo, hi int64, yield func(Scenario) bool) {
+		ranged: func(ctx context.Context, lo, hi int64, yield func(Scenario) bool) {
 			hi = min(hi, int64(count))
 			if lo >= hi {
 				return
@@ -183,6 +194,9 @@ func RandomInputs(seed int64, n, m, count int) ScenarioSource {
 			// the bytes the unsharded stream would at the same indices.
 			rng := rand.New(rand.NewSource(seed))
 			for s := int64(0); s < lo*int64(n); s++ {
+				if seekStopped(ctx, s) {
+					return
+				}
 				rng.Intn(m)
 			}
 			for i := lo; i < hi; i++ {
@@ -205,14 +219,14 @@ func RandomInputs(seed int64, n, m, count int) ScenarioSource {
 // underlying source instead of replaying it.
 func crossSource(src ScenarioSource, k int, set func(sc Scenario, j int) Scenario) ScenarioSource {
 	size, sized := scaled(src, k)
-	return funcSource{size: size, sized: sized, ranged: func(lo, hi int64, yield func(Scenario) bool) {
+	return funcSource{size: size, sized: sized, ranged: func(ctx context.Context, lo, hi int64, yield func(Scenario) bool) {
 		if k == 0 {
 			return
 		}
 		k64 := int64(k)
 		i := lo / k64 * k64 // product index of the outer range's start
 		// (hi−1)/k+1 is ⌈hi/k⌉ without the overflow of hi+k−1.
-		forEachRange(src, lo/k64, (hi-1)/k64+1, func(sc Scenario) bool {
+		forEachRange(ctx, src, lo/k64, (hi-1)/k64+1, func(sc Scenario) bool {
 			for j := 0; j < k; j++ {
 				if i >= hi {
 					return false
@@ -261,6 +275,17 @@ func CrossExecutors(src ScenarioSource, execs ...Executor) ScenarioSource {
 	})
 }
 
+// Labeled stamps the label on every scenario of the source; labels key
+// the accumulator's per-label breakdown. Like the cross products it seeks
+// the underlying source, so a labelled stream shards, checkpoints and
+// feeds a campaign exactly as the unlabelled one does.
+func Labeled(src ScenarioSource, label string) ScenarioSource {
+	return crossSource(src, 1, func(sc Scenario, _ int) Scenario {
+		sc.Label = label
+		return sc
+	})
+}
+
 // Concat chains sources: all scenarios of the first, then the second, …
 func Concat(srcs ...ScenarioSource) ScenarioSource {
 	size, sized := int64(0), true
@@ -272,7 +297,7 @@ func Concat(srcs ...ScenarioSource) ScenarioSource {
 		}
 		size += n
 	}
-	return funcSource{size: size, sized: sized, ranged: func(lo, hi int64, yield func(Scenario) bool) {
+	return funcSource{size: size, sized: sized, ranged: func(ctx context.Context, lo, hi int64, yield func(Scenario) bool) {
 		stopped := false
 		pass := func(sc Scenario) bool {
 			stopped = !yield(sc)
@@ -282,7 +307,7 @@ func Concat(srcs ...ScenarioSource) ScenarioSource {
 		for _, s := range srcs {
 			n, ok := s.Size()
 			if ok {
-				forEachRange(s, max(lo-off, 0), min(hi-off, n), pass)
+				forEachRange(ctx, s, max(lo-off, 0), min(hi-off, n), pass)
 			} else {
 				// An unsized child is walked whole (up to hi), counting,
 				// because the next child's offset is this one's length.

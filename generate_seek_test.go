@@ -1,29 +1,32 @@
 package kset
 
 import (
+	"context"
 	"math"
 	"testing"
 )
 
 // TestFaultSchedulesSeeksBase pins that a fault-crossed source seeks its
-// base like every other cross product: Range(FaultSchedules(base, fam), lo,
-// hi) never asks the base for an index below lo/k and pulls only the ⌈hi/k⌉
-// − ⌊lo/k⌋ scenarios the range touches. While the fault combinators kept
-// their own iterator, every range — hence every checkpoint chunk and shard
-// — regenerated and discarded the stream's whole prefix.
+// base like every other cross product, through a label as well:
+// Range(FaultSchedules(Labeled(base, …), fam), lo, hi) never asks the base
+// for an index below lo/k and pulls only the ⌈hi/k⌉ − ⌊lo/k⌋ scenarios the
+// range touches. A combinator with an iterator of its own (the fault
+// products once, ksetd's label stamp after them) makes every range — hence
+// every checkpoint chunk, shard and campaign claim — regenerate and
+// discard the stream's whole prefix.
 func TestFaultSchedulesSeeksBase(t *testing.T) {
 	inner := RandomInputs(3, 4, 3, 40).(funcSource)
 	askedLo, pulled := int64(math.MaxInt64), int64(0)
-	base := funcSource{size: inner.size, sized: true, ranged: func(lo, hi int64, yield func(Scenario) bool) {
+	base := funcSource{size: inner.size, sized: true, ranged: func(ctx context.Context, lo, hi int64, yield func(Scenario) bool) {
 		askedLo = min(askedLo, lo)
-		inner.ranged(lo, hi, func(sc Scenario) bool {
+		inner.ranged(ctx, lo, hi, func(sc Scenario) bool {
 			pulled++
 			return yield(sc)
 		})
 	}}
 	fam := StormFamily(7, 3, 2, 0.4)
 	k := int64(fam.Size())
-	src := FaultSchedules(base, fam)
+	src := FaultSchedules(Labeled(base, "job"), fam)
 	if n, ok := src.Size(); !ok || n != 40*k {
 		t.Fatalf("Size() = %d, %v; want %d", n, ok, 40*k)
 	}
@@ -34,6 +37,9 @@ func TestFaultSchedulesSeeksBase(t *testing.T) {
 		Range(src, lo, hi).ForEach(func(sc Scenario) bool {
 			if want := fam.Plan(int((lo + got) % k)).Seed; sc.Faults.Seed != want {
 				t.Fatalf("[%d,%d): scenario %d carries plan seed %d, want %d", lo, hi, got, sc.Faults.Seed, want)
+			}
+			if sc.Label != "job" {
+				t.Fatalf("[%d,%d): scenario %d carries label %q", lo, hi, got, sc.Label)
 			}
 			got++
 			return true

@@ -13,8 +13,8 @@ import (
 // when t processes actually crash, cites the early-deciding lower bound
 // min(⌊f/k⌋+2, ⌊t/k⌋+1) of Gafni–Guerraoui–Pochon (f the number of actual
 // crashes), and notes the algorithm can be extended with the technique of
-// [22] to never exceed it. This file implements that extension for both
-// the classical baseline and the condition-based algorithm.
+// [22] to never exceed it. This file implements that extension for the
+// condition-based algorithm.
 //
 // The early-decision machinery is the classical flag protocol: a process
 // whose cumulative number of perceived crashes after round r is below k·r
@@ -255,96 +255,4 @@ func RunEarly(p Params, c condition.Condition, input vector.Vector, fp rounds.Fa
 	res, err := r.RunEarly(p, c, input, fp, false, nil, nil, nil)
 	PutRunner(r)
 	return res, err
-}
-
-// EarlyClassicalProcess is the classical flood algorithm extended with the
-// same early-decision machinery: it decides by round
-// min(⌊f/k⌋+2, ⌊t/k⌋+1).
-type EarlyClassicalProcess struct {
-	inner ClassicalProcess
-	early earlyTracker
-	msg   EarlyMsg
-	fold  *earlyRow
-	row   *earlyRow
-}
-
-var _ rounds.Folder = (*EarlyClassicalProcess)(nil)
-
-// NewEarlyClassicalRun builds the n early-deciding baseline instances.
-func NewEarlyClassicalRun(n, t, k int, input vector.Vector) ([]rounds.Process, error) {
-	if err := ValidateClassical(n, t, k); err != nil {
-		return nil, err
-	}
-	if err := ValidateInput(n, input); err != nil {
-		return nil, err
-	}
-	inner := ClassicalProcess{fold: &classicalFold{lastRound: t/k + 1}}
-	fold := newEarlyRow(n)
-	procs := make([]rounds.Process, n)
-	for i := range procs {
-		inner.est = input[i]
-		row := newEarlyRow(n)
-		procs[i] = &EarlyClassicalProcess{inner: inner, early: newEarlyTracker(n, k), fold: &fold, row: &row}
-	}
-	return procs, nil
-}
-
-// Send implements rounds.Process.
-func (e *EarlyClassicalProcess) Send(round int) any {
-	e.msg = EarlyMsg{Payload: e.inner.Send(round), Flag: e.early.flag}
-	return &e.msg
-}
-
-// Step implements rounds.Process.
-func (e *EarlyClassicalProcess) Step(round int, recv []any) (vector.Value, bool) {
-	e.row.read(recv)
-	return e.stepDigest(round, e.row, rowMax(e.row.unwrapped))
-}
-
-// Fold implements rounds.Folder.
-func (e *EarlyClassicalProcess) Fold(round int, recv []any) {
-	e.fold.read(recv)
-	e.inner.Fold(round, e.fold.unwrapped)
-}
-
-// StepFolded implements rounds.Folder.
-func (e *EarlyClassicalProcess) StepFolded(round int) (vector.Value, bool) {
-	return e.stepDigest(round, e.fold, e.inner.fold.digest)
-}
-
-// FoldState implements rounds.Folder.
-func (e *EarlyClassicalProcess) FoldState() any { return e.fold }
-
-func (e *EarlyClassicalProcess) stepDigest(round int, w *earlyRow, digest vector.Value) (vector.Value, bool) {
-	decideNow := e.early.observe(round, w)
-	if v, done := e.inner.stepDigest(round, digest); done {
-		return v, true
-	}
-	if decideNow {
-		return e.inner.est, true
-	}
-	// A single max-flooded estimate has no cross-class priority, so no
-	// stability guard is needed; the perceived-crash rule alone is safe
-	// (exhaustively model checked).
-	e.early.raise(true)
-	return vector.Bottom, false
-}
-
-// RunEarlyClassical executes the early-deciding baseline.
-func RunEarlyClassical(n, t, k int, input vector.Vector, fp rounds.FailurePattern) (*rounds.Result, error) {
-	procs, err := NewEarlyClassicalRun(n, t, k, input)
-	if err != nil {
-		return nil, err
-	}
-	return runPooled(procs, fp, rounds.Options{MaxRounds: t/k + 1})
-}
-
-// EarlyBound returns the early-deciding round bound min(⌊f/k⌋+2, ⌊t/k⌋+1)
-// of [12], where f is the number of crashes that actually occur.
-func EarlyBound(t, k, f int) int {
-	b := f/k + 2
-	if m := t/k + 1; m < b {
-		b = m
-	}
-	return b
 }

@@ -10,77 +10,6 @@ import (
 	"kset/internal/vector"
 )
 
-func TestEarlyBound(t *testing.T) {
-	tests := []struct {
-		t, k, f, want int
-	}{
-		{6, 1, 0, 2}, {6, 1, 3, 5}, {6, 1, 6, 7},
-		{6, 2, 0, 2}, {6, 2, 5, 4}, {6, 2, 6, 4},
-		{6, 3, 6, 3}, {2, 3, 1, 1},
-	}
-	for _, tc := range tests {
-		if got := EarlyBound(tc.t, tc.k, tc.f); got != tc.want {
-			t.Errorf("EarlyBound(t=%d,k=%d,f=%d) = %d, want %d", tc.t, tc.k, tc.f, got, tc.want)
-		}
-	}
-}
-
-// TestEarlyClassicalFailureFree: with no crashes the early baseline decides
-// in 2 rounds instead of ⌊t/k⌋+1.
-func TestEarlyClassicalFailureFree(t *testing.T) {
-	n, tt, k := 7, 6, 1
-	input := vector.OfInts(1, 2, 3, 4, 5, 6, 7)
-	res, err := RunEarlyClassical(n, tt, k, input, adversary.None())
-	if err != nil {
-		t.Fatal(err)
-	}
-	verdict := Verify(input, adversary.None(), res, k)
-	if !verdict.OK() {
-		t.Fatal(verdict)
-	}
-	if verdict.MaxRound != 2 {
-		t.Errorf("decided at %d, want 2 (t+1 would be %d)", verdict.MaxRound, tt+1)
-	}
-}
-
-// TestEarlyClassicalExhaustive model-checks the early-deciding baseline:
-// agreement, validity, termination and the min(⌊f/k⌋+2, ⌊t/k⌋+1) bound over
-// every prefix-send failure pattern.
-func TestEarlyClassicalExhaustive(t *testing.T) {
-	if testing.Short() {
-		t.Skip("exhaustive model check")
-	}
-	for _, cfg := range []struct{ n, t, k, m int }{
-		{4, 2, 1, 2}, {4, 3, 1, 2}, {4, 3, 2, 2}, {4, 2, 2, 3},
-	} {
-		runs := 0
-		vector.ForEach(cfg.n, cfg.m, func(in vector.Vector) bool {
-			input := in.Clone()
-			err := adversary.Enumerate(cfg.n, cfg.t, cfg.t/cfg.k+1, func(fp rounds.FailurePattern) bool {
-				res, err := RunEarlyClassical(cfg.n, cfg.t, cfg.k, input, fp)
-				if err != nil {
-					t.Fatal(err)
-				}
-				verdict := Verify(input, fp, res, cfg.k)
-				if !verdict.OK() {
-					t.Fatalf("cfg %+v input %v fp %+v: %v", cfg, input, fp.Crashes, verdict)
-				}
-				if bound := EarlyBound(cfg.t, cfg.k, fp.NumCrashes()); verdict.MaxRound > bound {
-					t.Fatalf("cfg %+v input %v fp %+v: decided at %d > early bound %d",
-						cfg, input, fp.Crashes, verdict.MaxRound, bound)
-				}
-				runs++
-				return true
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return true
-		})
-		t.Logf("cfg %+v: %d executions verified", cfg, runs)
-	}
-}
-
 // TestEarlyCondExhaustive model-checks the early-deciding condition-based
 // algorithm: all three agreement properties plus both round bounds (the
 // Figure-2 bounds and the early bound) in every execution.
@@ -166,12 +95,6 @@ func TestEarlyCondNeverSlower(t *testing.T) {
 }
 
 func TestEarlyErrors(t *testing.T) {
-	if _, err := NewEarlyClassicalRun(1, 1, 1, vector.OfInts(1)); err == nil {
-		t.Error("want error")
-	}
-	if _, err := NewEarlyClassicalRun(4, 2, 1, vector.OfInts(1, 2, 3)); err == nil {
-		t.Error("want error for short input")
-	}
 	p := Params{N: 4, T: 2, K: 2, D: 5, L: 1}
 	if _, err := NewEarlyRun(p, condition.MustNewMax(4, 2, 1, 1), vector.OfInts(1, 1, 1, 1)); err == nil {
 		t.Error("want error for invalid params")

@@ -134,18 +134,6 @@ func refFlood(est vector.Value, recv []any) vector.Value {
 	return est
 }
 
-// stepClassical is EarlyClassicalProcess's compute phase before the split.
-func (e *refEarly) stepClassical(est *vector.Value, lastRound, round int, recv []any) (vector.Value, bool) {
-	*est = refFlood(*est, e.observe(round, recv))
-	if e.decideNow || round >= lastRound {
-		return *est, true
-	}
-	if e.clean {
-		e.flag = true
-	}
-	return vector.Bottom, false
-}
-
 // randomRow draws a receive row of n entries: nil holes, proposals and
 // state triples mixed regardless of the round — the stale payload kinds a
 // fault-injecting transport delivers — or, one time in eight, nothing.
@@ -243,7 +231,6 @@ func TestStepEqualsFoldStepFolded(t *testing.T) {
 		stepped, folded := build(func() ([]rounds.Process, error) { return NewRun(p, c, input) })
 		cStepped, cFolded := build(func() ([]rounds.Process, error) { return NewClassicalRun(p.N, p.T, p.K, input) })
 		eStepped, eFolded := build(func() ([]rounds.Process, error) { return NewEarlyRun(p, c, input) })
-		ecStepped, ecFolded := build(func() ([]rounds.Process, error) { return NewEarlyClassicalRun(p.N, p.T, p.K, input) })
 		r := rand.New(rand.NewSource(61))
 		for trial := 0; trial < 4000; trial++ {
 			round := []int{1, 2, p.RCond(), p.RMax()}[r.Intn(4)]
@@ -285,7 +272,7 @@ func TestStepEqualsFoldStepFolded(t *testing.T) {
 					round, row, est, wantV, wantDone, want, caV, caDone, ca.est, cbV, cbDone, cb.est)
 			}
 
-			// Both early-deciding wrappers, on the row with most payloads
+			// The early-deciding wrapper, on the row with most payloads
 			// wrapped, from a random flag history.
 			row = wrapRow(r, row)
 			ea, eb := eStepped[i].(*EarlyCondProcess), eFolded[i].(*EarlyCondProcess)
@@ -301,19 +288,6 @@ func TestStepEqualsFoldStepFolded(t *testing.T) {
 				t.Fatalf("early round %d row %v from %v: reference (%v,%v) %v %+v, Step (%v,%v) %v %+v, Fold+StepFolded (%v,%v) %v %+v",
 					round, row, state, wantV, wantDone, ref.state, eref, aV, aDone, ea.inner.state, ea.early, bV, bDone, eb.inner.state, eb.early)
 			}
-
-			eca, ecb := ecStepped[i].(*EarlyClassicalProcess), ecFolded[i].(*EarlyClassicalProcess)
-			eref = randomTracker(r, p.N, p.K, &eca.early, &ecb.early)
-			eca.inner.est, ecb.inner.est, want = est, est, est
-			wantV, wantDone = eref.stepClassical(&want, p.T/p.K+1, round, row)
-			caV, caDone = eca.Step(round, row)
-			ecb.Fold(round, row)
-			cbV, cbDone = ecb.StepFolded(round)
-			if eca.inner.est != want || caV != wantV || caDone != wantDone || !eref.same(&eca.early) ||
-				ecb.inner.est != want || cbV != wantV || cbDone != wantDone || !eref.same(&ecb.early) {
-				t.Fatalf("early classical round %d row %v from %v: want (%v,%v) %v %+v, Step (%v,%v) %v %+v, Fold+StepFolded (%v,%v) %v %+v",
-					round, row, est, wantV, wantDone, want, eref, caV, caDone, eca.inner.est, eca.early, cbV, cbDone, ecb.inner.est, ecb.early)
-			}
 		}
 		if f := stepped[0].(*CondProcess).fold; f.digest != (StateMsg{}) || f.view.BottomCount() != p.N {
 			t.Errorf("CondProcess.Step wrote the run's shared state: digest %v view %v", f.digest, f.view)
@@ -321,17 +295,12 @@ func TestStepEqualsFoldStepFolded(t *testing.T) {
 		if f := cStepped[0].(*ClassicalProcess).fold; f.digest != vector.Bottom {
 			t.Errorf("ClassicalProcess.Step wrote the run's shared digest: %v", f.digest)
 		}
-		e, ec := eStepped[0].(*EarlyCondProcess), ecStepped[0].(*EarlyClassicalProcess)
-		for name, f := range map[string]*earlyRow{"EarlyCondProcess": e.fold, "EarlyClassicalProcess": ec.fold} {
-			if !reflect.DeepEqual(*f, newEarlyRow(p.N)) {
-				t.Errorf("%s.Step wrote the run's shared row: %+v", name, *f)
-			}
+		e := eStepped[0].(*EarlyCondProcess)
+		if !reflect.DeepEqual(*e.fold, newEarlyRow(p.N)) {
+			t.Errorf("EarlyCondProcess.Step wrote the run's shared row: %+v", *e.fold)
 		}
 		if f := e.inner.fold; f.digest != (StateMsg{}) || f.view.BottomCount() != p.N {
 			t.Errorf("EarlyCondProcess.Step wrote the inner run's shared state: digest %v view %v", f.digest, f.view)
-		}
-		if f := ec.inner.fold; f.digest != vector.Bottom {
-			t.Errorf("EarlyClassicalProcess.Step wrote the inner run's shared digest: %v", f.digest)
 		}
 	}
 }
@@ -350,10 +319,6 @@ func TestStepFromSeparateGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 	early, err := NewEarlyRun(p, c, input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	earlyClassical, err := NewEarlyClassicalRun(p.N, p.T, p.K, input)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,15 +361,6 @@ func TestStepFromSeparateGoroutines(t *testing.T) {
 			}
 			return done
 		})
-		ec, ecref, est := earlyClassical[i].(*EarlyClassicalProcess), &refEarly{k: p.K, flagged: make([]bool, p.N)}, input[i]
-		each(func(round int) bool {
-			wantV, wantDone := ecref.stepClassical(&est, p.T/p.K+1, round, wrapped[i][round-1])
-			v, done := ec.Step(round, wrapped[i][round-1])
-			if v != wantV || done != wantDone || ec.inner.est != est || !ecref.same(&ec.early) {
-				t.Errorf("early classical p%d round %d: (%v,%v) %v %+v, alone (%v,%v) %v %+v", i+1, round, v, done, ec.inner.est, ec.early, wantV, wantDone, est, ecref)
-			}
-			return done
-		})
 	}
 	wg.Wait()
 }
@@ -421,9 +377,6 @@ func TestSplicedRunsStepTheForeignFolders(t *testing.T) {
 		"figure2":   func() ([]rounds.Process, error) { return NewRun(p, c, input) },
 		"classical": func() ([]rounds.Process, error) { return NewClassicalRun(p.N, p.T, p.K, input) },
 		"early":     func() ([]rounds.Process, error) { return NewEarlyRun(p, c, input) },
-		"early-classical": func() ([]rounds.Process, error) {
-			return NewEarlyClassicalRun(p.N, p.T, p.K, input)
-		},
 	} {
 		r := rand.New(rand.NewSource(71))
 		fam := adversary.RandomFamily(71, p.N, p.T, p.RMax(), 100)
@@ -490,48 +443,43 @@ func TestEarlyRunsFoldOncePerDistinctRow(t *testing.T) {
 		"several": {8: {Round: 1, AfterSends: 2}, 2: {Round: 1, AfterSends: 5}, 5: {Round: 1, AfterSends: 5}, 3: {Round: 2, AfterSends: 6}, 6: {Round: 2, AfterSends: 1}},
 	} {
 		fp := rounds.FailurePattern{Crashes: crashes}
-		for variant, build := range map[string]func() ([]rounds.Process, error){
-			"early":           func() ([]rounds.Process, error) { return NewEarlyRun(p, c, input) },
-			"early-classical": func() ([]rounds.Process, error) { return NewEarlyClassicalRun(p.N, p.T, p.K, input) },
-		} {
-			procs, err := build()
-			if err != nil {
-				t.Fatal(err)
-			}
-			folds, folded, stepped := map[int]int{}, map[int]int{}, map[int]int{}
-			for i, proc := range procs {
-				procs[i] = countingFolder{proc.(rounds.Folder), folds, folded, stepped}
-			}
-			got, err := rounds.Run(procs, fp, rounds.Options{MaxRounds: p.RMax()})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if procs, err = build(); err != nil {
-				t.Fatal(err)
-			}
-			want, err := rounds.Run(procs, fp, rounds.Options{MaxRounds: p.RMax(), Transport: &seamTransport{}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s %s: folded run %+v, stepped run %+v", variant, name, got, want)
-			}
-			for r := 1; r <= got.Rounds; r++ {
-				crashed, live := 0, 0
-				for id := rounds.ProcessID(1); int(id) <= p.N; id++ {
-					cr, crashes := fp.Crashes[id]
-					if crashes && cr.Round == r {
-						crashed++
-					}
-					decided, halts := got.DecisionRound[id]
-					if !(crashes && cr.Round <= r) && !(halts && decided < r) {
-						live++
-					}
+		procs, err := NewEarlyRun(p, c, input)
+		if err != nil {
+			t.Fatal(err)
+		}
+		folds, folded, stepped := map[int]int{}, map[int]int{}, map[int]int{}
+		for i, proc := range procs {
+			procs[i] = countingFolder{proc.(rounds.Folder), folds, folded, stepped}
+		}
+		got, err := rounds.Run(procs, fp, rounds.Options{MaxRounds: p.RMax()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if procs, err = NewEarlyRun(p, c, input); err != nil {
+			t.Fatal(err)
+		}
+		want, err := rounds.Run(procs, fp, rounds.Options{MaxRounds: p.RMax(), Transport: &seamTransport{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: folded run %+v, stepped run %+v", name, got, want)
+		}
+		for r := 1; r <= got.Rounds; r++ {
+			crashed, live := 0, 0
+			for id := rounds.ProcessID(1); int(id) <= p.N; id++ {
+				cr, crashes := fp.Crashes[id]
+				if crashes && cr.Round == r {
+					crashed++
 				}
-				if folds[r] < 1 || folds[r] > 1+crashed || folded[r] != live || stepped[r] != 0 {
-					t.Errorf("%s %s round %d: %d Folds with %d crashes, %d StepFolded and %d Step calls for %d live destinations",
-						variant, name, r, folds[r], crashed, folded[r], stepped[r], live)
+				decided, halts := got.DecisionRound[id]
+				if !(crashes && cr.Round <= r) && !(halts && decided < r) {
+					live++
 				}
+			}
+			if folds[r] < 1 || folds[r] > 1+crashed || folded[r] != live || stepped[r] != 0 {
+				t.Errorf("%s round %d: %d Folds with %d crashes, %d StepFolded and %d Step calls for %d live destinations",
+					name, r, folds[r], crashed, folded[r], stepped[r], live)
 			}
 		}
 	}

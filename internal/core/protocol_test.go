@@ -322,13 +322,6 @@ func executorsAgree(t *testing.T, runner *Runner, p Params, c condition.Conditio
 		"early": func(tr rounds.Transport) (*rounds.Result, error) {
 			return runner.RunEarly(p, c, input, fp, false, tr, nil, nil)
 		},
-		"early-classical": func(tr rounds.Transport) (*rounds.Result, error) {
-			procs, err := NewEarlyClassicalRun(p.N, p.T, p.K, input)
-			if err != nil {
-				return nil, err
-			}
-			return rounds.Run(procs, fp, rounds.Options{MaxRounds: p.T/p.K + 1, Transport: tr})
-		},
 	} {
 		fast, err := run(nil)
 		if err != nil {
@@ -347,7 +340,7 @@ func executorsAgree(t *testing.T, runner *Runner, p Params, c condition.Conditio
 // TestExecutorsAgree runs identical scenarios on the engine's shared-row
 // fast path (where the processes fold each distinct row once) and through
 // its transport seam (where each steps its own row) and requires identical
-// results — for all four Folders, exhaustively at model-checking size and
+// results — for all three Folders, exhaustively at model-checking size and
 // on random patterns there and at the n=48 the benchmark runs, where
 // several senders crash mid-row in one round.
 func TestExecutorsAgree(t *testing.T) {

@@ -450,7 +450,7 @@ func compileSource(spec *JobSpec, p kset.Params, cond kset.Condition, execs []ks
 		return nil, badSpec("unknown source kind %q (want exhaustive, random, members or inputs)", spec.Source.Kind)
 	}
 	if spec.Label != "" {
-		src = labeledSource(src, spec.Label)
+		src = kset.Labeled(src, spec.Label)
 	}
 	var err error
 	if src, err = applyFailures(src, spec.Failures, p); err != nil {
@@ -584,25 +584,3 @@ func checkFamily(size int, name string, peak float64) error {
 	}
 	return checkProb(name, peak)
 }
-
-// labeledSource stamps the job label onto every scenario.
-func labeledSource(src kset.ScenarioSource, label string) kset.ScenarioSource {
-	return &labelSource{src: src, label: label}
-}
-
-// labelSource is the ScenarioSource adapter behind labeledSource.
-type labelSource struct {
-	src   kset.ScenarioSource
-	label string
-}
-
-// ForEach implements kset.ScenarioSource.
-func (l *labelSource) ForEach(yield func(kset.Scenario) bool) {
-	l.src.ForEach(func(sc kset.Scenario) bool {
-		sc.Label = l.label
-		return yield(sc)
-	})
-}
-
-// Size implements kset.ScenarioSource.
-func (l *labelSource) Size() (int64, bool) { return l.src.Size() }

@@ -20,6 +20,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 	f.Add([]byte(`{"version":1,"cursor":{"lo":0,"hi":0},"runs_done":0}`))
 	f.Add([]byte(`{"version":99,"cursor":{"lo":0,"hi":1},"runs_done":0}`))
 	f.Add([]byte(`{"version":1,"cursor":{"lo":9,"hi":2},"runs_done":0}`))
+	f.Add([]byte(`{"version":1,"cursor":{"lo":0,"hi":2},"runs_done":1}`))
 	f.Add([]byte(`{"version":1,"cursor":{"lo":0,"hi":1},"runs_done":0,"extra":true}`))
 	f.Add(valid[:len(valid)/2])
 	f.Add(append(append([]byte{}, valid...), '0'))

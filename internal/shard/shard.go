@@ -17,8 +17,9 @@ const Version = 1
 
 // ErrBadCheckpoint marks a checkpoint or cursor that failed decoding or
 // validation: malformed JSON, unknown fields, trailing bytes, a version
-// this build does not read, or a cursor/progress pair that contradicts
-// itself. Returned (wrapped) by Decode, Encode and the Validate methods.
+// this build does not read, or a cursor, progress count and stats
+// snapshot that contradict each other. Returned (wrapped) by Decode,
+// Encode and the Validate methods.
 var ErrBadCheckpoint = errors.New("shard: bad checkpoint")
 
 // Plan is the deterministic partition of Total stream items into K
@@ -112,7 +113,8 @@ type Checkpoint struct {
 }
 
 // Validate checks the envelope's internal consistency: the version must
-// be this build's, the cursor well-formed, and RunsDone within it.
+// be this build's, the cursor well-formed, RunsDone within it, and Stats
+// a snapshot over exactly RunsDone runs.
 func (c Checkpoint) Validate() error {
 	if c.Version != Version {
 		return fmt.Errorf("%w: version %d (this build reads version %d)",
@@ -124,6 +126,14 @@ func (c Checkpoint) Validate() error {
 	if c.RunsDone < 0 || c.RunsDone > c.Cursor.Len() {
 		return fmt.Errorf("%w: runs_done %d outside cursor [%d, %d)",
 			ErrBadCheckpoint, c.RunsDone, c.Cursor.Lo, c.Cursor.Hi)
+	}
+	var covered int64
+	if c.Stats != nil {
+		covered = c.Stats.Runs
+	}
+	if covered != c.RunsDone {
+		return fmt.Errorf("%w: stats cover %d runs, runs_done says %d",
+			ErrBadCheckpoint, covered, c.RunsDone)
 	}
 	return nil
 }

@@ -107,19 +107,24 @@ func TestCheckpointRoundTrip(t *testing.T) {
 }
 
 func TestCheckpointValidate(t *testing.T) {
+	runs := func(n int64) *stats.Accumulator { return &stats.Accumulator{Runs: n} }
 	cases := []struct {
 		name string
 		cp   Checkpoint
 		ok   bool
 	}{
 		{"valid empty", Checkpoint{Version: Version, Cursor: Cursor{Lo: 0, Hi: 0}}, true},
-		{"valid full", Checkpoint{Version: Version, Cursor: Cursor{Lo: 2, Hi: 7}, RunsDone: 5}, true},
+		{"valid full", Checkpoint{Version: Version, Cursor: Cursor{Lo: 2, Hi: 7}, RunsDone: 5, Stats: runs(5)}, true},
+		{"valid empty stats", Checkpoint{Version: Version, Cursor: Cursor{Lo: 2, Hi: 7}, Stats: runs(0)}, true},
 		{"version zero", Checkpoint{Cursor: Cursor{Lo: 0, Hi: 1}}, false},
 		{"version future", Checkpoint{Version: Version + 1, Cursor: Cursor{Lo: 0, Hi: 1}}, false},
 		{"negative lo", Checkpoint{Version: Version, Cursor: Cursor{Lo: -1, Hi: 1}}, false},
 		{"hi below lo", Checkpoint{Version: Version, Cursor: Cursor{Lo: 3, Hi: 2}}, false},
 		{"negative runs", Checkpoint{Version: Version, Cursor: Cursor{Lo: 0, Hi: 5}, RunsDone: -1}, false},
-		{"runs past cursor", Checkpoint{Version: Version, Cursor: Cursor{Lo: 0, Hi: 5}, RunsDone: 6}, false},
+		{"runs past cursor", Checkpoint{Version: Version, Cursor: Cursor{Lo: 0, Hi: 5}, RunsDone: 6, Stats: runs(6)}, false},
+		{"runs without stats", Checkpoint{Version: Version, Cursor: Cursor{Lo: 2, Hi: 7}, RunsDone: 5}, false},
+		{"stats short of runs", Checkpoint{Version: Version, Cursor: Cursor{Lo: 0, Hi: 1000}, RunsDone: 1000, Stats: runs(50)}, false},
+		{"stats past runs", Checkpoint{Version: Version, Cursor: Cursor{Lo: 0, Hi: 5}, RunsDone: 2, Stats: runs(3)}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -162,6 +167,7 @@ func TestDecodeRejects(t *testing.T) {
 		{"version skew", strings.Replace(string(valid), `"version":1`, `"version":99`, 1)},
 		{"bad cursor", `{"version":1,"cursor":{"lo":5,"hi":2},"runs_done":0}`},
 		{"runs past cursor", `{"version":1,"cursor":{"lo":0,"hi":2},"runs_done":3}`},
+		{"runs without stats", `{"version":1,"cursor":{"lo":0,"hi":2},"runs_done":1}`},
 		{"wrong type", `{"version":"1","cursor":{"lo":0,"hi":1},"runs_done":0}`},
 		{"null", `null`},
 		{"array", `[1,2]`},

@@ -1,6 +1,7 @@
 package kset
 
 import (
+	"context"
 	"fmt"
 
 	"kset/internal/shard"
@@ -71,10 +72,10 @@ func Range(src ScenarioSource, lo, hi int64) ScenarioSource {
 	if sized {
 		lo, hi = min(lo, n), min(hi, n)
 	}
-	return funcSource{size: hi - lo, sized: sized, ranged: func(rlo, rhi int64, yield func(Scenario) bool) {
+	return funcSource{size: hi - lo, sized: sized, ranged: func(ctx context.Context, rlo, rhi int64, yield func(Scenario) bool) {
 		// Clamp before offsetting: rhi is math.MaxInt64 under ForEach.
 		if rhi = min(rhi, hi-lo); rlo < rhi {
-			forEachRange(src, lo+rlo, lo+rhi, yield)
+			forEachRange(ctx, src, lo+rlo, lo+rhi, yield)
 		}
 	}}
 }
@@ -82,17 +83,17 @@ func Range(src ScenarioSource, lo, hi int64) ScenarioSource {
 // forEachRange yields src's scenarios with stream indices in [lo, hi):
 // through the source's range function when it is one of ours, and for a
 // foreign ScenarioSource by replaying and discarding the prefix.
-func forEachRange(src ScenarioSource, lo, hi int64, yield func(Scenario) bool) {
+func forEachRange(ctx context.Context, src ScenarioSource, lo, hi int64, yield func(Scenario) bool) {
 	if lo >= hi {
 		return
 	}
 	if fs, ok := src.(funcSource); ok {
-		fs.ranged(lo, hi, yield)
+		fs.ranged(ctx, lo, hi, yield)
 		return
 	}
 	i := int64(0)
 	src.ForEach(func(sc Scenario) bool {
-		ok := i < lo || yield(sc)
+		ok := !seekStopped(ctx, i) && (i < lo || yield(sc))
 		i++
 		return ok && i < hi
 	})
