@@ -555,12 +555,13 @@ func BenchmarkEngineRound(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshotScan compares the two shared-memory substrates' scans:
-// the lock-serialized simulation vs the wait-free Afek-et-al construction.
+// BenchmarkSnapshotScan prices a warm scan of the two in-process
+// substrates: the scheduler's own register array, whose scan is the array
+// itself, and the wait-free Afek-et-al construction's published epoch.
 func BenchmarkSnapshotScan(b *testing.B) {
 	for name, s := range map[string]async.Store{
-		"mutex":    async.NewSnapshot(64),
-		"waitfree": async.NewAtomicSnapshot(64),
+		"registers": async.NewSnapshot(64),
+		"waitfree":  async.NewAtomicSnapshot(64),
 	} {
 		for i := 0; i < 64; i++ {
 			s.Write(i, vector.Value(i+1))

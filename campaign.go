@@ -455,7 +455,11 @@ func (c *Campaign) worker(i int) {
 // recycles a single Result, so the run — observation included — allocates
 // nothing.
 func (c *Campaign) runOne(w *worker, shard []Collector, sc Scenario) {
-	ex, err := c.sys.resolveExecutor(&sc)
+	// Executors take the scenario by pointer through an interface, which
+	// would move sc to the heap on every run; the worker's slot is there
+	// already.
+	w.sc = sc
+	ex, err := c.sys.resolveExecutor(&w.sc)
 	var res *Result
 	if err == nil {
 		var reuse *Result
@@ -465,7 +469,7 @@ func (c *Campaign) runOne(w *worker, shard []Collector, sc Scenario) {
 			}
 			reuse = w.res
 		}
-		res, err = safeRun(c.ctx, ex, c.sys, w, &sc, reuse)
+		res, err = safeRun(c.ctx, ex, c.sys, w, &w.sc, reuse)
 	}
 	// A run aborted by the campaign's own cancellation did not run at all:
 	// it is excluded from the stats (Wait reports the context error next to

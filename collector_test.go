@@ -191,36 +191,42 @@ func TestCampaignCollectorShards(t *testing.T) {
 }
 
 // TestCampaignRunAllocations pins the per-run allocation budget of a
-// stats-only campaign with the Collector pipeline in place: the observe
-// path — Observation construction, collector fold, histogram and
-// breakdowns — must add zero allocations over the engine's own ~1
-// alloc/run steady state.
+// stats-only campaign with the Collector pipeline in place: the scenario
+// hand-off, the run — the round engine's or the async scheduler's — and
+// the observe path (Observation construction, collector fold, histogram
+// and breakdowns) allocate nothing; what is left is the campaign's own
+// set-up, spread over 2048 runs.
 func TestCampaignRunAllocations(t *testing.T) {
 	p := testParams()
-	sys := testSystem(t, kset.WithParams(p), kset.WithCondition(testCondition(t, p)), kset.WithWorkers(1))
 	ctx := context.Background()
+	for _, ex := range []kset.Executor{kset.Figure2, kset.Asynchronous} {
+		t.Run(ex.Name(), func(t *testing.T) {
+			sys := testSystem(t, kset.WithParams(p), kset.WithCondition(testCondition(t, p)),
+				kset.WithExecutor(ex), kset.WithWorkers(1))
 
-	const runs = 2048
-	scs := make([]kset.Scenario, runs)
-	for i := range scs {
-		scs[i] = kset.Scenario{Input: kset.VectorOf(4, 4, 4, 2, 1, 2), FP: kset.InitialCrashes(p.N, i%2)}
-	}
-	// Warm the pooled worker state.
-	if _, err := sys.RunCampaign(ctx, scs); err != nil {
-		t.Fatal(err)
-	}
-	avg := testing.AllocsPerRun(3, func() {
-		stats, err := sys.RunCampaign(ctx, scs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stats.Runs != runs {
-			t.Fatalf("ran %d/%d", stats.Runs, runs)
-		}
-	})
-	perRun := avg / runs
-	if perRun > 1.2 {
-		t.Errorf("stats-only campaign allocates %.2f/run (%.0f total), want ≤ 1.2 — "+
-			"the collector observe path must stay allocation-free", perRun, avg)
+			const runs = 2048
+			scs := make([]kset.Scenario, runs)
+			for i := range scs {
+				scs[i] = kset.Scenario{Input: kset.VectorOf(4, 4, 4, 2, 1, 2), FP: kset.InitialCrashes(p.N, i%2), Seed: int64(i)}
+			}
+			// Warm the pooled worker state.
+			if _, err := sys.RunCampaign(ctx, scs); err != nil {
+				t.Fatal(err)
+			}
+			avg := testing.AllocsPerRun(3, func() {
+				stats, err := sys.RunCampaign(ctx, scs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if stats.Runs != runs {
+					t.Fatalf("ran %d/%d", stats.Runs, runs)
+				}
+			})
+			perRun := avg / runs
+			if perRun > 0.1 {
+				t.Errorf("stats-only campaign allocates %.2f/run (%.0f total), want ≤ 0.1 — "+
+					"a campaign run must stay allocation-free", perRun, avg)
+			}
+		})
 	}
 }

@@ -10,15 +10,16 @@ import (
 // Store is the shared-memory interface the asynchronous algorithm runs on:
 // a single-writer-per-entry array with an atomic snapshot scan.
 //
-// Scan returns an epoch-published vector: an immutable array shared by
-// every caller that observes the same state. Callers must treat it as
-// read-only and Clone it before mutating; in exchange, a warm Scan (no
-// write since the last one) performs no allocation at all.
+// Scan's view is read-only and valid until the next Write: Clone one to
+// keep it longer. Snapshot gives exactly that (its Scan is the register
+// array); AtomicSnapshot's Scans are immutable for good — an epoch shared
+// by every in-process caller that observes the same state, a vector built
+// for the call over a remote register array.
 type Store interface {
 	// Write sets entry i (0-based); only process i+1 may write it.
 	Write(i int, v vector.Value)
-	// Scan returns an atomic snapshot of the whole array. The returned
-	// vector is immutable and shared; callers must not modify it.
+	// Scan returns an atomic snapshot of the whole array, read-only and
+	// valid until the next Write.
 	Scan() vector.Vector
 	// AnyNonBottom returns the greatest non-⊥ entry visible, or ⊥.
 	AnyNonBottom() vector.Value
@@ -61,9 +62,9 @@ var (
 // message-passing network bypass the cache: their reads are quorum
 // operations and stay that way.
 //
-// The mutex-based Snapshot is the serialized stand-in; this is the real
-// construction, and the two are interchangeable through Store
-// (Config.Memory selects).
+// Snapshot is the register array of a single-goroutine driver; this is
+// the concurrent construction, and the two are interchangeable through
+// Store (Config.Memory selects).
 type AtomicSnapshot struct {
 	regs RegisterArray
 

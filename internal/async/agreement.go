@@ -2,7 +2,6 @@ package async
 
 import (
 	"fmt"
-	"sort"
 
 	"kset/internal/condition"
 	"kset/internal/kerr"
@@ -30,7 +29,8 @@ type MemoryKind int
 
 // Available substrates.
 const (
-	// MutexMemory is the lock-serialized snapshot simulation (default).
+	// MutexMemory is the scheduler's own register array (default); the
+	// name dates from the lock-serialized simulation it replaced.
 	MutexMemory MemoryKind = iota
 	// WaitFreeMemory is the lock-free Afek-et-al atomic snapshot.
 	WaitFreeMemory
@@ -205,10 +205,6 @@ func Run(cfg Config) (*Outcome, error) {
 	}
 	return out, nil
 }
-
-// sortInts sorts a small int slice ascending. The undecided list is at
-// most n entries, so insertion via sort.Ints is never a hot cost.
-func sortInts(xs []int) { sort.Ints(xs) }
 
 func condN(c condition.Condition) int {
 	if c == nil {

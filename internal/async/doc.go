@@ -30,14 +30,15 @@
 //	Definition 4  view decoding against the condition (via condition)
 //	Theorems 8–9  the give-up path mirrors the ℓ ≤ x impossibility
 //
-// Three interchangeable linearizable memory substrates back the snapshot:
-// the lock-serialized simulation (MutexMemory), the wait-free Afek et al.
-// construction (WaitFreeMemory), and an ABD quorum emulation over a
-// virtual asynchronous message-passing network (MessagePassingMemory,
-// x < n/2). All three publish scans as immutable epoch vectors: a warm
-// Scan — no write since the previous one — returns the published vector
-// with no allocation, which is what lets the wait-free construction beat
-// the mutex stand-in instead of losing to it. Under the virtual scheduler
-// all three substrates observe identical register histories, so a run's
-// outcome is identical across the whole substrate grid.
+// Three interchangeable memory substrates back the snapshot: the
+// scheduler's own register array (MutexMemory, the default: one goroutine
+// drives a run, so there is no lock and a Scan is the array itself, valid
+// until the next Write), the wait-free Afek et al. construction
+// (WaitFreeMemory) and an ABD quorum emulation over a virtual asynchronous
+// message-passing network (MessagePassingMemory, x < n/2). The latter two
+// are linearizable under concurrent callers and their Scans immutable: in
+// process an epoch published once per write, over the network a vector
+// per scan. Under the virtual scheduler all three observe identical
+// register histories, so a run's outcome is identical across the grid, and
+// a Runner evaluates what a scan decides once per distinct view (sched.go).
 package async

@@ -2,6 +2,7 @@ package async
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 
 	"kset/internal/condition"
@@ -65,9 +66,9 @@ const (
 // state across calls: the snapshot substrates, the virtual network, the
 // scheduler's process table and the outcome arrays. Batch drivers — the
 // facade's campaign workers above all — hold one Runner per worker and
-// drive millions of runs through RunInto with near-zero steady-state
-// allocation. A Runner is not safe for concurrent use; the package-level
-// Run checks Runners out of an internal pool.
+// drive millions of runs through RunInto with zero steady-state
+// allocation on the default memory. A Runner is not safe for concurrent
+// use; the package-level Run checks Runners out of an internal pool.
 type Runner struct {
 	rng   prng.Rand
 	delay []int
@@ -76,9 +77,16 @@ type Runner struct {
 	live  []int // 0-based ids still stepping, compacted each pass
 	acp   []CrashPoint
 
-	mutexVals, mutexDecs *Snapshot
-	wfVals, wfDecs       *AtomicSnapshot
-	net                  *Network
+	// The per-view memo: what a scan decides is a pure function of the
+	// view, and the scheduler issues every value write itself, so their
+	// count names the view. memo is what a scan after memoAt writes decides
+	// (⊥: nothing); reset with the process table each run.
+	writes, memoAt int
+	memo           vector.Value
+
+	ownVals, ownDecs *Snapshot
+	wfVals, wfDecs   *AtomicSnapshot
+	net              *Network
 }
 
 // NewRunner returns a Runner with no state allocated yet; buffers grow to
@@ -110,11 +118,18 @@ func (r *Runner) RunInto(cfg Config, out *Outcome) error {
 		r.acp = crashes // keep the scratch the validator may have grown
 	}
 
-	values, decisions, err := r.substrates(n, &cfg)
+	values, decisions, net, err := r.substrates(n, &cfg)
 	if err != nil {
 		return err
 	}
+	r.drive(&cfg, crashes, values, decisions, net, out)
+	return nil
+}
 
+// drive executes a validated run over the stores resolved for it; net is
+// the network its crashes silence, nil on shared memory.
+func (r *Runner) drive(cfg *Config, crashes []CrashPoint, values, decisions Store, net *Network, out *Outcome) {
+	n := len(cfg.Input)
 	out.reset(n)
 	r.reset(n, cfg.Seed)
 
@@ -132,20 +147,19 @@ func (r *Runner) RunInto(cfg Config, out *Outcome) error {
 		prng.Shuffle(&r.rng, live)
 		w := 0
 		for _, id := range live {
-			if !r.step(id, &cfg, crashes, budget, values, decisions, out) {
+			if !r.step(id, cfg, crashes, budget, values, decisions, net, out) {
 				live[w] = id
 				w++
 			}
 		}
 		live = live[:w]
 	}
-	sortInts(out.Undecided)
-	return nil
+	sort.Ints(out.Undecided) // at most n entries
 }
 
 // step advances process id (0-based) by one action and reports whether it
 // terminated (decided, crashed or gave up).
-func (r *Runner) step(id int, cfg *Config, crashes []CrashPoint, budget int, values, decisions Store, out *Outcome) bool {
+func (r *Runner) step(id int, cfg *Config, crashes []CrashPoint, budget int, values, decisions Store, net *Network, out *Outcome) bool {
 	switch r.state[id] {
 	case procDelay:
 		cp := NoCrash
@@ -155,8 +169,8 @@ func (r *Runner) step(id int, cfg *Config, crashes []CrashPoint, budget int, val
 		if cp == CrashBeforeWrite {
 			// The process dies before depositing its value; over message
 			// passing its replica dies with it.
-			if r.net != nil {
-				r.net.Crash(id + 1)
+			if net != nil {
+				net.Crash(id + 1)
 			}
 			return true
 		}
@@ -165,9 +179,10 @@ func (r *Runner) step(id int, cfg *Config, crashes []CrashPoint, budget int, val
 			return false
 		}
 		values.Write(id, cfg.Input[id])
+		r.writes++
 		if cp == CrashAfterWrite {
-			if r.net != nil {
-				r.net.Crash(id + 1)
+			if net != nil {
+				net.Crash(id + 1)
 			}
 			return true
 		}
@@ -183,18 +198,14 @@ func (r *Runner) step(id int, cfg *Config, crashes []CrashPoint, budget int, val
 			default:
 			}
 		}
-		view := values.Scan()
-		if view.BottomCount() <= cfg.X {
-			if condition.Predicate(cfg.Cond, view) {
-				if h, ok := condition.DecodeView(cfg.Cond, view); ok && !h.Empty() {
-					d := h.Max()
-					decisions.Write(id, d)
-					out.Decided[id] = d
-					return true
-				}
-			}
-			// ¬P is stable under growing views (completions only
-			// shrink): from here on only adoption can decide.
+		if r.memoAt != r.writes {
+			// Scan's view is valid until the next Write; decide keeps none.
+			r.memo, r.memoAt = decide(cfg, values.Scan()), r.writes
+		}
+		if d := r.memo; d != vector.Bottom {
+			decisions.Write(id, d)
+			out.Decided[id] = d
+			return true
 		}
 		if d := decisions.AnyNonBottom(); d != vector.Bottom {
 			out.Decided[id] = d
@@ -209,9 +220,21 @@ func (r *Runner) step(id int, cfg *Config, crashes []CrashPoint, budget int, val
 	}
 }
 
-// substrates resolves the run's value and decision stores, resetting the
-// Runner's pooled instances of the selected memory kind.
-func (r *Runner) substrates(n int, cfg *Config) (values, decisions Store, err error) {
+// decide is what a process scanning view decides on its own: max h_ℓ(view)
+// when at most x entries are missing and P(view) holds, ⊥ otherwise. ¬P is
+// stable under growing views, so from then on only adoption can decide.
+func decide(cfg *Config, view vector.Vector) vector.Value {
+	if view.BottomCount() <= cfg.X && condition.Predicate(cfg.Cond, view) {
+		if h, ok := condition.DecodeView(cfg.Cond, view); ok && !h.Empty() {
+			return h.Max()
+		}
+	}
+	return vector.Bottom
+}
+
+// substrates resolves the run's value and decision stores — and, over
+// message passing, their network — resetting the Runner's pooled instances.
+func (r *Runner) substrates(n int, cfg *Config) (values, decisions Store, net *Network, err error) {
 	switch cfg.Memory {
 	case WaitFreeMemory:
 		if r.wfVals == nil {
@@ -220,43 +243,44 @@ func (r *Runner) substrates(n int, cfg *Config) (values, decisions Store, err er
 			r.wfVals.Reset(n)
 			r.wfDecs.Reset(n)
 		}
-		return r.wfVals, r.wfDecs, nil
+		return r.wfVals, r.wfDecs, nil, nil
 	case MessagePassingMemory:
 		if r.net == nil {
 			nw, err := NewNetwork(n, cfg.X, 2*n, n, cfg.Seed)
 			if err != nil {
-				return nil, nil, err
+				return nil, nil, nil, err
 			}
 			r.net = nw
 		} else {
 			if n < 2 || cfg.X < 0 || 2*cfg.X >= n {
-				return nil, nil, fmt.Errorf("async: quorum emulation needs x < n/2, got x=%d n=%d", cfg.X, n)
+				return nil, nil, nil, fmt.Errorf("async: quorum emulation needs x < n/2, got x=%d n=%d", cfg.X, n)
 			}
 			r.net.reset(n, cfg.X, 2*n, n, cfg.Seed)
 		}
 		valRegs, err := r.net.Registers(0, n)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		decRegs, err := r.net.Registers(n, n)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
-		return NewSnapshotOver(valRegs), NewSnapshotOver(decRegs), nil
+		return NewSnapshotOver(valRegs), NewSnapshotOver(decRegs), r.net, nil
 	default:
-		if r.mutexVals == nil {
-			r.mutexVals, r.mutexDecs = NewSnapshot(n), NewSnapshot(n)
+		if r.ownVals == nil {
+			r.ownVals, r.ownDecs = NewSnapshot(n), NewSnapshot(n)
 		} else {
-			r.mutexVals.Reset(n)
-			r.mutexDecs.Reset(n)
+			r.ownVals.Reset(n)
+			r.ownDecs.Reset(n)
 		}
-		return r.mutexVals, r.mutexDecs, nil
+		return r.ownVals, r.ownDecs, nil, nil
 	}
 }
 
 // reset prepares the scheduler's process table for a run of n processes.
 func (r *Runner) reset(n int, seed int64) {
 	r.rng = prng.New(uint64(seed))
+	r.writes, r.memoAt, r.memo = 0, -1, vector.Bottom
 	if cap(r.delay) < n {
 		r.delay = make([]int, n)
 		r.scans = make([]int, n)

@@ -1,27 +1,19 @@
 package async
 
-import (
-	"sync"
+import "kset/internal/vector"
 
-	"kset/internal/vector"
-)
-
-// Snapshot is a linearizable single-writer-per-entry snapshot object: entry
-// i is written by process i+1, and Scan returns an atomic view of the whole
-// array. Scans are totally ordered by containment because entries are
-// written at most once and grow monotonically.
+// Snapshot is the register array of a run the virtual scheduler drives:
+// entry i is written by process i+1, and the scheduler's goroutine is the
+// only one to touch the array, so every operation is atomic as it stands —
+// no lock, no published copy, not safe for concurrent use (AtomicSnapshot
+// is the concurrent construction the paper cites, behind the same Store).
 //
-// The implementation serializes operations with a mutex, which trivially
-// linearizes them; it stands in for the wait-free construction of Afek et
-// al. cited by the paper, whose interface and ordering guarantees are what
-// the algorithm relies on. Like AtomicSnapshot it publishes epochs: the
-// first Scan after a Write clones the array into an immutable published
-// vector, and every further Scan returns that same vector allocation-free
-// until the next Write invalidates it.
+// Scan returns the array itself, valid until the next Write. Entries are
+// written at most once and only grow, so successive scans are ordered by
+// containment and the greatest entry is a running maximum.
 type Snapshot struct {
-	mu   sync.Mutex
 	regs vector.Vector
-	pub  vector.Vector // published immutable copy; nil while stale
+	max  vector.Value
 }
 
 // NewSnapshot creates a snapshot object with n entries, all ⊥.
@@ -32,8 +24,6 @@ func NewSnapshot(n int) *Snapshot {
 // Reset restores the snapshot to n all-⊥ entries, reusing its register
 // storage when the size allows. Pooled runners call it between runs.
 func (s *Snapshot) Reset(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if cap(s.regs) < n {
 		s.regs = vector.New(n)
 	} else {
@@ -42,32 +32,20 @@ func (s *Snapshot) Reset(n int) {
 			s.regs[i] = vector.Bottom
 		}
 	}
-	s.pub = nil
+	s.max = vector.Bottom
 }
 
 // Write sets entry i (0-based) to v.
 func (s *Snapshot) Write(i int, v vector.Value) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.regs[i] = v
-	s.pub = nil
-}
-
-// Scan returns an atomic view of the array: an immutable epoch-published
-// vector shared with every other Scan of the same state. Callers must not
-// modify it.
-func (s *Snapshot) Scan() vector.Vector {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.pub == nil {
-		s.pub = s.regs.Clone()
+	if v > s.max {
+		s.max = v
 	}
-	return s.pub
 }
 
-// AnyNonBottom returns the greatest non-⊥ entry of an atomic scan, or ⊥.
-func (s *Snapshot) AnyNonBottom() vector.Value {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.regs.Max()
-}
+// Scan returns the current array, valid until the next Write. Callers must
+// not modify it.
+func (s *Snapshot) Scan() vector.Vector { return s.regs }
+
+// AnyNonBottom returns the greatest non-⊥ entry, or ⊥.
+func (s *Snapshot) AnyNonBottom() vector.Value { return s.max }

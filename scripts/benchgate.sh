@@ -14,13 +14,19 @@ benchtime="${1:-20x}"
 cd "$(dirname "$0")/.."
 
 # Budgets: benchmark name (exact, GOMAXPROCS suffix stripped) and the
-# maximum allowed allocs/op at the short benchtime above. Values carry
-# headroom over the measured steady state (864 / 9 / ~2 at PR 4) while
-# sitting far below the pre-compiled-condition costs (47906 / 5129 / 50).
+# maximum allowed allocs/op at the short benchtime above, at -cpu 1: a
+# campaign's set-up allocates per worker and a System has one worker per
+# P, so with runs at zero the campaign budgets are counts for one worker
+# (CollectorPath reads 47 at one, 74 at two). Values carry headroom over
+# the measured steady state (864 / 9 / ~2 at PR 4) while sitting far below
+# the pre-compiled-condition costs (47906 / 5129 / 50).
 # CollectorPath runs one fixed 512-scenario stats-only campaign per op
 # through the full results-plane pipeline (Observation → collector shards
 # → deterministic join): its budget holds the collector observe path at
-# ≤ 1 alloc/run (measured: 556 for 512 runs + campaign setup at PR 5).
+# ≤ 1 alloc/run (measured: 556 for 512 runs + campaign setup at PR 5;
+# 47, all of it campaign setup, since PR 19 — a campaign run borrows the
+# worker's scenario slot and allocates nothing, which is also what holds
+# CampaignThroughput/campaign at 0 per run).
 # EngineTransport prices the transport seam on a recycled engine: the
 # matrix arm is the campaign hot path and must stay allocation-free (the
 # seam is an interface dispatch, not a cost), and the warmed zero-fault
@@ -38,16 +44,17 @@ cd "$(dirname "$0")/.."
 # CheckpointEncode prices one checkpoint emission — accumulator snapshot
 # plus versioned JSON envelope. Its cost must scale with breakdown keys,
 # never with the runs the checkpoint covers, so periodic checkpointing
-# cannot regress the 1-alloc/run campaign hot path (measured: 25 at PR 8).
+# cannot regress the allocation-free campaign hot path (measured: 25 at PR 8).
 # WireEncode prices encoding one state-carrying data frame into a caller
 # buffer — the per-copy cost of every wire-transport send and ksetpeer
 # retransmission — and must stay allocation-free (measured: 0 at PR 9).
-# The async-plane budgets (PR 10) pin the executor overhaul: warm scans on
-# both snapshot substrates are epoch-published and allocation-free — and
-# the wait-free construction must never cost more than the mutex stand-in
-# (measured: 0 / 0); E10Async is one full virtual-scheduler agreement run
-# (measured: 5); AsyncCampaign is a fixed 512-scenario asynchronous
-# campaign through pooled worker Runners (measured: 2553, ~5 allocs/run).
+# The async-plane budgets (PR 10, re-read at PR 19): a warm scan is
+# allocation-free on both in-process substrates — the scheduler's own
+# register array hands out the array itself, the wait-free construction
+# its published epoch (measured: 0 / 0); E10Async is one full
+# virtual-scheduler agreement run (measured: 2, the Outcome it returns);
+# AsyncCampaign is a fixed 512-scenario asynchronous campaign through
+# pooled worker Runners (measured: 35, all campaign setup — 0 per run).
 # ConditionIndex is one membership probe of an enumerated condition, on
 # Explicit and on Compiled, at a vector size inside the range the old
 # packed key covered (n=8) and one past it (n=16, where the string-key
@@ -64,18 +71,18 @@ cd "$(dirname "$0")/.."
 budgets='
 BenchmarkE1Lattice 2400
 BenchmarkE9Adversary 400
-BenchmarkCampaignThroughput/campaign 4
-BenchmarkCollectorPath 700
+BenchmarkCampaignThroughput/campaign 1
+BenchmarkCollectorPath 64
 BenchmarkEngineTransport/matrix 0
 BenchmarkEngineTransport/faultnet 0
 BenchmarkEngineTransport/faultnet-storm 0
 BenchmarkSubmitPath 40
 BenchmarkCheckpointEncode 60
 BenchmarkWireEncode 0
-BenchmarkSnapshotScan/mutex 1
+BenchmarkSnapshotScan/registers 1
 BenchmarkSnapshotScan/waitfree 1
-BenchmarkE10Async 40
-BenchmarkAsyncCampaign 3000
+BenchmarkE10Async 8
+BenchmarkAsyncCampaign 64
 BenchmarkConditionIndex/n8/explicit 0
 BenchmarkConditionIndex/n8/compiled 0
 BenchmarkConditionIndex/n16/explicit 0
@@ -97,7 +104,7 @@ BenchmarkE10Async 120000
 '
 
 raw="$(go test -run '^$' -bench 'E1Lattice$|E9Adversary$|CampaignThroughput/campaign|CollectorPath$|EngineTransport|SubmitPath$|CheckpointEncode$|WireEncode$|E10Async$|SnapshotScan|AsyncCampaign$|ConditionIndex|EngineRound' \
-	-benchmem -benchtime "$benchtime" -count 1 . ./internal/rounds/ ./internal/service/ ./internal/wire/ ./internal/condition/)"
+	-benchmem -benchtime "$benchtime" -count 1 -cpu 1 . ./internal/rounds/ ./internal/service/ ./internal/wire/ ./internal/condition/)"
 printf '%s\n' "$raw"
 
 printf '%s\n' "$raw" | awk -v budgets="$budgets" -v nsbudgets="$nsbudgets" '

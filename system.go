@@ -347,6 +347,11 @@ type worker struct {
 	aout async.Outcome
 	acp  []async.CrashPoint
 
+	// sc is the scenario of the campaign run in progress: executors are
+	// handed a pointer to this slot, cleared when the worker goes back to
+	// the pool.
+	sc Scenario
+
 	// wt is the worker's wire transport under WithTransport, created by
 	// the owning System's factory on first use. Workers outlive Systems
 	// in the shared pool, so the owner is tracked and the transport is
@@ -404,5 +409,8 @@ func (w *worker) transport(s *System, sc *Scenario) (rounds.Transport, error) {
 // so short-lived Systems still reuse warmed engine buffers.
 var workerPool = sync.Pool{New: func() any { return &worker{runner: core.NewRunner()} }}
 
-func getWorker() *worker  { return workerPool.Get().(*worker) }
-func putWorker(w *worker) { workerPool.Put(w) }
+func getWorker() *worker { return workerPool.Get().(*worker) }
+func putWorker(w *worker) {
+	w.sc = Scenario{}
+	workerPool.Put(w)
+}
