@@ -198,7 +198,7 @@ func testStatePayloads(t *testing.T, mk Factory) {
 	msgs := []*core.StateMsg{
 		{Cond: 3, Out: 0, Tmf: 1},
 		{Cond: 0, Out: 2, Tmf: 0},
-		{Cond: 64, Out: 64, Tmf: 64}, // the value-domain cap, beyond Key64 packing
+		{Cond: 64, Out: 64, Tmf: 64}, // the value-domain cap
 	}
 	for src := 1; src <= n; src++ {
 		tr.Send(1, rounds.ProcessID(src), msgs[src-1], order, n)

@@ -136,6 +136,20 @@ func TestSubmitValidationVectors(t *testing.T) {
 			wantCode: "bad_params",
 		},
 		{
+			name: "bad failures: count over the family bound",
+			body: `{"params": {"n": 4, "t": 2, "k": 1, "d": 1, "l": 1},
+			       "condition": {"kind": "max", "m": 3}, "source": {"kind": "exhaustive"},
+			       "failures": {"kind": "random", "count": 1000000}}`,
+			wantCode: "bad_params",
+		},
+		{
+			name: "bad fault plan: size over the family bound",
+			body: `{"params": {"n": 4, "t": 2, "k": 1, "d": 1, "l": 1},
+			       "condition": {"kind": "max", "m": 3}, "source": {"kind": "exhaustive"},
+			       "faults": {"kind": "storm", "size": 1000000, "max_delay": 2, "intensity": 0.2}}`,
+			wantCode: "bad_params",
+		},
+		{
 			name: "conflicting executor and executors",
 			body: `{"params": {"n": 4, "t": 2, "k": 1, "d": 1, "l": 1},
 			       "condition": {"kind": "max", "m": 3}, "executor": "early",
@@ -145,9 +159,14 @@ func TestSubmitValidationVectors(t *testing.T) {
 	}
 	for _, tc := range vectors {
 		t.Run(tc.name, func(t *testing.T) {
+			start := time.Now()
 			resp, data := post(t, ts.URL+"/v1/campaigns", tc.body)
 			if resp.StatusCode != http.StatusBadRequest {
 				t.Fatalf("status = %d, want 400 (body %s)", resp.StatusCode, data)
+			}
+			// A million-pattern family took 14 s to build before it was refused.
+			if elapsed := time.Since(start); elapsed > 2*time.Second {
+				t.Errorf("rejection took %v: the handler did the job's work first", elapsed)
 			}
 			var body struct {
 				Error errorBody `json:"error"`

@@ -14,9 +14,8 @@
 //	Section 2.2   d_H and the generalized distance d_G (Definition 1)
 //	Section 6.2   OrderedViews — the containment chain of round-1 views
 //
-// Two representation choices carry the module's performance budget: the
+// One representation choice carries the module's performance budget: the
 // value domain is capped at 64 (MaxSetValue) so a value Set is one
-// machine word with allocation-free operations, and Vector.Key64 packs
-// small vectors into one uint64 (the wire codec's state payload). Enumeration (ForEach and the
-// resumable Enum pull iterator) streams over a single reusable buffer.
+// machine word with allocation-free operations. Enumeration (ForEach and
+// the resumable Enum pull iterator) streams over a single reusable buffer.
 package vector

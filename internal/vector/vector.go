@@ -1,7 +1,6 @@
 package vector
 
 import (
-	"math/bits"
 	"strconv"
 	"strings"
 )
@@ -273,8 +272,9 @@ func (v Vector) slowKey() string {
 
 // Key64 packs v into a single integer key: ok when len(v) ≤ 10 and every
 // entry lies in 0..63 (⊥ included). The packing is prefixed with a sentinel
-// bit, so vectors of different lengths never collide. The wire codec
-// moves the protocols' state triples as one such integer.
+// bit, so vectors of different lengths never collide. No library code
+// calls it any more (wire frame v2 sends a state triple as three bytes);
+// it and Key stay only because the frozen bench/ prices them — ROADMAP 5(d).
 func (v Vector) Key64() (uint64, bool) {
 	if len(v) > 10 {
 		return 0, false
@@ -287,29 +287,6 @@ func (v Vector) Key64() (uint64, bool) {
 		k = k<<6 | uint64(x)
 	}
 	return k, true
-}
-
-// DecodeKey64 reverses Key64: it unpacks a key produced by Key64 into the
-// vector it encodes, appending to dst (which may be nil). The sentinel bit
-// prefix makes the encoding self-delimiting — the key's bit length fixes
-// the vector length — so ok reports whether key is a well-formed packing
-// (some Key64 output); for every valid key, DecodeKey64 then Key64 is the
-// identity. The wire codec uses this to move packed views and state
-// triples as single integers.
-func DecodeKey64(key uint64, dst Vector) (Vector, bool) {
-	if key == 0 {
-		return nil, false
-	}
-	bl := bits.Len64(key)
-	if (bl-1)%6 != 0 {
-		return nil, false
-	}
-	n := (bl - 1) / 6
-	out := dst
-	for i := n - 1; i >= 0; i-- {
-		out = append(out, Value(key>>(uint(i)*6)&63))
-	}
-	return out, true
 }
 
 // String renders the vector in the paper's [a b ⊥ c] style.

@@ -8,10 +8,10 @@ import (
 	"kset/internal/rounds"
 )
 
-// Frame layout, big-endian, at most MaxFrame = 15 bytes per datagram:
+// Frame layout (v2), big-endian, at most MaxFrame = 10 bytes per datagram:
 //
 //	offset  size  field
-//	0       1     version byte (0x6B)
+//	0       1     version byte (0x6C; v1 was 0x6B)
 //	1       1     frame type (data=1 ack=2 fin=3 finack=4)
 //	2       2     round number, uint16, ≥ 1
 //	4       1     source process ID, 1..n
@@ -22,24 +22,31 @@ import (
 // The payload kind byte is a base kind in its low nibble plus flag bits:
 //
 //	0x01  value       1 byte: a proposal/estimate value 0..64
-//	0x02  state       8 bytes: Key64 of the (cond, out, tmf) state triple
-//	0x03  state-raw   3 bytes: one per field — canonical only when the
-//	                  triple is not Key64-packable (some field is 64)
+//	0x02  state       3 bytes: the (cond, out, tmf) state triple, one value
+//	                  0..64 per field
 //	0x40  early       payload is wrapped in a *core.EarlyMsg
 //	0x80  decide      the EarlyMsg flag is set (requires 0x40)
 //
 // Bits 0x30 are reserved and must be zero. Every frame has exactly one
 // valid length, so the decoder rejects both truncation and trailing
-// garbage, and any accepted frame re-encodes byte-identically.
+// garbage, and any accepted frame re-encodes byte-identically. Both ABIs
+// are pinned by testdata/frames_v2.json: v2 byte for byte, v1 as rejects.
+//
+// v1 (0x6B) moved the state triple as an 8-byte packed key, or as three raw
+// bytes (kind 0x03) when a field was 64, and had to reject a raw triple
+// that was packable. Nothing deployed spoke it, so v2 replaced it outright;
+// the next format change costs one more bump of Version and one more
+// reject vector.
 
 // Version is the first byte of every frame. A datagram that does not
-// start with it is not ours and is dropped before any decoding.
-const Version byte = 0x6B
+// start with it — a v1 frame included — is not ours and is dropped before
+// any decoding.
+const Version byte = 0x6C
 
 // MaxFrame is the size of the largest encodable frame (a data frame
-// carrying a Key64-packed state triple). Receive buffers of this size
-// never truncate a valid frame.
-const MaxFrame = 15
+// carrying a state triple). Receive buffers of this size never truncate a
+// valid frame.
+const MaxFrame = 10
 
 // MaxRound is the largest round number the 16-bit round field can carry —
 // orders of magnitude above the protocols' t+1 bound.
@@ -47,6 +54,20 @@ const MaxRound = 1<<16 - 1
 
 // headerSize is the fixed prefix shared by all frame types.
 const headerSize = 6
+
+// mailSlot holds one encoded in-flight frame.
+type mailSlot struct {
+	buf [MaxFrame]byte
+	len int
+}
+
+// bytes returns the encoded frame, nil if the slot is empty.
+func (s *mailSlot) bytes() []byte {
+	if s.len == 0 {
+		return nil
+	}
+	return s.buf[:s.len]
+}
 
 // FrameType discriminates the four datagram kinds.
 type FrameType byte
@@ -129,44 +150,21 @@ func EncodeFrame(buf []byte, f *Frame) (int, error) {
 // DecodeFrame parses one datagram. It never panics: arbitrary input
 // yields either a valid Frame or an error wrapping kerr.ErrBadFrame. The
 // decoder is strict — exact lengths, reserved bits clear, fields in
-// range, canonical payload encoding — so every accepted frame re-encodes
-// to the same bytes.
+// range — so every accepted frame re-encodes to the same bytes.
 func DecodeFrame(data []byte) (Frame, error) {
-	var f Frame
-	if len(data) < headerSize {
-		return f, badFrame("short frame: %d bytes", len(data))
+	t, round, src, dst, ok := Peek(data, 0)
+	if !ok {
+		return Frame{}, badFrame("version, type, length or a zero header field in % x", data[:min(len(data), MaxFrame)])
 	}
-	if data[0] != Version {
-		return f, badFrame("version byte %#x, want %#x", data[0], Version)
-	}
-	f.Type = FrameType(data[1])
-	f.Round = int(binary.BigEndian.Uint16(data[2:4]))
-	if f.Round == 0 {
-		return f, badFrame("round 0")
-	}
-	f.Src = rounds.ProcessID(data[4])
-	f.Dst = rounds.ProcessID(data[5])
-	if f.Src == 0 || f.Dst == 0 {
-		return f, badFrame("process ID 0")
-	}
-	switch f.Type {
-	case TypeAck, TypeFin, TypeFinAck:
-		if len(data) != headerSize {
-			return f, badFrame("%v frame has %d trailing bytes", f.Type, len(data)-headerSize)
-		}
-		return f, nil
-	case TypeData:
-		if len(data) < headerSize+1 {
-			return f, badFrame("data frame without payload kind")
-		}
-		p, err := decodePayload(data[6:])
+	f := Frame{Type: t, Round: round, Src: src, Dst: dst}
+	if t == TypeData {
+		p, err := decodePayload(data[headerSize:])
 		if err != nil {
 			return f, err
 		}
 		f.Payload = p
-		return f, nil
 	}
-	return f, badFrame("unknown frame type %d", data[1])
+	return f, nil
 }
 
 // Peek is the cheap validity filter run on every received datagram before
@@ -174,7 +172,8 @@ func DecodeFrame(data []byte) (Frame, error) {
 // It reports the frame's type, round and direction so receivers can drop
 // duplicates, stale rounds and misdirected frames without paying for
 // payload decoding; n bounds the process IDs (0 skips that check). ok is
-// false for anything DecodeFrame could not possibly accept.
+// false for anything DecodeFrame could not possibly accept: it is the
+// header parser DecodeFrame itself starts with.
 func Peek(data []byte, n int) (t FrameType, round int, src, dst rounds.ProcessID, ok bool) {
 	if len(data) < headerSize || data[0] != Version {
 		return 0, 0, 0, 0, false

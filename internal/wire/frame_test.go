@@ -2,11 +2,15 @@ package wire
 
 import (
 	"bytes"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
+	"os"
 	"testing"
 
 	"kset/internal/core"
 	"kset/internal/kerr"
+	"kset/internal/rounds"
 	"kset/internal/vector"
 )
 
@@ -21,27 +25,89 @@ func mustEncode(t *testing.T, f *Frame) []byte {
 	return buf[:n]
 }
 
-// roundTripFrames is the shared corpus of valid frames: every type, every
-// payload shape, both state encodings, the early wrapper with and without
-// its flag, and the field extremes.
-func roundTripFrames() []Frame {
-	return []Frame{
-		{Type: TypeAck, Round: 1, Src: 1, Dst: 2},
-		{Type: TypeFin, Round: MaxRound, Src: 255, Dst: 1},
-		{Type: TypeFinAck, Round: 7, Src: 3, Dst: 3},
-		{Type: TypeData, Round: 1, Src: 2, Dst: 5, Payload: vector.Value(0)},
-		{Type: TypeData, Round: 1, Src: 2, Dst: 5, Payload: vector.Value(17)},
-		{Type: TypeData, Round: 9, Src: 1, Dst: 1, Payload: vector.MaxSetValue},
-		{Type: TypeData, Round: 2, Src: 4, Dst: 2, Payload: &core.StateMsg{Cond: 3, Out: 0, Tmf: 1}},
-		{Type: TypeData, Round: 2, Src: 4, Dst: 2, Payload: &core.StateMsg{}},
-		{Type: TypeData, Round: 2, Src: 4, Dst: 2, Payload: &core.StateMsg{Cond: 63, Out: 63, Tmf: 63}},
-		{Type: TypeData, Round: 3, Src: 1, Dst: 2, Payload: &core.StateMsg{Cond: 64, Out: 0, Tmf: 5}},
-		{Type: TypeData, Round: 3, Src: 1, Dst: 2, Payload: &core.StateMsg{Cond: 64, Out: 64, Tmf: 64}},
-		{Type: TypeData, Round: 1, Src: 5, Dst: 6, Payload: &core.EarlyMsg{Payload: vector.Value(4), Flag: false}},
-		{Type: TypeData, Round: 1, Src: 5, Dst: 6, Payload: &core.EarlyMsg{Payload: vector.Value(4), Flag: true}},
-		{Type: TypeData, Round: 4, Src: 6, Dst: 5, Payload: &core.EarlyMsg{Payload: &core.StateMsg{Cond: 2, Out: 1, Tmf: 0}, Flag: true}},
-		{Type: TypeData, Round: 4, Src: 6, Dst: 5, Payload: &core.EarlyMsg{Payload: &core.StateMsg{Out: 64}, Flag: false}},
+// frameVector is one entry of testdata/frames_v2.json: the bytes on the
+// link and, for an accepted frame, the fields they stand for.
+type frameVector struct {
+	Name   string  `json:"name"`
+	Hex    string  `json:"hex"`
+	Type   string  `json:"type"`
+	Round  int     `json:"round"`
+	Src    int     `json:"src"`
+	Dst    int     `json:"dst"`
+	Value  *int    `json:"value"`
+	State  *[3]int `json:"state"` // cond, out, tmf
+	Early  bool    `json:"early"`
+	Decide bool    `json:"decide"`
+}
+
+// bytes decodes the vector's hex form.
+func (v frameVector) bytes(tb testing.TB) []byte {
+	tb.Helper()
+	b, err := hex.DecodeString(v.Hex)
+	if err != nil {
+		tb.Fatalf("vector %q: %v", v.Name, err)
 	}
+	return b
+}
+
+// frame builds the Frame an accept vector describes.
+func (v frameVector) frame(tb testing.TB) Frame {
+	tb.Helper()
+	f := Frame{Round: v.Round, Src: rounds.ProcessID(v.Src), Dst: rounds.ProcessID(v.Dst)}
+	for _, ft := range []FrameType{TypeData, TypeAck, TypeFin, TypeFinAck} {
+		if ft.String() == v.Type {
+			f.Type = ft
+		}
+	}
+	switch {
+	case f.Type == 0 || (v.Value != nil && v.State != nil) || (v.Decide && !v.Early):
+		tb.Fatalf("vector %q is malformed", v.Name)
+	case v.Value != nil:
+		f.Payload = vector.Value(*v.Value)
+	case v.State != nil:
+		f.Payload = &core.StateMsg{Cond: vector.Value(v.State[0]), Out: vector.Value(v.State[1]), Tmf: vector.Value(v.State[2])}
+	}
+	if v.Early {
+		f.Payload = &core.EarlyMsg{Payload: f.Payload, Flag: v.Decide}
+	}
+	return f
+}
+
+// frameVectors is the versioned frame corpus: every frame type and payload
+// shape in its pinned v2 bytes, and the v1 encodings v2 must refuse.
+type frameVectors struct {
+	Version  int           `json:"version"`
+	Accept   []frameVector `json:"accept"`
+	RejectV1 []frameVector `json:"reject_v1"`
+}
+
+func loadFrameVectors(tb testing.TB) frameVectors {
+	tb.Helper()
+	raw, err := os.ReadFile("testdata/frames_v2.json")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var set frameVectors
+	if err := json.Unmarshal(raw, &set); err != nil {
+		tb.Fatalf("testdata/frames_v2.json: %v", err)
+	}
+	if set.Version != 2 || len(set.Accept) == 0 || len(set.RejectV1) == 0 {
+		tb.Fatalf("testdata/frames_v2.json: version %d with %d accept and %d v1 vectors", set.Version, len(set.Accept), len(set.RejectV1))
+	}
+	return set
+}
+
+// roundTripFrames is the shared corpus of valid frames: the vector file's
+// accept side — every type, every payload shape, the early wrapper with
+// and without its flag, and the field extremes.
+func roundTripFrames(tb testing.TB) []Frame {
+	tb.Helper()
+	set := loadFrameVectors(tb)
+	frames := make([]Frame, len(set.Accept))
+	for i, v := range set.Accept {
+		frames[i] = v.frame(tb)
+	}
+	return frames
 }
 
 // samePayload compares payloads by value (state messages cross the codec
@@ -59,7 +125,7 @@ func samePayload(a, b any) bool {
 }
 
 func TestFrameRoundTrip(t *testing.T) {
-	for _, f := range roundTripFrames() {
+	for _, f := range roundTripFrames(t) {
 		enc := mustEncode(t, &f)
 		got, err := DecodeFrame(enc)
 		if err != nil {
@@ -82,23 +148,37 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestEarlyFrameBytes pins the encoding of the early-deciding wrapper byte
-// for byte, as it was while the wrapper still travelled by value: the
-// pointer form is an in-process representation, not a format change.
-func TestEarlyFrameBytes(t *testing.T) {
-	for _, tc := range []struct {
-		f    Frame
-		want []byte
-	}{
-		{Frame{Type: TypeData, Round: 1, Src: 5, Dst: 6, Payload: &core.EarlyMsg{Payload: vector.Value(4), Flag: true}},
-			[]byte{Version, 1, 0, 1, 5, 6, 0xc1, 4}},
-		{Frame{Type: TypeData, Round: 4, Src: 6, Dst: 5, Payload: &core.EarlyMsg{Payload: &core.StateMsg{Cond: 2, Out: 1, Tmf: 0}}},
-			[]byte{Version, 1, 0, 4, 6, 5, 0x42, 0, 0, 0, 0, 0, 4, 0x20, 0x40}},
-		{Frame{Type: TypeData, Round: 4, Src: 6, Dst: 5, Payload: &core.EarlyMsg{Payload: &core.StateMsg{Out: 64}, Flag: true}},
-			[]byte{Version, 1, 0, 4, 6, 5, 0xc3, 0, 64, 0}},
-	} {
-		if got := mustEncode(t, &tc.f); !bytes.Equal(got, tc.want) {
-			t.Errorf("%+v encodes to %x, want %x", tc.f, got, tc.want)
+// TestFrameABI pins both frame formats byte for byte: each accept vector
+// encodes to exactly its recorded v2 bytes and decodes back to its fields,
+// and each v1 datagram — the format's old encodings, the vectors of the
+// former TestEarlyFrameBytes among them — dies at the version byte, in the
+// header filter and in the decoder alike.
+func TestFrameABI(t *testing.T) {
+	set := loadFrameVectors(t)
+	for _, v := range set.Accept {
+		f, want := v.frame(t), v.bytes(t)
+		if got := mustEncode(t, &f); !bytes.Equal(got, want) {
+			t.Errorf("%s: encodes to %x, want %x", v.Name, got, want)
+		}
+		got, err := DecodeFrame(want)
+		if err != nil {
+			t.Errorf("%s: DecodeFrame(%x): %v", v.Name, want, err)
+			continue
+		}
+		if got.Type != f.Type || got.Round != f.Round || got.Src != f.Src || got.Dst != f.Dst || !samePayload(got.Payload, f.Payload) {
+			t.Errorf("%s: %x decodes to %+v, want %+v", v.Name, want, got, f)
+		}
+	}
+	for _, v := range set.RejectV1 {
+		data := v.bytes(t)
+		if data[0] == Version {
+			t.Fatalf("%s: a v1 vector carries the v2 version byte", v.Name)
+		}
+		if _, err := DecodeFrame(data); !errors.Is(err, kerr.ErrBadFrame) {
+			t.Errorf("%s: DecodeFrame(%x) err = %v, want ErrBadFrame", v.Name, data, err)
+		}
+		if _, _, _, _, ok := Peek(data, 0); ok {
+			t.Errorf("%s: Peek accepts v1 datagram %x", v.Name, data)
 		}
 	}
 }
@@ -159,12 +239,11 @@ func TestDecodeRejects(t *testing.T) {
 		{"decide without early", []byte{Version, 1, 0, 1, 1, 2, 0x81, 1}},
 		{"value above cap", value(65)},
 		{"value trailing", append(value(1), 0)},
-		{"state short", []byte{Version, 1, 0, 1, 1, 2, 0x02, 0, 0, 0, 0, 0, 0, 0}},
-		{"state key zero", []byte{Version, 1, 0, 1, 1, 2, 0x02, 0, 0, 0, 0, 0, 0, 0, 0}},
-		{"state key not a triple", []byte{Version, 1, 0, 1, 1, 2, 0x02, 0, 0, 0, 0, 0, 0, 0, 0x43}},
-		{"raw state short", []byte{Version, 1, 0, 1, 1, 2, 0x03, 64, 0}},
-		{"raw state above cap", []byte{Version, 1, 0, 1, 1, 2, 0x03, 65, 0, 0}},
-		{"raw state packable", []byte{Version, 1, 0, 1, 1, 2, 0x03, 3, 0, 1}},
+		{"state short", []byte{Version, 1, 0, 1, 1, 2, 0x02, 64, 0}},
+		{"state trailing", []byte{Version, 1, 0, 1, 1, 2, 0x02, 3, 0, 1, 0}},
+		{"state field above cap", []byte{Version, 1, 0, 1, 1, 2, 0x02, 0, 65, 0}},
+		{"v1 state key body", []byte{Version, 1, 0, 1, 1, 2, 0x02, 0, 0, 0, 0, 0, 4, 0x30, 0x01}},
+		{"v1 raw state kind", []byte{Version, 1, 0, 1, 1, 2, 0x03, 64, 0, 5}},
 	}
 	for _, tc := range cases {
 		if _, err := DecodeFrame(tc.data); !errors.Is(err, kerr.ErrBadFrame) {

@@ -15,24 +15,25 @@ import (
 // valid frames and their encodings, and a receiver can cache or compare
 // raw datagrams safely). Peek must never reject what DecodeFrame accepts.
 func FuzzFrameDecode(f *testing.F) {
-	for _, fr := range roundTripFrames() {
-		var buf [MaxFrame]byte
-		n, err := EncodeFrame(buf[:], &fr)
-		if err != nil {
-			f.Fatalf("seed encode: %v", err)
-		}
-		f.Add(buf[:n])
+	set := loadFrameVectors(f)
+	for _, v := range set.Accept {
+		enc := v.bytes(f)
+		n := len(enc)
+		f.Add(enc)
 		// Corrupted siblings of each valid seed.
 		for _, mut := range []int{0, 1, 2, 6, n - 1} {
 			if mut >= n {
 				continue
 			}
-			c := bytes.Clone(buf[:n])
+			c := bytes.Clone(enc)
 			c[mut] ^= 0x80
 			f.Add(c)
 		}
-		f.Add(buf[:n-1])
-		f.Add(append(bytes.Clone(buf[:n]), 0))
+		f.Add(enc[:n-1])
+		f.Add(append(bytes.Clone(enc), 0))
+	}
+	for _, v := range set.RejectV1 {
+		f.Add(v.bytes(f))
 	}
 	f.Add([]byte{})
 	f.Add([]byte{Version})

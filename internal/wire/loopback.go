@@ -2,7 +2,6 @@ package wire
 
 import (
 	"errors"
-	"os"
 	"time"
 
 	"kset/internal/prng"
@@ -45,6 +44,11 @@ type loopSlot struct {
 // the shape a faultnet loss produces. Lossless runs are byte-identical
 // to MatrixTransport runs; lossy ones fold into the same stats plane as
 // faultnet campaigns via rounds.FaultCounter.
+//
+// The zero value has no mesh and never dials one: every copy takes the
+// path a sender's copy to itself always takes — encoded into its slot,
+// decoded back, marked arrived — with no sockets, goroutines or timing
+// anywhere (see PipeTransport).
 type Loopback struct {
 	cfg       LoopbackConfig
 	n         int
@@ -52,12 +56,18 @@ type Loopback struct {
 	slots     []loopSlot // slots[(dst-1)*n+(src-1)]
 	delivered int64
 	lost      int64
-	round     int
 	cancel    <-chan struct{}
 	rng       prng.Rand
 	firstErr  error
 	readBuf   [64]byte
 }
+
+// PipeTransport is the deterministic in-process wire harness: a Loopback
+// without a mesh. A run over &PipeTransport{} exercises exactly the
+// serialization the UDP transports use, so it pins down that the codec
+// preserves round semantics (results byte-identical to MatrixTransport)
+// independently of network behavior.
+type PipeTransport = Loopback
 
 // NewLoopback builds the transport and dials its n-endpoint mesh.
 func NewLoopback(cfg LoopbackConfig, n int) (*Loopback, error) {
@@ -91,29 +101,26 @@ func (t *Loopback) dial(n int) error {
 		}
 		return errors.New("wire: loopback dial returned wrong endpoint count")
 	}
-	t.closeConns()
+	t.Close()
 	t.conns = conns
 	t.n = n
 	return nil
 }
 
-func (t *Loopback) closeConns() {
+// Close releases the mesh endpoints.
+func (t *Loopback) Close() error {
 	for _, c := range t.conns {
 		c.Close()
 	}
 	t.conns = nil
-}
-
-// Close releases the mesh endpoints.
-func (t *Loopback) Close() error {
-	t.closeConns()
 	return nil
 }
 
 // Err returns the first internal error hit since Reset: a codec failure
-// on an engine payload or a redial failure. Affected copies are dropped
-// (indistinguishable from loss), so runs still terminate; tests assert
-// Err is nil.
+// on an engine payload or a redial failure. The engine-facing Transport
+// methods cannot return errors, so a copy that fails the codec is dropped
+// (indistinguishable from loss) and a transport whose redial failed runs
+// meshless; either way the run terminates and the error is kept here.
 func (t *Loopback) Err() error { return t.firstErr }
 
 func (t *Loopback) fail(err error) {
@@ -128,13 +135,13 @@ func (t *Loopback) SetCancel(cancel <-chan struct{}) { t.cancel = cancel }
 // Reset implements rounds.Transport, redialing only when n changes.
 func (t *Loopback) Reset(n int) {
 	t.firstErr = nil
-	if n != t.n || t.conns == nil {
+	if t.cfg.Dial != nil && (n != t.n || t.conns == nil) {
 		if err := t.dial(n); err != nil {
 			t.fail(err)
-			t.conns = nil
-			t.n = n
+			t.Close()
 		}
 	}
+	t.n = n
 	if cap(t.slots) < n*n {
 		t.slots = make([]loopSlot, n*n)
 	}
@@ -142,7 +149,6 @@ func (t *Loopback) Reset(n int) {
 	t.clearSlots()
 	t.delivered = 0
 	t.lost = 0
-	t.round = 0
 	t.rng = prng.New(t.cfg.Seed)
 }
 
@@ -153,16 +159,14 @@ func (t *Loopback) clearSlots() {
 }
 
 // BeginRound implements rounds.Transport.
-func (t *Loopback) BeginRound(r int) {
-	t.clearSlots()
-	t.round = r
-}
+func (t *Loopback) BeginRound(int) { t.clearSlots() }
 
 // Send implements rounds.Transport: each copy is encoded once and
 // transmitted from the sender's endpoint; the encoded frame is kept for
-// retransmission. Copies to the sender itself short-circuit through the
-// codec without touching the network. Delivered counts at hand-over, as
-// MatrixTransport does, and is decremented for copies later written off.
+// retransmission. Copies to the sender itself — and, without a mesh, all
+// copies — short-circuit through the codec without touching the network.
+// Delivered counts at hand-over, as MatrixTransport does, and is
+// decremented for copies later written off.
 func (t *Loopback) Send(r int, src rounds.ProcessID, payload any, order []rounds.ProcessID, limit int) {
 	f := Frame{Type: TypeData, Round: r, Src: src, Payload: payload}
 	for k := 0; k < limit; k++ {
@@ -174,7 +178,7 @@ func (t *Loopback) Send(r int, src rounds.ProcessID, payload any, order []rounds
 			continue
 		}
 		slot.frame.len = n
-		if f.Dst == src {
+		if f.Dst == src || t.conns == nil {
 			dec, err := DecodeFrame(slot.frame.bytes())
 			if err != nil {
 				t.fail(err)
@@ -185,10 +189,8 @@ func (t *Loopback) Send(r int, src rounds.ProcessID, payload any, order []rounds
 			slot.got = true
 			continue
 		}
-		if t.conns != nil {
-			if err := t.conns[int(src)-1].WriteTo(slot.frame.bytes(), f.Dst); err != nil {
-				t.fail(err)
-			}
+		if err := t.conns[int(src)-1].WriteTo(slot.frame.bytes(), f.Dst); err != nil {
+			t.fail(err)
 		}
 	}
 	t.delivered += int64(limit)
@@ -208,7 +210,7 @@ func (t *Loopback) Deliver(r int, dst rounds.ProcessID, row []any) {
 			pending++
 		}
 	}
-	if pending > 0 && t.conns != nil {
+	if pending > 0 {
 		t.await(r, dst, base, pending)
 	}
 	for src := 0; src < t.n; src++ {
@@ -230,21 +232,12 @@ func (t *Loopback) Deliver(r int, dst rounds.ProcessID, row []any) {
 // the deadline passes.
 func (t *Loopback) await(r int, dst rounds.ProcessID, base, pending int) {
 	conn := t.conns[int(dst)-1]
-	deadline := time.Now().Add(t.cfg.RoundTimeout)
-	interval := t.cfg.Retransmit
-	next := time.Now().Add(jittered(&t.rng, interval))
-	const pollTick = 100 * time.Millisecond
+	pc := startPacer(&t.rng, t.cfg.RoundTimeout, t.cfg.Retransmit, true)
 	for pending > 0 {
-		select {
-		case <-t.cancel:
+		switch pc.tick(t.cancel) {
+		case paceCanceled, paceExpired:
 			return
-		default:
-		}
-		now := time.Now()
-		if !now.Before(deadline) {
-			return
-		}
-		if !now.Before(next) {
+		case paceSend:
 			for src := 0; src < t.n; src++ {
 				slot := &t.slots[base+src]
 				if slot.frame.len > 0 && !slot.got {
@@ -253,26 +246,16 @@ func (t *Loopback) await(r int, dst rounds.ProcessID, base, pending int) {
 					}
 				}
 			}
-			interval = backoff(interval, t.cfg.RoundTimeout/4)
-			next = now.Add(jittered(&t.rng, interval))
 		}
-		wait := minTime(deadline, next)
-		if poll := now.Add(pollTick); poll.Before(wait) {
-			wait = poll
-		}
-		conn.SetReadDeadline(wait)
-		n, err := conn.ReadFrom(t.readBuf[:])
+		n, err := pc.read(conn, t.readBuf[:])
 		if err != nil {
-			if errors.Is(err, os.ErrDeadlineExceeded) {
-				continue
-			}
 			t.fail(err)
 			return
 		}
 		data := t.readBuf[:n]
 		ft, fr, fsrc, fdst, ok := Peek(data, t.n)
 		if !ok || ft != TypeData || fr != r || fdst != dst {
-			continue // stale round, duplicate of a finished wait, or noise
+			continue // timeout, stale round, duplicate of a finished wait, or noise
 		}
 		slot := &t.slots[base+int(fsrc)-1]
 		if slot.frame.len == 0 || slot.got {
@@ -287,13 +270,6 @@ func (t *Loopback) await(r int, dst rounds.ProcessID, base, pending int) {
 		slot.got = true
 		pending--
 	}
-}
-
-func minTime(a, b time.Time) time.Time {
-	if b.Before(a) {
-		return b
-	}
-	return a
 }
 
 // Delivered implements rounds.Transport.

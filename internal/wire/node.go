@@ -3,7 +3,6 @@ package wire
 import (
 	"errors"
 	"fmt"
-	"os"
 	"time"
 
 	"kset/internal/prng"
@@ -65,6 +64,8 @@ type NodeResult struct {
 }
 
 // futKey addresses a buffered payload from a peer running ahead of us.
+// Only rounds in (round, MaxRounds] are buffered, so a node never holds
+// more than (MaxRounds − round)·(N − 1) of them.
 type futKey struct {
 	round int
 	src   rounds.ProcessID
@@ -103,6 +104,16 @@ type node struct {
 // retransmissions quiesce) but its payloads are ignored, which is
 // exactly how the engine's crash adversary looks to the protocol.
 func RunNode(proc rounds.Process, cfg NodeConfig) (*NodeResult, error) {
+	nd, err := newNode(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return nd.run(proc)
+}
+
+// newNode validates the configuration, fills in its defaults and builds
+// the run state.
+func newNode(cfg NodeConfig) (*node, error) {
 	if cfg.N < 1 || cfg.ID < 1 || int(cfg.ID) > cfg.N || cfg.N > 255 {
 		return nil, fmt.Errorf("wire: node id %d of n=%d out of range", cfg.ID, cfg.N)
 	}
@@ -124,7 +135,7 @@ func RunNode(proc rounds.Process, cfg NodeConfig) (*NodeResult, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 0x6B736574 + uint64(cfg.ID)<<32
 	}
-	nd := &node{
+	return &node{
 		cfg:       cfg,
 		rng:       prng.New(cfg.Seed),
 		suspected: make([]bool, cfg.N),
@@ -135,8 +146,7 @@ func RunNode(proc rounds.Process, cfg NodeConfig) (*NodeResult, error) {
 		got:       make([]bool, cfg.N),
 		acked:     make([]bool, cfg.N),
 		recv:      make([]any, cfg.N),
-	}
-	return nd.run(proc)
+	}, nil
 }
 
 func (nd *node) run(proc rounds.Process) (*NodeResult, error) {
@@ -208,15 +218,12 @@ func (nd *node) expect(p rounds.ProcessID) bool {
 	return true
 }
 
-// roundComplete reports whether every expected payload arrived and every
-// expected ack came back.
-func (nd *node) roundComplete() bool {
+// confirmed reports whether every expected peer has acked this round's
+// data and is marked in also: got (its payload arrived) completes a round,
+// finAcked (it confirmed our fin) completes the linger.
+func (nd *node) confirmed(also []bool) bool {
 	for p := 1; p <= nd.cfg.N; p++ {
-		pid := rounds.ProcessID(p)
-		if !nd.expect(pid) {
-			continue
-		}
-		if !nd.got[p-1] || !nd.acked[p-1] {
+		if nd.expect(rounds.ProcessID(p)) && !(also[p-1] && nd.acked[p-1]) {
 			return false
 		}
 	}
@@ -227,21 +234,16 @@ func (nd *node) roundComplete() bool {
 // retransmit-until-ack, collect payloads, suspect absentees at the
 // deadline.
 func (nd *node) exchange() error {
-	deadline := time.Now().Add(nd.cfg.RoundTimeout)
-	interval := nd.cfg.Retransmit
-	next := time.Now() // first transmission is immediate
+	pc := startPacer(&nd.rng, nd.cfg.RoundTimeout, nd.cfg.Retransmit, false)
 	first := true
-	const pollTick = 100 * time.Millisecond
-	for !nd.roundComplete() {
-		if nd.canceled() {
+	for !nd.confirmed(nd.got) {
+		switch pc.tick(nd.cfg.Cancel) {
+		case paceCanceled:
 			return rounds.ErrCanceled
-		}
-		now := time.Now()
-		if !now.Before(deadline) {
+		case paceExpired:
 			nd.suspectAbsentees()
 			return nil
-		}
-		if !now.Before(next) {
+		case paceSend:
 			if err := nd.broadcast(first); err != nil {
 				return err
 			}
@@ -249,10 +251,8 @@ func (nd *node) exchange() error {
 				nd.cfg.OnRound(nd.round)
 			}
 			first = false
-			interval = backoff(interval, nd.cfg.RoundTimeout/4)
-			next = now.Add(jittered(&nd.rng, interval))
 		}
-		if err := nd.readOne(deadline, next, pollTick); err != nil {
+		if err := nd.readOne(&pc); err != nil {
 			return err
 		}
 	}
@@ -278,19 +278,11 @@ func (nd *node) broadcast(first bool) error {
 	return nil
 }
 
-// readOne waits for at most one datagram, bounded by the round deadline,
-// the next retransmission and the cancel poll tick, and dispatches it.
-func (nd *node) readOne(deadline, next time.Time, pollTick time.Duration) error {
-	wait := minTime(deadline, next)
-	if poll := time.Now().Add(pollTick); poll.Before(wait) {
-		wait = poll
-	}
-	nd.cfg.Conn.SetReadDeadline(wait)
-	n, err := nd.cfg.Conn.ReadFrom(nd.readBuf[:])
-	if err != nil {
-		if errors.Is(err, os.ErrDeadlineExceeded) {
-			return nil
-		}
+// readOne waits for at most one datagram, as long as the pacer allows,
+// and dispatches it.
+func (nd *node) readOne(pc *pacer) error {
+	n, err := pc.read(nd.cfg.Conn, nd.readBuf[:])
+	if err != nil || n == 0 {
 		return err
 	}
 	nd.res.FramesReceived++
@@ -327,8 +319,13 @@ func (nd *node) handle(data []byte) {
 // handleData acks and records one data frame. Stale rounds are acked but
 // discarded; future rounds are acked and buffered (the ack stops the
 // sender's retransmissions, so the payload must be kept); suspected
-// peers are acked but ignored — crash-stop.
+// peers are acked but ignored — crash-stop. A round past MaxRounds is one
+// this node will never run: no honest peer sends it, so it is dropped
+// unacked and unstored, which is what bounds the buffer.
 func (nd *node) handleData(data []byte, r int, src rounds.ProcessID) {
+	if r > nd.cfg.MaxRounds {
+		return
+	}
 	p := int(src) - 1
 	if r < nd.round || nd.suspected[p] {
 		nd.sendCtl(TypeAck, r, src)
@@ -376,63 +373,31 @@ func (nd *node) suspectAbsentees() {
 // and leave once every live peer confirmed or the linger budget is
 // spent. A canceled linger returns the (already final) result.
 func (nd *node) finish() (*NodeResult, error) {
-	deadline := time.Now().Add(nd.cfg.Linger)
-	interval := nd.cfg.Retransmit
-	next := time.Now()
-	const pollTick = 100 * time.Millisecond
-	for !nd.lingerComplete() {
-		if nd.canceled() {
+	pc := startPacer(&nd.rng, nd.cfg.Linger, nd.cfg.Retransmit, false)
+	for !nd.confirmed(nd.finAcked) {
+		switch pc.tick(nd.cfg.Cancel) {
+		case paceCanceled, paceExpired:
 			return &nd.res, nil
-		}
-		now := time.Now()
-		if !now.Before(deadline) {
-			break
-		}
-		if !now.Before(next) {
-			if err := nd.lingerTransmit(); err != nil {
+		case paceSend:
+			if nd.lingerTransmit() != nil {
 				return &nd.res, nil
 			}
-			interval = backoff(interval, nd.cfg.Linger/4)
-			next = now.Add(jittered(&nd.rng, interval))
 		}
-		if err := nd.readOne(deadline, next, pollTick); err != nil {
+		if nd.readOne(&pc) != nil {
 			break
 		}
 	}
 	return &nd.res, nil
 }
 
-// lingerComplete reports whether every peer we owed anything has
-// confirmed: finack for our fin, ack for our final round's data.
-func (nd *node) lingerComplete() bool {
-	for p := 1; p <= nd.cfg.N; p++ {
-		pid := rounds.ProcessID(p)
-		if !nd.expect(pid) {
-			continue
-		}
-		if !nd.finAcked[p-1] || !nd.acked[p-1] {
-			return false
-		}
-	}
-	return true
-}
-
-// lingerTransmit (re)sends the fin and the final round's data frame to
+// lingerTransmit (re)sends the final round's data frame and the fin to
 // peers that have not confirmed them.
 func (nd *node) lingerTransmit() error {
+	if err := nd.broadcast(false); err != nil {
+		return err
+	}
 	for p := 1; p <= nd.cfg.N; p++ {
-		pid := rounds.ProcessID(p)
-		if !nd.expect(pid) {
-			continue
-		}
-		if !nd.acked[p-1] {
-			nd.sendBuf.buf[5] = byte(pid)
-			if err := nd.write(nd.sendBuf.bytes(), pid); err != nil {
-				return err
-			}
-			nd.res.Retransmits++
-		}
-		if !nd.finAcked[p-1] {
+		if pid := rounds.ProcessID(p); nd.expect(pid) && !nd.finAcked[p-1] {
 			nd.sendCtl(TypeFin, nd.round, pid)
 		}
 	}
@@ -456,16 +421,4 @@ func (nd *node) write(b []byte, dst rounds.ProcessID) error {
 		nd.res.FramesSent++
 	}
 	return err
-}
-
-func (nd *node) canceled() bool {
-	if nd.cfg.Cancel == nil {
-		return false
-	}
-	select {
-	case <-nd.cfg.Cancel:
-		return true
-	default:
-		return false
-	}
 }

@@ -1,8 +1,6 @@
 package wire
 
 import (
-	"encoding/binary"
-
 	"kset/internal/core"
 	"kset/internal/vector"
 )
@@ -10,13 +8,12 @@ import (
 // Payload kind byte: base kinds in the low nibble, flags in the high
 // bits. See the frame layout comment in frame.go.
 const (
-	kindValue      byte = 0x01
-	kindStateKey   byte = 0x02
-	kindStateBytes byte = 0x03
-	kindBaseMask   byte = 0x0F
-	kindReserved   byte = 0x30
-	kindEarly      byte = 0x40
-	kindDecide     byte = 0x80
+	kindValue    byte = 0x01
+	kindState    byte = 0x02
+	kindBaseMask byte = 0x0F
+	kindReserved byte = 0x30
+	kindEarly    byte = 0x40
+	kindDecide   byte = 0x80
 )
 
 // encodePayload writes the kind byte and payload of a data frame into
@@ -55,26 +52,15 @@ func encodePayload(buf []byte, p any) (int, error) {
 	return 0, badFrame("unsupported payload type %T", p)
 }
 
-// encodeState packs the (cond, out, tmf) triple: as a single Key64 when
-// every field fits 0..63, as three raw bytes otherwise (some field is the
-// domain cap 64). Exactly one of the two encodings is canonical for any
-// given triple.
+// encodeState writes the (cond, out, tmf) triple as one byte per field.
 func encodeState(buf []byte, kind byte, s core.StateMsg) (int, error) {
-	triple := [3]vector.Value{s.Cond, s.Out, s.Tmf}
-	for _, v := range triple {
+	for i, v := range [3]vector.Value{s.Cond, s.Out, s.Tmf} {
 		if v < 0 || v > vector.MaxSetValue {
 			return 0, badFrame("state field %d outside 0..%d", v, vector.MaxSetValue)
 		}
+		buf[7+i] = byte(v)
 	}
-	if key, ok := vector.Vector(triple[:]).Key64(); ok {
-		buf[6] = kind | kindStateKey
-		binary.BigEndian.PutUint64(buf[7:15], key)
-		return 15, nil
-	}
-	buf[6] = kind | kindStateBytes
-	buf[7] = byte(s.Cond)
-	buf[8] = byte(s.Out)
-	buf[9] = byte(s.Tmf)
+	buf[6] = kind | kindState
 	return 10, nil
 }
 
@@ -102,38 +88,16 @@ func decodePayload(data []byte) (any, error) {
 			return nil, badFrame("value %d outside 0..%d", v, vector.MaxSetValue)
 		}
 		inner = v
-	case kindStateKey:
-		if len(body) != 8 {
-			return nil, badFrame("state payload is %d bytes, want 8", len(body))
-		}
-		var tmp [3]vector.Value
-		vec, ok := vector.DecodeKey64(binary.BigEndian.Uint64(body), tmp[:0])
-		if !ok || len(vec) != 3 {
-			return nil, badFrame("state key does not unpack to a triple")
-		}
-		inner = &core.StateMsg{Cond: vec[0], Out: vec[1], Tmf: vec[2]}
-	case kindStateBytes:
+	case kindState:
 		if len(body) != 3 {
-			return nil, badFrame("raw state payload is %d bytes, want 3", len(body))
+			return nil, badFrame("state payload is %d bytes, want 3", len(body))
 		}
-		s := core.StateMsg{
-			Cond: vector.Value(body[0]),
-			Out:  vector.Value(body[1]),
-			Tmf:  vector.Value(body[2]),
-		}
-		packable := true
-		for _, v := range [3]vector.Value{s.Cond, s.Out, s.Tmf} {
-			if v > vector.MaxSetValue {
-				return nil, badFrame("state field %d outside 0..%d", v, vector.MaxSetValue)
-			}
-			if v > 63 {
-				packable = false
+		for _, b := range body {
+			if vector.Value(b) > vector.MaxSetValue {
+				return nil, badFrame("state field %d outside 0..%d", b, vector.MaxSetValue)
 			}
 		}
-		if packable {
-			return nil, badFrame("non-canonical raw state: triple is Key64-packable")
-		}
-		inner = &s
+		inner = &core.StateMsg{Cond: vector.Value(body[0]), Out: vector.Value(body[1]), Tmf: vector.Value(body[2])}
 	default:
 		return nil, badFrame("unknown payload kind %#x", kind)
 	}

@@ -45,9 +45,11 @@ cd "$(dirname "$0")/.."
 # plus versioned JSON envelope. Its cost must scale with breakdown keys,
 # never with the runs the checkpoint covers, so periodic checkpointing
 # cannot regress the allocation-free campaign hot path (measured: 25 at PR 8).
-# WireEncode prices encoding one state-carrying data frame into a caller
-# buffer — the per-copy cost of every wire-transport send and ksetpeer
-# retransmission — and must stay allocation-free (measured: 0 at PR 9).
+# WireEncode prices encoding one state-carrying data frame — since frame
+# v2 (PR 20) the triple's three bytes, not a packed key — into a caller
+# buffer: the per-copy cost of every wire-transport send and ksetpeer
+# retransmission, which must stay allocation-free (measured: 0 at PR 9
+# and at PR 20).
 # The async-plane budgets (PR 10, re-read at PR 19): a warm scan is
 # allocation-free on both in-process substrates — the scheduler's own
 # register array hands out the array itself, the wait-free construction
