@@ -26,10 +26,15 @@
 // another's. SIGINT/SIGTERM drains gracefully: new submissions get 503
 // while accepted jobs run to completion (bounded by -drain-timeout).
 //
+// The daemon's memory is bounded: a finished job is kept as its encoded
+// event log only, and only the 256 most recently finished ones are kept
+// at all — an older ID answers 404 like an unknown one. Queued and
+// running jobs are never forgotten.
+//
 // Usage:
 //
 //	ksetd [-addr :8344] [-active 2] [-queue 1024]
-//	      [-snapshot 250ms] [-drain-timeout 30s]
+//	      [-snapshot 250ms] [-drain-timeout 30s] [-max-body 8388608]
 package main
 
 import (

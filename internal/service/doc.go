@@ -13,12 +13,15 @@
 // pool of run slots, so no tenant can starve another.
 //
 // Each running job observes its campaign through a Progress collector and
-// appends periodic accumulator snapshots to an ordered event log;
-// GET /v1/campaigns/{id}/events replays that log as server-sent events
-// and follows it live to the terminal event. The terminal "stats" event
-// carries the campaign's own Wait() statistics — worker-count-invariant
-// and byte-identical to running the same job through RunCampaign
-// in-process. DELETE (or a waiting client's disconnect) cancels a job
-// through its context; Drain rejects new work while accepted jobs run to
-// completion, which is how cmd/ksetd turns SIGTERM into a graceful exit.
+// publishes periodic accumulator snapshots to its event log, which keeps
+// the newest one; GET /v1/campaigns/{id}/events replays that log as
+// server-sent events and follows it live to the terminal event. A
+// finished job is that log and a few scalars, and only the 256 most
+// recently finished jobs are kept, so the daemon's memory is bounded
+// however long it runs. The terminal "stats" event carries the campaign's
+// own Wait() statistics — worker-count-invariant and byte-identical to
+// running the same job through RunCampaign in-process. DELETE (or a
+// waiting client's disconnect) cancels a job through its context; Drain
+// rejects new work while accepted jobs run to completion, which is how
+// cmd/ksetd turns SIGTERM into a graceful exit.
 package service

@@ -32,11 +32,15 @@ func (s State) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCanceled
 }
 
-// Event is one entry of a job's ordered event log — the unit of the SSE
-// stream. Every subscriber replays the log from the start, so the stream
-// a late subscriber sees is a prefix-complete copy of an early one's.
+// Event is one entry of a job's event log — the unit of the SSE stream.
+// The log keeps the "running" event, the newest snapshot and the terminal
+// event, so every subscriber, however late, sees "running", a monotone
+// subsequence of the snapshots ending in the final one, and the same
+// terminal event.
 type Event struct {
-	// Seq is the event's position in the log (the SSE id).
+	// Seq is the event's publication number (the SSE id): strictly
+	// increasing along a job's stream, with gaps where a subscriber
+	// missed superseded snapshots.
 	Seq int
 	// Type is the SSE event name: "running", "snapshot", "stats",
 	// "sweep", "error" or "canceled".
@@ -45,27 +49,40 @@ type Event struct {
 	Data []byte
 }
 
-// Job is one accepted submission: a compiled spec, its lifecycle state
-// and its event log. All mutable state is guarded by mu; subscribers
-// wait on cond for new events.
+// maxLogEvents is the longest a job's log gets: "running", one snapshot,
+// the terminal event.
+const maxLogEvents = 3
+
+// Job is one accepted submission: until it is terminal a compiled spec
+// and its live progress, afterwards only what answers a GET — identity,
+// state, error text, run counts and the event log, whose terminal event
+// is the one encoding of the results. All mutable state is guarded by
+// mu; subscribers wait on cond for new events.
 type Job struct {
 	// ID is the job's handle ("j-1", "j-2", …).
 	ID string
 	// Tenant is the queue the job was accepted into.
 	Tenant string
 
-	compiled *CompiledJob
-	progress *Progress
-	cancel   context.CancelFunc
+	label string
+	total int64 // scenarios the job will execute, when sized
+	sized bool
 
 	mu     sync.Mutex
 	cond   *sync.Cond
 	state  State
 	events []Event
-	stats  *kset.CampaignStats
-	sweep  []kset.SweepResult
-	err    error
+	seq    int // the next event's Seq
 	done   chan struct{}
+
+	// Released (nil) at the terminal transition: a finished job must not
+	// pin a System, its scenario closures or an accumulator.
+	compiled *CompiledJob
+	progress *Progress
+	cancel   context.CancelFunc
+	// Set at the terminal transition.
+	runs    int64
+	errText string
 }
 
 // newJob builds a queued job around a compiled spec.
@@ -73,11 +90,14 @@ func newJob(id string, c *CompiledJob) *Job {
 	j := &Job{
 		ID:       id,
 		Tenant:   c.Spec.Tenant,
+		label:    c.Spec.Label,
 		compiled: c,
 		progress: &Progress{},
 		state:    StateQueued,
+		events:   make([]Event, 0, maxLogEvents),
 		done:     make(chan struct{}),
 	}
+	j.total, j.sized = c.TotalRuns()
 	j.cond = sync.NewCond(&j.mu)
 	return j
 }
@@ -85,63 +105,79 @@ func newJob(id string, c *CompiledJob) *Job {
 // Done returns a channel closed when the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.done }
 
-// publish appends one event to the log and wakes subscribers. The
-// payload is marshaled compactly; marshal errors cannot happen for the
-// service's own payload types and would surface as an "error" event
-// downstream, so publish keeps the log consistent by encoding first.
-func (j *Job) publish(typ string, payload any) {
+// encode marshals an event payload compactly. Marshal errors cannot
+// happen for the service's own payload types; encoding before taking mu
+// keeps the log consistent if one ever did.
+func encode(payload any) []byte {
 	data, err := json.Marshal(payload)
 	if err != nil {
-		data = []byte(`{}`)
+		return []byte(`{}`)
 	}
-	j.mu.Lock()
-	j.events = append(j.events, Event{Seq: len(j.events), Type: typ, Data: data})
+	return data
+}
+
+// appendLocked adds one event to the log and wakes subscribers; the
+// caller holds mu. A snapshot supersedes the snapshot before it, so a
+// job's log stays at maxLogEvents however long it runs.
+func (j *Job) appendLocked(typ string, data []byte) {
+	ev := Event{Seq: j.seq, Type: typ, Data: data}
+	j.seq++
+	if n := len(j.events); typ == "snapshot" && n > 0 && j.events[n-1].Type == "snapshot" {
+		j.events[n-1] = ev
+	} else {
+		j.events = append(j.events, ev)
+	}
 	j.cond.Broadcast()
+}
+
+// publish appends one non-terminal event to the log.
+func (j *Job) publish(typ string, payload any) {
+	data := encode(payload)
+	j.mu.Lock()
+	j.appendLocked(typ, data)
 	j.mu.Unlock()
 }
 
-// finish moves the job to a terminal state, records the outcome, appends
-// the terminal event and releases waiters.
-func (j *Job) finish(state State, typ string, payload any) {
-	data, err := json.Marshal(payload)
-	if err != nil {
-		data = []byte(`{}`)
-	}
-	j.mu.Lock()
+// finishLocked is the terminal transition; the caller holds mu. It
+// records the outcome, appends the terminal event, drops everything only
+// a live job needs and releases waiters.
+func (j *Job) finishLocked(state State, typ string, data []byte, errText string) {
 	j.state = state
-	j.events = append(j.events, Event{Seq: len(j.events), Type: typ, Data: data})
-	j.cond.Broadcast()
-	j.mu.Unlock()
+	j.errText = errText
+	j.runs = j.progress.Runs()
+	j.compiled, j.progress, j.cancel = nil, nil, nil
+	j.appendLocked(typ, data)
 	close(j.done)
 }
+
+// finish moves a running job to a terminal state.
+func (j *Job) finish(state State, typ string, payload any, errText string) {
+	data := encode(payload)
+	j.mu.Lock()
+	j.finishLocked(state, typ, data, errText)
+	j.mu.Unlock()
+}
+
+// canceledQueued is the terminal payload of a job canceled in its queue;
+// event payloads are never written to, so every such job shares it.
+var canceledQueued = encode(errorBody{Code: "canceled", Message: "job canceled"})
 
 // Cancel requests cancellation: in-flight work is stopped via the job's
 // context; a still-queued job is finished directly (the scheduler skips
 // canceled jobs at dispatch). Canceling a terminal job is a no-op.
 func (j *Job) Cancel() {
 	j.mu.Lock()
-	state := j.state
-	if state == StateQueued {
-		j.state = StateCanceled
+	var cancel context.CancelFunc
+	switch j.state {
+	case StateQueued:
+		j.finishLocked(StateCanceled, "canceled", canceledQueued, "")
+	case StateRunning:
+		cancel = j.cancel
 	}
-	cancel := j.cancel
 	j.mu.Unlock()
-	switch {
-	case state == StateQueued:
-		j.finishCanceled()
-	case state == StateRunning && cancel != nil:
+	if cancel != nil {
 		cancel()
 	}
-}
-
-// finishCanceled emits the canceled terminal event.
-func (j *Job) finishCanceled() {
-	data, _ := json.Marshal(errorBody{Code: "canceled", Message: "job canceled"})
-	j.mu.Lock()
-	j.events = append(j.events, Event{Seq: len(j.events), Type: "canceled", Data: data})
-	j.cond.Broadcast()
-	j.mu.Unlock()
-	close(j.done)
 }
 
 // run executes the job under ctx, publishing periodic snapshots and the
@@ -159,6 +195,9 @@ func (j *Job) run(ctx context.Context, snapshotEvery time.Duration) {
 	}
 	j.state = StateRunning
 	j.cancel = cancel
+	// The terminal transition releases these fields; run works on its own
+	// references.
+	compiled, progress := j.compiled, j.progress
 	j.mu.Unlock()
 	j.publish("running", statusPayload{ID: j.ID, Tenant: j.Tenant, State: StateRunning})
 
@@ -175,7 +214,7 @@ func (j *Job) run(ctx context.Context, snapshotEvery time.Duration) {
 				case <-stop:
 					return
 				case <-t.C:
-					j.publish("snapshot", j.progress.Snapshot())
+					j.publish("snapshot", progress.Snapshot())
 				}
 			}
 		}()
@@ -186,32 +225,28 @@ func (j *Job) run(ctx context.Context, snapshotEvery time.Duration) {
 		sweep []kset.SweepResult
 		err   error
 	)
-	if j.compiled.Sweep() {
-		sweep, err = kset.RunSweep(ctx, j.compiled.points,
-			j.compiled.options([]kset.CampaignOption{kset.CollectInto(j.progress)})...)
+	opts := compiled.options([]kset.CampaignOption{kset.CollectInto(progress)})
+	if compiled.Sweep() {
+		sweep, err = kset.RunSweep(ctx, compiled.points, opts...)
 	} else {
-		stats, err = j.compiled.sys.RunSource(ctx, j.compiled.src,
-			j.compiled.options([]kset.CampaignOption{kset.CollectInto(j.progress)})...)
+		stats, err = compiled.sys.RunSource(ctx, compiled.src, opts...)
 	}
 	close(stop)
 	ticking.Wait()
 
 	// The stream always carries at least one snapshot, emitted after the
 	// run settles so the last snapshot covers every completed scenario.
-	j.publish("snapshot", j.progress.Snapshot())
+	j.publish("snapshot", progress.Snapshot())
 
-	j.mu.Lock()
-	j.stats, j.sweep, j.err = stats, sweep, err
-	j.mu.Unlock()
 	switch {
 	case err != nil && ctx.Err() != nil:
-		j.finish(StateCanceled, "canceled", errorBody{Code: "canceled", Message: err.Error()})
+		j.finish(StateCanceled, "canceled", abortBody{errorBody{"canceled", err.Error()}, stats, sweep}, err.Error())
 	case err != nil:
-		j.finish(StateFailed, "error", errorBody{Code: "run_failed", Message: err.Error()})
+		j.finish(StateFailed, "error", abortBody{errorBody{"run_failed", err.Error()}, stats, sweep}, err.Error())
 	case sweep != nil:
-		j.finish(StateDone, "sweep", sweep)
+		j.finish(StateDone, "sweep", sweep, "")
 	default:
-		j.finish(StateDone, "stats", stats)
+		j.finish(StateDone, "stats", stats, "")
 	}
 }
 
@@ -228,9 +263,10 @@ type statusPayload struct {
 	TotalRuns int64 `json:"total_runs,omitempty"`
 	// Error carries the failure message of a failed job.
 	Error string `json:"error,omitempty"`
-	// Stats and Sweep carry a terminal job's results.
-	Stats *kset.CampaignStats `json:"stats,omitempty"`
-	Sweep []kset.SweepResult  `json:"sweep,omitempty"`
+	// Stats and Sweep carry a terminal job's results — partial ones when
+	// it was canceled or failed — as its terminal event encoded them.
+	Stats json.RawMessage `json:"stats,omitempty"`
+	Sweep json.RawMessage `json:"sweep,omitempty"`
 }
 
 // Status returns the job's current status; withResults includes the
@@ -240,28 +276,43 @@ func (j *Job) Status(withResults bool) statusPayload {
 	st := statusPayload{
 		ID:     j.ID,
 		Tenant: j.Tenant,
-		Label:  j.compiled.Spec.Label,
+		Label:  j.label,
 		State:  j.state,
+		Runs:   j.runs,
+		Error:  j.errText,
 	}
-	if j.err != nil {
-		st.Error = j.err.Error()
+	if withResults && j.state.Terminal() {
+		switch last := j.events[len(j.events)-1]; last.Type {
+		case "stats":
+			st.Stats = last.Data
+		case "sweep":
+			st.Sweep = last.Data
+		default:
+			var aborted struct {
+				Stats json.RawMessage `json:"stats"`
+				Sweep json.RawMessage `json:"sweep"`
+			}
+			_ = json.Unmarshal(last.Data, &aborted) // encoded by finish
+			st.Stats, st.Sweep = aborted.Stats, aborted.Sweep
+		}
 	}
-	if withResults {
-		st.Stats, st.Sweep = j.stats, j.sweep
-	}
+	progress := j.progress
 	j.mu.Unlock()
-	st.Runs = j.progress.Runs()
-	if total, ok := j.compiled.TotalRuns(); ok {
-		st.TotalRuns = total
+	if progress != nil {
+		st.Runs = progress.Runs()
+	}
+	if j.sized {
+		st.TotalRuns = j.total
 	}
 	return st
 }
 
-// Events streams the job's event log through fn in order, blocking for
-// new events until the job is terminal and the log fully delivered.
-// It returns fn's first error, or ctx.Err() if the subscriber's context
-// ends first.
-func (j *Job) Events(ctx context.Context, fn func(Event) error) error {
+// Events streams the job's event log through fn, a batch at a time: every
+// logged event newer than the last one delivered, in order, blocking for
+// new events until the job is terminal and its terminal event delivered.
+// The batch is only valid during the call. It returns fn's first error,
+// or ctx.Err() if the subscriber's context ends first.
+func (j *Job) Events(ctx context.Context, fn func([]Event) error) error {
 	// Wake the cond waiter when the subscriber disconnects; without this
 	// a subscriber of an idle job would sleep past its own cancellation.
 	stop := context.AfterFunc(ctx, func() {
@@ -271,26 +322,33 @@ func (j *Job) Events(ctx context.Context, fn func(Event) error) error {
 	})
 	defer stop()
 
-	next := 0
+	var buf [maxLogEvents]Event
+	last := -1 // Seq of the newest event delivered
 	for {
 		j.mu.Lock()
-		for next >= len(j.events) && !j.state.Terminal() && ctx.Err() == nil {
+		for j.seq-1 <= last && !j.state.Terminal() && ctx.Err() == nil {
 			j.cond.Wait()
 		}
-		batch := j.events[next:]
+		// Copied out: the log's snapshot slot is overwritten in place.
+		batch := buf[:0]
+		for _, ev := range j.events {
+			if ev.Seq > last {
+				batch = append(batch, ev)
+			}
+		}
 		terminal := j.state.Terminal()
 		j.mu.Unlock()
 
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		for _, ev := range batch {
-			if err := fn(ev); err != nil {
+		if len(batch) > 0 {
+			if err := fn(batch); err != nil {
 				return err
 			}
-			next++
+			last = batch[len(batch)-1].Seq
 		}
-		if terminal && len(batch) == 0 {
+		if terminal {
 			return nil
 		}
 	}
@@ -302,4 +360,12 @@ type errorBody struct {
 	// Code is the machine-readable error class; Message the human detail.
 	Code    string `json:"code"`
 	Message string `json:"message"`
+}
+
+// abortBody is the terminal payload of a job that started and did not
+// complete: the error, and beside it the results of what did run.
+type abortBody struct {
+	errorBody
+	Stats *kset.CampaignStats `json:"stats,omitempty"`
+	Sweep []kset.SweepResult  `json:"sweep,omitempty"`
 }

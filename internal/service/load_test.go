@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -24,17 +25,19 @@ const loadSpec = `{
 // submissions across 4 tenants on a bounded scheduler, then a graceful
 // drain, with every job completing. CI runs it under -race.
 func TestLoadSmokeThousandJobs(t *testing.T) {
-	svc, ts := newTestServer(t, Config{
-		MaxActive:          4,
-		MaxQueuedPerTenant: 512,
-		SnapshotInterval:   time.Hour,
-	})
-
 	const (
 		jobs    = 1000
 		tenants = 4
 		clients = 16
 	)
+	svc, ts := newTestServer(t, Config{
+		MaxActive:          4,
+		MaxQueuedPerTenant: 512,
+		SnapshotInterval:   time.Hour,
+	})
+	svc.mu.Lock()
+	svc.retain = jobs // every job is read back after the drain
+	svc.mu.Unlock()
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
@@ -113,8 +116,8 @@ func TestLoadSmokeThousandJobs(t *testing.T) {
 		if st.State != StateDone {
 			t.Fatalf("job %s: state %q after drain (error %q)", id, st.State, st.Error)
 		}
-		if st.Stats == nil || st.Stats.Runs != 1 {
-			t.Fatalf("job %s: stats %+v, want exactly one run", id, st.Stats)
+		if stats := statsOf(t, st); stats == nil || stats.Runs != 1 {
+			t.Fatalf("job %s: stats %s, want exactly one run", id, st.Stats)
 		}
 		perTenant[st.Tenant]++
 	}
@@ -155,4 +158,46 @@ func BenchmarkSubmitPath(b *testing.B) {
 			s.queued = 0
 		}
 	}
+}
+
+// BenchmarkFinishedJob runs a 256-run job to its terminal event in
+// process, and prices what one such job costs the daemon for as long as
+// it is retained: the live heap 256 finished jobs add, as B/job — their
+// event logs, and nothing of what ran them. CI holds it under 4 KiB
+// (scripts/benchgate.sh); it read ≈ 8 kB when a finished job kept its
+// compiled spec, progress shards and stats.
+func BenchmarkFinishedJob(b *testing.B) {
+	compiled, err := Compile(JobSpec{
+		Tenant:    "bench",
+		Params:    ParamsSpec{N: 8, T: 5, K: 2, D: 3, L: 1},
+		Condition: &ConditionSpec{Kind: "max", M: 4},
+		Source:    SourceSpec{Kind: "random", Seed: 1, Count: 64},
+		Failures:  &FailuresSpec{Kind: "random", Seed: 7, Count: 4},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	finished := func() *Job {
+		j := newJob("j-bench", compiled)
+		j.run(context.Background(), 0)
+		if st := j.Status(false); st.State != StateDone || st.Runs != 256 {
+			b.Fatalf("job ended %q after %d runs", st.State, st.Runs)
+		}
+		return j
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		finished()
+	}
+	b.StopTimer()
+
+	retained := make([]*Job, 256)
+	before := liveHeap()
+	for i := range retained {
+		retained[i] = finished()
+	}
+	after := liveHeap()
+	b.ReportMetric(float64(int64(after)-int64(before))/float64(len(retained)), "B/job")
+	runtime.KeepAlive(retained)
 }

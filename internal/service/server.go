@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -49,6 +50,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// maxFinished is how many finished jobs stay readable. Past it the job
+// that finished longest ago is forgotten and its ID answers 404; queued
+// and running jobs are never forgotten.
+const maxFinished = 256
+
 // Server is the agreement-as-a-service core: it accepts declarative
 // JobSpecs over HTTP, schedules them fairly across tenants, streams
 // progress as server-sent events and exposes the paper's experiment
@@ -62,20 +68,26 @@ type Server struct {
 
 	mu    sync.Mutex
 	jobs  map[string]*Job
-	order []string
+	order []string // IDs of jobs, in submission order
 	seq   int
+	// finished lists the IDs of the retained terminal jobs, in the order
+	// they finished: the eviction queue, at most retain long.
+	finished []string
+	retain   int // maxFinished; a field so that tests can move it
 }
 
 // NewServer builds and starts the service core.
 func NewServer(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:  cfg,
-		jobs: make(map[string]*Job),
+		cfg:    cfg,
+		jobs:   make(map[string]*Job),
+		retain: maxFinished,
 	}
 	s.ctx, s.stop = context.WithCancel(context.Background())
 	s.sched = NewScheduler(cfg.MaxActive, cfg.MaxQueuedPerTenant, func(j *Job) {
 		j.run(s.ctx, cfg.SnapshotInterval)
+		s.retire(j)
 	})
 	s.sched.Start()
 	return s
@@ -202,6 +214,27 @@ func (s *Server) addJob(c *CompiledJob) *Job {
 	return j
 }
 
+// forgetLocked drops a job from the registry; the caller holds mu.
+func (s *Server) forgetLocked(id string) {
+	delete(s.jobs, id)
+	if i := slices.Index(s.order, id); i >= 0 {
+		s.order = slices.Delete(s.order, i, i+1)
+	}
+}
+
+// retire queues a job that just left its run slot — terminal, whether it
+// ran or was canceled while queued — for eviction, and forgets the jobs
+// that finished longest ago once more than maxFinished are retained.
+func (s *Server) retire(j *Job) {
+	s.mu.Lock()
+	s.finished = append(s.finished, j.ID)
+	for len(s.finished) > s.retain {
+		s.forgetLocked(s.finished[0])
+		s.finished = s.finished[1:]
+	}
+	s.mu.Unlock()
+}
+
 // submit handles POST /v1/campaigns: decode, compile (the validation
 // gate), enqueue. The default reply is 202 with the job's handle;
 // ?wait=1 blocks until the job is terminal and replies with its results,
@@ -253,10 +286,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 // dropJob removes a job that was never accepted by the scheduler.
 func (s *Server) dropJob(id string) {
 	s.mu.Lock()
-	delete(s.jobs, id)
-	if n := len(s.order); n > 0 && s.order[n-1] == id {
-		s.order = s.order[:n-1]
-	}
+	s.forgetLocked(id)
 	s.mu.Unlock()
 }
 
@@ -313,9 +343,9 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// streamEvents serves GET /v1/campaigns/{id}/events: the job's full
-// event log as server-sent events, replayed from the start and followed
-// live until the terminal event.
+// streamEvents serves GET /v1/campaigns/{id}/events: the job's event
+// log as server-sent events, replayed from the start and followed live
+// until the terminal event, one flush per delivered batch.
 func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request, j *Job) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
@@ -336,9 +366,11 @@ func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request, j *Job) {
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
 
-	_ = j.Events(r.Context(), func(ev Event) error {
-		if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, ev.Data); err != nil {
-			return err
+	_ = j.Events(r.Context(), func(batch []Event) error {
+		for _, ev := range batch {
+			if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, ev.Data); err != nil {
+				return err
+			}
 		}
 		flusher.Flush()
 		return nil
@@ -469,7 +501,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		dec := json.NewDecoder(r.Body)
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&body); err != nil {
-			writeError(w, http.StatusBadRequest, "bad_json", err.Error())
+			writeDecodeError(w, err)
 			return
 		}
 	}

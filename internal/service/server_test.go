@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"kset"
 )
 
 // newTestServer boots a service core plus httptest front end.
@@ -32,6 +34,20 @@ const validSpec = `{
 	"condition": {"kind": "max", "m": 3},
 	"source": {"kind": "exhaustive"}
 }`
+
+// statsOf decodes the terminal stats a status payload carries (nil when
+// it carries none).
+func statsOf(t *testing.T, st statusPayload) *kset.CampaignStats {
+	t.Helper()
+	if st.Stats == nil {
+		return nil
+	}
+	stats := new(kset.CampaignStats)
+	if err := json.Unmarshal(st.Stats, stats); err != nil {
+		t.Fatalf("stats payload: %v\n%s", err, st.Stats)
+	}
+	return stats
+}
 
 // post submits a body and returns the response.
 func post(t *testing.T, url, body string) (*http.Response, []byte) {
@@ -191,7 +207,7 @@ func TestSubmitValidationVectors(t *testing.T) {
 func TestBodyTooLarge(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxBodyBytes: 1024})
 	huge := `{"padding": "` + strings.Repeat("x", 64<<10) + `"}`
-	for _, path := range []string{"/v1/campaigns", "/v1/merge"} {
+	for _, path := range []string{"/v1/campaigns", "/v1/merge", "/v1/experiments/E1"} {
 		resp, data := post(t, ts.URL+path, huge)
 		if resp.StatusCode != http.StatusRequestEntityTooLarge {
 			t.Fatalf("%s: status = %d, want 413 (body %s)", path, resp.StatusCode, data)
@@ -401,6 +417,78 @@ func TestSnapshotMonotone(t *testing.T) {
 	}
 }
 
+// TestSnapshotLogBounded: a job's log keeps one snapshot however many
+// the ticker publishes. A live subscriber still sees ids strictly
+// increasing up to a final snapshot that covers every run; one arriving
+// after the end sees running, that snapshot and the terminal event.
+func TestSnapshotLogBounded(t *testing.T) {
+	svc, ts := newTestServer(t, Config{SnapshotInterval: time.Millisecond})
+	resp, data := post(t, ts.URL+"/v1/campaigns", `{
+		"params": {"n": 4, "t": 2, "k": 1, "d": 1, "l": 1},
+		"condition": {"kind": "max", "m": 3},
+		"source": {"kind": "random", "seed": 3, "count": 5000}
+	}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: status %d: %s", resp.StatusCode, data)
+	}
+	var status statusPayload
+	if err := json.Unmarshal(data, &status); err != nil {
+		t.Fatal(err)
+	}
+	j := svc.lookup(status.ID)
+
+	// follow drains the job's stream, checking the log's length at every
+	// delivery, and returns what it saw.
+	follow := func() []Event {
+		var seen []Event
+		err := j.Events(context.Background(), func(batch []Event) error {
+			j.mu.Lock()
+			n := len(j.events)
+			j.mu.Unlock()
+			if n > maxLogEvents {
+				t.Errorf("log holds %d events, want at most %d", n, maxLogEvents)
+			}
+			seen = append(seen, batch...)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i < len(seen); i++ {
+			if seen[i].Seq <= seen[i-1].Seq {
+				t.Fatalf("event ids not increasing: %d after %d", seen[i].Seq, seen[i-1].Seq)
+			}
+		}
+		return seen
+	}
+	checkEnds := func(who string, seen []Event) {
+		t.Helper()
+		if len(seen) < 3 || seen[0].Type != "running" || seen[len(seen)-1].Type != "stats" {
+			t.Fatalf("%s subscriber saw %+v", who, seen)
+		}
+		last := seen[len(seen)-2]
+		var snap struct {
+			Runs int64 `json:"runs"`
+		}
+		if err := json.Unmarshal(last.Data, &snap); err != nil {
+			t.Fatal(err)
+		}
+		if last.Type != "snapshot" || snap.Runs != 5000 {
+			t.Errorf("%s subscriber: event before the terminal one is %q covering %d runs, want the snapshot of all 5000", who, last.Type, snap.Runs)
+		}
+	}
+	live := follow()
+	checkEnds("live", live)
+	late := follow()
+	checkEnds("late", late)
+	if len(late) != maxLogEvents {
+		t.Errorf("late subscriber saw %d events, want %d", len(late), maxLogEvents)
+	}
+	if got, want := late[len(late)-1], live[len(live)-1]; got.Seq != want.Seq || !bytes.Equal(got.Data, want.Data) {
+		t.Errorf("terminal events differ: late %d, live %d", got.Seq, want.Seq)
+	}
+}
+
 // TestCancelRunningJob cancels an in-flight job via DELETE and checks
 // the stream terminates with the canceled event and the job settles in
 // StateCanceled without counting aborted runs as errors.
@@ -427,7 +515,7 @@ func TestCancelRunningJob(t *testing.T) {
 
 	// Wait until the job is demonstrably running, then cancel it.
 	deadline := time.Now().Add(10 * time.Second)
-	for j.progress.Runs() == 0 {
+	for j.Status(false).Runs == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("job never started")
 		}
@@ -455,6 +543,10 @@ func TestCancelRunningJob(t *testing.T) {
 	if final.Runs == 0 || final.Runs >= 50000000 {
 		t.Fatalf("runs = %d, want partial progress", final.Runs)
 	}
+	// A canceled job still serves what it completed.
+	if stats := statsOf(t, final); stats == nil || stats.Runs != final.Runs {
+		t.Fatalf("canceled job's stats = %s, want the stats of its %d runs", final.Stats, final.Runs)
+	}
 
 	get, err := http.Get(ts.URL + "/v1/campaigns/" + status.ID + "/events")
 	if err != nil {
@@ -466,8 +558,21 @@ func TestCancelRunningJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	evs := parseSSE(t, string(raw))
-	if last := evs[len(evs)-1]; last.event != "canceled" {
+	last := evs[len(evs)-1]
+	if last.event != "canceled" {
 		t.Fatalf("terminal event = %q, want canceled: %+v", last.event, evs)
+	}
+	// The terminal event is the error with those same stats beside it: one
+	// encoding, served by the stream and the GET alike.
+	var aborted struct {
+		Code  string          `json:"code"`
+		Stats json.RawMessage `json:"stats"`
+	}
+	if err := json.Unmarshal([]byte(last.data), &aborted); err != nil {
+		t.Fatal(err)
+	}
+	if aborted.Code != "canceled" || !bytes.Equal(aborted.Stats, final.Stats) {
+		t.Fatalf("canceled event = %s, want code canceled and the stats the GET serves", last.data)
 	}
 }
 
@@ -547,7 +652,7 @@ func TestWaitDisconnectCancels(t *testing.T) {
 	// Wait for the job to appear and start, then sever the client.
 	var j *Job
 	deadline := time.Now().Add(10 * time.Second)
-	for j == nil || j.progress.Runs() == 0 {
+	for j == nil || j.Status(false).Runs == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("job never started")
 		}
@@ -642,7 +747,7 @@ func TestStatusAndList(t *testing.T) {
 	if a.Tenant != "alice" || b.Tenant != "bob" {
 		t.Fatalf("tenants = %q, %q", a.Tenant, b.Tenant)
 	}
-	if a.State != StateDone || a.Stats == nil || a.Stats.Runs != 81 {
+	if stats := statsOf(t, a); a.State != StateDone || stats == nil || stats.Runs != 81 {
 		t.Fatalf("terminal status lacks stats: %+v", a)
 	}
 
@@ -698,11 +803,15 @@ func TestSweepJob(t *testing.T) {
 	if st.State != StateDone {
 		t.Fatalf("state = %q (error %q)", st.State, st.Error)
 	}
-	// Degrees d = 0..t−ℓ = 0, 1.
-	if len(st.Sweep) != 2 || st.Sweep[0].Key != "d=0" || st.Sweep[1].Key != "d=1" {
-		t.Fatalf("sweep results = %+v, want keys d=0, d=1", st.Sweep)
+	var sweep []kset.SweepResult
+	if err := json.Unmarshal(st.Sweep, &sweep); err != nil {
+		t.Fatalf("sweep payload: %v\n%s", err, st.Sweep)
 	}
-	for _, r := range st.Sweep {
+	// Degrees d = 0..t−ℓ = 0, 1.
+	if len(sweep) != 2 || sweep[0].Key != "d=0" || sweep[1].Key != "d=1" {
+		t.Fatalf("sweep results = %s, want keys d=0, d=1", st.Sweep)
+	}
+	for _, r := range sweep {
 		if r.Stats == nil || r.Stats.Runs == 0 {
 			t.Fatalf("sweep point %s has no runs", r.Key)
 		}

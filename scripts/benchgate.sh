@@ -40,7 +40,8 @@ cd "$(dirname "$0")/.."
 # SubmitPath is ksetd's submission loop — decode a JobSpec, compile it to
 # a System + scenario stream, register and enqueue the job — which must
 # stay flat for the daemon to absorb thousands of queued submissions on a
-# 1-CPU container (measured: 30 at PR 7).
+# 1-CPU container (measured: 30 at PR 7; 31 at PR 21, where newJob
+# preallocates the three-slot event log).
 # CheckpointEncode prices one checkpoint emission — accumulator snapshot
 # plus versioned JSON envelope. Its cost must scale with breakdown keys,
 # never with the runs the checkpoint covers, so periodic checkpointing
@@ -105,11 +106,20 @@ nsbudgets='
 BenchmarkE10Async 120000
 '
 
-raw="$(go test -run '^$' -bench 'E1Lattice$|E9Adversary$|CampaignThroughput/campaign|CollectorPath$|EngineTransport|SubmitPath$|CheckpointEncode$|WireEncode$|E10Async$|SnapshotScan|AsyncCampaign$|ConditionIndex|EngineRound' \
+# Budgets on a benchmark's own metric: name, unit, maximum. FinishedJob
+# reports the live heap one retained finished ksetd job costs (B/job, over
+# 256 jobs of 256 runs): a finished job is its encoded event log, so the
+# figure is a few events' bytes (measured: 1977 at PR 21) and any return
+# of a pinned System, Progress or stats struct (≈ 8 kB before) fails.
+metricbudgets='
+BenchmarkFinishedJob B/job 4096
+'
+
+raw="$(go test -run '^$' -bench 'E1Lattice$|E9Adversary$|CampaignThroughput/campaign|CollectorPath$|EngineTransport|SubmitPath$|FinishedJob$|CheckpointEncode$|WireEncode$|E10Async$|SnapshotScan|AsyncCampaign$|ConditionIndex|EngineRound' \
 	-benchmem -benchtime "$benchtime" -count 1 -cpu 1 . ./internal/rounds/ ./internal/service/ ./internal/wire/ ./internal/condition/)"
 printf '%s\n' "$raw"
 
-printf '%s\n' "$raw" | awk -v budgets="$budgets" -v nsbudgets="$nsbudgets" '
+printf '%s\n' "$raw" | awk -v budgets="$budgets" -v nsbudgets="$nsbudgets" -v metricbudgets="$metricbudgets" '
 BEGIN {
     n = split(budgets, lines, "\n")
     for (i = 1; i <= n; i++) {
@@ -118,6 +128,10 @@ BEGIN {
     n = split(nsbudgets, lines, "\n")
     for (i = 1; i <= n; i++) {
         if (split(lines[i], f, " ") == 2) nsbudget[f[1]] = f[2] + 0
+    }
+    n = split(metricbudgets, lines, "\n")
+    for (i = 1; i <= n; i++) {
+        if (split(lines[i], f, " ") == 3) { munit[f[1]] = f[2]; mbudget[f[1]] = f[3] + 0 }
     }
 }
 /^Benchmark/ {
@@ -136,6 +150,17 @@ BEGIN {
             printf "gate ok:   %s at %d allocs/op (budget %d)\n", name, allocs, budget[name]
         }
     }
+    if (name in mbudget) {
+        for (i = 2; i <= NF; i++) if ($(i) == munit[name]) {
+            mseen[name] = 1
+            if ($(i - 1) + 0 > mbudget[name]) {
+                printf "GATE FAIL: %s at %d %s exceeds budget %d\n", name, $(i - 1), munit[name], mbudget[name]
+                bad = 1
+            } else {
+                printf "gate ok:   %s at %d %s (budget %d)\n", name, $(i - 1), munit[name], mbudget[name]
+            }
+        }
+    }
     if (name in nsbudget) {
         nsseen[name] = 1
         if (ns > nsbudget[name]) {
@@ -149,6 +174,10 @@ BEGIN {
 END {
     for (name in budget) if (!(name in seen)) {
         printf "GATE FAIL: budgeted benchmark %s did not run\n", name
+        bad = 1
+    }
+    for (name in mbudget) if (!(name in mseen)) {
+        printf "GATE FAIL: %s reported no %s\n", name, munit[name]
         bad = 1
     }
     for (name in nsbudget) if (!(name in nsseen)) {
