@@ -31,8 +31,8 @@ func output(t *testing.T, args ...string) string {
 
 // TestEarlyTraceSendColumn pins how a traced early-deciding run renders its
 // sends — the wrapper travels as a pointer, which %v alone would print as
-// an address-of struct — and that the traced run (every process stepped
-// through the transport seam) reports what the untraced one (folded) does.
+// an address-of struct — and that the traced run, folded exactly as the
+// untraced one is, reports what the untraced one does.
 func TestEarlyTraceSendColumn(t *testing.T) {
 	args := []string{"-n", "6", "-t", "4", "-k", "1", "-d", "2", "-l", "1", "-m", "4",
 		"-input", "1,2,3,4,1,2", "-crash", "6@1:2", "-variant", "early"}

@@ -258,11 +258,7 @@ func CrossFailures(src ScenarioSource, fps ...FailurePattern) ScenarioSource {
 // stream is too. The family's patterns are generated once, when the
 // product source is built, not once per input scenario.
 func FailureSchedules(src ScenarioSource, fam FailureFamily) ScenarioSource {
-	fps := make([]FailurePattern, fam.Size())
-	for i := range fps {
-		fps[i] = fam.Pattern(i)
-	}
-	return CrossFailures(src, fps...)
+	return CrossFailures(src, fam.Patterns()...)
 }
 
 // CrossExecutors takes the cross product of a source with an executor

@@ -51,6 +51,15 @@ func (f Family) ForEach(fn func(i int, fp rounds.FailurePattern) bool) {
 	}
 }
 
+// Patterns builds every pattern of the family, in index order.
+func (f Family) Patterns() []rounds.FailurePattern {
+	fps := make([]rounds.FailurePattern, f.size)
+	for i := range fps {
+		fps[i] = f.gen(i)
+	}
+	return fps
+}
+
 // FixedFamily wraps an explicit pattern list as a family.
 func FixedFamily(name string, fps ...rounds.FailurePattern) Family {
 	return NewFamily(name, len(fps), func(i int) rounds.FailurePattern { return fps[i] })

@@ -148,12 +148,3 @@ func GetRunner() *Runner { return runnerPool.Get().(*Runner) }
 
 // PutRunner returns a Runner to the shared pool.
 func PutRunner(r *Runner) { runnerPool.Put(r) }
-
-// runPooled executes one run of caller-built processes on a pooled
-// runner's engine.
-func runPooled(procs []rounds.Process, fp rounds.FailurePattern, opts rounds.Options) (*rounds.Result, error) {
-	r := GetRunner()
-	res, err := r.eng.Run(procs, fp, opts)
-	PutRunner(r)
-	return res, err
-}

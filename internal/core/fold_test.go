@@ -458,7 +458,7 @@ func TestEarlyRunsFoldOncePerDistinctRow(t *testing.T) {
 		if procs, err = NewEarlyRun(p, c, input); err != nil {
 			t.Fatal(err)
 		}
-		want, err := rounds.Run(procs, fp, rounds.Options{MaxRounds: p.RMax(), Transport: &seamTransport{}})
+		want, err := rounds.Run(procs, fp, rounds.Options{MaxRounds: p.RMax(), Transport: &rounds.MatrixTransport{}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -302,14 +302,9 @@ func TestPropertyRandomRuns(t *testing.T) {
 	}
 }
 
-// seamTransport is the reliable matrix behind a distinct type, so the
-// engine routes the run through its transport seam instead of the
-// shared-row fast path.
-type seamTransport struct{ rounds.MatrixTransport }
-
-// executorsAgree runs one scenario on the engine's shared-row fast path and
-// through its transport seam, for every synchronous algorithm, and requires
-// identical Results.
+// executorsAgree runs one scenario on the engine's shared row and through
+// its transport seam (an installed MatrixTransport), for every synchronous
+// algorithm, and requires identical Results.
 func executorsAgree(t *testing.T, runner *Runner, p Params, c condition.Condition, input vector.Vector, fp rounds.FailurePattern) {
 	t.Helper()
 	for name, run := range map[string]func(tr rounds.Transport) (*rounds.Result, error){
@@ -327,7 +322,7 @@ func executorsAgree(t *testing.T, runner *Runner, p Params, c condition.Conditio
 		if err != nil {
 			t.Fatal(err)
 		}
-		seam, err := run(&seamTransport{})
+		seam, err := run(&rounds.MatrixTransport{})
 		if err != nil {
 			t.Fatal(err)
 		}

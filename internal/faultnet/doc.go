@@ -24,5 +24,5 @@
 // matrix; only delayed and duplicated copies ride a ring of maxDelay+1
 // arrival slots, frozen (rounds.Freezer) into copies the transport
 // recycles from run to run. A plan that injects nothing needs no
-// transport: kset's workers validate it and take the engine's fast path.
+// transport: kset's workers validate it and run on the engine's shared row.
 package faultnet

@@ -24,42 +24,35 @@
 //
 // The Engine is the module's synchronous hot path: it reuses its receive
 // row and per-round buffers across runs (RunInto + Result.Reset make
-// stats-only campaign runs allocation-free), with a shared-row fast path
-// for runs on the default transport with identity send orders.
+// stats-only campaign runs allocation-free). It has one round loop, and the
+// transport alone picks the delivery: Options.Transport == nil is the
+// model's reliable network, delivered on one row the engine shares among
+// the destinations; an installed Transport — or the built-in
+// MatrixTransport, when the adversary overrides a send order — is driven
+// through the Transport seam. Options.Trace records the run either way and
+// changes nothing that executes.
 //
-// On the fast path a round's receivers can only disagree about the senders
-// that crash in that round: the fixed p_1..p_n order makes their rows a
-// containment chain, so a round with c crashing senders has at most c+1
-// distinct rows. A Process may therefore also implement Folder — Step ≡
-// Fold; StepFolded, where Fold digests a row into state the run's
-// processes share (FoldState names it) and StepFolded computes from the
-// digest — and the engine then calls Fold once per distinct row (when the
-// row changed since the previous live destination: at round start, or
-// where a crashing sender's prefix just ended) and StepFolded for every
-// live destination: n·(1+c) merges per round instead of n². All three
-// synchronous algorithms of package core fold — Figure 2, the classical
-// flood and the early-deciding wrappers of both, whose digest adds two
-// sender bitsets (silent, flag-carrying) to the inner algorithm's. The
-// choice is per destination: plain Processes in the same slice, and Folders
-// that do not share the first Folder's state, get Step on the same row. Step
-// itself writes nothing shared, so the processes of one run may also be
-// stepped from separate goroutines, as wire nodes do. Runs through the
-// transport seam — traced, order-overridden and fault-injected ones, where
-// every destination may receive something different — always call Step.
+// Without a transport a round's receivers can only disagree about the
+// senders that crash in that round: the fixed p_1..p_n order makes their
+// rows a containment chain, so a round with c crashing senders has at most
+// c+1 distinct rows. A Process may therefore also implement Folder — Step ≡
+// Fold; StepFolded — and the engine then digests each distinct row once and
+// has every live destination compute from the digest: n·(1+c) merges per
+// round instead of n². All three synchronous algorithms of package core
+// fold; Folder states the contract and the per-destination choice.
 //
-// Message delivery itself sits behind the Transport seam: the engine
-// applies the crash adversary to each round's sends (order and prefix
-// length) and hands the surviving copies to a Transport, which decides
-// what each destination receives. The canonical MatrixTransport is the
-// reliable n×n matrix the model prescribes — Options.Transport == nil
-// selects it, and crash-only runs bypass even its indirection on the
-// shared-row fast path, so the seam costs nothing (gated at 0 allocs/run
-// by BenchmarkEngineTransport in scripts/benchgate.sh). Package faultnet
-// plugs in the lossy alternative: a transport may drop, delay by whole
-// rounds, duplicate or reorder copies, report its tampering through the
-// optional FaultCounter interface, and retain payloads past their send
-// round by freezing them (Freezer) instead of aliasing sender-reused
-// buffers. Freeze takes the retired copy to overwrite, so a transport
-// recycles the copies of its finished runs; what makes that safe is the
-// Process contract that a received payload is not retained past Step.
+// Through the seam the engine applies the crash adversary to each round's
+// sends (order and prefix length) and hands the surviving copies to the
+// Transport, which decides what each destination receives — possibly
+// something different each, so every process gets Step. MatrixTransport is
+// the reliable n×n matrix, result for result the shared row; the seam is
+// an interface, not a cost (BenchmarkEngineTransport is gated at
+// 0 allocs/run in scripts/benchgate.sh). Package faultnet plugs in the
+// lossy alternative: a transport may drop, delay by whole rounds,
+// duplicate or reorder copies, report its tampering through the optional
+// FaultCounter interface, and retain payloads past their send round by
+// freezing them (Freezer) instead of aliasing sender-reused buffers.
+// Freeze takes the retired copy to overwrite, so a transport recycles the
+// copies of its finished runs; what makes that safe is the Process
+// contract that a received payload is not retained past Step.
 package rounds

@@ -3,6 +3,7 @@ package rounds
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -39,33 +40,64 @@ func randPattern(r *rand.Rand, n, t, maxRounds int) FailurePattern {
 	return fp
 }
 
-// TestEngineSharedRowMatchesMatrix cross-checks the shared-row fast path
-// against the transport seam's n×n matrix (forced via tracing) over
-// randomized failure patterns: both must produce identical results.
+// TestEngineSharedRowMatchesMatrix drives random failure patterns — with
+// and without send-order overrides — down every delivery the engine has: no
+// transport (the shared row, or the built-in matrix once an order is
+// overridden), no transport with a Trace, and an installed MatrixTransport
+// (the seam), for plain Processes and for Folders. All must produce
+// identical Results, and the traced ones identical traces.
 func TestEngineSharedRowMatchesMatrix(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 300; trial++ {
+	for trial := 0; trial < 400; trial++ {
 		n := 2 + r.Intn(6)
 		maxRounds := 1 + r.Intn(4)
 		fp := randPattern(r, n, n-1, maxRounds)
+		if trial%2 == 1 && maxRounds >= 2 {
+			fp.Orders = make(map[ProcessID]map[int][]ProcessID)
+			for i := 0; i <= r.Intn(n); i++ {
+				order := make([]ProcessID, n)
+				for j, p := range r.Perm(n) {
+					order[j] = ProcessID(p + 1)
+				}
+				fp.Orders[ProcessID(1+r.Intn(n))] = map[int][]ProcessID{2 + r.Intn(maxRounds-1): order}
+			}
+		}
 		vals := make([]vector.Value, n)
 		for i := range vals {
 			vals[i] = vector.Value(1 + r.Intn(5))
 		}
 		decideAt := 1 + r.Intn(maxRounds)
+		procs := func() []Process {
+			if trial%4 < 2 {
+				return newFloodRun(vals, decideAt)
+			}
+			log := &foldLog{folds: map[int][]string{}, steps: map[int]int{}}
+			folders := make([]Process, n)
+			for i, v := range vals {
+				folders[i] = &foldMin{floodMin{v, decideAt}, log}
+			}
+			return folders
+		}
 
-		fast, err := Run(newFloodRun(vals, decideAt), fp, Options{MaxRounds: maxRounds})
+		want, err := Run(procs(), fp, Options{MaxRounds: maxRounds})
 		if err != nil {
 			t.Fatal(err)
 		}
-		var trace Trace
-		matrix, err := Run(newFloodRun(vals, decideAt), fp, Options{MaxRounds: maxRounds, Trace: &trace})
-		if err != nil {
-			t.Fatal(err)
+		var traces [2]Trace
+		for i, tr := range []Transport{nil, &MatrixTransport{}} {
+			got, err := Run(procs(), fp, Options{MaxRounds: maxRounds, Transport: tr, Trace: &traces[i]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("traced run, transport %T, diverged: fp=%+v vals=%v\ngot:  %+v\nwant: %+v", tr, fp, vals, got, want)
+			}
 		}
-		if !resultsEqual(fast, matrix) {
-			t.Fatalf("row path diverged from matrix path: fp=%+v vals=%v\nrow:    %+v\nmatrix: %+v",
-				fp, vals, fast, matrix)
+		if !reflect.DeepEqual(traces[0], traces[1]) {
+			t.Fatalf("traces differ: fp=%+v vals=%v\nshared row: %+v\nmatrix:     %+v", fp, vals, traces[0], traces[1])
+		}
+		if len(traces[0].Rounds) != want.Rounds {
+			t.Fatalf("trace has %d rounds, result %d", len(traces[0].Rounds), want.Rounds)
 		}
 	}
 }
@@ -270,6 +302,47 @@ func TestEngineFoldCount(t *testing.T) {
 			if log.steps[r] != len(rows[r]) {
 				t.Errorf("%s round %d: %d StepFolded calls for %d live destinations", name, r, log.steps[r], len(rows[r]))
 			}
+		}
+	}
+}
+
+// TestEngineTracedRunFolds pins that a Trace records the run that executes
+// without it: a traced run of Folders makes the calls the untraced one
+// makes — one Fold per distinct row, n·(1+c) merges in a round of n live
+// processes and c crashes, not the n² of stepping each — and reaches the
+// same Result.
+func TestEngineTracedRunFolds(t *testing.T) {
+	const n, rounds = 8, 3
+	fp := FailurePattern{Crashes: map[ProcessID]Crash{
+		8: {Round: 1, AfterSends: 2}, 2: {Round: 1, AfterSends: 5}, 3: {Round: 2, AfterSends: 6},
+	}}
+	run := func(trace *Trace) (*Result, *foldLog) {
+		log := &foldLog{folds: map[int][]string{}, steps: map[int]int{}}
+		folders := make([]Process, n)
+		for i := range folders {
+			folders[i] = &foldMin{floodMin{vector.Value(1 + i), rounds}, log}
+		}
+		res, err := Run(folders, fp, Options{MaxRounds: rounds, Trace: trace})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, log
+	}
+	plain, plainLog := run(nil)
+	var trace Trace
+	traced, tracedLog := run(&trace)
+	if !reflect.DeepEqual(traced, plain) {
+		t.Fatalf("traced run %+v, untraced %+v", traced, plain)
+	}
+	if !reflect.DeepEqual(tracedLog, plainLog) {
+		t.Fatalf("traced run folded %+v, untraced %+v", tracedLog, plainLog)
+	}
+	for r, crashes := range []int{2, 1, 0} {
+		if got := len(tracedLog.folds[r+1]); got != 1+crashes {
+			t.Errorf("round %d: traced run made %d Fold calls, want %d", r+1, got, 1+crashes)
+		}
+		if live := len(trace.Rounds[r].Sends) - crashes; tracedLog.steps[r+1] != live {
+			t.Errorf("round %d: %d StepFolded calls for %d live destinations", r+1, tracedLog.steps[r+1], live)
 		}
 	}
 }

@@ -50,15 +50,15 @@ type Process interface {
 //
 // In the Section 6.2 model the receivers of a round disagree only about
 // senders that crash in that round, so a round with c crashing senders has
-// at most c+1 distinct rows. The shared-row fast path therefore calls Fold
-// once per distinct row — on the first live Folder that reads it — and
-// StepFolded on every live Folder: n·(1+c) merges per round instead of n².
-// The choice is made per destination: the Folders whose FoldState equals
-// that of the slice's first Folder fold each distinct row once, and every
-// other process in the slice — a plain Process, a Folder of another
-// constructor call — gets Step on the same row. The transport seam (traced,
-// order-overridden and fault-injected runs, where rows differ per
-// destination) always calls Step.
+// at most c+1 distinct rows. A run without a transport — traced or not —
+// therefore calls Fold once per distinct row — on the first live Folder
+// that reads it — and StepFolded on every live Folder: n·(1+c) merges per
+// round instead of n². The choice is made per destination: the Folders
+// whose FoldState equals that of the slice's first Folder fold each
+// distinct row once, and every other process in the slice — a plain
+// Process, a Folder of another constructor call — gets Step on the same
+// row. Through the transport seam (an installed transport, or send-order
+// overrides: rows differ per destination) every process gets Step.
 //
 // A digest need not be a merged value: core's early-deciding wrappers keep
 // two sender bitsets (who was silent, who carried a flag) beside the inner
@@ -66,7 +66,7 @@ type Process interface {
 // crash to one, a decider to another — is one popcount in StepFolded.
 //
 // A type that embeds a Folder inherits all three methods with it: if it
-// overrides Step, the fast path would bypass the override. Hold the Folder
+// overrides Step, a folded run would bypass the override. Hold the Folder
 // in a named field instead, as core's early-deciding wrappers do — they
 // implement Folder themselves, over the inner process's two halves.
 type Folder interface {
@@ -182,13 +182,13 @@ type Result struct {
 	// Rounds is the number of rounds actually executed.
 	Rounds int
 	// MessagesDelivered counts the message copies the run's transport
-	// accepted for delivery (for the default MatrixTransport: delivered
-	// messages exactly).
+	// accepted for delivery (for the reliable default: delivered messages
+	// exactly).
 	MessagesDelivered int64
 	// Lost, Delayed and Duplicated count the message copies the run's
 	// transport dropped, deferred to a later round and duplicated. They
-	// are zero under the default MatrixTransport; a fault-injecting
-	// transport (see FaultCounter) fills them.
+	// are zero under reliable delivery; a fault-injecting transport (see
+	// FaultCounter) fills them.
 	Lost, Delayed, Duplicated int64
 }
 
@@ -245,12 +245,13 @@ type Options struct {
 	// live process has decided.
 	MaxRounds int
 	// Trace, when non-nil, is filled with the round-by-round events of the
-	// execution (rendering payloads with fmt).
+	// execution (rendering payloads with fmt); the run it records is the
+	// run that executes without it.
 	Trace *Trace
 	// Transport, when non-nil, overrides how each round's sends reach
 	// their destinations (message loss, delay, duplication, reordering —
-	// see internal/faultnet). nil selects the engine's built-in
-	// MatrixTransport: the paper's reliable crash-respecting delivery.
+	// see internal/faultnet). nil is the paper's reliable crash-respecting
+	// delivery, result for result what a MatrixTransport delivers.
 	Transport Transport
 	// Cancel, when non-nil, aborts the run between rounds once the
 	// channel is closed: the engine returns ErrCanceled instead of a
@@ -282,23 +283,23 @@ type Engine struct {
 	crashRound  []int
 	crashPrefix []int
 
-	// mt is the built-in default transport, embedded so that runs without
-	// an Options.Transport override reuse its matrix across runs.
+	// mt is the built-in transport of runs whose adversary overrides a
+	// send order, embedded so that they reuse its matrix across runs.
 	mt MatrixTransport
 
-	// row is the one receive row every destination's Step reads: the
-	// transport path has Deliver fill it per destination; the fast path
-	// (identity send orders) records one payload and delivery limit per
-	// sender and patches the row incrementally as the destination
-	// advances, instead of materializing the n×n matrix.
+	// row is the one receive row every destination's compute phase reads.
+	// A transport's Deliver fills it per destination; without a transport
+	// the send phase writes destination 1's row and it is patched as the
+	// destination advances — partial lists the senders whose delivery
+	// prefix ends mid-row this round, at destination limits[src-1] —
+	// instead of materializing the n×n matrix.
 	row     []any
-	pay     []any
 	limits  []int
-	partial []int // senders whose delivery prefix ends mid-row this round
+	partial []int
 
-	// folders[i] is procs[i] as a Folder, nil when it is a plain Process or
-	// does not share the first Folder's FoldState; resolved once per run
-	// for the fast path.
+	// folders[i] is procs[i] as a Folder, nil when it is a plain Process,
+	// does not share the first Folder's FoldState, or the run has a
+	// transport; resolved once per run.
 	folders []Folder
 }
 
@@ -325,7 +326,6 @@ func (e *Engine) reset(n int) {
 		e.crashRound = make([]int, n)
 		e.crashPrefix = make([]int, n)
 		e.folders = make([]Folder, n)
-		e.pay = make([]any, n)
 		e.row = make([]any, n)
 		e.limits = make([]int, n)
 		e.partial = make([]int, 0, n)
@@ -338,7 +338,6 @@ func (e *Engine) reset(n int) {
 	e.crashRound = e.crashRound[:n]
 	e.crashPrefix = e.crashPrefix[:n]
 	e.folders = e.folders[:n]
-	e.pay = e.pay[:n]
 	e.row = e.row[:n]
 	e.limits = e.limits[:n]
 	for i := 1; i <= n; i++ {
@@ -392,30 +391,27 @@ func (e *Engine) RunInto(res *Result, procs []Process, fp FailurePattern, opts O
 		res.Reset()
 	}
 
-	// Resolve the transport. The shared-row fast path applies only to the
-	// default reliable delivery with no tracing and no send-order
-	// overrides; everything else — traced, order-overridden or
-	// fault-injected runs — flows through the transport seam.
+	// The transport alone picks the delivery. Without one the engine's own
+	// shared row is the paper's reliable network; an installed transport, or
+	// the built-in matrix when the adversary reorders sends (rows are then no
+	// containment chain), is driven through the seam.
 	tr := opts.Transport
-	if tr == nil {
+	if tr == nil && len(fp.Orders) > 0 {
 		tr = &e.mt
 	}
-	_, isMatrix := tr.(*MatrixTransport)
-	fast := isMatrix && opts.Trace == nil && len(fp.Orders) == 0
-	if fast {
+	clear(e.folders)
+	if tr == nil {
 		var shared any
 		for i, p := range procs {
-			f, _ := p.(Folder)
-			if f != nil {
+			if f, ok := p.(Folder); ok {
 				state := f.FoldState()
 				if shared == nil {
 					shared = state
 				}
-				if state != shared {
-					f = nil // another run's Folder: Step it
+				if state == shared { // else another run's Folder: Step it
+					e.folders[i] = f
 				}
 			}
-			e.folders[i] = f
 		}
 	} else {
 		tr.Reset(n)
@@ -439,12 +435,6 @@ func (e *Engine) RunInto(res *Result, procs []Process, fp FailurePattern, opts O
 			default:
 			}
 		}
-		if fast {
-			if e.runRoundShared(procs, r, res) {
-				break
-			}
-			continue
-		}
 		var rt *RoundTrace
 		if opts.Trace != nil {
 			opts.Trace.Rounds = append(opts.Trace.Rounds, RoundTrace{
@@ -454,7 +444,7 @@ func (e *Engine) RunInto(res *Result, procs []Process, fp FailurePattern, opts O
 			})
 			rt = &opts.Trace.Rounds[len(opts.Trace.Rounds)-1]
 		}
-		if e.runRoundTransport(procs, fp, r, res, tr, rt) {
+		if e.runRound(procs, fp, r, res, tr, rt) {
 			break
 		}
 	}
@@ -464,23 +454,32 @@ func (e *Engine) RunInto(res *Result, procs []Process, fp FailurePattern, opts O
 	return res, nil
 }
 
-// runRoundTransport executes round r through the transport seam — the
-// path of every traced, order-overridden or fault-injected run — and
-// reports whether the run should stop. With a MatrixTransport its results
-// are identical to the shared-row fast path's.
-func (e *Engine) runRoundTransport(procs []Process, fp FailurePattern, r int, res *Result, tr Transport, rt *RoundTrace) (stop bool) {
+// runRound executes round r — send phase under the crash adversary, receive
+// phase, compute phase — and reports whether the run should stop (every
+// process crashed or halted, or everyone alive has decided). tr == nil
+// delivers on the engine's shared row: a sender crashing after s sends
+// reaches destinations p_1..p_s of the fixed identity order, so the row of
+// destination 1 is patched as the destination advances, and destinations
+// that are Folders share one Fold per distinct row (see Folder). Otherwise
+// every destination's row is what tr delivers, and it is stepped. rt, when
+// non-nil, records the round; it changes nothing that executes.
+func (e *Engine) runRound(procs []Process, fp FailurePattern, r int, res *Result, tr Transport, rt *RoundTrace) (stop bool) {
 	n := len(procs)
-	tr.BeginRound(r)
+	if tr != nil {
+		tr.BeginRound(r)
+	}
 
 	// Send phase: the engine applies the crash adversary (send order and
-	// delivery prefix length) and hands each broadcast to the transport.
+	// delivery prefix length) to each broadcast. partial lists the senders
+	// whose prefix ends mid-row, at destination limits[src-1].
 	active := false
+	e.partial = e.partial[:0]
 	for src := 1; src <= n; src++ {
+		e.row[src-1] = nil
 		if !e.alive[src] || e.halted[src] {
 			continue
 		}
 		payload := procs[src-1].Send(r)
-		order := e.sendOrder(fp, ProcessID(src), r)
 		limit := n
 		if e.crashRound[src-1] == r {
 			limit = e.crashPrefix[src-1]
@@ -489,31 +488,66 @@ func (e *Engine) runRoundTransport(procs []Process, fp FailurePattern, r int, re
 			if rt != nil {
 				rt.Crashes = append(rt.Crashes, ProcessID(src))
 			}
-		}
-		tr.Send(r, ProcessID(src), payload, order, limit)
-		if rt != nil {
-			rt.Sends[ProcessID(src)] = SendTrace{
-				Payload:   fmt.Sprintf("%v", payload),
-				Delivered: limit,
-			}
-		}
-		if e.alive[src] {
+		} else {
 			active = true
+		}
+		if rt != nil {
+			rt.Sends[ProcessID(src)] = SendTrace{Payload: fmt.Sprintf("%v", payload), Delivered: limit}
+		}
+		if tr != nil {
+			// Round 1 is always the paper's fixed p_1..p_n (Validate admits
+			// no order for it); later rounds honor the adversary's override.
+			order := fp.Orders[ProcessID(src)][r]
+			if order == nil {
+				order = e.identity
+			}
+			tr.Send(r, ProcessID(src), payload, order, limit)
+			continue
+		}
+		res.MessagesDelivered += int64(limit)
+		if limit >= 1 {
+			e.row[src-1] = payload
+			if limit < n {
+				e.limits[src-1] = limit
+				e.partial = append(e.partial, src)
+			}
 		}
 	}
 	res.Rounds = r
-	res.MessagesDelivered = tr.Delivered()
+	if tr != nil {
+		res.MessagesDelivered = tr.Delivered()
+	}
 
-	// Receive + compute phase: each live destination's arrivals are
-	// delivered into the shared row and consumed by its Step in turn.
+	// Receive + compute phase: each live destination's row, consumed by its
+	// compute phase in turn. folded says the Folders' shared digest is of the
+	// row as it stands; on the seam no process is folded and partial is empty.
 	outcomes := e.outcomes[:0]
-	for id := 1; id <= n; id++ {
-		if !e.alive[id] || e.halted[id] {
+	folded := false
+	for dst := 1; dst <= n; dst++ {
+		for _, src := range e.partial {
+			if e.limits[src-1] == dst-1 {
+				e.row[src-1] = nil // dst is past this sender's prefix
+				folded = false
+			}
+		}
+		if !e.alive[dst] || e.halted[dst] {
 			continue
 		}
-		tr.Deliver(r, ProcessID(id), e.row)
-		v, done := procs[id-1].Step(r, e.row)
-		outcomes = append(outcomes, outcome{ProcessID(id), v, done})
+		if tr != nil {
+			tr.Deliver(r, ProcessID(dst), e.row)
+		}
+		var v vector.Value
+		var done bool
+		if f := e.folders[dst-1]; f != nil {
+			if !folded {
+				f.Fold(r, e.row)
+				folded = true
+			}
+			v, done = f.StepFolded(r)
+		} else {
+			v, done = procs[dst-1].Step(r, e.row)
+		}
+		outcomes = append(outcomes, outcome{ProcessID(dst), v, done})
 	}
 	e.outcomes = outcomes[:0]
 	for _, o := range outcomes {
@@ -538,116 +572,9 @@ func (e *Engine) runRoundTransport(procs []Process, fp FailurePattern, r int, re
 	return true
 }
 
-// runRoundShared executes round r on the shared-row fast path and reports
-// whether the run should stop (every process crashed/halted, or everyone
-// alive has decided). Semantics match the matrix path exactly: a sender
-// crashing after s sends delivers to destinations p_1..p_s of the fixed
-// identity order. Destinations that are Folders share one Fold per distinct
-// row (see Folder); the others Step the row.
-func (e *Engine) runRoundShared(procs []Process, r int, res *Result) (stop bool) {
-	n := len(procs)
-	// Send phase: one payload and delivery limit per sender. limits[src-1]
-	// is −1 for non-senders, otherwise the length of the delivery prefix.
-	active := false
-	e.partial = e.partial[:0]
-	delivered := int64(0)
-	for src := 1; src <= n; src++ {
-		if !e.alive[src] || e.halted[src] {
-			e.limits[src-1] = -1
-			continue
-		}
-		e.pay[src-1] = procs[src-1].Send(r)
-		limit := n
-		if e.crashRound[src-1] == r {
-			limit = e.crashPrefix[src-1]
-			e.alive[src] = false
-			res.Crashed[ProcessID(src)] = true
-		}
-		e.limits[src-1] = limit
-		delivered += int64(limit)
-		if limit < n {
-			e.partial = append(e.partial, src)
-		}
-		if e.alive[src] {
-			active = true
-		}
-	}
-	res.MessagesDelivered += delivered
-	res.Rounds = r
-
-	// Receive + compute phase: the row for destination 1, then per
-	// destination only the partial senders' entries can change (their
-	// prefix ends at dst = limit). folded says the Folders' shared digest
-	// is of the row as it stands.
-	for src := 1; src <= n; src++ {
-		if e.limits[src-1] >= 1 {
-			e.row[src-1] = e.pay[src-1]
-		} else {
-			e.row[src-1] = nil
-		}
-	}
-	outcomes := e.outcomes[:0]
-	folded := false
-	for dst := 1; dst <= n; dst++ {
-		for _, src := range e.partial {
-			if e.limits[src-1] == dst-1 {
-				e.row[src-1] = nil // dst is past this sender's prefix
-				folded = false
-			}
-		}
-		if !e.alive[dst] || e.halted[dst] {
-			continue
-		}
-		var v vector.Value
-		var done bool
-		if f := e.folders[dst-1]; f != nil {
-			if !folded {
-				f.Fold(r, e.row)
-				folded = true
-			}
-			v, done = f.StepFolded(r)
-		} else {
-			v, done = procs[dst-1].Step(r, e.row)
-		}
-		outcomes = append(outcomes, outcome{ProcessID(dst), v, done})
-	}
-	e.outcomes = outcomes[:0]
-	for _, o := range outcomes {
-		if o.done {
-			e.halted[o.id] = true
-			res.Decisions[o.id] = o.value
-			res.DecisionRound[o.id] = r
-		}
-	}
-
-	if !active {
-		return true // every process has crashed or halted
-	}
-	for id := 1; id <= n; id++ {
-		if e.alive[id] && !e.halted[id] {
-			return false
-		}
-	}
-	return true
-}
-
 // Run executes the processes lock-step under the failure pattern with a
 // one-shot engine. It is the convenience form of Engine.Run; loops over
 // many runs should reuse an Engine instead.
 func Run(procs []Process, fp FailurePattern, opts Options) (*Result, error) {
 	return NewEngine().Run(procs, fp, opts)
-}
-
-// sendOrder resolves the send order of src in round r: round 1 is always
-// the paper's fixed p_1..p_n (the engine's shared identity order); later
-// rounds honor the adversary's override.
-func (e *Engine) sendOrder(fp FailurePattern, src ProcessID, r int) []ProcessID {
-	if r >= 2 {
-		if byRound, ok := fp.Orders[src]; ok {
-			if order, ok := byRound[r]; ok {
-				return order
-			}
-		}
-	}
-	return e.identity
 }

@@ -95,8 +95,10 @@ type FaultCounter interface {
 
 // MatrixTransport is the reliable synchronous network of the paper's
 // model: every copy handed over by Send is delivered in the same round,
-// stored in an n×n payload matrix. It is the engine's default transport
-// and the baseline every fault-injecting transport degrades from. The
+// stored in an n×n payload matrix. It is the seam's form of the engine's
+// default delivery (which shares one row instead, with identical results),
+// the engine's own transport when the adversary overrides a send order, and
+// the baseline every fault-injecting transport degrades from. The
 // zero value is ready to use; buffers grow to the largest n seen and are
 // reused across runs, so a warm transport adds no per-run allocation.
 type MatrixTransport struct {

@@ -25,11 +25,13 @@ func (f *benchFlood) Step(round int, recv []any) (vector.Value, bool) {
 	return f.min, round >= f.decideAt
 }
 
-// BenchmarkEngineTransport measures the transport seam on a recycled
-// engine + Result at n=16: the matrix arm is the campaign hot path and
-// must stay allocation-free — the seam is an interface, not a cost — and
-// the faultnet arms price a warm fault-injecting transport on the same
-// workload, zero-fault and under a storm plan: both allocation-free too.
+// BenchmarkEngineTransport measures delivery on a recycled engine +
+// Result at n=16: the matrix arm has no transport — the campaign hot path,
+// on the engine's shared row — and must stay allocation-free; the
+// matrix-seam arm installs a MatrixTransport, the same delivery through
+// the seam — an interface, not a cost — and the faultnet arms price a warm
+// fault-injecting transport on the same workload, zero-fault and under a
+// storm plan: all allocation-free too.
 func BenchmarkEngineTransport(b *testing.B) {
 	const n, maxRounds = 16, 4
 	fp := rounds.FailurePattern{Crashes: map[rounds.ProcessID]rounds.Crash{
@@ -64,6 +66,7 @@ func BenchmarkEngineTransport(b *testing.B) {
 	}
 
 	b.Run("matrix", func(b *testing.B) { run(b, nil) })
+	b.Run("matrix-seam", func(b *testing.B) { run(b, &rounds.MatrixTransport{}) })
 	b.Run("faultnet", func(b *testing.B) {
 		tr, err := faultnet.New(&faultnet.Plan{Seed: 3}, n)
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"slices"
 	"strings"
@@ -156,19 +157,34 @@ func writeError(w http.ResponseWriter, status int, code, message string) {
 	}{errorBody{Code: code, Message: message}})
 }
 
-// writeCompileError maps a Compile error onto its sentinel code. The
-// sentinels are checked most-specific first: ErrDomainTooLarge and
-// ErrBadInput both exist precisely so that a client can tell "shrink the
-// domain" and "fix the vector" apart from a generally malformed spec.
-func writeCompileError(w http.ResponseWriter, err error) {
-	code := "bad_params"
-	switch {
-	case errors.Is(err, kset.ErrDomainTooLarge):
-		code = "domain_too_large"
-	case errors.Is(err, kset.ErrBadInput):
-		code = "bad_input"
+// errorTable is ksetd's error taxonomy: the code and HTTP status of every
+// error a handler passes on rather than names itself, selected by the
+// sentinel the error wraps. The first matching row wins, so the specific
+// sentinels precede ErrBadParams — ErrDomainTooLarge and ErrBadInput exist
+// precisely so that a client can tell "shrink the domain" and "fix the
+// vector" apart from a generally malformed spec — and the last row, with no
+// sentinel, takes whatever wraps none.
+var errorTable = []struct {
+	code     string
+	sentinel error
+	status   int
+}{
+	{"domain_too_large", kset.ErrDomainTooLarge, http.StatusBadRequest},
+	{"bad_input", kset.ErrBadInput, http.StatusBadRequest},
+	{"bad_params", kset.ErrBadParams, http.StatusBadRequest},
+	{"draining", ErrDraining, http.StatusServiceUnavailable},
+	{"queue_full", ErrQueueFull, http.StatusTooManyRequests},
+	{"internal", nil, http.StatusInternalServerError},
+}
+
+// writeErr writes err as the structured body of its errorTable row.
+func writeErr(w http.ResponseWriter, err error) {
+	for _, row := range errorTable {
+		if row.sentinel == nil || errors.Is(err, row.sentinel) {
+			writeError(w, row.status, row.code, err.Error())
+			return
+		}
 	}
-	writeError(w, http.StatusBadRequest, code, err.Error())
 }
 
 // handleHealth serves the liveness probe.
@@ -192,14 +208,11 @@ func (s *Server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
 
 // decodeSpec decodes a JobSpec, rejecting unknown fields so typos in
 // field names fail loudly instead of silently configuring nothing.
-func decodeSpec(r *http.Request) (JobSpec, error) {
+func decodeSpec(body io.Reader) (JobSpec, error) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		return spec, err
-	}
-	return spec, nil
+	return spec, dec.Decode(&spec)
 }
 
 // addJob registers a compiled job under a fresh ID.
@@ -240,7 +253,7 @@ func (s *Server) retire(j *Job) {
 // ?wait=1 blocks until the job is terminal and replies with its results,
 // canceling the job if the client disconnects first.
 func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
-	spec, err := decodeSpec(r)
+	spec, err := decodeSpec(r.Body)
 	if err != nil {
 		writeDecodeError(w, err)
 		return
@@ -253,20 +266,13 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 	}
 	compiled, err := Compile(spec)
 	if err != nil {
-		writeCompileError(w, err)
+		writeErr(w, err)
 		return
 	}
 	j := s.addJob(compiled)
 	if err := s.sched.Enqueue(j); err != nil {
 		s.dropJob(j.ID)
-		switch {
-		case errors.Is(err, ErrDraining):
-			writeError(w, http.StatusServiceUnavailable, "draining", err.Error())
-		case errors.Is(err, ErrQueueFull):
-			writeError(w, http.StatusTooManyRequests, "queue_full", err.Error())
-		default:
-			writeError(w, http.StatusInternalServerError, "internal", err.Error())
-		}
+		writeErr(w, err)
 		return
 	}
 	if r.URL.Query().Get("wait") == "1" {
@@ -485,7 +491,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.sched.Draining() {
-		writeError(w, http.StatusServiceUnavailable, "draining", ErrDraining.Error())
+		writeErr(w, ErrDraining)
 		return
 	}
 	id := strings.TrimPrefix(r.URL.Path, "/v1/experiments/")

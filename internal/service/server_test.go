@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -65,118 +66,30 @@ func post(t *testing.T, url, body string) (*http.Response, []byte) {
 }
 
 // TestSubmitValidationVectors is the submission-path validation table:
-// every malformed spec must be rejected at POST time with a structured
-// 400 body carrying the sentinel-derived code — not accepted and failed
-// later.
+// every malformed body — two that do not decode, and every reject of
+// testdata/jobspecs_v1.json — must be refused at POST time with a
+// structured 400 body carrying the vector's code, not accepted and failed
+// later; every accept of the file must compile.
 func TestSubmitValidationVectors(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	vectors := []struct {
-		name     string
-		body     string
-		wantCode string
-	}{
-		{
-			name:     "malformed JSON",
-			body:     `{"params": `,
-			wantCode: "bad_json",
-		},
-		{
-			name:     "unknown field",
-			body:     `{"parms": {"n": 4}}`,
-			wantCode: "bad_json",
-		},
-		{
-			name: "bad params: k = 0",
-			body: `{"params": {"n": 4, "t": 2, "k": 0, "d": 1, "l": 1},
-			       "condition": {"kind": "max", "m": 3}, "source": {"kind": "exhaustive"}}`,
-			wantCode: "bad_params",
-		},
-		{
-			name: "bad params: missing condition for figure2",
-			body: `{"params": {"n": 4, "t": 2, "k": 1, "d": 1, "l": 1},
-			       "source": {"kind": "exhaustive", "m": 3}}`,
-			wantCode: "bad_params",
-		},
-		{
-			name: "bad params: unknown executor",
-			body: `{"params": {"n": 4, "t": 2, "k": 1, "d": 1, "l": 1},
-			       "condition": {"kind": "max", "m": 3}, "executor": "paxos",
-			       "source": {"kind": "exhaustive"}}`,
-			wantCode: "bad_params",
-		},
-		{
-			name: "bad params: unknown source kind",
-			body: `{"params": {"n": 4, "t": 2, "k": 1, "d": 1, "l": 1},
-			       "condition": {"kind": "max", "m": 3}, "source": {"kind": "everything"}}`,
-			wantCode: "bad_params",
-		},
-		{
-			name: "domain too large: m = 100",
-			body: `{"params": {"n": 4, "t": 2, "k": 1, "d": 1, "l": 1},
-			       "condition": {"kind": "max", "m": 100}, "source": {"kind": "exhaustive"}}`,
-			wantCode: "domain_too_large",
-		},
-		{
-			name: "bad input: wrong vector length",
-			body: `{"params": {"n": 4, "t": 2, "k": 1, "d": 1, "l": 1},
-			       "condition": {"kind": "max", "m": 3},
-			       "source": {"kind": "inputs", "inputs": [[1, 2]]}}`,
-			wantCode: "bad_input",
-		},
-		{
-			name: "bad input: value outside domain",
-			body: `{"params": {"n": 4, "t": 2, "k": 1, "d": 1, "l": 1},
-			       "condition": {"kind": "max", "m": 3},
-			       "source": {"kind": "inputs", "inputs": [[1, 2, 3, 9]]}}`,
-			wantCode: "bad_input",
-		},
-		{
-			name: "bad fault plan: loss probability 1.5",
-			body: `{"params": {"n": 4, "t": 2, "k": 1, "d": 1, "l": 1},
-			       "condition": {"kind": "max", "m": 3}, "source": {"kind": "exhaustive"},
-			       "faults": {"kind": "uniform", "loss": 1.5}}`,
-			wantCode: "bad_params",
-		},
-		{
-			name: "bad fault plan: unknown family",
-			body: `{"params": {"n": 4, "t": 2, "k": 1, "d": 1, "l": 1},
-			       "condition": {"kind": "max", "m": 3}, "source": {"kind": "exhaustive"},
-			       "faults": {"kind": "hurricane"}}`,
-			wantCode: "bad_params",
-		},
-		{
-			name: "bad failures: crash id outside 1..n",
-			body: `{"params": {"n": 4, "t": 2, "k": 1, "d": 1, "l": 1},
-			       "condition": {"kind": "max", "m": 3}, "source": {"kind": "exhaustive"},
-			       "failures": {"kind": "explicit", "crashes": [{"id": 9, "round": 1}]}}`,
-			wantCode: "bad_params",
-		},
-		{
-			name: "bad failures: count over the family bound",
-			body: `{"params": {"n": 4, "t": 2, "k": 1, "d": 1, "l": 1},
-			       "condition": {"kind": "max", "m": 3}, "source": {"kind": "exhaustive"},
-			       "failures": {"kind": "random", "count": 1000000}}`,
-			wantCode: "bad_params",
-		},
-		{
-			name: "bad fault plan: size over the family bound",
-			body: `{"params": {"n": 4, "t": 2, "k": 1, "d": 1, "l": 1},
-			       "condition": {"kind": "max", "m": 3}, "source": {"kind": "exhaustive"},
-			       "faults": {"kind": "storm", "size": 1000000, "max_delay": 2, "intensity": 0.2}}`,
-			wantCode: "bad_params",
-		},
-		{
-			name: "conflicting executor and executors",
-			body: `{"params": {"n": 4, "t": 2, "k": 1, "d": 1, "l": 1},
-			       "condition": {"kind": "max", "m": 3}, "executor": "early",
-			       "executors": ["figure2"], "source": {"kind": "exhaustive"}}`,
-			wantCode: "bad_params",
-		},
-	}
+	vectors := append([]specVector{
+		{Name: "malformed JSON", Code: "bad_json", Spec: json.RawMessage(`{"params": `)},
+		{Name: "unknown field", Code: "bad_json", Spec: json.RawMessage(`{"parms": {"n": 4}}`)},
+	}, loadSpecVectors(t)...)
 	for _, tc := range vectors {
-		t.Run(tc.name, func(t *testing.T) {
+		t.Run(tc.Name, func(t *testing.T) {
+			if tc.Code == "" {
+				spec, err := decodeSpec(bytes.NewReader(tc.Spec))
+				if err == nil {
+					_, err = Compile(spec)
+				}
+				if err != nil {
+					t.Fatalf("refused: %v", err)
+				}
+				return
+			}
 			start := time.Now()
-			resp, data := post(t, ts.URL+"/v1/campaigns", tc.body)
+			resp, data := post(t, ts.URL+"/v1/campaigns", string(tc.Spec))
 			if resp.StatusCode != http.StatusBadRequest {
 				t.Fatalf("status = %d, want 400 (body %s)", resp.StatusCode, data)
 			}
@@ -190,13 +103,63 @@ func TestSubmitValidationVectors(t *testing.T) {
 			if err := json.Unmarshal(data, &body); err != nil {
 				t.Fatalf("response is not the structured error shape: %v\n%s", err, data)
 			}
-			if body.Error.Code != tc.wantCode {
-				t.Errorf("code = %q, want %q (message %q)", body.Error.Code, tc.wantCode, body.Error.Message)
+			if body.Error.Code != tc.Code {
+				t.Errorf("code = %q, want %q (message %q)", body.Error.Code, tc.Code, body.Error.Message)
 			}
 			if body.Error.Message == "" {
 				t.Error("empty error message")
 			}
 		})
+	}
+}
+
+// TestErrorTable walks every row of ksetd's error taxonomy: an error
+// wrapping the row's sentinel is written at the row's status under the
+// row's code, in the structured shape; codes are distinct; the one row
+// without a sentinel comes last, where it catches what wraps none; and a
+// specific sentinel wins over ErrBadParams wrapped beside it.
+func TestErrorTable(t *testing.T) {
+	written := func(err error) (int, errorBody) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		writeErr(rec, err)
+		var body struct {
+			Error errorBody `json:"error"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+			t.Fatalf("not the structured error shape: %v\n%s", err, rec.Body)
+		}
+		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+			t.Errorf("Content-Type = %q", ct)
+		}
+		return rec.Code, body.Error
+	}
+	seen := map[string]bool{}
+	for i, row := range errorTable {
+		if seen[row.code] || row.code == "" {
+			t.Errorf("row %d: code %q is empty or repeated", i, row.code)
+		}
+		seen[row.code] = true
+		if row.status < 400 || row.status > 599 {
+			t.Errorf("%s: status %d is not an error status", row.code, row.status)
+		}
+		if last := i == len(errorTable)-1; (row.sentinel == nil) != last {
+			t.Errorf("%s: only the last row may, and must, have no sentinel", row.code)
+		}
+		err := errors.New("wraps nothing")
+		if row.sentinel != nil {
+			err = fmt.Errorf("row %d: %w", i, row.sentinel)
+		}
+		status, body := written(err)
+		if status != row.status || body.Code != row.code || body.Message != err.Error() {
+			t.Errorf("%s: written as %d %+v, want status %d", row.code, status, body, row.status)
+		}
+	}
+	for _, specific := range []error{kset.ErrDomainTooLarge, kset.ErrBadInput} {
+		status, body := written(fmt.Errorf("%w: %w", kset.ErrBadParams, specific))
+		if want, _ := written(specific); status != want || body.Code == "bad_params" {
+			t.Errorf("%v beside ErrBadParams: written as %d %q", specific, status, body.Code)
+		}
 	}
 }
 

@@ -201,9 +201,15 @@ func (c *CompiledJob) options(extra []kset.CampaignOption) []kset.CampaignOption
 // compiles in 16 ms and 5.7 MB, a storm family in 0.1 ms.
 const maxFamilySize = 1024
 
+// maxProcesses bounds params.n at the wire plane's cap, one byte of process
+// ID. Compile's work grows with n — a crash family is up to t < n patterns
+// of up to t crashes; the initial family at n = 4000 took 3 s and 410 MB —
+// and at the bound the largest family compiles in 34 ms.
+const maxProcesses = 255
+
 // badSpec wraps a spec-shape error (unknown kind, missing field,
 // conflicting fields) in the ErrBadParams sentinel, so the HTTP layer's
-// one sentinel switch covers spec-shape and range errors alike.
+// error table covers spec-shape and range errors alike.
 func badSpec(format string, args ...any) error {
 	return fmt.Errorf(format+": %w", append(args, kset.ErrBadParams)...)
 }
@@ -216,13 +222,14 @@ func Compile(spec JobSpec) (*CompiledJob, error) {
 	if spec.Executor != "" && len(spec.Executors) > 0 {
 		return nil, badSpec("executor and executors are mutually exclusive")
 	}
-	if spec.Sweep != nil {
-		if err := c.compileSweep(); err != nil {
-			return nil, err
-		}
-		return c, nil
+	if spec.Params.N > maxProcesses {
+		return nil, badSpec("n=%d exceeds the %d processes a job may have", spec.Params.N, maxProcesses)
 	}
-	if err := c.compileCampaign(); err != nil {
+	compile := c.compileCampaign
+	if spec.Sweep != nil {
+		compile = c.compileSweep
+	}
+	if err := compile(); err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -257,7 +264,11 @@ func (c *CompiledJob) compileCampaign() error {
 	if err != nil {
 		return err
 	}
-	src, err := compileSource(spec, p, cond, execs)
+	fps, err := compileFailures(spec.Failures, p)
+	if err != nil {
+		return err
+	}
+	src, err := compileSource(spec, p, cond, fps, execs)
 	if err != nil {
 		return err
 	}
@@ -293,10 +304,20 @@ func (c *CompiledJob) compileSweep() error {
 	if err != nil {
 		return err
 	}
+	// The points differ in d alone, which no crash family reads: one set of
+	// patterns, built on parameters checked before RMax divides by k.
 	p := spec.Params.params()
+	p.D = 0
+	if err := p.Validate(); err != nil {
+		return err
+	}
+	fps, err := compileFailures(spec.Failures, p)
+	if err != nil {
+		return err
+	}
 	var srcErr error
 	points, err := kset.SweepDegrees(p, m, func(pp kset.Params, cond *kset.MaxCondition) kset.ScenarioSource {
-		src, err := compileSource(spec, pp, cond, execs)
+		src, err := compileSource(spec, pp, cond, fps, execs)
 		if err != nil && srcErr == nil {
 			srcErr = err
 		}
@@ -404,8 +425,8 @@ func compileCondition(cs *ConditionSpec, p kset.Params) (kset.Condition, error) 
 		}
 		rec := condition.MaxL(p.L)
 		for i, raw := range cs.Vectors {
-			if err := ec.AddAuto(intsVector(raw), rec); err != nil {
-				return nil, fmt.Errorf("condition vector %d: %w", i, err)
+			if err := ec.AddAuto(kset.VectorOf(raw...), rec); err != nil {
+				return nil, badSpec("condition vector %d: %v", i, err)
 			}
 		}
 		return kset.CompileCondition(ec), nil
@@ -413,14 +434,9 @@ func compileCondition(cs *ConditionSpec, p kset.Params) (kset.Condition, error) 
 	return nil, badSpec("unknown condition kind %q (want max, min or explicit)", cs.Kind)
 }
 
-// intsVector converts a JSON int list to an input vector (0 = ⊥).
-func intsVector(raw []int) kset.Vector {
-	return kset.VectorOf(raw...)
-}
-
 // compileSource builds the scenario stream: the base generator, then the
 // crash, fault and executor cross products.
-func compileSource(spec *JobSpec, p kset.Params, cond kset.Condition, execs []kset.Executor) (kset.ScenarioSource, error) {
+func compileSource(spec *JobSpec, p kset.Params, cond kset.Condition, fps []kset.FailurePattern, execs []kset.Executor) (kset.ScenarioSource, error) {
 	m := spec.Source.M
 	if m == 0 && spec.Condition != nil {
 		m = spec.Condition.M
@@ -457,11 +473,11 @@ func compileSource(spec *JobSpec, p kset.Params, cond kset.Condition, execs []ks
 	if spec.Label != "" {
 		src = kset.Labeled(src, spec.Label)
 	}
-	var err error
-	if src, err = applyFailures(src, spec.Failures, p); err != nil {
-		return nil, err
+	if fps != nil {
+		src = kset.CrossFailures(src, fps...)
 	}
-	if src, err = applyFaults(src, spec.Faults); err != nil {
+	src, err := applyFaults(src, spec.Faults)
+	if err != nil {
 		return nil, err
 	}
 	if len(execs) > 0 {
@@ -493,29 +509,31 @@ func compileInputs(raw [][]int, n, m int) ([]kset.Vector, error) {
 					i, j, v, maxV, kset.ErrBadInput)
 			}
 		}
-		inputs[i] = intsVector(vals)
+		inputs[i] = kset.VectorOf(vals...)
 	}
 	return inputs, nil
 }
 
-// applyFailures crosses the source with the spec's crash adversary.
-func applyFailures(src kset.ScenarioSource, fs *FailuresSpec, p kset.Params) (kset.ScenarioSource, error) {
+// compileFailures builds the patterns of the spec's crash adversary (nil
+// spec: none), once per spec.
+func compileFailures(fs *FailuresSpec, p kset.Params) ([]kset.FailurePattern, error) {
 	if fs == nil {
-		return src, nil
+		return nil, nil
 	}
+	var fam kset.FailureFamily
 	switch fs.Kind {
 	case "initial":
 		if fs.MaxF < 0 || fs.MaxF > p.T {
 			return nil, badSpec("initial failures: max_f %d outside 0..t=%d", fs.MaxF, p.T)
 		}
-		return kset.FailureSchedules(src, kset.InitialCrashFamily(p.N, fs.MaxF)), nil
+		fam = kset.InitialCrashFamily(p.N, fs.MaxF)
 	case "staggered":
-		return kset.FailureSchedules(src, kset.StaggeredCrashFamily(p.N, p.T, p.RMax())), nil
+		fam = kset.StaggeredCrashFamily(p.N, p.T, p.RMax())
 	case "random":
 		if fs.Count < 1 || fs.Count > maxFamilySize {
 			return nil, badSpec("random failures need count in 1..%d, got %d", maxFamilySize, fs.Count)
 		}
-		return kset.FailureSchedules(src, kset.RandomCrashFamily(fs.Seed, p.N, p.T, p.RMax(), fs.Count)), nil
+		fam = kset.RandomCrashFamily(fs.Seed, p.N, p.T, p.RMax(), fs.Count)
 	case "explicit":
 		specs := make([]kset.CrashSpec, len(fs.Crashes))
 		for i, cr := range fs.Crashes {
@@ -524,9 +542,11 @@ func applyFailures(src kset.ScenarioSource, fs *FailuresSpec, p kset.Params) (ks
 			}
 			specs[i] = kset.CrashSpec{ID: kset.ProcessID(cr.ID), Round: cr.Round, AfterSends: cr.AfterSends}
 		}
-		return kset.CrossFailures(src, kset.Crashes(specs...)), nil
+		return []kset.FailurePattern{kset.Crashes(specs...)}, nil
+	default:
+		return nil, badSpec("unknown failures kind %q (want initial, staggered, random or explicit)", fs.Kind)
 	}
-	return nil, badSpec("unknown failures kind %q (want initial, staggered, random or explicit)", fs.Kind)
+	return fam.Patterns(), nil
 }
 
 // applyFaults crosses the source with the spec's link-fault plans. The

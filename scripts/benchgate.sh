@@ -27,9 +27,11 @@ cd "$(dirname "$0")/.."
 # 47, all of it campaign setup, since PR 19 — a campaign run borrows the
 # worker's scenario slot and allocates nothing, which is also what holds
 # CampaignThroughput/campaign at 0 per run).
-# EngineTransport prices the transport seam on a recycled engine: the
-# matrix arm is the campaign hot path and must stay allocation-free (the
-# seam is an interface dispatch, not a cost), and the warmed zero-fault
+# EngineTransport prices delivery on a recycled engine: the matrix arm
+# has no transport — the campaign hot path, on the engine's shared row —
+# and must stay allocation-free; the matrix-seam arm installs a
+# rounds.MatrixTransport, the same delivery through the seam (an interface
+# dispatch, not a cost: measured 0 at PR 22), and the warmed zero-fault
 # faultnet arm must amortize to zero as well (measured: 0 / 0 at PR 6).
 # The faultnet-storm arm injects every fault kind into plain values; the
 # EngineRound storm arm does the same to a Figure-2 run, whose flood
@@ -77,6 +79,7 @@ BenchmarkE9Adversary 400
 BenchmarkCampaignThroughput/campaign 1
 BenchmarkCollectorPath 64
 BenchmarkEngineTransport/matrix 0
+BenchmarkEngineTransport/matrix-seam 0
 BenchmarkEngineTransport/faultnet 0
 BenchmarkEngineTransport/faultnet-storm 0
 BenchmarkSubmitPath 40

@@ -365,7 +365,7 @@ type worker struct {
 // when one is installed (cached per worker), otherwise the scenario's
 // fault plan (falling back to the system default) — nil, for no plan or
 // one that injects nothing, meaning the engine's allocation-free
-// shared-row fast path. Fault-transport draws are reseeded per run so
+// shared row. Fault-transport draws are reseeded per run so
 // they depend only on (plan, scenario), never on worker count or
 // submission order.
 func (w *worker) transport(s *System, sc *Scenario) (rounds.Transport, error) {
