@@ -133,6 +133,8 @@
 //	sys, _ := kset.New(kset.WithParams(p), kset.WithCondition(c),
 //		kset.WithFaultPlan(&kset.FaultPlan{Seed: 1, Default: kset.LinkFaults{Loss: 0.05}}))
 //
+// Add kset.WithTransport(kset.PipeWire()) — or UDPLoopback — and the same
+// faults, draw for draw, hit copies that travel as encoded datagrams.
 // Scenario.Faults overrides the system plan per run; the asynchronous
 // executor ignores both. Fault draws are seeded per scenario (plan seed
 // × scenario seed × input), so lossy campaigns stay byte-reproducible at

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"testing"
 
 	"kset"
@@ -164,7 +165,7 @@ func TestLossyCampaignWorkerCountInvariance(t *testing.T) {
 // and then run as if there were none — the campaign's stats JSON is
 // byte-identical to the plan-free campaign's at any worker count, with no
 // fault tally — while an invalid plan whose profiles are all zero still
-// fails, as does any plan on a wire system.
+// fails. On a wire system such a plan leaves the plan-less wire run.
 func TestZeroFaultPlansLeaveTheSeam(t *testing.T) {
 	p := testParams()
 	cond := testCondition(t, p)
@@ -218,9 +219,13 @@ func TestZeroFaultPlansLeaveTheSeam(t *testing.T) {
 		}
 	}
 	wired := testSystem(t, kset.WithParams(p), kset.WithCondition(cond), kset.WithTransport(kset.PipeWire()))
-	_, err := wired.RunScenario(context.Background(), kset.Scenario{Input: input, Faults: &kset.FaultPlan{}})
-	if !errors.Is(err, kset.ErrBadParams) {
-		t.Errorf("zero plan on a wire system: err = %v, want ErrBadParams", err)
+	want1, err := wired.RunScenario(context.Background(), kset.Scenario{Input: input})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got1, err := wired.RunScenario(context.Background(), kset.Scenario{Input: input, Faults: &kset.FaultPlan{}})
+	if err != nil || !reflect.DeepEqual(got1, want1) {
+		t.Errorf("zero plan on a wire system: %+v, %v; want the plan-less wire run %+v", got1, err, want1)
 	}
 }
 

@@ -20,9 +20,10 @@
 // which batch drivers derive from the plan seed, the scenario seed and
 // the input vector — so a campaign's faults are byte-reproducible at
 // any worker count; the stream is pinned draw for draw by
-// testdata/draws_v1.json. On-time copies are stores into the round's n×n
-// matrix; only delayed and duplicated copies ride a ring of maxDelay+1
-// arrival slots, frozen (rounds.Freezer) into copies the transport
-// recycles from run to run. A plan that injects nothing needs no
-// transport: kset's workers validate it and run on the engine's shared row.
+// testdata/draws_v1.json. On-time copies go to an inner rounds.Transport
+// (a matrix, or the wire plane's: see Transport); only delayed and
+// duplicated copies ride a ring of maxDelay+1 arrival slots, frozen
+// (rounds.Freezer) into copies the transport recycles from run to run. A
+// plan that injects nothing needs no fault layer: kset's workers validate
+// it and run on what is beneath, the wire transport or the engine's row.
 package faultnet

@@ -37,17 +37,21 @@ func compile(lf LinkFaults) profile {
 // engine already applied. The zero value is unusable; call SetPlan (or
 // New) first.
 //
-// Copies live on two planes. An on-time copy is one store into the
-// current round's n×n matrix (rounds.MatrixTransport's layout); only
-// delayed and duplicated copies ride the ring of maxDelay+1 slots indexed
-// by arrival round, one list per destination. Deliver copies the matrix
-// row and overlays the round's late arrivals in the order they were sent,
-// skipping senders with an on-time copy: a round's own copy shadows a
-// stale one, of several stale ones the latest sent wins, and a delayed
-// copy arriving alone surfaces as that round's payload from its sender —
-// the at-most-one-message-per-sender-per-round shape rounds.Process
+// It decorates an inner rounds.Transport (SetInner; by default an embedded
+// rounds.MatrixTransport). Send hands the on-time survivors of the
+// broadcast's prefix to the inner transport in one Send, in send order;
+// only delayed and duplicated copies stay here, on a ring of maxDelay+1
+// slots indexed by arrival round, one list per destination. Deliver is the
+// inner row overlaid, where it is nil, with the round's late arrivals,
+// latest sent first: a round's own copy shadows a stale one, of several
+// stale ones the latest sent wins, and a delayed copy arriving alone
+// surfaces as that round's payload from its sender — the
+// at-most-one-message-per-sender-per-round shape rounds.Process
 // implementations expect, with stale payload types left to the protocol's
-// receive filters. (A nil payload is, as on the matrix, silence.)
+// receive filters. (A nil payload is, as on the matrix, silence.) A copy
+// is lost at exactly one layer — one dropped here never reaches the inner
+// transport, so a blocking inner Deliver never waits for it — and
+// Delivered and FaultCounts are the sums of the two layers' counters.
 //
 // SetPlan compiles the plan once: probabilities to integer thresholds,
 // scheduled faults to an index, and whether it injects anything at all
@@ -59,7 +63,8 @@ func compile(lf LinkFaults) profile {
 //
 // A Transport is driven by one engine at a time (see rounds.Transport)
 // and reusable across runs and system sizes: Reset rewinds the counters,
-// both planes and the random stream (to Reseed's seed, or the plan's).
+// the inner transport, the ring and the random stream (to Reseed's seed,
+// or the plan's).
 type Transport struct {
 	plan  *Plan
 	planN int // the n the plan was validated against
@@ -75,11 +80,12 @@ type Transport struct {
 	seed uint64 // per-run base; rng rewinds to it on Reset
 	rng  prng.Rand
 
-	n                                    int
-	delivered, lost, delayed, duplicated int64
+	inner  rounds.Transport // carries the on-time copies; Reset makes nil &matrix
+	matrix rounds.MatrixTransport
 
-	// now[(dst-1)*n+src-1] is the on-time copy of the current round.
-	now []any
+	n                                    int
+	postponed, lost, delayed, duplicated int64 // postponed: late copies, which inner never counts
+
 	// late[slot*n+dst-1] lists the late copies arriving at dst in rounds
 	// ≡ slot (mod maxDelay+1), in send order; BeginRound retires the slot
 	// whose round has passed before it is refilled for round r+maxDelay.
@@ -89,6 +95,7 @@ type Transport struct {
 	frozen []any
 	used   int
 	order  []rounds.ProcessID // reorder scratch
+	onTime []rounds.ProcessID // one Send's survivors, in send order
 }
 
 // schedKey indexes the scheduled faults by (round, link).
@@ -100,6 +107,7 @@ type schedKey struct {
 var (
 	_ rounds.Transport    = (*Transport)(nil)
 	_ rounds.FaultCounter = (*Transport)(nil)
+	_ rounds.CancelAware  = (*Transport)(nil)
 )
 
 // New returns a Transport executing the given plan, validated against a
@@ -147,11 +155,12 @@ func (t *Transport) SetPlan(plan *Plan, n int) error {
 	return nil
 }
 
-// Plan returns the installed plan.
-func (t *Transport) Plan() *Plan { return t.plan }
+// SetInner installs the transport the next runs' on-time copies ride;
+// nil is the embedded rounds.MatrixTransport.
+func (t *Transport) SetInner(inner rounds.Transport) { t.inner = inner }
 
 // Zero is the installed plan's Plan.Zero, computed once by SetPlan: such a
-// run is identical on the engine's default transport.
+// run is identical on the inner transport alone.
 func (t *Transport) Zero() bool { return t.zero }
 
 // Reseed fixes the base seed of the next runs' random fault stream.
@@ -160,19 +169,22 @@ func (t *Transport) Zero() bool { return t.zero }
 // worker count and execution order.
 func (t *Transport) Reseed(seed uint64) { t.seed = seed }
 
-// Reset implements rounds.Transport: counters to zero, the ring emptied,
-// the previous run's frozen copies retired for reuse, random stream
-// rewound to the base seed.
+// Reset implements rounds.Transport: counters to zero, the inner
+// transport reset, the ring emptied, the previous run's frozen copies
+// retired for reuse, random stream rewound to the base seed.
 func (t *Transport) Reset(n int) {
+	if t.inner == nil {
+		t.inner = &t.matrix
+	}
+	t.inner.Reset(n)
 	t.n = n
 	t.rng = prng.New(t.seed)
-	t.delivered, t.lost, t.delayed, t.duplicated = 0, 0, 0, 0
+	t.postponed, t.lost, t.delayed, t.duplicated = 0, 0, 0, 0
 	t.used = 0
-	if cap(t.now) < n*n {
-		t.now = make([]any, n*n)
+	if cap(t.order) < n {
 		t.order = make([]rounds.ProcessID, n)
+		t.onTime = make([]rounds.ProcessID, n)
 	}
-	t.now = t.now[:n*n] // cleared by every BeginRound
 	// Lists past this run's (maxDelay+1)·n are emptied when a run needs them.
 	for len(t.late) < (t.maxDelay+1)*n {
 		t.late = append(t.late, nil)
@@ -182,11 +194,11 @@ func (t *Transport) Reset(n int) {
 	}
 }
 
-// BeginRound implements rounds.Transport: the on-time matrix is cleared
-// and the ring slot whose arrival round has passed is retired, freeing it
-// for round r+maxDelay arrivals.
+// BeginRound implements rounds.Transport: the inner transport opens the
+// round and the ring slot whose arrival round has passed is retired,
+// freeing it for round r+maxDelay arrivals.
 func (t *Transport) BeginRound(r int) {
-	clear(t.now)
+	t.inner.BeginRound(r)
 	slot := (r + t.maxDelay) % (t.maxDelay + 1)
 	for i := slot * t.n; i < (slot+1)*t.n; i++ {
 		t.late[i] = t.late[i][:0]
@@ -198,8 +210,8 @@ func (t *Transport) hit(T uint64) bool { return T != 0 && t.rng.Next()>>11 < T }
 
 // Send implements rounds.Transport: each copy of the broadcast runs the
 // link's fault gauntlet — scheduled fault first, then seeded loss,
-// delay and duplication — and the survivors are stored on time or filed
-// under their arrival round.
+// delay and duplication — and the survivors are handed to the inner
+// transport, in one Send, or filed under their arrival round.
 func (t *Transport) Send(r int, src rounds.ProcessID, payload any, order []rounds.ProcessID, limit int) {
 	if limit <= 0 {
 		return
@@ -208,7 +220,7 @@ func (t *Transport) Send(r int, src rounds.ProcessID, payload any, order []round
 		order = t.shuffled(order)
 	}
 	sched, links := t.sched, t.links
-	now := t.now[int(src)-1:]
+	onTime := t.onTime[:0]
 	frozen := any(nil)
 	for _, dst := range order[:limit] {
 		if sched != nil {
@@ -221,8 +233,7 @@ func (t *Transport) Send(r int, src rounds.ProcessID, payload any, order []round
 					t.postpone(r+f.Delay, src, dst, payload, &frozen)
 				case Duplicate:
 					t.duplicated++
-					now[(int(dst)-1)*t.n] = payload
-					t.delivered++
+					onTime = append(onTime, dst)
 					t.postpone(r+f.Delay, src, dst, payload, &frozen)
 				}
 				continue
@@ -242,14 +253,14 @@ func (t *Transport) Send(r int, src rounds.ProcessID, payload any, order []round
 			t.delayed++
 			t.postpone(r+t.delayDraw(lf.maxDelay), src, dst, payload, &frozen)
 		} else {
-			now[(int(dst)-1)*t.n] = payload
-			t.delivered++
+			onTime = append(onTime, dst)
 		}
 		if t.hit(lf.dup) {
 			t.duplicated++
 			t.postpone(r+t.delayDraw(lf.maxDelay), src, dst, payload, &frozen)
 		}
 	}
+	t.inner.Send(r, src, payload, onTime, len(onTime))
 }
 
 // postpone files one copy for arrival in a later round, freezing the
@@ -268,31 +279,42 @@ func (t *Transport) postpone(arrival int, src, dst rounds.ProcessID, payload any
 	}
 	list := &t.late[arrival%(t.maxDelay+1)*t.n+int(dst)-1]
 	*list = append(*list, lateCopy{src, *frozen})
-	t.delivered++
+	t.postponed++
 }
 
-// Deliver implements rounds.Transport: round r's on-time row for dst,
-// overlaid with the round's late arrivals from senders without an
-// on-time copy — in send order, so the latest sent surfaces.
+// Deliver implements rounds.Transport: the inner transport's row for dst,
+// overlaid with the round's late arrivals from senders it shows nothing
+// of — latest sent first, so that one surfaces.
 func (t *Transport) Deliver(r int, dst rounds.ProcessID, row []any) {
-	d := int(dst) - 1
-	now := t.now[d*t.n : (d+1)*t.n]
-	copy(row, now)
-	for _, m := range t.late[r%(t.maxDelay+1)*t.n+d] {
-		if now[m.src-1] == nil {
+	t.inner.Deliver(r, dst, row)
+	late := t.late[r%(t.maxDelay+1)*t.n+int(dst)-1]
+	for i := len(late) - 1; i >= 0; i-- {
+		if m := late[i]; row[m.src-1] == nil {
 			row[m.src-1] = m.payload
 		}
 	}
 }
 
 // Delivered implements rounds.Transport: the copies accepted for
-// delivery — losses excluded, duplicates included, delayed copies
-// counted when accepted even if the run ends before they arrive.
-func (t *Transport) Delivered() int64 { return t.delivered }
+// delivery, by the inner transport or as late copies — losses excluded,
+// duplicates included, delayed copies counted when accepted even if the
+// run ends before they arrive.
+func (t *Transport) Delivered() int64 { return t.inner.Delivered() + t.postponed }
 
-// FaultCounts implements rounds.FaultCounter.
+// FaultCounts implements rounds.FaultCounter: this layer's faults plus
+// the inner transport's own (a wire transport's written-off copies).
 func (t *Transport) FaultCounts() (lost, delayed, duplicated int64) {
-	return t.lost, t.delayed, t.duplicated
+	if fc, ok := t.inner.(rounds.FaultCounter); ok {
+		lost, delayed, duplicated = fc.FaultCounts()
+	}
+	return lost + t.lost, delayed + t.delayed, duplicated + t.duplicated
+}
+
+// SetCancel implements rounds.CancelAware for a blocking inner Deliver.
+func (t *Transport) SetCancel(cancel <-chan struct{}) {
+	if ca, ok := t.inner.(rounds.CancelAware); ok {
+		ca.SetCancel(cancel)
+	}
 }
 
 // shuffled copies order into the transport's scratch and applies a

@@ -382,7 +382,7 @@ func TestSetPlanPointerCache(t *testing.T) {
 	if err := tr.SetPlan(bad, 4); err == nil {
 		t.Error("invalid new plan must fail")
 	}
-	if tr.Plan() != plan {
+	if tr.plan != plan {
 		t.Error("failed SetPlan must leave the old plan installed")
 	}
 }

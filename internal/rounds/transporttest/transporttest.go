@@ -1,10 +1,11 @@
 // Package transporttest is the shared conformance suite of the
 // rounds.Transport contract. Every transport implementation — the
-// canonical MatrixTransport, faultnet's injector under a zero-fault plan,
-// and the wire plane's codec-backed pipe and UDP loopback transports —
-// runs the same scripted delivery scenarios, so the four stay pinned to
-// one Reset/BeginRound/Send/Deliver semantics and a new implementation
-// cannot silently diverge from the engine's expectations.
+// canonical MatrixTransport, faultnet's injector under a zero-fault plan
+// (over its own matrix and over the wire transports), and the wire plane's
+// codec-backed pipe and UDP loopback transports — runs the same scripted
+// delivery scenarios, so all stay pinned to one
+// Reset/BeginRound/Send/Deliver semantics and a new implementation cannot
+// silently diverge from the engine's expectations.
 //
 // The suite asserts the reliable contract: a transport under test must
 // deliver every handed-over copy in its send round, exactly once, to
@@ -35,6 +36,7 @@ func Run(t *testing.T, mk Factory) {
 	t.Run("SkippedDestinations", func(t *testing.T) { testSkippedDestinations(t, mk) })
 	t.Run("StatePayloads", func(t *testing.T) { testStatePayloads(t, mk) })
 	t.Run("ResetReuse", func(t *testing.T) { testResetReuse(t, mk) })
+	t.Run("SkippedAcrossReset", func(t *testing.T) { testSkippedAcrossReset(t, mk) })
 }
 
 // identity returns the fixed p_1..p_n send order.
@@ -235,6 +237,33 @@ func testResetReuse(t *testing.T, mk Factory) {
 		wantNil(t, row, 2)
 		if got := tr.Delivered(); got != int64(n) {
 			t.Fatalf("run %d: Delivered = %d, want %d", run, got, n)
+		}
+	}
+}
+
+// testSkippedAcrossReset: copies a run left undrained — its destinations
+// crashed or halted — must not surface in the next run, whose rounds carry
+// the same numbers: after Reset every row holds the new run's values.
+func testSkippedAcrossReset(t *testing.T, mk Factory) {
+	const n = 3
+	tr := mk(t, n)
+	order := identity(n)
+	for run := 0; run < 2; run++ {
+		tr.Reset(n)
+		for r := 1; r <= 2; r++ {
+			tr.BeginRound(r)
+			for src := 1; src <= n; src++ {
+				tr.Send(r, rounds.ProcessID(src), vector.Value(30*run+10*r+src), order, n)
+			}
+			if run == 0 {
+				continue // nobody is delivered to in the first run
+			}
+			for dst := 1; dst <= n; dst++ {
+				row := deliver(tr, r, rounds.ProcessID(dst), n)
+				for src := 1; src <= n; src++ {
+					wantValue(t, row, src, vector.Value(30+10*r+src))
+				}
+			}
 		}
 	}
 }

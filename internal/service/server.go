@@ -484,7 +484,12 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 
 // handleExperiment serves POST /v1/experiments/{id}: run one registered
 // experiment synchronously, with optional parameter overrides
-// ({"params": {"n": 6, ...}}), and reply with its Report.
+// ({"params": {"n": 6, ...}}), and reply with its Report. The run is
+// inline — no slot, no cancellation — and the registry's costs grow
+// exponentially in its size parameters, so an override may only shrink:
+// a key the spec's Defaults lack, or a value outside 0..default ("seed"
+// excepted), is refused as bad_params. cmd/experiments is the
+// unrestricted surface.
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", r.Method+" not allowed")
@@ -508,6 +513,12 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&body); err != nil {
 			writeDecodeError(w, err)
+			return
+		}
+	}
+	for key, v := range body.Params {
+		if def, ok := sp.Defaults[key]; !ok || key != "seed" && (v < 0 || v > def) {
+			writeErr(w, fmt.Errorf("service: experiment %s: override %q = %d is no parameter of it or outside 0..default: %w", sp.ID, key, v, kset.ErrBadParams))
 			return
 		}
 	}

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"kset"
+	"kset/internal/experiments"
 )
 
 // newTestServer boots a service core plus httptest front end.
@@ -825,6 +826,38 @@ func TestExperimentEndpoints(t *testing.T) {
 	resp, data = post(t, ts.URL+"/v1/experiments/E99", "")
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown experiment: status %d: %s", resp.StatusCode, data)
+	}
+}
+
+// TestExperimentOverridesOnlyShrink: the experiment route runs inline, so
+// for every registered spec and every key of its defaults a value below 0
+// or above the default is a structured 400 bad_params — as is a key the
+// spec does not have — and nothing is run. The seed is free.
+func TestExperimentOverridesOnlyShrink(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	refused := func(id, key string, v int) {
+		t.Helper()
+		resp, data := post(t, ts.URL+"/v1/experiments/"+id, fmt.Sprintf(`{"params": {%q: %d}}`, key, v))
+		var body struct {
+			Error errorBody `json:"error"`
+		}
+		if err := json.Unmarshal(data, &body); err != nil || resp.StatusCode != http.StatusBadRequest || body.Error.Code != "bad_params" {
+			t.Errorf("%s %s=%d: status %d, body %s; want 400 bad_params", id, key, v, resp.StatusCode, data)
+		}
+	}
+	for _, sp := range experiments.Registry() {
+		for key, def := range sp.Defaults {
+			if key == "seed" {
+				continue
+			}
+			refused(sp.ID, key, -1)
+			refused(sp.ID, key, def+1)
+		}
+		refused(sp.ID, "no-such-parameter", 0)
+	}
+	resp, data := post(t, ts.URL+"/v1/experiments/E11", `{"params": {"trials": 1, "seed": -7}}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("E11 with fewer trials and another seed: status %d: %s", resp.StatusCode, data)
 	}
 }
 

@@ -75,7 +75,7 @@ func (u *udpConn) WriteTo(b []byte, dst rounds.ProcessID) error {
 }
 
 func (u *udpConn) ReadFrom(b []byte) (int, error) {
-	n, _, err := u.c.ReadFromUDP(b)
+	n, _, err := u.c.ReadFromUDPAddrPort(b) // no *UDPAddr allocated per datagram
 	return n, err
 }
 

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"errors"
 	"time"
 
@@ -201,7 +202,7 @@ func (t *Loopback) Send(r int, src rounds.ProcessID, payload any, order []rounds
 // retransmissions of the missing ones, and gives up at the deadline —
 // counting each absentee as lost — so a Deliver can never hang. A run
 // cancellation aborts the wait immediately.
-func (t *Loopback) Deliver(r int, dst rounds.ProcessID, row []any) {
+func (t *Loopback) Deliver(_ int, dst rounds.ProcessID, row []any) {
 	base := (int(dst) - 1) * t.n
 	pending := 0
 	for src := 0; src < t.n; src++ {
@@ -211,7 +212,7 @@ func (t *Loopback) Deliver(r int, dst rounds.ProcessID, row []any) {
 		}
 	}
 	if pending > 0 {
-		t.await(r, dst, base, pending)
+		t.await(dst, base, pending)
 	}
 	for src := 0; src < t.n; src++ {
 		slot := &t.slots[base+src]
@@ -230,7 +231,7 @@ func (t *Loopback) Deliver(r int, dst rounds.ProcessID, row []any) {
 
 // await reads dst's endpoint until the round's pending copies arrive or
 // the deadline passes.
-func (t *Loopback) await(r int, dst rounds.ProcessID, base, pending int) {
+func (t *Loopback) await(dst rounds.ProcessID, base, pending int) {
 	conn := t.conns[int(dst)-1]
 	pc := startPacer(&t.rng, t.cfg.RoundTimeout, t.cfg.Retransmit, true)
 	for pending > 0 {
@@ -253,13 +254,20 @@ func (t *Loopback) await(r int, dst rounds.ProcessID, base, pending int) {
 			return
 		}
 		data := t.readBuf[:n]
-		ft, fr, fsrc, fdst, ok := Peek(data, t.n)
-		if !ok || ft != TypeData || fr != r || fdst != dst {
-			continue // timeout, stale round, duplicate of a finished wait, or noise
+		_, _, fsrc, _, ok := Peek(data, t.n)
+		if !ok {
+			continue // timeout or noise
 		}
+		// The mesh outlives the run and a destination that crashed or
+		// halted never drains its endpoint, so a previous run's datagram
+		// for this very round, link and destination may be queued ahead of
+		// the fresh one, and a frame carries no run identity. A copy is
+		// therefore taken only when it is, byte for byte, the frame its
+		// sender holds for this wait — which also rules out other rounds,
+		// other destinations and links that sent nothing.
 		slot := &t.slots[base+int(fsrc)-1]
-		if slot.frame.len == 0 || slot.got {
-			continue // unsolicited or duplicate
+		if slot.got || !bytes.Equal(data, slot.frame.bytes()) {
+			continue // stale, unsolicited or duplicate
 		}
 		f, err := DecodeFrame(data)
 		if err != nil {

@@ -28,7 +28,9 @@ func WithExecutor(e Executor) Option {
 
 // WithFaultPlan makes every synchronous run of the System inject link
 // faults — loss, delay, duplication, reordering — according to the plan,
-// composed on top of whatever crash FailurePattern each run carries.
+// composed on top of whatever crash FailurePattern each run carries and
+// over whatever message plane it uses: the default one, or WithTransport's
+// wire plane, with identical draws either way.
 // The plan is validated by New (errors wrap ErrBadParams) and must be
 // treated as immutable afterwards; individual scenarios may still
 // override it via Scenario.Faults. Asynchronous runs ignore it.

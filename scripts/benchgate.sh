@@ -32,7 +32,10 @@ cd "$(dirname "$0")/.."
 # and must stay allocation-free; the matrix-seam arm installs a
 # rounds.MatrixTransport, the same delivery through the seam (an interface
 # dispatch, not a cost: measured 0 at PR 22), and the warmed zero-fault
-# faultnet arm must amortize to zero as well (measured: 0 / 0 at PR 6).
+# faultnet arm — since PR 23 a decorator handing each Send's on-time
+# survivors to that same MatrixTransport, from a scratch list sized in
+# Reset, never per Send — must amortize to zero as well (measured: 0 / 0
+# at PR 6 and at PR 23).
 # The faultnet-storm arm injects every fault kind into plain values; the
 # EngineRound storm arm does the same to a Figure-2 run, whose flood
 # payloads are frozen when delayed or duplicated — before PR 17 one

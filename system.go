@@ -71,9 +71,6 @@ func New(opts ...Option) (*System, error) {
 			return nil, fmt.Errorf("kset: bad fault plan: %w: %w", err, ErrBadParams)
 		}
 	}
-	if s.wireFactory != nil && s.faults != nil {
-		return nil, fmt.Errorf("kset: WithTransport and WithFaultPlan are mutually exclusive (the wire transport owns its loss accounting): %w", ErrBadParams)
-	}
 	return s, nil
 }
 
@@ -234,10 +231,10 @@ func (e syncExec) run(ctx context.Context, s *System, w *worker, sc *Scenario, r
 	default:
 		out, err = w.runner.RunCond(s.p, s.cond, sc.Input, sc.FP, false, tr, ctx.Done(), res)
 	}
-	if err == nil {
-		if terr := transportErr(tr); terr != nil {
-			return nil, fmt.Errorf("kset: wire transport: %w", terr)
-		}
+	// A wire transport keeps its internal error (the Transport interface
+	// cannot return one mid-run); it is the stack's base, so read it there.
+	if e, ok := w.wt.(interface{ Err() error }); ok && s.wireFactory != nil && err == nil && e.Err() != nil {
+		return nil, fmt.Errorf("kset: wire transport: %w", e.Err())
 	}
 	return mapCanceled(ctx, out, err)
 }
@@ -361,22 +358,16 @@ type worker struct {
 	wtOwner *System
 }
 
-// transport resolves the run's transport: the System's wire transport
-// when one is installed (cached per worker), otherwise the scenario's
-// fault plan (falling back to the system default) — nil, for no plan or
-// one that injects nothing, meaning the engine's allocation-free
-// shared row. Fault-transport draws are reseeded per run so
-// they depend only on (plan, scenario), never on worker count or
-// submission order.
+// transport builds the run's one message stack. The base is the System's
+// wire transport when one is installed (cached per worker), else nil —
+// the engine's allocation-free shared row. The scenario's fault plan
+// (falling back to the system default), unless there is none or it
+// injects nothing, rides the fault transport over that base.
+// Fault-transport draws are reseeded per run so they depend only on
+// (plan, scenario), never on worker count or submission order.
 func (w *worker) transport(s *System, sc *Scenario) (rounds.Transport, error) {
-	plan := sc.Faults
-	if plan == nil {
-		plan = s.faults
-	}
+	var base rounds.Transport
 	if s.wireFactory != nil {
-		if plan != nil {
-			return nil, fmt.Errorf("kset: Scenario.Faults conflicts with the system's WithTransport plane: %w", ErrBadParams)
-		}
 		if w.wt == nil || w.wtOwner != s {
 			if c, ok := w.wt.(io.Closer); ok {
 				c.Close()
@@ -387,10 +378,14 @@ func (w *worker) transport(s *System, sc *Scenario) (rounds.Transport, error) {
 			}
 			w.wt, w.wtOwner = tr, s
 		}
-		return w.wt, nil
+		base = w.wt
+	}
+	plan := sc.Faults
+	if plan == nil {
+		plan = s.faults
 	}
 	if plan == nil {
-		return nil, nil
+		return base, nil
 	}
 	if w.ft == nil {
 		w.ft = &faultnet.Transport{}
@@ -399,8 +394,9 @@ func (w *worker) transport(s *System, sc *Scenario) (rounds.Transport, error) {
 		return nil, fmt.Errorf("kset: bad fault plan: %w: %w", err, ErrBadParams)
 	}
 	if w.ft.Zero() {
-		return nil, nil // validated, and identical on the fold path
+		return base, nil // validated, and identical without the fault layer
 	}
+	w.ft.SetInner(base)
 	w.ft.Reseed(faultSeed(plan, sc))
 	return w.ft, nil
 }

@@ -10,13 +10,14 @@ import (
 // Transport is the message plane of a synchronous run: the seam between
 // the engine's crash adversary (who sends, in which order, how far a
 // crashing sender's broadcast gets) and whatever happens to a message
-// copy between hand-over and receipt. The module ships three planes —
-// the default in-memory delivery matrix, the fault injector installed by
-// WithFaultPlan, and the wire plane installed by WithTransport, which
-// moves every copy through encoded datagrams (and, for the UDP
-// transports, through real sockets). All satisfy one contract, pinned by
-// a shared conformance suite, so a scenario produces the same decisions
-// on any lossless plane.
+// copy between hand-over and receipt. The module ships two carriers —
+// the default in-memory delivery and the wire plane installed by
+// WithTransport, which moves every copy through encoded datagrams (and,
+// for the UDP transports, through real sockets) — and one decorator, the
+// fault injector installed by WithFaultPlan, which rides whichever
+// carrier the run has. All satisfy one contract, pinned by a shared
+// conformance suite, so a scenario produces the same decisions on any
+// lossless plane and the same faults over any carrier.
 type Transport = rounds.Transport
 
 // TransportFactory builds one Transport instance for a system of n
@@ -27,12 +28,12 @@ type TransportFactory func(n int) (Transport, error)
 
 // WithTransport makes every synchronous run of the System move its round
 // payloads through transports built by the factory — see PipeWire and
-// UDPLoopback. It is mutually exclusive with WithFaultPlan and with
-// Scenario.Faults: the wire transports own their loss accounting (a copy
-// that misses its delivery deadline is counted into Result.Lost, the
-// same stats plane faultnet campaigns report into), so composing the two
-// fault planes would double-inject. Asynchronous runs have no message
-// plane and ignore it.
+// UDPLoopback. A fault plan (WithFaultPlan, Scenario.Faults) stacks on
+// top: the fault plane takes its toll first and hands only the on-time
+// survivors to the wire, so a copy is lost at exactly one layer — one the
+// plan drops is never waited for below, one that misses the wire's
+// delivery deadline is written off there — and Result.Lost is the sum of
+// the two. Asynchronous runs have no message plane and ignore it.
 func WithTransport(f TransportFactory) Option {
 	return func(s *System) { s.wireFactory = f }
 }
@@ -74,13 +75,4 @@ func UDPLoopback(cfg WireConfig) TransportFactory {
 			Seed:         cfg.Seed,
 		}, n)
 	}
-}
-
-// transportErr surfaces a wire transport's deferred internal error (the
-// Transport interface itself cannot return one mid-run).
-func transportErr(tr rounds.Transport) error {
-	if e, ok := tr.(interface{ Err() error }); ok {
-		return e.Err()
-	}
-	return nil
 }

@@ -1,14 +1,18 @@
 package kset_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"kset"
+	"kset/internal/wire"
 )
 
 // wireScenario is a run with a mid-round crash — enough adversarial
@@ -59,24 +63,115 @@ func TestWireTransportMatchesMatrix(t *testing.T) {
 	}
 }
 
-// TestWireTransportExclusive: the wire plane and the fault plane are
-// mutually exclusive — at construction and per scenario.
-func TestWireTransportExclusive(t *testing.T) {
+// TestPlaneEquivalence: the fault plane rides whatever message plane the
+// run has, and which one that is cannot be seen in the results. One seeded
+// stream — random inputs × a random crash family × the three synchronous
+// executors, every run verified — goes through the default plane, PipeWire
+// and UDPLoopback, under each plan of a storm family (plan 0 injects
+// nothing: those are the planes' plan-less runs), with the plan installed
+// once by WithFaultPlan and once per scenario, at one and at two workers.
+// The stats JSON of a plan is the same bytes in all twelve settings.
+func TestPlaneEquivalence(t *testing.T) {
 	p := testParams()
 	cond := testCondition(t, p)
-	_, err := kset.New(kset.WithParams(p), kset.WithCondition(cond),
-		kset.WithTransport(kset.PipeWire()),
-		kset.WithFaultPlan(&kset.FaultPlan{Default: kset.LinkFaults{Loss: 0.5}}))
-	if !errors.Is(err, kset.ErrBadParams) {
-		t.Fatalf("WithTransport+WithFaultPlan: err = %v, want ErrBadParams", err)
+	const seed = 53
+	base := kset.CrossExecutors(
+		kset.FailureSchedules(
+			kset.RandomInputs(seed, p.N, 4, 60),
+			kset.RandomCrashFamily(seed+1, p.N, p.T, p.RMax(), 4),
+		),
+		kset.Figure2, kset.EarlyDeciding, kset.Classical,
+	)
+	planes := []struct {
+		name string
+		opts []kset.Option
+	}{
+		{"matrix", nil},
+		{"pipe", []kset.Option{kset.WithTransport(kset.PipeWire())}},
+		{"udp", []kset.Option{kset.WithTransport(kset.UDPLoopback(kset.WireConfig{}))}},
 	}
+	storm := kset.StormFamily(seed+2, 3, 2, 0.3)
+	for i := 0; i < storm.Size(); i++ {
+		plan := storm.Plan(i)
+		var want []byte
+		for _, pl := range planes {
+			for _, perScenario := range []bool{false, true} {
+				for _, workers := range []int{1, 2} {
+					name := fmt.Sprintf("plan %d/%s/perScenario=%v/workers=%d", i, pl.name, perScenario, workers)
+					opts := append([]kset.Option{kset.WithParams(p), kset.WithCondition(cond), kset.WithWorkers(workers)}, pl.opts...)
+					src := base
+					if perScenario {
+						src = kset.CrossFaults(base, plan)
+					} else {
+						opts = append(opts, kset.WithFaultPlan(plan))
+					}
+					stats, err := testSystem(t, opts...).RunSource(context.Background(), src, kset.VerifyRuns())
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if stats.Runs != 60*4*3 || stats.Errors != 0 {
+						t.Fatalf("%s: runs=%d errors=%d", name, stats.Runs, stats.Errors)
+					}
+					if f := stats.Metrics.Faults; plan.Zero() {
+						if f != nil || stats.Violations != 0 {
+							t.Fatalf("%s: fault tally %+v, %d violations on a reliable plane", name, f, stats.Violations)
+						}
+					} else if f == nil || f.Lost.Sum == 0 || f.Delayed.Sum == 0 || f.Duplicated.Sum == 0 {
+						t.Fatalf("%s: the storm left a fault kind out: %+v", name, f)
+					}
+					got, err := json.Marshal(stats)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want == nil {
+						want = got
+					} else if !bytes.Equal(got, want) {
+						t.Fatalf("%s diverged from the default plane:\n%s\nvs\n%s", name, got, want)
+					}
+				}
+			}
+		}
+	}
+}
 
-	sys := testSystem(t, kset.WithParams(p), kset.WithCondition(cond),
-		kset.WithTransport(kset.PipeWire()))
-	sc := wireScenario()
-	sc.Faults = &kset.FaultPlan{Default: kset.LinkFaults{Loss: 0.5}}
-	if _, err := sys.RunScenario(context.Background(), sc); !errors.Is(err, kset.ErrBadParams) {
-		t.Fatalf("Scenario.Faults on a wire system: err = %v, want ErrBadParams", err)
+// TestFaultPlanOverLossyWire: a copy is lost at exactly one layer. The
+// fault plane drops two scheduled copies before the wire sees them; the
+// wire beneath — a Loopback over a PipeNet that swallows every frame of
+// the link 4→5 in round 1 — writes one more off at its round deadline.
+// Result.Lost is the sum.
+func TestFaultPlanOverLossyWire(t *testing.T) {
+	p := testParams()
+	lossy := func(n int) (kset.Transport, error) {
+		return wire.NewLoopback(wire.LoopbackConfig{
+			RoundTimeout: 50 * time.Millisecond,
+			Retransmit:   time.Millisecond,
+			Dial: func(n int) ([]wire.PacketConn, error) {
+				pn := wire.NewPipeNet(n)
+				pn.SetDrop(func(src, dst kset.ProcessID, frame []byte) bool {
+					_, round, _, _, ok := wire.Peek(frame, n)
+					return ok && round == 1 && src == 4 && dst == 5
+				})
+				conns := make([]wire.PacketConn, n)
+				for i := range conns {
+					conns[i] = pn.Conn(kset.ProcessID(i + 1))
+				}
+				return conns, nil
+			},
+		}, n)
+	}
+	plan := &kset.FaultPlan{Scheduled: []kset.ScheduledFault{
+		{Round: 1, From: 1, To: 2, Kind: kset.FaultDrop},
+		{Round: 1, From: 4, To: 6, Kind: kset.FaultDrop},
+	}}
+	sys := testSystem(t, kset.WithParams(p), kset.WithCondition(testCondition(t, p)),
+		kset.WithTransport(lossy), kset.WithFaultPlan(plan))
+	res, err := sys.Run(context.Background(), kset.VectorOf(4, 4, 4, 2, 1, 2), kset.FailurePattern{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Lost != 3 || res.Delayed != 0 || res.Duplicated != 0 {
+		t.Fatalf("Lost/Delayed/Duplicated = %d/%d/%d, want 3/0/0 (two dropped above the wire, one written off by it)",
+			res.Lost, res.Delayed, res.Duplicated)
 	}
 }
 
