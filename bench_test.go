@@ -493,17 +493,24 @@ func BenchmarkPredicate(b *testing.B) {
 // folds with the row. The storm arm is a Figure-2 run with the crashes
 // under a storm faultnet.Transport — every fault kind on every link, so
 // *StateMsg copies are frozen in every flood round: a warm transport
-// freezes into the copies its last run retired.
+// freezes into the copies its last run retired. The figure2-crashes arm is
+// the Figure-2 algorithm at the benchmark's wide_sync shape (n=48, t=24,
+// k=4, d=12) under the same kind of staggered mid-row crashes: the run the
+// round loop's per-process cost shows in.
 func BenchmarkEngineRound(b *testing.B) {
 	n, t, k := 64, 32, 4
 	input := vector.New(n)
 	for i := range input {
 		input[i] = vector.Value(1 + i%8)
 	}
-	crashes := rounds.FailurePattern{Crashes: make(map[rounds.ProcessID]rounds.Crash, t)}
-	for i := 0; i < t; i++ {
-		crashes.Crashes[rounds.ProcessID(2*i+1)] = rounds.Crash{Round: 1 + i%(t/k+1), AfterSends: 1 + (7*i)%(n-1)}
+	staggered := func(n, t, k int) rounds.FailurePattern {
+		fp := rounds.FailurePattern{Crashes: make(map[rounds.ProcessID]rounds.Crash, t)}
+		for i := 0; i < t; i++ {
+			fp.Crashes[rounds.ProcessID(2*i+1)] = rounds.Crash{Round: 1 + i%(t/k+1), AfterSends: 1 + (7*i)%(n-1)}
+		}
+		return fp
 	}
+	crashes := staggered(n, t, k)
 	p := core.Params{N: n, T: t, K: k, D: t / 2, L: 1}
 	c := condition.MustNewMax(n, 8, p.X(), p.L)
 	runner := core.NewRunner()
@@ -528,6 +535,12 @@ func BenchmarkEngineRound(b *testing.B) {
 		_, err := runner.RunCond(p, c, input, fp, false, tr, nil, &res)
 		return err
 	}
+	wide := core.Params{N: 48, T: 24, K: 4, D: 12, L: 1}
+	wideCond := condition.MustNewMax(wide.N, 8, wide.X(), wide.L)
+	figure2 := func(fp rounds.FailurePattern) error {
+		_, err := runner.RunCond(wide, wideCond, input[:wide.N], fp, false, nil, nil, &res)
+		return err
+	}
 	for _, arm := range []struct {
 		name string
 		run  func(rounds.FailurePattern) error
@@ -538,6 +551,7 @@ func BenchmarkEngineRound(b *testing.B) {
 		{"early-clean", early, rounds.FailurePattern{}},
 		{"early-crashes", early, crashes},
 		{"storm", storm, crashes},
+		{"figure2-crashes", figure2, staggered(wide.N, wide.T, wide.K)},
 	} {
 		b.Run(arm.name, func(b *testing.B) {
 			run := func() {

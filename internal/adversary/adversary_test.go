@@ -24,7 +24,7 @@ func TestInitialLast(t *testing.T) {
 			t.Errorf("p%d crash = %+v, want initial", id, cr)
 		}
 	}
-	if err := fp.Validate(6, 3); err != nil {
+	if err := fp.Validate(6); err != nil {
 		t.Error(err)
 	}
 }
@@ -35,7 +35,7 @@ func TestStagger(t *testing.T) {
 	if got := fp.NumCrashes(); got != tt {
 		t.Errorf("crashes = %d, want %d", got, tt)
 	}
-	if err := fp.Validate(n, 4); err != nil {
+	if err := fp.Validate(n); err != nil {
 		t.Error(err)
 	}
 	round1 := 0
@@ -63,7 +63,7 @@ func TestRandomValid(t *testing.T) {
 		if fp.NumCrashes() > tt {
 			t.Fatalf("too many crashes: %+v", fp)
 		}
-		if err := fp.Validate(n, 4); err != nil {
+		if err := fp.Validate(n); err != nil {
 			t.Fatalf("invalid pattern: %v", err)
 		}
 	}
@@ -76,7 +76,7 @@ func TestEnumerateMatchesCount(t *testing.T) {
 		var got int64
 		err := Enumerate(tc.n, tc.t, tc.r, func(fp rounds.FailurePattern) bool {
 			got++
-			if err := fp.Validate(tc.n, tc.r); err != nil {
+			if err := fp.Validate(tc.n); err != nil {
 				t.Fatalf("enumerated invalid pattern: %v", err)
 			}
 			return true

@@ -23,7 +23,7 @@ func TestEnumerateWithOrdersMatchesCount(t *testing.T) {
 		var got int64
 		err := EnumerateWithOrders(tc.n, tc.t, tc.r, func(fp rounds.FailurePattern) bool {
 			got++
-			if err := fp.Validate(tc.n, tc.r); err != nil {
+			if err := fp.Validate(tc.n); err != nil {
 				t.Fatalf("invalid pattern %+v: %v", fp, err)
 			}
 			return true

@@ -10,7 +10,7 @@ import (
 
 // Runner executes synchronous agreement runs while owning every piece of
 // reusable state a run needs: the rounds.Engine scratch (receive row,
-// liveness bitmaps) plus per-algorithm process cells, the state the cells
+// liveness array) plus per-algorithm process cells, the state the cells
 // of a run share (one view, the fold digest) and early-decision
 // bookkeeping. A batch driver creates one Runner per worker and calls its
 // Run* methods millions of times; each call then allocates nothing beyond
@@ -47,19 +47,25 @@ type Runner struct {
 func NewRunner() *Runner { return &Runner{eng: rounds.NewEngine()} }
 
 // condState sizes the Figure-2 state and initializes the n cells of a run.
+// What no run changes — procs[i] boxing &cells[i], the cells' fold pointer —
+// is set when the arrays are allocated; a run writes only what it must.
 func (r *Runner) condState(p Params, c condition.Condition, input vector.Vector) {
 	n := p.N
 	if cap(r.cells) < n {
 		r.procs = make([]rounds.Process, n)
 		r.cells = make([]CondProcess, n)
 		r.fold.view = vector.New(n)
+		for i := range r.cells {
+			r.cells[i].fold = &r.fold
+			r.procs[i] = &r.cells[i]
+		}
 	}
 	r.procs = r.procs[:n]
 	r.cells = r.cells[:n]
 	r.fold = newCondFold(p, c, r.fold.view[:n])
 	for i := range r.cells {
-		r.cells[i] = CondProcess{proposal: input[i], fold: &r.fold, view: r.fold.view}
-		r.procs[i] = &r.cells[i]
+		cell := &r.cells[i]
+		cell.proposal, cell.state, cell.view = input[i], StateMsg{}, r.fold.view
 	}
 }
 
@@ -71,6 +77,10 @@ func (r *Runner) earlyState(n, k int) {
 		r.eprocs = make([]rounds.Process, n)
 		r.ecells = make([]EarlyCondProcess, n)
 		r.eflags = make([]uint64, n*words)
+		for i := range r.ecells {
+			r.ecells[i].fold, r.ecells[i].row = &r.erow, &r.erow
+			r.eprocs[i] = &r.ecells[i]
+		}
 	}
 	if cap(r.erow.unwrapped) < n {
 		r.erow = newEarlyRow(n)
@@ -81,9 +91,9 @@ func (r *Runner) earlyState(n, k int) {
 	r.eflags = r.eflags[:n*words]
 	clear(r.eflags)
 	for i := range r.ecells {
-		early := earlyTracker{k: k, flagged: r.eflags[i*words : (i+1)*words]}
-		r.ecells[i] = EarlyCondProcess{inner: &r.cells[i], early: early, fold: &r.erow, row: &r.erow}
-		r.eprocs[i] = &r.ecells[i]
+		// inner is per run: cells may have been reallocated under ecells.
+		r.ecells[i].inner = &r.cells[i]
+		r.ecells[i].early = earlyTracker{k: k, flagged: r.eflags[i*words : (i+1)*words]}
 	}
 }
 
@@ -124,13 +134,16 @@ func (r *Runner) RunClassical(n, t, k int, input vector.Vector, fp rounds.Failur
 	if cap(r.ccells) < n {
 		r.cprocs = make([]rounds.Process, n)
 		r.ccells = make([]ClassicalProcess, n)
+		for i := range r.ccells {
+			r.ccells[i].fold = &r.cfold
+			r.cprocs[i] = &r.ccells[i]
+		}
 	}
 	r.cprocs = r.cprocs[:n]
 	r.ccells = r.ccells[:n]
 	r.cfold = classicalFold{lastRound: t/k + 1}
-	for i := 0; i < n; i++ {
-		r.ccells[i] = ClassicalProcess{est: input[i], fold: &r.cfold}
-		r.cprocs[i] = &r.ccells[i]
+	for i := range r.ccells {
+		r.ccells[i].est = input[i]
 	}
 	return r.eng.RunInto(res, r.cprocs, fp, rounds.Options{MaxRounds: t/k + 1, Transport: tr, Cancel: cancel})
 }

@@ -491,3 +491,65 @@ func TestRunnerAlternatingSizes(t *testing.T) {
 		t.Errorf("a Runner alternating between n=70 and n=8 allocates %v times per pair, want 0", avg)
 	}
 }
+
+// TestRunnerReuseAcrossSizesAndExecutors drives one Runner and one recycled
+// Result through the three executors at n = 48 → 8 → 13 → 48 → 5 (→ 48 → 5):
+// what a Runner sets only when it allocates — the boxed procs, the cells'
+// fold pointers, the wrappers' inner cells — must survive a smaller run on a
+// larger array and a reallocation of one array under another. The executors
+// are interleaved so that cells is replaced (RunCond at 13, then 48) while
+// the wrappers RunEarly made at 8 are still in use at 5: a wrapper left on a
+// replaced cell runs on another run's proposal. Every run must equal the
+// same call on a fresh Runner with a fresh Result, and satisfy the
+// specification.
+func TestRunnerReuseAcrossSizesAndExecutors(t *testing.T) {
+	shapes := map[int]Params{
+		48: {N: 48, T: 24, K: 4, D: 12, L: 1},
+		13: {N: 13, T: 6, K: 2, D: 3, L: 2},
+		8:  {N: 8, T: 4, K: 2, D: 2, L: 1},
+		5:  {N: 5, T: 3, K: 1, D: 1, L: 1},
+	}
+	const m = 8
+	held, recycled := NewRunner(), &rounds.Result{}
+	r := rand.New(rand.NewSource(24))
+	for _, step := range []struct {
+		n     int
+		execs string // c: RunCond, e: RunEarly, l: RunClassical
+	}{
+		{48, "l"}, {8, "cel"}, {13, "cl"}, {48, "lc"}, {5, "ecl"}, {48, "elc"}, {5, "lec"},
+	} {
+		p := shapes[step.n]
+		c := condition.MustNewMax(p.N, m, p.X(), p.L)
+		for trial := 0; trial < 20; trial++ {
+			input := vector.New(p.N)
+			for i := range input {
+				input[i] = vector.Value(1 + r.Intn(m))
+			}
+			fp := adversary.Random(r, p.N, p.T, p.RMax())
+			for _, exec := range step.execs {
+				run := func(runner *Runner, res *rounds.Result) *rounds.Result {
+					var err error
+					switch exec {
+					case 'c':
+						res, err = runner.RunCond(p, c, input, fp, false, nil, nil, res)
+					case 'e':
+						res, err = runner.RunEarly(p, c, input, fp, false, nil, nil, res)
+					case 'l':
+						res, err = runner.RunClassical(p.N, p.T, p.K, input, fp, false, nil, nil, res)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					return res
+				}
+				got, want := run(held, recycled), run(NewRunner(), nil)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("n=%d %c input %v fp %+v:\nheld runner  %+v\nfresh runner %+v", p.N, exec, input, fp.Crashes, got, want)
+				}
+				if verdict := Verify(input, fp, got, p.K); !verdict.OK() {
+					t.Fatalf("n=%d %c input %v fp %+v: %v", p.N, exec, input, fp.Crashes, verdict)
+				}
+			}
+		}
+	}
+}

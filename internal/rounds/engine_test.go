@@ -40,18 +40,58 @@ func randPattern(r *rand.Rand, n, t, maxRounds int) FailurePattern {
 	return fp
 }
 
-// TestEngineSharedRowMatchesMatrix drives random failure patterns — with
-// and without send-order overrides — down every delivery the engine has: no
-// transport (the shared row, or the built-in matrix once an order is
-// overridden), no transport with a Trace, and an installed MatrixTransport
-// (the seam), for plain Processes and for Folders. All must produce
-// identical Results, and the traced ones identical traces.
+// cornerPattern is randPattern bent, four trials in five, towards what the
+// shared-row loop special-cases: several senders whose prefixes end at one
+// destination, prefixes of 0 and of n, a sender crashing mid-row in the
+// round processes decide, and every process crashed by round 2.
+func cornerPattern(r *rand.Rand, trial, n, maxRounds, decideAt int) FailurePattern {
+	fp := randPattern(r, n, n-1, maxRounds)
+	perm := r.Perm(n)
+	switch trial % 5 {
+	case 1: // two or three prefixes ending at the same destination
+		round, end := 1+r.Intn(maxRounds), 1+r.Intn(n-1)
+		for _, src := range perm[:min(n, 2+r.Intn(2))] {
+			fp.Crashes[ProcessID(src+1)] = Crash{Round: round, AfterSends: end}
+		}
+	case 2: // prefixes of 0 and of n, beside whatever else crashes
+		fp.Crashes[ProcessID(perm[0]+1)] = Crash{Round: 1 + r.Intn(maxRounds), AfterSends: 0}
+		fp.Crashes[ProcessID(perm[1]+1)] = Crash{Round: 1 + r.Intn(maxRounds), AfterSends: n}
+	case 3: // a crash mid-row in a round in which destinations decide
+		fp.Crashes[ProcessID(perm[0]+1)] = Crash{Round: decideAt, AfterSends: 1 + r.Intn(n-1)}
+	case 4: // nobody left to send in round 2 or 3
+		for _, src := range perm {
+			fp.Crashes[ProcessID(src+1)] = Crash{Round: 1 + r.Intn(2), AfterSends: r.Intn(n + 1)}
+		}
+	}
+	return fp
+}
+
+// scanMaxDecisionRound is what Result.MaxDecisionRound must equal.
+func scanMaxDecisionRound(res *Result) int {
+	latest := 0
+	for _, round := range res.DecisionRound {
+		latest = max(latest, round)
+	}
+	return latest
+}
+
+// TestEngineSharedRowMatchesMatrix drives random failure patterns — bent
+// towards the round loop's corners (cornerPattern), with and without
+// send-order overrides — down every delivery the engine has, on one Engine
+// whose n grows and shrinks from trial to trial: no transport (the shared
+// row, or the built-in matrix once an order is overridden), no transport
+// with a Trace, and an installed MatrixTransport (the seam). The processes
+// are plain Processes, Folders, or a mix of both, and decide in different
+// rounds. All three must produce identical Results, the traced ones
+// identical traces, and every Result the latest decision round its map holds.
 func TestEngineSharedRowMatchesMatrix(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
+	e := NewEngine()
 	for trial := 0; trial < 400; trial++ {
 		n := 2 + r.Intn(6)
 		maxRounds := 1 + r.Intn(4)
-		fp := randPattern(r, n, n-1, maxRounds)
+		decideAt := 1 + r.Intn(maxRounds)
+		fp := cornerPattern(r, trial, n, maxRounds, decideAt)
 		if trial%2 == 1 && maxRounds >= 2 {
 			fp.Orders = make(map[ProcessID]map[int][]ProcessID)
 			for i := 0; i <= r.Intn(n); i++ {
@@ -62,35 +102,40 @@ func TestEngineSharedRowMatchesMatrix(t *testing.T) {
 				fp.Orders[ProcessID(1+r.Intn(n))] = map[int][]ProcessID{2 + r.Intn(maxRounds-1): order}
 			}
 		}
-		vals := make([]vector.Value, n)
+		vals, decide, plain := make([]vector.Value, n), make([]int, n), make([]bool, n)
 		for i := range vals {
 			vals[i] = vector.Value(1 + r.Intn(5))
+			decide[i] = min(maxRounds, decideAt+r.Intn(2)) // some a round later
+			plain[i] = trial%3 == 0 || trial%3 == 1 && r.Intn(2) == 0
 		}
-		decideAt := 1 + r.Intn(maxRounds)
 		procs := func() []Process {
-			if trial%4 < 2 {
-				return newFloodRun(vals, decideAt)
-			}
 			log := &foldLog{folds: map[int][]string{}, steps: map[int]int{}}
-			folders := make([]Process, n)
+			procs := make([]Process, n)
 			for i, v := range vals {
-				folders[i] = &foldMin{floodMin{v, decideAt}, log}
+				if plain[i] {
+					procs[i] = &floodMin{v, decide[i]}
+				} else {
+					procs[i] = &foldMin{floodMin{v, decide[i]}, log}
+				}
 			}
-			return folders
+			return procs
 		}
 
-		want, err := Run(procs(), fp, Options{MaxRounds: maxRounds})
+		want, err := e.Run(procs(), fp, Options{MaxRounds: maxRounds})
 		if err != nil {
 			t.Fatal(err)
 		}
+		if got := want.MaxDecisionRound(); got != scanMaxDecisionRound(want) {
+			t.Fatalf("MaxDecisionRound = %d, the map holds %d: fp=%+v\n%+v", got, scanMaxDecisionRound(want), fp, want)
+		}
 		var traces [2]Trace
 		for i, tr := range []Transport{nil, &MatrixTransport{}} {
-			got, err := Run(procs(), fp, Options{MaxRounds: maxRounds, Transport: tr, Trace: &traces[i]})
+			got, err := e.Run(procs(), fp, Options{MaxRounds: maxRounds, Transport: tr, Trace: &traces[i]})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("traced run, transport %T, diverged: fp=%+v vals=%v\ngot:  %+v\nwant: %+v", tr, fp, vals, got, want)
+				t.Fatalf("traced run, transport %T, diverged: fp=%+v vals=%v decide=%v\ngot:  %+v\nwant: %+v", tr, fp, vals, decide, got, want)
 			}
 		}
 		if !reflect.DeepEqual(traces[0], traces[1]) {
@@ -99,6 +144,12 @@ func TestEngineSharedRowMatchesMatrix(t *testing.T) {
 		if len(traces[0].Rounds) != want.Rounds {
 			t.Fatalf("trace has %d rounds, result %d", len(traces[0].Rounds), want.Rounds)
 		}
+	}
+
+	// A Result the engine never filled has its map scanned.
+	built := &Result{DecisionRound: map[ProcessID]int{1: 2, 2: 5, 3: 1}}
+	if got := built.MaxDecisionRound(); got != 5 {
+		t.Errorf("hand-built Result: MaxDecisionRound = %d, want 5", got)
 	}
 }
 

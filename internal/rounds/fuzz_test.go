@@ -59,14 +59,17 @@ func FuzzFailurePatternValidate(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const n, maxRounds = 4, 3
 		fp := decodePattern(data, n, maxRounds)
-		if err := fp.Validate(n, maxRounds); err != nil {
-			return
-		}
 		vals := make([]vector.Value, n)
 		for i := range vals {
 			vals[i] = vector.Value(i + 1)
 		}
 		res, err := Run(newFloodRun(vals, maxRounds), fp, Options{MaxRounds: maxRounds})
+		if verr := fp.Validate(n); verr != nil {
+			if err == nil {
+				t.Fatalf("Run accepted a pattern Validate rejects (%v)\n%+v", verr, fp)
+			}
+			return
+		}
 		if err != nil {
 			t.Fatalf("validated pattern rejected by Run: %v\n%+v", err, fp)
 		}

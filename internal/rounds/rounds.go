@@ -127,20 +127,34 @@ func (fp FailurePattern) CrashesByEndOfRound(r int) int {
 	return c
 }
 
-// Validate checks the pattern against a system of n processes running at
-// most maxRounds rounds.
-func (fp FailurePattern) Validate(n, maxRounds int) error {
+// Validate checks the pattern against a system of n processes. Any round
+// ≥ 1 is a legal crash round: a crash scheduled past the round in which the
+// run ends never fires, and its process runs as a correct one.
+func (fp FailurePattern) Validate(n int) error {
 	for id, cr := range fp.Crashes {
-		if id < 1 || int(id) > n {
-			return fmt.Errorf("rounds: crash of unknown process %d", id)
-		}
-		if cr.Round < 1 {
-			return fmt.Errorf("rounds: process %d crashes in round %d < 1", id, cr.Round)
-		}
-		if cr.AfterSends < 0 || cr.AfterSends > n {
-			return fmt.Errorf("rounds: process %d delivers %d of %d messages", id, cr.AfterSends, n)
+		if err := validateCrash(id, cr, n); err != nil {
+			return err
 		}
 	}
+	return fp.validateOrders(n)
+}
+
+// validateCrash is Validate's per-crash check; Engine.RunInto makes it in
+// the pass that resolves the schedule.
+func validateCrash(id ProcessID, cr Crash, n int) error {
+	if id < 1 || int(id) > n {
+		return fmt.Errorf("rounds: crash of unknown process %d", id)
+	}
+	if cr.Round < 1 {
+		return fmt.Errorf("rounds: process %d crashes in round %d < 1", id, cr.Round)
+	}
+	if cr.AfterSends < 0 || cr.AfterSends > n {
+		return fmt.Errorf("rounds: process %d delivers %d of %d messages", id, cr.AfterSends, n)
+	}
+	return nil
+}
+
+func (fp FailurePattern) validateOrders(n int) error {
 	for id, byRound := range fp.Orders {
 		if id < 1 || int(id) > n {
 			return fmt.Errorf("rounds: order for unknown process %d", id)
@@ -190,6 +204,9 @@ type Result struct {
 	// are zero under reliable delivery; a fault-injecting transport (see
 	// FaultCounter) fills them.
 	Lost, Delayed, Duplicated int64
+	// maxDecision is the latest decision round the engine applied while it
+	// filled this Result (0: none, or the engine did not fill it).
+	maxDecision int
 }
 
 // Reset clears the result for reuse, retaining its map storage. Batch
@@ -211,21 +228,18 @@ func (r *Result) Reset() {
 	} else {
 		clear(r.Crashed)
 	}
-	r.Rounds = 0
-	r.MessagesDelivered = 0
-	r.Lost = 0
-	r.Delayed = 0
-	r.Duplicated = 0
+	*r = Result{Decisions: r.Decisions, DecisionRound: r.DecisionRound, Crashed: r.Crashed}
 }
 
-// MaxDecisionRound returns the latest round at which any process decided
-// (0 when nothing was decided).
+// MaxDecisionRound returns the latest round at which any process decided, 0
+// when none did: what the engine recorded, or a scan for a hand-built Result.
 func (r *Result) MaxDecisionRound() int {
-	maxR := 0
+	maxR := r.maxDecision
+	if maxR > 0 {
+		return maxR
+	}
 	for _, round := range r.DecisionRound {
-		if round > maxR {
-			maxR = round
-		}
+		maxR = max(maxR, round)
 	}
 	return maxR
 }
@@ -263,25 +277,21 @@ type Options struct {
 }
 
 // Engine executes synchronous runs while reusing its internal buffers
-// (the shared receive row, liveness bitmaps, the resolved crash schedule,
-// the identity send order and the per-round outcome scratch) across calls.
-// Sweeps that drive thousands of runs — exhaustive adversary model checking
-// above all — should create one Engine and call its Run repeatedly; each
-// call then costs only the small per-run Result (which the caller may
-// retain freely).
+// (the shared receive row, the liveness array, the resolved crash schedule
+// and the identity send order) across calls. Sweeps that drive thousands of
+// runs — exhaustive adversary model checking above all — should create one
+// Engine and call its Run repeatedly; each call then costs only the small
+// per-run Result (which the caller may retain freely).
 //
 // An Engine is not safe for concurrent use.
 type Engine struct {
-	alive    []bool
-	halted   []bool
+	// down[i]: process i+1 has crashed or decided, and sends and steps no more.
+	down     []bool
 	identity []ProcessID
-	outcomes []outcome
 
-	// The run's crash schedule, resolved from fp.Crashes once per run:
-	// process id crashes in round crashRound[id-1] (0: never) after
-	// crashPrefix[id-1] deliveries.
-	crashRound  []int
-	crashPrefix []int
+	// crashes[i] is process i+1's entry of fp.Crashes, resolved once per
+	// run; a process that never crashes has the zero Crash, round 0.
+	crashes []Crash
 
 	// mt is the built-in transport of runs whose adversary overrides a
 	// send order, embedded so that they reuse its matrix across runs.
@@ -289,24 +299,17 @@ type Engine struct {
 
 	// row is the one receive row every destination's compute phase reads.
 	// A transport's Deliver fills it per destination; without a transport
-	// the send phase writes destination 1's row and it is patched as the
-	// destination advances — partial lists the senders whose delivery
-	// prefix ends mid-row this round, at destination limits[src-1] —
-	// instead of materializing the n×n matrix.
+	// the send phase writes destination 1's row and it is patched where a
+	// crashing sender's delivery prefix ends — partial lists, as indexes,
+	// the senders whose prefix ends within the row this round — instead of
+	// materializing the n×n matrix.
 	row     []any
-	limits  []int
 	partial []int
 
 	// folders[i] is procs[i] as a Folder, nil when it is a plain Process,
 	// does not share the first Folder's FoldState, or the run has a
 	// transport; resolved once per run.
 	folders []Folder
-}
-
-type outcome struct {
-	id    ProcessID
-	value vector.Value
-	done  bool
 }
 
 // NewEngine returns an Engine with no buffers allocated yet; they grow to
@@ -316,35 +319,25 @@ func NewEngine() *Engine { return &Engine{} }
 // reset sizes the scratch buffers for a run over n processes.
 func (e *Engine) reset(n int) {
 	if cap(e.row) < n {
-		e.alive = make([]bool, n+1)
-		e.halted = make([]bool, n+1)
+		e.down = make([]bool, n)
 		e.identity = make([]ProcessID, n)
 		for i := range e.identity {
 			e.identity[i] = ProcessID(i + 1)
 		}
-		e.outcomes = make([]outcome, 0, n)
-		e.crashRound = make([]int, n)
-		e.crashPrefix = make([]int, n)
+		e.crashes = make([]Crash, n)
 		e.folders = make([]Folder, n)
 		e.row = make([]any, n)
-		e.limits = make([]int, n)
 		e.partial = make([]int, 0, n)
 	}
-	e.alive = e.alive[:n+1]
-	e.halted = e.halted[:n+1]
+	e.down = e.down[:n]
 	// A transport sizes its send loop by len(order), so the identity
 	// order of a larger earlier run must not leak into a smaller one.
 	e.identity = e.identity[:n]
-	e.crashRound = e.crashRound[:n]
-	e.crashPrefix = e.crashPrefix[:n]
+	e.crashes = e.crashes[:n]
 	e.folders = e.folders[:n]
 	e.row = e.row[:n]
-	e.limits = e.limits[:n]
-	for i := 1; i <= n; i++ {
-		e.alive[i] = true
-		e.halted[i] = false
-	}
-	clear(e.crashRound)
+	clear(e.down)
+	clear(e.crashes)
 }
 
 // Run executes the processes lock-step under the failure pattern. procs[i]
@@ -373,13 +366,17 @@ func (e *Engine) RunInto(res *Result, procs []Process, fp FailurePattern, opts O
 	if opts.MaxRounds < 1 {
 		return nil, fmt.Errorf("rounds: MaxRounds = %d, want ≥ 1", opts.MaxRounds)
 	}
-	if err := fp.Validate(n, opts.MaxRounds); err != nil {
-		return nil, err
-	}
-
-	e.reset(n)
+	e.reset(n) // then one pass validates and resolves the crash schedule
 	for id, cr := range fp.Crashes {
-		e.crashRound[id-1], e.crashPrefix[id-1] = cr.Round, cr.AfterSends
+		if err := validateCrash(id, cr, n); err != nil {
+			return nil, err
+		}
+		e.crashes[id-1] = cr
+	}
+	if len(fp.Orders) > 0 {
+		if err := fp.validateOrders(n); err != nil {
+			return nil, err
+		}
 	}
 	if res == nil {
 		res = &Result{
@@ -455,65 +452,69 @@ func (e *Engine) RunInto(res *Result, procs []Process, fp FailurePattern, opts O
 }
 
 // runRound executes round r — send phase under the crash adversary, receive
-// phase, compute phase — and reports whether the run should stop (every
-// process crashed or halted, or everyone alive has decided). tr == nil
-// delivers on the engine's shared row: a sender crashing after s sends
-// reaches destinations p_1..p_s of the fixed identity order, so the row of
-// destination 1 is patched as the destination advances, and destinations
-// that are Folders share one Fold per distinct row (see Folder). Otherwise
-// every destination's row is what tr delivers, and it is stepped. rt, when
-// non-nil, records the round; it changes nothing that executes.
+// phase, compute phase, one pass over the processes each — and reports
+// whether the run should stop (every process has crashed or decided).
+// tr == nil delivers on the engine's shared row: a sender crashing after s
+// sends reaches destinations p_1..p_s of the fixed identity order, so the row
+// of destination 1 is patched where a prefix ends, and destinations that are
+// Folders share one Fold per distinct row (see Folder). Otherwise every
+// destination's row is what tr delivers, and it is stepped. A decision takes
+// effect where it is made: down[i] is read only for process i+1 itself,
+// before its step. rt, when non-nil, records the round; it changes nothing
+// that executes.
 func (e *Engine) runRound(procs []Process, fp FailurePattern, r int, res *Result, tr Transport, rt *RoundTrace) (stop bool) {
+	// Locals sliced to n: no reload through e, no bounds check, after a call.
 	n := len(procs)
+	row, down, crashes, folders := e.row[:n], e.down[:n], e.crashes[:n], e.folders[:n]
+	partial := e.partial[:0]
 	if tr != nil {
 		tr.BeginRound(r)
 	}
 
 	// Send phase: the engine applies the crash adversary (send order and
-	// delivery prefix length) to each broadcast. partial lists the senders
-	// whose prefix ends mid-row, at destination limits[src-1].
-	active := false
-	e.partial = e.partial[:0]
-	for src := 1; src <= n; src++ {
-		e.row[src-1] = nil
-		if !e.alive[src] || e.halted[src] {
+	// delivery prefix length) to each broadcast. cut is the smallest prefix
+	// end among partial — the first destination (as an index) to read
+	// another row than its predecessor — and n when there is none.
+	cut := n
+	var delivered int64
+	for i, p := range procs {
+		if down[i] {
+			row[i] = nil
 			continue
 		}
-		payload := procs[src-1].Send(r)
+		id := ProcessID(i + 1)
+		payload := p.Send(r)
 		limit := n
-		if e.crashRound[src-1] == r {
-			limit = e.crashPrefix[src-1]
-			e.alive[src] = false
-			res.Crashed[ProcessID(src)] = true
+		if crashes[i].Round == r {
+			limit = crashes[i].AfterSends
+			down[i] = true
+			res.Crashed[id] = true
 			if rt != nil {
-				rt.Crashes = append(rt.Crashes, ProcessID(src))
+				rt.Crashes = append(rt.Crashes, id)
 			}
-		} else {
-			active = true
 		}
 		if rt != nil {
-			rt.Sends[ProcessID(src)] = SendTrace{Payload: fmt.Sprintf("%v", payload), Delivered: limit}
+			rt.Sends[id] = SendTrace{Payload: fmt.Sprintf("%v", payload), Delivered: limit}
 		}
 		if tr != nil {
 			// Round 1 is always the paper's fixed p_1..p_n (Validate admits
 			// no order for it); later rounds honor the adversary's override.
-			order := fp.Orders[ProcessID(src)][r]
+			order := fp.Orders[id][r]
 			if order == nil {
 				order = e.identity
 			}
-			tr.Send(r, ProcessID(src), payload, order, limit)
+			tr.Send(r, id, payload, order, limit)
 			continue
 		}
-		res.MessagesDelivered += int64(limit)
-		if limit >= 1 {
-			e.row[src-1] = payload
-			if limit < n {
-				e.limits[src-1] = limit
-				e.partial = append(e.partial, src)
-			}
+		delivered += int64(limit)
+		row[i] = payload
+		if limit < n { // a prefix of 0 ends before destination 1
+			partial = append(partial, i)
+			cut = min(cut, limit)
 		}
 	}
 	res.Rounds = r
+	res.MessagesDelivered += delivered
 	if tr != nil {
 		res.MessagesDelivered = tr.Delivered()
 	}
@@ -521,55 +522,53 @@ func (e *Engine) runRound(procs []Process, fp FailurePattern, r int, res *Result
 	// Receive + compute phase: each live destination's row, consumed by its
 	// compute phase in turn. folded says the Folders' shared digest is of the
 	// row as it stands; on the seam no process is folded and partial is empty.
-	outcomes := e.outcomes[:0]
+	// live counts the processes stepped and not done: those left to run.
+	live := 0
 	folded := false
-	for dst := 1; dst <= n; dst++ {
-		for _, src := range e.partial {
-			if e.limits[src-1] == dst-1 {
-				e.row[src-1] = nil // dst is past this sender's prefix
-				folded = false
+	for i, p := range procs {
+		if i == cut {
+			// Drop the senders whose prefix ends here; find the next end.
+			cut = n
+			for _, src := range partial {
+				if l := crashes[src].AfterSends; l == i {
+					row[src] = nil
+				} else if l > i {
+					cut = min(cut, l)
+				}
 			}
+			folded = false
 		}
-		if !e.alive[dst] || e.halted[dst] {
+		if down[i] {
 			continue
 		}
+		id := ProcessID(i + 1)
 		if tr != nil {
-			tr.Deliver(r, ProcessID(dst), e.row)
+			tr.Deliver(r, id, row)
 		}
 		var v vector.Value
 		var done bool
-		if f := e.folders[dst-1]; f != nil {
+		if f := folders[i]; f != nil {
 			if !folded {
-				f.Fold(r, e.row)
+				f.Fold(r, row)
 				folded = true
 			}
 			v, done = f.StepFolded(r)
 		} else {
-			v, done = procs[dst-1].Step(r, e.row)
+			v, done = p.Step(r, row)
 		}
-		outcomes = append(outcomes, outcome{ProcessID(dst), v, done})
-	}
-	e.outcomes = outcomes[:0]
-	for _, o := range outcomes {
-		if o.done {
-			e.halted[o.id] = true
-			res.Decisions[o.id] = o.value
-			res.DecisionRound[o.id] = r
-			if rt != nil {
-				rt.Decisions[o.id] = o.value
-			}
+		if !done {
+			live++
+			continue
 		}
-	}
-
-	if !active {
-		return true // every process has crashed or halted
-	}
-	for id := 1; id <= n; id++ {
-		if e.alive[id] && !e.halted[id] {
-			return false
+		down[i] = true
+		res.Decisions[id] = v
+		res.DecisionRound[id] = r
+		res.maxDecision = r // rounds only grow within a run
+		if rt != nil {
+			rt.Decisions[id] = v
 		}
 	}
-	return true
+	return live == 0
 }
 
 // Run executes the processes lock-step under the failure pattern with a

@@ -152,6 +152,7 @@ func TestValidate(t *testing.T) {
 	}{
 		{"empty", FailurePattern{}, false},
 		{"ok crash", FailurePattern{Crashes: map[ProcessID]Crash{2: {Round: 1, AfterSends: 3}}}, false},
+		{"crash past any last round", FailurePattern{Crashes: map[ProcessID]Crash{2: {Round: 1 << 30}}}, false},
 		{"unknown process", FailurePattern{Crashes: map[ProcessID]Crash{9: {Round: 1}}}, true},
 		{"bad round", FailurePattern{Crashes: map[ProcessID]Crash{1: {Round: 0}}}, true},
 		{"bad sends", FailurePattern{Crashes: map[ProcessID]Crash{1: {Round: 1, AfterSends: 5}}}, true},
@@ -163,7 +164,7 @@ func TestValidate(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			err := tc.fp.Validate(4, 3)
+			err := tc.fp.Validate(4)
 			if (err != nil) != tc.wantErr {
 				t.Errorf("Validate = %v, wantErr %v", err, tc.wantErr)
 			}

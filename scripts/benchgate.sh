@@ -75,7 +75,11 @@ cd "$(dirname "$0")/.."
 # must stay allocation-free (measured: 0 / 0 at PR 15). The early arms are
 # Runner.RunEarly under the same two patterns: the wrappers fold too and
 # send from a per-process buffer, where boxing each send cost n·rounds
-# (measured: 192 / 227 → 0 / 0 at PR 16).
+# (measured: 192 / 227 → 0 / 0 at PR 16). The figure2-crashes arm is
+# Runner.RunCond at the benchmark's wide_sync shape — n=48, t=24, k=4,
+# d=12, max condition m=8, the t crashes staggered over the rounds with
+# mid-row prefixes — the run in which the round loop's own per-process
+# cost is largest (measured: 0 at PR 24).
 budgets='
 BenchmarkE1Lattice 2400
 BenchmarkE9Adversary 400
@@ -101,6 +105,7 @@ BenchmarkEngineRound/crashes 0
 BenchmarkEngineRound/early-clean 0
 BenchmarkEngineRound/early-crashes 0
 BenchmarkEngineRound/storm 0
+BenchmarkEngineRound/figure2-crashes 0
 '
 
 # Wall-clock budgets (ns/op), used sparingly: ns/op is noisy in CI, so only
