@@ -37,6 +37,7 @@ func Run(t *testing.T, mk Factory) {
 	t.Run("StatePayloads", func(t *testing.T) { testStatePayloads(t, mk) })
 	t.Run("ResetReuse", func(t *testing.T) { testResetReuse(t, mk) })
 	t.Run("SkippedAcrossReset", func(t *testing.T) { testSkippedAcrossReset(t, mk) })
+	t.Run("ResizeReuse", func(t *testing.T) { testResizeReuse(t, mk) })
 }
 
 // identity returns the fixed p_1..p_n send order.
@@ -237,6 +238,45 @@ func testResetReuse(t *testing.T, mk Factory) {
 		wantNil(t, row, 2)
 		if got := tr.Delivered(); got != int64(n) {
 			t.Fatalf("run %d: Delivered = %d, want %d", run, got, n)
+		}
+	}
+}
+
+// testResizeReuse: one instance serves runs of interleaved sizes, growing
+// and shrinking, as a pooled campaign worker's transport does — scratch
+// sized for one n must neither cut short nor leak into a run at another.
+// Each run is a full two-round broadcast, values then state triples.
+func testResizeReuse(t *testing.T, mk Factory) {
+	sizes := []int{6, 3, 8, 3}
+	tr := mk(t, sizes[0])
+	for run, n := range sizes {
+		tr.Reset(n)
+		order := identity(n)
+		tr.BeginRound(1)
+		for src := 1; src <= n; src++ {
+			tr.Send(1, rounds.ProcessID(src), vector.Value(10*run+src), order, n)
+		}
+		for dst := 1; dst <= n; dst++ {
+			row := deliver(tr, 1, rounds.ProcessID(dst), n)
+			for src := 1; src <= n; src++ {
+				wantValue(t, row, src, vector.Value(10*run+src))
+			}
+		}
+		tr.BeginRound(2)
+		for src := 1; src <= n; src++ {
+			tr.Send(2, rounds.ProcessID(src), &core.StateMsg{Cond: vector.Value(run), Out: vector.Value(src), Tmf: vector.Value(n)}, order, n)
+		}
+		for dst := 1; dst <= n; dst++ {
+			row := deliver(tr, 2, rounds.ProcessID(dst), n)
+			for src := 1; src <= n; src++ {
+				got, ok := row[src-1].(*core.StateMsg)
+				if want := (core.StateMsg{Cond: vector.Value(run), Out: vector.Value(src), Tmf: vector.Value(n)}); !ok || *got != want {
+					t.Fatalf("run %d (n=%d): round 2 row[%d] of p%d = %v, want %+v", run, n, src-1, dst, row[src-1], want)
+				}
+			}
+		}
+		if got := tr.Delivered(); got != int64(2*n*n) {
+			t.Fatalf("run %d (n=%d): Delivered = %d, want %d", run, n, got, 2*n*n)
 		}
 	}
 }

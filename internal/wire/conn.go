@@ -32,6 +32,40 @@ type PacketConn interface {
 	Close() error
 }
 
+// batchConn is implemented by endpoints that move several datagrams, at
+// most one per peer, per system call: the Loopback's sockets on Linux.
+// readBatch takes what is queued, waiting under the read deadline while
+// nothing is, and returns the count; lens[i] is datagram i's length.
+type batchConn interface {
+	writeBatch(frames [][]byte, dsts []rounds.ProcessID) error
+	readBatch(bufs [][]byte, lens []int) (int, error)
+}
+
+// writeBatch sends frames[i] to dsts[i] through conn — in one batch when
+// conn has one, one WriteTo each otherwise — and returns the first error.
+func writeBatch(conn PacketConn, frames [][]byte, dsts []rounds.ProcessID) error {
+	if b, ok := conn.(batchConn); ok {
+		return b.writeBatch(frames, dsts)
+	}
+	var first error
+	for i, f := range frames {
+		if err := conn.WriteTo(f, dsts[i]); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// readBatch receives into bufs through conn: a batch when conn has one,
+// one ReadFrom otherwise.
+func readBatch(conn PacketConn, bufs [][]byte, lens []int) (k int, err error) {
+	if b, ok := conn.(batchConn); ok {
+		return b.readBatch(bufs, lens)
+	}
+	lens[0], err = conn.ReadFrom(bufs[0])
+	return 1, err
+}
+
 // udpConn adapts one *net.UDPConn plus a peer address table.
 type udpConn struct {
 	c     *net.UDPConn
@@ -84,7 +118,7 @@ func (u *udpConn) SetReadDeadline(t time.Time) error { return u.c.SetReadDeadlin
 func (u *udpConn) Close() error { return u.c.Close() }
 
 // dialUDPLoopback binds n ephemeral UDP sockets on 127.0.0.1 and wires
-// them into a full mesh — the Loopback transport's default network.
+// them into a full mesh, batched where it can be: the Loopback's network.
 func dialUDPLoopback(n int) ([]PacketConn, error) {
 	socks := make([]*net.UDPConn, n)
 	addrs := make([]*net.UDPAddr, n)
@@ -105,8 +139,11 @@ func dialUDPLoopback(n int) ([]PacketConn, error) {
 		addrs[i] = c.LocalAddr().(*net.UDPAddr)
 	}
 	conns := make([]PacketConn, n)
+	var err error
 	for i := 0; i < n; i++ {
-		conns[i] = &udpConn{c: socks[i], peers: addrs}
+		if conns[i], err = batched(&udpConn{c: socks[i], peers: addrs}); err != nil {
+			return fail(fmt.Errorf("wire: loopback socket %d: %w", i+1, err))
+		}
 	}
 	return conns, nil
 }

@@ -19,7 +19,10 @@
 //   - The engine-driven transport: Loopback implements rounds.Transport
 //     over one UDP socket per simulated process, with
 //     retransmit-until-arrival inside Deliver and a per-round deadline
-//     after which a silent peer's copies are written off as lost.
+//     after which a silent peer's copies are written off as lost. On
+//     Linux amd64/arm64 a sender's round leaves in one sendmmsg and a
+//     destination reads with recvmmsg (elsewhere: a datagram per call);
+//     retransmissions, rare and from different senders, go singly.
 //     Without a mesh (its zero value, named PipeTransport) it routes
 //     every copy through the codec deterministically in-process — the
 //     test harness proving the codec preserves round semantics. Both

@@ -158,7 +158,7 @@ func DecodeFrame(data []byte) (Frame, error) {
 	}
 	f := Frame{Type: t, Round: round, Src: src, Dst: dst}
 	if t == TypeData {
-		p, err := decodePayload(data[headerSize:])
+		p, err := decodePayload(data[headerSize:], nil)
 		if err != nil {
 			return f, err
 		}

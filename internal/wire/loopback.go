@@ -31,19 +31,20 @@ type LoopbackConfig struct {
 // loopSlot tracks one in-flight copy of the current round.
 type loopSlot struct {
 	frame   mailSlot // encoded datagram, len 0 when no copy was sent
-	payload any      // decoded arrival
+	payload any      // decoded arrival, pointing into store
 	got     bool
+	store   payloadStore // read by the destination's Step, cleared next round
 }
 
 // Loopback is a rounds.Transport that moves every copy through real
 // datagrams: n mesh endpoints (UDP loopback sockets by default) live in
-// one process, Send encodes and transmits each copy from its sender's
-// endpoint, and Deliver blocks reading the destination's endpoint until
-// the round's copies arrive — retransmitting missing ones with jittered
-// exponential backoff — or the per-destination deadline expires, after
-// which the stragglers are counted lost and the row keeps nil, exactly
-// the shape a faultnet loss produces. Lossless runs are byte-identical
-// to MatrixTransport runs; lossy ones fold into the same stats plane as
+// one process, Send transmits a sender's encoded copies as one batch, and
+// Deliver reads batches at the destination's endpoint until the round's
+// copies arrive — retransmitting missing ones with jittered exponential
+// backoff — or the per-destination deadline expires, after which the
+// stragglers are counted lost and the row keeps nil, exactly the shape a
+// faultnet loss produces. Lossless runs are byte-identical to
+// MatrixTransport runs; lossy ones fold into the same stats plane as
 // faultnet campaigns via rounds.FaultCounter.
 //
 // The zero value has no mesh and never dials one: every copy takes the
@@ -60,7 +61,10 @@ type Loopback struct {
 	cancel    <-chan struct{}
 	rng       prng.Rand
 	firstErr  error
-	readBuf   [64]byte
+	frames    [][]byte           // a sender's remote copies of a round
+	dsts      []rounds.ProcessID // and their destinations, sent as a batch
+	bufs      [][]byte           // a destination's receive batch
+	lens      []int              // and its datagrams' lengths
 }
 
 // PipeTransport is the deterministic in-process wire harness: a Loopback
@@ -145,6 +149,10 @@ func (t *Loopback) Reset(n int) {
 	t.n = n
 	if cap(t.slots) < n*n {
 		t.slots = make([]loopSlot, n*n)
+		t.bufs, t.lens = make([][]byte, n), make([]int, n)
+		for i := range t.bufs {
+			t.bufs[i] = make([]byte, 64) // past MaxFrame: a longer datagram is too long for Peek
+		}
 	}
 	t.slots = t.slots[:n*n]
 	t.clearSlots()
@@ -162,14 +170,15 @@ func (t *Loopback) clearSlots() {
 // BeginRound implements rounds.Transport.
 func (t *Loopback) BeginRound(int) { t.clearSlots() }
 
-// Send implements rounds.Transport: each copy is encoded once and
-// transmitted from the sender's endpoint; the encoded frame is kept for
-// retransmission. Copies to the sender itself — and, without a mesh, all
-// copies — short-circuit through the codec without touching the network.
-// Delivered counts at hand-over, as MatrixTransport does, and is
-// decremented for copies later written off.
+// Send implements rounds.Transport: each copy is encoded once into its
+// slot, kept there for retransmission, and the remote ones leave the
+// sender's endpoint together, as one batch. Copies to the sender itself —
+// and, without a mesh, all copies — short-circuit through the codec
+// without touching the network. Delivered counts at hand-over, as
+// MatrixTransport does, and is decremented for copies later written off.
 func (t *Loopback) Send(r int, src rounds.ProcessID, payload any, order []rounds.ProcessID, limit int) {
 	f := Frame{Type: TypeData, Round: r, Src: src, Payload: payload}
+	t.frames, t.dsts = t.frames[:0], t.dsts[:0]
 	for k := 0; k < limit; k++ {
 		f.Dst = order[k]
 		slot := &t.slots[(int(f.Dst)-1)*t.n+(int(src)-1)]
@@ -179,20 +188,19 @@ func (t *Loopback) Send(r int, src rounds.ProcessID, payload any, order []rounds
 			continue
 		}
 		slot.frame.len = n
-		if f.Dst == src || t.conns == nil {
-			dec, err := DecodeFrame(slot.frame.bytes())
-			if err != nil {
-				t.fail(err)
-				slot.frame.len = 0
-				continue
-			}
-			slot.payload = dec.Payload
-			slot.got = true
+		if f.Dst != src && t.conns != nil {
+			t.frames, t.dsts = append(t.frames, slot.frame.bytes()), append(t.dsts, f.Dst)
 			continue
 		}
-		if err := t.conns[int(src)-1].WriteTo(slot.frame.bytes(), f.Dst); err != nil {
+		if slot.payload, err = decodePayload(slot.frame.buf[headerSize:n], &slot.store); err != nil {
 			t.fail(err)
+			slot.frame.len = 0
+			continue
 		}
+		slot.got = true
+	}
+	if len(t.frames) > 0 {
+		t.fail(writeBatch(t.conns[int(src)-1], t.frames, t.dsts))
 	}
 	t.delivered += int64(limit)
 }
@@ -229,8 +237,8 @@ func (t *Loopback) Deliver(_ int, dst rounds.ProcessID, row []any) {
 	}
 }
 
-// await reads dst's endpoint until the round's pending copies arrive or
-// the deadline passes.
+// await reads dst's endpoint a batch at a time until the round's pending
+// copies arrive or the deadline passes.
 func (t *Loopback) await(dst rounds.ProcessID, base, pending int) {
 	conn := t.conns[int(dst)-1]
 	pc := startPacer(&t.rng, t.cfg.RoundTimeout, t.cfg.Retransmit, true)
@@ -239,6 +247,7 @@ func (t *Loopback) await(dst rounds.ProcessID, base, pending int) {
 		case paceCanceled, paceExpired:
 			return
 		case paceSend:
+			// Rare, and from different senders: one datagram apiece.
 			for src := 0; src < t.n; src++ {
 				slot := &t.slots[base+src]
 				if slot.frame.len > 0 && !slot.got {
@@ -248,35 +257,35 @@ func (t *Loopback) await(dst rounds.ProcessID, base, pending int) {
 				}
 			}
 		}
-		n, err := pc.read(conn, t.readBuf[:])
+		k, err := pc.readBatch(conn, t.bufs, t.lens)
 		if err != nil {
 			t.fail(err)
 			return
 		}
-		data := t.readBuf[:n]
-		_, _, fsrc, _, ok := Peek(data, t.n)
-		if !ok {
-			continue // timeout or noise
+		for i, buf := range t.bufs[:k] {
+			data := buf[:t.lens[i]]
+			_, _, fsrc, _, ok := Peek(data, t.n)
+			if !ok {
+				continue // noise, or truncated past MaxFrame
+			}
+			// The mesh outlives the run and a destination that crashed or
+			// halted never drains its endpoint, so a previous run's datagram
+			// for this very round, link and destination may be queued ahead
+			// of the fresh one, and a frame carries no run identity. A copy
+			// is therefore taken only when it is, byte for byte, the frame
+			// its sender holds for this wait — which also rules out other
+			// rounds, other destinations and links that sent nothing.
+			slot := &t.slots[base+int(fsrc)-1]
+			if slot.got || !bytes.Equal(data, slot.frame.bytes()) {
+				continue // stale, unsolicited or duplicate
+			}
+			if slot.payload, err = decodePayload(data[headerSize:], &slot.store); err != nil {
+				t.fail(err)
+				continue
+			}
+			slot.got = true
+			pending--
 		}
-		// The mesh outlives the run and a destination that crashed or
-		// halted never drains its endpoint, so a previous run's datagram
-		// for this very round, link and destination may be queued ahead of
-		// the fresh one, and a frame carries no run identity. A copy is
-		// therefore taken only when it is, byte for byte, the frame its
-		// sender holds for this wait — which also rules out other rounds,
-		// other destinations and links that sent nothing.
-		slot := &t.slots[base+int(fsrc)-1]
-		if slot.got || !bytes.Equal(data, slot.frame.bytes()) {
-			continue // stale, unsolicited or duplicate
-		}
-		f, err := DecodeFrame(data)
-		if err != nil {
-			t.fail(err)
-			continue
-		}
-		slot.payload = f.Payload
-		slot.got = true
-		pending--
 	}
 }
 

@@ -98,6 +98,16 @@ func (p *pacer) tick(cancel <-chan struct{}) pace {
 // the next retransmission and the poll tick. It returns 0, nil when none
 // came in time.
 func (p *pacer) read(conn PacketConn, buf []byte) (int, error) {
+	return inTime(p.arm(conn).ReadFrom(buf))
+}
+
+// readBatch is read for a batch (readBatch): it returns the count.
+func (p *pacer) readBatch(conn PacketConn, bufs [][]byte, lens []int) (int, error) {
+	return inTime(readBatch(p.arm(conn), bufs, lens))
+}
+
+// arm sets conn's read deadline as read describes and returns conn.
+func (p *pacer) arm(conn PacketConn) PacketConn {
 	wait := p.now.Add(pollTick)
 	if p.deadline.Before(wait) {
 		wait = p.deadline
@@ -106,7 +116,11 @@ func (p *pacer) read(conn PacketConn, buf []byte) (int, error) {
 		wait = p.next
 	}
 	conn.SetReadDeadline(wait)
-	n, err := conn.ReadFrom(buf)
+	return conn
+}
+
+// inTime turns a read that hit its deadline into an empty one.
+func inTime(n int, err error) (int, error) {
 	if errors.Is(err, os.ErrDeadlineExceeded) {
 		return 0, nil
 	}

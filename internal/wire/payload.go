@@ -64,9 +64,16 @@ func encodeState(buf []byte, kind byte, s core.StateMsg) (int, error) {
 	return 10, nil
 }
 
+// payloadStore is what a decoded payload's pointers may point into.
+type payloadStore struct {
+	state core.StateMsg
+	early core.EarlyMsg
+}
+
 // decodePayload parses the kind byte and payload body of a data frame
-// (everything past the fixed header) back into the engine-level payload.
-func decodePayload(data []byte) (any, error) {
+// (everything past the fixed header) back into the engine-level payload,
+// stored in into, or allocated when into is nil.
+func decodePayload(data []byte, into *payloadStore) (any, error) {
 	kind := data[0]
 	body := data[1:]
 	if kind&kindReserved != 0 {
@@ -97,12 +104,23 @@ func decodePayload(data []byte) (any, error) {
 				return nil, badFrame("state field %d outside 0..%d", b, vector.MaxSetValue)
 			}
 		}
-		inner = &core.StateMsg{Cond: vector.Value(body[0]), Out: vector.Value(body[1]), Tmf: vector.Value(body[2])}
+		var s *core.StateMsg // never a local's address: it would escape on both paths
+		if into != nil {
+			s = &into.state
+		} else {
+			s = new(core.StateMsg)
+		}
+		*s = core.StateMsg{Cond: vector.Value(body[0]), Out: vector.Value(body[1]), Tmf: vector.Value(body[2])}
+		inner = s
 	default:
 		return nil, badFrame("unknown payload kind %#x", kind)
 	}
-	if early {
+	if !early {
+		return inner, nil
+	}
+	if into == nil {
 		return &core.EarlyMsg{Payload: inner, Flag: decide}, nil
 	}
-	return inner, nil
+	into.early = core.EarlyMsg{Payload: inner, Flag: decide}
+	return &into.early, nil
 }

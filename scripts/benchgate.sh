@@ -80,6 +80,12 @@ cd "$(dirname "$0")/.."
 # d=12, max condition m=8, the t crashes staggered over the rounds with
 # mid-row prefixes — the run in which the round loop's own per-process
 # cost is largest (measured: 0 at PR 24).
+# LoopbackRun/pipe is one Figure-2 run at the benchmark's wire_udp shape
+# (n=6, t=3, k=2, d=1, m=4, one mid-row crash) over a warmed
+# PipeTransport, on a held core.Runner with a recycled Result: every copy
+# is encoded and decoded back into the transport's own slots, where the
+# decoder used to allocate a *StateMsg per flood-round copy (measured: 30
+# → 0 at PR 25; the UDP Loopback shares that path).
 budgets='
 BenchmarkE1Lattice 2400
 BenchmarkE9Adversary 400
@@ -106,6 +112,7 @@ BenchmarkEngineRound/early-clean 0
 BenchmarkEngineRound/early-crashes 0
 BenchmarkEngineRound/storm 0
 BenchmarkEngineRound/figure2-crashes 0
+BenchmarkLoopbackRun/pipe 0
 '
 
 # Wall-clock budgets (ns/op), used sparingly: ns/op is noisy in CI, so only
@@ -126,7 +133,7 @@ metricbudgets='
 BenchmarkFinishedJob B/job 4096
 '
 
-raw="$(go test -run '^$' -bench 'E1Lattice$|E9Adversary$|CampaignThroughput/campaign|CollectorPath$|EngineTransport|SubmitPath$|FinishedJob$|CheckpointEncode$|WireEncode$|E10Async$|SnapshotScan|AsyncCampaign$|ConditionIndex|EngineRound' \
+raw="$(go test -run '^$' -bench 'E1Lattice$|E9Adversary$|CampaignThroughput/campaign|CollectorPath$|EngineTransport|SubmitPath$|FinishedJob$|CheckpointEncode$|WireEncode$|E10Async$|SnapshotScan|AsyncCampaign$|ConditionIndex|EngineRound|LoopbackRun/pipe$' \
 	-benchmem -benchtime "$benchtime" -count 1 -cpu 1 . ./internal/rounds/ ./internal/service/ ./internal/wire/ ./internal/condition/)"
 printf '%s\n' "$raw"
 
