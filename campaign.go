@@ -23,49 +23,11 @@ func CampaignWorkers(n int) CampaignOption {
 	}
 }
 
-// CollectResults gives the campaign a results channel of the given buffer
-// size, exposed by Campaign.Results. Every scenario's Outcome — with a
-// freshly allocated Result — is sent to it; the consumer MUST drain the
-// channel concurrently with submission, or the workers block. Without this
-// option outcomes are folded into the campaign's collectors only and each
-// worker recycles one Result, making the per-run cost allocation-free.
-// RunCampaign and RunSource return before anyone could receive, so they
-// ignore it.
-//
-// Ownership: a Result that crosses the channel belongs to the receiver.
-// The campaign allocates it fresh for the run and never recycles it into
-// a worker or pool afterwards, so consumers may retain, mutate and
-// compare Outcome.Result values for as long as they like — including
-// after the campaign has completed.
-func CollectResults(buffer int) CampaignOption {
-	return func(c *Campaign) { c.results = make(chan Outcome, max(buffer, 0)) }
-}
-
 // VerifyRuns makes every synchronous run's result checked against the
 // k-set agreement specification; failures increment
-// CampaignStats.Violations and annotate the Outcome's Verdict.
+// CampaignStats.Violations.
 func VerifyRuns() CampaignOption {
 	return func(c *Campaign) { c.verify = true }
-}
-
-// Outcome reports one campaign scenario.
-type Outcome struct {
-	// Scenario is the submitted scenario, as given.
-	Scenario Scenario
-	// Result is the execution result (nil when Err is set). It is
-	// allocated fresh for this outcome and owned by the receiver: the
-	// campaign never recycles it, so it remains valid after the campaign
-	// completes.
-	Result *Result
-	// Observation is the run's flat results-plane record — the same
-	// record the campaign's collectors received.
-	Observation Observation
-	// Verdict is the specification verdict, when VerifyRuns is on and the
-	// scenario ran a synchronous executor.
-	Verdict *Verdict
-	// Err reports a failed run (bad input vector, misconfigured executor
-	// override); the campaign keeps going.
-	Err error
 }
 
 // CampaignStats aggregates a campaign: the flat counters the original
@@ -167,9 +129,12 @@ func (s *CampaignStats) MeanDecisionRound() float64 {
 }
 
 // Campaign fans a stream of scenarios across a bounded pool of workers,
-// each owning its engine and protocol buffers, and aggregates the outcomes
-// into a CampaignStats. Build one with System.NewCampaign, feed it with
-// Submit/SubmitAll, then Close (or just Wait) and read the stats:
+// each owning its engine and protocol buffers, and folds every run's
+// Observation into its collectors: the Accumulator behind CampaignStats
+// and any CollectInto additions. That is its only per-run output; a run
+// is a pure function of its scenario, so System.RunScenario replays one
+// that needs a closer look. Build one with System.NewCampaign, feed it
+// with Submit/SubmitAll, then Close (or just Wait) and read the stats:
 //
 //	camp := sys.NewCampaign(ctx)
 //	for _, sc := range scenarios {
@@ -190,11 +155,10 @@ type Campaign struct {
 
 	// The two feeds: producers push through queue (NewCampaign), or the
 	// workers claim claim-long index ranges of pull off next (RunSource).
-	queue   chan Scenario
-	pull    funcSource
-	claim   int64
-	next    atomic.Int64
-	results chan Outcome
+	queue chan Scenario
+	pull  funcSource
+	claim int64
+	next  atomic.Int64
 
 	// The collector pipeline: acc backs Wait's CampaignStats, extra holds
 	// CollectInto additions; every worker observes into its own forked
@@ -235,12 +199,9 @@ func (s *System) RunCampaign(ctx context.Context, scenarios []Scenario, opts ...
 // channel operation per scenario, and an m^n-sized source in constant
 // memory. An unsized or foreign source cannot be cut into ranges; it is
 // generated here and pushed through the bounded queue, under its
-// backpressure. The stats are the same, byte for byte. Outcomes are
-// folded into the stats only; use NewCampaign with CollectResults to
-// stream per-scenario results.
+// backpressure. The stats are the same, byte for byte.
 func (s *System) RunSource(ctx context.Context, src ScenarioSource, opts ...CampaignOption) (*CampaignStats, error) {
 	c := s.newCampaign(ctx, opts)
-	c.results = nil // nobody could receive before RunSource returns
 	if fs, ok := src.(funcSource); ok && fs.sized {
 		c.pull, c.claim = fs, claimLen(fs.size, c.nworkers)
 		c.closed = true // nothing to submit to, no queue to close
@@ -301,8 +262,7 @@ func (s *System) newCampaign(ctx context.Context, opts []CampaignOption) *Campai
 	return c
 }
 
-// start launches the workers — behind a queue unless the campaign pulls —
-// and the results-closing watchdog.
+// start launches the workers, behind a queue unless the campaign pulls.
 func (c *Campaign) start() {
 	if c.pull.ranged == nil {
 		c.queue = make(chan Scenario, 4*c.nworkers+64)
@@ -310,15 +270,6 @@ func (c *Campaign) start() {
 	c.wg.Add(c.nworkers)
 	for i := 0; i < c.nworkers; i++ {
 		go c.worker(i)
-	}
-	if c.results != nil {
-		// The results channel closes as soon as every worker has exited,
-		// so consumers may simply range over it — Close ends the range,
-		// with or without a concurrent Wait.
-		go func() {
-			c.wg.Wait()
-			close(c.results)
-		}()
 	}
 }
 
@@ -374,11 +325,6 @@ func (c *Campaign) Close() {
 	}
 }
 
-// Results returns the streaming outcome channel (nil unless the campaign
-// was built with CollectResults). It closes once the campaign is Closed
-// and every worker has exited, so ranging over it terminates.
-func (c *Campaign) Results() <-chan Outcome { return c.results }
-
 // Wait closes the campaign, waits for the workers to drain the queue,
 // joins every worker's collector shards back into their collectors — in
 // worker order, so any order-sensitive custom collector sees a fixed
@@ -402,8 +348,8 @@ func (c *Campaign) Wait() (*CampaignStats, error) {
 
 // safeRun executes one scenario's run, converting an executor panic into
 // a per-run error: a poisoned scenario fails its own run (surfacing in
-// CampaignStats.Errors and the Outcome's Err) instead of killing the
-// worker goroutine and, with it, the process.
+// CampaignStats.Errors) instead of killing the worker goroutine and,
+// with it, the process.
 func safeRun(ctx context.Context, ex Executor, s *System, w *worker, sc *Scenario, reuse *Result) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -451,9 +397,8 @@ func (c *Campaign) worker(i int) {
 }
 
 // runOne executes one scenario on worker w and folds its Observation into
-// the worker's collector shards. Without a results channel the worker
-// recycles a single Result, so the run — observation included — allocates
-// nothing.
+// the worker's collector shards. The worker recycles a single Result, so
+// the run — observation included — allocates nothing.
 func (c *Campaign) runOne(w *worker, shard []Collector, sc Scenario) {
 	// Executors take the scenario by pointer through an interface, which
 	// would move sc to the heap on every run; the worker's slot is there
@@ -462,14 +407,10 @@ func (c *Campaign) runOne(w *worker, shard []Collector, sc Scenario) {
 	ex, err := c.sys.resolveExecutor(&w.sc)
 	var res *Result
 	if err == nil {
-		var reuse *Result
-		if c.results == nil {
-			if w.res == nil {
-				w.res = &Result{}
-			}
-			reuse = w.res
+		if w.res == nil {
+			w.res = &Result{}
 		}
-		res, err = safeRun(c.ctx, ex, c.sys, w, &w.sc, reuse)
+		res, err = safeRun(c.ctx, ex, c.sys, w, &w.sc, w.res)
 	}
 	// A run aborted by the campaign's own cancellation did not run at all:
 	// it is excluded from the stats (Wait reports the context error next to
@@ -477,11 +418,9 @@ func (c *Campaign) runOne(w *worker, shard []Collector, sc Scenario) {
 	if err != nil && c.ctx.Err() != nil && errors.Is(err, c.ctx.Err()) {
 		return
 	}
-	out := Outcome{Scenario: sc}
 	var o Observation
 	if err != nil {
 		o.Err = true
-		out.Err = err
 	} else {
 		o = core.Observe(res)
 		o.InCondition = c.sys.cond != nil && c.sys.cond.Contains(sc.Input)
@@ -494,12 +433,9 @@ func (c *Campaign) runOne(w *worker, shard []Collector, sc Scenario) {
 			o.Undecided = u
 		}
 		if c.verify && ex.synchronous() {
-			v := Verify(sc.Input, sc.FP, res, c.sys.p.K)
 			o.Verified = true
-			o.Violation = !v.OK()
-			out.Verdict = &v
+			o.Violation = !Verify(sc.Input, sc.FP, res, c.sys.p.K).OK()
 		}
-		out.Result = res
 	}
 	if ex != nil {
 		o.Executor = ex.Name()
@@ -507,12 +443,5 @@ func (c *Campaign) runOne(w *worker, shard []Collector, sc Scenario) {
 	o.Label = sc.Label
 	for _, col := range shard {
 		col.Observe(o)
-	}
-	if c.results != nil {
-		out.Observation = o
-		select {
-		case c.results <- out:
-		case <-c.ctx.Done():
-		}
 	}
 }

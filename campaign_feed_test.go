@@ -4,10 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"runtime"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // listSource is a ScenarioSource this package did not build — RunSource
@@ -59,8 +57,7 @@ func feedJSON(t *testing.T, st *CampaignStats, err error) string {
 // the byte-identical stats of the same scenarios pushed through NewCampaign
 // + SubmitAll; sources RunSource cannot cut into ranges complete on the
 // queue; cancellation inside a claim stops the campaign with the stats of
-// what ran; a results channel nobody could read is dropped, not drained;
-// and claims bound the seek work a stream costs.
+// what ran; and claims bound the seek work a stream costs.
 func TestCampaignFeeds(t *testing.T) {
 	p := Params{N: 4, T: 2, K: 2, D: 1, L: 1}
 	cond, err := NewMaxCondition(p.N, 3, p.X(), p.L)
@@ -176,27 +173,6 @@ func TestCampaignFeeds(t *testing.T) {
 		}
 		if st.Runs < 100 || st.Runs >= inner.size || st.Errors != 0 {
 			t.Errorf("cancelled at %d workers: %d runs, %d errors; want the ≥ 100 runs before the cancellation, no errors", w, st.Runs, st.Errors)
-		}
-	}
-
-	// Nobody can receive from a run-to-completion campaign's results
-	// channel: it must neither block the workers nor cost a goroutine.
-	before := runtime.NumGoroutine()
-	for name, run := range map[string]func() (*CampaignStats, error){
-		"RunCampaign": func() (*CampaignStats, error) {
-			return sys.RunCampaign(ctx, scs, CollectResults(0), CampaignWorkers(2))
-		},
-		"RunSource pull":  func() (*CampaignStats, error) { return sys.RunSource(ctx, ScenariosOf(scs...), CollectResults(0)) },
-		"RunSource queue": func() (*CampaignStats, error) { return sys.RunSource(ctx, listSource{scs: scs}, CollectResults(3)) },
-	} {
-		if st, err := run(); err != nil || st.Runs != int64(len(scs)) {
-			t.Errorf("%s with CollectResults: %v, %+v", name, err, st)
-		}
-	}
-	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; runtime.Gosched() {
-		if time.Now().After(deadline) {
-			t.Errorf("%d goroutines before the run-to-completion campaigns, %d after", before, runtime.NumGoroutine())
-			break
 		}
 	}
 

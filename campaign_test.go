@@ -70,54 +70,23 @@ func TestCampaignStats(t *testing.T) {
 	}
 }
 
-// TestCampaignResultsStream checks the streaming channel: one outcome per
-// scenario, each with a live private Result, channel closed at the end.
-func TestCampaignResultsStream(t *testing.T) {
-	p := testParams()
-	sys := testSystem(t, kset.WithParams(p), kset.WithCondition(testCondition(t, p)))
-	camp := sys.NewCampaign(context.Background(), kset.CollectResults(4), kset.VerifyRuns())
+// throttle is a Collector whose every Observe hands the test a token over
+// an unbuffered channel, so the workers run only as fast as the test takes
+// tokens; closing release lets them through for good.
+type throttle struct {
+	tokens  chan struct{}
+	release chan struct{}
+}
 
-	const runs = 64
-	go func() {
-		for i := 0; i < runs; i++ {
-			_ = camp.Submit(kset.Scenario{
-				Label: "s",
-				Input: kset.VectorOf(4, 4, 4, 2, 1, 2),
-				FP:    kset.NoFailures(),
-			})
-		}
-		camp.Close()
-	}()
-
-	seen := 0
-	var prev *kset.Result
-	for out := range camp.Results() {
-		if out.Err != nil {
-			t.Fatal(out.Err)
-		}
-		if out.Result == nil || len(out.Result.Decisions) == 0 {
-			t.Fatal("streamed outcome without decisions")
-		}
-		if out.Result == prev {
-			t.Fatal("streamed outcomes share a Result")
-		}
-		if out.Verdict == nil || !out.Verdict.OK() {
-			t.Fatalf("verdict: %v", out.Verdict)
-		}
-		prev = out.Result
-		seen++
-	}
-	if seen != runs {
-		t.Fatalf("streamed %d outcomes, want %d", seen, runs)
-	}
-	stats, err := camp.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Runs != runs {
-		t.Fatalf("stats.Runs = %d, want %d", stats.Runs, runs)
+func (th throttle) Observe(kset.Observation) {
+	select {
+	case th.tokens <- struct{}{}:
+	case <-th.release:
 	}
 }
+
+func (th throttle) Fork() kset.Collector { return th }
+func (th throttle) Join(kset.Collector)  {}
 
 // TestCampaignCancellation cancels mid-campaign: the workers stop, Wait
 // reports the context error, and the stats cover only what ran.
@@ -125,7 +94,8 @@ func TestCampaignCancellation(t *testing.T) {
 	p := testParams()
 	sys := testSystem(t, kset.WithParams(p), kset.WithCondition(testCondition(t, p)), kset.WithWorkers(2))
 	ctx, cancel := context.WithCancel(context.Background())
-	camp := sys.NewCampaign(ctx, kset.CollectResults(0))
+	th := throttle{tokens: make(chan struct{}), release: make(chan struct{})}
+	camp := sys.NewCampaign(ctx, kset.CollectInto(th))
 
 	const total = 10000
 	submitErr := make(chan error, 1)
@@ -142,14 +112,13 @@ func TestCampaignCancellation(t *testing.T) {
 		submitErr <- nil
 	}()
 
-	// Consume a handful of outcomes (the unbuffered channel throttles the
-	// workers to the consumer), then pull the plug and drain.
+	// Let a handful of runs through the throttle, then pull the plug and
+	// release the workers.
 	for i := 0; i < 5; i++ {
-		<-camp.Results()
+		<-th.tokens
 	}
 	cancel()
-	for range camp.Results() {
-	}
+	close(th.release)
 
 	if err := <-submitErr; !errors.Is(err, context.Canceled) {
 		t.Fatalf("Submit error = %v, want context.Canceled", err)

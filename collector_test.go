@@ -9,70 +9,6 @@ import (
 	"kset"
 )
 
-// TestCollectResultsOwnership pins the Result ownership contract of
-// CollectResults: every Outcome carries a distinct, freshly allocated
-// Result that the receiver owns outright — running more campaigns on the
-// same system afterwards (which recycles pooled worker state) must not
-// mutate the retained results.
-func TestCollectResultsOwnership(t *testing.T) {
-	p := testParams()
-	sys := testSystem(t, kset.WithParams(p), kset.WithCondition(testCondition(t, p)), kset.WithWorkers(2))
-	ctx := context.Background()
-
-	const runs = 64
-	scs := make([]kset.Scenario, runs)
-	for i := range scs {
-		scs[i] = kset.Scenario{Input: kset.VectorOf(4, 4, 4, 2, 1, 2), FP: kset.InitialCrashes(p.N, i%2)}
-	}
-	camp := sys.NewCampaign(ctx, kset.CollectResults(runs))
-	if err := camp.SubmitAll(scs); err != nil {
-		t.Fatal(err)
-	}
-	camp.Close()
-
-	type snapshot struct {
-		res      *kset.Result
-		decided  int
-		crashed  int
-		round    int
-		messages int64
-	}
-	var kept []snapshot
-	seen := make(map[*kset.Result]bool)
-	for out := range camp.Results() {
-		if out.Err != nil {
-			t.Fatal(out.Err)
-		}
-		if seen[out.Result] {
-			t.Fatal("two outcomes share one Result: recycled pool memory crossed the channel")
-		}
-		seen[out.Result] = true
-		kept = append(kept, snapshot{
-			res:     out.Result,
-			decided: len(out.Result.Decisions), crashed: len(out.Result.Crashed),
-			round: out.Result.MaxDecisionRound(), messages: out.Result.MessagesDelivered,
-		})
-	}
-	if _, err := camp.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if len(kept) != runs {
-		t.Fatalf("kept %d results, want %d", len(kept), runs)
-	}
-
-	// Churn the worker pool: a stats-only campaign recycles its own
-	// Results; the retained ones must be untouched.
-	if _, err := sys.RunCampaign(ctx, scs); err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range kept {
-		if len(s.res.Decisions) != s.decided || len(s.res.Crashed) != s.crashed ||
-			s.res.MaxDecisionRound() != s.round || s.res.MessagesDelivered != s.messages {
-			t.Fatalf("retained result %d mutated after later campaigns: %+v vs %+v", i, s, s.res)
-		}
-	}
-}
-
 // invarianceSource builds the worker-invariance workload: a generated
 // scenario stream (seeded random inputs × a seeded crash family × two
 // executors) identical across calls.

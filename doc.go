@@ -113,9 +113,11 @@
 // claim index ranges of the stream and generate their own scenarios, with
 // no producer and no queue (RunCampaign is RunSource over ScenariosOf).
 // NewCampaign with Submit, SubmitAll or SubmitSource pushes through a
-// bounded queue — for callers that produce scenarios as they go or read
-// per-scenario Results, and for sources whose size is unknown, which
-// cannot be cut into ranges.
+// bounded queue — for callers that produce scenarios as they go, and for
+// sources whose size is unknown, which cannot be cut into ranges. A
+// campaign reports through its collectors alone (CollectInto adds custom
+// ones); a run is a pure function of its scenario, so RunScenario replays
+// any one of them.
 //
 // For trade-off curves across a parameter grid — the paper's d and f
 // sweeps — RunSweep runs one campaign per SweepPoint and returns keyed

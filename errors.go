@@ -39,9 +39,10 @@ var (
 	// ErrBadInput marks a malformed input vector for a run: wrong length,
 	// ⊥ entries, or values outside the proposable range.
 	//
-	// Returned by: System.Run, System.RunScenario and campaign runs (as
-	// the Outcome.Err of the offending scenario) — everything that accepts
-	// a per-run input vector. Constructors never return it.
+	// Returned by: System.Run and System.RunScenario — everything that
+	// accepts a per-run input vector; in a campaign it is a counted error
+	// (CampaignStats.Errors) and the campaign keeps going. Constructors
+	// never return it.
 	ErrBadInput = kerr.ErrBadInput
 
 	// ErrBadFrame marks a malformed wire datagram: wrong version byte,

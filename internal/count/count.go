@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/big"
 	"sync"
-	"sync/atomic"
 
 	"kset/internal/condition"
 	"kset/internal/kerr"
@@ -18,62 +17,33 @@ import (
 // the exported Comb and Surj return defensive copies so the public
 // contract (a freshly owned value) is unchanged.
 //
-// Concurrency: reads load an atomically-swapped immutable snapshot map —
-// no lock, no contention — so NB-heavy sweeps fanning out across
-// goroutines never serialize on a table once it is warm. Writes go through
-// a mutex into a small dirty overlay; when the overlay outgrows a fraction
-// of the snapshot it is merged into a fresh map and the pointer swapped,
-// which keeps total copying linear-amortized in the number of distinct
-// entries. A snapshot map is never mutated after it is published.
+// Concurrency: one mutex per table guards its map. The tables' callers
+// make a few NB calls per build, not a hot loop, so a lock per lookup is
+// all they need.
 type memoTable struct {
-	clean atomic.Pointer[map[uint64]*big.Int] // immutable published snapshot
-	mu    sync.Mutex                          // guards dirty and promotion
-	dirty map[uint64]*big.Int                 // entries newer than the snapshot
+	mu sync.Mutex
+	m  map[uint64]*big.Int
 }
 
 func (t *memoTable) get(key uint64) (*big.Int, bool) {
-	if m := t.clean.Load(); m != nil {
-		if v, ok := (*m)[key]; ok {
-			return v, true
-		}
-	}
-	// Not yet promoted: the entry may still sit in the dirty overlay.
 	t.mu.Lock()
-	v, ok := t.dirty[key]
+	v, ok := t.m[key]
 	t.mu.Unlock()
 	return v, ok
 }
 
+// put stores v under key unless another goroutine got there first, and
+// returns the stored value, so every key has one canonical value.
 func (t *memoTable) put(key uint64, v *big.Int) *big.Int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	cleanLen := 0
-	if m := t.clean.Load(); m != nil {
-		if prior, ok := (*m)[key]; ok {
-			return prior // another goroutine raced us; keep one canonical value
-		}
-		cleanLen = len(*m)
-	}
-	if prior, ok := t.dirty[key]; ok {
+	if prior, ok := t.m[key]; ok {
 		return prior
 	}
-	if t.dirty == nil {
-		t.dirty = make(map[uint64]*big.Int)
+	if t.m == nil {
+		t.m = make(map[uint64]*big.Int)
 	}
-	t.dirty[key] = v
-	if len(t.dirty) >= 16+cleanLen/4 {
-		next := make(map[uint64]*big.Int, cleanLen+len(t.dirty))
-		if m := t.clean.Load(); m != nil {
-			for k, vv := range *m {
-				next[k] = vv
-			}
-		}
-		for k, vv := range t.dirty {
-			next[k] = vv
-		}
-		t.clean.Store(&next)
-		t.dirty = make(map[uint64]*big.Int)
-	}
+	t.m[key] = v
 	return v
 }
 

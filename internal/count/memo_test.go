@@ -96,43 +96,6 @@ func TestMemoConcurrentNB(t *testing.T) {
 	}
 }
 
-// TestMemoSnapshotPromotion hammers one memo table with a stream of fresh
-// keys from many goroutines, forcing repeated dirty-overlay promotions and
-// atomic snapshot swaps while readers race on the published map. Run under
-// -race this pins the copy-on-write discipline (a published snapshot is
-// never mutated); the value checks pin that promotion loses no entries and
-// never hands out two different canonical values for one key.
-func TestMemoSnapshotPromotion(t *testing.T) {
-	var wg sync.WaitGroup
-	const goroutines, span = 8, 300
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < span; i++ {
-				// Overlapping windows: half the keys are shared with the
-				// neighbor goroutine (racing on insert), half are fresh.
-				n := 200 + (g*span/2+i)%400
-				k := n / 3
-				got := Comb(n, k)
-				want := new(big.Int).Binomial(int64(n), int64(k))
-				if got.Cmp(want) != 0 {
-					t.Errorf("C(%d,%d) = %v, want %v", n, k, got, want)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	// Sequential re-read: everything promoted or parked must still agree.
-	for n := 200; n < 600; n++ {
-		k := n / 3
-		if got, want := Comb(n, k), new(big.Int).Binomial(int64(n), int64(k)); got.Cmp(want) != 0 {
-			t.Fatalf("post-race C(%d,%d) = %v, want %v", n, k, got, want)
-		}
-	}
-}
-
 // TestExportedCopiesAreOwned pins the public contract that Comb and Surj
 // return freshly owned values a caller may mutate without corrupting the
 // memo tables.

@@ -12,6 +12,7 @@ import (
 	"kset/internal/core"
 	"kset/internal/count"
 	"kset/internal/lattice"
+	"kset/internal/stats"
 	"kset/internal/vector"
 )
 
@@ -167,9 +168,9 @@ func runE3(cfg Params) Report {
 
 // runE4 measures decision rounds for every scenario class of Theorem 10
 // and Lemmas 1–2 and compares them with the predictions: the named
-// scenarios as one labeled campaign (per-outcome verdicts streamed over
-// CollectResults), then a seeded random-adversary sweep whose bound
-// checks ride the same pipeline.
+// scenarios one verified run each, then a seeded random-adversary sweep
+// whose bound checks fold into an accumulator, as E9's exhaustive sweep
+// does.
 func runE4(cfg Params) Report {
 	r := begin("E4", cfg)
 	p := core.Params{N: cfg["n"], T: cfg["t"], K: cfg["k"], D: cfg["d"], L: cfg["l"]}
@@ -206,80 +207,49 @@ func runE4(cfg Params) Report {
 		{"I∉C, staggered", outC, adversary.Stagger(p.N, p.T, p.X()+1, p.K, p.RMax()), p.RMax()},
 		{"I∉C, >t−d initial", outC, adversary.InitialLast(p.N, p.X()+1), p.RCond()},
 	}
-	scs := make([]kset.Scenario, len(scenarios))
-	for i, sc := range scenarios {
-		scs[i] = kset.Scenario{Label: sc.label, Input: sc.input, FP: sc.fp}
-	}
-	camp := sys.NewCampaign(ctx, kset.CollectResults(len(scs)), kset.VerifyRuns())
-	if err := camp.SubmitAll(scs); err != nil {
-		return r.Fail(err)
-	}
-	camp.Close()
-	outcomes := make(map[string]kset.Outcome, len(scs))
-	for out := range camp.Results() {
-		outcomes[out.Scenario.Label] = out
-	}
-	if _, err := camp.Wait(); err != nil {
-		return r.Fail(err)
-	}
-
 	named := r.Section("scenarios")
 	tbl := named.AddTable("scenario", "predicted", "measured", "values", "spec")
 	for _, sc := range scenarios {
-		out := outcomes[sc.label]
-		if out.Err != nil {
-			return r.Fail(out.Err)
+		res, err := sys.RunScenario(ctx, kset.Scenario{Input: sc.input, FP: sc.fp})
+		if err != nil {
+			return r.Fail(err)
 		}
-		v := out.Verdict
+		v := kset.Verify(sc.input, sc.fp, res, p.K)
 		r.Check(v.OK() && v.MaxRound <= sc.predict)
 		tbl.Row(sc.label, fmt.Sprintf("≤%d", sc.predict), fmt.Sprint(v.MaxRound),
 			v.Distinct.String(), fmt.Sprintf("%v", v.OK()))
 	}
 
 	// Random sweep: predictions are upper bounds across random
-	// adversaries. The scenario list is generated from the seed up front
-	// (deterministic), the campaign runs it concurrently, and the
-	// per-crash-count breakdown of the campaign's accumulator yields the
-	// rounds-vs-f curve.
+	// adversaries, drawn from the seed in order. A run that fails the
+	// specification or its bound is a violation of the folded accumulator,
+	// whose per-crash-count breakdown yields the rounds-vs-f curve.
 	trials, seed := cfg["trials"], int64(cfg["seed"])
 	rng := rand.New(rand.NewSource(seed))
-	sweep := make([]kset.Scenario, trials)
-	for trial := range sweep {
-		input, label := inC, "inC"
-		if trial%2 == 1 {
-			input, label = outC, "outC"
+	acc := stats.NewAccumulator()
+	for trial := 0; trial < trials; trial++ {
+		input, inCond := inC, trial%2 == 0
+		if !inCond {
+			input = outC
 		}
-		sweep[trial] = kset.Scenario{Label: label, Input: input, FP: adversary.Random(rng, p.N, p.T, p.RMax())}
-	}
-	camp = sys.NewCampaign(ctx, kset.CollectResults(trials), kset.VerifyRuns())
-	if err := camp.SubmitAll(sweep); err != nil {
-		return r.Fail(err)
-	}
-	camp.Close()
-	worst, bad := 0, 0
-	for out := range camp.Results() {
-		if out.Err != nil {
-			return r.Fail(out.Err)
+		fp := adversary.Random(rng, p.N, p.T, p.RMax())
+		res, err := sys.RunScenario(ctx, kset.Scenario{Input: input, FP: fp})
+		if err != nil {
+			return r.Fail(err)
 		}
-		bound := core.PredictRounds(p, out.Scenario.Label == "inC", out.Scenario.FP)
-		if !out.Verdict.OK() || out.Verdict.MaxRound > bound {
-			bad++
-		}
-		if out.Verdict.MaxRound > worst {
-			worst = out.Verdict.MaxRound
-		}
-	}
-	stats, err := camp.Wait()
-	if err != nil {
-		return r.Fail(err)
+		v := kset.Verify(input, fp, res, p.K)
+		o := core.Observe(res)
+		o.Verified = true
+		o.Violation = !v.OK() || v.MaxRound > core.PredictRounds(p, inCond, fp)
+		acc.Observe(o)
 	}
 	random := r.Section("random-sweep")
-	r.Check(bad == 0 && stats.Violations == 0)
+	r.Check(acc.Violations == 0)
 	random.Note("%d random adversaries: %d bound violations; worst observed round %d",
-		trials, bad, worst)
+		trials, acc.Violations, acc.MaxDecisionRound())
 	curve := random.AddSeries("mean-round-by-crashes")
-	for _, f := range stats.Metrics.CrashKeys() {
-		curve.Add(float64(f), stats.Metrics.ByCrashes[f].Rounds.Mean())
+	for _, f := range acc.CrashKeys() {
+		curve.Add(float64(f), acc.ByCrashes[f].Rounds.Mean())
 	}
 	return r
 }

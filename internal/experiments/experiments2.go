@@ -249,7 +249,7 @@ func runE9(cfg Params) Report {
 	return r
 }
 
-// runE10 exercises the Section-4 asynchronous algorithm as campaigns on
+// runE10 exercises the Section-4 asynchronous algorithm as seeded runs of
 // the Asynchronous executor: termination with inputs in the condition
 // under up to x crashes, safety always, and the expected blocking outside
 // the condition.
@@ -285,24 +285,11 @@ func runE10(cfg Params) Report {
 		{Label: "I∈C, mixed crashes", Input: inC, Seed: 11,
 			AsyncCrashes: map[int]kset.CrashPoint{2: kset.CrashAfterWrite, n: kset.CrashBeforeWrite}},
 	}
-	camp := sys.NewCampaign(ctx, kset.CollectResults(len(scs)))
-	if err := camp.SubmitAll(scs); err != nil {
-		return r.Fail(err)
-	}
-	camp.Close()
-	outcomes := make(map[string]kset.Outcome, len(scs))
-	for out := range camp.Results() {
-		outcomes[out.Scenario.Label] = out
-	}
-	if _, err := camp.Wait(); err != nil {
-		return r.Fail(err)
-	}
 	for _, sc := range scs {
-		out := outcomes[sc.Label]
-		if out.Err != nil {
-			return r.Fail(out.Err)
+		res, err := sys.RunScenario(ctx, sc)
+		if err != nil {
+			return r.Fail(err)
 		}
-		res := out.Result
 		decided, crashed := len(res.Decisions), len(res.Crashed)
 		blocked := n - decided - crashed
 		distinct := res.DistinctDecisions()

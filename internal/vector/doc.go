@@ -12,7 +12,6 @@
 //
 //	Section 2.1   values, vectors, views, ≤ containment, #_a(I), val(I)
 //	Section 2.2   d_H and the generalized distance d_G (Definition 1)
-//	Section 6.2   OrderedViews — the containment chain of round-1 views
 //
 // One representation choice carries the module's performance budget: the
 // value domain is capped at 64 (MaxSetValue) so a value Set is one

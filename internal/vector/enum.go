@@ -201,21 +201,3 @@ func ForEachView(i Vector, maxBottoms int, fn func(Vector) bool) {
 	}
 	rec(0, 0)
 }
-
-// OrderedViews returns the chain of views of I induced by the paper's
-// ordered-send first round: prefix views I[0..p-1] followed by ⊥ entries,
-// for p = from..n. Such views are totally ordered by containment, which is
-// exactly the structure the Figure-2 algorithm relies on.
-func OrderedViews(i Vector, from int) []Vector {
-	n := len(i)
-	if from < 0 {
-		from = 0
-	}
-	out := make([]Vector, 0, n-from+1)
-	for p := from; p <= n; p++ {
-		v := New(n)
-		copy(v[:p], i[:p])
-		out = append(out, v)
-	}
-	return out
-}

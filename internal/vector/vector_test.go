@@ -487,22 +487,6 @@ func TestForEachView(t *testing.T) {
 	}
 }
 
-func TestOrderedViews(t *testing.T) {
-	i := OfInts(5, 6, 7)
-	views := OrderedViews(i, 0)
-	if len(views) != 4 {
-		t.Fatalf("got %d views, want 4", len(views))
-	}
-	for k := 1; k < len(views); k++ {
-		if !views[k-1].ContainedIn(views[k]) {
-			t.Errorf("views not containment-ordered at %d: %v vs %v", k, views[k-1], views[k])
-		}
-	}
-	if !views[len(views)-1].Equal(i) {
-		t.Errorf("last view %v != full vector", views[len(views)-1])
-	}
-}
-
 // TestEnumSeekSerializedResume pins the cross-process resume contract:
 // for every cut position of every domain — the m=1 and n=0 edge cases
 // included — NewEnum + SeekTo(pos) yields exactly the suffix a live

@@ -2,7 +2,6 @@ package kset
 
 import (
 	"context"
-	"strings"
 	"testing"
 )
 
@@ -19,9 +18,9 @@ func (panicExec) run(context.Context, *System, *worker, *Scenario, *Result) (*Re
 }
 
 // TestCampaignRecoversExecutorPanic: a panicking executor fails its own
-// run — surfacing as the scenario's Outcome.Err and in the campaign's
-// error count — while the worker, the campaign and the process carry on;
-// healthy scenarios in the same campaign still succeed.
+// run — counted in the campaign's errors — while the worker, the campaign
+// and the process carry on; healthy scenarios in the same campaign still
+// succeed.
 func TestCampaignRecoversExecutorPanic(t *testing.T) {
 	p := Params{N: 6, T: 3, K: 2, D: 1, L: 1}
 	cond, err := NewMaxCondition(p.N, 4, p.X(), p.L)
@@ -41,33 +40,17 @@ func TestCampaignRecoversExecutorPanic(t *testing.T) {
 			scs[i].Executor = panicExec{}
 		}
 	}
-	camp := sys.NewCampaign(context.Background(), CollectResults(len(scs)))
-	if err := camp.SubmitAll(scs); err != nil {
-		t.Fatal(err)
-	}
-	camp.Close()
-	var panicked, ok int
-	for out := range camp.Results() {
-		if out.Err != nil {
-			if !strings.Contains(out.Err.Error(), "panicked") || !strings.Contains(out.Err.Error(), "panicker") {
-				t.Errorf("panic surfaced as %q, want a named executor-panicked error", out.Err)
-			}
-			panicked++
-		} else {
-			if len(out.Result.Decisions) == 0 {
-				t.Error("healthy scenario decided nothing")
-			}
-			ok++
-		}
-	}
-	stats, err := camp.Wait()
+	stats, err := sys.RunCampaign(context.Background(), scs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if panicked != 5 || ok != 15 {
-		t.Fatalf("panicked=%d ok=%d, want 5/15", panicked, ok)
-	}
 	if stats.Runs != 20 || stats.Errors != 5 {
 		t.Fatalf("stats runs=%d errors=%d, want 20/5", stats.Runs, stats.Errors)
+	}
+	if g := stats.Metrics.ByExecutor["panicker"]; g == nil || g.Runs != 5 || g.Errors != 5 {
+		t.Fatalf("panicker breakdown %+v, want 5 runs, all errors", g)
+	}
+	if decided := stats.Metrics.Rounds.Decided(); decided != 15 {
+		t.Fatalf("%d healthy runs decided in some round, want 15", decided)
 	}
 }

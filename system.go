@@ -129,7 +129,8 @@ func (s *System) resolveExecutor(sc *Scenario) (Executor, error) {
 // Scenario is one unit of campaign work: an input vector under a failure
 // pattern, optionally overriding the system's executor.
 type Scenario struct {
-	// Label optionally tags the scenario; it travels into the Outcome.
+	// Label optionally tags the scenario; it keys the per-label breakdown
+	// of a campaign's stats.
 	Label string
 	// Input is the full input vector (entry i proposed by process i+1).
 	Input Vector
