@@ -487,16 +487,16 @@ func BenchmarkPredicate(b *testing.B) {
 // clean arm is failure-free (one distinct receive row per round, folded
 // once); the crashes arm spreads t crashes over the rounds, each ending
 // its delivery prefix at a different destination — one more distinct row,
-// and one more fold, per crash: the fold path's worst case. The early arms
-// run the early-deciding condition-based algorithm under the same two
-// patterns: its sends reuse a per-process buffer and its flag bookkeeping
-// folds with the row. The storm arm is a Figure-2 run with the crashes
+// so one more Group.Step and fold, per crash: the shared row's worst case.
+// The early arms run the early-deciding condition-based algorithm under the
+// same two patterns: its sends reuse a per-process buffer and its flag
+// bookkeeping folds with the row. The storm arm is a Figure-2 run with the crashes
 // under a storm faultnet.Transport — every fault kind on every link, so
 // *StateMsg copies are frozen in every flood round: a warm transport
 // freezes into the copies its last run retired. The figure2-crashes arm is
 // the Figure-2 algorithm at the benchmark's wide_sync shape (n=48, t=24,
 // k=4, d=12) under the same kind of staggered mid-row crashes: the run the
-// round loop's per-process cost shows in.
+// round loop's own cost is largest in.
 func BenchmarkEngineRound(b *testing.B) {
 	n, t, k := 64, 32, 4
 	input := vector.New(n)

@@ -15,19 +15,9 @@ import (
 // aligned with the condition-based algorithm, which decides max values;
 // either choice satisfies the specification.)
 type ClassicalProcess struct {
-	est  vector.Value
-	fold *classicalFold
+	est       vector.Value
+	lastRound int // ⌊t/k⌋ + 1
 }
-
-// classicalFold is the per-run state the n processes of a run share: the
-// decision round and the digest of the receive row Fold read last, its
-// largest value.
-type classicalFold struct {
-	lastRound int
-	digest    vector.Value
-}
-
-var _ rounds.Folder = (*ClassicalProcess)(nil)
 
 // NewClassicalRun builds the n baseline protocol instances for the input
 // vector.
@@ -38,10 +28,9 @@ func NewClassicalRun(n, t, k int, input vector.Vector) ([]rounds.Process, error)
 	if err := ValidateInput(n, input); err != nil {
 		return nil, err
 	}
-	fold := classicalFold{lastRound: t/k + 1}
 	procs := make([]rounds.Process, n)
 	for i := range procs {
-		procs[i] = &ClassicalProcess{est: input[i], fold: &fold}
+		procs[i] = &ClassicalProcess{est: input[i], lastRound: t/k + 1}
 	}
 	return procs, nil
 }
@@ -49,22 +38,10 @@ func NewClassicalRun(n, t, k int, input vector.Vector) ([]rounds.Process, error)
 // Send implements rounds.Process.
 func (c *ClassicalProcess) Send(int) any { return c.est }
 
-// Step implements rounds.Process: Fold then StepFolded on a digest of its
-// own, so that it writes nothing the run's processes share.
+// Step implements rounds.Process: the row's digest, then stepDigest.
 func (c *ClassicalProcess) Step(round int, recv []any) (vector.Value, bool) {
 	return c.stepDigest(round, rowMax(recv))
 }
-
-// Fold implements rounds.Folder.
-func (c *ClassicalProcess) Fold(_ int, recv []any) { c.fold.digest = rowMax(recv) }
-
-// StepFolded implements rounds.Folder.
-func (c *ClassicalProcess) StepFolded(round int) (vector.Value, bool) {
-	return c.stepDigest(round, c.fold.digest)
-}
-
-// FoldState implements rounds.Folder.
-func (c *ClassicalProcess) FoldState() any { return c.fold }
 
 // rowMax is a row's digest, its largest value. Non-Value payloads (possible
 // only under a fault-injecting transport mixing in stale copies) are
@@ -82,7 +59,7 @@ func rowMax(recv []any) vector.Value {
 // stepDigest max-merges a row's digest and decides at the last round.
 func (c *ClassicalProcess) stepDigest(round int, digest vector.Value) (vector.Value, bool) {
 	c.est = maxValue(c.est, digest)
-	if round >= c.fold.lastRound {
+	if round >= c.lastRound {
 		return c.est, true
 	}
 	return vector.Bottom, false

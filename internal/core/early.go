@@ -80,9 +80,8 @@ func (m *EarlyMsg) Freeze(into any) any {
 // p_{i+1}), and the payloads under the wrappers. What depends on the reader
 // — a silent sender is a crash to one process and a decider to another — is
 // one popcount against the reader's own history (earlyTracker.observe), so
-// the wrappers are rounds.Folders: a run's processes share one earlyRow that
-// only Fold fills, and Step fills one of the process's own (a Runner,
-// single-goroutine, lends all its cells the shared one).
+// a Runner's Group reads each row it steps into one earlyRow for all its
+// cells, and Step reads into one of the process's own.
 type earlyRow struct {
 	silent, flags []uint64
 	unwrapped     []any
@@ -157,11 +156,8 @@ type EarlyCondProcess struct {
 	inner *CondProcess
 	early earlyTracker
 	msg   EarlyMsg  // the reusable send buffer, as CondProcess.msg
-	fold  *earlyRow // the run's shared row digest
 	row   *earlyRow // Step's own
 }
-
-var _ rounds.Folder = (*EarlyCondProcess)(nil)
 
 // NewEarlyRun builds the n early-deciding condition-based protocol
 // instances for the input vector. Like NewRun's, they may be stepped
@@ -171,11 +167,10 @@ func NewEarlyRun(p Params, c condition.Condition, input vector.Vector) ([]rounds
 	if err != nil {
 		return nil, err
 	}
-	fold := newEarlyRow(p.N)
 	procs := make([]rounds.Process, len(base))
 	for i, b := range base {
 		row := newEarlyRow(p.N)
-		procs[i] = &EarlyCondProcess{inner: b.(*CondProcess), early: newEarlyTracker(p.N, p.K), fold: &fold, row: &row}
+		procs[i] = &EarlyCondProcess{inner: b.(*CondProcess), early: newEarlyTracker(p.N, p.K), row: &row}
 	}
 	return procs, nil
 }
@@ -190,29 +185,15 @@ func (e *EarlyCondProcess) Send(round int) any {
 	return &e.msg
 }
 
-// Step implements rounds.Process: Fold then StepFolded on digests of the
-// process's own.
+// Step implements rounds.Process: the row's bitsets, then the inner
+// algorithm's digest of the unwrapped row, both the process's own, then
+// stepDigest.
 func (e *EarlyCondProcess) Step(round int, recv []any) (vector.Value, bool) {
 	e.row.read(recv)
 	var d StateMsg
 	e.inner.fold.foldRow(&d, e.inner.view, round, e.row.unwrapped)
 	return e.stepDigest(round, e.row, &d)
 }
-
-// Fold implements rounds.Folder: the row's bitsets, then the inner
-// algorithm's digest of the unwrapped row.
-func (e *EarlyCondProcess) Fold(round int, recv []any) {
-	e.fold.read(recv)
-	e.inner.Fold(round, e.fold.unwrapped)
-}
-
-// StepFolded implements rounds.Folder.
-func (e *EarlyCondProcess) StepFolded(round int) (vector.Value, bool) {
-	return e.stepDigest(round, e.fold, &e.inner.fold.digest)
-}
-
-// FoldState implements rounds.Folder.
-func (e *EarlyCondProcess) FoldState() any { return e.fold }
 
 func (e *EarlyCondProcess) stepDigest(round int, w *earlyRow, d *StateMsg) (vector.Value, bool) {
 	decideNow := e.early.observe(round, w)

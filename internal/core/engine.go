@@ -11,10 +11,16 @@ import (
 // Runner executes synchronous agreement runs while owning every piece of
 // reusable state a run needs: the rounds.Engine scratch (receive row,
 // liveness array) plus per-algorithm process cells, the state the cells
-// of a run share (one view, the fold digest) and early-decision
-// bookkeeping. A batch driver creates one Runner per worker and calls its
-// Run* methods millions of times; each call then allocates nothing beyond
-// the Result — and not even that when a recycled Result is passed in.
+// of a run share (the run's constants, one view, one row digest) and
+// early-decision bookkeeping. A batch driver creates one Runner per worker
+// and calls its Run* methods millions of times; each call then allocates
+// nothing beyond the Result — and not even that when a recycled Result is
+// passed in.
+//
+// Each run is one rounds.Group over a concrete cell array — condGroup,
+// earlyGroup, classicalGroup are the Runner itself — so every call in a
+// round's loops is static: Step folds its row once and steps each live cell
+// of the segment from the digest.
 //
 // The Run* methods do NOT re-validate parameters or the condition: the
 // caller establishes Params.ValidateWith / ValidateClassical once (e.g. at
@@ -24,22 +30,19 @@ type Runner struct {
 	eng *rounds.Engine
 
 	// Figure-2 state, which the early-deciding wrappers run on too: n
-	// process cells sharing one fold (and its one n-entry view).
-	procs []rounds.Process
+	// process cells sharing the run's constants, and round 1's view.
 	cells []CondProcess
 	fold  condFold
+	view  vector.Vector
 
 	// Early-deciding state: wrappers, their flagged bitsets and the one
 	// row digest they share.
-	eprocs []rounds.Process
 	ecells []EarlyCondProcess
 	eflags []uint64 // n trackers × ⌈n/64⌉ words
 	erow   earlyRow
 
 	// Classical state.
-	cprocs []rounds.Process
 	ccells []ClassicalProcess
-	cfold  classicalFold
 }
 
 // NewRunner returns an empty Runner; its buffers grow to the largest n
@@ -47,25 +50,22 @@ type Runner struct {
 func NewRunner() *Runner { return &Runner{eng: rounds.NewEngine()} }
 
 // condState sizes the Figure-2 state and initializes the n cells of a run.
-// What no run changes — procs[i] boxing &cells[i], the cells' fold pointer —
-// is set when the arrays are allocated; a run writes only what it must.
+// What no run changes — the cells' fold pointer — is set when the array is
+// allocated; a run writes only what it must.
 func (r *Runner) condState(p Params, c condition.Condition, input vector.Vector) {
 	n := p.N
 	if cap(r.cells) < n {
-		r.procs = make([]rounds.Process, n)
 		r.cells = make([]CondProcess, n)
-		r.fold.view = vector.New(n)
+		r.view = vector.New(n)
 		for i := range r.cells {
 			r.cells[i].fold = &r.fold
-			r.procs[i] = &r.cells[i]
 		}
 	}
-	r.procs = r.procs[:n]
 	r.cells = r.cells[:n]
-	r.fold = newCondFold(p, c, r.fold.view[:n])
+	r.view = r.view[:n]
+	r.fold = newCondFold(p, c)
 	for i := range r.cells {
-		cell := &r.cells[i]
-		cell.proposal, cell.state, cell.view = input[i], StateMsg{}, r.fold.view
+		r.cells[i].proposal, r.cells[i].state = input[i], StateMsg{}
 	}
 }
 
@@ -74,19 +74,13 @@ func (r *Runner) condState(p Params, c condition.Condition, input vector.Vector)
 func (r *Runner) earlyState(n, k int) {
 	words := bitWords(n)
 	if cap(r.ecells) < n {
-		r.eprocs = make([]rounds.Process, n)
 		r.ecells = make([]EarlyCondProcess, n)
 		r.eflags = make([]uint64, n*words)
-		for i := range r.ecells {
-			r.ecells[i].fold, r.ecells[i].row = &r.erow, &r.erow
-			r.eprocs[i] = &r.ecells[i]
-		}
 	}
 	if cap(r.erow.unwrapped) < n {
 		r.erow = newEarlyRow(n)
 	}
 	r.erow = earlyRow{silent: r.erow.silent[:words], flags: r.erow.flags[:words], unwrapped: r.erow.unwrapped[:n]}
-	r.eprocs = r.eprocs[:n]
 	r.ecells = r.ecells[:n]
 	r.eflags = r.eflags[:n*words]
 	clear(r.eflags)
@@ -95,6 +89,87 @@ func (r *Runner) earlyState(n, k int) {
 		r.ecells[i].inner = &r.cells[i]
 		r.ecells[i].early = earlyTracker{k: k, flagged: r.eflags[i*words : (i+1)*words]}
 	}
+}
+
+// condGroup is the Runner as the rounds.Group of a Figure-2 run.
+type condGroup Runner
+
+func (g *condGroup) Send(r int, down []bool, row []any) {
+	for i := range g.cells {
+		if !down[i] {
+			row[i] = g.cells[i].Send(r)
+		}
+	}
+}
+
+func (g *condGroup) Step(rd *rounds.Round, row []any, lo, hi int) (live int) {
+	var d StateMsg
+	g.fold.foldRow(&d, g.view, rd.R, row)
+	for i := lo; i < hi; i++ {
+		if rd.Down(i) {
+			continue
+		}
+		if v, done := g.cells[i].stepDigest(rd.R, &d); done {
+			rd.Decide(i, v)
+		} else {
+			live++
+		}
+	}
+	return live
+}
+
+// earlyGroup is the Runner as the rounds.Group of an early-deciding run.
+type earlyGroup Runner
+
+func (g *earlyGroup) Send(r int, down []bool, row []any) {
+	for i := range g.ecells {
+		if !down[i] {
+			row[i] = g.ecells[i].Send(r)
+		}
+	}
+}
+
+func (g *earlyGroup) Step(rd *rounds.Round, row []any, lo, hi int) (live int) {
+	var d StateMsg
+	g.erow.read(row)
+	g.fold.foldRow(&d, g.view, rd.R, g.erow.unwrapped)
+	for i := lo; i < hi; i++ {
+		if rd.Down(i) {
+			continue
+		}
+		if v, done := g.ecells[i].stepDigest(rd.R, &g.erow, &d); done {
+			rd.Decide(i, v)
+		} else {
+			live++
+		}
+	}
+	return live
+}
+
+// classicalGroup is the Runner as the rounds.Group of a classical run.
+type classicalGroup Runner
+
+func (g *classicalGroup) Send(r int, down []bool, row []any) {
+	for i := range g.ccells {
+		if !down[i] {
+			row[i] = g.ccells[i].est
+		}
+	}
+}
+
+func (g *classicalGroup) Step(rd *rounds.Round, row []any, lo, hi int) (live int) {
+	d := rowMax(row)
+	for i := lo; i < hi; i++ {
+		if rd.Down(i) {
+			continue
+		}
+		if v, done := g.ccells[i].stepDigest(rd.R, d); done {
+			rd.Decide(i, v)
+		} else {
+			live++
+		}
+	}
+	return live
 }
 
 // RunCond executes one Figure-2 condition-based run. The caller has
@@ -111,7 +186,7 @@ func (r *Runner) RunCond(p Params, c condition.Condition, input vector.Vector, f
 		return nil, err
 	}
 	r.condState(p, c, input)
-	return r.eng.RunInto(res, r.procs, fp, rounds.Options{MaxRounds: p.RMax(), Transport: tr, Cancel: cancel})
+	return r.eng.RunGroup(res, (*condGroup)(r), p.N, fp, rounds.Options{MaxRounds: p.RMax(), Transport: tr, Cancel: cancel})
 }
 
 // RunEarly executes one early-deciding condition-based run under the same
@@ -122,7 +197,7 @@ func (r *Runner) RunEarly(p Params, c condition.Condition, input vector.Vector, 
 	}
 	r.condState(p, c, input)
 	r.earlyState(p.N, p.K)
-	return r.eng.RunInto(res, r.eprocs, fp, rounds.Options{MaxRounds: p.RMax(), Transport: tr, Cancel: cancel})
+	return r.eng.RunGroup(res, (*earlyGroup)(r), p.N, fp, rounds.Options{MaxRounds: p.RMax(), Transport: tr, Cancel: cancel})
 }
 
 // RunClassical executes one classical flood run. The caller has already
@@ -132,20 +207,13 @@ func (r *Runner) RunClassical(n, t, k int, input vector.Vector, fp rounds.Failur
 		return nil, err
 	}
 	if cap(r.ccells) < n {
-		r.cprocs = make([]rounds.Process, n)
 		r.ccells = make([]ClassicalProcess, n)
-		for i := range r.ccells {
-			r.ccells[i].fold = &r.cfold
-			r.cprocs[i] = &r.ccells[i]
-		}
 	}
-	r.cprocs = r.cprocs[:n]
 	r.ccells = r.ccells[:n]
-	r.cfold = classicalFold{lastRound: t/k + 1}
 	for i := range r.ccells {
-		r.ccells[i].est = input[i]
+		r.ccells[i] = ClassicalProcess{est: input[i], lastRound: t/k + 1}
 	}
-	return r.eng.RunInto(res, r.cprocs, fp, rounds.Options{MaxRounds: t/k + 1, Transport: tr, Cancel: cancel})
+	return r.eng.RunGroup(res, (*classicalGroup)(r), n, fp, rounds.Options{MaxRounds: t/k + 1, Transport: tr, Cancel: cancel})
 }
 
 // runnerPool shares Runners across the package's one-shot Run helpers, so

@@ -2,19 +2,16 @@ package core
 
 import (
 	"math/rand"
-	"reflect"
 	"sync"
 	"testing"
 
-	"kset/internal/adversary"
 	"kset/internal/condition"
-	"kset/internal/rounds"
 	"kset/internal/vector"
 )
 
 // refCond is the Figure-2 compute phase as one function of the process's
-// own row, the way it read before it was split into Fold and StepFolded:
-// the reference the split is checked against.
+// own row, the way it read before it was split into a row digest and
+// stepDigest: the reference the split is checked against.
 type refCond struct {
 	p     Params
 	cond  condition.Condition
@@ -207,30 +204,29 @@ func foldShape(n int) (Params, condition.Condition, vector.Vector) {
 	return p, condition.MustNewMax(n, 4, p.X(), p.L), input
 }
 
-// TestStepEqualsFoldStepFolded pins the rounds.Folder contract on all four
-// Folders: Step, Fold-then-StepFolded and the pre-split reference leave the
-// same process state and return the same values on random rows, in round 1,
-// round 2, RCond and RMax. The folding processes are reused across trials,
-// so a digest that kept anything of an earlier row would show. Step keeps
-// its digest to itself: the shared state of the slices that were only ever
-// stepped is untouched at the end.
-func TestStepEqualsFoldStepFolded(t *testing.T) {
+// TestStepMatchesReference pins each process's Step against the compute
+// phase as it read before it was split into a row digest and stepDigest:
+// the same process state and return values on random rows — stale payload
+// kinds mixed in — in round 1, round 2, RCond and RMax. The processes are
+// reused across trials, so a digest that kept anything of an earlier row
+// would show. The Runners' Groups step from the same two halves;
+// TestExecutorsAgree pins them against Step.
+func TestStepMatchesReference(t *testing.T) {
 	for _, n := range []int{8, 70} {
 		p, c, input := foldShape(n)
 		const m = 4
-		build := func(mk func() ([]rounds.Process, error)) (stepped, folded []rounds.Process) {
-			var err error
-			if stepped, err = mk(); err != nil {
-				t.Fatal(err)
-			}
-			if folded, err = mk(); err != nil {
-				t.Fatal(err)
-			}
-			return stepped, folded
+		procs, err := NewRun(p, c, input)
+		if err != nil {
+			t.Fatal(err)
 		}
-		stepped, folded := build(func() ([]rounds.Process, error) { return NewRun(p, c, input) })
-		cStepped, cFolded := build(func() ([]rounds.Process, error) { return NewClassicalRun(p.N, p.T, p.K, input) })
-		eStepped, eFolded := build(func() ([]rounds.Process, error) { return NewEarlyRun(p, c, input) })
+		cProcs, err := NewClassicalRun(p.N, p.T, p.K, input)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eProcs, err := NewEarlyRun(p, c, input)
+		if err != nil {
+			t.Fatal(err)
+		}
 		r := rand.New(rand.NewSource(61))
 		for trial := 0; trial < 4000; trial++ {
 			round := []int{1, 2, p.RCond(), p.RMax()}[r.Intn(4)]
@@ -244,63 +240,40 @@ func TestStepEqualsFoldStepFolded(t *testing.T) {
 				state = StateMsg{Cond: vector.Value(r.Intn(2) * r.Intn(m+1)), Out: vector.Value(r.Intn(m + 1)), Tmf: vector.Value(r.Intn(m + 1))}
 			}
 			ref := &refCond{p: p, cond: c, state: state}
-			a, b := stepped[i].(*CondProcess), folded[i].(*CondProcess)
-			a.state, b.state = state, state
+			a := procs[i].(*CondProcess)
+			a.state = state
 			wantV, wantDone := ref.step(round, row)
-			aV, aDone := a.Step(round, row)
-			b.Fold(round, row)
-			bV, bDone := b.StepFolded(round)
-			if aV != wantV || aDone != wantDone || a.state != ref.state || bV != wantV || bDone != wantDone || b.state != ref.state {
-				t.Fatalf("figure2 round %d row %v from %v: reference (%v,%v) %v, Step (%v,%v) %v, Fold+StepFolded (%v,%v) %v",
-					round, row, state, wantV, wantDone, ref.state, aV, aDone, a.state, bV, bDone, b.state)
+			if aV, aDone := a.Step(round, row); aV != wantV || aDone != wantDone || a.state != ref.state {
+				t.Fatalf("figure2 round %d row %v from %v: reference (%v,%v) %v, Step (%v,%v) %v",
+					round, row, state, wantV, wantDone, ref.state, aV, aDone, a.state)
 			}
 
 			// The classical flood, as it read before the split.
 			est := vector.Value(1 + r.Intn(m))
 			want := refFlood(est, row)
-			ca, cb := cStepped[i].(*ClassicalProcess), cFolded[i].(*ClassicalProcess)
-			ca.est, cb.est = est, est
-			caV, caDone := ca.Step(round, row)
-			cb.Fold(round, row)
-			cbV, cbDone := cb.StepFolded(round)
+			ca := cProcs[i].(*ClassicalProcess)
+			ca.est = est
 			wantDone = round >= p.T/p.K+1
 			if wantV = vector.Bottom; wantDone {
 				wantV = want
 			}
-			if ca.est != want || caV != wantV || caDone != wantDone || cb.est != want || cbV != wantV || cbDone != wantDone {
-				t.Fatalf("classical round %d row %v from %v: want (%v,%v) %v, Step (%v,%v) %v, Fold+StepFolded (%v,%v) %v",
-					round, row, est, wantV, wantDone, want, caV, caDone, ca.est, cbV, cbDone, cb.est)
+			if caV, caDone := ca.Step(round, row); ca.est != want || caV != wantV || caDone != wantDone {
+				t.Fatalf("classical round %d row %v from %v: want (%v,%v) %v, Step (%v,%v) %v",
+					round, row, est, wantV, wantDone, want, caV, caDone, ca.est)
 			}
 
 			// The early-deciding wrapper, on the row with most payloads
 			// wrapped, from a random flag history.
 			row = wrapRow(r, row)
-			ea, eb := eStepped[i].(*EarlyCondProcess), eFolded[i].(*EarlyCondProcess)
-			eref := randomTracker(r, p.N, p.K, &ea.early, &eb.early)
+			ea := eProcs[i].(*EarlyCondProcess)
+			eref := randomTracker(r, p.N, p.K, &ea.early)
 			ref = &refCond{p: p, cond: c, state: state}
-			ea.inner.state, eb.inner.state = state, state
+			ea.inner.state = state
 			wantV, wantDone = eref.stepCond(ref, round, row)
-			aV, aDone = ea.Step(round, row)
-			eb.Fold(round, row)
-			bV, bDone = eb.StepFolded(round)
-			if aV != wantV || aDone != wantDone || ea.inner.state != ref.state || !eref.same(&ea.early) ||
-				bV != wantV || bDone != wantDone || eb.inner.state != ref.state || !eref.same(&eb.early) {
-				t.Fatalf("early round %d row %v from %v: reference (%v,%v) %v %+v, Step (%v,%v) %v %+v, Fold+StepFolded (%v,%v) %v %+v",
-					round, row, state, wantV, wantDone, ref.state, eref, aV, aDone, ea.inner.state, ea.early, bV, bDone, eb.inner.state, eb.early)
+			if aV, aDone := ea.Step(round, row); aV != wantV || aDone != wantDone || ea.inner.state != ref.state || !eref.same(&ea.early) {
+				t.Fatalf("early round %d row %v from %v: reference (%v,%v) %v %+v, Step (%v,%v) %v %+v",
+					round, row, state, wantV, wantDone, ref.state, eref, aV, aDone, ea.inner.state, ea.early)
 			}
-		}
-		if f := stepped[0].(*CondProcess).fold; f.digest != (StateMsg{}) || f.view.BottomCount() != p.N {
-			t.Errorf("CondProcess.Step wrote the run's shared state: digest %v view %v", f.digest, f.view)
-		}
-		if f := cStepped[0].(*ClassicalProcess).fold; f.digest != vector.Bottom {
-			t.Errorf("ClassicalProcess.Step wrote the run's shared digest: %v", f.digest)
-		}
-		e := eStepped[0].(*EarlyCondProcess)
-		if !reflect.DeepEqual(*e.fold, newEarlyRow(p.N)) {
-			t.Errorf("EarlyCondProcess.Step wrote the run's shared row: %+v", *e.fold)
-		}
-		if f := e.inner.fold; f.digest != (StateMsg{}) || f.view.BottomCount() != p.N {
-			t.Errorf("EarlyCondProcess.Step wrote the inner run's shared state: digest %v view %v", f.digest, f.view)
 		}
 	}
 }
@@ -363,124 +336,4 @@ func TestStepFromSeparateGoroutines(t *testing.T) {
 		})
 	}
 	wg.Wait()
-}
-
-// TestSplicedRunsStepTheForeignFolders splices the processes of two
-// constructor calls into one slice: the engine folds for the Folders that
-// share the first one's state and steps the others, so the run is the run
-// of one constructor call.
-func TestSplicedRunsStepTheForeignFolders(t *testing.T) {
-	p := Params{N: 8, T: 6, K: 2, D: 3, L: 2}
-	c := condition.MustNewMax(p.N, 4, p.X(), p.L)
-	input := vector.OfInts(1, 2, 3, 4, 4, 4, 3, 4)
-	for name, build := range map[string]func() ([]rounds.Process, error){
-		"figure2":   func() ([]rounds.Process, error) { return NewRun(p, c, input) },
-		"classical": func() ([]rounds.Process, error) { return NewClassicalRun(p.N, p.T, p.K, input) },
-		"early":     func() ([]rounds.Process, error) { return NewEarlyRun(p, c, input) },
-	} {
-		r := rand.New(rand.NewSource(71))
-		fam := adversary.RandomFamily(71, p.N, p.T, p.RMax(), 100)
-		for trial := 0; trial < fam.Size(); trial++ {
-			fp := fam.Pattern(trial)
-			var runs [3][]rounds.Process
-			for i := range runs {
-				var err error
-				if runs[i], err = build(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			want, err := rounds.Run(runs[0], fp, rounds.Options{MaxRounds: p.RMax()})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range runs[1] {
-				if r.Intn(2) == 0 {
-					runs[1][i] = runs[2][i]
-				}
-			}
-			got, err := rounds.Run(runs[1], fp, rounds.Options{MaxRounds: p.RMax()})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: spliced run diverged under %+v:\n got %+v\nwant %+v", name, fp, got, want)
-			}
-		}
-	}
-}
-
-// countingFolder counts the engine's calls into a Folder per round; the
-// promoted FoldState keeps the wrapped run's Folders on one shared state.
-type countingFolder struct {
-	rounds.Folder
-	folds, folded, stepped map[int]int
-}
-
-func (c countingFolder) Step(round int, recv []any) (vector.Value, bool) {
-	c.stepped[round]++
-	return c.Folder.Step(round, recv)
-}
-
-func (c countingFolder) Fold(round int, recv []any) {
-	c.folds[round]++
-	c.Folder.Fold(round, recv)
-}
-
-func (c countingFolder) StepFolded(round int) (vector.Value, bool) {
-	c.folded[round]++
-	return c.Folder.StepFolded(round)
-}
-
-// TestEarlyRunsFoldOncePerDistinctRow pins that early-deciding runs are on
-// the fold path: per round at most one Fold more than the round's crashes,
-// one StepFolded per live destination and no Step, with the results of the
-// all-Step run through the transport seam.
-func TestEarlyRunsFoldOncePerDistinctRow(t *testing.T) {
-	p, c, input := foldShape(8)
-	for name, crashes := range map[string]map[rounds.ProcessID]rounds.Crash{
-		"none":    nil,
-		"one":     {4: {Round: 2, AfterSends: 3}},
-		"several": {8: {Round: 1, AfterSends: 2}, 2: {Round: 1, AfterSends: 5}, 5: {Round: 1, AfterSends: 5}, 3: {Round: 2, AfterSends: 6}, 6: {Round: 2, AfterSends: 1}},
-	} {
-		fp := rounds.FailurePattern{Crashes: crashes}
-		procs, err := NewEarlyRun(p, c, input)
-		if err != nil {
-			t.Fatal(err)
-		}
-		folds, folded, stepped := map[int]int{}, map[int]int{}, map[int]int{}
-		for i, proc := range procs {
-			procs[i] = countingFolder{proc.(rounds.Folder), folds, folded, stepped}
-		}
-		got, err := rounds.Run(procs, fp, rounds.Options{MaxRounds: p.RMax()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if procs, err = NewEarlyRun(p, c, input); err != nil {
-			t.Fatal(err)
-		}
-		want, err := rounds.Run(procs, fp, rounds.Options{MaxRounds: p.RMax(), Transport: &rounds.MatrixTransport{}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: folded run %+v, stepped run %+v", name, got, want)
-		}
-		for r := 1; r <= got.Rounds; r++ {
-			crashed, live := 0, 0
-			for id := rounds.ProcessID(1); int(id) <= p.N; id++ {
-				cr, crashes := fp.Crashes[id]
-				if crashes && cr.Round == r {
-					crashed++
-				}
-				decided, halts := got.DecisionRound[id]
-				if !(crashes && cr.Round <= r) && !(halts && decided < r) {
-					live++
-				}
-			}
-			if folds[r] < 1 || folds[r] > 1+crashed || folded[r] != live || stepped[r] != 0 {
-				t.Errorf("%s round %d: %d Folds with %d crashes, %d StepFolded and %d Step calls for %d live destinations",
-					name, r, folds[r], crashed, folded[r], stepped[r], live)
-			}
-		}
-	}
 }

@@ -38,27 +38,24 @@ type CondProcess struct {
 	fold *condFold
 	// view is Step's round-1 scratch: a NewRun process owns it, so that
 	// Step writes nothing the run's processes share (wire nodes step them
-	// from n goroutines); a Runner, single-goroutine, lends the fold's.
+	// from n goroutines).
 	view vector.Vector
 }
 
-// condFold is the per-run state the n processes of a run share: the run's
-// constants, read-only once the run starts, and the digest of the receive
-// row Fold read last, which only the engine's Fold/StepFolded calls touch.
-// Everything a compute phase takes from a row is in the digest — round 1's
-// view V and its one classification (lines 4–8), a flood round's max-merged
-// state triple (lines 15–17) — so receivers of the same row share one Fold.
+// condFold is the run's constants, which its n processes share, read-only
+// once the run starts. Everything a compute phase takes from a row is in
+// the row's digest (foldRow) — round 1's view V and its one classification
+// (lines 4–8), a flood round's max-merged state triple (lines 15–17) — so
+// receivers of the same row can share one digest: a Runner's Group folds
+// each row it steps once.
 type condFold struct {
 	cond        condition.Condition
 	x           int // t − d
 	rCond, rMax int
-
-	view   vector.Vector // round 1: the view the row carries
-	digest StateMsg
 }
 
-func newCondFold(p Params, c condition.Condition, view vector.Vector) condFold {
-	return condFold{cond: c, x: p.X(), rCond: p.RCond(), rMax: p.RMax(), view: view}
+func newCondFold(p Params, c condition.Condition) condFold {
+	return condFold{cond: c, x: p.X(), rCond: p.RCond(), rMax: p.RMax()}
 }
 
 // Freeze implements rounds.Freezer: a transport delaying or duplicating
@@ -72,8 +69,6 @@ func (s *StateMsg) Freeze(into any) any {
 	*c = *s
 	return c
 }
-
-var _ rounds.Folder = (*CondProcess)(nil)
 
 // validateRun checks the shared preconditions of every condition-based
 // run constructor.
@@ -110,17 +105,16 @@ func validateInputDomain(input vector.Vector) error {
 
 // NewRun builds the n protocol instances for input vector input (entry i
 // is p_{i+1}'s proposal; it must be a full vector of proposable values).
-// The instances may be stepped concurrently, one goroutine each; Fold and
-// StepFolded are for one engine driving the whole slice.
+// The instances may be stepped concurrently, one goroutine each.
 func NewRun(p Params, c condition.Condition, input vector.Vector) ([]rounds.Process, error) {
 	if err := validateRun(p, c, input); err != nil {
 		return nil, err
 	}
-	views := vector.New((p.N + 1) * p.N) // the fold's, then one per process
-	fold := newCondFold(p, c, views[:p.N])
+	views := vector.New(p.N * p.N) // one per process
+	fold := newCondFold(p, c)
 	procs := make([]rounds.Process, p.N)
 	for i := range procs {
-		procs[i] = &CondProcess{proposal: input[i], fold: &fold, view: views[(i+1)*p.N : (i+2)*p.N]}
+		procs[i] = &CondProcess{proposal: input[i], fold: &fold, view: views[i*p.N : (i+1)*p.N]}
 	}
 	return procs, nil
 }
@@ -136,29 +130,16 @@ func (c *CondProcess) Send(round int) any {
 	return &c.msg
 }
 
-// Step implements rounds.Process: the compute phases of Figure 2, Fold then
-// StepFolded on a digest of the process's own.
+// Step implements rounds.Process: the compute phases of Figure 2, the row's
+// digest (foldRow) into a digest of the process's own, then stepDigest.
 func (c *CondProcess) Step(round int, recv []any) (vector.Value, bool) {
 	var d StateMsg
 	c.fold.foldRow(&d, c.view, round, recv)
 	return c.stepDigest(round, &d)
 }
 
-// Fold implements rounds.Folder: the part of a compute phase that reads
-// the row and nothing of the process.
-func (c *CondProcess) Fold(round int, recv []any) {
-	c.fold.foldRow(&c.fold.digest, c.fold.view, round, recv)
-}
-
-// StepFolded implements rounds.Folder.
-func (c *CondProcess) StepFolded(round int) (vector.Value, bool) {
-	return c.stepDigest(round, &c.fold.digest)
-}
-
-// FoldState implements rounds.Folder.
-func (c *CondProcess) FoldState() any { return c.fold }
-
-// foldRow digests recv into d, with view as round 1's scratch. It writes
+// foldRow digests recv into d, the part of a compute phase that reads the
+// row and nothing of the process, with view as round 1's scratch. It writes
 // nothing else.
 func (f *condFold) foldRow(d *StateMsg, view vector.Vector, round int, recv []any) {
 	*d = StateMsg{}

@@ -302,44 +302,69 @@ func TestPropertyRandomRuns(t *testing.T) {
 	}
 }
 
-// executorsAgree runs one scenario on the engine's shared row and through
-// its transport seam (an installed MatrixTransport), for every synchronous
-// algorithm, and requires identical Results.
-func executorsAgree(t *testing.T, runner *Runner, p Params, c condition.Condition, input vector.Vector, fp rounds.FailurePattern) {
+// executorsAgree runs one scenario, for every synchronous algorithm, three
+// ways: the Runner's Group on the engine's shared row (one fold per
+// segment) and through its transport seam (an installed MatrixTransport:
+// one fold per destination), and the constructor's processes through the
+// engine's plain-Process adapter (each Step reads the row itself). All
+// three Results must be identical.
+func executorsAgree(t *testing.T, runner *Runner, eng *rounds.Engine, p Params, c condition.Condition, input vector.Vector, fp rounds.FailurePattern) {
 	t.Helper()
-	for name, run := range map[string]func(tr rounds.Transport) (*rounds.Result, error){
-		"figure2": func(tr rounds.Transport) (*rounds.Result, error) {
-			return runner.RunCond(p, c, input, fp, false, tr, nil, nil)
+	for name, exec := range map[string]struct {
+		run    func(tr rounds.Transport) (*rounds.Result, error)
+		procs  func() ([]rounds.Process, error)
+		rounds int
+	}{
+		"figure2": {
+			func(tr rounds.Transport) (*rounds.Result, error) {
+				return runner.RunCond(p, c, input, fp, false, tr, nil, nil)
+			},
+			func() ([]rounds.Process, error) { return NewRun(p, c, input) }, p.RMax(),
 		},
-		"classical": func(tr rounds.Transport) (*rounds.Result, error) {
-			return runner.RunClassical(p.N, p.T, p.K, input, fp, false, tr, nil, nil)
+		"classical": {
+			func(tr rounds.Transport) (*rounds.Result, error) {
+				return runner.RunClassical(p.N, p.T, p.K, input, fp, false, tr, nil, nil)
+			},
+			func() ([]rounds.Process, error) { return NewClassicalRun(p.N, p.T, p.K, input) }, p.T/p.K + 1,
 		},
-		"early": func(tr rounds.Transport) (*rounds.Result, error) {
-			return runner.RunEarly(p, c, input, fp, false, tr, nil, nil)
+		"early": {
+			func(tr rounds.Transport) (*rounds.Result, error) {
+				return runner.RunEarly(p, c, input, fp, false, tr, nil, nil)
+			},
+			func() ([]rounds.Process, error) { return NewEarlyRun(p, c, input) }, p.RMax(),
 		},
 	} {
-		fast, err := run(nil)
+		fast, err := exec.run(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		seam, err := run(&rounds.MatrixTransport{})
+		seam, err := exec.run(&rounds.MatrixTransport{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(fast, seam) {
-			t.Fatalf("n=%d %s input %v fp %+v:\nfast path %+v\nseam      %+v", p.N, name, input, fp.Crashes, fast, seam)
+		procs, err := exec.procs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		stepped, err := eng.Run(procs, fp, rounds.Options{MaxRounds: exec.rounds})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(fast, seam) || !reflect.DeepEqual(fast, stepped) {
+			t.Fatalf("n=%d %s input %v fp %+v:\nshared row %+v\nseam       %+v\nprocesses  %+v", p.N, name, input, fp.Crashes, fast, seam, stepped)
 		}
 	}
 }
 
-// TestExecutorsAgree runs identical scenarios on the engine's shared-row
-// fast path (where the processes fold each distinct row once) and through
-// its transport seam (where each steps its own row) and requires identical
-// results — for all three Folders, exhaustively at model-checking size and
-// on random patterns there and at the n=48 the benchmark runs, where
-// several senders crash mid-row in one round.
+// TestExecutorsAgree runs identical scenarios on the Runner's Groups —
+// on the engine's shared row, where each distinct row is folded once, and
+// through its transport seam — and on the constructors' processes, each
+// stepping its own row, and requires identical results for all three
+// algorithms: exhaustively at model-checking size and on random patterns
+// there and at the n=48 the benchmark runs, where several senders crash
+// mid-row in one round.
 func TestExecutorsAgree(t *testing.T) {
-	runner := NewRunner()
+	runner, eng := NewRunner(), rounds.NewEngine()
 	for _, p := range []Params{
 		{N: 6, T: 3, K: 2, D: 2, L: 2},
 		{N: 48, T: 24, K: 3, D: 8, L: 2},
@@ -356,7 +381,7 @@ func TestExecutorsAgree(t *testing.T) {
 					input[i] = m // dense enough to be in the condition
 				}
 			}
-			executorsAgree(t, runner, p, c, input, fam.Pattern(trial))
+			executorsAgree(t, runner, eng, p, c, input, fam.Pattern(trial))
 		}
 	}
 	if testing.Short() {
@@ -367,7 +392,7 @@ func TestExecutorsAgree(t *testing.T) {
 	vector.ForEach(p.N, 2, func(in vector.Vector) bool {
 		input := in.Clone()
 		if err := adversary.Enumerate(p.N, p.T, p.RMax(), func(fp rounds.FailurePattern) bool {
-			executorsAgree(t, runner, p, c, input, fp)
+			executorsAgree(t, runner, eng, p, c, input, fp)
 			return true
 		}); err != nil {
 			t.Fatal(err)

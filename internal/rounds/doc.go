@@ -24,24 +24,26 @@
 //
 // The Engine is the module's synchronous hot path: it reuses its buffers
 // across runs (RunInto + Result.Reset make stats-only campaign runs
-// allocation-free) and reads the failure pattern in one pass per run. It has
-// one round loop — a pass over the processes to send, a pass to receive and
-// compute, each decision taking effect where it is made — and the transport
-// alone picks the delivery: Options.Transport == nil is the model's reliable
-// network, delivered on one row the engine shares among the destinations;
-// an installed Transport — or the built-in MatrixTransport, when the
-// adversary overrides a send order — is driven through the Transport seam.
-// Options.Trace records the run either way and changes nothing that executes.
+// allocation-free) and reads the failure pattern into a crash list once per
+// run. It has one round loop — the processes' sends, the round's crashes,
+// then their compute phases, each decision taking effect where it is made —
+// and the transport alone picks the delivery: Options.Transport == nil is the
+// model's reliable network, delivered on one row the engine shares among the
+// destinations; an installed Transport — or the built-in MatrixTransport,
+// when the adversary overrides a send order — is driven through the
+// Transport seam. Options.Trace records the run either way and changes
+// nothing that executes.
 //
-// Without a transport a round's receivers can only disagree about the
-// senders that crash in that round: the fixed p_1..p_n order makes their
+// The engine steps a round, not a process: a run's processes are one Group,
+// with one Send per round and one Step per set of destinations that read
+// the same row. Without a transport a round's receivers can only disagree
+// about the senders that crash in it: the fixed p_1..p_n order makes their
 // rows a containment chain — the engine writes the first and patches it only
-// where a crashing sender's prefix ends — so a round with c crashing senders
-// has at most c+1 distinct rows. A Process may therefore also implement
-// Folder — Step ≡ Fold; StepFolded — and the engine then digests each
-// distinct row once and has every live destination compute from the digest:
-// n·(1+c) merges per round instead of n². All three synchronous algorithms of
-// package core fold; Folder states the contract and the per-destination choice.
+// where a crashing sender's prefix ends — so Step runs once per segment
+// between prefix ends, and a Group that folds its row once per Step merges
+// n·(1+c) payloads in a round with c crashes, not n². Package core's Runner
+// runs its three algorithms as such Groups; RunInto runs a slice of Processes
+// as a Group that steps each of them on the row itself.
 //
 // Through the seam the engine applies the crash adversary to each round's
 // sends (order and prefix length) and hands the surviving copies to the

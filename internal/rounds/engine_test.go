@@ -1,7 +1,6 @@
 package rounds
 
 import (
-	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -79,11 +78,13 @@ func scanMaxDecisionRound(res *Result) int {
 // towards the round loop's corners (cornerPattern), with and without
 // send-order overrides — down every delivery the engine has, on one Engine
 // whose n grows and shrinks from trial to trial: no transport (the shared
-// row, or the built-in matrix once an order is overridden), no transport
-// with a Trace, and an installed MatrixTransport (the seam). The processes
-// are plain Processes, Folders, or a mix of both, and decide in different
-// rounds. All three must produce identical Results, the traced ones
-// identical traces, and every Result the latest decision round its map holds.
+// row, or the built-in matrix once an order is overridden) and an
+// installed MatrixTransport (the seam), each traced and untraced. Each run
+// is a slice of Processes, through the engine's adapter, or one Group that
+// folds each row it is given once (minGroup); the processes decide in
+// different rounds. All runs must produce identical Results, the traced
+// ones identical traces, and every Result the latest decision round its
+// map holds.
 func TestEngineSharedRowMatchesMatrix(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	e := NewEngine()
@@ -102,44 +103,49 @@ func TestEngineSharedRowMatchesMatrix(t *testing.T) {
 				fp.Orders[ProcessID(1+r.Intn(n))] = map[int][]ProcessID{2 + r.Intn(maxRounds-1): order}
 			}
 		}
-		vals, decide, plain := make([]vector.Value, n), make([]int, n), make([]bool, n)
+		vals, decide := make([]vector.Value, n), make([]int, n)
 		for i := range vals {
 			vals[i] = vector.Value(1 + r.Intn(5))
 			decide[i] = min(maxRounds, decideAt+r.Intn(2)) // some a round later
-			plain[i] = trial%3 == 0 || trial%3 == 1 && r.Intn(2) == 0
-		}
-		procs := func() []Process {
-			log := &foldLog{folds: map[int][]string{}, steps: map[int]int{}}
-			procs := make([]Process, n)
-			for i, v := range vals {
-				if plain[i] {
-					procs[i] = &floodMin{v, decide[i]}
-				} else {
-					procs[i] = &foldMin{floodMin{v, decide[i]}, log}
-				}
-			}
-			return procs
 		}
 
-		want, err := e.Run(procs(), fp, Options{MaxRounds: maxRounds})
+		want, err := e.Run(floodRunAt(vals, decide), fp, Options{MaxRounds: maxRounds})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := want.MaxDecisionRound(); got != scanMaxDecisionRound(want) {
 			t.Fatalf("MaxDecisionRound = %d, the map holds %d: fp=%+v\n%+v", got, scanMaxDecisionRound(want), fp, want)
 		}
-		var traces [2]Trace
-		for i, tr := range []Transport{nil, &MatrixTransport{}} {
-			got, err := e.Run(procs(), fp, Options{MaxRounds: maxRounds, Transport: tr, Trace: &traces[i]})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("traced run, transport %T, diverged: fp=%+v vals=%v decide=%v\ngot:  %+v\nwant: %+v", tr, fp, vals, decide, got, want)
+		var traces []Trace
+		for _, tr := range []Transport{nil, &MatrixTransport{}} {
+			for _, traced := range []bool{false, true} {
+				for _, group := range []bool{false, true} {
+					opts := Options{MaxRounds: maxRounds, Transport: tr}
+					if traced {
+						opts.Trace = &Trace{}
+					}
+					var got *Result
+					if group {
+						got, err = e.RunGroup(nil, newMinGroup(vals, decide), n, fp, opts)
+					} else {
+						got, err = e.Run(floodRunAt(vals, decide), fp, opts)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("transport %T traced=%v group=%v diverged: fp=%+v vals=%v decide=%v\ngot:  %+v\nwant: %+v", tr, traced, group, fp, vals, decide, got, want)
+					}
+					if traced {
+						traces = append(traces, *opts.Trace)
+					}
+				}
 			}
 		}
-		if !reflect.DeepEqual(traces[0], traces[1]) {
-			t.Fatalf("traces differ: fp=%+v vals=%v\nshared row: %+v\nmatrix:     %+v", fp, vals, traces[0], traces[1])
+		for _, trace := range traces[1:] {
+			if !reflect.DeepEqual(trace, traces[0]) {
+				t.Fatalf("traces differ: fp=%+v vals=%v\n%+v\n%+v", fp, vals, traces[0], trace)
+			}
 		}
 		if len(traces[0].Rounds) != want.Rounds {
 			t.Fatalf("trace has %d rounds, result %d", len(traces[0].Rounds), want.Rounds)
@@ -243,210 +249,179 @@ func TestEngineRoundAllocBudget(t *testing.T) {
 	}
 }
 
-// foldMin is floodMin as a Folder: the row's digest is its smallest value.
-// The processes of one run share the digest and the per-round logs of the
-// rows Fold was given and of the StepFolded calls.
-type foldMin struct {
-	floodMin
-	run *foldLog
+// floodRunAt is newFloodRun with process i+1 deciding at round decide[i].
+func floodRunAt(vals []vector.Value, decide []int) []Process {
+	procs := make([]Process, len(vals))
+	for i, v := range vals {
+		procs[i] = &floodMin{v, decide[i]}
+	}
+	return procs
 }
 
-type foldLog struct {
-	digest vector.Value
-	folds  map[int][]string
-	steps  map[int]int
+// minGroup runs floodMin processes as one Group: each Step folds its row
+// once — its smallest value — for every live process of the segment. It
+// logs the engine's calls per round: how many Sends, and the (lo, hi) of
+// every Step.
+type minGroup struct {
+	procs []floodMin
+	sends map[int]int
+	steps map[int][][2]int
 }
 
-// Step keeps its digest to itself, as the contract asks: it writes neither
-// the shared digest nor the logs.
-func (f *foldMin) Step(round int, recv []any) (vector.Value, bool) {
-	return f.stepDigest(round, rowMin(recv))
+func newMinGroup(vals []vector.Value, decide []int) *minGroup {
+	g := &minGroup{procs: make([]floodMin, len(vals)), sends: map[int]int{}, steps: map[int][][2]int{}}
+	for i, v := range vals {
+		g.procs[i] = floodMin{v, decide[i]}
+	}
+	return g
 }
 
-func (f *foldMin) Fold(round int, recv []any) {
-	f.run.digest = rowMin(recv)
-	f.run.folds[round] = append(f.run.folds[round], fmt.Sprint(recv))
+func (g *minGroup) Send(r int, down []bool, row []any) {
+	g.sends[r]++
+	for i := range g.procs {
+		if !down[i] {
+			row[i] = g.procs[i].min
+		}
+	}
 }
 
-func (f *foldMin) FoldState() any { return f.run }
-
-func rowMin(recv []any) vector.Value {
+func (g *minGroup) Step(rd *Round, row []any, lo, hi int) (live int) {
+	g.steps[rd.R] = append(g.steps[rd.R], [2]int{lo, hi})
 	least := vector.Bottom
-	for _, p := range recv {
+	for _, p := range row {
 		if v, ok := p.(vector.Value); ok && (least == vector.Bottom || v < least) {
 			least = v
 		}
 	}
-	return least
-}
-
-func (f *foldMin) StepFolded(round int) (vector.Value, bool) {
-	f.run.steps[round]++
-	return f.stepDigest(round, f.run.digest)
-}
-
-func (f *foldMin) stepDigest(round int, d vector.Value) (vector.Value, bool) {
-	if d != vector.Bottom && d < f.min {
-		f.min = d
+	for i := lo; i < hi; i++ {
+		if rd.Down(i) {
+			continue
+		}
+		f := &g.procs[i]
+		if least != vector.Bottom && least < f.min {
+			f.min = least
+		}
+		if rd.R >= f.decideAt {
+			rd.Decide(i, f.min)
+		} else {
+			live++
+		}
 	}
-	return f.min, round >= f.decideAt
+	return live
 }
 
-// rowLogger is a plain Process logging the row of every Step: the
-// reference the fold counts are checked against.
-type rowLogger struct {
-	floodMin
-	rows map[int][]string
-}
-
-func (l *rowLogger) Step(round int, recv []any) (vector.Value, bool) {
-	l.rows[round] = append(l.rows[round], fmt.Sprint(recv))
-	return l.floodMin.Step(round, recv)
-}
-
-// TestEngineFoldCount pins what the fast path promises a Folder: Fold runs
-// exactly once per distinct row a live destination reads — at most one
-// more than the round's crashes — and StepFolded once per live
-// destination, with results identical to the all-Step run.
-func TestEngineFoldCount(t *testing.T) {
-	const n, rounds = 8, 3
+// TestEngineGroupCalls pins the calls the engine makes into a Group, per
+// round: exactly one Send; on the shared row one Step per segment between
+// the distinct prefix ends in 1..n−1 of the round's crashing senders — a
+// process that decided before its crash round is none — in order from 0 to
+// n; through a MatrixTransport one Step per live destination, (i, i+1);
+// and for a traced run exactly the calls of the untraced one. Every Result
+// is the one the adapter steps each process to.
+func TestEngineGroupCalls(t *testing.T) {
+	const n, maxRounds = 8, 3
 	vals := []vector.Value{5, 3, 7, 2, 6, 4, 8, 1}
-	patterns := map[string]map[ProcessID]Crash{
+	decide := []int{3, 3, 1, 3, 3, 3, 3, 3}
+	for name, crashes := range map[string]map[ProcessID]Crash{
 		"none":    nil,
 		"one":     {4: {Round: 2, AfterSends: 3}},
-		"several": {8: {Round: 1, AfterSends: 2}, 2: {Round: 1, AfterSends: 5}, 5: {Round: 1, AfterSends: 5}, 3: {Round: 2, AfterSends: 6}},
+		"several": {8: {Round: 1, AfterSends: 2}, 2: {Round: 1, AfterSends: 5}, 5: {Round: 1, AfterSends: 5}, 6: {Round: 2, AfterSends: 6}, 3: {Round: 2, AfterSends: 4}},
 		"edges":   {1: {Round: 1, AfterSends: 0}, 6: {Round: 1, AfterSends: n}, 7: {Round: 2, AfterSends: 7}, 8: {Round: 2, AfterSends: 1}},
-	}
-	for name, crashes := range patterns {
+	} {
 		fp := FailurePattern{Crashes: crashes}
-		log := &foldLog{folds: map[int][]string{}, steps: map[int]int{}}
-		rows := map[int][]string{}
-		folders, loggers := make([]Process, n), make([]Process, n)
-		for i, v := range vals {
-			folders[i] = &foldMin{floodMin{v, rounds}, log}
-			loggers[i] = &rowLogger{floodMin{v, rounds}, rows}
-		}
-		got, err := Run(folders, fp, Options{MaxRounds: rounds})
+		want, err := Run(floodRunAt(vals, decide), fp, Options{MaxRounds: maxRounds})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := Run(loggers, fp, Options{MaxRounds: rounds})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !resultsEqual(got, want) {
-			t.Fatalf("%s: folded run %+v, stepped run %+v", name, got, want)
-		}
-		for r := 1; r <= rounds; r++ {
-			if distinct := slices.Compact(slices.Clone(rows[r])); !slices.Equal(log.folds[r], distinct) {
-				t.Errorf("%s round %d: folded rows %v, distinct rows read %v", name, r, log.folds[r], distinct)
+		run := func(opts Options) *minGroup {
+			g := newMinGroup(vals, decide)
+			got, err := NewEngine().RunGroup(nil, g, n, fp, opts)
+			if err != nil {
+				t.Fatal(err)
 			}
-			crashed := 0
-			for _, cr := range crashes {
-				if cr.Round == r {
-					crashed++
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: Group run %+v, adapter run %+v", name, got, want)
+			}
+			return g
+		}
+		shared, seam := run(Options{MaxRounds: maxRounds}), run(Options{MaxRounds: maxRounds, Transport: &MatrixTransport{}})
+		if traced := run(Options{MaxRounds: maxRounds, Trace: &Trace{}}); !reflect.DeepEqual(traced, shared) {
+			t.Errorf("%s: traced run made the calls %+v, untraced %+v", name, traced, shared)
+		}
+		for _, g := range []*minGroup{shared, seam} {
+			if len(g.sends) != want.Rounds || len(g.steps) != want.Rounds {
+				t.Errorf("%s: Sends in %d rounds, Steps in %d, for a %d-round run", name, len(g.sends), len(g.steps), want.Rounds)
+			}
+		}
+		for r := 1; r <= want.Rounds; r++ {
+			if shared.sends[r] != 1 || seam.sends[r] != 1 {
+				t.Errorf("%s round %d: %d and %d Send calls, want 1", name, r, shared.sends[r], seam.sends[r])
+			}
+			ends, live := []int{0}, [][2]int(nil)
+			for i := 0; i < n; i++ {
+				id := ProcessID(i + 1)
+				cr, crashes := crashes[id]
+				if decided, ok := want.DecisionRound[id]; ok && decided < r {
+					continue
+				}
+				if crashes && cr.Round == r && cr.AfterSends > 0 && cr.AfterSends < n && !slices.Contains(ends, cr.AfterSends) {
+					ends = append(ends, cr.AfterSends)
+				}
+				if !crashes || cr.Round > r {
+					live = append(live, [2]int{i, i + 1})
 				}
 			}
-			if len(log.folds[r]) > 1+crashed {
-				t.Errorf("%s round %d: %d folds with %d crashes", name, r, len(log.folds[r]), crashed)
+			slices.Sort(ends)
+			var segments [][2]int
+			for k, lo := range ends {
+				hi := n
+				if k+1 < len(ends) {
+					hi = ends[k+1]
+				}
+				segments = append(segments, [2]int{lo, hi})
 			}
-			if log.steps[r] != len(rows[r]) {
-				t.Errorf("%s round %d: %d StepFolded calls for %d live destinations", name, r, log.steps[r], len(rows[r]))
+			if !reflect.DeepEqual(shared.steps[r], segments) {
+				t.Errorf("%s round %d: shared-row Steps %v, want %v", name, r, shared.steps[r], segments)
+			}
+			if !reflect.DeepEqual(seam.steps[r], live) {
+				t.Errorf("%s round %d: seam Steps %v, want one per live destination %v", name, r, seam.steps[r], live)
 			}
 		}
 	}
 }
 
-// TestEngineTracedRunFolds pins that a Trace records the run that executes
-// without it: a traced run of Folders makes the calls the untraced one
-// makes — one Fold per distinct row, n·(1+c) merges in a round of n live
-// processes and c crashes, not the n² of stepping each — and reaches the
-// same Result.
-func TestEngineTracedRunFolds(t *testing.T) {
-	const n, rounds = 8, 3
+// TestEngineCrashList pins the per-run crash list: four senders crash in
+// round 1, listed out of ID order, and p4 decides in round 1 with a crash
+// scheduled for round 2. On every run — many, so that map iteration order
+// cannot pass by luck — p4 is not Crashed, the shared row's arithmetic
+// delivered count is the seam's and the hand count, and RoundTrace.Crashes
+// is in ascending ID order.
+func TestEngineCrashList(t *testing.T) {
+	const n = 8
 	fp := FailurePattern{Crashes: map[ProcessID]Crash{
-		8: {Round: 1, AfterSends: 2}, 2: {Round: 1, AfterSends: 5}, 3: {Round: 2, AfterSends: 6},
+		7: {Round: 1, AfterSends: 2}, 2: {Round: 1, AfterSends: 5}, 5: {Round: 1, AfterSends: 0}, 3: {Round: 1, AfterSends: n},
+		4: {Round: 2, AfterSends: 3},
 	}}
-	run := func(trace *Trace) (*Result, *foldLog) {
-		log := &foldLog{folds: map[int][]string{}, steps: map[int]int{}}
-		folders := make([]Process, n)
-		for i := range folders {
-			folders[i] = &foldMin{floodMin{vector.Value(1 + i), rounds}, log}
-		}
-		res, err := Run(folders, fp, Options{MaxRounds: rounds, Trace: trace})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, log
-	}
-	plain, plainLog := run(nil)
-	var trace Trace
-	traced, tracedLog := run(&trace)
-	if !reflect.DeepEqual(traced, plain) {
-		t.Fatalf("traced run %+v, untraced %+v", traced, plain)
-	}
-	if !reflect.DeepEqual(tracedLog, plainLog) {
-		t.Fatalf("traced run folded %+v, untraced %+v", tracedLog, plainLog)
-	}
-	for r, crashes := range []int{2, 1, 0} {
-		if got := len(tracedLog.folds[r+1]); got != 1+crashes {
-			t.Errorf("round %d: traced run made %d Fold calls, want %d", r+1, got, 1+crashes)
-		}
-		if live := len(trace.Rounds[r].Sends) - crashes; tracedLog.steps[r+1] != live {
-			t.Errorf("round %d: %d StepFolded calls for %d live destinations", r+1, tracedLog.steps[r+1], live)
-		}
-	}
-}
-
-// TestEngineFoldMixedSlice pins the rule for mixed slices — Folders of two
-// shared states and plain Processes: the choice is per destination, so the
-// results are those of the all-Step run; the Folders sharing the first
-// Folder's state fold each row at most once, the foreign Folders are
-// stepped (their Fold and StepFolded never run).
-func TestEngineFoldMixedSlice(t *testing.T) {
-	r := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 300; trial++ {
-		n := 2 + r.Intn(7)
-		maxRounds := 1 + r.Intn(4)
-		fp := randPattern(r, n, n-1, maxRounds)
-		decideAt := 1 + r.Intn(maxRounds)
-		var logs [2]*foldLog
-		for i := range logs {
-			logs[i] = &foldLog{folds: map[int][]string{}, steps: map[int]int{}}
-		}
-		first := -1 // the log of the slice's first Folder
-		vals := make([]vector.Value, n)
-		mixed := make([]Process, n)
-		for i := range vals {
-			vals[i] = vector.Value(1 + r.Intn(5))
-			if g := r.Intn(3); g < 2 {
-				mixed[i] = &foldMin{floodMin{vals[i], decideAt}, logs[g]}
-				if first < 0 {
-					first = g
-				}
-			} else {
-				mixed[i] = &floodMin{vals[i], decideAt}
+	vals := []vector.Value{5, 3, 7, 2, 6, 4, 8, 1}
+	decide := []int{3, 3, 3, 1, 3, 3, 3, 3}
+	// Round 1: 8 senders, 64 − 6 − 3 − 8 − 0 copies; rounds 2 and 3: p1, p6
+	// and p8 send 8 copies each.
+	const delivered = 47 + 2*3*8
+	e := NewEngine()
+	for trial := 0; trial < 50; trial++ {
+		for _, tr := range []Transport{nil, &MatrixTransport{}} {
+			var trace Trace
+			res, err := e.Run(floodRunAt(vals, decide), fp, Options{MaxRounds: 3, Transport: tr, Trace: &trace})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		got, err := Run(mixed, fp, Options{MaxRounds: maxRounds})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := Run(newFloodRun(vals, decideAt), fp, Options{MaxRounds: maxRounds})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !resultsEqual(got, want) {
-			t.Fatalf("mixed slice diverged: fp=%+v vals=%v\nmixed: %+v\nsteps: %+v", fp, vals, got, want)
-		}
-		for g, log := range logs {
-			if g != first && len(log.folds)+len(log.steps) > 0 {
-				t.Fatalf("foreign Folders were folded: %+v (fp=%+v)", log, fp)
+			if want := map[ProcessID]bool{2: true, 3: true, 5: true, 7: true}; !reflect.DeepEqual(res.Crashed, want) {
+				t.Fatalf("transport %T: Crashed = %v, want %v", tr, res.Crashed, want)
 			}
-			for round, folds := range log.folds {
-				if len(slices.Compact(slices.Clone(folds))) != len(folds) {
-					t.Fatalf("round %d: a row was folded twice: %v (fp=%+v)", round, folds, fp)
-				}
+			if res.DecisionRound[4] != 1 || res.MessagesDelivered != delivered {
+				t.Fatalf("transport %T: p4 decided in round %d, %d copies delivered; want round 1, %d copies", tr, res.DecisionRound[4], res.MessagesDelivered, delivered)
+			}
+			if got := trace.Rounds[0].Crashes; !slices.Equal(got, []ProcessID{2, 3, 5, 7}) || len(trace.Rounds[1].Crashes) != 0 {
+				t.Fatalf("transport %T: round crashes %v then %v, want [2 3 5 7] then none", tr, got, trace.Rounds[1].Crashes)
 			}
 		}
 	}

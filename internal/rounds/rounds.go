@@ -3,6 +3,7 @@ package rounds
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"kset/internal/vector"
 )
@@ -33,49 +34,74 @@ type Process interface {
 	Step(round int, recv []any) (value vector.Value, done bool)
 }
 
-// Folder is an optional extension of Process for protocols whose compute
-// phase reads the receive row only through a digest of it — a merged
-// state, a classified view — that does not depend on which process reads.
-// The contract is
+// Group is the n processes of one run, driven a round at a time; process
+// i+1 is index i throughout. Send writes round r's payload of every process
+// not down into row[i]; the other entries are nil already. Step runs the
+// compute phase of the processes lo..hi−1 that are not rd.Down, each
+// receiving row — a Group whose compute phase reads the row only through a
+// digest of it folds row once for all of them — reports each decision
+// through rd.Decide, and returns how many of them stay live. row and its
+// payloads belong to the engine and its transport, which reuse them.
 //
-//	Step(round, recv)  ≡  Fold(round, recv); StepFolded(round)
-//
-// on the process's state and return values, where Fold computes the
-// digest, a pure function of (round, recv), into the state FoldState names
-// and StepFolded performs the compute phase from that digest and the
-// process's own state. Only Fold writes the shared state — Step keeps its
-// digest to itself, so the processes of a run may be stepped from separate
-// goroutines (wire nodes are) — and only one engine at a time calls Fold
-// and StepFolded.
-//
-// In the Section 6.2 model the receivers of a round disagree only about
-// senders that crash in that round, so a round with c crashing senders has
-// at most c+1 distinct rows. A run without a transport — traced or not —
-// therefore calls Fold once per distinct row — on the first live Folder
-// that reads it — and StepFolded on every live Folder: n·(1+c) merges per
-// round instead of n². The choice is made per destination: the Folders
-// whose FoldState equals that of the slice's first Folder fold each
-// distinct row once, and every other process in the slice — a plain
-// Process, a Folder of another constructor call — gets Step on the same
-// row. Through the transport seam (an installed transport, or send-order
-// overrides: rows differ per destination) every process gets Step.
-//
-// A digest need not be a merged value: core's early-deciding wrappers keep
-// two sender bitsets (who was silent, who carried a flag) beside the inner
-// algorithm's digest, and what depends on the reader — a silent sender is a
-// crash to one, a decider to another — is one popcount in StepFolded.
-//
-// A type that embeds a Folder inherits all three methods with it: if it
-// overrides Step, a folded run would bypass the override. Hold the Folder
-// in a named field instead, as core's early-deciding wrappers do — they
-// implement Folder themselves, over the inner process's two halves.
-type Folder interface {
-	Process
-	Fold(round int, recv []any)
-	StepFolded(round int) (value vector.Value, done bool)
-	// FoldState identifies the shared state Fold writes and StepFolded
-	// reads: a pointer, equal exactly for Folders that share it.
-	FoldState() any
+// The engine calls Send once per round. On the shared row it calls Step
+// once per segment between the round's distinct prefix ends in 1..n−1 (see
+// the package doc); through the Transport seam once per live destination,
+// with (i, i+1).
+type Group interface {
+	Send(r int, down []bool, row []any)
+	Step(rd *Round, row []any, lo, hi int) (live int)
+}
+
+// Round is the round a Group steps: its number, who is down, and where a
+// decision goes. The Engine holds it, so passing its address costs nothing.
+type Round struct {
+	// R is the round number, from 1.
+	R    int
+	down []bool
+	res  *Result
+	rt   *RoundTrace
+}
+
+// Down reports whether process i+1 has crashed or decided: it is not
+// stepped.
+func (rd *Round) Down(i int) bool { return rd.down[i] }
+
+// Decide records that process i+1 decides v in this round; it halts.
+func (rd *Round) Decide(i int, v vector.Value) {
+	rd.down[i] = true
+	id := ProcessID(i + 1)
+	rd.res.Decisions[id] = v
+	rd.res.DecisionRound[id] = rd.R
+	rd.res.maxDecision = rd.R // rounds only grow within a run
+	if rd.rt != nil {
+		rd.rt.Decisions[id] = v
+	}
+}
+
+// processes is the Group of a slice of Processes: every live destination
+// steps on the row itself.
+type processes struct{ procs []Process }
+
+func (g *processes) Send(r int, down []bool, row []any) {
+	for i, p := range g.procs {
+		if !down[i] {
+			row[i] = p.Send(r)
+		}
+	}
+}
+
+func (g *processes) Step(rd *Round, row []any, lo, hi int) (live int) {
+	for i := lo; i < hi; i++ {
+		if rd.Down(i) {
+			continue
+		}
+		if v, done := g.procs[i].Step(rd.R, row); done {
+			rd.Decide(i, v)
+		} else {
+			live++
+		}
+	}
+	return live
 }
 
 // Crash schedules the crash of one process.
@@ -277,8 +303,8 @@ type Options struct {
 }
 
 // Engine executes synchronous runs while reusing its internal buffers
-// (the shared receive row, the liveness array, the resolved crash schedule
-// and the identity send order) across calls. Sweeps that drive thousands of
+// (the shared receive row, the liveness array, the crash list and the
+// identity send order) across calls. Sweeps that drive thousands of
 // runs — exhaustive adversary model checking above all — should create one
 // Engine and call its Run repeatedly; each call then costs only the small
 // per-run Result (which the caller may retain freely).
@@ -289,9 +315,10 @@ type Engine struct {
 	down     []bool
 	identity []ProcessID
 
-	// crashes[i] is process i+1's entry of fp.Crashes, resolved once per
-	// run; a process that never crashes has the zero Crash, round 0.
-	crashes []Crash
+	// crashers is the run's crash schedule, ascending by round and then by
+	// ID; next is its first entry whose round has not come yet.
+	crashers []crasher
+	next     int
 
 	// mt is the built-in transport of runs whose adversary overrides a
 	// send order, embedded so that they reuse its matrix across runs.
@@ -300,16 +327,18 @@ type Engine struct {
 	// row is the one receive row every destination's compute phase reads.
 	// A transport's Deliver fills it per destination; without a transport
 	// the send phase writes destination 1's row and it is patched where a
-	// crashing sender's delivery prefix ends — partial lists, as indexes,
-	// the senders whose prefix ends within the row this round — instead of
-	// materializing the n×n matrix.
-	row     []any
-	partial []int
+	// crashing sender's delivery prefix ends, instead of materializing the
+	// n×n matrix.
+	row []any
 
-	// folders[i] is procs[i] as a Folder, nil when it is a plain Process,
-	// does not share the first Folder's FoldState, or the run has a
-	// transport; resolved once per run.
-	folders []Folder
+	rd    Round
+	procs processes // RunInto's Group
+}
+
+// crasher is one entry of a run's crash schedule: process i+1's crash.
+type crasher struct {
+	i int
+	Crash
 }
 
 // NewEngine returns an Engine with no buffers allocated yet; they grow to
@@ -324,20 +353,16 @@ func (e *Engine) reset(n int) {
 		for i := range e.identity {
 			e.identity[i] = ProcessID(i + 1)
 		}
-		e.crashes = make([]Crash, n)
-		e.folders = make([]Folder, n)
+		e.crashers = make([]crasher, 0, n)
 		e.row = make([]any, n)
-		e.partial = make([]int, 0, n)
 	}
 	e.down = e.down[:n]
 	// A transport sizes its send loop by len(order), so the identity
 	// order of a larger earlier run must not leak into a smaller one.
 	e.identity = e.identity[:n]
-	e.crashes = e.crashes[:n]
-	e.folders = e.folders[:n]
 	e.row = e.row[:n]
+	e.crashers, e.next = e.crashers[:0], 0
 	clear(e.down)
-	clear(e.crashes)
 }
 
 // Run executes the processes lock-step under the failure pattern. procs[i]
@@ -352,27 +377,41 @@ func (e *Engine) Run(procs []Process, fp FailurePattern, opts Options) (*Result,
 // RunInto is Run writing into a caller-provided Result, which is cleared
 // (Reset) and returned; res == nil allocates a fresh one. Sweeps that only
 // read each result before the next run recycle one Result and make the
-// whole run allocation-free.
+// whole run allocation-free. The processes run as one Group that steps
+// each of them on its own row.
 func (e *Engine) RunInto(res *Result, procs []Process, fp FailurePattern, opts Options) (*Result, error) {
-	n := len(procs)
-	if n == 0 {
-		return nil, fmt.Errorf("rounds: no processes")
-	}
 	for i, p := range procs {
 		if p == nil {
 			return nil, fmt.Errorf("rounds: process %d is nil", i+1)
 		}
 	}
+	e.procs.procs = procs
+	res, err := e.RunGroup(res, &e.procs, len(procs), fp, opts)
+	e.procs.procs = nil
+	return res, err
+}
+
+// RunGroup is RunInto over a Group of n processes.
+func (e *Engine) RunGroup(res *Result, g Group, n int, fp FailurePattern, opts Options) (*Result, error) {
+	if n == 0 {
+		return nil, fmt.Errorf("rounds: no processes")
+	}
 	if opts.MaxRounds < 1 {
 		return nil, fmt.Errorf("rounds: MaxRounds = %d, want ≥ 1", opts.MaxRounds)
 	}
-	e.reset(n) // then one pass validates and resolves the crash schedule
+	e.reset(n) // then one pass validates and lists the crash schedule
 	for id, cr := range fp.Crashes {
 		if err := validateCrash(id, cr, n); err != nil {
 			return nil, err
 		}
-		e.crashes[id-1] = cr
+		e.crashers = append(e.crashers, crasher{int(id) - 1, cr})
 	}
+	slices.SortFunc(e.crashers, func(a, b crasher) int {
+		if a.Round != b.Round {
+			return a.Round - b.Round
+		}
+		return a.i - b.i
+	})
 	if len(fp.Orders) > 0 {
 		if err := fp.validateOrders(n); err != nil {
 			return nil, err
@@ -396,21 +435,7 @@ func (e *Engine) RunInto(res *Result, procs []Process, fp FailurePattern, opts O
 	if tr == nil && len(fp.Orders) > 0 {
 		tr = &e.mt
 	}
-	clear(e.folders)
-	if tr == nil {
-		var shared any
-		for i, p := range procs {
-			if f, ok := p.(Folder); ok {
-				state := f.FoldState()
-				if shared == nil {
-					shared = state
-				}
-				if state == shared { // else another run's Folder: Step it
-					e.folders[i] = f
-				}
-			}
-		}
-	} else {
+	if tr != nil {
 		tr.Reset(n)
 		// Blocking transports (the wire plane) honor the run's cancel
 		// channel inside Deliver; the engine still checks it at every
@@ -424,7 +449,7 @@ func (e *Engine) RunInto(res *Result, procs []Process, fp FailurePattern, opts O
 		opts.Trace.N = n
 		opts.Trace.Rounds = opts.Trace.Rounds[:0]
 	}
-	for r := 1; r <= opts.MaxRounds; r++ {
+	for r, live := 1, n; r <= opts.MaxRounds && live > 0; r++ {
 		if opts.Cancel != nil {
 			select {
 			case <-opts.Cancel:
@@ -441,9 +466,7 @@ func (e *Engine) RunInto(res *Result, procs []Process, fp FailurePattern, opts O
 			})
 			rt = &opts.Trace.Rounds[len(opts.Trace.Rounds)-1]
 		}
-		if e.runRound(procs, fp, r, res, tr, rt) {
-			break
-		}
+		live = e.runRound(g, fp, r, res, tr, rt, live)
 	}
 	if fc, ok := tr.(FaultCounter); ok {
 		res.Lost, res.Delayed, res.Duplicated = fc.FaultCounts()
@@ -451,124 +474,94 @@ func (e *Engine) RunInto(res *Result, procs []Process, fp FailurePattern, opts O
 	return res, nil
 }
 
-// runRound executes round r — send phase under the crash adversary, receive
-// phase, compute phase, one pass over the processes each — and reports
-// whether the run should stop (every process has crashed or decided).
-// tr == nil delivers on the engine's shared row: a sender crashing after s
-// sends reaches destinations p_1..p_s of the fixed identity order, so the row
-// of destination 1 is patched where a prefix ends, and destinations that are
-// Folders share one Fold per distinct row (see Folder). Otherwise every
-// destination's row is what tr delivers, and it is stepped. A decision takes
-// effect where it is made: down[i] is read only for process i+1 itself,
-// before its step. rt, when non-nil, records the round; it changes nothing
-// that executes.
-func (e *Engine) runRound(procs []Process, fp FailurePattern, r int, res *Result, tr Transport, rt *RoundTrace) (stop bool) {
-	// Locals sliced to n: no reload through e, no bounds check, after a call.
-	n := len(procs)
-	row, down, crashes, folders := e.row[:n], e.down[:n], e.crashes[:n], e.folders[:n]
-	partial := e.partial[:0]
+// runRound executes round r, in which senders processes are live, and
+// returns how many are live after it: the Group's Send, the crash
+// adversary, the Group's Steps. tr == nil delivers on the shared row: a
+// sender crashing after s sends reaches p_1..p_s, so the row is stepped in
+// segments between prefix ends and patched at each. Otherwise each live
+// destination's row is what tr delivers. rt, when non-nil, records the
+// round; it changes nothing that executes.
+func (e *Engine) runRound(g Group, fp FailurePattern, r int, res *Result, tr Transport, rt *RoundTrace, senders int) (live int) {
+	row, down := e.row, e.down
+	n := len(row)
 	if tr != nil {
 		tr.BeginRound(r)
 	}
+	clear(row)
+	g.Send(r, down, row)
 
-	// Send phase: the engine applies the crash adversary (send order and
-	// delivery prefix length) to each broadcast. cut is the smallest prefix
-	// end among partial — the first destination (as an index) to read
-	// another row than its predecessor — and n when there is none.
-	cut := n
-	var delivered int64
-	for i, p := range procs {
-		if down[i] {
-			row[i] = nil
+	// The round's crashes, ascending by ID: cs, compacted in place, keeps
+	// those of the processes that did not decide before their crash round.
+	// Every sender delivers n copies but a crashing one, its prefix.
+	cs := e.crashers[e.next:e.next]
+	delivered := int64(senders) * int64(n)
+	for ; e.next < len(e.crashers) && e.crashers[e.next].Round == r; e.next++ {
+		c := e.crashers[e.next]
+		if down[c.i] {
 			continue
 		}
-		id := ProcessID(i + 1)
-		payload := p.Send(r)
-		limit := n
-		if crashes[i].Round == r {
-			limit = crashes[i].AfterSends
-			down[i] = true
-			res.Crashed[id] = true
-			if rt != nil {
-				rt.Crashes = append(rt.Crashes, id)
-			}
-		}
+		down[c.i] = true
+		id := ProcessID(c.i + 1)
+		res.Crashed[id] = true
 		if rt != nil {
-			rt.Sends[id] = SendTrace{Payload: fmt.Sprintf("%v", payload), Delivered: limit}
+			rt.Crashes = append(rt.Crashes, id)
 		}
-		if tr != nil {
-			// Round 1 is always the paper's fixed p_1..p_n (Validate admits
-			// no order for it); later rounds honor the adversary's override.
-			order := fp.Orders[id][r]
-			if order == nil {
-				order = e.identity
-			}
-			tr.Send(r, id, payload, order, limit)
-			continue
-		}
-		delivered += int64(limit)
-		row[i] = payload
-		if limit < n { // a prefix of 0 ends before destination 1
-			partial = append(partial, i)
-			cut = min(cut, limit)
-		}
+		delivered -= int64(n - c.AfterSends)
+		cs = append(cs, c)
 	}
 	res.Rounds = r
-	res.MessagesDelivered += delivered
+	e.rd = Round{R: r, down: down, res: res, rt: rt}
+
+	if tr != nil || rt != nil {
+		k := 0
+		for i, payload := range row {
+			limit := n
+			if k < len(cs) && cs[k].i == i {
+				limit = cs[k].AfterSends
+				k++
+			} else if down[i] {
+				continue
+			}
+			id := ProcessID(i + 1)
+			if rt != nil {
+				rt.Sends[id] = SendTrace{Payload: fmt.Sprintf("%v", payload), Delivered: limit}
+			}
+			if tr != nil {
+				// Round 1 is always the paper's fixed p_1..p_n (Validate admits
+				// no order for it); later rounds honor the adversary's override.
+				order := fp.Orders[id][r]
+				if order == nil {
+					order = e.identity
+				}
+				tr.Send(r, id, payload, order, limit)
+			}
+		}
+	}
 	if tr != nil {
 		res.MessagesDelivered = tr.Delivered()
-	}
-
-	// Receive + compute phase: each live destination's row, consumed by its
-	// compute phase in turn. folded says the Folders' shared digest is of the
-	// row as it stands; on the seam no process is folded and partial is empty.
-	// live counts the processes stepped and not done: those left to run.
-	live := 0
-	folded := false
-	for i, p := range procs {
-		if i == cut {
-			// Drop the senders whose prefix ends here; find the next end.
-			cut = n
-			for _, src := range partial {
-				if l := crashes[src].AfterSends; l == i {
-					row[src] = nil
-				} else if l > i {
-					cut = min(cut, l)
-				}
+		for i := range row {
+			if !down[i] {
+				tr.Deliver(r, ProcessID(i+1), row)
+				live += g.Step(&e.rd, row, i, i+1)
 			}
-			folded = false
 		}
-		if down[i] {
-			continue
-		}
-		id := ProcessID(i + 1)
-		if tr != nil {
-			tr.Deliver(r, id, row)
-		}
-		var v vector.Value
-		var done bool
-		if f := folders[i]; f != nil {
-			if !folded {
-				f.Fold(r, row)
-				folded = true
-			}
-			v, done = f.StepFolded(r)
-		} else {
-			v, done = p.Step(r, row)
-		}
-		if !done {
-			live++
-			continue
-		}
-		down[i] = true
-		res.Decisions[id] = v
-		res.DecisionRound[id] = r
-		res.maxDecision = r // rounds only grow within a run
-		if rt != nil {
-			rt.Decisions[id] = v
-		}
+		return live
 	}
-	return live == 0
+	res.MessagesDelivered += delivered
+	for lo := 0; lo < n; {
+		// Drop the senders whose prefix ends at lo; the row holds to the next end.
+		hi := n
+		for _, c := range cs {
+			if c.AfterSends == lo {
+				row[c.i] = nil
+			} else if c.AfterSends > lo {
+				hi = min(hi, c.AfterSends)
+			}
+		}
+		live += g.Step(&e.rd, row, lo, hi)
+		lo = hi
+	}
+	return live
 }
 
 // Run executes the processes lock-step under the failure pattern with a

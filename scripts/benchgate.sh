@@ -70,9 +70,10 @@ cd "$(dirname "$0")/.."
 # allocation-free on all four (measured: 0 at PR 14).
 # EngineRound is one n=64 classical run on a held core.Runner with a
 # recycled Result, failure-free (clean) and with t mid-row crashes spread
-# over the rounds (crashes: one more distinct receive row, so one more
-# Fold, per crash). The per-run fold state lives in the Runner, so both
-# must stay allocation-free (measured: 0 / 0 at PR 15). The early arms are
+# over the rounds (crashes: one more distinct prefix end, so one more
+# Group.Step, per crash). The per-run fold state lives in the Runner, and
+# the engine hands the Runner's Groups the Round it holds, so both must
+# stay allocation-free (measured: 0 / 0, also as Groups). The early arms are
 # Runner.RunEarly under the same two patterns: the wrappers fold too and
 # send from a per-process buffer, where boxing each send cost n·rounds
 # (measured: 192 / 227 → 0 / 0 at PR 16). The figure2-crashes arm is
