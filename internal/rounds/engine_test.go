@@ -310,14 +310,29 @@ func (g *minGroup) Step(rd *Round, row []any, lo, hi int) (live int) {
 	return live
 }
 
-// TestEngineGroupCalls pins the calls the engine makes into a Group, per
-// round: exactly one Send; on the shared row one Step per segment between
-// the distinct prefix ends in 1..n−1 of the round's crashing senders — a
-// process that decided before its crash round is none — in order from 0 to
-// n; through a MatrixTransport one Step per live destination, (i, i+1);
-// and for a traced run exactly the calls of the untraced one. Every Result
-// is the one the adapter steps each process to.
-func TestEngineGroupCalls(t *testing.T) {
+// runMinGroup runs a fresh minGroup on a fresh engine and checks its Result
+// against want, the one the adapter steps each process to.
+func runMinGroup(t *testing.T, vals []vector.Value, decide []int, fp FailurePattern, opts Options, want *Result) *minGroup {
+	t.Helper()
+	g := newMinGroup(vals, decide)
+	got, err := NewEngine().RunGroup(nil, g, len(vals), fp, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Group run %+v, adapter run %+v", got, want)
+	}
+	return g
+}
+
+// TestEngineFoldCount pins the calls the engine makes into a Group, per
+// round: exactly one Send; on the shared row one Step — one fold of the
+// row — per segment between the distinct prefix ends in 1..n−1 of the
+// round's crashing senders — a process that decided before its crash round
+// is none — in order from 0 to n; through a MatrixTransport one Step per
+// live destination, (i, i+1). Every Result is the one the adapter steps
+// each process to.
+func TestEngineFoldCount(t *testing.T) {
 	const n, maxRounds = 8, 3
 	vals := []vector.Value{5, 3, 7, 2, 6, 4, 8, 1}
 	decide := []int{3, 3, 1, 3, 3, 3, 3, 3}
@@ -332,21 +347,8 @@ func TestEngineGroupCalls(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		run := func(opts Options) *minGroup {
-			g := newMinGroup(vals, decide)
-			got, err := NewEngine().RunGroup(nil, g, n, fp, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: Group run %+v, adapter run %+v", name, got, want)
-			}
-			return g
-		}
-		shared, seam := run(Options{MaxRounds: maxRounds}), run(Options{MaxRounds: maxRounds, Transport: &MatrixTransport{}})
-		if traced := run(Options{MaxRounds: maxRounds, Trace: &Trace{}}); !reflect.DeepEqual(traced, shared) {
-			t.Errorf("%s: traced run made the calls %+v, untraced %+v", name, traced, shared)
-		}
+		shared := runMinGroup(t, vals, decide, fp, Options{MaxRounds: maxRounds}, want)
+		seam := runMinGroup(t, vals, decide, fp, Options{MaxRounds: maxRounds, Transport: &MatrixTransport{}}, want)
 		for _, g := range []*minGroup{shared, seam} {
 			if len(g.sends) != want.Rounds || len(g.steps) != want.Rounds {
 				t.Errorf("%s: Sends in %d rounds, Steps in %d, for a %d-round run", name, len(g.sends), len(g.steps), want.Rounds)
@@ -384,6 +386,46 @@ func TestEngineGroupCalls(t *testing.T) {
 			}
 			if !reflect.DeepEqual(seam.steps[r], live) {
 				t.Errorf("%s round %d: seam Steps %v, want one per live destination %v", name, r, seam.steps[r], live)
+			}
+		}
+	}
+}
+
+// TestEngineTracedRunFolds pins that tracing a run changes none of the
+// engine's calls into a Group: on the shared row and through the seam a
+// traced run makes exactly the untraced run's Sends and Steps, and on the
+// shared row, where each round's crashing senders end their prefixes at
+// distinct destinations, 1 + crashes Steps — folds — per round.
+func TestEngineTracedRunFolds(t *testing.T) {
+	const n, maxRounds = 8, 3
+	fp := FailurePattern{Crashes: map[ProcessID]Crash{
+		8: {Round: 1, AfterSends: 2}, 2: {Round: 1, AfterSends: 5}, 3: {Round: 2, AfterSends: 6},
+	}}
+	vals, decide := make([]vector.Value, n), make([]int, n)
+	for i := range vals {
+		vals[i], decide[i] = vector.Value(1+i), maxRounds
+	}
+	want, err := Run(floodRunAt(vals, decide), fp, Options{MaxRounds: maxRounds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range []Transport{nil, &MatrixTransport{}} {
+		plain := runMinGroup(t, vals, decide, fp, Options{MaxRounds: maxRounds, Transport: tr}, want)
+		var trace Trace
+		traced := runMinGroup(t, vals, decide, fp, Options{MaxRounds: maxRounds, Transport: tr, Trace: &trace}, want)
+		if !reflect.DeepEqual(traced, plain) {
+			t.Fatalf("transport %T: traced run made the calls %+v, untraced %+v", tr, traced, plain)
+		}
+		if len(trace.Rounds) != maxRounds {
+			t.Fatalf("transport %T: trace has %d rounds, want %d", tr, len(trace.Rounds), maxRounds)
+		}
+		for r, crashes := range []int{2, 1, 0} {
+			steps := 1 + crashes
+			if tr != nil {
+				steps = len(trace.Rounds[r].Sends) - crashes // one per live destination
+			}
+			if got := len(traced.steps[r+1]); got != steps || traced.sends[r+1] != 1 {
+				t.Errorf("transport %T round %d: traced run made %d Sends and %d Steps, want 1 and %d", tr, r+1, traced.sends[r+1], got, steps)
 			}
 		}
 	}
