@@ -15,10 +15,10 @@
 // This package exposes:
 //
 //   - (x,ℓ)-legal conditions (Definition 2): max_ℓ-generated conditions for
-//     realistic sizes, explicit conditions for hand-built sets — compiled
-//     at System construction (or by CompileCondition) into an immutable
-//     index with allocation-free O(1) membership — a legality checker and
-//     a recognizing-function search;
+//     realistic sizes, explicit conditions for hand-built sets — a hashed
+//     member index with allocation-free O(1) membership, snapshotted at
+//     System construction — a legality checker and a recognizing-function
+//     search;
 //   - the synchronous condition-based k-set agreement algorithm (the
 //     paper's Figure 2), deciding in max(2, ⌊(d+ℓ−1)/k⌋+1) rounds when the
 //     input is in the condition and ⌊t/k⌋+1 otherwise, plus the classical

@@ -150,12 +150,11 @@ func ExampleConditionMembers() {
 	// [1 1 1 1] [1 2 2 2] [2 1 2 2] [2 2 1 2] [2 2 2 1] [2 2 2 2]
 }
 
-// ExampleCompileCondition compiles a hand-built explicit condition once
-// and drives a campaign over its own members: every membership probe and
-// the member stream ride the compiled O(1) index (New would also compile
-// the explicit condition automatically — compiling by hand lets one
-// immutable index serve systems and scenario sources alike).
-func ExampleCompileCondition() {
+// ExampleExplicitCondition builds a hand-built explicit condition and
+// drives a campaign over its own members: every membership probe and the
+// member stream ride its hashed O(1) index. New holds a clone, so the
+// condition handed to it may keep growing without reaching the System.
+func ExampleExplicitCondition() {
 	p := kset.Params{N: 4, T: 2, K: 1, D: 1, L: 1}
 	ec, err := kset.NewExplicitCondition(p.N, 3, p.L)
 	if err != nil {
@@ -175,17 +174,16 @@ func ExampleCompileCondition() {
 			log.Fatal(err)
 		}
 	}
-	cc := kset.CompileCondition(ec)
 
-	sys, err := kset.New(kset.WithParams(p), kset.WithCondition(cc))
+	sys, err := kset.New(kset.WithParams(p), kset.WithCondition(ec))
 	if err != nil {
 		log.Fatal(err)
 	}
-	stats, err := sys.RunSource(context.Background(), kset.ConditionMembers(cc))
+	stats, err := sys.RunSource(context.Background(), kset.ConditionMembers(ec))
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("members:", cc.Size(), "runs:", stats.Runs, "hits:", stats.ConditionHits)
+	fmt.Println("members:", ec.Size(), "runs:", stats.Runs, "hits:", stats.ConditionHits)
 	fmt.Println("all decided by round", len(stats.DecisionRounds)-1)
 	// Output:
 	// members: 3 runs: 3 hits: 3

@@ -140,8 +140,6 @@ func memberCount(c Condition) (int64, bool) {
 	switch cc := c.(type) {
 	case *ExplicitCondition:
 		return int64(cc.Size()), true
-	case *CompiledCondition:
-		return int64(cc.Size()), true
 	case *MaxCondition:
 		return nbInt64(cc.N(), cc.M(), cc.X(), cc.L())
 	case *MinCondition:

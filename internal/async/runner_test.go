@@ -125,7 +125,7 @@ func TestRunnerInvariants(t *testing.T) {
 			name  string
 			cond  condition.Condition
 			input vector.Vector
-		}{{"max/in", maxC, inMax}, {"single/in", condition.Compile(single), member}, {"single/out", condition.Compile(single), outside}} {
+		}{{"max/in", maxC, inMax}, {"single/in", single, member}, {"single/out", single, outside}} {
 			for _, kind := range []MemoryKind{MutexMemory, WaitFreeMemory, MessagePassingMemory} {
 				for _, crashes := range []map[int]CrashPoint{nil, {n: CrashBeforeWrite}, {1: CrashAfterWrite}} {
 					rows = append(rows, row{

@@ -2,6 +2,7 @@ package condition
 
 import (
 	"fmt"
+	"slices"
 
 	"kset/internal/kerr"
 	"kset/internal/vector"
@@ -50,11 +51,10 @@ type Condition interface {
 // Explicit is a finite, enumerated condition with a per-vector recognizing
 // function. It is the representation used for the paper's counterexample
 // conditions (Table 1, Theorems 5, 7, 14, 15) and for user-supplied
-// conditions: the mutable form, grown one Add at a time over the shared
-// member index.
+// conditions, grown one Add at a time (or built whole by Enumerate) over a
+// hashed member index whose probes never allocate. It is not safe for
+// concurrent mutation: share a Clone.
 type Explicit struct{ index }
-
-var _ Indexed = (*Explicit)(nil)
 
 // NewExplicit creates an empty explicit condition over {1..m}^n with
 // parameter ℓ. It rejects an m beyond the 64-value domain cap of the
@@ -85,11 +85,59 @@ func MustNewExplicit(n, m, l int) *Explicit {
 	return c
 }
 
-// Add inserts vector i with recognized set h, copying i. It returns an
-// error if i has the wrong size, values outside {1..m} or ⊥ entries, if h
-// violates the validity property, or if i is already present with a
-// different h; re-adding a vector with the same h is a no-op.
-func (c *Explicit) Add(i vector.Vector, h vector.Set) error {
+// Enumerate builds the explicit form of any condition: each member of
+// c.ForEachMember, in that order, recognized by c.Recognize. Like
+// SetRecognized it does not validate the recognized sets (Check reports
+// those); it rejects a member of the wrong size or with a value outside
+// {1..m}, and it skips a member it has already added. Enumerating a
+// max_ℓ or min_ℓ condition walks {1..m}^n, so it is practical at small n
+// and m only.
+func Enumerate(c Condition) (*Explicit, error) {
+	e, _, err := enumerate(c)
+	return e, err
+}
+
+// enumerate is Enumerate that also returns a copy of the member it
+// rejected, for Check's witness.
+func enumerate(c Condition) (*Explicit, vector.Vector, error) {
+	e, err := NewExplicit(c.N(), c.M(), c.L())
+	if err != nil {
+		return nil, nil, err
+	}
+	var bad vector.Vector
+	c.ForEachMember(func(i vector.Vector) bool {
+		if err = e.checkVector(i); err != nil {
+			bad = i.Clone()
+			return false
+		}
+		if !e.Contains(i) {
+			e.add(i, c.Recognize(i))
+		}
+		return true
+	})
+	if err != nil {
+		return nil, bad, err
+	}
+	return e, nil, nil
+}
+
+// Clone returns an independent copy of c: members added to or
+// recognized sets changed on either one afterwards do not reach the
+// other. kset.New clones an explicit condition, so the caller's handle
+// stays theirs to grow while campaign workers read the copy.
+func (c *Explicit) Clone() *Explicit {
+	ix := c.index
+	ix.flat = slices.Clone(ix.flat)
+	ix.hs = slices.Clone(ix.hs)
+	ix.vals = slices.Clone(ix.vals)
+	ix.counts = slices.Clone(ix.counts)
+	ix.slots = slices.Clone(ix.slots)
+	return &Explicit{ix}
+}
+
+// checkVector reports whether i can be a member: size n, values in
+// {1..m}.
+func (c *Explicit) checkVector(i vector.Vector) error {
 	if len(i) != c.n {
 		return fmt.Errorf("condition: vector %v has size %d, want %d", i, len(i), c.n)
 	}
@@ -97,6 +145,17 @@ func (c *Explicit) Add(i vector.Vector, h vector.Set) error {
 		if !v.IsProposable() || v > vector.Value(c.m) {
 			return fmt.Errorf("condition: vector %v has value %v outside {1..%d}", i, v, c.m)
 		}
+	}
+	return nil
+}
+
+// Add inserts vector i with recognized set h, copying i. It returns an
+// error if i has the wrong size, values outside {1..m} or ⊥ entries, if h
+// violates the validity property, or if i is already present with a
+// different h; re-adding a vector with the same h is a no-op.
+func (c *Explicit) Add(i vector.Vector, h vector.Set) error {
+	if err := c.checkVector(i); err != nil {
+		return err
 	}
 	want := c.l
 	if nv := i.Vals().Len(); nv < want {

@@ -191,6 +191,95 @@ func TestCheckReportsViolations(t *testing.T) {
 	}
 }
 
+// listCondition is a user-defined Condition — neither Max, Min nor
+// Explicit — over a member list that may repeat a vector or hold one
+// outside {1..m}^n, with a recognizing function that may break validity.
+type listCondition struct {
+	n, m, l int
+	members []vector.Vector
+	h       func(vector.Vector) vector.Set
+}
+
+func (c *listCondition) N() int { return c.n }
+func (c *listCondition) M() int { return c.m }
+func (c *listCondition) L() int { return c.l }
+
+func (c *listCondition) Contains(i vector.Vector) bool {
+	for _, j := range c.members {
+		if j.Equal(i) {
+			return true
+		}
+	}
+	return false
+}
+
+func (c *listCondition) Recognize(i vector.Vector) vector.Set { return c.h(i) }
+
+func (c *listCondition) ForEachMember(fn func(vector.Vector) bool) {
+	for _, i := range c.members {
+		if !fn(i) {
+			return
+		}
+	}
+}
+
+// TestCheckForeignCondition drives Check through Enumerate: a member
+// outside the domain is a Validity violation witnessed by that member (as
+// an owned copy), an invalid recognized set is one witnessed by its
+// member, and on in-domain members with duplicates Check agrees with
+// referenceCheck on the explicit twin.
+func TestCheckForeignCondition(t *testing.T) {
+	bad := vector.OfInts(1, 4, 1) // 4 ∉ {1..3}
+	c := &listCondition{n: 3, m: 3, l: 1, h: MaxL(1), members: []vector.Vector{
+		vector.OfInts(2, 2, 1), vector.OfInts(2, 2, 1), bad, vector.OfInts(3, 3, 3),
+	}}
+	v := Check(c, 0, CheckOptions{})
+	if v == nil || v.Property != Validity || len(v.Vectors) != 1 || !v.Vectors[0].Equal(bad) {
+		t.Fatalf("out-of-domain member: got %v, want a validity violation witnessed by %v", v, bad)
+	}
+	v.Vectors[0][0] = 2
+	if !c.members[2].Equal(vector.OfInts(1, 4, 1)) {
+		t.Fatal("the witness aliases the condition's member")
+	}
+	if _, err := Enumerate(c); err == nil {
+		t.Fatal("Enumerate accepted an out-of-domain member")
+	}
+
+	c.members = c.members[:2] // the duplicated member alone
+	c.h = func(vector.Vector) vector.Set { return vector.SetOf(3) }
+	v = Check(c, 0, CheckOptions{})
+	if v == nil || v.Property != Validity || len(v.Vectors) != 1 || !v.Vectors[0].Equal(c.members[0]) {
+		t.Fatalf("invalid h: got %v, want a validity violation witnessed by %v", v, c.members[0])
+	}
+
+	r := rand.New(rand.NewSource(12))
+	for trial := 0; trial < 100; trial++ {
+		n, m, l := 3+r.Intn(2), 2+r.Intn(2), 1+r.Intn(2)
+		hs := map[string]vector.Set{}
+		c := &listCondition{n: n, m: m, l: l, h: func(i vector.Vector) vector.Set { return hs[i.Key()] }}
+		twin := MustNewExplicit(n, m, l)
+		for len(c.members) < 2+r.Intn(5) {
+			i := randomVector(r, n, m)
+			if _, seen := hs[i.Key()]; !seen {
+				subs := appendKSubsets(nil, i.Vals(), min(l, i.Vals().Len()))
+				h := subs[r.Intn(len(subs))]
+				if r.Intn(8) == 0 {
+					h = h.Add(vector.Value(m)) // sometimes break validity
+				}
+				hs[i.Key()] = h
+				twin.add(i, h)
+			}
+			c.members = append(c.members, i, i) // every member twice
+		}
+		for x := 0; x < n; x++ {
+			got, want := Check(c, x, CheckOptions{}), referenceCheck(twin, x)
+			if (got == nil) != (want == nil) || (got != nil && got.Property != want.Property) {
+				t.Fatalf("n=%d m=%d ℓ=%d x=%d: Check=%v reference=%v", n, m, l, x, got, want)
+			}
+		}
+	}
+}
+
 // TestRemarkXLegalityReduction checks the paper's Remark (Section 2.2): at
 // ℓ = 1 the framework reduces to x-legality, whose distance property is
 // h(I1) ≠ h(I2) ⟹ d_H(I1, I2) > x. We verify both directions on the

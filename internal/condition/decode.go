@@ -52,25 +52,19 @@ func DecodeView(c Condition, j vector.Vector) (vector.Set, bool) {
 	return DecodeViewGeneric(c, j)
 }
 
-// lookuper is implemented by conditions that answer Contains and Recognize
-// together in one probe (Explicit and Compiled do).
-type lookuper interface {
-	Lookup(i vector.Vector) (vector.Set, bool)
-}
-
 // DecodeViewGeneric is the enumeration fallback of DecodeView, exported so
 // that tests and benchmarks can compare specialized decoders against it.
-// Conditions implementing the fused Lookup (Explicit and Compiled) pay one
-// index probe per completion instead of a Contains/Recognize pair.
+// An *Explicit pays one index probe (its fused Lookup) per completion
+// instead of a Contains/Recognize pair.
 func DecodeViewGeneric(c Condition, j vector.Vector) (vector.Set, bool) {
 	var acc vector.Set
 	found := false
-	lk, fused := c.(lookuper)
+	e, fused := c.(*Explicit)
 	vector.ForEachCompletion(j, c.M(), func(i vector.Vector) bool {
 		var h vector.Set
 		if fused {
 			var ok bool
-			if h, ok = lk.Lookup(i); !ok {
+			if h, ok = e.Lookup(i); !ok {
 				return true
 			}
 		} else {

@@ -27,25 +27,22 @@
 //	Definition 2          Checker, Check, ExistsRecognizer  (legality)
 //	Section 2.3           MaxCondition, MinCondition        (Theorem 2)
 //	Definition 4 / Thm 1  DecodeView, Predicate             (view decoding)
-//	Table 1 etc.          Explicit                          (enumerated conditions)
-//	(representation)      Compiled, Compile, CompileMax/Min (the compiled index)
+//	Table 1 etc.          Explicit, Enumerate               (enumerated conditions)
 //
-// # Two representations of an enumerated condition
+// # Enumerated conditions
 //
-// Both are built on one unexported index: the members in one flat array
-// in insertion order, their recognized sets, and one open-addressing table
-// from a 64-bit hash of a vector's entries to its member position, every
-// hit verified against the stored member — so Contains, Recognize and the
-// fused Lookup cost one probe and zero allocations whatever the vector
-// size and values. Explicit is the mutable construction-time form:
-// vectors are added to it one by one, each Add validated. Compiled is the
-// immutable analysis- and run-time form produced by Compile (or by the
-// CompileMax/CompileMin enumerating constructors): a copy of the index
-// plus per-member count/densest-mass tables that answer the mass queries
-// of legality checking and recognizer search in O(|set|). Both implement
-// Indexed, the read-only positional view that the legality Checker, the
-// Stream iterator and the root package's scenario generators walk without
-// copying. kset.System compiles explicit conditions at construction.
+// Explicit is the one enumerated form. Its members sit in one flat array
+// in insertion order, beside their recognized sets, value sets and value
+// counts, and one open-addressing table maps a 64-bit hash of a vector's
+// entries to its member position, every hit verified against the stored
+// member — so Contains, Recognize and the fused Lookup cost one probe and
+// zero allocations whatever the vector size and values, and the mass
+// queries of legality checking and recognizer search cost O(|set|).
+// Vectors are added one by one, each Add validated, or a whole condition
+// is materialized by Enumerate. The legality Checker, the Stream iterator
+// and the root package's scenario generators walk the members by position
+// (Size, MemberAt, RecognizedAt) without copying; Clone takes an
+// independent snapshot, which is what kset.New holds.
 //
 // Legality verification at scale goes through a Checker, which owns every
 // scratch buffer the subset walk needs; the package-level Check and

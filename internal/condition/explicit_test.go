@@ -24,10 +24,11 @@ func randomExplicit(t *testing.T, r *rand.Rand, n, m, l, count int) *Explicit {
 	return c
 }
 
-// TestCompiledMatchesExplicit is the core compiled-vs-reference property:
-// across randomized (n, m, ℓ) grids — including n > 10 and value-64
-// shapes — Contains, Recognize, Lookup and
-// member enumeration agree between an Explicit and its Compile.
+// TestCompiledMatchesExplicit pins Explicit.Clone, the snapshot kset.New
+// compiles a System's condition into, as independent: across randomized (n, m, ℓ) grids — including n > 10 and
+// value-64 shapes — Contains, Recognize, Lookup, the tables and member
+// enumeration agree between a condition and its clone, and growing or
+// relabelling either one afterwards leaves the other as it was.
 func TestCompiledMatchesExplicit(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for _, tc := range []struct{ n, m, l, count int }{
@@ -40,7 +41,7 @@ func TestCompiledMatchesExplicit(t *testing.T) {
 		{4, 64, 1, 30}, // value 64: the widest entry the hash must hold
 	} {
 		e := randomExplicit(t, r, tc.n, tc.m, tc.l, tc.count)
-		c := Compile(e)
+		c := e.Clone()
 		if c.N() != e.N() || c.M() != e.M() || c.L() != e.L() || c.Size() != e.Size() {
 			t.Fatalf("(%d,%d,%d): dims diverge", tc.n, tc.m, tc.l)
 		}
@@ -59,16 +60,13 @@ func TestCompiledMatchesExplicit(t *testing.T) {
 			if h, ok := c.Lookup(i); !ok || !h.Equal(e.Recognize(i)) {
 				t.Fatalf("lookup of member %d diverges", k)
 			}
-			if !c.ValsAt(k).Equal(i.Vals()) {
-				t.Fatalf("vals of member %d diverges", k)
+			if !c.ValsAt(k).Equal(i.Vals()) || c.Mass(k, i.Vals()) != tc.n {
+				t.Fatalf("tables of member %d diverge", k)
 			}
 		}
 		// Random probes, members and non-members alike.
 		for trial := 0; trial < 2000; trial++ {
-			i := make(vector.Vector, tc.n)
-			for k := range i {
-				i[k] = vector.Value(1 + r.Intn(tc.m))
-			}
+			i := randomVector(r, tc.n, tc.m)
 			if c.Contains(i) != e.Contains(i) {
 				t.Fatalf("(%d,%d,%d): Contains(%v) diverges", tc.n, tc.m, tc.l, i)
 			}
@@ -105,25 +103,41 @@ func TestCompiledMatchesExplicit(t *testing.T) {
 				break
 			}
 		}
+
+		// Independence: grow and relabel the original, then the clone.
+		size, first := e.Size(), e.MemberAt(0).Clone()
+		h0 := e.RecognizedAt(0)
+		for e.Size() == size {
+			if err := e.AddAuto(randomVector(r, tc.n, tc.m), MaxL(tc.l)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		added := e.MemberAt(size).Clone()
+		if err := e.SetRecognized(first, vector.Set{}); err != nil {
+			t.Fatal(err)
+		}
+		if c.Size() != size || c.Contains(added) || !c.Recognize(first).Equal(h0) {
+			t.Fatalf("(%d,%d,%d): the clone saw the original change", tc.n, tc.m, tc.l)
+		}
+		if err := c.SetRecognized(first, h0.Add(64)); err != nil {
+			t.Fatal(err)
+		}
+		if !e.Recognize(first).Empty() || !e.Contains(added) {
+			t.Fatalf("(%d,%d,%d): the original saw the clone change", tc.n, tc.m, tc.l)
+		}
 	}
 }
 
-// TestCompiledTables pins the per-member analysis tables against direct
-// vector scans.
+// TestCompiledTables pins the per-member value-set and mass tables, which
+// Explicit compiles member by member as it grows, against direct vector
+// scans.
 func TestCompiledTables(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
-	e := randomExplicit(t, r, 6, 4, 2, 80)
-	c := Compile(e)
+	c := randomExplicit(t, r, 6, 4, 2, 80)
 	for k := 0; k < c.Size(); k++ {
 		i := c.MemberAt(k)
-		for v := vector.Value(0); v <= 5; v++ {
-			want := i.Count(v)
-			if v < 1 || v > 4 {
-				want = 0
-			}
-			if got := c.Count(k, v); got != want {
-				t.Fatalf("Count(%d, %v) = %d, want %d", k, v, got, want)
-			}
+		if !c.ValsAt(k).Equal(i.Vals()) {
+			t.Fatalf("ValsAt(%d) = %v, want %v", k, c.ValsAt(k), i.Vals())
 		}
 		for trial := 0; trial < 20; trial++ {
 			var s vector.Set
@@ -134,64 +148,57 @@ func TestCompiledTables(t *testing.T) {
 				t.Fatalf("Mass(%d, %v) = %d, want %d", k, s, got, want)
 			}
 		}
-		// DensestMass against the brute-force best-ℓ-subset mass.
-		for l := 1; l <= 5; l++ {
-			best := 0
-			for _, sub := range appendKSubsets(nil, i.Vals(), min(l, i.Vals().Len())) {
-				if m := i.MassOf(sub); m > best {
-					best = m
-				}
-			}
-			if got := c.DensestMass(k, l); got != best {
-				t.Fatalf("DensestMass(%d, %d) = %d, want %d", k, l, got, best)
-			}
-		}
-		if c.DensestMass(k, 0) != 0 {
-			t.Fatal("DensestMass(k, 0) != 0")
-		}
 	}
 }
 
-// TestCompileMaxMin pins the compiled max/min constructors against their
-// analytic Condition counterparts over the full vector domain.
-func TestCompileMaxMin(t *testing.T) {
+// TestEnumerateMaxMin pins Enumerate on the analytic max/min conditions
+// over the full vector domain: the same members with the same recognized
+// sets, and for max_ℓ the lexicographic member order of a direct
+// {1..m}^n walk.
+func TestEnumerateMaxMin(t *testing.T) {
 	for _, tc := range []struct{ n, m, x, l int }{
 		{4, 3, 1, 1}, {4, 3, 2, 2}, {5, 2, 2, 1}, {3, 4, 1, 2},
 	} {
 		maxRef := MustNewMax(tc.n, tc.m, tc.x, tc.l)
 		minRef := MustNewMin(tc.n, tc.m, tc.x, tc.l)
-		cmax := MustCompileMax(tc.n, tc.m, tc.x, tc.l)
-		cmin := MustCompileMin(tc.n, tc.m, tc.x, tc.l)
+		emax, err := Enumerate(maxRef)
+		if err != nil {
+			t.Fatal(err)
+		}
+		emin, err := Enumerate(minRef)
+		if err != nil {
+			t.Fatal(err)
+		}
 		count := 0
 		vector.ForEach(tc.n, tc.m, func(i vector.Vector) bool {
-			if cmax.Contains(i) != maxRef.Contains(i) || cmin.Contains(i) != minRef.Contains(i) {
+			if emax.Contains(i) != maxRef.Contains(i) || emin.Contains(i) != minRef.Contains(i) {
 				t.Fatalf("%+v: membership diverges at %v", tc, i)
 			}
-			if cmax.Contains(i) {
-				count++
-				if !cmax.Recognize(i).Equal(maxRef.Recognize(i)) {
+			if emax.Contains(i) {
+				if !emax.MemberAt(count).Equal(i) {
+					t.Fatalf("%+v: member %d is %v, want %v", tc, count, emax.MemberAt(count), i)
+				}
+				if !emax.RecognizedAt(count).Equal(i.TopL(tc.l)) {
 					t.Fatalf("%+v: recognized diverges at %v", tc, i)
 				}
+				count++
 			}
-			if cmin.Contains(i) && !cmin.Recognize(i).Equal(minRef.Recognize(i)) {
+			if emin.Contains(i) && !emin.Recognize(i).Equal(minRef.Recognize(i)) {
 				t.Fatalf("%+v: min recognized diverges at %v", tc, i)
 			}
 			return true
 		})
-		if count != cmax.Size() {
-			t.Fatalf("%+v: size %d, enumerated %d", tc, cmax.Size(), count)
+		if count != emax.Size() {
+			t.Fatalf("%+v: size %d, enumerated %d", tc, emax.Size(), count)
 		}
-	}
-	if _, err := CompileMax(4, 100, 1, 1); err == nil {
-		t.Error("want domain-cap error from CompileMax")
-	}
-	if _, err := CompileMin(0, 3, 1, 1); err == nil {
-		t.Error("want bad-params error from CompileMin")
+		if emax.N() != tc.n || emax.M() != tc.m || emax.L() != tc.l {
+			t.Fatalf("%+v: dims (%d,%d,%d)", tc, emax.N(), emax.M(), emax.L())
+		}
 	}
 }
 
 // TestExplicitAddContract pins Explicit.Add's error behavior — the contract
-// every enumerated condition is built through — and that Compile carries
+// every hand-built condition is built through — and that Clone carries
 // the accepted members over.
 func TestExplicitAddContract(t *testing.T) {
 	b := MustNewExplicit(3, 3, 1)
@@ -214,34 +221,31 @@ func TestExplicitAddContract(t *testing.T) {
 	if err := b.Add(vector.OfInts(1, 2, 3), vector.SetOf(1, 2)); err == nil {
 		t.Error("want error for validity-violating h")
 	}
-	c := Compile(b)
+	c := b.Clone()
 	if c.Size() != 1 || !c.Contains(i) {
-		t.Errorf("compiled size=%d", c.Size())
+		t.Errorf("clone size=%d", c.Size())
 	}
 	if _, err := NewExplicit(2, 200, 1); err == nil {
 		t.Error("want domain-cap error")
 	}
 }
 
-// TestMembersAreCopies pins the Members() leak fix on both representations:
-// mutating the returned vectors must not corrupt condition state.
+// TestMembersAreCopies pins the Members() leak fix: mutating the returned
+// vectors must not corrupt condition state.
 func TestMembersAreCopies(t *testing.T) {
 	e := MustNewExplicit(3, 3, 1)
 	e.MustAdd(vector.OfInts(2, 2, 1), vector.SetOf(2))
-	c := Compile(e)
-	for _, ix := range []Indexed{e, c} {
-		ms := ix.(interface{ Members() []vector.Vector }).Members()
-		orig := ms[0].Clone()
-		ms[0][0] = 3 // a caller scribbling on the returned slice
-		if !ix.Contains(orig) {
-			t.Errorf("%T: mutation of Members() result corrupted the condition", ix)
-		}
-		if ix.Contains(ms[0]) {
-			t.Errorf("%T: mutated copy unexpectedly a member", ix)
-		}
-		if !ix.MemberAt(0).Equal(orig) {
-			t.Errorf("%T: stored member changed", ix)
-		}
+	ms := e.Members()
+	orig := ms[0].Clone()
+	ms[0][0] = 3 // a caller scribbling on the returned slice
+	if !e.Contains(orig) {
+		t.Error("mutation of Members() result corrupted the condition")
+	}
+	if e.Contains(ms[0]) {
+		t.Error("mutated copy unexpectedly a member")
+	}
+	if !e.MemberAt(0).Equal(orig) {
+		t.Error("stored member changed")
 	}
 }
 
@@ -281,11 +285,6 @@ func TestCheckerMatchesReference(t *testing.T) {
 				// the walk orders differ, but validity/density precede
 				// distance identically in both.
 				t.Fatalf("n=%d m=%d ℓ=%d x=%d: property %v vs %v", n, m, l, x, got.Property, want.Property)
-			}
-			// The compiled form must agree with the explicit form.
-			cgot := ck.Check(Compile(e), x, CheckOptions{})
-			if (cgot == nil) != (got == nil) {
-				t.Fatalf("n=%d m=%d ℓ=%d x=%d: compiled check diverges", n, m, l, x)
 			}
 		}
 	}
@@ -336,9 +335,10 @@ func referenceCheck(c *Explicit, x int) *Violation {
 	return rec(0)
 }
 
-// TestExistsRecognizerCompiledMatchesExplicit runs the recognizer search
-// on both representations of the same condition.
-func TestExistsRecognizerCompiledMatchesExplicit(t *testing.T) {
+// TestExistsRecognizerWitnessIsLegal runs the recognizer search on a
+// Checker reused across conditions and checks that every witness it
+// returns is a legal assignment.
+func TestExistsRecognizerWitnessIsLegal(t *testing.T) {
 	r := rand.New(rand.NewSource(10))
 	ck := NewChecker()
 	for trial := 0; trial < 60; trial++ {
@@ -346,44 +346,36 @@ func TestExistsRecognizerCompiledMatchesExplicit(t *testing.T) {
 		m := 2 + r.Intn(3)
 		l := 1 + r.Intn(2)
 		e := randomExplicit(t, r, n, m, l, 2+r.Intn(4))
-		c := Compile(e)
 		for x := 0; x < n; x++ {
-			ae, oke := ExistsRecognizer(e, x)
-			ac, okc := ck.ExistsRecognizer(c, x)
-			if oke != okc {
-				t.Fatalf("n=%d m=%d ℓ=%d x=%d: exists %v vs %v", n, m, l, x, oke, okc)
+			w, ok := ck.ExistsRecognizer(e, x)
+			if !ok {
+				continue
 			}
-			if oke {
-				// Both witnesses must actually be legal assignments.
-				for name, w := range map[string][]vector.Set{"explicit": ae, "compiled": ac} {
-					for k := range w {
-						if err := e.SetRecognized(e.MemberAt(k), w[k]); err != nil {
-							t.Fatal(err)
-						}
-					}
-					if v := Check(e, x, CheckOptions{}); v != nil {
-						t.Fatalf("%s witness not legal at x=%d: %v", name, x, v)
-					}
+			for k := range w {
+				if err := e.SetRecognized(e.MemberAt(k), w[k]); err != nil {
+					t.Fatal(err)
 				}
-				// Restore max_ℓ for the next x.
-				for k := 0; k < e.Size(); k++ {
-					i := e.MemberAt(k)
-					if err := e.SetRecognized(i, i.TopL(l)); err != nil {
-						t.Fatal(err)
-					}
+			}
+			if v := Check(e, x, CheckOptions{}); v != nil {
+				t.Fatalf("n=%d m=%d ℓ=%d: witness not legal at x=%d: %v", n, m, l, x, v)
+			}
+			// Restore max_ℓ for the next x.
+			for k := 0; k < e.Size(); k++ {
+				i := e.MemberAt(k)
+				if err := e.SetRecognized(i, i.TopL(l)); err != nil {
+					t.Fatal(err)
 				}
 			}
 		}
 	}
 }
 
-// TestMassOutOfDomain pins that Mass, like Count, ignores probe values
-// beyond the condition's domain instead of panicking (a Set may hold
-// values up to 64 regardless of m).
+// TestMassOutOfDomain pins that Mass ignores probe values beyond the
+// condition's domain instead of panicking (a Set may hold values up to 64
+// regardless of m).
 func TestMassOutOfDomain(t *testing.T) {
-	e := MustNewExplicit(3, 3, 1)
-	e.MustAdd(vector.OfInts(2, 2, 1), vector.SetOf(2))
-	c := Compile(e)
+	c := MustNewExplicit(3, 3, 1)
+	c.MustAdd(vector.OfInts(2, 2, 1), vector.SetOf(2))
 	if got := c.Mass(0, vector.SetOf(2, 64)); got != 2 {
 		t.Errorf("Mass with out-of-domain value = %d, want 2", got)
 	}
@@ -399,26 +391,23 @@ func TestViolationWitnessIsOwned(t *testing.T) {
 	e := MustNewExplicit(3, 3, 1)
 	e.MustAdd(vector.OfInts(1, 2, 3), vector.SetOf(3)) // density fails for x ≥ 1
 	e.MustAdd(vector.OfInts(1, 2, 2), vector.SetOf(2))
-	for _, c := range []Condition{e, Compile(e)} {
-		v := Check(c, 1, CheckOptions{})
-		if v == nil || len(v.Vectors) == 0 {
-			t.Fatalf("%T: want a violation with witnesses", c)
-		}
-		orig := v.Vectors[0].Clone()
-		v.Vectors[0][0] = 3
-		if !c.Contains(orig) {
-			t.Errorf("%T: mutating the violation witness corrupted the condition", c)
-		}
+	v := Check(e, 1, CheckOptions{})
+	if v == nil || len(v.Vectors) == 0 {
+		t.Fatal("want a violation with witnesses")
+	}
+	orig := v.Vectors[0].Clone()
+	v.Vectors[0][0] = 3
+	if !e.Contains(orig) {
+		t.Error("mutating the violation witness corrupted the condition")
 	}
 }
 
-// TestCompiledLookupAllocFree is the allocation-budget gate of the
-// compiled layer: membership probes, decodes and whole legality checks on
-// a compiled condition allocate nothing.
-func TestCompiledLookupAllocFree(t *testing.T) {
+// TestExplicitLookupAllocFree is the allocation-budget gate of the
+// enumerated condition: membership probes, the mass table and whole
+// legality checks on an explicit condition allocate nothing.
+func TestExplicitLookupAllocFree(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
-	e := randomExplicit(t, r, 6, 4, 2, 120)
-	c := Compile(e)
+	c := randomExplicit(t, r, 6, 4, 2, 120)
 	member := c.MemberAt(7).Clone()
 	outside := vector.OfInts(1, 1, 1, 1, 1, 2)
 	for outside != nil && c.Contains(outside) {
@@ -435,11 +424,11 @@ func TestCompiledLookupAllocFree(t *testing.T) {
 			t.Fatal("lookup broken")
 		}
 		c.ForEachMember(func(i vector.Vector) bool { return true })
-		if c.Mass(7, c.RecognizedAt(7)) <= 0 || c.DensestMass(7, 2) <= 0 {
+		if c.Mass(7, c.RecognizedAt(7)) <= 0 {
 			t.Fatal("tables broken")
 		}
 	}); got != 0 {
-		t.Errorf("compiled probes allocate %.1f/op, want 0", got)
+		t.Errorf("explicit probes allocate %.1f/op, want 0", got)
 	}
 
 	ck := NewChecker()

@@ -6,33 +6,22 @@ import (
 	"kset/internal/vector"
 )
 
-// Indexed is implemented by condition representations that expose their
-// members by position without copying: Explicit and Compiled. Positional
-// access is what lets the legality checker, the recognizer search and the
-// streaming layer walk a condition with zero per-member allocation. The
-// vectors and sets returned by the accessors are the condition's own
-// storage and must be treated as read-only.
-type Indexed interface {
-	Condition
-	// Size returns the number of member vectors.
-	Size() int
-	// MemberAt returns member k (0 ≤ k < Size()), in insertion order.
-	MemberAt(k int) vector.Vector
-	// RecognizedAt returns h(MemberAt(k)).
-	RecognizedAt(k int) vector.Set
-}
-
-// index is the member store and membership index that Explicit and
-// Compiled both embed: the members in one flat array in insertion order,
-// their recognized sets, and one open-addressing table from a 64-bit hash
-// of a vector's entries to its member position. Every hash hit is verified
-// against the stored member, so vectors of any size over any values index
-// the same way, and a probe never allocates.
+// index is Explicit's member store and membership index: the members in
+// one flat array in insertion order, their recognized sets and analysis
+// tables, and one open-addressing table from a 64-bit hash of a vector's
+// entries to its member position. Every hash hit is verified against the
+// stored member, so vectors of any size over any values index the same
+// way, and a probe never allocates.
 type index struct {
 	n, m, l int
 
 	flat []vector.Value // member k is flat[k*n : (k+1)*n]
 	hs   []vector.Set   // h(member k)
+	vals []vector.Set   // val(member k)
+
+	// counts[k*(m+1)+v] = #_v(member k): the mass queries of legality
+	// checking and recognizer search read it in O(|set|) instead of O(n).
+	counts []uint16
 
 	// slots[s] is a member position plus one, 0 = empty. Its length is a
 	// power of two kept at or above twice the member count; a vector's home
@@ -65,16 +54,17 @@ func (ix *index) M() int { return ix.m }
 // L implements Condition.
 func (ix *index) L() int { return ix.l }
 
-// Size implements Indexed: the number of member vectors.
+// Size returns the number of member vectors.
 func (ix *index) Size() int { return len(ix.hs) }
 
-// MemberAt implements Indexed: member k in insertion order, as a read-only
-// view into the condition's flat storage (zero-copy; do not mutate).
+// MemberAt returns member k (0 ≤ k < Size()) in insertion order, as a
+// read-only view into the condition's flat storage (zero-copy; do not
+// mutate).
 func (ix *index) MemberAt(k int) vector.Vector {
 	return vector.Vector(ix.flat[k*ix.n : (k+1)*ix.n : (k+1)*ix.n])
 }
 
-// RecognizedAt implements Indexed.
+// RecognizedAt returns h(MemberAt(k)).
 func (ix *index) RecognizedAt(k int) vector.Set { return ix.hs[k] }
 
 // IndexOf returns the member position of i: one hash of its entries and a
@@ -129,8 +119,8 @@ func (ix *index) ForEachMember(fn func(vector.Vector) bool) {
 }
 
 // Members returns an independent deep copy of the member vectors, in
-// insertion order — the safe counterpart of the Indexed accessors for
-// callers that want to keep or mutate the vectors.
+// insertion order — the safe counterpart of MemberAt for callers that
+// want to keep or mutate the vectors.
 func (ix *index) Members() []vector.Vector {
 	out := make([]vector.Vector, len(ix.hs))
 	for k := range out {
@@ -139,12 +129,18 @@ func (ix *index) Members() []vector.Vector {
 	return out
 }
 
-// add appends a member the caller has checked is absent, copying i into
-// the flat storage and doubling the table whenever it would pass half
-// full.
+// add appends a member the caller has checked is absent and in {1..m}^n,
+// copying i into the flat storage, recording its value set and count row,
+// and doubling the table whenever it would pass half full.
 func (ix *index) add(i vector.Vector, h vector.Set) {
 	ix.flat = append(ix.flat, i...)
 	ix.hs = append(ix.hs, h)
+	ix.vals = append(ix.vals, i.Vals())
+	row := len(ix.counts)
+	ix.counts = append(ix.counts, make([]uint16, ix.m+1)...)
+	for _, v := range i {
+		ix.counts[row+int(v)]++
+	}
 	if 2*len(ix.hs) > len(ix.slots) {
 		ix.slots = make([]int32, max(8, 2*len(ix.slots)))
 		ix.shift = uint(64 - bits.TrailingZeros(uint(len(ix.slots))))
@@ -154,6 +150,25 @@ func (ix *index) add(i vector.Vector, h vector.Set) {
 		return
 	}
 	ix.place(len(ix.hs) - 1)
+}
+
+// ValsAt returns val(MemberAt(k)) from the stored table.
+func (ix *index) ValsAt(k int) vector.Set { return ix.vals[k] }
+
+// Mass returns Σ_{v∈s} #_v(I_k) — the density/distance mass of member k
+// against the value set s — in O(|s|) table lookups instead of an O(n)
+// vector scan, with no allocation. Values of s beyond the condition's
+// domain {1..m} contribute nothing (a set may hold values up to 64).
+func (ix *index) Mass(k int, s vector.Set) int {
+	row := ix.counts[k*(ix.m+1) : (k+1)*(ix.m+1)]
+	mass := 0
+	s.ForEach(func(v vector.Value) bool {
+		if int(v) <= ix.m {
+			mass += int(row[v])
+		}
+		return true
+	})
+	return mass
 }
 
 // place writes member k into the first free slot at or after its home.

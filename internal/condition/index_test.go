@@ -8,14 +8,6 @@ import (
 	"kset/internal/vector"
 )
 
-// prober is the probe surface Explicit and Compiled share through the
-// embedded index.
-type prober interface {
-	Indexed
-	IndexOf(vector.Vector) (int, bool)
-	Lookup(vector.Vector) (vector.Set, bool)
-}
-
 // randomVector draws a vector of {1..m}^n.
 func randomVector(r *rand.Rand, n, m int) vector.Vector {
 	i := make(vector.Vector, n)
@@ -25,10 +17,11 @@ func randomVector(r *rand.Rand, n, m int) vector.Vector {
 	return i
 }
 
-// TestCompileKeepsRecognizedSets is the regression test for Compile
+// TestCompileKeepsRecognizedSets is the regression test for a snapshot
 // re-validating what SetRecognized deliberately accepts: a condition whose
-// recognized set was edited into a validity violation must compile without
-// panicking, and Check must report the same violation on both forms.
+// recognized set was edited into a validity violation must clone and
+// enumerate without panicking, and Check must report the same violation
+// on every copy.
 func TestCompileKeepsRecognizedSets(t *testing.T) {
 	e := MustNewExplicit(3, 3, 1)
 	i := vector.OfInts(2, 2, 1)
@@ -36,13 +29,16 @@ func TestCompileKeepsRecognizedSets(t *testing.T) {
 	if err := e.SetRecognized(i, vector.SetOf(3)); err != nil {
 		t.Fatal(err)
 	}
-	c := Compile(e)
-	if h, ok := c.Lookup(i); !ok || !h.Equal(vector.SetOf(3)) {
-		t.Fatalf("compiled Lookup = %v, %v; want {3}, true", h, ok)
+	enumerated, err := Enumerate(e)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, cond := range []Condition{e, c} {
-		if v := Check(cond, 0, CheckOptions{}); v == nil || v.Property != Validity {
-			t.Errorf("%T: want validity violation, got %v", cond, v)
+	for k, c := range []*Explicit{e, e.Clone(), enumerated} {
+		if h, ok := c.Lookup(i); !ok || !h.Equal(vector.SetOf(3)) {
+			t.Fatalf("copy %d: Lookup = %v, %v; want {3}, true", k, h, ok)
+		}
+		if v := Check(c, 0, CheckOptions{}); v == nil || v.Property != Validity {
+			t.Errorf("copy %d: want validity violation, got %v", k, v)
 		}
 	}
 }
@@ -50,7 +46,7 @@ func TestCompileKeepsRecognizedSets(t *testing.T) {
 // TestIndexAgreement drives the shared index through every vector shape
 // that used to take a different key path — n up to and past the old
 // 10-entry packing limit, values up to 64 — and at least 10k members, so
-// the table doubles a dozen times. Explicit, its Compile and a reference
+// the table doubles a dozen times. Explicit, its Clone and a reference
 // map must agree on IndexOf/Contains/Lookup for every member and for
 // near-miss non-members (including, from n = 10 up, a twin with the same
 // 64-bit hash, which only the entry-by-entry verification tells apart);
@@ -84,12 +80,12 @@ func TestIndexAgreement(t *testing.T) {
 		if len(ref) != count {
 			t.Fatalf("n=%d: %d distinct vectors for %d members", n, len(ref), count)
 		}
-		c := Compile(e)
+		c := e.Clone()
 
 		check := func(i vector.Vector) {
 			t.Helper()
 			wantK, want := ref[i.Key()]
-			for _, p := range []prober{e, c} {
+			for _, p := range []*Explicit{e, c} {
 				k, ok := p.IndexOf(i)
 				h, okL := p.Lookup(i)
 				if ok != want || okL != want || p.Contains(i) != want || (want && k != wantK) {
@@ -130,8 +126,8 @@ func TestIndexAgreement(t *testing.T) {
 		if err := e.Add(first, first.BottomL(l)); err == nil && !first.TopL(l).Equal(first.BottomL(l)) {
 			t.Fatalf("n=%d: re-add with a different h accepted", n)
 		}
-		// SetRecognized reaches the member on Explicit, the snapshot keeps
-		// the old set, a fresh Compile carries the new one; non-members err.
+		// SetRecognized reaches the member, the snapshot keeps the old
+		// set, a fresh Clone carries the new one; non-members err.
 		other := vector.Set{} // never a max_ℓ set
 		if err := e.SetRecognized(first, other); err != nil {
 			t.Fatal(err)
@@ -142,8 +138,8 @@ func TestIndexAgreement(t *testing.T) {
 		if h, _ := c.Lookup(first); !h.Equal(first.TopL(l)) {
 			t.Fatalf("n=%d: snapshot changed under SetRecognized: %v", n, h)
 		}
-		if h, _ := Compile(e).Lookup(first); !h.Equal(other) {
-			t.Fatalf("n=%d: recompile lost SetRecognized: %v", n, h)
+		if h, _ := e.Clone().Lookup(first); !h.Equal(other) {
+			t.Fatalf("n=%d: re-clone lost SetRecognized: %v", n, h)
 		}
 		if err := e.SetRecognized(make(vector.Vector, n), other); err == nil {
 			t.Fatalf("n=%d: SetRecognized accepted a non-member", n)
@@ -152,7 +148,7 @@ func TestIndexAgreement(t *testing.T) {
 		member, miss := e.MemberAt(count/2).Clone(), e.MemberAt(count/2).Clone()
 		miss[n-1] = miss[n-1]%m + 1
 		_, missIn := ref[miss.Key()]
-		for _, p := range []prober{e, c} {
+		for _, p := range []*Explicit{e, c} {
 			if got := testing.AllocsPerRun(100, func() {
 				if _, ok := p.Lookup(member); !ok || p.Contains(miss) != missIn {
 					t.Fatal("probe broken")
@@ -165,9 +161,9 @@ func TestIndexAgreement(t *testing.T) {
 }
 
 // BenchmarkConditionIndex prices one membership probe of a 4096-member
-// condition — hits and near misses alternating — on both enumerated
-// representations, at a vector size inside the old packed-key range and
-// one past it. scripts/benchgate.sh holds all four arms at 0 allocs/op.
+// explicit condition — hits and near misses alternating — at a vector size
+// inside the old packed-key range and one past it. scripts/benchgate.sh
+// holds both arms at 0 allocs/op.
 func BenchmarkConditionIndex(b *testing.B) {
 	for _, n := range []int{8, 16} {
 		r := rand.New(rand.NewSource(13))
@@ -181,19 +177,17 @@ func BenchmarkConditionIndex(b *testing.B) {
 		for k := 1; k < len(probes); k += 2 {
 			probes[k][k%n] = probes[k][k%n]%4 + 1
 		}
-		for name, p := range map[string]Condition{"explicit": e, "compiled": Compile(e)} {
-			b.Run(fmt.Sprintf("n%d/%s", n, name), func(b *testing.B) {
-				b.ReportAllocs()
-				hits := 0
-				for i := 0; i < b.N; i++ {
-					if p.Contains(probes[i%len(probes)]) {
-						hits++
-					}
+		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			hits := 0
+			for i := 0; i < b.N; i++ {
+				if e.Contains(probes[i%len(probes)]) {
+					hits++
 				}
-				if hits == 0 && b.N > 1 {
-					b.Fatal("no probe hit")
-				}
-			})
-		}
+			}
+			if hits == 0 && b.N > 1 {
+				b.Fatal("no probe hit")
+			}
+		})
 	}
 }

@@ -67,10 +67,7 @@ type CheckOptions struct {
 // for concurrent use; the zero value is ready.
 type Checker struct {
 	members    []vector.Vector
-	hs         []vector.Set
 	idx        []int
-	sub        []vector.Vector
-	subH       []vector.Set
 	inter      vector.Vector
 	interStack []vector.Value // per-depth intersecting views of the subset walk
 
@@ -84,47 +81,47 @@ type Checker struct {
 // condition seen and are reused afterwards.
 func NewChecker() *Checker { return &Checker{} }
 
-// load fills the checker's member/recognized buffers from c: borrowing
-// storage positionally from Indexed conditions, cloning from the generic
-// enumeration otherwise.
-func (ck *Checker) load(c Condition) {
-	ck.members = ck.members[:0]
-	ck.hs = ck.hs[:0]
-	if ix, ok := c.(Indexed); ok {
-		for k, size := 0, ix.Size(); k < size; k++ {
-			ck.members = append(ck.members, ix.MemberAt(k))
-			ck.hs = append(ck.hs, ix.RecognizedAt(k))
+// load resolves c to its explicit form — an *Explicit as it is, any
+// other condition through Enumerate, whose rejection of a member comes
+// back as a Validity violation witnessed by it — and points the checker's
+// member buffer at the stored members.
+func (ck *Checker) load(c Condition) (*Explicit, *Violation) {
+	e, ok := c.(*Explicit)
+	if !ok {
+		var bad vector.Vector
+		var err error
+		if e, bad, err = enumerate(c); err != nil {
+			v := &Violation{Property: Validity, Detail: err.Error()}
+			if bad != nil {
+				v.Vectors = []vector.Vector{bad}
+			}
+			return nil, v
 		}
-		return
 	}
-	c.ForEachMember(func(i vector.Vector) bool {
-		ck.members = append(ck.members, i.Clone())
-		return true
-	})
-	for _, i := range ck.members {
-		ck.hs = append(ck.hs, c.Recognize(i))
+	ck.members = ck.members[:0]
+	for k, size := 0, e.Size(); k < size; k++ {
+		ck.members = append(ck.members, e.MemberAt(k))
 	}
+	return e, nil
 }
 
 // Check verifies that the condition c, with its own recognizing function,
 // is (x, c.L())-legal, returning a witnessed *Violation if not and nil if
 // legal. The distance property is checked over every subset of members of
-// size 2..MaxSubsetSize. The success path performs no allocation beyond
-// the checker's amortized scratch growth.
+// size 2..MaxSubsetSize. On an *Explicit the success path performs no
+// allocation beyond the checker's amortized scratch growth; any other
+// condition is enumerated first.
 func (ck *Checker) Check(c Condition, x int, opts CheckOptions) *Violation {
 	l := c.L()
-	ck.load(c)
-	cc, compiled := c.(*Compiled)
+	e, v := ck.load(c)
+	if v != nil {
+		return v
+	}
 
 	// Validity and density, per member.
 	for k, i := range ck.members {
-		h := ck.hs[k]
-		var vals vector.Set
-		if compiled {
-			vals = cc.ValsAt(k)
-		} else {
-			vals = i.Vals()
-		}
+		h := e.hs[k]
+		vals := e.ValsAt(k)
 		want := min(l, vals.Len())
 		if h.Len() != want || !h.SubsetOf(vals) {
 			return &Violation{
@@ -133,13 +130,7 @@ func (ck *Checker) Check(c Condition, x int, opts CheckOptions) *Violation {
 				Detail:   fmt.Sprintf("h(%v)=%v, want %d values from val=%v", i, h, want, vals),
 			}
 		}
-		var mass int
-		if compiled {
-			mass = cc.Mass(k, h)
-		} else {
-			mass = i.MassOf(h)
-		}
-		if mass <= x {
+		if mass := e.Mass(k, h); mass <= x {
 			return &Violation{
 				Property: Density,
 				Vectors:  cloneVectors(i),
@@ -153,7 +144,7 @@ func (ck *Checker) Check(c Condition, x int, opts CheckOptions) *Violation {
 	if maxZ <= 0 || maxZ > len(ck.members) {
 		maxZ = len(ck.members)
 	}
-	return ck.distanceSubsets(ck.members, ck.hs, x, maxZ)
+	return ck.distanceSubsets(ck.members, e.hs, x, maxZ)
 }
 
 // Check verifies (x, c.L())-legality with a one-shot Checker. Sweeps that
@@ -321,7 +312,7 @@ func CheckDistanceInstance(vs []vector.Vector, hs []vector.Set, x int) *Violatio
 // to the member order) when one exists. The search is exponential; it is
 // intended for the small counterexample conditions of Section 3 and
 // Appendix B. Sweeps should hold a Checker and call its ExistsRecognizer.
-func ExistsRecognizer(c Indexed, x int) ([]vector.Set, bool) {
+func ExistsRecognizer(c *Explicit, x int) ([]vector.Set, bool) {
 	return NewChecker().ExistsRecognizer(c, x)
 }
 
@@ -329,10 +320,9 @@ func ExistsRecognizer(c Indexed, x int) ([]vector.Set, bool) {
 // ExistsRecognizer: candidate sets live in one flat buffer, the pairwise
 // pruning probes reuse the checker's witness and intersection scratch, and
 // only the returned assignment is freshly allocated.
-func (ck *Checker) ExistsRecognizer(c Indexed, x int) ([]vector.Set, bool) {
+func (ck *Checker) ExistsRecognizer(c *Explicit, x int) ([]vector.Set, bool) {
 	size := c.Size()
 	l := c.L()
-	cc, compiled := c.(*Compiled)
 
 	// Candidate h-sets per member: subsets of val(I) of size min(ℓ,|val|)
 	// whose mass exceeds x (validity + density pre-filter).
@@ -340,23 +330,12 @@ func (ck *Checker) ExistsRecognizer(c Indexed, x int) ([]vector.Set, bool) {
 	ck.candOff = ck.candOff[:0]
 	for k := 0; k < size; k++ {
 		ck.candOff = append(ck.candOff, len(ck.candFlat))
-		var vals vector.Set
-		if compiled {
-			vals = cc.ValsAt(k)
-		} else {
-			vals = c.MemberAt(k).Vals()
-		}
+		vals := c.ValsAt(k)
 		start := len(ck.candFlat)
 		ck.candFlat = appendKSubsets(ck.candFlat, vals, min(l, vals.Len()))
 		w := start
 		for r := start; r < len(ck.candFlat); r++ {
-			var mass int
-			if compiled {
-				mass = cc.Mass(k, ck.candFlat[r])
-			} else {
-				mass = c.MemberAt(k).MassOf(ck.candFlat[r])
-			}
-			if mass > x {
+			if c.Mass(k, ck.candFlat[r]) > x {
 				ck.candFlat[w] = ck.candFlat[r]
 				w++
 			}

@@ -3,15 +3,14 @@ package condition
 import "kset/internal/vector"
 
 // Stream is a resumable pull iterator over a condition's member vectors —
-// the streaming counterpart of Condition.ForEachMember. Indexed
-// conditions (Explicit and Compiled) stream their stored members by
-// position with no copying; implicit conditions (max_ℓ / min_ℓ) stream by
+// the streaming counterpart of Condition.ForEachMember. An Explicit
+// condition streams its stored members by position with no copying; implicit conditions (max_ℓ / min_ℓ) stream by
 // filtering the lexicographic {1..m}^n enumeration, which is practical at
 // small n and m only. Either way the members arrive in a deterministic
 // order, so two streams over the same condition yield identical sequences.
 type Stream struct {
 	c    Condition
-	ix   Indexed // non-nil: stored-member fast path
+	e    *Explicit // non-nil: stored-member fast path
 	idx  int
 	enum *vector.Enum // nil until the implicit path starts
 }
@@ -19,23 +18,20 @@ type Stream struct {
 // NewStream returns a stream positioned before the condition's first
 // member.
 func NewStream(c Condition) *Stream {
-	s := &Stream{c: c}
-	if ix, ok := c.(Indexed); ok {
-		s.ix = ix
-	}
-	return s
+	e, _ := c.(*Explicit)
+	return &Stream{c: c, e: e}
 }
 
 // Next advances to the next member and returns it, or false when the
 // members are exhausted. The returned vector may be a reusable buffer
-// (implicit conditions) or the condition's own storage (indexed
+// (implicit conditions) or the condition's own storage (explicit
 // conditions): Clone it to retain or mutate it.
 func (s *Stream) Next() (vector.Vector, bool) {
-	if s.ix != nil {
-		if s.idx >= s.ix.Size() {
+	if s.e != nil {
+		if s.idx >= s.e.Size() {
 			return nil, false
 		}
-		v := s.ix.MemberAt(s.idx)
+		v := s.e.MemberAt(s.idx)
 		s.idx++
 		return v, true
 	}

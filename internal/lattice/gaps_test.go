@@ -32,7 +32,7 @@ func TestWithLRelabels(t *testing.T) {
 }
 
 func TestBoostLPreservesMembers(t *testing.T) {
-	base := maxCompiled(4, 3, 1, 1)
+	base := enumerateMax(4, 3, 1, 1)
 	boosted, err := BoostL(base)
 	if err != nil {
 		t.Fatal(err)

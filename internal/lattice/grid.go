@@ -34,12 +34,6 @@ func (f Fact) Verified() bool {
 		f.AllLegal == f.AllExpected
 }
 
-// maxCompiled materializes the max_ℓ-generated (x,ℓ)-legal condition as a
-// compiled condition over {1..m}^n.
-func maxCompiled(n, m, x, l int) *condition.Compiled {
-	return condition.MustCompileMax(n, m, x, l)
-}
-
 // checkOpts caps the distance-property subset size during grid verification;
 // size 3 exercises the generalized distance beyond pairs while keeping the
 // grid affordable.
@@ -59,7 +53,7 @@ func verifyCell(ck *condition.Checker, n, m, x, l int) Fact {
 
 	// Theorem 4: the (x+1,ℓ)-legal max condition is (x,ℓ)-legal.
 	if x+1 < n {
-		up := maxCompiled(n, m, x+1, l)
+		up := enumerateMax(n, m, x+1, l)
 		if up.Size() > 0 {
 			f.UpInclusion = ck.Check(up, x, checkOpts) == nil
 		} else {
@@ -74,7 +68,7 @@ func verifyCell(ck *condition.Checker, n, m, x, l int) Fact {
 	// theorem asserts existence, so when the family is empty over {1..m}
 	// the value domain is widened (larger m can only enlarge the family;
 	// the witness needs enough values to pad entries below the top ℓ).
-	if c5, err := firstNonEmpty(m, func(mm int) (*condition.Compiled, error) {
+	if c5, err := firstNonEmpty(m, func(mm int) (*condition.Explicit, error) {
 		return Theorem5Condition(n, mm, x, l)
 	}); err == nil {
 		legal := ck.Check(c5, x, checkOpts) == nil
@@ -86,7 +80,7 @@ func verifyCell(ck *condition.Checker, n, m, x, l int) Fact {
 	}
 
 	// Theorem 6: boosting an (x,ℓ)-legal condition to ℓ+1 stays legal.
-	base := maxCompiled(n, m, x, l)
+	base := enumerateMax(n, m, x, l)
 	if base.Size() > 0 {
 		if boosted, err := BoostL(base); err == nil {
 			f.RightInclusion = ck.Check(boosted, x, checkOpts) == nil
@@ -100,7 +94,7 @@ func verifyCell(ck *condition.Checker, n, m, x, l int) Fact {
 
 	// Theorem 7: some condition is (x,ℓ+1)-legal but not (x,ℓ)-legal.
 	// Existence statement: widen the domain like Theorem 5 above.
-	if c7, err := firstNonEmpty(m, func(mm int) (*condition.Compiled, error) {
+	if c7, err := firstNonEmpty(m, func(mm int) (*condition.Explicit, error) {
 		return Theorem7Condition(n, mm, x, l)
 	}); err == nil {
 		legal := ck.Check(c7, x, checkOpts) == nil
@@ -134,7 +128,7 @@ func verifyCell(ck *condition.Checker, n, m, x, l int) Fact {
 // firstNonEmpty tries a counterexample construction over growing value
 // domains m..m+4 and returns the first non-empty instance; the cell's
 // process count stays fixed, only padding values are added.
-func firstNonEmpty(m int, build func(m int) (*condition.Compiled, error)) (*condition.Compiled, error) {
+func firstNonEmpty(m int, build func(m int) (*condition.Explicit, error)) (*condition.Explicit, error) {
 	var lastErr error
 	for mm := m; mm <= m+4; mm++ {
 		c, err := build(mm)

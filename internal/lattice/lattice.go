@@ -11,9 +11,7 @@ import (
 // set of at most l distinct values of i: the sum of its l largest value
 // counts. The Theorem 5/7 constructions bound it to rule out recognizers.
 // It is a stack-only computation — the builders call it once per candidate
-// vector of a full {1..m}^n enumeration. (For vectors already compiled
-// into a condition, Compiled.DensestMass reads the precomputed table
-// instead.)
+// vector of a full {1..m}^n enumeration.
 func densestMass(i vector.Vector, l int) int {
 	var counts [int(vector.MaxSetValue) + 1]int
 	for _, v := range i {
@@ -41,7 +39,7 @@ func densestMass(i vector.Vector, l int) int {
 // (x+1,ℓ)-legal: the vectors recognized by max_ℓ whose every ℓ-value set
 // occupies at most x+1 entries (so the top-ℓ mass is exactly x+1 — dense
 // enough for x, and no recognizing function can be dense enough for x+1).
-func Theorem5Condition(n, m, x, l int) (*condition.Compiled, error) {
+func Theorem5Condition(n, m, x, l int) (*condition.Explicit, error) {
 	if x+1 > n {
 		return nil, fmt.Errorf("lattice: theorem 5 needs x+1 ≤ n, got x=%d n=%d", x, n)
 	}
@@ -65,7 +63,7 @@ func Theorem5Condition(n, m, x, l int) (*condition.Compiled, error) {
 	if b.Size() == 0 {
 		return nil, fmt.Errorf("lattice: theorem 5 condition empty for n=%d m=%d x=%d ℓ=%d", n, m, x, l)
 	}
-	return condition.Compile(b), nil
+	return b, nil
 }
 
 // Theorem7Condition builds a condition that is (x,ℓ+1)-legal but not
@@ -73,7 +71,7 @@ func Theorem5Condition(n, m, x, l int) (*condition.Compiled, error) {
 // values occupy more than x entries while every set of only ℓ values
 // occupies at most x — so no ℓ-value recognizing function can satisfy the
 // density property. The returned condition carries ℓ+1 as its L.
-func Theorem7Condition(n, m, x, l int) (*condition.Compiled, error) {
+func Theorem7Condition(n, m, x, l int) (*condition.Explicit, error) {
 	b, err := condition.NewExplicit(n, m, l+1)
 	if err != nil {
 		return nil, err
@@ -94,7 +92,7 @@ func Theorem7Condition(n, m, x, l int) (*condition.Compiled, error) {
 	if b.Size() == 0 {
 		return nil, fmt.Errorf("lattice: theorem 7 condition empty for n=%d m=%d x=%d ℓ=%d", n, m, x, l)
 	}
-	return condition.Compile(b), nil
+	return b, nil
 }
 
 // BoostL implements the constructive step of Theorem 6: given a condition
@@ -103,7 +101,7 @@ func Theorem7Condition(n, m, x, l int) (*condition.Compiled, error) {
 // h_ℓ(I) already covers val(I), and h_ℓ(I) plus one deterministic extra
 // value of I otherwise (we take the greatest value outside h_ℓ(I)). If the
 // input is (x,ℓ)-legal the output is (x,ℓ+1)-legal.
-func BoostL(c *condition.Compiled) (*condition.Compiled, error) {
+func BoostL(c *condition.Explicit) (*condition.Explicit, error) {
 	out, err := condition.NewExplicit(c.N(), c.M(), c.L()+1)
 	if err != nil {
 		return nil, err
@@ -119,41 +117,49 @@ func BoostL(c *condition.Compiled) (*condition.Compiled, error) {
 			return nil, fmt.Errorf("lattice: boost: %w", err)
 		}
 	}
-	return condition.Compile(out), nil
+	return out, nil
 }
 
 // AllVectorsCondition returns the condition C_all containing every input
 // vector of {1..m}^n, recognized by max_ℓ. By Theorems 8 and 9 it is
 // (x,ℓ)-legal iff ℓ > x. (Every full vector has top-ℓ mass above 0, so
-// C_all is the x = 0 compiled max condition.)
-func AllVectorsCondition(n, m, l int) *condition.Compiled {
-	return condition.MustCompileMax(n, m, 0, l)
+// C_all is the x = 0 max condition, enumerated.)
+func AllVectorsCondition(n, m, l int) *condition.Explicit {
+	return enumerateMax(n, m, 0, l)
+}
+
+// enumerateMax is the max_ℓ-generated (x,ℓ)-legal condition over
+// {1..m}^n, enumerated. MustNewMax panics on bad parameters; past it,
+// Enumerate cannot fail, as every member lies in {1..m}^n.
+func enumerateMax(n, m, x, l int) *condition.Explicit {
+	e, _ := condition.Enumerate(condition.MustNewMax(n, m, x, l))
+	return e
 }
 
 // Table1Condition returns the paper's Table 1: the four-vector condition
 // over n = 4 processes and values a,b,c,d (encoded 1,2,3,4) with the
 // recognizing function h_1 of the table. It is (1,1)-legal, and Theorem 14
 // proves it is not (2,2)-legal.
-func Table1Condition() *condition.Compiled {
+func Table1Condition() *condition.Explicit {
 	const a, b, c, d = 1, 2, 3, 4
 	cond := condition.MustNewExplicit(4, 4, 1)
 	cond.MustAdd(vector.OfInts(a, a, c, d), vector.SetOf(a))
 	cond.MustAdd(vector.OfInts(b, b, c, d), vector.SetOf(b))
 	cond.MustAdd(vector.OfInts(a, b, c, c), vector.SetOf(c))
 	cond.MustAdd(vector.OfInts(a, b, d, d), vector.SetOf(d))
-	return condition.Compile(cond)
+	return cond
 }
 
 // WithL returns the same vector set as c re-labelled with parameter l and
 // recognized by max_l; it is the form handed to the legality decider when
 // asking whether any recognizing function for a different ℓ exists.
-func WithL(c *condition.Compiled, l int) *condition.Compiled {
+func WithL(c *condition.Explicit, l int) *condition.Explicit {
 	out := condition.MustNewExplicit(c.N(), c.M(), l)
 	for k, size := 0, c.Size(); k < size; k++ {
 		i := c.MemberAt(k)
 		out.MustAdd(i, i.TopL(l))
 	}
-	return condition.Compile(out)
+	return out
 }
 
 // Theorem15Condition builds the Appendix-B construction: ℓ+1 vectors over
@@ -173,7 +179,7 @@ func WithL(c *condition.Compiled, l int) *condition.Compiled {
 // The "not (x,ℓ)" half is notable: for ℓ ≥ 2 every pair of its vectors can
 // satisfy the (x,ℓ)-distance property, and only the full (ℓ+1)-vector
 // subset witnesses the failure — exercising d_G beyond pairs.
-func Theorem15Condition(n, x, l int) (*condition.Compiled, error) {
+func Theorem15Condition(n, x, l int) (*condition.Explicit, error) {
 	if l >= x {
 		return nil, fmt.Errorf("lattice: theorem 15 needs ℓ < x, got ℓ=%d x=%d", l, x)
 	}
@@ -201,5 +207,5 @@ func Theorem15Condition(n, x, l int) (*condition.Compiled, error) {
 			return nil, fmt.Errorf("lattice: theorem 15: %w", err)
 		}
 	}
-	return condition.Compile(c), nil
+	return c, nil
 }

@@ -26,7 +26,7 @@ func TestTheorem4(t *testing.T) {
 	for _, tc := range []struct{ n, m, x, l int }{
 		{4, 3, 1, 1}, {4, 3, 2, 1}, {4, 3, 1, 2}, {5, 2, 2, 2},
 	} {
-		c := maxCompiled(tc.n, tc.m, tc.x+1, tc.l)
+		c := enumerateMax(tc.n, tc.m, tc.x+1, tc.l)
 		if c.Size() == 0 {
 			t.Fatalf("empty witness for %+v", tc)
 		}
@@ -61,7 +61,7 @@ func TestTheorem6(t *testing.T) {
 	for _, tc := range []struct{ n, m, x, l int }{
 		{4, 3, 1, 1}, {4, 3, 2, 1}, {4, 3, 2, 2}, {5, 2, 2, 1},
 	} {
-		base := maxCompiled(tc.n, tc.m, tc.x, tc.l)
+		base := enumerateMax(tc.n, tc.m, tc.x, tc.l)
 		boosted, err := BoostL(base)
 		if err != nil {
 			t.Fatalf("%+v: %v", tc, err)

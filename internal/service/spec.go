@@ -429,7 +429,7 @@ func compileCondition(cs *ConditionSpec, p kset.Params) (kset.Condition, error) 
 				return nil, badSpec("condition vector %d: %v", i, err)
 			}
 		}
-		return kset.CompileCondition(ec), nil
+		return ec, nil
 	}
 	return nil, badSpec("unknown condition kind %q (want max, min or explicit)", cs.Kind)
 }

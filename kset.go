@@ -43,13 +43,11 @@ type (
 	MaxCondition = condition.MaxCondition
 	// MinCondition is the (x,ℓ)-legal condition generated by min_ℓ.
 	MinCondition = condition.MinCondition
-	// ExplicitCondition is a finite enumerated condition.
+	// ExplicitCondition is a finite enumerated condition: a hashed member
+	// index with O(1) Contains/Recognize and no per-probe allocation. New
+	// holds a Clone of it, so adding to it afterwards does not reach a
+	// System.
 	ExplicitCondition = condition.Explicit
-	// CompiledCondition is the immutable, index-backed form of an explicit
-	// condition: O(1) Contains/Recognize over a hashed member index with no
-	// per-probe allocation. Build one with CompileCondition; New compiles
-	// explicit conditions automatically.
-	CompiledCondition = condition.Compiled
 	// LegalityViolation is a witnessed legality failure.
 	LegalityViolation = condition.Violation
 )
@@ -76,16 +74,6 @@ func NewMinCondition(n, m, x, l int) (*MinCondition, error) {
 // exceeds the 64-value domain cap.
 func NewExplicitCondition(n, m, l int) (*ExplicitCondition, error) {
 	return condition.NewExplicit(n, m, l)
-}
-
-// CompileCondition compiles an explicit condition into its immutable,
-// index-backed form: one open-addressing probe per membership check and
-// zero allocation per probe. New does this automatically for explicit
-// conditions, so calling it by hand only matters when one compiled
-// condition is shared across many Systems, campaigns or scenario sources.
-// The result is a snapshot — vectors added to c afterwards are not seen.
-func CompileCondition(c *ExplicitCondition) *CompiledCondition {
-	return condition.Compile(c)
 }
 
 // CheckLegal verifies that c, with its own recognizing function, is

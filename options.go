@@ -12,9 +12,9 @@ func WithParams(p Params) Option {
 
 // WithCondition instantiates the algorithms with the given (x,ℓ)-legal
 // condition. Required for every executor except Classical. An explicit
-// condition is compiled (snapshotted into its immutable indexed form) at
-// construction: vectors added to it after New are not seen by the System,
-// and Condition() returns the compiled form.
+// condition is cloned at construction: vectors added to it or recognized
+// sets changed after New are not seen by the System, and Condition()
+// returns the clone.
 func WithCondition(c Condition) Option {
 	return func(s *System) { s.cond = c }
 }

@@ -56,12 +56,10 @@ func New(opts ...Option) (*System, error) {
 	if s.workers < 1 {
 		s.workers = 1
 	}
-	// Explicit conditions are compiled at construction: every downstream
-	// membership probe — view decoding in the first round, campaign
-	// verification, ConditionMembers streaming — then rides the immutable
-	// O(1) index instead of the mutable map-backed representation.
+	// An explicit condition is cloned at construction: the caller may keep
+	// adding to their handle while campaign workers read this snapshot.
 	if e, ok := s.cond.(*condition.Explicit); ok {
-		s.cond = condition.Compile(e)
+		s.cond = e.Clone()
 	}
 	if err := s.exec.check(s); err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package kset_test
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -165,6 +166,58 @@ func TestSystemConcurrentRun(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestNewSnapshotsExplicitCondition pins that New holds its own copy of
+// an explicit condition: a vector added to the caller's handle afterwards
+// is no condition hit, and a recognized set changed on it afterwards does
+// not move the decisions on that member.
+func TestNewSnapshotsExplicitCondition(t *testing.T) {
+	p := kset.Params{N: 4, T: 2, K: 1, D: 1, L: 1}
+	ec, err := kset.NewExplicitCondition(p.N, 3, p.L)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each codeword recognizes its majority value (x = t−d = 1).
+	old := kset.VectorOf(2, 2, 3, 2)
+	for h, in := range []kset.Vector{kset.VectorOf(1, 1, 1, 2), old, kset.VectorOf(3, 1, 3, 3)} {
+		if err := ec.Add(in, kset.SetOf(kset.Value(h+1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sys := testSystem(t, kset.WithParams(p), kset.WithCondition(ec))
+	ctx := context.Background()
+	before, err := sys.Run(ctx, old, kset.NoFailures())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	added := kset.VectorOf(1, 1, 2, 1)
+	if err := ec.Add(added, kset.SetOf(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := ec.SetRecognized(old, kset.SetOf(3)); err != nil {
+		t.Fatal(err)
+	}
+
+	stats, err := sys.RunSource(ctx, kset.Inputs(added))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Runs != 1 || stats.ConditionHits != 0 {
+		t.Errorf("campaign over the added vector: runs=%d hits=%d, want 1 and 0", stats.Runs, stats.ConditionHits)
+	}
+	after, err := sys.Run(ctx, old, kset.NoFailures())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(after.Decisions, before.Decisions) || after.Rounds != before.Rounds {
+		t.Errorf("decisions on %v moved: %v in %d rounds, were %v in %d",
+			old, after.Decisions, after.Rounds, before.Decisions, before.Rounds)
+	}
+	if v := before.Decisions[1]; v != 2 {
+		t.Errorf("p1 decided %v on %v, want its recognized value 2", v, old)
 	}
 }
 
