@@ -118,7 +118,7 @@ func run(args []string) error {
 		case res.Crashed[pid] && !ok:
 			fmt.Printf("p%-4d %-10v %-10s %-8s\n", id, input[id-1], "crashed", "-")
 		case ok:
-			fmt.Printf("p%-4d %-10v %-10v %-8d\n", id, input[id-1], decided, res.DecisionRound[pid])
+			fmt.Printf("p%-4d %-10v %-10v %-8d\n", id, input[id-1], decided, res.DecisionRound[id-1])
 		default:
 			fmt.Printf("p%-4d %-10v %-10s %-8s\n", id, input[id-1], "none", "-")
 		}

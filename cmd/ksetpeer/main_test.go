@@ -142,9 +142,9 @@ func TestFleetLosslessMatchesEngine(t *testing.T) {
 		if rep.Decided != decided {
 			t.Fatalf("peer %d: decided=%v, engine says %v", id, rep.Decided, decided)
 		}
-		if rep.Value != int(wv) || rep.Round != want.DecisionRound[rounds.ProcessID(id)] {
+		if rep.Value != int(wv) || rep.Round != want.DecisionRound[id-1] {
 			t.Errorf("peer %d decided %d@r%d, engine %d@r%d",
-				id, rep.Value, rep.Round, wv, want.DecisionRound[rounds.ProcessID(id)])
+				id, rep.Value, rep.Round, wv, want.DecisionRound[id-1])
 		}
 		if len(rep.Suspected) != 0 {
 			t.Errorf("peer %d suspected %v on a lossless network", id, rep.Suspected)
@@ -205,9 +205,9 @@ func TestFleetSurvivesKilledPeer(t *testing.T) {
 		if rep.Decided != decided {
 			t.Fatalf("survivor %d: decided=%v, engine says %v", id, rep.Decided, decided)
 		}
-		if decided && (rep.Value != int(wv) || rep.Round != want.DecisionRound[rounds.ProcessID(id)]) {
+		if decided && (rep.Value != int(wv) || rep.Round != want.DecisionRound[id-1]) {
 			t.Errorf("survivor %d decided %d@r%d, engine %d@r%d",
-				id, rep.Value, rep.Round, wv, want.DecisionRound[rounds.ProcessID(id)])
+				id, rep.Value, rep.Round, wv, want.DecisionRound[id-1])
 		}
 		if len(rep.Suspected) != 1 || rep.Suspected[0] != 3 {
 			t.Errorf("survivor %d suspected %v, want [3]", id, rep.Suspected)

@@ -56,6 +56,17 @@ func rowMax(recv []any) vector.Value {
 	return largest
 }
 
+// maxOf is rowMax of a row that extends one whose digest is largest by the
+// senders in added.
+func maxOf(largest vector.Value, recv []any, added []int) vector.Value {
+	for _, j := range added {
+		if v, ok := recv[j].(vector.Value); ok && v > largest {
+			largest = v
+		}
+	}
+	return largest
+}
+
 // stepDigest max-merges a row's digest and decides at the last round.
 func (c *ClassicalProcess) stepDigest(round int, digest vector.Value) (vector.Value, bool) {
 	c.est = maxValue(c.est, digest)

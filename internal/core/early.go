@@ -114,6 +114,24 @@ func (w *earlyRow) read(recv []any) {
 	}
 }
 
+// add is read of a row that extends the one w was read from by the senders
+// in added.
+func (w *earlyRow) add(recv []any, added []int) {
+	for _, i := range added {
+		payload := recv[i]
+		if payload == nil {
+			continue
+		}
+		w.silent[i>>6] &^= 1 << (i & 63)
+		if m, ok := payload.(*EarlyMsg); ok {
+			w.unwrapped[i] = m.Payload
+			if m.Flag {
+				w.flags[i>>6] |= 1 << (i & 63)
+			}
+		}
+	}
+}
+
 // earlyTracker holds one process's flag bookkeeping.
 type earlyTracker struct {
 	k         int

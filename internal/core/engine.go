@@ -19,8 +19,10 @@ import (
 //
 // Each run is one rounds.Group over a concrete cell array — condGroup,
 // earlyGroup, classicalGroup are the Runner itself — so every call in a
-// round's loops is static: Step folds its row once and steps each live cell
-// of the segment from the digest.
+// round's loops is static: Step digests its row and steps each live cell of
+// the segment from the digest. The digest lives on the Runner: a row that
+// extends the previous Step's (rounds.Round.Added) only patches it with the
+// added senders, so the shared row is folded once per round.
 //
 // The Run* methods do NOT re-validate parameters or the condition: the
 // caller establishes Params.ValidateWith / ValidateClassical once (e.g. at
@@ -30,10 +32,12 @@ type Runner struct {
 	eng *rounds.Engine
 
 	// Figure-2 state, which the early-deciding wrappers run on too: n
-	// process cells sharing the run's constants, and round 1's view.
-	cells []CondProcess
-	fold  condFold
-	view  vector.Vector
+	// process cells sharing the run's constants, round 1's view, and the
+	// digest of the row last stepped.
+	cells  []CondProcess
+	fold   condFold
+	view   vector.Vector
+	digest StateMsg
 
 	// Early-deciding state: wrappers, their flagged bitsets and the one
 	// row digest they share.
@@ -41,8 +45,9 @@ type Runner struct {
 	eflags []uint64 // n trackers × ⌈n/64⌉ words
 	erow   earlyRow
 
-	// Classical state.
+	// Classical state: the cells and the row's largest value.
 	ccells []ClassicalProcess
+	cmax   vector.Value
 }
 
 // NewRunner returns an empty Runner; its buffers grow to the largest n
@@ -103,13 +108,16 @@ func (g *condGroup) Send(r int, down []bool, row []any) {
 }
 
 func (g *condGroup) Step(rd *rounds.Round, row []any, lo, hi int) (live int) {
-	var d StateMsg
-	g.fold.foldRow(&d, g.view, rd.R, row)
+	if added, ok := rd.Added(); ok {
+		g.fold.extend(&g.digest, g.view, rd.R, row, added)
+	} else {
+		g.fold.foldRow(&g.digest, g.view, rd.R, row)
+	}
 	for i := lo; i < hi; i++ {
 		if rd.Down(i) {
 			continue
 		}
-		if v, done := g.cells[i].stepDigest(rd.R, &d); done {
+		if v, done := g.cells[i].stepDigest(rd.R, &g.digest); done {
 			rd.Decide(i, v)
 		} else {
 			live++
@@ -130,14 +138,18 @@ func (g *earlyGroup) Send(r int, down []bool, row []any) {
 }
 
 func (g *earlyGroup) Step(rd *rounds.Round, row []any, lo, hi int) (live int) {
-	var d StateMsg
-	g.erow.read(row)
-	g.fold.foldRow(&d, g.view, rd.R, g.erow.unwrapped)
+	if added, ok := rd.Added(); ok {
+		g.erow.add(row, added)
+		g.fold.extend(&g.digest, g.view, rd.R, g.erow.unwrapped, added)
+	} else {
+		g.erow.read(row)
+		g.fold.foldRow(&g.digest, g.view, rd.R, g.erow.unwrapped)
+	}
 	for i := lo; i < hi; i++ {
 		if rd.Down(i) {
 			continue
 		}
-		if v, done := g.ecells[i].stepDigest(rd.R, &g.erow, &d); done {
+		if v, done := g.ecells[i].stepDigest(rd.R, &g.erow, &g.digest); done {
 			rd.Decide(i, v)
 		} else {
 			live++
@@ -158,12 +170,16 @@ func (g *classicalGroup) Send(r int, down []bool, row []any) {
 }
 
 func (g *classicalGroup) Step(rd *rounds.Round, row []any, lo, hi int) (live int) {
-	d := rowMax(row)
+	if added, ok := rd.Added(); ok {
+		g.cmax = maxOf(g.cmax, row, added)
+	} else {
+		g.cmax = rowMax(row)
+	}
 	for i := lo; i < hi; i++ {
 		if rd.Down(i) {
 			continue
 		}
-		if v, done := g.ccells[i].stepDigest(rd.R, d); done {
+		if v, done := g.ccells[i].stepDigest(rd.R, g.cmax); done {
 			rd.Decide(i, v)
 		} else {
 			live++

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -336,4 +337,83 @@ func TestStepFromSeparateGoroutines(t *testing.T) {
 		})
 	}
 	wg.Wait()
+}
+
+// TestGroupDigestExtendsFold pins the Runner's Groups' digest patching
+// (rounds.Round.Added) against folding from scratch: a row is drawn, some
+// of its senders are held back, and they come back group by group, each
+// group ascending, the way the engine steps a round's segments from the
+// last one back. After every group the patched digest must equal the digest
+// of the grown row folded anew, for each of the three digests — round 1's
+// view and its classification, a flood round's merged triple, the
+// early-decision row (silent and flag bits, unwrapped payloads) with the
+// triple folded over it, and the classical maximum. n runs from 3 past the
+// one- and two-word sender bitsets.
+func TestGroupDigestExtendsFold(t *testing.T) {
+	const m = 4
+	r := rand.New(rand.NewSource(71))
+	for _, n := range []int{3, 8, 48, 65, 130} {
+		p := Params{N: n, T: n / 2, K: 2, D: n / 6, L: 1}
+		fold := newCondFold(p, condition.MustNewMax(n, m, p.X(), p.L))
+		view, eview, freshView := vector.New(n), vector.New(n), vector.New(n)
+		erow, fresh := newEarlyRow(n), newEarlyRow(n)
+		for trial := 0; trial < 500; trial++ {
+			round := 1 + r.Intn(p.RMax())
+			full := randomRow(r, n, m)
+			if r.Intn(2) == 0 {
+				full = wrapRow(r, full)
+			}
+			// groups partitions the held-back senders; row lacks them all.
+			var held []int
+			for i := range full {
+				if r.Intn(3) == 0 {
+					held = append(held, i)
+				}
+			}
+			var groups [][]int
+			for len(held) > 0 {
+				k := 1 + r.Intn(len(held))
+				groups = append(groups, held[:k])
+				held = held[k:]
+			}
+			row := slices.Clone(full)
+			for _, g := range groups {
+				for _, i := range g {
+					row[i] = nil
+				}
+			}
+
+			var cond, early, want StateMsg
+			fold.foldRow(&cond, view, round, row)
+			erow.read(row)
+			fold.foldRow(&early, eview, round, erow.unwrapped)
+			largest := rowMax(row)
+			for _, g := range groups {
+				for _, i := range g {
+					row[i] = full[i]
+				}
+				fold.extend(&cond, view, round, row, g)
+				fold.foldRow(&want, freshView, round, row)
+				if cond != want || (round == 1 && !slices.Equal(view, freshView)) {
+					t.Fatalf("n=%d round %d row %v added %v: extended %v view %v, folded %v view %v",
+						n, round, row, g, cond, view, want, freshView)
+				}
+
+				erow.add(row, g)
+				fold.extend(&early, eview, round, erow.unwrapped, g)
+				fresh.read(row)
+				fold.foldRow(&want, freshView, round, fresh.unwrapped)
+				if !slices.Equal(erow.silent, fresh.silent) || !slices.Equal(erow.flags, fresh.flags) ||
+					!slices.Equal(erow.unwrapped, fresh.unwrapped) || early != want || (round == 1 && !slices.Equal(eview, freshView)) {
+					t.Fatalf("early n=%d round %d row %v added %v: extended %+v %v, read %+v %v",
+						n, round, row, g, erow, early, fresh, want)
+				}
+
+				largest = maxOf(largest, row, g)
+				if want := rowMax(row); largest != want {
+					t.Fatalf("classical n=%d row %v added %v: extended max %v, folded %v", n, row, g, largest, want)
+				}
+			}
+		}
+	}
 }

@@ -157,12 +157,36 @@ func (f *condFold) foldRow(d *StateMsg, view vector.Vector, round int, recv []an
 	}
 }
 
-// foldFirstRound is lines 4–8: build the view V and classify it. Exactly
-// one field of the digest is set.
+// extend is foldRow of a row that extends the one d and view were folded
+// from by the senders in added: round 1 patches the view and classifies it
+// again, a flood round merges the added states.
+func (f *condFold) extend(d *StateMsg, view vector.Vector, round int, recv []any, added []int) {
+	if round == 1 {
+		for _, j := range added {
+			view[j], _ = recv[j].(vector.Value)
+		}
+		*d = StateMsg{}
+		f.classify(d, view)
+		return
+	}
+	for _, j := range added {
+		if s, ok := recv[j].(*StateMsg); ok {
+			d.merge(s)
+		}
+	}
+}
+
+// foldFirstRound is lines 4–8: build the view V and classify it.
 func (f *condFold) foldFirstRound(d *StateMsg, view vector.Vector, recv []any) {
 	for j, payload := range recv {
 		view[j], _ = payload.(vector.Value)
 	}
+	f.classify(d, view)
+}
+
+// classify is lines 5–8 on the view V, into the ⊥ triple d: exactly one
+// field is set.
+func (f *condFold) classify(d *StateMsg, view vector.Vector) {
 	if view.BottomCount() <= f.x {
 		// Lines 6–7 fused: DecodeView reports ok exactly when P(J) holds
 		// (some member contains the view) on both the closed-form and the

@@ -457,7 +457,7 @@ func TestVerifyReportsViolations(t *testing.T) {
 	input := vector.OfInts(1, 2, 3)
 	res := &rounds.Result{
 		Decisions:     map[rounds.ProcessID]vector.Value{1: 1, 2: 9, 3: 2},
-		DecisionRound: map[rounds.ProcessID]int{1: 2, 2: 2, 3: 3},
+		DecisionRound: []int{2, 2, 3},
 	}
 	v := Verify(input, rounds.FailurePattern{}, res, 1)
 	if v.Validity {
@@ -472,7 +472,7 @@ func TestVerifyReportsViolations(t *testing.T) {
 	if v.OK() || v.String() == "" {
 		t.Error("verdict misreported")
 	}
-	res2 := &rounds.Result{Decisions: map[rounds.ProcessID]vector.Value{}, DecisionRound: map[rounds.ProcessID]int{}}
+	res2 := &rounds.Result{Decisions: map[rounds.ProcessID]vector.Value{}, DecisionRound: make([]int, 3)}
 	v2 := Verify(input, rounds.FailurePattern{}, res2, 1)
 	if v2.Termination {
 		t.Error("termination must fail (nobody decided)")
@@ -518,61 +518,84 @@ func TestRunnerAlternatingSizes(t *testing.T) {
 }
 
 // TestRunnerReuseAcrossSizesAndExecutors drives one Runner and one recycled
-// Result through the three executors at n = 48 → 8 → 13 → 48 → 5 (→ 48 → 5):
-// what a Runner sets only when it allocates — the boxed procs, the cells'
-// fold pointers, the wrappers' inner cells — must survive a smaller run on a
+// Result through the three executors at n = 48 → 8 → 13 → 48 → 5 (→ 48 → 5)
+// → 8 → 3 → 8, on the shared row and through a MatrixTransport: what a
+// Runner sets only when it allocates — the boxed procs, the cells' fold
+// pointers, the wrappers' inner cells — must survive a smaller run on a
 // larger array and a reallocation of one array under another. The executors
 // are interleaved so that cells is replaced (RunCond at 13, then 48) while
 // the wrappers RunEarly made at 8 are still in use at 5: a wrapper left on a
 // replaced cell runs on another run's proposal. Every run must equal the
-// same call on a fresh Runner with a fresh Result, and satisfy the
-// specification.
+// same call on a fresh Runner with a fresh Result — its DecisionRound n
+// long, no round left over from a larger run — and satisfy the
+// specification; MaxDecisionRound, Verify and Observe must read the
+// recycled Result as they read the fresh one.
 func TestRunnerReuseAcrossSizesAndExecutors(t *testing.T) {
 	shapes := map[int]Params{
 		48: {N: 48, T: 24, K: 4, D: 12, L: 1},
 		13: {N: 13, T: 6, K: 2, D: 3, L: 2},
 		8:  {N: 8, T: 4, K: 2, D: 2, L: 1},
 		5:  {N: 5, T: 3, K: 1, D: 1, L: 1},
+		3:  {N: 3, T: 1, K: 1, D: 0, L: 1},
 	}
 	const m = 8
-	held, recycled := NewRunner(), &rounds.Result{}
-	r := rand.New(rand.NewSource(24))
-	for _, step := range []struct {
-		n     int
-		execs string // c: RunCond, e: RunEarly, l: RunClassical
-	}{
-		{48, "l"}, {8, "cel"}, {13, "cl"}, {48, "lc"}, {5, "ecl"}, {48, "elc"}, {5, "lec"},
-	} {
-		p := shapes[step.n]
-		c := condition.MustNewMax(p.N, m, p.X(), p.L)
-		for trial := 0; trial < 20; trial++ {
-			input := vector.New(p.N)
-			for i := range input {
-				input[i] = vector.Value(1 + r.Intn(m))
-			}
-			fp := adversary.Random(r, p.N, p.T, p.RMax())
-			for _, exec := range step.execs {
-				run := func(runner *Runner, res *rounds.Result) *rounds.Result {
-					var err error
-					switch exec {
-					case 'c':
-						res, err = runner.RunCond(p, c, input, fp, false, nil, nil, res)
-					case 'e':
-						res, err = runner.RunEarly(p, c, input, fp, false, nil, nil, res)
-					case 'l':
-						res, err = runner.RunClassical(p.N, p.T, p.K, input, fp, false, nil, nil, res)
-					}
-					if err != nil {
-						t.Fatal(err)
-					}
-					return res
+	for _, tr := range []rounds.Transport{nil, &rounds.MatrixTransport{}} {
+		held, recycled := NewRunner(), &rounds.Result{}
+		r := rand.New(rand.NewSource(24))
+		for _, step := range []struct {
+			n     int
+			execs string // c: RunCond, e: RunEarly, l: RunClassical
+		}{
+			{48, "l"}, {8, "cel"}, {13, "cl"}, {48, "lc"}, {5, "ecl"}, {48, "elc"}, {5, "lec"},
+			{8, "cel"}, {3, "lec"}, {8, "ecl"},
+		} {
+			p := shapes[step.n]
+			c := condition.MustNewMax(p.N, m, p.X(), p.L)
+			for trial := 0; trial < 20; trial++ {
+				input := vector.New(p.N)
+				for i := range input {
+					input[i] = vector.Value(1 + r.Intn(m))
 				}
-				got, want := run(held, recycled), run(NewRunner(), nil)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("n=%d %c input %v fp %+v:\nheld runner  %+v\nfresh runner %+v", p.N, exec, input, fp.Crashes, got, want)
-				}
-				if verdict := Verify(input, fp, got, p.K); !verdict.OK() {
-					t.Fatalf("n=%d %c input %v fp %+v: %v", p.N, exec, input, fp.Crashes, verdict)
+				fp := adversary.Random(r, p.N, p.T, p.RMax())
+				for _, exec := range step.execs {
+					run := func(runner *Runner, res *rounds.Result) *rounds.Result {
+						var err error
+						switch exec {
+						case 'c':
+							res, err = runner.RunCond(p, c, input, fp, false, tr, nil, res)
+						case 'e':
+							res, err = runner.RunEarly(p, c, input, fp, false, tr, nil, res)
+						case 'l':
+							res, err = runner.RunClassical(p.N, p.T, p.K, input, fp, false, tr, nil, res)
+						}
+						if err != nil {
+							t.Fatal(err)
+						}
+						return res
+					}
+					got, want := run(held, recycled), run(NewRunner(), nil)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%T n=%d %c input %v fp %+v:\nheld runner  %+v\nfresh runner %+v", tr, p.N, exec, input, fp.Crashes, got, want)
+					}
+					if len(got.DecisionRound) != p.N {
+						t.Fatalf("%T n=%d %c: DecisionRound %v, want %d entries", tr, p.N, exec, got.DecisionRound, p.N)
+					}
+					for i, round := range got.DecisionRound {
+						if _, decided := got.Decisions[rounds.ProcessID(i+1)]; decided != (round > 0) {
+							t.Fatalf("%T n=%d %c: p%d has decision round %d, decided=%v", tr, p.N, exec, i+1, round, decided)
+						}
+					}
+					if got.MaxDecisionRound() != want.MaxDecisionRound() || Observe(got) != Observe(want) {
+						t.Fatalf("%T n=%d %c: recycled Result reads %d %+v, fresh %d %+v", tr, p.N, exec,
+							got.MaxDecisionRound(), Observe(got), want.MaxDecisionRound(), Observe(want))
+					}
+					verdict := Verify(input, fp, got, p.K)
+					if !verdict.OK() {
+						t.Fatalf("%T n=%d %c input %v fp %+v: %v", tr, p.N, exec, input, fp.Crashes, verdict)
+					}
+					if fresh := Verify(input, fp, want, p.K); !reflect.DeepEqual(verdict, fresh) {
+						t.Fatalf("%T n=%d %c: recycled verdict %v, fresh %v", tr, p.N, exec, verdict, fresh)
+					}
 				}
 			}
 		}

@@ -60,7 +60,7 @@ func Verify(input vector.Vector, fp rounds.FailurePattern, res *rounds.Result, k
 			v.Violations = append(v.Violations, fmt.Sprintf("validity: p%d decided unproposed %v", id, val))
 		}
 		v.Distinct = v.Distinct.Add(val)
-		if r := res.DecisionRound[id]; r > v.MaxRound {
+		if r := res.DecisionRound[id-1]; r > v.MaxRound {
 			v.MaxRound = r
 		}
 	}

@@ -55,7 +55,7 @@ func resultsEqual(a, b *rounds.Result) bool {
 		return false
 	}
 	for id, v := range a.Decisions {
-		if b.Decisions[id] != v || a.DecisionRound[id] != b.DecisionRound[id] {
+		if b.Decisions[id] != v || a.DecisionRound[id-1] != b.DecisionRound[id-1] {
 			return false
 		}
 	}

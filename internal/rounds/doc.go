@@ -38,12 +38,14 @@
 // with one Send per round and one Step per set of destinations that read
 // the same row. Without a transport a round's receivers can only disagree
 // about the senders that crash in it: the fixed p_1..p_n order makes their
-// rows a containment chain — the engine writes the first and patches it only
-// where a crashing sender's prefix ends — so Step runs once per segment
-// between prefix ends, and a Group that folds its row once per Step merges
-// n·(1+c) payloads in a round with c crashes, not n². Package core's Runner
-// runs its three algorithms as such Groups; RunInto runs a slice of Processes
-// as a Group that steps each of them on the row itself.
+// rows a containment chain, so Step runs once per segment between prefix
+// ends. The engine steps the segments from the last one back: the last
+// row lacks every sender whose prefix ends short of n, and each row down is
+// the previous one plus the senders whose prefix ends there, which
+// Round.Added lists. A Group that extends its digest by the added senders
+// folds a round's row once, n payloads whatever the crashes. Package core's
+// Runner runs its three algorithms as such Groups; RunInto runs a slice of
+// Processes as a Group that steps each of them on the row itself.
 //
 // Through the seam the engine applies the crash adversary to each round's
 // sends (order and prefix length) and hands the surviving copies to the

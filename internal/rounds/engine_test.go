@@ -15,7 +15,7 @@ func resultsEqual(a, b *Result) bool {
 		return false
 	}
 	for id, v := range a.Decisions {
-		if b.Decisions[id] != v || a.DecisionRound[id] != b.DecisionRound[id] {
+		if b.Decisions[id] != v || a.DecisionRound[id-1] != b.DecisionRound[id-1] {
 			return false
 		}
 	}
@@ -84,7 +84,7 @@ func scanMaxDecisionRound(res *Result) int {
 // folds each row it is given once (minGroup); the processes decide in
 // different rounds. All runs must produce identical Results, the traced
 // ones identical traces, and every Result the latest decision round its
-// map holds.
+// slice holds.
 func TestEngineSharedRowMatchesMatrix(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	e := NewEngine()
@@ -114,7 +114,7 @@ func TestEngineSharedRowMatchesMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := want.MaxDecisionRound(); got != scanMaxDecisionRound(want) {
-			t.Fatalf("MaxDecisionRound = %d, the map holds %d: fp=%+v\n%+v", got, scanMaxDecisionRound(want), fp, want)
+			t.Fatalf("MaxDecisionRound = %d, the slice holds %d: fp=%+v\n%+v", got, scanMaxDecisionRound(want), fp, want)
 		}
 		var traces []Trace
 		for _, tr := range []Transport{nil, &MatrixTransport{}} {
@@ -152,8 +152,8 @@ func TestEngineSharedRowMatchesMatrix(t *testing.T) {
 		}
 	}
 
-	// A Result the engine never filled has its map scanned.
-	built := &Result{DecisionRound: map[ProcessID]int{1: 2, 2: 5, 3: 1}}
+	// A Result the engine never filled has its slice scanned.
+	built := &Result{DecisionRound: []int{2, 5, 1}}
 	if got := built.MaxDecisionRound(); got != 5 {
 		t.Errorf("hand-built Result: MaxDecisionRound = %d, want 5", got)
 	}
@@ -258,18 +258,28 @@ func floodRunAt(vals []vector.Value, decide []int) []Process {
 	return procs
 }
 
-// minGroup runs floodMin processes as one Group: each Step folds its row
-// once — its smallest value — for every live process of the segment. It
-// logs the engine's calls per round: how many Sends, and the (lo, hi) of
-// every Step.
+// minGroup runs floodMin processes as one Group: it folds a row once — its
+// smallest value — for every live process of the segment, and a row that
+// extends the previous Step's (Round.Added) only by the added senders. It
+// logs the engine's calls per round: how many Sends, and every Step.
 type minGroup struct {
 	procs []floodMin
+	least vector.Value
 	sends map[int]int
-	steps map[int][][2]int
+	steps map[int][]minStep
+}
+
+// minStep is one Step call as minGroup saw it: its segment, what
+// Round.Added reported, and a copy of its row.
+type minStep struct {
+	lo, hi int
+	added  []int
+	ok     bool
+	row    []any
 }
 
 func newMinGroup(vals []vector.Value, decide []int) *minGroup {
-	g := &minGroup{procs: make([]floodMin, len(vals)), sends: map[int]int{}, steps: map[int][][2]int{}}
+	g := &minGroup{procs: make([]floodMin, len(vals)), sends: map[int]int{}, steps: map[int][]minStep{}}
 	for i, v := range vals {
 		g.procs[i] = floodMin{v, decide[i]}
 	}
@@ -286,11 +296,21 @@ func (g *minGroup) Send(r int, down []bool, row []any) {
 }
 
 func (g *minGroup) Step(rd *Round, row []any, lo, hi int) (live int) {
-	g.steps[rd.R] = append(g.steps[rd.R], [2]int{lo, hi})
-	least := vector.Bottom
-	for _, p := range row {
-		if v, ok := p.(vector.Value); ok && (least == vector.Bottom || v < least) {
-			least = v
+	added, ok := rd.Added()
+	g.steps[rd.R] = append(g.steps[rd.R], minStep{lo, hi, slices.Clone(added), ok, slices.Clone(row)})
+	fold := func(p any) {
+		if v, ok := p.(vector.Value); ok && (g.least == vector.Bottom || v < g.least) {
+			g.least = v
+		}
+	}
+	if ok {
+		for _, j := range added {
+			fold(row[j])
+		}
+	} else {
+		g.least = vector.Bottom
+		for _, p := range row {
+			fold(p)
 		}
 	}
 	for i := lo; i < hi; i++ {
@@ -298,8 +318,8 @@ func (g *minGroup) Step(rd *Round, row []any, lo, hi int) (live int) {
 			continue
 		}
 		f := &g.procs[i]
-		if least != vector.Bottom && least < f.min {
-			f.min = least
+		if g.least != vector.Bottom && g.least < f.min {
+			f.min = g.least
 		}
 		if rd.R >= f.decideAt {
 			rd.Decide(i, f.min)
@@ -308,6 +328,15 @@ func (g *minGroup) Step(rd *Round, row []any, lo, hi int) (live int) {
 		}
 	}
 	return live
+}
+
+// segments is the (lo, hi) of each of a round's logged Steps.
+func (g *minGroup) segments(r int) [][2]int {
+	var segs [][2]int
+	for _, st := range g.steps[r] {
+		segs = append(segs, [2]int{st.lo, st.hi})
+	}
+	return segs
 }
 
 // runMinGroup runs a fresh minGroup on a fresh engine and checks its Result
@@ -329,9 +358,13 @@ func runMinGroup(t *testing.T, vals []vector.Value, decide []int, fp FailurePatt
 // round: exactly one Send; on the shared row one Step — one fold of the
 // row — per segment between the distinct prefix ends in 1..n−1 of the
 // round's crashing senders — a process that decided before its crash round
-// is none — in order from 0 to n; through a MatrixTransport one Step per
-// live destination, (i, i+1). Every Result is the one the adapter steps
-// each process to.
+// is none — from the last segment back to the first; through a
+// MatrixTransport one Step per live destination, (i, i+1). Round.Added
+// reports ok=false on a round's first shared-row Step and on every seam
+// Step; on each later shared-row Step it lists, in ID order, exactly the
+// senders whose prefix ends at the Step's hi, and the row keeps every entry
+// the previous Step's had. Every Result is the one the adapter steps each
+// process to.
 func TestEngineFoldCount(t *testing.T) {
 	const n, maxRounds = 8, 3
 	vals := []vector.Value{5, 3, 7, 2, 6, 4, 8, 1}
@@ -358,34 +391,60 @@ func TestEngineFoldCount(t *testing.T) {
 			if shared.sends[r] != 1 || seam.sends[r] != 1 {
 				t.Errorf("%s round %d: %d and %d Send calls, want 1", name, r, shared.sends[r], seam.sends[r])
 			}
-			ends, live := []int{0}, [][2]int(nil)
+			// endsAt[e]: the round's crashing senders whose prefix ends at e.
+			ends, endsAt, live := []int{n}, map[int][]int{}, [][2]int(nil)
 			for i := 0; i < n; i++ {
 				id := ProcessID(i + 1)
 				cr, crashes := crashes[id]
-				if decided, ok := want.DecisionRound[id]; ok && decided < r {
+				if decided := want.DecisionRound[i]; decided > 0 && decided < r {
 					continue
 				}
-				if crashes && cr.Round == r && cr.AfterSends > 0 && cr.AfterSends < n && !slices.Contains(ends, cr.AfterSends) {
-					ends = append(ends, cr.AfterSends)
+				if crashes && cr.Round == r {
+					endsAt[cr.AfterSends] = append(endsAt[cr.AfterSends], i)
+					if cr.AfterSends > 0 && !slices.Contains(ends, cr.AfterSends) {
+						ends = append(ends, cr.AfterSends)
+					}
 				}
 				if !crashes || cr.Round > r {
 					live = append(live, [2]int{i, i + 1})
 				}
 			}
 			slices.Sort(ends)
+			slices.Reverse(ends)
 			var segments [][2]int
-			for k, lo := range ends {
-				hi := n
+			for k, hi := range ends {
+				lo := 0
 				if k+1 < len(ends) {
-					hi = ends[k+1]
+					lo = ends[k+1]
 				}
 				segments = append(segments, [2]int{lo, hi})
 			}
-			if !reflect.DeepEqual(shared.steps[r], segments) {
-				t.Errorf("%s round %d: shared-row Steps %v, want %v", name, r, shared.steps[r], segments)
+			if got := shared.segments(r); !reflect.DeepEqual(got, segments) {
+				t.Errorf("%s round %d: shared-row Steps %v, want %v", name, r, got, segments)
 			}
-			if !reflect.DeepEqual(seam.steps[r], live) {
-				t.Errorf("%s round %d: seam Steps %v, want one per live destination %v", name, r, seam.steps[r], live)
+			if got := seam.segments(r); !reflect.DeepEqual(got, live) {
+				t.Errorf("%s round %d: seam Steps %v, want one per live destination %v", name, r, got, live)
+			}
+			for _, st := range seam.steps[r] {
+				if st.ok {
+					t.Errorf("%s round %d: seam Step (%d, %d) reports Added %v", name, r, st.lo, st.hi, st.added)
+				}
+			}
+			for k, st := range shared.steps[r] {
+				if k == 0 {
+					if st.ok {
+						t.Errorf("%s round %d: first shared-row Step reports Added %v", name, r, st.added)
+					}
+					continue
+				}
+				if !st.ok || !slices.Equal(st.added, endsAt[st.hi]) {
+					t.Errorf("%s round %d: Step (%d, %d) reports Added %v ok=%v, want %v", name, r, st.lo, st.hi, st.added, st.ok, endsAt[st.hi])
+				}
+				for j, p := range shared.steps[r][k-1].row {
+					if p != nil && st.row[j] != p {
+						t.Errorf("%s round %d: Step (%d, %d) lost p%d's entry %v", name, r, st.lo, st.hi, j+1, p)
+					}
+				}
 			}
 		}
 	}
@@ -395,7 +454,7 @@ func TestEngineFoldCount(t *testing.T) {
 // engine's calls into a Group: on the shared row and through the seam a
 // traced run makes exactly the untraced run's Sends and Steps, and on the
 // shared row, where each round's crashing senders end their prefixes at
-// distinct destinations, 1 + crashes Steps — folds — per round.
+// distinct destinations, 1 + crashes Steps per round.
 func TestEngineTracedRunFolds(t *testing.T) {
 	const n, maxRounds = 8, 3
 	fp := FailurePattern{Crashes: map[ProcessID]Crash{
@@ -459,8 +518,8 @@ func TestEngineCrashList(t *testing.T) {
 			if want := map[ProcessID]bool{2: true, 3: true, 5: true, 7: true}; !reflect.DeepEqual(res.Crashed, want) {
 				t.Fatalf("transport %T: Crashed = %v, want %v", tr, res.Crashed, want)
 			}
-			if res.DecisionRound[4] != 1 || res.MessagesDelivered != delivered {
-				t.Fatalf("transport %T: p4 decided in round %d, %d copies delivered; want round 1, %d copies", tr, res.DecisionRound[4], res.MessagesDelivered, delivered)
+			if res.DecisionRound[3] != 1 || res.MessagesDelivered != delivered {
+				t.Fatalf("transport %T: p4 decided in round %d, %d copies delivered; want round 1, %d copies", tr, res.DecisionRound[3], res.MessagesDelivered, delivered)
 			}
 			if got := trace.Rounds[0].Crashes; !slices.Equal(got, []ProcessID{2, 3, 5, 7}) || len(trace.Rounds[1].Crashes) != 0 {
 				t.Fatalf("transport %T: round crashes %v then %v, want [2 3 5 7] then none", tr, got, trace.Rounds[1].Crashes)

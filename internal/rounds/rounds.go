@@ -45,33 +45,46 @@ type Process interface {
 //
 // The engine calls Send once per round. On the shared row it calls Step
 // once per segment between the round's distinct prefix ends in 1..n−1 (see
-// the package doc); through the Transport seam once per live destination,
-// with (i, i+1).
+// the package doc), from the last segment back to the first: each row is
+// the previous one plus the senders rd.Added lists, so a Group may extend
+// its digest instead of folding the row again. Through the Transport seam
+// it calls Step once per live destination, with (i, i+1).
 type Group interface {
 	Send(r int, down []bool, row []any)
 	Step(rd *Round, row []any, lo, hi int) (live int)
 }
 
-// Round is the round a Group steps: its number, who is down, and where a
-// decision goes. The Engine holds it, so passing its address costs nothing.
+// Round is the round a Group steps: its number, who is down, where a
+// decision goes, and how the row grew since the previous Step. The Engine
+// holds it, so passing its address costs nothing.
 type Round struct {
 	// R is the round number, from 1.
 	R    int
 	down []bool
 	res  *Result
 	rt   *RoundTrace
+	// added is what Added reports: nil until the row extends the previous
+	// Step's, then never empty.
+	added []int
 }
 
 // Down reports whether process i+1 has crashed or decided: it is not
 // stepped.
 func (rd *Round) Down(i int) bool { return rd.down[i] }
 
+// Added reports how the row of this Step differs from the previous Step's:
+// ok=false on a round's first Step and on every Step through the Transport
+// seam, where the row is new; otherwise the row is the previous one, with
+// every entry kept, plus the payloads of the senders in added (indices,
+// ascending). added belongs to the engine and is valid until the next Step.
+func (rd *Round) Added() (added []int, ok bool) { return rd.added, rd.added != nil }
+
 // Decide records that process i+1 decides v in this round; it halts.
 func (rd *Round) Decide(i int, v vector.Value) {
 	rd.down[i] = true
 	id := ProcessID(i + 1)
 	rd.res.Decisions[id] = v
-	rd.res.DecisionRound[id] = rd.R
+	rd.res.DecisionRound[i] = rd.R
 	rd.res.maxDecision = rd.R // rounds only grow within a run
 	if rd.rt != nil {
 		rd.rt.Decisions[id] = v
@@ -215,8 +228,9 @@ func validatePermutation(order []ProcessID, n int) error {
 type Result struct {
 	// Decisions maps each process that decided to its decided value.
 	Decisions map[ProcessID]vector.Value
-	// DecisionRound maps each decided process to its decision round.
-	DecisionRound map[ProcessID]int
+	// DecisionRound[i] is process i+1's decision round, 0 if it did not
+	// decide; the engine sizes it to the run's n.
+	DecisionRound []int
 	// Crashed is the set of processes that crashed.
 	Crashed map[ProcessID]bool
 	// Rounds is the number of rounds actually executed.
@@ -235,26 +249,21 @@ type Result struct {
 	maxDecision int
 }
 
-// Reset clears the result for reuse, retaining its map storage. Batch
-// drivers that only aggregate statistics pass a recycled Result to
-// Engine.RunInto and skip the per-run map allocations entirely.
+// Reset clears the result for reuse, retaining its map and slice storage.
+// Batch drivers that only aggregate statistics pass a recycled Result to
+// Engine.RunInto and skip the per-run allocations entirely.
 func (r *Result) Reset() {
 	if r.Decisions == nil {
 		r.Decisions = make(map[ProcessID]vector.Value)
 	} else {
 		clear(r.Decisions)
 	}
-	if r.DecisionRound == nil {
-		r.DecisionRound = make(map[ProcessID]int)
-	} else {
-		clear(r.DecisionRound)
-	}
 	if r.Crashed == nil {
 		r.Crashed = make(map[ProcessID]bool)
 	} else {
 		clear(r.Crashed)
 	}
-	*r = Result{Decisions: r.Decisions, DecisionRound: r.DecisionRound, Crashed: r.Crashed}
+	*r = Result{Decisions: r.Decisions, DecisionRound: r.DecisionRound[:0], Crashed: r.Crashed}
 }
 
 // MaxDecisionRound returns the latest round at which any process decided, 0
@@ -326,10 +335,15 @@ type Engine struct {
 
 	// row is the one receive row every destination's compute phase reads.
 	// A transport's Deliver fills it per destination; without a transport
-	// the send phase writes destination 1's row and it is patched where a
-	// crashing sender's delivery prefix ends, instead of materializing the
-	// n×n matrix.
+	// the send phase writes destination 1's row, the last segment's row
+	// lacks the crashing senders whose prefix ends short of n, and each
+	// segment down gets back those whose prefix ends there, instead of
+	// materializing the n×n matrix.
 	row []any
+	// stash holds a round's crashing senders' payloads, parallel to its
+	// crash list, while the shared row lacks them; added is Round.added.
+	stash []any
+	added []int
 
 	rd    Round
 	procs processes // RunInto's Group
@@ -355,6 +369,8 @@ func (e *Engine) reset(n int) {
 		}
 		e.crashers = make([]crasher, 0, n)
 		e.row = make([]any, n)
+		e.stash = make([]any, n)
+		e.added = make([]int, 0, n)
 	}
 	e.down = e.down[:n]
 	// A transport sizes its send loop by len(order), so the identity
@@ -419,13 +435,14 @@ func (e *Engine) RunGroup(res *Result, g Group, n int, fp FailurePattern, opts O
 	}
 	if res == nil {
 		res = &Result{
-			Decisions:     make(map[ProcessID]vector.Value, n),
-			DecisionRound: make(map[ProcessID]int, n),
-			Crashed:       make(map[ProcessID]bool, fp.NumCrashes()),
+			Decisions: make(map[ProcessID]vector.Value, n),
+			Crashed:   make(map[ProcessID]bool, fp.NumCrashes()),
 		}
 	} else {
 		res.Reset()
 	}
+	res.DecisionRound = slices.Grow(res.DecisionRound[:0], n)[:n]
+	clear(res.DecisionRound)
 
 	// The transport alone picks the delivery. Without one the engine's own
 	// shared row is the paper's reliable network; an installed transport, or
@@ -478,9 +495,9 @@ func (e *Engine) RunGroup(res *Result, g Group, n int, fp FailurePattern, opts O
 // returns how many are live after it: the Group's Send, the crash
 // adversary, the Group's Steps. tr == nil delivers on the shared row: a
 // sender crashing after s sends reaches p_1..p_s, so the row is stepped in
-// segments between prefix ends and patched at each. Otherwise each live
-// destination's row is what tr delivers. rt, when non-nil, records the
-// round; it changes nothing that executes.
+// segments between prefix ends, from the last back, and extended at each.
+// Otherwise each live destination's row is what tr delivers. rt, when
+// non-nil, records the round; it changes nothing that executes.
 func (e *Engine) runRound(g Group, fp FailurePattern, r int, res *Result, tr Transport, rt *RoundTrace, senders int) (live int) {
 	row, down := e.row, e.down
 	n := len(row)
@@ -548,19 +565,39 @@ func (e *Engine) runRound(g Group, fp FailurePattern, r int, res *Result, tr Tra
 		return live
 	}
 	res.MessagesDelivered += delivered
-	for lo := 0; lo < n; {
-		// Drop the senders whose prefix ends at lo; the row holds to the next end.
-		hi := n
+	// The last segment's row lacks every crashing sender whose prefix ends
+	// short of n; stash keeps their payloads.
+	stash := e.stash[:len(cs)]
+	for k, c := range cs {
+		stash[k] = row[c.i]
+		if c.AfterSends < n {
+			row[c.i] = nil
+		}
+	}
+	for hi := n; ; {
+		// The segment reaches back to the latest prefix end below hi.
+		lo := 0
 		for _, c := range cs {
-			if c.AfterSends == lo {
-				row[c.i] = nil
-			} else if c.AfterSends > lo {
-				hi = min(hi, c.AfterSends)
+			if c.AfterSends < hi {
+				lo = max(lo, c.AfterSends)
 			}
 		}
 		live += g.Step(&e.rd, row, lo, hi)
-		lo = hi
+		if lo == 0 {
+			break
+		}
+		// The row one segment down adds the senders whose prefix ends at lo.
+		added := e.added[:0]
+		for k, c := range cs {
+			if c.AfterSends == lo {
+				row[c.i] = stash[k]
+				added = append(added, c.i)
+			}
+		}
+		e.rd.added = added
+		hi = lo
 	}
+	clear(stash)
 	return live
 }
 

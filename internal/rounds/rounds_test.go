@@ -51,8 +51,8 @@ func TestRunFailureFree(t *testing.T) {
 		if v != 2 {
 			t.Errorf("p%d decided %v, want 2", id, v)
 		}
-		if res.DecisionRound[id] != 2 {
-			t.Errorf("p%d decided at round %d, want 2", id, res.DecisionRound[id])
+		if res.DecisionRound[id-1] != 2 {
+			t.Errorf("p%d decided at round %d, want 2", id, res.DecisionRound[id-1])
 		}
 	}
 	if got := res.DistinctDecisions(); !got.Equal(vector.SetOf(2)) {

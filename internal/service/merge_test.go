@@ -127,7 +127,9 @@ func TestMergeSingleShardIdentity(t *testing.T) {
 	}
 }
 
-// TestMergeValidation is the endpoint's rejection table.
+// TestMergeValidation is the endpoint's vector table: GET is a 405, and
+// every body of testdata/merge_v1.json is merged or refused with a
+// structured 400 carrying its code.
 func TestMergeValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	get, err := http.Get(ts.URL + "/v1/merge")
@@ -138,20 +140,15 @@ func TestMergeValidation(t *testing.T) {
 	if get.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /v1/merge = %d, want 405", get.StatusCode)
 	}
-	cases := []struct {
-		name, body, code string
-	}{
-		{"malformed json", `{"shards":`, "bad_json"},
-		{"unknown field", `{"shards":[],"extra":1}`, "bad_json"},
-		{"no shards", `{"shards":[]}`, "no_shards"},
-		{"missing shards", `{}`, "no_shards"},
-		{"bad shard blob", `{"shards":["nope"]}`, "bad_shard"},
-		{"mis-shaped shard", `{"shards":[{"definitely_not":1}]}`, "bad_shard"},
-		{"skewed checkpoint", `{"shards":[{"version":99,"cursor":{"lo":0,"hi":1},"runs_done":0}]}`, "bad_shard"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			resp, data := post(t, ts.URL+"/v1/merge", tc.body)
+	for _, tc := range loadMergeVectors(t) {
+		t.Run(tc.Name, func(t *testing.T) {
+			resp, data := post(t, ts.URL+"/v1/merge", tc.Body)
+			if tc.Code == "" {
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("status %d, want 200: %s", resp.StatusCode, data)
+				}
+				return
+			}
 			if resp.StatusCode != http.StatusBadRequest {
 				t.Fatalf("status %d, want 400: %s", resp.StatusCode, data)
 			}
@@ -161,8 +158,8 @@ func TestMergeValidation(t *testing.T) {
 			if err := json.Unmarshal(data, &body); err != nil {
 				t.Fatal(err)
 			}
-			if body.Error.Code != tc.code {
-				t.Fatalf("code %q, want %q", body.Error.Code, tc.code)
+			if body.Error.Code != tc.Code {
+				t.Fatalf("code %q, want %q", body.Error.Code, tc.Code)
 			}
 		})
 	}

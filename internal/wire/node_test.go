@@ -88,9 +88,9 @@ func wantEngineMatch(t *testing.T, out map[rounds.ProcessID]nodeOutcome, fp roun
 		if o.res.Decided != decided {
 			t.Fatalf("node %d: decided=%v, engine says %v (%+v)", id, o.res.Decided, decided, o.res)
 		}
-		if decided && (o.res.Value != wv || o.res.Round != want.DecisionRound[id]) {
+		if decided && (o.res.Value != wv || o.res.Round != want.DecisionRound[id-1]) {
 			t.Fatalf("node %d: decided %v@r%d, engine %v@r%d",
-				id, o.res.Value, o.res.Round, wv, want.DecisionRound[id])
+				id, o.res.Value, o.res.Round, wv, want.DecisionRound[id-1])
 		}
 	}
 }

@@ -70,7 +70,9 @@ cd "$(dirname "$0")/.."
 # EngineRound is one n=64 classical run on a held core.Runner with a
 # recycled Result, failure-free (clean) and with t mid-row crashes spread
 # over the rounds (crashes: one more distinct prefix end, so one more
-# Group.Step, per crash). The per-run fold state lives in the Runner, and
+# Group.Step, per crash; the row is still folded once per round, each later
+# Step extending the digest by the senders Round.Added lists). The per-run
+# fold state lives in the Runner, and
 # the engine hands the Runner's Groups the Round it holds, so both must
 # stay allocation-free (measured: 0 / 0, also as Groups). The early arms are
 # Runner.RunEarly under the same two patterns: the wrappers fold too and
