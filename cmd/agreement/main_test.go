@@ -1,11 +1,16 @@
 package main
 
 import (
+	"bytes"
+	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/trace_v1.txt from this run")
 
 // output runs the command and returns what it printed.
 func output(t *testing.T, args ...string) string {
@@ -51,5 +56,39 @@ func TestEarlyTraceSendColumn(t *testing.T) {
 	_, table, ok := strings.Cut(plain, "\nproc ")
 	if !ok || !strings.HasSuffix(traced, table) || !strings.Contains(table, "messages delivered: 92") {
 		t.Errorf("untraced run reports\n%s\ntraced run\n%s", plain, traced)
+	}
+}
+
+// TestTraceGolden pins the bytes -trace prints, byte for byte, for each
+// variant under no crash, two crashes in two rounds, and four crashes —
+// three in round 1, among them prefixes of 0 and of n — at one n = 8
+// configuration. Regenerate (only for a deliberate change of the format)
+// with:
+//
+//	go test ./cmd/agreement -run TestTraceGolden -update
+func TestTraceGolden(t *testing.T) {
+	var got bytes.Buffer
+	for _, variant := range []string{"cond", "early", "classical"} {
+		for _, crash := range []string{"", "6@1:2,7@2:0", "6@1:0,7@1:8,2@2:3,3@1:5"} {
+			fmt.Fprintf(&got, "=== -variant %s -crash %q\n", variant, crash)
+			got.WriteString(output(t, "-n", "8", "-t", "5", "-k", "2", "-d", "3", "-l", "1", "-m", "4",
+				"-input", "4,4,4,2,1,2,3,1", "-variant", variant, "-crash", crash, "-trace"))
+		}
+	}
+	golden := filepath.Join("testdata", "trace_v1.txt")
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("read golden (run with -update to create): %v", err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("-trace output diverged from %s:\n%s", golden, got.Bytes())
 	}
 }
