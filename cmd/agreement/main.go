@@ -5,27 +5,32 @@
 //
 // It is a thin CLI over the kset.System handle: the flags become
 // construction options, one kset.System is built, and a single Run
-// executes the scenario.
+// executes the scenario. -trace runs the same System over a transport that
+// records each round's sends and prints them, round by round, with the
+// round's crashes and decisions.
 //
 // Usage:
 //
 //	agreement -n 8 -t 5 -k 2 -d 3 -l 1 -m 4 \
 //	          -input 4,4,4,2,1,2,3,1 \
 //	          [-variant cond|early|classical] \
-//	          [-crash "6@1:2,7@2:0"]   // p6 crashes in round 1 after 2 sends, …
+//	          [-crash "6@1:2,7@2:0"] \
+//	          [-trace]
+//
+// -crash "6@1:2,7@2:0" crashes p6 in round 1 after 2 sends and p7 in
+// round 2 before any; each process is named at most once.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 
 	"kset"
-	"kset/internal/condition"
 	"kset/internal/core"
 	"kset/internal/rounds"
 	"kset/internal/vector"
@@ -87,31 +92,27 @@ func run(args []string) error {
 		return fmt.Errorf("unknown variant %q", *variant)
 	}
 	opts = append(opts, kset.WithExecutor(exec))
+	var tr *tracer
+	if *trace {
+		tr = &tracer{}
+		opts = append(opts, kset.WithTransport(func(int) (kset.Transport, error) { return tr, nil }))
+	}
 
 	sys, err := kset.New(opts...)
 	if err != nil {
 		return err
 	}
-
-	var res *kset.Result
-	if *trace {
-		// The trace path drives the engine directly (trace hooks) — the
-		// one workflow the System does not cover.
-		res, err = runTraced(p, *variant, *n, *t, *k, *m, input, fp)
-	} else {
-		res, err = sys.Run(context.Background(), input, fp)
-	}
+	res, err := sys.Run(context.Background(), input, fp)
 	if err != nil {
 		return err
 	}
-
-	ids := make([]int, 0, *n)
-	for id := 1; id <= *n; id++ {
-		ids = append(ids, id)
+	if tr != nil {
+		fmt.Println()
+		tr.render(os.Stdout, res, fp)
 	}
-	sort.Ints(ids)
+
 	fmt.Printf("\n%-5s %-10s %-10s %-8s\n", "proc", "proposed", "decided", "round")
-	for _, id := range ids {
+	for id := 1; id <= *n; id++ {
 		pid := rounds.ProcessID(id)
 		decided, ok := res.Decisions[pid]
 		switch {
@@ -131,37 +132,55 @@ func run(args []string) error {
 	return nil
 }
 
-// runTraced executes the run on the engine directly with trace capture
-// and renders the trace.
-func runTraced(p kset.Params, variant string, n, t, k, m int, input kset.Vector, fp kset.FailurePattern) (*kset.Result, error) {
-	var procs []rounds.Process
-	var err error
-	maxRounds := p.RMax()
-	switch variant {
-	case "cond", "early":
-		c, cerr := condition.NewMax(n, m, p.X(), p.L)
-		if cerr != nil {
-			return nil, cerr
+// tracer is the reliable matrix transport recording the run it carries:
+// each round's sends, rendered while their payloads are valid. Reset clears
+// the recorded rounds.
+type tracer struct {
+	rounds.MatrixTransport
+	n      int
+	rounds [][]byte // rounds[r-1]: round r's header and send lines
+}
+
+func (t *tracer) Reset(n int) {
+	t.MatrixTransport.Reset(n)
+	t.n, t.rounds = n, t.rounds[:0]
+}
+
+func (t *tracer) BeginRound(r int) {
+	t.MatrixTransport.BeginRound(r)
+	t.rounds = append(t.rounds, fmt.Appendf(nil, "round %d\n", r))
+}
+
+func (t *tracer) Send(r int, src rounds.ProcessID, payload any, order []rounds.ProcessID, limit int) {
+	status := ""
+	if limit < t.n {
+		status = fmt.Sprintf("  [crashed after %d/%d sends]", limit, t.n)
+	}
+	t.rounds[r-1] = fmt.Appendf(t.rounds[r-1], "  p%-3d sends %v%s\n", src, payload, status)
+	t.MatrixTransport.Send(r, src, payload, order, limit)
+}
+
+// render writes the recorded rounds, each followed by the crashes and the
+// decisions the run's Result places in it.
+func (t *tracer) render(w io.Writer, res *kset.Result, fp kset.FailurePattern) {
+	for i, sends := range t.rounds {
+		r := i + 1
+		w.Write(sends)
+		var crashed []string
+		for id := rounds.ProcessID(1); int(id) <= t.n; id++ {
+			if res.Crashed[id] && fp.Crashes[id].Round == r {
+				crashed = append(crashed, fmt.Sprintf("p%d", id))
+			}
 		}
-		if variant == "early" {
-			procs, err = core.NewEarlyRun(p, c, input)
-		} else {
-			procs, err = core.NewRun(p, c, input)
+		if len(crashed) > 0 {
+			fmt.Fprintf(w, "  crashed: %s\n", strings.Join(crashed, " "))
 		}
-	case "classical":
-		maxRounds = t/k + 1
-		procs, err = core.NewClassicalRun(n, t, k, input)
+		for j, dr := range res.DecisionRound {
+			if dr == r {
+				fmt.Fprintf(w, "  p%-3d DECIDES %v\n", j+1, res.Decisions[rounds.ProcessID(j+1)])
+			}
+		}
 	}
-	if err != nil {
-		return nil, err
-	}
-	opts := rounds.Options{MaxRounds: maxRounds, Trace: &rounds.Trace{}}
-	res, err := rounds.Run(procs, fp, opts)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Printf("\n%s", opts.Trace.Render())
-	return res, nil
 }
 
 func parseInput(s string, n int) (vector.Vector, error) {
@@ -199,11 +218,21 @@ func parseCrashes(s string) (rounds.FailurePattern, error) {
 		return fp, nil
 	}
 	for _, spec := range strings.Split(s, ",") {
-		var id, round, sends int
-		if _, err := fmt.Sscanf(strings.TrimSpace(spec), "%d@%d:%d", &id, &round, &sends); err != nil {
-			return fp, fmt.Errorf("bad crash spec %q (want id@round:sends): %v", spec, err)
+		spec = strings.TrimSpace(spec)
+		// A missing separator leaves an empty field, which Atoi refuses.
+		idS, rest, _ := strings.Cut(spec, "@")
+		roundS, sendsS, _ := strings.Cut(rest, ":")
+		id, err1 := strconv.Atoi(idS)
+		round, err2 := strconv.Atoi(roundS)
+		sends, err3 := strconv.Atoi(sendsS)
+		if err1 != nil || err2 != nil || err3 != nil {
+			return fp, fmt.Errorf("bad crash spec %q (want id@round:sends)", spec)
 		}
-		fp.Crashes[rounds.ProcessID(id)] = rounds.Crash{Round: round, AfterSends: sends}
+		pid := rounds.ProcessID(id)
+		if _, dup := fp.Crashes[pid]; dup {
+			return fp, fmt.Errorf("crash spec %q: p%d already has a crash", spec, id)
+		}
+		fp.Crashes[pid] = rounds.Crash{Round: round, AfterSends: sends}
 	}
 	return fp, nil
 }

@@ -346,7 +346,7 @@ func executorsAgree(t *testing.T, runner *Runner, eng *rounds.Engine, p Params, 
 		if err != nil {
 			t.Fatal(err)
 		}
-		stepped, err := eng.Run(procs, fp, rounds.Options{MaxRounds: exec.rounds})
+		stepped, err := eng.RunInto(nil, procs, fp, rounds.Options{MaxRounds: exec.rounds})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -88,12 +88,12 @@ func TestZeroFaultPlanMatchesMatrix(t *testing.T) {
 		}
 		decideAt := 1 + r.Intn(maxRounds)
 
-		matrix, err := rounds.Run(newFloodRun(vals, decideAt), fp,
+		matrix, err := rounds.NewEngine().RunInto(nil, newFloodRun(vals, decideAt), fp,
 			rounds.Options{MaxRounds: maxRounds})
 		if err != nil {
 			t.Fatal(err)
 		}
-		faulty, err := rounds.Run(newFloodRun(vals, decideAt), fp,
+		faulty, err := rounds.NewEngine().RunInto(nil, newFloodRun(vals, decideAt), fp,
 			rounds.Options{MaxRounds: maxRounds, Transport: tr})
 		if err != nil {
 			t.Fatal(err)
@@ -119,7 +119,7 @@ func TestDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		tr.Reseed(seed)
-		res, err := rounds.Run(newFloodRun(vals, 4), rounds.FailurePattern{}, rounds.Options{MaxRounds: 4, Transport: tr})
+		res, err := rounds.NewEngine().RunInto(nil, newFloodRun(vals, 4), rounds.FailurePattern{}, rounds.Options{MaxRounds: 4, Transport: tr})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +152,7 @@ func TestTotalLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	vals := []vector.Value{4, 2, 7, 5}
-	res, err := rounds.Run(newFloodRun(vals, 2), rounds.FailurePattern{}, rounds.Options{MaxRounds: 2, Transport: tr})
+	res, err := rounds.NewEngine().RunInto(nil, newFloodRun(vals, 2), rounds.FailurePattern{}, rounds.Options{MaxRounds: 2, Transport: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestScheduledDrop(t *testing.T) {
 	}
 	// p1 holds the minimum; p2 misses it in round 1, hears it from p3 in
 	// round 2 — so with decideAt 1 p2 decides late-high, with 2 all agree.
-	res, err := rounds.Run(newFloodRun([]vector.Value{1, 5, 9}, 1), rounds.FailurePattern{}, rounds.Options{MaxRounds: 1, Transport: tr})
+	res, err := rounds.NewEngine().RunInto(nil, newFloodRun([]vector.Value{1, 5, 9}, 1), rounds.FailurePattern{}, rounds.Options{MaxRounds: 1, Transport: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestScheduledDelayArrives(t *testing.T) {
 	// p1 crashes before sending anything in round 2, so p2's round-2 view
 	// of p1 is exactly the delayed round-1 copy.
 	fp := rounds.FailurePattern{Crashes: map[rounds.ProcessID]rounds.Crash{1: {Round: 2, AfterSends: 0}}}
-	res, err := rounds.Run(newFloodRun([]vector.Value{1, 5, 9}, 2), fp, rounds.Options{MaxRounds: 2, Transport: tr})
+	res, err := rounds.NewEngine().RunInto(nil, newFloodRun([]vector.Value{1, 5, 9}, 2), fp, rounds.Options{MaxRounds: 2, Transport: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestScheduledDuplicate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := rounds.Run(newFloodRun([]vector.Value{1, 5}, 1), rounds.FailurePattern{}, rounds.Options{MaxRounds: 1, Transport: tr})
+	res, err := rounds.NewEngine().RunInto(nil, newFloodRun([]vector.Value{1, 5}, 1), rounds.FailurePattern{}, rounds.Options{MaxRounds: 1, Transport: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestDelayedPayloadFrozen(t *testing.T) {
 	// p1 crashes before its round-2/3 sends, so p2 sees only the delayed
 	// round-1 copy, in round 3.
 	fp := rounds.FailurePattern{Crashes: map[rounds.ProcessID]rounds.Crash{1: {Round: 2, AfterSends: 0}}}
-	if _, err := rounds.Run(procs, fp, rounds.Options{MaxRounds: 3, Transport: tr}); err != nil {
+	if _, err := rounds.NewEngine().RunInto(nil, procs, fp, rounds.Options{MaxRounds: 3, Transport: tr}); err != nil {
 		t.Fatal(err)
 	}
 	p2 := procs[1].(*mutatingSender)
@@ -296,7 +296,7 @@ func TestReorderRespectsCrashPrefix(t *testing.T) {
 	}
 	fp := rounds.FailurePattern{Crashes: map[rounds.ProcessID]rounds.Crash{1: {Round: 1, AfterSends: 3}}}
 	vals := []vector.Value{1, 9, 9, 9, 9, 9}
-	res, err := rounds.Run(newFloodRun(vals, 1), fp, rounds.Options{MaxRounds: 1, Transport: tr})
+	res, err := rounds.NewEngine().RunInto(nil, newFloodRun(vals, 1), fp, rounds.Options{MaxRounds: 1, Transport: tr})
 	if err != nil {
 		t.Fatal(err)
 	}

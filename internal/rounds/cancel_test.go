@@ -35,7 +35,7 @@ func TestRunCancelBeforeStart(t *testing.T) {
 	cancel := make(chan struct{})
 	close(cancel)
 	procs := []Process{&cancelingProcess{}, &cancelingProcess{}}
-	res, err := NewEngine().Run(procs, FailurePattern{}, Options{MaxRounds: 5, Cancel: cancel})
+	res, err := NewEngine().RunInto(nil, procs, FailurePattern{}, Options{MaxRounds: 5, Cancel: cancel})
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
@@ -52,26 +52,23 @@ func TestRunCancelBeforeStart(t *testing.T) {
 // TestRunCancelMidRun checks cancellation closed during round 2 stops the
 // run at the round-3 boundary: rounds 1 and 2 complete, round 3 never
 // starts, and the engine reports ErrCanceled. Both the shared-row fast
-// path and the transport path (forced via tracing) honor the bound.
+// path and the transport path (an installed MatrixTransport) honor the
+// bound.
 func TestRunCancelMidRun(t *testing.T) {
-	for _, traced := range []bool{false, true} {
+	for _, tr := range []Transport{nil, &MatrixTransport{}} {
 		cancel := make(chan struct{})
 		procs := []Process{
 			&cancelingProcess{closeAt: 2, cancel: cancel},
 			&cancelingProcess{},
 			&cancelingProcess{},
 		}
-		opts := Options{MaxRounds: 50, Cancel: cancel}
-		if traced {
-			opts.Trace = &Trace{}
-		}
-		_, err := NewEngine().Run(procs, FailurePattern{}, opts)
+		_, err := NewEngine().RunInto(nil, procs, FailurePattern{}, Options{MaxRounds: 50, Transport: tr, Cancel: cancel})
 		if !errors.Is(err, ErrCanceled) {
-			t.Fatalf("traced=%v: err = %v, want ErrCanceled", traced, err)
+			t.Fatalf("transport %T: err = %v, want ErrCanceled", tr, err)
 		}
 		for i, p := range procs {
 			if got := p.(*cancelingProcess).rounds; got != 2 {
-				t.Fatalf("traced=%v: process %d ran %d rounds, want exactly 2", traced, i+1, got)
+				t.Fatalf("transport %T: process %d ran %d rounds, want exactly 2", tr, i+1, got)
 			}
 		}
 	}
@@ -81,7 +78,7 @@ func TestRunCancelMidRun(t *testing.T) {
 // completes to its round limit exactly as before the seam existed.
 func TestRunNilCancelIsFree(t *testing.T) {
 	procs := []Process{&cancelingProcess{}, &cancelingProcess{}}
-	res, err := NewEngine().Run(procs, FailurePattern{}, Options{MaxRounds: 4})
+	res, err := NewEngine().RunInto(nil, procs, FailurePattern{}, Options{MaxRounds: 4})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

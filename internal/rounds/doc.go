@@ -31,8 +31,7 @@
 // model's reliable network, delivered on one row the engine shares among the
 // destinations; an installed Transport — or the built-in MatrixTransport,
 // when the adversary overrides a send order — is driven through the
-// Transport seam. Options.Trace records the run either way and changes
-// nothing that executes.
+// Transport seam.
 //
 // The engine steps a round, not a process: a run's processes are one Group,
 // with one Send per round and one Step per set of destinations that read

@@ -79,12 +79,11 @@ func scanMaxDecisionRound(res *Result) int {
 // send-order overrides — down every delivery the engine has, on one Engine
 // whose n grows and shrinks from trial to trial: no transport (the shared
 // row, or the built-in matrix once an order is overridden) and an
-// installed MatrixTransport (the seam), each traced and untraced. Each run
-// is a slice of Processes, through the engine's adapter, or one Group that
-// folds each row it is given once (minGroup); the processes decide in
-// different rounds. All runs must produce identical Results, the traced
-// ones identical traces, and every Result the latest decision round its
-// slice holds.
+// installed MatrixTransport (the seam). Each run is a slice of Processes,
+// through the engine's adapter, or one Group that folds each row it is
+// given once (minGroup); the processes decide in different rounds. All runs
+// must produce identical Results, and every Result the latest decision
+// round its slice holds.
 func TestEngineSharedRowMatchesMatrix(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	e := NewEngine()
@@ -109,46 +108,29 @@ func TestEngineSharedRowMatchesMatrix(t *testing.T) {
 			decide[i] = min(maxRounds, decideAt+r.Intn(2)) // some a round later
 		}
 
-		want, err := e.Run(floodRunAt(vals, decide), fp, Options{MaxRounds: maxRounds})
+		want, err := e.RunInto(nil, floodRunAt(vals, decide), fp, Options{MaxRounds: maxRounds})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := want.MaxDecisionRound(); got != scanMaxDecisionRound(want) {
 			t.Fatalf("MaxDecisionRound = %d, the slice holds %d: fp=%+v\n%+v", got, scanMaxDecisionRound(want), fp, want)
 		}
-		var traces []Trace
 		for _, tr := range []Transport{nil, &MatrixTransport{}} {
-			for _, traced := range []bool{false, true} {
-				for _, group := range []bool{false, true} {
-					opts := Options{MaxRounds: maxRounds, Transport: tr}
-					if traced {
-						opts.Trace = &Trace{}
-					}
-					var got *Result
-					if group {
-						got, err = e.RunGroup(nil, newMinGroup(vals, decide), n, fp, opts)
-					} else {
-						got, err = e.Run(floodRunAt(vals, decide), fp, opts)
-					}
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("transport %T traced=%v group=%v diverged: fp=%+v vals=%v decide=%v\ngot:  %+v\nwant: %+v", tr, traced, group, fp, vals, decide, got, want)
-					}
-					if traced {
-						traces = append(traces, *opts.Trace)
-					}
+			for _, group := range []bool{false, true} {
+				opts := Options{MaxRounds: maxRounds, Transport: tr}
+				var got *Result
+				if group {
+					got, err = e.RunGroup(nil, newMinGroup(vals, decide), n, fp, opts)
+				} else {
+					got, err = e.RunInto(nil, floodRunAt(vals, decide), fp, opts)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("transport %T group=%v diverged: fp=%+v vals=%v decide=%v\ngot:  %+v\nwant: %+v", tr, group, fp, vals, decide, got, want)
 				}
 			}
-		}
-		for _, trace := range traces[1:] {
-			if !reflect.DeepEqual(trace, traces[0]) {
-				t.Fatalf("traces differ: fp=%+v vals=%v\n%+v\n%+v", fp, vals, traces[0], trace)
-			}
-		}
-		if len(traces[0].Rounds) != want.Rounds {
-			t.Fatalf("trace has %d rounds, result %d", len(traces[0].Rounds), want.Rounds)
 		}
 	}
 
@@ -159,28 +141,49 @@ func TestEngineSharedRowMatchesMatrix(t *testing.T) {
 	}
 }
 
-// orderLenTransport is a MatrixTransport that records every Send whose
-// order is not exactly one entry per process of the current run.
-type orderLenTransport struct {
+// recorder is a MatrixTransport that logs the Sends of its current run.
+type recorder struct {
 	MatrixTransport
-	bad []int
+	sends []sent
 }
 
-func (t *orderLenTransport) Send(r int, src ProcessID, payload any, order []ProcessID, limit int) {
-	if len(order) != t.n {
-		t.bad = append(t.bad, len(order))
-	}
+// sent is one Send call as recorder saw it.
+type sent struct {
+	r        int
+	src      ProcessID
+	limit    int
+	orderLen int
+}
+
+func (t *recorder) Reset(n int) {
+	t.MatrixTransport.Reset(n)
+	t.sends = t.sends[:0]
+}
+
+func (t *recorder) Send(r int, src ProcessID, payload any, order []ProcessID, limit int) {
+	t.sends = append(t.sends, sent{r, src, limit, len(order)})
 	t.MatrixTransport.Send(r, src, payload, order, limit)
+}
+
+// round is the Sends of round r.
+func (t *recorder) round(r int) []sent {
+	var in []sent
+	for _, s := range t.sends {
+		if s.r == r {
+			in = append(in, s)
+		}
+	}
+	return in
 }
 
 // TestEngineReuse runs one Engine across runs of different sizes — growing
 // and shrinking, on the fast path and through the transport seam — and
-// checks each result against a fresh one-shot Run. On the seam every Send
+// checks each result against a fresh one-shot run. On the seam every Send
 // must carry a send order of exactly n entries: a transport that shuffles
 // the order would otherwise deliver to processes a smaller run lacks.
 func TestEngineReuse(t *testing.T) {
 	e := NewEngine()
-	tr := &orderLenTransport{}
+	tr := &recorder{}
 	r := rand.New(rand.NewSource(12))
 	for _, n := range []int{6, 2, 8, 3, 8, 5} {
 		fp := randPattern(r, n, n-1, 3)
@@ -188,12 +191,12 @@ func TestEngineReuse(t *testing.T) {
 		for i := range vals {
 			vals[i] = vector.Value(1 + r.Intn(4))
 		}
-		want, err := Run(newFloodRun(vals, 2), fp, Options{MaxRounds: 3})
+		want, err := run(newFloodRun(vals, 2), fp, Options{MaxRounds: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, opts := range []Options{{MaxRounds: 3}, {MaxRounds: 3, Transport: tr}} {
-			got, err := e.Run(newFloodRun(vals, 2), fp, opts)
+			got, err := e.RunInto(nil, newFloodRun(vals, 2), fp, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -201,21 +204,23 @@ func TestEngineReuse(t *testing.T) {
 				t.Fatalf("n=%d seam=%v: reused engine %+v, fresh run %+v", n, opts.Transport != nil, got, want)
 			}
 		}
-		if len(tr.bad) > 0 {
-			t.Fatalf("n=%d: Send got orders of length %v, want %d", n, tr.bad, n)
+		for _, s := range tr.sends {
+			if s.orderLen != n {
+				t.Fatalf("n=%d: Send got an order of length %d, want %d", n, s.orderLen, n)
+			}
 		}
 	}
 }
 
-// TestEngineResultSurvivesReuse pins the Run contract that a returned
-// Result is unaffected by later runs on the same engine.
+// TestEngineResultSurvivesReuse pins the RunInto contract that a Result it
+// allocates (res == nil) is unaffected by later runs on the same engine.
 func TestEngineResultSurvivesReuse(t *testing.T) {
 	e := NewEngine()
-	first, err := e.Run(newFloodRun([]vector.Value{3, 1, 2}, 1), FailurePattern{}, Options{MaxRounds: 2})
+	first, err := e.RunInto(nil, newFloodRun([]vector.Value{3, 1, 2}, 1), FailurePattern{}, Options{MaxRounds: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Run(newFloodRun([]vector.Value{9, 9, 9, 9}, 1), FailurePattern{}, Options{MaxRounds: 2}); err != nil {
+	if _, err := e.RunInto(nil, newFloodRun([]vector.Value{9, 9, 9, 9}, 1), FailurePattern{}, Options{MaxRounds: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if len(first.Decisions) != 3 || first.Decisions[1] != 1 {
@@ -236,11 +241,11 @@ func TestEngineRoundAllocBudget(t *testing.T) {
 	}
 	e := NewEngine()
 	procs := newFloodRun(vals, 1) // state reaches its fixpoint after run 1
-	if _, err := e.Run(procs, FailurePattern{}, Options{MaxRounds: 1}); err != nil {
+	if _, err := e.RunInto(nil, procs, FailurePattern{}, Options{MaxRounds: 1}); err != nil {
 		t.Fatal(err)
 	}
 	avg := testing.AllocsPerRun(200, func() {
-		if _, err := e.Run(procs, FailurePattern{}, Options{MaxRounds: 1}); err != nil {
+		if _, err := e.RunInto(nil, procs, FailurePattern{}, Options{MaxRounds: 1}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -376,7 +381,7 @@ func TestEngineFoldCount(t *testing.T) {
 		"edges":   {1: {Round: 1, AfterSends: 0}, 6: {Round: 1, AfterSends: n}, 7: {Round: 2, AfterSends: 7}, 8: {Round: 2, AfterSends: 1}},
 	} {
 		fp := FailurePattern{Crashes: crashes}
-		want, err := Run(floodRunAt(vals, decide), fp, Options{MaxRounds: maxRounds})
+		want, err := run(floodRunAt(vals, decide), fp, Options{MaxRounds: maxRounds})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -450,11 +455,13 @@ func TestEngineFoldCount(t *testing.T) {
 	}
 }
 
-// TestEngineTracedRunFolds pins that tracing a run changes none of the
-// engine's calls into a Group: on the shared row and through the seam a
-// traced run makes exactly the untraced run's Sends and Steps, and on the
-// shared row, where each round's crashing senders end their prefixes at
-// distinct destinations, 1 + crashes Steps per round.
+// TestEngineTracedRunFolds pins that a transport decorator which records
+// the run changes none of the engine's calls into a Group: through the seam
+// a run over the recorder makes exactly the bare MatrixTransport run's
+// Sends and Steps, one Step per sender the recorder saw minus the round's
+// crashes; on the shared row, where each round's crashing senders end their
+// prefixes at distinct destinations, a run makes 1 + crashes Steps per
+// round.
 func TestEngineTracedRunFolds(t *testing.T) {
 	const n, maxRounds = 8, 3
 	fp := FailurePattern{Crashes: map[ProcessID]Crash{
@@ -464,28 +471,24 @@ func TestEngineTracedRunFolds(t *testing.T) {
 	for i := range vals {
 		vals[i], decide[i] = vector.Value(1+i), maxRounds
 	}
-	want, err := Run(floodRunAt(vals, decide), fp, Options{MaxRounds: maxRounds})
+	want, err := run(floodRunAt(vals, decide), fp, Options{MaxRounds: maxRounds})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tr := range []Transport{nil, &MatrixTransport{}} {
-		plain := runMinGroup(t, vals, decide, fp, Options{MaxRounds: maxRounds, Transport: tr}, want)
-		var trace Trace
-		traced := runMinGroup(t, vals, decide, fp, Options{MaxRounds: maxRounds, Transport: tr, Trace: &trace}, want)
-		if !reflect.DeepEqual(traced, plain) {
-			t.Fatalf("transport %T: traced run made the calls %+v, untraced %+v", tr, traced, plain)
+	shared := runMinGroup(t, vals, decide, fp, Options{MaxRounds: maxRounds}, want)
+	bare := runMinGroup(t, vals, decide, fp, Options{MaxRounds: maxRounds, Transport: &MatrixTransport{}}, want)
+	rec := &recorder{}
+	traced := runMinGroup(t, vals, decide, fp, Options{MaxRounds: maxRounds, Transport: rec}, want)
+	if !reflect.DeepEqual(traced, bare) {
+		t.Fatalf("recorded run made the calls %+v, bare matrix %+v", traced, bare)
+	}
+	for r, crashes := range []int{2, 1, 0} {
+		if got := len(shared.steps[r+1]); got != 1+crashes || shared.sends[r+1] != 1 {
+			t.Errorf("shared row round %d: %d Sends and %d Steps, want 1 and %d", r+1, shared.sends[r+1], got, 1+crashes)
 		}
-		if len(trace.Rounds) != maxRounds {
-			t.Fatalf("transport %T: trace has %d rounds, want %d", tr, len(trace.Rounds), maxRounds)
-		}
-		for r, crashes := range []int{2, 1, 0} {
-			steps := 1 + crashes
-			if tr != nil {
-				steps = len(trace.Rounds[r].Sends) - crashes // one per live destination
-			}
-			if got := len(traced.steps[r+1]); got != steps || traced.sends[r+1] != 1 {
-				t.Errorf("transport %T round %d: traced run made %d Sends and %d Steps, want 1 and %d", tr, r+1, traced.sends[r+1], got, steps)
-			}
+		steps := len(rec.round(r+1)) - crashes // one per live destination
+		if got := len(traced.steps[r+1]); got != steps || traced.sends[r+1] != 1 {
+			t.Errorf("recorder round %d: %d Sends and %d Steps, want 1 and %d", r+1, traced.sends[r+1], got, steps)
 		}
 	}
 }
@@ -494,8 +497,9 @@ func TestEngineTracedRunFolds(t *testing.T) {
 // round 1, listed out of ID order, and p4 decides in round 1 with a crash
 // scheduled for round 2. On every run — many, so that map iteration order
 // cannot pass by luck — p4 is not Crashed, the shared row's arithmetic
-// delivered count is the seam's and the hand count, and RoundTrace.Crashes
-// is in ascending ID order.
+// delivered count is the seam's and the hand count, and the seam hands
+// round 1's Sends over in ascending ID order, each crashing sender's with
+// its prefix.
 func TestEngineCrashList(t *testing.T) {
 	const n = 8
 	fp := FailurePattern{Crashes: map[ProcessID]Crash{
@@ -509,9 +513,8 @@ func TestEngineCrashList(t *testing.T) {
 	const delivered = 47 + 2*3*8
 	e := NewEngine()
 	for trial := 0; trial < 50; trial++ {
-		for _, tr := range []Transport{nil, &MatrixTransport{}} {
-			var trace Trace
-			res, err := e.Run(floodRunAt(vals, decide), fp, Options{MaxRounds: 3, Transport: tr, Trace: &trace})
+		for _, tr := range []Transport{nil, &recorder{}} {
+			res, err := e.RunInto(nil, floodRunAt(vals, decide), fp, Options{MaxRounds: 3, Transport: tr})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -521,8 +524,11 @@ func TestEngineCrashList(t *testing.T) {
 			if res.DecisionRound[3] != 1 || res.MessagesDelivered != delivered {
 				t.Fatalf("transport %T: p4 decided in round %d, %d copies delivered; want round 1, %d copies", tr, res.DecisionRound[3], res.MessagesDelivered, delivered)
 			}
-			if got := trace.Rounds[0].Crashes; !slices.Equal(got, []ProcessID{2, 3, 5, 7}) || len(trace.Rounds[1].Crashes) != 0 {
-				t.Fatalf("transport %T: round crashes %v then %v, want [2 3 5 7] then none", tr, got, trace.Rounds[1].Crashes)
+			if rec, ok := tr.(*recorder); ok {
+				want := []sent{{1, 1, n, n}, {1, 2, 5, n}, {1, 3, n, n}, {1, 4, n, n}, {1, 5, 0, n}, {1, 6, n, n}, {1, 7, 2, n}, {1, 8, n, n}}
+				if got := rec.round(1); !slices.Equal(got, want) {
+					t.Fatalf("round-1 Sends %v, want %v", got, want)
+				}
 			}
 		}
 	}

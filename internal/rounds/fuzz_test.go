@@ -63,7 +63,7 @@ func FuzzFailurePatternValidate(f *testing.F) {
 		for i := range vals {
 			vals[i] = vector.Value(i + 1)
 		}
-		res, err := Run(newFloodRun(vals, maxRounds), fp, Options{MaxRounds: maxRounds})
+		res, err := run(newFloodRun(vals, maxRounds), fp, Options{MaxRounds: maxRounds})
 		if verr := fp.Validate(n); verr != nil {
 			if err == nil {
 				t.Fatalf("Run accepted a pattern Validate rejects (%v)\n%+v", verr, fp)

@@ -62,7 +62,6 @@ type Round struct {
 	R    int
 	down []bool
 	res  *Result
-	rt   *RoundTrace
 	// added is what Added reports: nil until the row extends the previous
 	// Step's, then never empty.
 	added []int
@@ -82,13 +81,9 @@ func (rd *Round) Added() (added []int, ok bool) { return rd.added, rd.added != n
 // Decide records that process i+1 decides v in this round; it halts.
 func (rd *Round) Decide(i int, v vector.Value) {
 	rd.down[i] = true
-	id := ProcessID(i + 1)
-	rd.res.Decisions[id] = v
+	rd.res.Decisions[ProcessID(i+1)] = v
 	rd.res.DecisionRound[i] = rd.R
 	rd.res.maxDecision = rd.R // rounds only grow within a run
-	if rd.rt != nil {
-		rd.rt.Decisions[id] = v
-	}
 }
 
 // processes is the Group of a slice of Processes: every live destination
@@ -178,7 +173,7 @@ func (fp FailurePattern) Validate(n int) error {
 	return fp.validateOrders(n)
 }
 
-// validateCrash is Validate's per-crash check; Engine.RunInto makes it in
+// validateCrash is Validate's per-crash check; Engine.RunGroup makes it in
 // the pass that resolves the schedule.
 func validateCrash(id ProcessID, cr Crash, n int) error {
 	if id < 1 || int(id) > n {
@@ -293,10 +288,6 @@ type Options struct {
 	// MaxRounds caps the execution; the engine also stops as soon as every
 	// live process has decided.
 	MaxRounds int
-	// Trace, when non-nil, is filled with the round-by-round events of the
-	// execution (rendering payloads with fmt); the run it records is the
-	// run that executes without it.
-	Trace *Trace
 	// Transport, when non-nil, overrides how each round's sends reach
 	// their destinations (message loss, delay, duplication, reordering —
 	// see internal/faultnet). nil is the paper's reliable crash-respecting
@@ -315,8 +306,9 @@ type Options struct {
 // (the shared receive row, the liveness array, the crash list and the
 // identity send order) across calls. Sweeps that drive thousands of
 // runs — exhaustive adversary model checking above all — should create one
-// Engine and call its Run repeatedly; each call then costs only the small
-// per-run Result (which the caller may retain freely).
+// Engine and call its RunInto or RunGroup repeatedly; each call then costs
+// only the small per-run Result (which the caller may retain freely), or
+// nothing when it recycles one.
 //
 // An Engine is not safe for concurrent use.
 type Engine struct {
@@ -381,20 +373,14 @@ func (e *Engine) reset(n int) {
 	clear(e.down)
 }
 
-// Run executes the processes lock-step under the failure pattern. procs[i]
-// is process i+1. It returns an error only for malformed configurations;
-// protocol outcomes (including nobody deciding) are reported in Result.
-// The returned Result is freshly allocated and remains valid after further
-// Run calls; only the engine's internal scratch is reused.
-func (e *Engine) Run(procs []Process, fp FailurePattern, opts Options) (*Result, error) {
-	return e.RunInto(nil, procs, fp, opts)
-}
-
-// RunInto is Run writing into a caller-provided Result, which is cleared
-// (Reset) and returned; res == nil allocates a fresh one. Sweeps that only
-// read each result before the next run recycle one Result and make the
-// whole run allocation-free. The processes run as one Group that steps
-// each of them on its own row.
+// RunInto executes the processes lock-step under the failure pattern.
+// procs[i] is process i+1. It returns an error only for malformed
+// configurations; protocol outcomes (including nobody deciding) are
+// reported in the Result. res is cleared (Reset) and returned; res == nil
+// allocates a fresh one, which remains valid after further runs. Sweeps
+// that only read each result before the next run recycle one Result and
+// make the whole run allocation-free. The processes run as one Group that
+// steps each of them on its own row.
 func (e *Engine) RunInto(res *Result, procs []Process, fp FailurePattern, opts Options) (*Result, error) {
 	for i, p := range procs {
 		if p == nil {
@@ -462,10 +448,6 @@ func (e *Engine) RunGroup(res *Result, g Group, n int, fp FailurePattern, opts O
 		}
 	}
 
-	if opts.Trace != nil {
-		opts.Trace.N = n
-		opts.Trace.Rounds = opts.Trace.Rounds[:0]
-	}
 	for r, live := 1, n; r <= opts.MaxRounds && live > 0; r++ {
 		if opts.Cancel != nil {
 			select {
@@ -474,16 +456,7 @@ func (e *Engine) RunGroup(res *Result, g Group, n int, fp FailurePattern, opts O
 			default:
 			}
 		}
-		var rt *RoundTrace
-		if opts.Trace != nil {
-			opts.Trace.Rounds = append(opts.Trace.Rounds, RoundTrace{
-				Round:     r,
-				Sends:     make(map[ProcessID]SendTrace),
-				Decisions: make(map[ProcessID]vector.Value),
-			})
-			rt = &opts.Trace.Rounds[len(opts.Trace.Rounds)-1]
-		}
-		live = e.runRound(g, fp, r, res, tr, rt, live)
+		live = e.runRound(g, fp, r, res, tr, live)
 	}
 	if fc, ok := tr.(FaultCounter); ok {
 		res.Lost, res.Delayed, res.Duplicated = fc.FaultCounts()
@@ -496,9 +469,8 @@ func (e *Engine) RunGroup(res *Result, g Group, n int, fp FailurePattern, opts O
 // adversary, the Group's Steps. tr == nil delivers on the shared row: a
 // sender crashing after s sends reaches p_1..p_s, so the row is stepped in
 // segments between prefix ends, from the last back, and extended at each.
-// Otherwise each live destination's row is what tr delivers. rt, when
-// non-nil, records the round; it changes nothing that executes.
-func (e *Engine) runRound(g Group, fp FailurePattern, r int, res *Result, tr Transport, rt *RoundTrace, senders int) (live int) {
+// Otherwise each live destination's row is what tr delivers.
+func (e *Engine) runRound(g Group, fp FailurePattern, r int, res *Result, tr Transport, senders int) (live int) {
 	row, down := e.row, e.down
 	n := len(row)
 	if tr != nil {
@@ -518,18 +490,14 @@ func (e *Engine) runRound(g Group, fp FailurePattern, r int, res *Result, tr Tra
 			continue
 		}
 		down[c.i] = true
-		id := ProcessID(c.i + 1)
-		res.Crashed[id] = true
-		if rt != nil {
-			rt.Crashes = append(rt.Crashes, id)
-		}
+		res.Crashed[ProcessID(c.i+1)] = true
 		delivered -= int64(n - c.AfterSends)
 		cs = append(cs, c)
 	}
 	res.Rounds = r
-	e.rd = Round{R: r, down: down, res: res, rt: rt}
+	e.rd = Round{R: r, down: down, res: res}
 
-	if tr != nil || rt != nil {
+	if tr != nil {
 		k := 0
 		for i, payload := range row {
 			limit := n
@@ -539,22 +507,15 @@ func (e *Engine) runRound(g Group, fp FailurePattern, r int, res *Result, tr Tra
 			} else if down[i] {
 				continue
 			}
+			// Round 1 is always the paper's fixed p_1..p_n (Validate admits no
+			// order for it); later rounds honor the adversary's override.
 			id := ProcessID(i + 1)
-			if rt != nil {
-				rt.Sends[id] = SendTrace{Payload: fmt.Sprintf("%v", payload), Delivered: limit}
+			order := fp.Orders[id][r]
+			if order == nil {
+				order = e.identity
 			}
-			if tr != nil {
-				// Round 1 is always the paper's fixed p_1..p_n (Validate admits
-				// no order for it); later rounds honor the adversary's override.
-				order := fp.Orders[id][r]
-				if order == nil {
-					order = e.identity
-				}
-				tr.Send(r, id, payload, order, limit)
-			}
+			tr.Send(r, id, payload, order, limit)
 		}
-	}
-	if tr != nil {
 		res.MessagesDelivered = tr.Delivered()
 		for i := range row {
 			if !down[i] {
@@ -599,11 +560,4 @@ func (e *Engine) runRound(g Group, fp FailurePattern, r int, res *Result, tr Tra
 	}
 	clear(stash)
 	return live
-}
-
-// Run executes the processes lock-step under the failure pattern with a
-// one-shot engine. It is the convenience form of Engine.Run; loops over
-// many runs should reuse an Engine instead.
-func Run(procs []Process, fp FailurePattern, opts Options) (*Result, error) {
-	return NewEngine().Run(procs, fp, opts)
 }

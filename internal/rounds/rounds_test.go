@@ -35,9 +35,14 @@ func newFloodRun(vals []vector.Value, decideAt int) []Process {
 	return procs
 }
 
+// run executes the processes on a one-shot engine into a fresh Result.
+func run(procs []Process, fp FailurePattern, opts Options) (*Result, error) {
+	return NewEngine().RunInto(nil, procs, fp, opts)
+}
+
 func TestRunFailureFree(t *testing.T) {
 	procs := newFloodRun([]vector.Value{4, 2, 7, 5}, 2)
-	res, err := Run(procs, FailurePattern{}, Options{MaxRounds: 5})
+	res, err := run(procs, FailurePattern{}, Options{MaxRounds: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +83,7 @@ func TestRunCrashPrefix(t *testing.T) {
 	// Decide at round 1: p2 has 1, p3 and p4 have their own values
 	// reduced only by what they received in round 1 (nothing from p1).
 	procs := newFloodRun(vals, 1)
-	res, err := Run(procs, fp, Options{MaxRounds: 3})
+	res, err := run(procs, fp, Options{MaxRounds: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +102,7 @@ func TestRunCrashPrefix(t *testing.T) {
 
 	// With one more round the min reaches everyone through p2.
 	procs = newFloodRun(vals, 2)
-	res, err = Run(procs, fp, Options{MaxRounds: 3})
+	res, err = run(procs, fp, Options{MaxRounds: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +117,7 @@ func TestRunInitialCrashSendsNothing(t *testing.T) {
 	vals := []vector.Value{1, 9, 9}
 	fp := FailurePattern{Crashes: map[ProcessID]Crash{1: {Round: 1, AfterSends: 0}}}
 	procs := newFloodRun(vals, 3)
-	res, err := Run(procs, fp, Options{MaxRounds: 3})
+	res, err := run(procs, fp, Options{MaxRounds: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +140,7 @@ func TestRunLaterRoundOrderOverride(t *testing.T) {
 	// crash (round 1 delivers everywhere), so instead verify the reversed
 	// prefix by message counting: round 2 delivers 3×4 + 1 = 13 messages.
 	procs := newFloodRun(vals, 2)
-	res, err := Run(procs, fp, Options{MaxRounds: 2})
+	res, err := run(procs, fp, Options{MaxRounds: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,13 +178,13 @@ func TestValidate(t *testing.T) {
 }
 
 func TestRunConfigErrors(t *testing.T) {
-	if _, err := Run(nil, FailurePattern{}, Options{MaxRounds: 1}); err == nil {
+	if _, err := run(nil, FailurePattern{}, Options{MaxRounds: 1}); err == nil {
 		t.Error("want error for no processes")
 	}
-	if _, err := Run([]Process{nil}, FailurePattern{}, Options{MaxRounds: 1}); err == nil {
+	if _, err := run([]Process{nil}, FailurePattern{}, Options{MaxRounds: 1}); err == nil {
 		t.Error("want error for nil process")
 	}
-	if _, err := Run(newFloodRun([]vector.Value{1}, 1), FailurePattern{}, Options{}); err == nil {
+	if _, err := run(newFloodRun([]vector.Value{1}, 1), FailurePattern{}, Options{}); err == nil {
 		t.Error("want error for MaxRounds < 1")
 	}
 }
@@ -211,7 +216,7 @@ func TestAllCrashStops(t *testing.T) {
 		2: {Round: 1, AfterSends: 0},
 	}}
 	procs := newFloodRun(vals, 5)
-	res, err := Run(procs, fp, Options{MaxRounds: 5})
+	res, err := run(procs, fp, Options{MaxRounds: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
