@@ -529,6 +529,11 @@ func TestEngineCrashList(t *testing.T) {
 				if got := rec.round(1); !slices.Equal(got, want) {
 					t.Fatalf("round-1 Sends %v, want %v", got, want)
 				}
+				// p4 decided in round 1: its round-2 crash neither fires nor sends.
+				want = []sent{{2, 1, n, n}, {2, 6, n, n}, {2, 8, n, n}}
+				if got := rec.round(2); !slices.Equal(got, want) {
+					t.Fatalf("round-2 Sends %v, want %v", got, want)
+				}
 			}
 		}
 	}
