@@ -14,10 +14,13 @@
 //
 // Usage:
 //
-//	experiments [-json] [-only E4[,E5,...]]
+//	experiments [-json] [-only E4[,E5,...]] [-params n=6[,trials=100,...]]
 //	experiments -list [-json]
 //	experiments -campaign [-json] [-runs 30000] [-seed 1] [-workers 8]
 //	experiments -campaign -shard 0/4 [-json] ...
+//
+// -params overrides the selected experiments' defaults (see -list); unlike
+// ksetd's POST /v1/experiments/{id}, a value may exceed its default.
 //
 // With -shard i/K the campaign runs only shard i of the deterministic
 // K-way split of the same scenario stream: K processes, one per shard
@@ -50,6 +53,7 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	only := fs.String("only", "", "run a comma-separated subset (E1..E11)")
+	paramSpec := fs.String("params", "", "override the selected experiments' defaults, as k=v[,k=v...]")
 	list := fs.Bool("list", false, "list the registered experiments instead of running them")
 	asJSON := fs.Bool("json", false, "emit machine-readable JSON instead of text")
 	campaign := fs.Bool("campaign", false, "run the campaign load sweep instead of E1..E11")
@@ -73,7 +77,11 @@ func run(args []string, stdout io.Writer) error {
 			ids = append(ids, strings.TrimSpace(id))
 		}
 	}
-	reports, err := experiments.Run(ids)
+	overrides, err := parseParams(*paramSpec)
+	if err != nil {
+		return err
+	}
+	reports, err := experiments.Run(ids, overrides)
 	if err != nil {
 		return err
 	}
@@ -115,6 +123,26 @@ func parseShard(spec string) (i, k int, err error) {
 		return 0, 0, fmt.Errorf("bad -shard %q: want i/K with 0 <= i < K", spec)
 	}
 	return i, k, nil
+}
+
+// parseParams parses the -params flag's k=v[,k=v...] form; empty means
+// no overrides. Whether the selected experiments take a key is
+// experiments.Run's check.
+func parseParams(spec string) (experiments.Params, error) {
+	if spec == "" {
+		return nil, nil
+	}
+	p := experiments.Params{}
+	for _, pair := range strings.Split(spec, ",") {
+		key, val, _ := strings.Cut(pair, "=")
+		key = strings.TrimSpace(key)
+		v, err := strconv.Atoi(strings.TrimSpace(val))
+		if _, dup := p[key]; key == "" || err != nil || dup {
+			return nil, fmt.Errorf("bad -params pair %q: want key=integer, each key once", pair)
+		}
+		p[key] = v
+	}
+	return p, nil
 }
 
 // runList prints the experiment registry: IDs, paper anchors, titles and

@@ -3,10 +3,12 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"testing"
 
@@ -111,6 +113,85 @@ func TestParseShard(t *testing.T) {
 			t.Errorf("parseShard(%q) accepted", bad)
 		}
 	}
+}
+
+func TestParseParams(t *testing.T) {
+	if p, err := parseParams(""); err != nil || p != nil {
+		t.Fatalf("empty spec = (%v, %v), want no overrides", p, err)
+	}
+	for _, spec := range []string{"n=8,m=4", " n = 8 , m=4 "} {
+		if p, err := parseParams(spec); err != nil || len(p) != 2 || p["n"] != 8 || p["m"] != 4 {
+			t.Errorf("parseParams(%q) = (%v, %v), want n=8 m=4", spec, p, err)
+		}
+	}
+	for _, bad := range []string{"n", "n=x", "=3", "n=8,n=9", "n=8,", "n=1.5"} {
+		if _, err := parseParams(bad); err == nil {
+			t.Errorf("parseParams(%q) accepted", bad)
+		}
+	}
+	// A key some selected experiment lacks is refused before any runs:
+	// E2 has no defaults at all.
+	var buf bytes.Buffer
+	if err := run([]string{"-only", "E1,E2", "-params", "n=4"}, &buf); !errors.Is(err, kset.ErrBadParams) || buf.Len() != 0 {
+		t.Errorf("-only E1,E2 -params n=4: err = %v, output %q; want ErrBadParams and nothing printed", err, buf.String())
+	}
+	if err := run([]string{"-only", "E3", "-params", "m=-1"}, &buf); !errors.Is(err, kset.ErrBadParams) {
+		t.Errorf("-params m=-1: err = %v, want ErrBadParams", err)
+	}
+}
+
+// TestNBTableMatchesConditionSize pins E3's sizes table, run far past
+// its defaults, to the public counting API: one row per x, each ℓ a
+// NB(x,ℓ) cell (ConditionSize) and a %.3f fraction cell
+// (ConditionFraction).
+func TestNBTableMatchesConditionSize(t *testing.T) {
+	const n, m, lMax = 60, 16, 3
+	var buf bytes.Buffer
+	if err := run([]string{"-only", "E3", "-params", fmt.Sprintf("n=%d,m=%d,lmax=%d", n, m, lMax), "-json"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	var reports []struct {
+		Sections []struct {
+			Name  string `json:"name"`
+			Table struct {
+				Columns []string   `json:"columns"`
+				Rows    [][]string `json:"rows"`
+			} `json:"table"`
+		} `json:"sections"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &reports); err != nil || len(reports) != 1 {
+		t.Fatalf("decode: %v (%d reports)", err, len(reports))
+	}
+	cols := []string{"x"}
+	for l := 1; l <= lMax; l++ {
+		cols = append(cols, fmt.Sprintf("NB(ℓ=%d)", l), fmt.Sprintf("frac(ℓ=%d)", l))
+	}
+	var rows [][]string
+	for x := 0; x < n; x++ {
+		row := []string{fmt.Sprint(x)}
+		for l := 1; l <= lMax; l++ {
+			nb, err := kset.ConditionSize(n, m, x, l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := kset.ConditionFraction(n, m, x, l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			row = append(row, nb.String(), fmt.Sprintf("%.3f", f))
+		}
+		rows = append(rows, row)
+	}
+	for _, sec := range reports[0].Sections {
+		if sec.Name != "sizes" {
+			continue
+		}
+		if !reflect.DeepEqual(sec.Table.Columns, cols) || !reflect.DeepEqual(sec.Table.Rows, rows) {
+			t.Errorf("sizes table:\n got %v %v\nwant %v %v", sec.Table.Columns, sec.Table.Rows, cols, rows)
+		}
+		return
+	}
+	t.Fatal("E3 report has no sizes section")
 }
 
 // TestCampaignShardsPartitionRuns runs the campaign split -shard i/3 and

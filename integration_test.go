@@ -20,40 +20,47 @@ func runMain(t *testing.T, pkg string, args ...string) string {
 	return string(out)
 }
 
+// TestCmdLattice runs E1, the paper's Figure-1 lattice, on a small grid.
+// Its report is OK only if every cell verifies.
 func TestCmdLattice(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns the toolchain")
 	}
-	out := runMain(t, "./cmd/lattice", "-n", "4", "-m", "3", "-xmax", "1", "-lmax", "2")
-	for _, want := range []string{"✓", "4/4 cells verified"} {
+	args := []string{"-only", "E1", "-params", "n=4,m=3,xmax=1,lmax=2"}
+	out := runMain(t, "./cmd/experiments", args...)
+	for _, want := range []string{"✓", "[VERIFIED]"} {
 		if !strings.Contains(out, want) {
-			t.Errorf("lattice output lacks %q:\n%s", want, out)
+			t.Errorf("E1 output lacks %q:\n%s", want, out)
 		}
 	}
 	// The -json form emits the shared structured report encoding.
-	out = runMain(t, "./cmd/lattice", "-n", "4", "-m", "3", "-xmax", "1", "-lmax", "2", "-json")
-	for _, want := range []string{`"id": "lattice"`, `"ok": true`, `"sections"`} {
+	out = runMain(t, "./cmd/experiments", append(args, "-json")...)
+	for _, want := range []string{`"id": "E1"`, `"ok": true`, `"sections"`} {
 		if !strings.Contains(out, want) {
-			t.Errorf("lattice -json output lacks %q:\n%s", want, out)
+			t.Errorf("E1 -json output lacks %q:\n%s", want, out)
 		}
 	}
 }
 
+// TestCmdNBCount runs E3, the NB(x,ℓ) tables, at 3^5 = 243 vectors: few
+// enough that E3 cross-checks every cell against brute force, and a
+// mismatch fails the report.
 func TestCmdNBCount(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns the toolchain")
 	}
-	out := runMain(t, "./cmd/nbcount", "-n", "5", "-m", "3", "-lmax", "2", "-check")
-	for _, want := range []string{"NB(x,ℓ)", "brute-force cross-check passed"} {
+	args := []string{"-only", "E3", "-params", "n=5,m=3,lmax=2"}
+	out := runMain(t, "./cmd/experiments", args...)
+	for _, want := range []string{"NB(x,ℓ)", "[VERIFIED]"} {
 		if !strings.Contains(out, want) {
-			t.Errorf("nbcount output lacks %q:\n%s", want, out)
+			t.Errorf("E3 output lacks %q:\n%s", want, out)
 		}
 	}
 	// The -json form emits the shared structured report encoding.
-	out = runMain(t, "./cmd/nbcount", "-n", "5", "-m", "3", "-lmax", "2", "-json")
-	for _, want := range []string{`"id": "nbcount"`, `"ok": true`, `"columns"`} {
+	out = runMain(t, "./cmd/experiments", append(args, "-json")...)
+	for _, want := range []string{`"id": "E3"`, `"ok": true`, `"columns"`} {
 		if !strings.Contains(out, want) {
-			t.Errorf("nbcount -json output lacks %q:\n%s", want, out)
+			t.Errorf("E3 -json output lacks %q:\n%s", want, out)
 		}
 	}
 }

@@ -2,8 +2,11 @@ package experiments
 
 import (
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
+
+	"kset"
 )
 
 // TestAllExperimentsVerify runs the full suite: every report must come back
@@ -76,15 +79,80 @@ func TestRegistryShape(t *testing.T) {
 
 // TestRunSelection checks the id-list execution path.
 func TestRunSelection(t *testing.T) {
-	reports, err := Run([]string{"E2"})
+	reports, err := Run([]string{"E2"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(reports) != 1 || reports[0].ID != "E2" {
 		t.Fatalf("Run([E2]) = %v", reports)
 	}
-	if _, err := Run([]string{"E2", "nope"}); err == nil {
+	if _, err := Run([]string{"E2", "nope"}, nil); err == nil {
 		t.Error("Run with unknown id must error")
+	}
+	if _, err := Run([]string{"E1", "E2"}, Params{"n": 4}); !errors.Is(err, kset.ErrBadParams) {
+		t.Errorf("override E2 lacks: err = %v, want ErrBadParams", err)
+	}
+	reports, err = Run([]string{"E3"}, Params{"n": 3, "lmax": 1})
+	if err != nil || len(reports) != 1 || reports[0].Params["n"] != 3 || reports[0].Params["m"] != 4 {
+		t.Fatalf("Run([E3], n=3 lmax=1) = %v, %v; want the override over the defaults", reports, err)
+	}
+}
+
+// TestSpecOverrides pins the one override rule every surface applies
+// (Spec.With): an unknown key or a negative value ("seed" excepted) is
+// ErrBadParams, and every key at 0 and at 1 runs to a report — OK or
+// failed, never a panic.
+func TestSpecOverrides(t *testing.T) {
+	for _, sp := range Registry() {
+		if _, err := sp.With(Params{"no-such-parameter": 0}); !errors.Is(err, kset.ErrBadParams) {
+			t.Errorf("%s unknown key: err = %v, want ErrBadParams", sp.ID, err)
+		}
+		for key := range sp.Defaults {
+			if _, err := sp.With(Params{key: -1}); (key != "seed") != errors.Is(err, kset.ErrBadParams) {
+				t.Errorf("%s %s=-1: err = %v", sp.ID, key, err)
+			}
+			for v := 0; v <= 1; v++ {
+				p, err := sp.With(Params{key: v})
+				if err != nil {
+					t.Fatalf("%s %s=%d: %v", sp.ID, key, v, err)
+				}
+				if r := sp.Run(p); r.ID != sp.ID || r.Params[key] != v {
+					t.Errorf("%s %s=%d: report %s with params %v", sp.ID, key, v, r.ID, r.Params)
+				}
+			}
+		}
+	}
+}
+
+// TestE3PastDomainCap runs E3 past the 64-value bitset cap: its closed
+// form needs no bitsets, so it must verify, skipping the brute-force check
+// that would build a bitset condition.
+func TestE3PastDomainCap(t *testing.T) {
+	e3, _ := Lookup("E3")
+	for _, o := range []Params{{"n": 1, "m": 100, "lmax": 1}, {"n": 60, "m": 16, "lmax": 3}} {
+		p, err := e3.With(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := e3.Run(p); !r.OK {
+			t.Errorf("E3 at %v failed:\n%s", o, r)
+		}
+	}
+}
+
+// TestBruteForceable pins E3's brute-force rule: m within the bitset cap
+// and mⁿ ≤ 65 536, with no overflow at large n.
+func TestBruteForceable(t *testing.T) {
+	for _, tc := range []struct {
+		n, m int
+		want bool
+	}{
+		{8, 4, true}, {16, 2, true}, {17, 2, false}, {2, 64, true}, {3, 64, false},
+		{1, 65, false}, {1, 100, false}, {60, 16, false}, {1000, 64, false}, {1000, 1, true}, {0, 4, true},
+	} {
+		if got := bruteForceable(tc.n, tc.m); got != tc.want {
+			t.Errorf("bruteForceable(%d, %d) = %v, want %v", tc.n, tc.m, got, tc.want)
+		}
 	}
 }
 
@@ -108,17 +176,27 @@ func TestReportString(t *testing.T) {
 }
 
 // TestExperimentConfigErrors exercises the error paths of parameterized
-// experiments: a bad grid must fail the report, not panic.
+// experiments: a bad grid or a domain past the bitset cap must fail the
+// report, not panic.
 func TestExperimentConfigErrors(t *testing.T) {
 	spec, ok := Lookup("E1")
 	if !ok {
 		t.Fatal("E1 missing")
 	}
-	r := spec.Run(spec.Defaults.With(Params{"n": 3, "m": 2, "xmax": 5})) // xMax ≥ n
-	if r.OK {
-		t.Error("E1 with bad grid must not verify")
-	}
-	if r.Params["xmax"] != 5 {
-		t.Errorf("report params = %v, want the override echoed", r.Params)
+	for _, o := range []Params{
+		{"n": 3, "m": 2, "xmax": 5}, // xMax ≥ n
+		{"m": 100},
+	} {
+		p, err := spec.With(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := spec.Run(p)
+		if r.OK || r.Err == "" {
+			t.Errorf("E1 at %v must fail its report:\n%s", o, r)
+		}
+		if r.Params["m"] != o["m"] {
+			t.Errorf("report params = %v, want the override echoed", r.Params)
+		}
 	}
 }

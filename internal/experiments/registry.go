@@ -1,6 +1,11 @@
 package experiments
 
-import "fmt"
+import (
+	"fmt"
+	"maps"
+
+	"kset"
+)
 
 // Params is an experiment's declarative parameter set: named integers
 // ("n", "m", "t", "k", "d", "l", "trials", "seed", …) a Spec's runner
@@ -8,23 +13,10 @@ import "fmt"
 // report's provenance is machine-diffable alongside its data.
 type Params map[string]int
 
-// With returns a copy of p with the overrides applied; p is unchanged.
-// Use it to run a registered experiment off its defaults.
-func (p Params) With(overrides Params) Params {
-	out := make(Params, len(p)+len(overrides))
-	for k, v := range p {
-		out[k] = v
-	}
-	for k, v := range overrides {
-		out[k] = v
-	}
-	return out
-}
-
 // Spec is one registered experiment: identity, paper anchor, default
 // parameters and the runner that produces its Report. The registry of
 // Specs is the declarative face of the evaluation — consumers enumerate
-// it (cmd/experiments -list), parameterize it (Defaults.With) and execute
+// it (cmd/experiments -list), parameterize it (Spec.With) and execute
 // it on the Campaign/Sweep/Exhaust infrastructure via Run.
 type Spec struct {
 	// ID is the experiment identifier ("E1".."E11").
@@ -37,6 +29,25 @@ type Spec struct {
 	Defaults Params `json:"defaults,omitempty"`
 	// Run executes the experiment with the given parameters.
 	Run func(Params) Report `json:"-"`
+}
+
+// With returns a copy of the spec's Defaults with the overrides applied:
+// the one way to run a registered experiment off its defaults. Every
+// override must name a key of the Defaults and, "seed" excepted, be
+// non-negative: the runners size loops and slices by these values. Either
+// violation is an error wrapping kset.ErrBadParams.
+func (s Spec) With(overrides Params) (Params, error) {
+	for key, v := range overrides {
+		if _, ok := s.Defaults[key]; !ok {
+			return nil, fmt.Errorf("experiment %s has no parameter %q: %w", s.ID, key, kset.ErrBadParams)
+		}
+		if v < 0 && key != "seed" {
+			return nil, fmt.Errorf("experiment %s: %s=%d is negative: %w", s.ID, key, v, kset.ErrBadParams)
+		}
+	}
+	out := maps.Clone(s.Defaults)
+	maps.Copy(out, overrides)
+	return out, nil
 }
 
 // registry lists every experiment in presentation order. Runners live in
@@ -118,7 +129,7 @@ func init() {
 
 // Registry returns the experiment specs in presentation order. The slice
 // is a copy; the specs' Defaults are shared and must not be mutated (use
-// Params.With).
+// Spec.With).
 func Registry() []Spec {
 	out := make([]Spec, len(registry))
 	copy(out, registry)
@@ -136,9 +147,10 @@ func Lookup(id string) (Spec, bool) {
 }
 
 // Run executes the experiments with the given IDs, in registry order,
-// each with its default parameters; an empty id list runs them all. An
-// unknown ID is an error.
-func Run(ids []string) ([]Report, error) {
+// each with its Defaults and the overrides applied (Spec.With); an empty
+// id list runs them all. An unknown ID or an override some selected spec
+// refuses is an error, reported before any experiment runs.
+func Run(ids []string, overrides Params) ([]Report, error) {
 	want := make(map[string]bool, len(ids))
 	for _, id := range ids {
 		if _, ok := Lookup(id); !ok {
@@ -146,19 +158,28 @@ func Run(ids []string) ([]Report, error) {
 		}
 		want[id] = true
 	}
-	reports := make([]Report, 0, len(registry))
+	var selected []Spec
 	for _, s := range registry {
 		if len(want) > 0 && !want[s.ID] {
 			continue
 		}
-		reports = append(reports, s.Run(s.Defaults))
+		p, err := s.With(overrides)
+		if err != nil {
+			return nil, err
+		}
+		s.Defaults = p
+		selected = append(selected, s)
+	}
+	reports := make([]Report, len(selected))
+	for i, s := range selected {
+		reports[i] = s.Run(s.Defaults)
 	}
 	return reports, nil
 }
 
 // All runs every experiment with its default configuration.
 func All() []Report {
-	reports, _ := Run(nil)
+	reports, _ := Run(nil, nil)
 	return reports
 }
 

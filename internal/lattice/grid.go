@@ -5,6 +5,8 @@ import (
 	"strings"
 
 	"kset/internal/condition"
+	"kset/internal/kerr"
+	"kset/internal/vector"
 )
 
 // Fact records what was mechanically verified for one (x,ℓ) cell of the
@@ -142,13 +144,17 @@ func firstNonEmpty(m int, build func(m int) (*condition.Explicit, error)) (*cond
 
 // VerifyFigure1 verifies every cell of the (x,ℓ) grid with x ∈ [0, xMax]
 // and ℓ ∈ [1, lMax] over the vector domain {1..m}^n, sharing one legality
-// Checker (and its scratch buffers) across all cells. xMax must be < n.
+// Checker (and its scratch buffers) across all cells. xMax must be < n;
+// m past vector.MaxSetValue is an error wrapping kerr.ErrDomainTooLarge.
 func VerifyFigure1(n, m, xMax, lMax int) ([]Fact, error) {
 	if xMax >= n {
 		return nil, fmt.Errorf("lattice: xMax=%d must be < n=%d", xMax, n)
 	}
 	if lMax < 1 || n < 1 || m < 1 {
 		return nil, fmt.Errorf("lattice: bad grid n=%d m=%d lMax=%d", n, m, lMax)
+	}
+	if m > int(vector.MaxSetValue) {
+		return nil, fmt.Errorf("lattice: m=%d exceeds the cap %d: %w", m, vector.MaxSetValue, kerr.ErrDomainTooLarge)
 	}
 	ck := condition.NewChecker()
 	var facts []Fact

@@ -1,10 +1,12 @@
 package lattice
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"kset/internal/condition"
+	"kset/internal/kerr"
 	"kset/internal/vector"
 )
 
@@ -247,5 +249,15 @@ func TestVerifyFigure1Errors(t *testing.T) {
 	}
 	if got := Render(nil); got == "" {
 		t.Error("render of empty grid should describe itself")
+	}
+}
+
+// TestVerifyFigure1DomainCap pins that a value domain past the bitset cap
+// is refused up front, before any cell builds a condition over it.
+func TestVerifyFigure1DomainCap(t *testing.T) {
+	for _, m := range []int{int(vector.MaxSetValue) + 1, 100} {
+		if _, err := VerifyFigure1(4, m, 2, 3); !errors.Is(err, kerr.ErrDomainTooLarge) {
+			t.Errorf("m=%d: err = %v, want ErrDomainTooLarge", m, err)
+		}
 	}
 }

@@ -484,12 +484,11 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 
 // handleExperiment serves POST /v1/experiments/{id}: run one registered
 // experiment synchronously, with optional parameter overrides
-// ({"params": {"n": 6, ...}}), and reply with its Report. The run is
-// inline — no slot, no cancellation — and the registry's costs grow
-// exponentially in its size parameters, so an override may only shrink:
-// a key the spec's Defaults lack, or a value outside 0..default ("seed"
-// excepted), is refused as bad_params. cmd/experiments is the
-// unrestricted surface.
+// ({"params": {"n": 6, ...}}), and reply with its Report. An override
+// must pass experiments.Spec.With, and one rule more: the run is inline —
+// no slot, no cancellation — and the registry's costs grow exponentially
+// in its size parameters, so no value but "seed" may exceed its default.
+// Refusals are bad_params; cmd/experiments -params has no such cap.
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", r.Method+" not allowed")
@@ -516,11 +515,15 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	p, err := sp.With(body.Params)
 	for key, v := range body.Params {
-		if def, ok := sp.Defaults[key]; !ok || key != "seed" && (v < 0 || v > def) {
-			writeErr(w, fmt.Errorf("service: experiment %s: override %q = %d is no parameter of it or outside 0..default: %w", sp.ID, key, v, kset.ErrBadParams))
-			return
+		if err == nil && key != "seed" && v > sp.Defaults[key] {
+			err = fmt.Errorf("experiment %s: %s=%d is past its default %d: %w", sp.ID, key, v, sp.Defaults[key], kset.ErrBadParams)
 		}
 	}
-	writeJSON(w, http.StatusOK, sp.Run(sp.Defaults.With(body.Params)))
+	if err != nil {
+		writeErr(w, fmt.Errorf("service: %w", err))
+		return
+	}
+	writeJSON(w, http.StatusOK, sp.Run(p))
 }

@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
 # Non-test Go lines per package, bench/ excluded (the benchmark prices the
-# library, it is not part of it). ROADMAP item 3 tracks this table: a
+# library, it is not part of it). ROADMAP item 10 tracks this table: a
 # simplification PR carries its before/after in the PR description.
 #
 # Usage: scripts/loc.sh [checkout]   (default: this repository)
