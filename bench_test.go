@@ -61,15 +61,21 @@ func BenchmarkE3Count(b *testing.B) {
 }
 
 // BenchmarkE4Bounds runs the headline scenario: input in the condition,
-// more than t−d staggered crashes, decision by RCond.
+// more than t−d staggered crashes, decision by RCond. Parameters are
+// validated once, as System construction does; each run on the held
+// Runner allocates the Result it returns.
 func BenchmarkE4Bounds(b *testing.B) {
 	p := core.Params{N: 8, T: 5, K: 2, D: 3, L: 1}
 	c := condition.MustNewMax(p.N, 4, p.X(), p.L)
 	input := vector.OfInts(4, 4, 4, 2, 1, 2, 3, 1)
 	fp := adversary.Stagger(p.N, p.T, p.X()+1, p.K, p.RMax())
+	if err := p.ValidateWith(c); err != nil {
+		b.Fatal(err)
+	}
+	runner := core.NewRunner()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := core.Run(p, c, input, fp)
+		res, err := runner.RunCond(p, c, input, fp, false, nil, nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -80,10 +86,11 @@ func BenchmarkE4Bounds(b *testing.B) {
 }
 
 // BenchmarkE5Tradeoff sweeps the degree d, timing one full size/rounds
-// tradeoff series (counting + protocol runs).
+// tradeoff series (counting + validation + protocol runs on one Runner).
 func BenchmarkE5Tradeoff(b *testing.B) {
 	n, m, t, k, l := 8, 4, 5, 2, 1
 	input := vector.OfInts(4, 4, 4, 4, 4, 4, 4, 4)
+	runner := core.NewRunner()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for d := 0; d <= t-l; d++ {
@@ -93,7 +100,10 @@ func BenchmarkE5Tradeoff(b *testing.B) {
 			}
 			c := condition.MustNewMax(n, m, p.X(), l)
 			fp := adversary.Stagger(n, t, p.X()+1, k, p.RMax())
-			if _, err := core.Run(p, c, input, fp); err != nil {
+			if err := p.ValidateWith(c); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := runner.RunCond(p, c, input, fp, false, nil, nil, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -101,20 +111,24 @@ func BenchmarkE5Tradeoff(b *testing.B) {
 }
 
 // BenchmarkE6Dividing runs the k-sweep that exhibits the ⌊(d+ℓ−1)/k⌋+1
-// dividing behavior.
+// dividing behavior, validating and running each k on one Runner.
 func BenchmarkE6Dividing(b *testing.B) {
 	n, m, t, d := 12, 4, 9, 6
 	input := vector.New(n)
 	for i := range input {
 		input[i] = 4
 	}
+	runner := core.NewRunner()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for k := 1; k <= 4; k++ {
 			p := core.Params{N: n, T: t, K: k, D: d, L: 1}
 			c := condition.MustNewMax(n, m, p.X(), 1)
 			fp := adversary.Stagger(n, t, p.X()+1, k, p.RMax())
-			if _, err := core.Run(p, c, input, fp); err != nil {
+			if err := p.ValidateWith(c); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := runner.RunCond(p, c, input, fp, false, nil, nil, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -122,14 +136,18 @@ func BenchmarkE6Dividing(b *testing.B) {
 }
 
 // BenchmarkE7Early times the early-deciding variant on a failure-free run,
-// its best case (2–3 rounds instead of ⌊t/k⌋+1).
+// its best case (2–3 rounds instead of ⌊t/k⌋+1), on a held Runner.
 func BenchmarkE7Early(b *testing.B) {
 	p := core.Params{N: 8, T: 6, K: 1, D: 6, L: 1}
 	c := condition.MustNewMax(p.N, 4, p.X(), p.L)
 	input := vector.OfInts(4, 3, 2, 1, 1, 2, 3, 1)
+	if err := p.ValidateWith(c); err != nil {
+		b.Fatal(err)
+	}
+	runner := core.NewRunner()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.RunEarly(p, c, input, rounds.FailurePattern{}); err != nil {
+		if _, err := runner.RunEarly(p, c, input, rounds.FailurePattern{}, false, nil, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -137,22 +155,26 @@ func BenchmarkE7Early(b *testing.B) {
 
 // BenchmarkE8Baseline contrasts per-run cost of the condition-based
 // algorithm (2 rounds on in-condition inputs) and the classical baseline
-// (⌊t/k⌋+1 rounds always).
+// (⌊t/k⌋+1 rounds always), each on one held Runner.
 func BenchmarkE8Baseline(b *testing.B) {
 	n, m, t, k := 8, 4, 6, 2
 	inC := vector.OfInts(4, 4, 4, 4, 4, 4, 3, 1)
 	p := core.Params{N: n, T: t, K: k, D: 2, L: 1}
 	c := condition.MustNewMax(n, m, p.X(), 1)
+	if err := p.ValidateWith(c); err != nil {
+		b.Fatal(err)
+	}
+	runner := core.NewRunner()
 	b.Run("condition", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.Run(p, c, inC, rounds.FailurePattern{}); err != nil {
+			if _, err := runner.RunCond(p, c, inC, rounds.FailurePattern{}, false, nil, nil, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("classical", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.RunClassical(n, t, k, inC, rounds.FailurePattern{}); err != nil {
+			if _, err := runner.RunClassical(n, t, k, inC, rounds.FailurePattern{}, false, nil, nil, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -181,15 +203,19 @@ func BenchmarkE9Adversary(b *testing.B) {
 	}
 }
 
-// BenchmarkE10Async times a full asynchronous execution (goroutines,
-// snapshot scans, decode) with an in-condition input.
+// BenchmarkE10Async times a full asynchronous execution (one virtual-
+// scheduler run on a held Runner: snapshot scans, decode) with an
+// in-condition input, into a fresh Outcome each iteration that outlives
+// it, so it prices a run that allocates the Outcome it returns.
 func BenchmarkE10Async(b *testing.B) {
 	c := condition.MustNewMax(6, 4, 2, 2)
 	input := vector.OfInts(4, 4, 4, 2, 1, 2)
+	runner := async.NewRunner()
+	var out *async.Outcome
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := async.Run(async.Config{X: 2, Cond: c, Input: input, Seed: int64(i)})
-		if err != nil {
+		out = new(async.Outcome)
+		if err := runner.RunInto(async.Config{X: 2, Cond: c, Input: input, Seed: int64(i)}, out); err != nil {
 			b.Fatal(err)
 		}
 		if len(out.Undecided) != 0 {
@@ -523,12 +549,12 @@ func BenchmarkEngineRound(b *testing.B) {
 		_, err := runner.RunEarly(p, c, input, fp, false, nil, nil, &res)
 		return err
 	}
-	tr, err := faultnet.New(&faultnet.Plan{
+	tr := &faultnet.Transport{}
+	if err := tr.SetPlan(&faultnet.Plan{
 		Seed:    3,
 		Default: faultnet.LinkFaults{Loss: 0.1, DelayProb: 0.1, MaxDelay: 2, Duplicate: 0.05},
 		Reorder: 0.1,
-	}, n)
-	if err != nil {
+	}, n); err != nil {
 		b.Fatal(err)
 	}
 	storm := func(fp rounds.FailurePattern) error {
@@ -591,7 +617,8 @@ func BenchmarkSnapshotScan(b *testing.B) {
 }
 
 // BenchmarkAsyncMemoryAblation runs the full asynchronous agreement on
-// each substrate.
+// each substrate, on one held Runner per substrate, into a fresh Outcome
+// each iteration that outlives it, as in BenchmarkE10Async.
 func BenchmarkAsyncMemoryAblation(b *testing.B) {
 	c := condition.MustNewMax(6, 4, 2, 2)
 	input := vector.OfInts(4, 4, 4, 2, 1, 2)
@@ -601,11 +628,12 @@ func BenchmarkAsyncMemoryAblation(b *testing.B) {
 		"msgpassing": async.MessagePassingMemory,
 	} {
 		b.Run(name, func(b *testing.B) {
+			runner := async.NewRunner()
+			var out *async.Outcome
 			for i := 0; i < b.N; i++ {
-				out, err := async.Run(async.Config{
-					X: 2, Cond: c, Input: input, Seed: int64(i), Memory: kind,
-				})
-				if err != nil {
+				out = new(async.Outcome)
+				cfg := async.Config{X: 2, Cond: c, Input: input, Seed: int64(i), Memory: kind}
+				if err := runner.RunInto(cfg, out); err != nil {
 					b.Fatal(err)
 				}
 				if len(out.Undecided) != 0 {

@@ -149,3 +149,125 @@ func render(n ast.Node) string {
 	}
 	return buf.String()
 }
+
+// harness lists the exported top-level functions in internal/ that only
+// other packages' tests call, each with the reason it stays exported.
+var harness = map[string]string{
+	"wire.NewPipeNet":                 "in-memory datagram net for the root, faultnet and wire plane tests",
+	"transporttest.Run":               "the conformance suite the rounds, faultnet and wire transports' tests run",
+	"condition.CheckDistanceInstance": "§2 distance-instance oracle for the lattice tests",
+	"condition.MustNewMin":            "min_ℓ condition fixture for the core tests",
+	"vector.ForEachView":              "view enumerator for the condition and async tests",
+	"vector.Hamming":                  "distance oracle for the condition tests",
+	"lattice.VerifyCell":              "the Figure-1 cell check BenchmarkE1Lattice prices",
+	"adversary.EnumerateWithOrders":   "order-aware crash enumeration for the core model-checking tests",
+}
+
+// TestNoDeadInternalExports fails on an exported top-level function in
+// internal/ that no non-test file outside its own file names (bench/ and
+// cmd/ count as callers), unless harness lists it. Selectors resolve
+// through each file's imports; a package's own files name it unqualified.
+func TestNoDeadInternalExports(t *testing.T) {
+	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	module := strings.Fields(string(mod))[1]
+	type fn struct{ path, file string }
+	defined := map[string]fn{} // "import/path.Name" → where it is declared
+	type file struct {
+		path, name string // import path of its directory, file name
+		ast        *ast.File
+	}
+	var files []file // non-test files only
+	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if n := d.Name(); path != root && (strings.HasPrefix(n, ".") || n == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, filepath.Dir(path))
+		ip := filepath.ToSlash(filepath.Join(module, rel))
+		files = append(files, file{ip, path, f})
+		if strings.HasPrefix(rel, "internal") {
+			for _, decl := range f.Decls {
+				if d, ok := decl.(*ast.FuncDecl); ok && d.Recv == nil && d.Name.IsExported() {
+					defined[ip+"."+d.Name.Name] = fn{ip, path}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	called := map[string]bool{}
+	for _, f := range files {
+		imports := map[string]string{}
+		for _, im := range f.ast.Imports {
+			p := strings.Trim(im.Path.Value, `"`)
+			local := p[strings.LastIndex(p, "/")+1:]
+			if im.Name != nil {
+				local = im.Name.Name
+			}
+			imports[local] = p
+		}
+		decl := map[*ast.Ident]bool{} // names that declare, not refer
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			key := ""
+			switch x := n.(type) {
+			case *ast.FuncDecl:
+				decl[x.Name] = true
+			case *ast.Field:
+				for _, id := range x.Names {
+					decl[id] = true
+				}
+			case *ast.SelectorExpr:
+				decl[x.Sel] = true
+				if id, ok := x.X.(*ast.Ident); ok && imports[id.Name] != "" {
+					key = imports[id.Name] + "." + x.Sel.Name
+				}
+			case *ast.Ident:
+				if !decl[x] {
+					key = f.path + "." + x.Name
+				}
+			}
+			if d, ok := defined[key]; ok && d.file != f.name {
+				called[key] = true
+			}
+			return true
+		})
+	}
+	var bad []string
+	listed := 0
+	for key, d := range defined {
+		short := key[strings.LastIndex(d.path, "/")+1:]
+		switch {
+		case harness[short] != "" && called[key]:
+			bad = append(bad, short+" is listed in harness but has a non-test caller: drop the entry")
+		case harness[short] != "":
+			listed++
+		case !called[key]:
+			bad = append(bad, short+" ("+d.file+") has no non-test caller outside its file: delete it, unexport it, or list it in harness with a reason")
+		}
+	}
+	if listed != len(harness) {
+		bad = append(bad, "harness lists a function internal/ no longer declares")
+	}
+	sort.Strings(bad)
+	for _, b := range bad {
+		t.Error(b)
+	}
+	t.Logf("%d exported top-level functions in internal/, %d of them harness", len(defined), listed)
+}

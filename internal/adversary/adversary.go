@@ -10,24 +10,16 @@ import (
 // None returns the failure-free pattern.
 func None() rounds.FailurePattern { return rounds.FailurePattern{} }
 
-// Initial returns a pattern in which processes ids all crash in round 1
-// before sending anything — the paper's "initially crashed" processes
-// (their entries stay ⊥ in every view).
-func Initial(ids ...rounds.ProcessID) rounds.FailurePattern {
-	fp := rounds.FailurePattern{Crashes: make(map[rounds.ProcessID]rounds.Crash, len(ids))}
-	for _, id := range ids {
-		fp.Crashes[id] = rounds.Crash{Round: 1, AfterSends: 0}
+// InitialLast returns a pattern in which the last count processes
+// p_{n-count+1}..p_n all crash in round 1 before sending anything — the
+// paper's "initially crashed" processes (their entries stay ⊥ in every
+// view).
+func InitialLast(n, count int) rounds.FailurePattern {
+	fp := rounds.FailurePattern{Crashes: make(map[rounds.ProcessID]rounds.Crash, count)}
+	for i := 0; i < count; i++ {
+		fp.Crashes[rounds.ProcessID(n-i)] = rounds.Crash{Round: 1, AfterSends: 0}
 	}
 	return fp
-}
-
-// InitialLast returns Initial over the last count processes p_{n-count+1}..p_n.
-func InitialLast(n, count int) rounds.FailurePattern {
-	ids := make([]rounds.ProcessID, 0, count)
-	for i := 0; i < count; i++ {
-		ids = append(ids, rounds.ProcessID(n-i))
-	}
-	return Initial(ids...)
 }
 
 // Stagger returns the containment-chain adversary of the agreement proof's
@@ -88,12 +80,11 @@ func Random(r *rand.Rand, n, t, maxRounds int) rounds.FailurePattern {
 // failure-free pattern. Enumeration stops early if fn returns false.
 //
 // The pattern space is Σ_{f≤t} C(n,f)·(maxRounds·(n+1))^f: exhaustive model
-// checking is practical for small n, t and round counts only — use Count
-// to budget before running. The callback must not retain the pattern: one
-// pattern and its Crashes map are reused across every step, so the
-// enumeration itself allocates nothing after its single map. core.Exhaust
-// couples this with a reused engine and Result for allocation-free safety
-// sweeps.
+// checking is practical for small n, t and round counts only. The callback
+// must not retain the pattern: one pattern and its Crashes map are reused
+// across every step, so the enumeration itself allocates nothing after its
+// single map. core.Exhaust couples this with a reused engine and Result for
+// allocation-free safety sweeps.
 func Enumerate(n, t, maxRounds int, fn func(rounds.FailurePattern) bool) error {
 	if n < 1 || t < 0 || t > n || maxRounds < 1 {
 		return fmt.Errorf("adversary: bad enumeration domain n=%d t=%d rounds=%d", n, t, maxRounds)
@@ -122,21 +113,4 @@ func Enumerate(n, t, maxRounds int, fn func(rounds.FailurePattern) bool) error {
 	}
 	rec(1)
 	return nil
-}
-
-// Count returns the number of patterns Enumerate generates.
-func Count(n, t, maxRounds int) int64 {
-	perProcess := int64(maxRounds) * int64(n+1)
-	total := int64(0)
-	// Σ_{f=0..t} C(n,f) · perProcess^f.
-	comb := int64(1)
-	pow := int64(1)
-	for f := 0; f <= t; f++ {
-		if f > 0 {
-			comb = comb * int64(n-f+1) / int64(f)
-			pow *= perProcess
-		}
-		total += comb * pow
-	}
-	return total
 }

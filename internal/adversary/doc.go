@@ -15,7 +15,7 @@
 //     random-access determinism keeps generated campaigns reproducible;
 //   - exhaustive enumeration of every prefix-send crash pattern
 //     (Enumerate, EnumerateWithOrders) for model checking small
-//     configurations, with Count to budget the pattern space first.
+//     configurations; the pattern space is Σ_{f≤t} C(n,f)·(r·(n+1))^f.
 //
 // Beyond the paper's crash-only model, the package also builds the link
 // adversary: deterministic indexed FaultFamily values over faultnet

@@ -18,9 +18,9 @@ type Family struct {
 	gen  func(i int) rounds.FailurePattern
 }
 
-// NewFamily builds a family from a name, a size and a pure index → pattern
+// newFamily builds a family from a name, a size and a pure index → pattern
 // function. gen must be deterministic; it is called with indices 0..size-1.
-func NewFamily(name string, size int, gen func(i int) rounds.FailurePattern) Family {
+func newFamily(name string, size int, gen func(i int) rounds.FailurePattern) Family {
 	if size < 0 {
 		size = 0
 	}
@@ -62,7 +62,7 @@ func (f Family) Patterns() []rounds.FailurePattern {
 
 // FixedFamily wraps an explicit pattern list as a family.
 func FixedFamily(name string, fps ...rounds.FailurePattern) Family {
-	return NewFamily(name, len(fps), func(i int) rounds.FailurePattern { return fps[i] })
+	return newFamily(name, len(fps), func(i int) rounds.FailurePattern { return fps[i] })
 }
 
 // InitialFamily is the family {InitialLast(n, f) : f = 0..maxCrashes} —
@@ -72,7 +72,7 @@ func InitialFamily(n, maxCrashes int) Family {
 	if maxCrashes > n {
 		maxCrashes = n
 	}
-	return NewFamily("initial", maxCrashes+1, func(i int) rounds.FailurePattern {
+	return newFamily("initial", maxCrashes+1, func(i int) rounds.FailurePattern {
 		return InitialLast(n, i)
 	})
 }
@@ -81,7 +81,7 @@ func InitialFamily(n, maxCrashes int) Family {
 // {Stagger(n, t, c1, 1, maxRounds) : c1 = 0..t}: pattern i spends i of the
 // t crashes on round-1 staggered prefixes and the rest one per round.
 func StaggerFamily(n, t, maxRounds int) Family {
-	return NewFamily("stagger", t+1, func(i int) rounds.FailurePattern {
+	return newFamily("stagger", t+1, func(i int) rounds.FailurePattern {
 		return Stagger(n, t, i, 1, maxRounds)
 	})
 }
@@ -91,7 +91,7 @@ func StaggerFamily(n, t, maxRounds int) Family {
 // source seeded with seed+i, so the family is random-access deterministic:
 // the same (seed, n, t, maxRounds, count) always yields the same patterns.
 func RandomFamily(seed int64, n, t, maxRounds, count int) Family {
-	return NewFamily("random", count, func(i int) rounds.FailurePattern {
+	return newFamily("random", count, func(i int) rounds.FailurePattern {
 		return Random(rand.New(rand.NewSource(seed+int64(i))), n, t, maxRounds)
 	})
 }

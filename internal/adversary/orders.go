@@ -1,8 +1,6 @@
 package adversary
 
 import (
-	"fmt"
-
 	"kset/internal/rounds"
 )
 
@@ -76,25 +74,4 @@ func EnumerateWithOrders(n, t, maxRounds int, fn func(rounds.FailurePattern) boo
 		}
 		return true
 	})
-}
-
-// CountWithOrders returns the number of patterns EnumerateWithOrders
-// generates. It enumerates crash placements (cheap: no protocol runs) to
-// count the order variants exactly.
-func CountWithOrders(n, t, maxRounds int) (int64, error) {
-	if n < 1 || t < 0 || t > n || maxRounds < 1 {
-		return 0, fmt.Errorf("adversary: bad enumeration domain n=%d t=%d rounds=%d", n, t, maxRounds)
-	}
-	var total int64
-	err := Enumerate(n, t, maxRounds, func(fp rounds.FailurePattern) bool {
-		partial := 0
-		for _, cr := range fp.Crashes {
-			if cr.Round >= 2 && cr.AfterSends > 0 && cr.AfterSends < n {
-				partial++
-			}
-		}
-		total += int64(1) << partial
-		return true
-	})
-	return total, err
 }

@@ -183,13 +183,13 @@ func TestAgreementOnWaitFreeMemory(t *testing.T) {
 	c := condition.MustNewMax(n, m, x, l)
 	input := vector.OfInts(3, 3, 2, 1, 2)
 	for seed := int64(0); seed < 10; seed++ {
-		out, err := Run(Config{
+		out := new(Outcome)
+		if err := NewRunner().RunInto(Config{
 			X: x, Cond: c, Input: input,
 			Crashes: map[int]CrashPoint{5: CrashBeforeWrite},
 			Seed:    seed,
 			Memory:  WaitFreeMemory,
-		})
-		if err != nil {
+		}, out); err != nil {
 			t.Fatal(err)
 		}
 		if len(out.Undecided) != 0 {

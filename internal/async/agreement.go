@@ -79,7 +79,7 @@ type Config struct {
 }
 
 // Outcome reports one asynchronous execution. Both fields are plain
-// arrays so pooled runners recycle them across runs; same-seed runs
+// arrays, so Runner.RunInto recycles them across runs; same-seed runs
 // produce byte-identical outcomes.
 type Outcome struct {
 	// Decided holds the decisions as a vector: entry i is the value
@@ -184,26 +184,6 @@ func (cfg *Config) validate(dst []CrashPoint) (int, []CrashPoint, error) {
 		return 0, nil, fmt.Errorf("async: %d crashes exceed x=%d: %w", numCrashes, cfg.X, kerr.ErrBadParams)
 	}
 	return n, crashes, nil
-}
-
-// Run executes the condition-based asynchronous ℓ-set agreement algorithm:
-// every process deposits its value in the snapshot, re-scans until at most
-// x entries are missing, and decides max(h_ℓ(view)) if the view can still
-// belong to the condition (P); otherwise it adopts any value already
-// decided by another process. Processes crash per the configured crash
-// points. The execution is deterministic per seed (see Config.Seed).
-//
-// Run checks a pooled Runner out for the call; batch drivers should hold
-// their own Runner and use RunInto to also recycle the Outcome.
-func Run(cfg Config) (*Outcome, error) {
-	r := runnerPool.Get().(*Runner)
-	out := new(Outcome)
-	err := r.RunInto(cfg, out)
-	runnerPool.Put(r)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 func condN(c condition.Condition) int {

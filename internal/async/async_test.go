@@ -70,7 +70,7 @@ func TestRunConfigErrors(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := Run(tc.mutate(ok)); err == nil {
+			if err := NewRunner().RunInto(tc.mutate(ok), new(Outcome)); err == nil {
 				t.Error("want error")
 			}
 		})
@@ -92,8 +92,8 @@ func TestTerminationInCondition(t *testing.T) {
 		{4: CrashBeforeWrite, 5: CrashBeforeWrite},
 		{2: CrashAfterWrite, 5: CrashBeforeWrite},
 	} {
-		out, err := Run(Config{X: x, Cond: c, Input: input, Crashes: crashes, Seed: 7})
-		if err != nil {
+		out := new(Outcome)
+		if err := NewRunner().RunInto(Config{X: x, Cond: c, Input: input, Crashes: crashes, Seed: 7}, out); err != nil {
 			t.Fatal(err)
 		}
 		if len(out.Undecided) != 0 {
@@ -127,8 +127,8 @@ func TestSafetyOutsideCondition(t *testing.T) {
 		t.Fatal("input must be outside C")
 	}
 	for seed := int64(0); seed < 10; seed++ {
-		out, err := Run(Config{X: x, Cond: c, Input: input, Seed: seed})
-		if err != nil {
+		out := new(Outcome)
+		if err := NewRunner().RunInto(Config{X: x, Cond: c, Input: input, Seed: seed}, out); err != nil {
 			t.Fatal(err)
 		}
 		distinct := out.DistinctDecisions()
@@ -171,8 +171,8 @@ func TestBlockingOutsideCondition(t *testing.T) {
 	if !allViewsFail {
 		t.Fatal("premise broken: some view can still be completed into C")
 	}
-	out, err := Run(Config{X: x, Cond: c, Input: input, Seed: 3})
-	if err != nil {
+	out := new(Outcome)
+	if err := NewRunner().RunInto(Config{X: x, Cond: c, Input: input, Seed: 3}, out); err != nil {
 		t.Fatal(err)
 	}
 	if out.DecidedCount() != 0 {
@@ -209,8 +209,8 @@ func TestOutcomeDeterministic(t *testing.T) {
 					X: x, Cond: c, Input: tc.input, Seed: seed,
 					Crashes: map[int]CrashPoint{6: CrashAfterWrite},
 				}
-				first, err := Run(cfg)
-				if err != nil {
+				first := new(Outcome)
+				if err := NewRunner().RunInto(cfg, first); err != nil {
 					t.Fatal(err)
 				}
 				for rep := 0; rep < 3; rep++ {
@@ -260,11 +260,11 @@ func TestSubstrateGridIdentical(t *testing.T) {
 		}
 		var ref *Outcome
 		for _, kind := range grid {
-			out, err := Run(Config{
+			out := new(Outcome)
+			if err := NewRunner().RunInto(Config{
 				X: x, Cond: c, Input: input, Crashes: crashes,
 				Seed: int64(trial), Memory: kind,
-			})
-			if err != nil {
+			}, out); err != nil {
 				t.Fatal(err)
 			}
 			if ref == nil {
@@ -306,10 +306,10 @@ func TestPropertyRandom(t *testing.T) {
 		for i := 0; i < r.Intn(x+1); i++ {
 			crashes[perm[i]+1] = CrashPoint(1 + r.Intn(2))
 		}
-		out, err := Run(Config{
+		out := new(Outcome)
+		if err := NewRunner().RunInto(Config{
 			X: x, Cond: c, Input: input, Crashes: crashes, Seed: int64(trial),
-		})
-		if err != nil {
+		}, out); err != nil {
 			t.Fatal(err)
 		}
 		if d := out.DistinctDecisions(); d.Len() > l {

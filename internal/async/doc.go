@@ -26,7 +26,7 @@
 //
 // Paper map:
 //
-//	Section 4     Run — the condition-based asynchronous algorithm
+//	Section 4     Runner.RunInto — the condition-based asynchronous algorithm
 //	Definition 4  view decoding against the condition (via condition)
 //	Theorems 8–9  the give-up path mirrors the ℓ ≤ x impossibility
 //

@@ -160,11 +160,11 @@ func TestAgreementOverMessagePassing(t *testing.T) {
 		{5: CrashBeforeWrite},
 		{4: CrashAfterWrite, 5: CrashBeforeWrite},
 	} {
-		out, err := Run(Config{
+		out := new(Outcome)
+		if err := NewRunner().RunInto(Config{
 			X: x, Cond: c, Input: input, Crashes: crashes,
 			Seed: 13, Memory: MessagePassingMemory,
-		})
-		if err != nil {
+		}, out); err != nil {
 			t.Fatal(err)
 		}
 		if len(out.Undecided) != 0 {
@@ -180,10 +180,10 @@ func TestAgreementOverMessagePassing(t *testing.T) {
 // TestMessagePassingRequiresMinority: the quorum emulation needs x < n/2.
 func TestMessagePassingRequiresMinority(t *testing.T) {
 	c := condition.MustNewMax(4, 3, 2, 2)
-	_, err := Run(Config{
+	err := NewRunner().RunInto(Config{
 		X: 2, Cond: c, Input: vector.OfInts(3, 3, 1, 2),
 		Memory: MessagePassingMemory,
-	})
+	}, new(Outcome))
 	if err == nil {
 		t.Fatal("x = n/2 must be rejected for message-passing memory")
 	}

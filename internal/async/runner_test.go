@@ -29,12 +29,12 @@ func TestCrashSilencesThisRunsNetworkOnly(t *testing.T) {
 		if cfg.Memory != MessagePassingMemory {
 			idle = slices.Clone(r.net.crashed)
 		}
-		got, err := r.Run(cfg)
-		if err != nil {
+		got := new(Outcome)
+		if err := r.RunInto(cfg, got); err != nil {
 			t.Fatal(err)
 		}
-		want, err := NewRunner().Run(cfg)
-		if err != nil {
+		want := new(Outcome)
+		if err := NewRunner().RunInto(cfg, want); err != nil {
 			t.Fatal(err)
 		}
 		if !sameOutcome(got, want) {
@@ -141,8 +141,8 @@ func TestRunnerInvariants(t *testing.T) {
 	fewer := 0
 	for _, rw := range rows {
 		cfg := rw.cfg
-		want, err := NewRunner().Run(cfg)
-		if err != nil {
+		want := new(Outcome)
+		if err := NewRunner().RunInto(cfg, want); err != nil {
 			t.Fatalf("%s: %v", rw.name, err)
 		}
 

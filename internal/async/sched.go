@@ -3,7 +3,6 @@ package async
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"kset/internal/condition"
 	"kset/internal/prng"
@@ -93,22 +92,17 @@ type Runner struct {
 // the largest run seen and are reused afterwards.
 func NewRunner() *Runner { return &Runner{} }
 
-// runnerPool backs the package-level Run.
-var runnerPool = sync.Pool{New: func() any { return NewRunner() }}
-
-// Run executes one configuration and returns a freshly allocated Outcome
-// that remains valid across further calls.
-func (r *Runner) Run(cfg Config) (*Outcome, error) {
-	out := new(Outcome)
-	if err := r.RunInto(cfg, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// RunInto is Run writing into a caller-provided Outcome, which is cleared
-// and filled; its arrays are reused when large enough, so sweeps that
-// read each outcome before the next run are allocation-free.
+// RunInto executes the condition-based asynchronous ℓ-set agreement
+// algorithm: every process deposits its value in the snapshot, re-scans
+// until at most x entries are missing, and decides max(h_ℓ(view)) if the
+// view can still belong to the condition (P); otherwise it adopts any
+// value already decided by another process. Processes crash per the
+// configured crash points. The execution is deterministic per seed (see
+// Config.Seed).
+//
+// out is cleared and filled; its arrays are reused when large enough, so
+// sweeps that read each outcome before the next run are allocation-free.
+// A caller that keeps outcomes passes a fresh Outcome per run.
 func (r *Runner) RunInto(cfg Config, out *Outcome) error {
 	n, crashes, err := cfg.validate(r.acp)
 	if err != nil {

@@ -18,12 +18,6 @@ func MaxL(l int) Recognizer {
 	return func(i vector.Vector) vector.Set { return i.TopL(l) }
 }
 
-// MinL returns the recognizer min_ℓ: the ℓ smallest values of the vector.
-// Every Section 2.3 result holds for min_ℓ in place of max_ℓ.
-func MinL(l int) Recognizer {
-	return func(i vector.Vector) vector.Set { return i.BottomL(l) }
-}
-
 // Condition is a set of input vectors equipped with a recognizing function.
 // Implementations may be explicit (an enumerated vector set) or implicit
 // (membership decided analytically, e.g. the max_ℓ-generated conditions of

@@ -49,14 +49,13 @@ func DecodeView(c Condition, j vector.Vector) (vector.Set, bool) {
 	if d, ok := c.(ViewDecoder); ok {
 		return d.DecodeView(j)
 	}
-	return DecodeViewGeneric(c, j)
+	return decodeViewGeneric(c, j)
 }
 
-// DecodeViewGeneric is the enumeration fallback of DecodeView, exported so
-// that tests and benchmarks can compare specialized decoders against it.
-// An *Explicit pays one index probe (its fused Lookup) per completion
-// instead of a Contains/Recognize pair.
-func DecodeViewGeneric(c Condition, j vector.Vector) (vector.Set, bool) {
+// decodeViewGeneric is the enumeration fallback of DecodeView, which tests
+// compare specialized decoders against. An *Explicit pays one index probe
+// (its fused Lookup) per completion instead of a Contains/Recognize pair.
+func decodeViewGeneric(c Condition, j vector.Vector) (vector.Set, bool) {
 	var acc vector.Set
 	found := false
 	e, fused := c.(*Explicit)

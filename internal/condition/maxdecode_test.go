@@ -23,7 +23,7 @@ func TestMaxDecodeMatchesEnumerationExhaustive(t *testing.T) {
 			full := i.Clone()
 			vector.ForEachView(full, tc.n, func(j vector.Vector) bool {
 				fast, okF := c.DecodeView(j)
-				slow, okS := DecodeViewGeneric(c, j)
+				slow, okS := decodeViewGeneric(c, j)
 				if okF != okS {
 					t.Fatalf("params %+v view %v: ok fast=%v enum=%v", tc, j, okF, okS)
 				}
@@ -56,7 +56,7 @@ func TestMaxDecodeMatchesEnumerationRandom(t *testing.T) {
 			}
 		}
 		fast, okF := c.DecodeView(j)
-		slow, okS := DecodeViewGeneric(c, j)
+		slow, okS := decodeViewGeneric(c, j)
 		if okF != okS {
 			t.Fatalf("n=%d m=%d x=%d ℓ=%d view %v: ok fast=%v enum=%v", n, m, x, l, j, okF, okS)
 		}
@@ -115,7 +115,7 @@ func BenchmarkDecodeAblation(b *testing.B) {
 	})
 	b.Run("enumeration", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, ok := DecodeViewGeneric(c, j); !ok {
+			if _, ok := decodeViewGeneric(c, j); !ok {
 				b.Fatal("undecodable")
 			}
 		}

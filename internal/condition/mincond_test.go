@@ -84,7 +84,7 @@ func TestMinDecodeMatchesEnumeration(t *testing.T) {
 			}
 		}
 		fast, okF := c.DecodeView(j)
-		slow, okS := DecodeViewGeneric(c, j)
+		slow, okS := decodeViewGeneric(c, j)
 		if okF != okS || (okF && !fast.Equal(slow)) {
 			t.Fatalf("n=%d m=%d x=%d ℓ=%d view %v: fast=%v(%v) enum=%v(%v)",
 				n, m, x, l, j, fast, okF, slow, okS)

@@ -107,7 +107,7 @@ func TestQuickDistanceBindingAlpha(t *testing.T) {
 		for _, h := range hs[1:] {
 			common = common.Intersect(h)
 		}
-		inter := vector.Intersect(vs...)
+		inter := vector.IntersectInto(nil, vs...)
 		for alpha := 1; alpha <= x; alpha++ {
 			if dg <= x-alpha+1 && inter.MassOf(common) < alpha {
 				literal = false

@@ -75,14 +75,3 @@ func (c *ClassicalProcess) stepDigest(round int, digest vector.Value) (vector.Va
 	}
 	return vector.Bottom, false
 }
-
-// RunClassical executes the baseline to completion on a pooled Runner.
-func RunClassical(n, t, k int, input vector.Vector, fp rounds.FailurePattern) (*rounds.Result, error) {
-	if err := ValidateClassical(n, t, k); err != nil {
-		return nil, err
-	}
-	r := GetRunner()
-	res, err := r.RunClassical(n, t, k, input, fp, false, nil, nil, nil)
-	PutRunner(r)
-	return res, err
-}

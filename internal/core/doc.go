@@ -8,10 +8,10 @@
 // Paper map:
 //
 //	Section 6.1   Params (n, t, k and the class S^d_t[ℓ], x = t−d)
-//	Figure 2      Run / Runner.RunCond — decide by round RCond when I ∈ C
+//	Figure 2      Runner.RunCond — decide by round RCond when I ∈ C
 //	Theorem 10    the max(2, ⌊(d+ℓ−1)/k⌋+1) vs ⌊t/k⌋+1 round bounds
-//	Section 8     RunEarly — never later than min(⌊f/k⌋+3, the bounds)
-//	(baseline)    RunClassical — condition-free flood, exactly ⌊t/k⌋+1
+//	Section 8     Runner.RunEarly — never later than min(⌊f/k⌋+3, the bounds)
+//	(baseline)    Runner.RunClassical — condition-free flood, exactly ⌊t/k⌋+1
 //	(spec)        Verify — termination, validity, agreement, round bounds
 //
 // The Runner is the per-worker execution handle: it owns a rounds.Engine

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"kset/internal/condition"
 	"kset/internal/rounds"
 	"kset/internal/vector"
 )
@@ -169,32 +168,16 @@ func (e *earlyTracker) raise(guard bool) {
 
 // EarlyCondProcess is the condition-based algorithm extended with early
 // decision. Its decisions never come later than the Figure-2 algorithm's
-// and never later than round ⌊f/k⌋+2.
+// and never later than round ⌊f/k⌋+3, f the number of actual crashes.
+// That +3 is this protocol's measured bound (TestEarlyCondExhaustive), not
+// the paper's ⌊f/k⌋+2: the stability guard costs one round, and some runs
+// exceed +2 (at n=4, t=3, k=1, d=1, ℓ=1 the failure-free run of input
+// 1,1,1,2 decides in round 3).
 type EarlyCondProcess struct {
 	inner *CondProcess
 	early earlyTracker
 	msg   EarlyMsg  // the reusable send buffer, as CondProcess.msg
 	row   *earlyRow // Step's own
-}
-
-// NewEarlyRun builds the n early-deciding condition-based protocol
-// instances for the input vector. Like NewRun's, they may be stepped
-// concurrently, one goroutine each.
-func NewEarlyRun(p Params, c condition.Condition, input vector.Vector) ([]rounds.Process, error) {
-	base, err := NewRun(p, c, input)
-	if err != nil {
-		return nil, err
-	}
-	procs := make([]rounds.Process, len(base))
-	for i, b := range base {
-		row := newEarlyRow(p.N)
-		procs[i] = &EarlyCondProcess{inner: b.(*CondProcess), early: newEarlyTracker(p.N, p.K), row: &row}
-	}
-	return procs, nil
-}
-
-func newEarlyTracker(n, k int) earlyTracker {
-	return earlyTracker{k: k, flagged: make([]uint64, bitWords(n))}
 }
 
 // Send implements rounds.Process.
@@ -242,16 +225,4 @@ func (e *EarlyCondProcess) stepDigest(round int, w *earlyRow, d *StateMsg) (vect
 	}
 	e.early.raise(sent == e.inner.state)
 	return vector.Bottom, false
-}
-
-// RunEarly executes the early-deciding condition-based algorithm on a
-// pooled Runner, reusing its process cells, trackers and view storage.
-func RunEarly(p Params, c condition.Condition, input vector.Vector, fp rounds.FailurePattern) (*rounds.Result, error) {
-	if err := p.ValidateWith(c); err != nil {
-		return nil, err
-	}
-	r := GetRunner()
-	res, err := r.RunEarly(p, c, input, fp, false, nil, nil, nil)
-	PutRunner(r)
-	return res, err
 }

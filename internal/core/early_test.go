@@ -10,6 +10,22 @@ import (
 	"kset/internal/vector"
 )
 
+// newEarlyRun builds the n early-deciding condition-based protocol
+// instances for the input vector, as plain rounds.Processes. Like NewRun's,
+// they may be stepped concurrently, one goroutine each.
+func newEarlyRun(p Params, c condition.Condition, input vector.Vector) ([]rounds.Process, error) {
+	base, err := NewRun(p, c, input)
+	if err != nil {
+		return nil, err
+	}
+	procs := make([]rounds.Process, len(base))
+	for i, b := range base {
+		row := newEarlyRow(p.N)
+		procs[i] = &EarlyCondProcess{inner: b.(*CondProcess), early: earlyTracker{k: p.K, flagged: make([]uint64, bitWords(p.N))}, row: &row}
+	}
+	return procs, nil
+}
+
 // TestEarlyCondExhaustive model-checks the early-deciding condition-based
 // algorithm: all three agreement properties plus both round bounds (the
 // Figure-2 bounds and the early bound) in every execution.
@@ -34,7 +50,7 @@ func TestEarlyCondExhaustive(t *testing.T) {
 			input := in.Clone()
 			inC := c.Contains(input)
 			err := adversary.Enumerate(p.N, p.T, p.RMax(), func(fp rounds.FailurePattern) bool {
-				res, err := RunEarly(p, c, input, fp)
+				res, err := runOnce("early", p, c, input, fp)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -76,11 +92,11 @@ func TestEarlyCondNeverSlower(t *testing.T) {
 			input[i] = vector.Value(1 + r.Intn(3))
 		}
 		fp := adversary.Random(r, p.N, p.T, p.RMax())
-		plain, err := Run(p, c, input, fp)
+		plain, err := runOnce("figure2", p, c, input, fp)
 		if err != nil {
 			t.Fatal(err)
 		}
-		early, err := RunEarly(p, c, input, fp)
+		early, err := runOnce("early", p, c, input, fp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +112,7 @@ func TestEarlyCondNeverSlower(t *testing.T) {
 
 func TestEarlyErrors(t *testing.T) {
 	p := Params{N: 4, T: 2, K: 2, D: 5, L: 1}
-	if _, err := NewEarlyRun(p, condition.MustNewMax(4, 2, 1, 1), vector.OfInts(1, 1, 1, 1)); err == nil {
+	if _, err := newEarlyRun(p, condition.MustNewMax(4, 2, 1, 1), vector.OfInts(1, 1, 1, 1)); err == nil {
 		t.Error("want error for invalid params")
 	}
 }

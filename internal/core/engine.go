@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync"
-
 	"kset/internal/condition"
 	"kset/internal/rounds"
 	"kset/internal/vector"
@@ -231,17 +229,3 @@ func (r *Runner) RunClassical(n, t, k int, input vector.Vector, fp rounds.Failur
 	}
 	return r.eng.RunGroup(res, (*classicalGroup)(r), n, fp, rounds.Options{MaxRounds: t/k + 1, Transport: tr, Cancel: cancel})
 }
-
-// runnerPool shares Runners across the package's one-shot Run helpers, so
-// sweeps that call Run/RunEarly/RunClassical thousands of times
-// (exhaustive adversary model checking, experiment tables) reuse the
-// engine and protocol buffers instead of reallocating them per run.
-// Results stay freshly allocated there, so callers may retain them.
-var runnerPool = sync.Pool{New: func() any { return NewRunner() }}
-
-// GetRunner checks a Runner out of the shared pool; return it with
-// PutRunner. Long-lived workers should prefer NewRunner.
-func GetRunner() *Runner { return runnerPool.Get().(*Runner) }
-
-// PutRunner returns a Runner to the shared pool.
-func PutRunner(r *Runner) { runnerPool.Put(r) }

@@ -9,7 +9,7 @@ import (
 
 // Exhaust drives the Figure-2 condition-based algorithm over every pattern
 // adversary.Enumerate generates — the §6.2 exhaustive safety sweep — with
-// one pooled runner and one recycled Result for the whole sweep, so each
+// one Runner and one recycled Result for the whole sweep, so each
 // of the Σ_{f≤t} C(n,f)·(r·(n+1))^f executions allocates nothing: the
 // buffer-reusing companion of the enumeration (which itself reuses one
 // pattern and its crash map across steps). fn receives each pattern with
@@ -23,8 +23,7 @@ func Exhaust(p Params, c condition.Condition, input vector.Vector, fn func(fp ro
 	if err := p.ValidateWith(c); err != nil {
 		return err
 	}
-	r := GetRunner()
-	defer PutRunner(r)
+	r := NewRunner()
 	var res rounds.Result
 	var runErr error
 	err := adversary.Enumerate(p.N, p.T, p.RMax(), func(fp rounds.FailurePattern) bool {

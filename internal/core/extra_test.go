@@ -19,7 +19,7 @@ func TestMinConditionProtocol(t *testing.T) {
 	if !c.Contains(input) {
 		t.Fatal("input must be in the min condition")
 	}
-	res, err := Run(p, c, input, adversary.InitialLast(p.N, 2))
+	res, err := runOnce("figure2", p, c, input, adversary.InitialLast(p.N, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestMinConditionExhaustive(t *testing.T) {
 		input := in.Clone()
 		inC := c.Contains(input)
 		err := adversary.Enumerate(p.N, p.T, p.RMax(), func(fp rounds.FailurePattern) bool {
-			res, err := Run(p, c, input, fp)
+			res, err := runOnce("figure2", p, c, input, fp)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -112,7 +112,7 @@ func TestScale(t *testing.T) {
 	}
 	for trial := 0; trial < 2; trial++ {
 		fp := adversary.Random(r, p.N, p.T, p.RMax())
-		res, err := Run(p, c, input, fp)
+		res, err := runOnce("figure2", p, c, input, fp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,11 +138,11 @@ func TestMessageComplexity(t *testing.T) {
 	if !c.Contains(input) {
 		t.Fatal("input must be in C")
 	}
-	cond, err := Run(p, c, input, adversary.None())
+	cond, err := runOnce("figure2", p, c, input, adversary.None())
 	if err != nil {
 		t.Fatal(err)
 	}
-	classical, err := RunClassical(n, tt, k, input, adversary.None())
+	classical, err := runOnce("classical", Params{N: n, T: tt, K: k}, nil, input, adversary.None())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -224,7 +224,7 @@ func TestStepMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eProcs, err := NewEarlyRun(p, c, input)
+		eProcs, err := newEarlyRun(p, c, input)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -292,7 +292,7 @@ func TestStepFromSeparateGoroutines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	early, err := NewEarlyRun(p, c, input)
+	early, err := newEarlyRun(p, c, input)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,7 @@ func TestExhaustiveWithOrderPermutations(t *testing.T) {
 			input := in.Clone()
 			inC := c.Contains(input)
 			err := adversary.EnumerateWithOrders(p.N, p.T, p.RMax(), func(fp rounds.FailurePattern) bool {
-				res, err := Run(p, c, input, fp)
+				res, err := runOnce("figure2", p, c, input, fp)
 				if err != nil {
 					t.Fatalf("cfg %+v input %v: %v", p, input, err)
 				}
@@ -48,7 +48,7 @@ func TestExhaustiveWithOrderPermutations(t *testing.T) {
 						p, input, fp.Crashes, fp.Orders, verdict.MaxRound, bound)
 				}
 
-				early, err := RunEarly(p, c, input, fp)
+				early, err := runOnce("early", p, c, input, fp)
 				if err != nil {
 					t.Fatal(err)
 				}

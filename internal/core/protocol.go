@@ -256,17 +256,3 @@ func maxValue(a, b vector.Value) vector.Value {
 	}
 	return b
 }
-
-// Run executes one complete instance of the algorithm and returns the
-// engine result. It is a convenience wrapper over Runner.RunCond on a
-// pooled Runner; sweeps with a dedicated worker should hold their own
-// Runner instead.
-func Run(p Params, c condition.Condition, input vector.Vector, fp rounds.FailurePattern) (*rounds.Result, error) {
-	if err := p.ValidateWith(c); err != nil {
-		return nil, err
-	}
-	r := GetRunner()
-	res, err := r.RunCond(p, c, input, fp, false, nil, nil, nil)
-	PutRunner(r)
-	return res, err
-}

@@ -11,6 +11,27 @@ import (
 	"kset/internal/vector"
 )
 
+// runOnce validates as System construction does — p.ValidateWith(c), or
+// ValidateClassical for alg "classical", which reads only p.N, p.T, p.K —
+// then runs alg ("figure2", "early" or "classical") on a fresh Runner, so
+// the Result is the caller's to keep.
+func runOnce(alg string, p Params, c condition.Condition, input vector.Vector, fp rounds.FailurePattern) (*rounds.Result, error) {
+	r := NewRunner()
+	if alg == "classical" {
+		if err := ValidateClassical(p.N, p.T, p.K); err != nil {
+			return nil, err
+		}
+		return r.RunClassical(p.N, p.T, p.K, input, fp, false, nil, nil, nil)
+	}
+	if err := p.ValidateWith(c); err != nil {
+		return nil, err
+	}
+	if alg == "early" {
+		return r.RunEarly(p, c, input, fp, false, nil, nil, nil)
+	}
+	return r.RunCond(p, c, input, fp, false, nil, nil, nil)
+}
+
 func TestParamsValidate(t *testing.T) {
 	tests := []struct {
 		name    string
@@ -115,7 +136,7 @@ func TestLemma1FastPath(t *testing.T) {
 		adversary.InitialLast(p.N, 2),
 		{Crashes: map[rounds.ProcessID]rounds.Crash{2: {Round: 1, AfterSends: 3}}},
 	} {
-		res, err := Run(p, c, input, fp)
+		res, err := runOnce("figure2", p, c, input, fp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +166,7 @@ func TestLemma1SlowPath(t *testing.T) {
 	// x = 2; crash 3 processes in round 1 with staggered prefixes so some
 	// survivor sees > 2 bottoms.
 	fp := adversary.Stagger(p.N, 3, 3, 0, p.RMax())
-	res, err := Run(p, c, input, fp)
+	res, err := runOnce("figure2", p, c, input, fp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +189,7 @@ func TestLemma2(t *testing.T) {
 		t.Fatal("input must be outside C")
 	}
 
-	res, err := Run(p, c, input, adversary.None())
+	res, err := runOnce("figure2", p, c, input, adversary.None())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +202,7 @@ func TestLemma2(t *testing.T) {
 	}
 
 	fp := adversary.InitialLast(p.N, 3) // > x = 2 initial crashes
-	res, err = Run(p, c, input, fp)
+	res, err = runOnce("figure2", p, c, input, fp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +225,7 @@ func TestConsensusSpecialCase(t *testing.T) {
 		t.Fatal("input must be in C")
 	}
 	fp := adversary.Stagger(p.N, p.T, 2, 1, p.RMax())
-	res, err := Run(p, c, input, fp)
+	res, err := runOnce("figure2", p, c, input, fp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +263,7 @@ func TestExhaustiveSmall(t *testing.T) {
 			input := in.Clone()
 			inC := c.Contains(input)
 			err := adversary.Enumerate(p.N, p.T, p.RMax(), func(fp rounds.FailurePattern) bool {
-				res, err := Run(p, c, input, fp)
+				res, err := runOnce("figure2", p, c, input, fp)
 				if err != nil {
 					t.Fatalf("cfg %+v input %v: %v", p, input, err)
 				}
@@ -287,7 +308,7 @@ func TestPropertyRandomRuns(t *testing.T) {
 			input[i] = vector.Value(1 + r.Intn(m))
 		}
 		fp := adversary.Random(r, n, tt, p.RMax())
-		res, err := Run(p, c, input, fp)
+		res, err := runOnce("figure2", p, c, input, fp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -331,7 +352,7 @@ func executorsAgree(t *testing.T, runner *Runner, eng *rounds.Engine, p Params, 
 			func(tr rounds.Transport) (*rounds.Result, error) {
 				return runner.RunEarly(p, c, input, fp, false, tr, nil, nil)
 			},
-			func() ([]rounds.Process, error) { return NewEarlyRun(p, c, input) }, p.RMax(),
+			func() ([]rounds.Process, error) { return newEarlyRun(p, c, input) }, p.RMax(),
 		},
 	} {
 		fast, err := exec.run(nil)
@@ -408,7 +429,7 @@ func TestClassicalBaseline(t *testing.T) {
 		adversary.None(),
 		adversary.Stagger(n, tt, 2, 1, tt/k+1),
 	} {
-		res, err := RunClassical(n, tt, k, input, fp)
+		res, err := runOnce("classical", Params{N: n, T: tt, K: k}, nil, input, fp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -437,7 +458,7 @@ func TestClassicalExhaustive(t *testing.T) {
 	vector.ForEach(n, m, func(in vector.Vector) bool {
 		input := in.Clone()
 		err := adversary.Enumerate(n, tt, tt/k+1, func(fp rounds.FailurePattern) bool {
-			res, err := RunClassical(n, tt, k, input, fp)
+			res, err := runOnce("classical", Params{N: n, T: tt, K: k}, nil, input, fp)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -14,8 +14,8 @@ import (
 // powers — recur with identical arguments throughout a Theorem-13 table
 // sweep, so each is backed by a package-level memo table. The tables hand
 // out *shared* big integers that callers inside this package only read;
-// the exported Comb and Surj return defensive copies so the public
-// contract (a freshly owned value) is unchanged.
+// every exported count (NB, NBConsensus, Fraction) is built in a fresh
+// big integer, so what a caller gets is its own.
 //
 // Concurrency: one mutex per table guards its map. The tables' callers
 // make a few NB calls per build, not a hot loop, so a lock per lookup is
@@ -113,18 +113,6 @@ var (
 	bigZero = big.NewInt(0)
 	bigOne  = big.NewInt(1)
 )
-
-// Comb returns the binomial coefficient C(n,k) as a big integer; zero when
-// k < 0 or k > n.
-func Comb(n, k int) *big.Int {
-	return new(big.Int).Set(combShared(n, k))
-}
-
-// Surj returns the number of surjections from an s-element set onto a
-// j-element set: Σ_i (−1)^i C(j,i)(j−i)^s.
-func Surj(s, j int) *big.Int {
-	return new(big.Int).Set(surjShared(s, j))
-}
 
 // pow returns a freshly owned b^e with the convention 0^0 = 1.
 func pow(b, e int) *big.Int {

@@ -13,7 +13,7 @@ func TestComb(t *testing.T) {
 		{5, 2, 10}, {5, 0, 1}, {5, 5, 1}, {5, 6, 0}, {5, -1, 0}, {0, 0, 1},
 	}
 	for _, tc := range tests {
-		if got := Comb(tc.n, tc.k).Int64(); got != tc.want {
+		if got := combShared(tc.n, tc.k).Int64(); got != tc.want {
 			t.Errorf("C(%d,%d) = %d, want %d", tc.n, tc.k, got, tc.want)
 		}
 	}
@@ -28,15 +28,15 @@ func TestSurj(t *testing.T) {
 		{0, 0, 1}, {1, 0, 0}, {5, 2, 30},
 	}
 	for _, tc := range tests {
-		if got := Surj(tc.s, tc.j).Int64(); got != tc.want {
-			t.Errorf("Surj(%d,%d) = %d, want %d", tc.s, tc.j, got, tc.want)
+		if got := surjShared(tc.s, tc.j).Int64(); got != tc.want {
+			t.Errorf("surjShared(%d,%d) = %d, want %d", tc.s, tc.j, got, tc.want)
 		}
 	}
-	// Identity: Σ_j C(m,j)·Surj(n,j) over j=1..m = m^n.
+	// Identity: Σ_j C(m,j)·surjShared(n,j) over j=1..m = m^n.
 	n, m := 5, 3
 	sum := new(big.Int)
 	for j := 1; j <= m; j++ {
-		sum.Add(sum, new(big.Int).Mul(Comb(m, j), Surj(n, j)))
+		sum.Add(sum, new(big.Int).Mul(combShared(m, j), surjShared(n, j)))
 	}
 	if want := pow(m, n); sum.Cmp(want) != 0 {
 		t.Errorf("surjection partition identity: %v, want %v", sum, want)

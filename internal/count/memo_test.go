@@ -63,8 +63,9 @@ func refNB(n, m, x, l int) *big.Int {
 
 // TestMemoConcurrentNB hammers NB from many goroutines over a shared memo
 // table; run under -race this pins the guard on the package-level
-// Comb/Surj/pow tables, and every result must agree with the unmemoized
-// reference computation — a poisoned memo entry fails the comparison.
+// binomial, surjection and power tables, and every result must agree with
+// the unmemoized reference computation — a poisoned memo entry fails the
+// comparison.
 func TestMemoConcurrentNB(t *testing.T) {
 	type q struct{ n, m, x, l int }
 	cases := []q{
@@ -96,18 +97,22 @@ func TestMemoConcurrentNB(t *testing.T) {
 	}
 }
 
-// TestExportedCopiesAreOwned pins the public contract that Comb and Surj
-// return freshly owned values a caller may mutate without corrupting the
-// memo tables.
+// TestExportedCopiesAreOwned pins the public contract that the exported
+// counts return freshly owned values a caller may mutate without
+// corrupting the memo tables they are built from.
 func TestExportedCopiesAreOwned(t *testing.T) {
-	a := Comb(10, 4)
-	a.SetInt64(-1)
-	if got := Comb(10, 4).Int64(); got != 210 {
-		t.Errorf("memoized C(10,4) corrupted by caller mutation: %d", got)
+	for name, nb := range map[string]func() *big.Int{
+		"NB":          func() *big.Int { return MustNB(6, 3, 1, 2) },
+		"NBConsensus": func() *big.Int { return NBConsensus(6, 3, 1) },
+	} {
+		a := nb()
+		want := a.Int64()
+		a.SetInt64(-1)
+		if got := nb().Int64(); got != want {
+			t.Errorf("%s corrupted by caller mutation: %d, want %d", name, got, want)
+		}
 	}
-	s := Surj(5, 2)
-	s.SetInt64(-1)
-	if got := Surj(5, 2).Int64(); got != 30 {
-		t.Errorf("memoized Surj(5,2) corrupted by caller mutation: %d", got)
+	if got := combShared(10, 4).Int64(); got != 210 {
+		t.Errorf("memoized C(10,4) corrupted: %d", got)
 	}
 }

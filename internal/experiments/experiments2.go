@@ -300,8 +300,8 @@ func runE10(cfg Params) Report {
 	// The same algorithm over the message-passing substrate (ABD quorum
 	// registers, x < n/2): identical guarantees with no shared memory at
 	// all.
-	mpOut, err := async.Run(async.Config{X: x, Cond: c, Input: inC, Seed: 19, Memory: async.MessagePassingMemory})
-	if err != nil {
+	var mpOut async.Outcome
+	if err := async.NewRunner().RunInto(async.Config{X: x, Cond: c, Input: inC, Seed: 19, Memory: async.MessagePassingMemory}, &mpOut); err != nil {
 		return r.Fail(err)
 	}
 	mpBlocked := n - mpOut.DecidedCount()

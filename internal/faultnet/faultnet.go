@@ -34,8 +34,7 @@ func compile(lf LinkFaults) profile {
 // applies a Plan's scheduled faults and seeded random faults — loss,
 // delay-by-rounds, duplication, send-order reordering — to every copy
 // the engine hands over, composed on top of whatever crash adversary the
-// engine already applied. The zero value is unusable; call SetPlan (or
-// New) first.
+// engine already applied. The zero value is unusable; call SetPlan first.
 //
 // It decorates an inner rounds.Transport (SetInner; by default an embedded
 // rounds.MatrixTransport). Send hands the on-time survivors of the
@@ -109,16 +108,6 @@ var (
 	_ rounds.FaultCounter = (*Transport)(nil)
 	_ rounds.CancelAware  = (*Transport)(nil)
 )
-
-// New returns a Transport executing the given plan, validated against a
-// system of n processes (n ≤ 0 skips the ID bound checks).
-func New(plan *Plan, n int) (*Transport, error) {
-	t := &Transport{}
-	if err := t.SetPlan(plan, n); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
 
 // SetPlan installs a plan, validating it against n processes (n ≤ 0
 // skips the ID bounds) and compiling it. The plan pointer and n are the

@@ -10,6 +10,18 @@ import (
 	"kset/internal/vector"
 )
 
+// New returns a Transport executing the given plan, validated against a
+// system of n processes (n ≤ 0 skips the ID bound checks): SetPlan on a
+// zero Transport, as a System worker does. Exported for this package's
+// external tests.
+func New(plan *Plan, n int) (*Transport, error) {
+	t := &Transport{}
+	if err := t.SetPlan(plan, n); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
 // floodMin floods the smallest value seen and decides at a fixed round —
 // the same minimal protocol the rounds package tests use, with the
 // type-tolerant receive a fault-injecting transport requires.

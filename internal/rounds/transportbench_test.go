@@ -68,19 +68,19 @@ func BenchmarkEngineTransport(b *testing.B) {
 	b.Run("matrix", func(b *testing.B) { run(b, nil) })
 	b.Run("matrix-seam", func(b *testing.B) { run(b, &rounds.MatrixTransport{}) })
 	b.Run("faultnet", func(b *testing.B) {
-		tr, err := faultnet.New(&faultnet.Plan{Seed: 3}, n)
-		if err != nil {
+		tr := &faultnet.Transport{}
+		if err := tr.SetPlan(&faultnet.Plan{Seed: 3}, n); err != nil {
 			b.Fatal(err)
 		}
 		run(b, tr)
 	})
 	b.Run("faultnet-storm", func(b *testing.B) {
-		tr, err := faultnet.New(&faultnet.Plan{
+		tr := &faultnet.Transport{}
+		if err := tr.SetPlan(&faultnet.Plan{
 			Seed:    3,
 			Default: faultnet.LinkFaults{Loss: 0.1, DelayProb: 0.1, MaxDelay: 2, Duplicate: 0.05},
 			Reorder: 0.1,
-		}, n)
-		if err != nil {
+		}, n); err != nil {
 			b.Fatal(err)
 		}
 		run(b, tr)

@@ -32,10 +32,6 @@ type Vector []Value
 // New returns a view of size n with every entry equal to Bottom.
 func New(n int) Vector { return make(Vector, n) }
 
-// Of builds a vector from the given values. It is a convenience for tests
-// and examples: Of(1, 1, 2) is the vector [1 1 2].
-func Of(vs ...Value) Vector { return Vector(vs) }
-
 // OfInts builds a vector from plain ints; 0 means Bottom.
 func OfInts(vs ...int) Vector {
 	out := make(Vector, len(vs))
@@ -182,18 +178,13 @@ func GeneralizedDistance(vs ...Vector) int {
 	return d
 }
 
-// Intersect returns the intersecting vector ⊓(vs...): the view whose entry k
-// is the common value vs[j][k] when all vectors agree at k, and Bottom at
-// the positions where at least two vectors differ. Its non-⊥ entry count is
-// n − d_G(vs...).
-func Intersect(vs ...Vector) Vector {
-	return IntersectInto(nil, vs...)
-}
-
-// IntersectInto is Intersect writing into dst, which is grown when too
-// small and returned resliced to the vector size. Sweeps that evaluate
-// many distance instances (the legality checker above all) reuse one
-// scratch vector and intersect with no allocation.
+// IntersectInto returns the intersecting vector ⊓(vs...): the view whose
+// entry k is the common value vs[j][k] when all vectors agree at k, and
+// Bottom at the positions where at least two vectors differ. Its non-⊥
+// entry count is n − d_G(vs...). It writes into dst, which is grown when
+// too small (nil allocates) and returned resliced to the vector size.
+// Sweeps that evaluate many distance instances (the legality checker
+// above all) reuse one scratch vector and intersect with no allocation.
 func IntersectInto(dst Vector, vs ...Vector) Vector {
 	if len(vs) == 0 {
 		panic("vector: intersection of empty set")

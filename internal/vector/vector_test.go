@@ -132,7 +132,7 @@ func TestIntersect(t *testing.T) {
 	i1 := OfInts(1, 1, 5, 2, 2)
 	i2 := OfInts(1, 1, 5, 3, 3)
 	i3 := OfInts(1, 6, 5, 2, 3)
-	got := Intersect(i1, i2, i3)
+	got := IntersectInto(nil, i1, i2, i3)
 	want := OfInts(1, 0, 5, 0, 0)
 	if !got.Equal(want) {
 		t.Errorf("Intersect = %v, want %v", got, want)
@@ -223,7 +223,7 @@ func TestPropIntersectDistanceAgree(t *testing.T) {
 		for i := range vs {
 			vs[i] = randomVector(r, n, 4, false)
 		}
-		inter := Intersect(vs...)
+		inter := IntersectInto(nil, vs...)
 		if got, want := inter.BottomCount(), GeneralizedDistance(vs...); got != want {
 			t.Fatalf("⊓ bottoms = %d, d_G = %d for %v", got, want, vs)
 		}
