@@ -173,8 +173,8 @@ func TestNoDeadInternalExports(t *testing.T) {
 		t.Fatal(err)
 	}
 	module := strings.Fields(string(mod))[1]
-	type fn struct{ path, file string }
-	defined := map[string]fn{} // "import/path.Name" → where it is declared
+	type fn struct{ name, file string } // "pkg.Name", where it is declared
+	defined := map[string]fn{}          // keyed by "import/path.Name"
 	type file struct {
 		path, name string // import path of its directory, file name
 		ast        *ast.File
@@ -203,7 +203,7 @@ func TestNoDeadInternalExports(t *testing.T) {
 		if strings.HasPrefix(rel, "internal") {
 			for _, decl := range f.Decls {
 				if d, ok := decl.(*ast.FuncDecl); ok && d.Recv == nil && d.Name.IsExported() {
-					defined[ip+"."+d.Name.Name] = fn{ip, path}
+					defined[ip+"."+d.Name.Name] = fn{filepath.Base(rel) + "." + d.Name.Name, path}
 				}
 			}
 		}
@@ -252,14 +252,13 @@ func TestNoDeadInternalExports(t *testing.T) {
 	var bad []string
 	listed := 0
 	for key, d := range defined {
-		short := key[strings.LastIndex(d.path, "/")+1:]
 		switch {
-		case harness[short] != "" && called[key]:
-			bad = append(bad, short+" is listed in harness but has a non-test caller: drop the entry")
-		case harness[short] != "":
+		case harness[d.name] != "" && called[key]:
+			bad = append(bad, d.name+" is listed in harness but has a non-test caller: drop the entry")
+		case harness[d.name] != "":
 			listed++
 		case !called[key]:
-			bad = append(bad, short+" ("+d.file+") has no non-test caller outside its file: delete it, unexport it, or list it in harness with a reason")
+			bad = append(bad, d.name+" ("+d.file+") has no non-test caller outside its file: delete it, unexport it, or list it in harness with a reason")
 		}
 	}
 	if listed != len(harness) {
