@@ -361,9 +361,10 @@ func safeRun(ctx context.Context, ex Executor, s *System, w *worker, sc *Scenari
 
 // worker is one campaign worker: it checks engine/protocol buffers out of
 // the shared pool once and runs scenarios — the ranges it claims of a
-// pulled source, or whatever the queue hands it — until the feed ends or
-// the context is cancelled, folding each run's Observation into its own
-// collector shards (joined, deterministically, by Wait).
+// pulled source, generated into its own storage, or whatever the queue
+// hands it — until the feed ends or the context is cancelled, folding
+// each run's Observation into its own collector shards (joined,
+// deterministically, by Wait).
 func (c *Campaign) worker(i int) {
 	defer c.wg.Done()
 	w := getWorker()
@@ -379,7 +380,7 @@ func (c *Campaign) worker(i int) {
 			if lo >= c.pull.size {
 				return
 			}
-			c.pull.ranged(c.ctx, lo, min(lo+c.claim, c.pull.size), run)
+			c.pull.ranged(c.ctx, &w.gen, lo, min(lo+c.claim, c.pull.size), run)
 		}
 		return
 	}

@@ -91,7 +91,7 @@ func TestCampaignFeeds(t *testing.T) {
 		{"ConditionMembers", ConditionMembers(cond)},
 		{"RandomInputs", RandomInputs(7, p.N, 3, 61)},
 		{"CrossFailures", CrossFailures(Inputs(lit...), NoFailures(), crashes.Pattern(0))},
-		{"CrossExecutors", CrossExecutors(RandomInputs(3, p.N, 3, 9), Figure2, EarlyDeciding, Classical)},
+		{"CrossExecutors", CrossExecutors(RandomInputs(3, p.N, 3, 9), Figure2, EarlyDeciding, Classical, Asynchronous)},
 		{"CrossFaults", CrossFaults(ExhaustiveInputs(p.N, 2), nil, UniformLoss(5, 0.2))},
 		{"Labeled", Labeled(Inputs(lit...), "job")},
 		{"FailureSchedules", FailureSchedules(RandomInputs(13, p.N, 3, 10), crashes)},
@@ -156,9 +156,9 @@ func TestCampaignFeeds(t *testing.T) {
 	inner := RandomInputs(3, p.N, 3, 1<<40).(funcSource)
 	for _, w := range []int{1, 2, 7} {
 		cctx, cancel := context.WithCancel(ctx)
-		src := funcSource{size: inner.size, sized: true, ranged: func(ctx context.Context, lo, hi int64, yield func(Scenario) bool) {
+		src := funcSource{size: inner.size, sized: true, ranged: func(ctx context.Context, g *genStore, lo, hi int64, yield func(Scenario) bool) {
 			i := lo
-			inner.ranged(ctx, lo, hi, func(sc Scenario) bool {
+			inner.ranged(ctx, g, lo, hi, func(sc Scenario) bool {
 				if i == 100 {
 					cancel()
 				}

@@ -131,7 +131,10 @@ func TestCampaignCollectorShards(t *testing.T) {
 // hand-off, the run — the round engine's or the async scheduler's — and
 // the observe path (Observation construction, collector fold, histogram
 // and breakdowns) allocate nothing; what is left is the campaign's own
-// set-up, spread over 2048 runs.
+// set-up, spread over the arm's runs. The slice-fed arms hold that at
+// ≤ 0.1/run over 2048 runs. The source-fed arms hold the generator path
+// to ≤ 0.01/run (sourceBound): a pulled campaign's worker draws every
+// input into its own vector with its own reseeded generator.
 func TestCampaignRunAllocations(t *testing.T) {
 	p := testParams()
 	ctx := context.Background()
@@ -145,24 +148,118 @@ func TestCampaignRunAllocations(t *testing.T) {
 			for i := range scs {
 				scs[i] = kset.Scenario{Input: kset.VectorOf(4, 4, 4, 2, 1, 2), FP: kset.InitialCrashes(p.N, i%2), Seed: int64(i)}
 			}
-			// Warm the pooled worker state.
-			if _, err := sys.RunCampaign(ctx, scs); err != nil {
-				t.Fatal(err)
-			}
-			avg := testing.AllocsPerRun(3, func() {
-				stats, err := sys.RunCampaign(ctx, scs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if stats.Runs != runs {
-					t.Fatalf("ran %d/%d", stats.Runs, runs)
-				}
+			perRun := allocsPerRun(t, runs, func() (*kset.CampaignStats, error) {
+				return sys.RunCampaign(ctx, scs)
 			})
-			perRun := avg / runs
 			if perRun > 0.1 {
-				t.Errorf("stats-only campaign allocates %.2f/run (%.0f total), want ≤ 0.1 — "+
-					"a campaign run must stay allocation-free", perRun, avg)
+				t.Errorf("stats-only campaign allocates %.4f/run, want ≤ 0.1 — "+
+					"a campaign run must stay allocation-free", perRun)
 			}
 		})
 	}
+
+	// One seeded random stream per executor: 1024 inputs × a 4-pattern
+	// crash family, pulled by one worker.
+	fam := kset.RandomCrashFamily(11, p.N, p.X(), p.RMax(), 4)
+	for _, ex := range []kset.Executor{kset.Figure2, kset.EarlyDeciding, kset.Classical, kset.Asynchronous} {
+		t.Run("random/"+ex.Name(), func(t *testing.T) {
+			sys := testSystem(t, kset.WithParams(p), kset.WithCondition(testCondition(t, p)),
+				kset.WithExecutor(ex), kset.WithWorkers(1))
+			src := kset.FailureSchedules(kset.RandomInputs(3, p.N, 4, 1024), fam)
+			sourceAllocs(t, src, func() (*kset.CampaignStats, error) {
+				return sys.RunSource(ctx, src)
+			})
+		})
+	}
+
+	// The other builders and the combinators, at n = 8.
+	wp := kset.Params{N: 8, T: 5, K: 2, D: 3, L: 1}
+	cond, err := kset.NewMaxCondition(wp.N, 4, wp.X(), wp.L)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := testSystem(t, kset.WithParams(wp), kset.WithCondition(cond), kset.WithWorkers(1))
+	for _, arm := range []struct {
+		name string
+		src  kset.ScenarioSource
+	}{
+		{"exhaustive", kset.ExhaustiveInputs(wp.N, 3)},
+		{"members", kset.ConditionMembers(cond)},
+		{"composite", kset.Concat(
+			kset.Labeled(kset.Range(kset.RandomInputs(5, wp.N, 4, 8192), 1000, 5096), "random"),
+			kset.Labeled(kset.ExhaustiveInputs(wp.N, 2), "exhaustive"))},
+	} {
+		t.Run(arm.name, func(t *testing.T) {
+			sourceAllocs(t, arm.src, func() (*kset.CampaignStats, error) {
+				return sys.RunSource(ctx, arm.src)
+			})
+		})
+	}
+
+	// RunCheckpointed runs a campaign per chunk, whose set-up and
+	// breakdown groups cost a few dozen allocations whatever feeds it; the
+	// generator path's share is what the source-fed stream costs over the
+	// same scenarios, materialized, in the same chunks.
+	t.Run("checkpointed", func(t *testing.T) {
+		src := kset.FailureSchedules(kset.RandomInputs(7, wp.N, 4, 1024), kset.RandomCrashFamily(13, wp.N, wp.X(), wp.RMax(), 4))
+		var scs []kset.Scenario
+		src.ForEach(func(sc kset.Scenario) bool {
+			scs = append(scs, sc)
+			return true
+		})
+		slice := kset.ScenariosOf(scs...)
+		runs := int64(len(scs))
+		const every = 1024
+		generated := allocsPerRun(t, runs, func() (*kset.CampaignStats, error) {
+			return sys.RunCheckpointed(ctx, src, nil, every, nil)
+		})
+		materialized := allocsPerRun(t, runs, func() (*kset.CampaignStats, error) {
+			return sys.RunCheckpointed(ctx, slice, nil, every, nil)
+		})
+		if perRun, bound := generated-materialized, sourceBound(); perRun > bound {
+			t.Errorf("checkpointed generation allocates %.4f/run over the slice-fed chunks (%.4f vs %.4f), want ≤ %g",
+				perRun, generated, materialized, bound)
+		}
+	})
+}
+
+// sourceAllocs holds a source-fed campaign to sourceBound allocations
+// per run of src.
+func sourceAllocs(t *testing.T, src kset.ScenarioSource, run func() (*kset.CampaignStats, error)) {
+	t.Helper()
+	runs, _ := src.Size()
+	if perRun, bound := allocsPerRun(t, runs, run), sourceBound(); perRun > bound {
+		t.Errorf("source-fed campaign allocates %.4f/run over %d runs, want ≤ %g — "+
+			"a pulled run must draw its input into the worker's storage", perRun, runs, bound)
+	}
+}
+
+// sourceBound is the source-fed arms' budget per run: 0.01, or the
+// slice-fed arms' 0.1 under the race detector, whose sync.Pool drops a
+// quarter of the workers campaigns put back, so a campaign may warm a
+// new one — a cost per campaign that a normal build never pays. A fresh
+// vector per input (1/run) or per four runs (0.25) fails either bound.
+func sourceBound() float64 {
+	if raceEnabled {
+		return 0.1
+	}
+	return 0.01
+}
+
+// allocsPerRun returns run's allocations per campaign run, after a call
+// that warms the pooled worker state; every call must run all runs
+// scenarios without an error.
+func allocsPerRun(t *testing.T, runs int64, run func() (*kset.CampaignStats, error)) float64 {
+	t.Helper()
+	check := func() {
+		stats, err := run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Runs != runs || stats.Errors != 0 {
+			t.Fatalf("ran %d/%d with %d errors", stats.Runs, runs, stats.Errors)
+		}
+	}
+	check()
+	return testing.AllocsPerRun(3, check) / float64(runs)
 }

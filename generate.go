@@ -22,9 +22,15 @@ import (
 // (CrossFailures, FailureSchedules, CrossExecutors, Labeled, Concat), and
 // feed them to System.RunSource, Campaign.SubmitSource or a Sweep.
 //
-// Ownership: yielded scenarios remain valid after yield returns, but
-// their Input vectors must be treated as read-only — a source may share
-// one input buffer across the scenarios it derives from it.
+// Ownership: scenarios ForEach yields remain valid after yield returns,
+// but their Input vectors must be treated as read-only — a source may
+// share one input buffer across the scenarios it derives from it. A
+// campaign that pulls a source (System.RunSource, RunCheckpointed) does
+// not go through ForEach: each worker has the source draw every input
+// into that worker's one vector, overwritten by the next input, so
+// nothing may keep a run's Input after the run — an Observation carries
+// none, and Verify, Contains and the fault plane read it during the run
+// only.
 type ScenarioSource interface {
 	// ForEach yields the scenarios in order, stopping early when yield
 	// returns false.
@@ -48,13 +54,64 @@ type funcSource struct {
 	// does not — the seek costs O(lo) — they give up once ctx is done
 	// (seekStopped), so a campaign worker is never out of cancellation's
 	// reach for the length of a stream.
-	ranged func(ctx context.Context, lo, hi int64, yield func(Scenario) bool)
+	//
+	// g is the caller's generation storage, lent for the call: with a
+	// non-nil g a builder draws every input into g's vector, overwriting
+	// the previous one, so a yielded Input is valid only until yield
+	// returns; with nil every input is a fresh vector. Combinators pass g
+	// through to the one input stream they wrap — at most one builder
+	// generates into g at a time (see genStore).
+	ranged func(ctx context.Context, g *genStore, lo, hi int64, yield func(Scenario) bool)
 }
 
 func (s funcSource) ForEach(yield func(Scenario) bool) {
-	s.ranged(context.Background(), 0, math.MaxInt64, yield)
+	s.ranged(context.Background(), nil, 0, math.MaxInt64, yield)
 }
 func (s funcSource) Size() (int64, bool) { return s.size, s.sized }
+
+// genStore is a campaign worker's generation storage: one input vector
+// and one seeded generator, reused by every input a pulled campaign draws
+// on that worker, so a generator-fed run allocates nothing. Two
+// invariants make the sharing sound:
+//
+//   - At most one builder generates into a genStore at a time. Every
+//     combinator varies the FP, Executor, Faults or Label of one input
+//     stream; none nests a second input stream inside the first.
+//   - Nothing keeps a run's Input after Campaign.runOne returns: the
+//     Observation carries no input, and Verify, Contains and the fault
+//     plane's seed read it during the run only.
+type genStore struct {
+	in  Vector
+	rng *rand.Rand
+}
+
+// input returns an n-entry vector for the next input: the store's own,
+// or a fresh one when g is nil.
+func (g *genStore) input(n int) Vector {
+	if g == nil {
+		return make(Vector, n)
+	}
+	if cap(g.in) < n {
+		g.in = make(Vector, n)
+	}
+	g.in = g.in[:n]
+	return g.in
+}
+
+// rand returns a generator seeded with seed: the store's own, reseeded —
+// Seed restarts the same source and zeroes its read position, so the
+// stream is exactly a new generator's — or a new one when g is nil.
+func (g *genStore) rand(seed int64) *rand.Rand {
+	if g == nil {
+		return rand.New(rand.NewSource(seed))
+	}
+	if g.rng == nil {
+		g.rng = rand.New(rand.NewSource(seed))
+	} else {
+		g.rng.Seed(seed)
+	}
+	return g.rng
+}
 
 // seekStopped reports, once every 64k steps of a seek, whether ctx is done.
 func seekStopped(ctx context.Context, step int64) bool {
@@ -65,7 +122,7 @@ func seekStopped(ctx context.Context, step int64) bool {
 func ScenariosOf(scs ...Scenario) ScenarioSource {
 	return funcSource{
 		size: int64(len(scs)), sized: true,
-		ranged: func(_ context.Context, lo, hi int64, yield func(Scenario) bool) {
+		ranged: func(_ context.Context, _ *genStore, lo, hi int64, yield func(Scenario) bool) {
 			for i := lo; i < min(hi, int64(len(scs))); i++ {
 				if !yield(scs[i]) {
 					return
@@ -80,7 +137,7 @@ func ScenariosOf(scs ...Scenario) ScenarioSource {
 func Inputs(inputs ...Vector) ScenarioSource {
 	return funcSource{
 		size: int64(len(inputs)), sized: true,
-		ranged: func(_ context.Context, lo, hi int64, yield func(Scenario) bool) {
+		ranged: func(_ context.Context, _ *genStore, lo, hi int64, yield func(Scenario) bool) {
 			for i := lo; i < min(hi, int64(len(inputs))); i++ {
 				if !yield(Scenario{Input: inputs[i]}) {
 					return
@@ -100,12 +157,17 @@ func ExhaustiveInputs(n, m int) ScenarioSource {
 	size, sized := powInt64(m, n)
 	return funcSource{
 		size: size, sized: sized,
-		ranged: func(_ context.Context, lo, hi int64, yield func(Scenario) bool) {
+		ranged: func(_ context.Context, g *genStore, lo, hi int64, yield func(Scenario) bool) {
 			e := vector.NewEnum(n, m)
 			e.SeekTo(lo)
 			for i := lo; i < hi; i++ {
 				v, ok := e.Next()
-				if !ok || !yield(Scenario{Input: v.Clone()}) {
+				if !ok {
+					return
+				}
+				in := g.input(n)
+				copy(in, v)
+				if !yield(Scenario{Input: in}) {
 					return
 				}
 			}
@@ -122,11 +184,19 @@ func ExhaustiveInputs(n, m int) ScenarioSource {
 // fits in an int64).
 func ConditionMembers(c Condition) ScenarioSource {
 	size, sized := memberCount(c)
-	return funcSource{size: size, sized: sized, ranged: func(ctx context.Context, lo, hi int64, yield func(Scenario) bool) {
+	return funcSource{size: size, sized: sized, ranged: func(ctx context.Context, g *genStore, lo, hi int64, yield func(Scenario) bool) {
 		st := condition.NewStream(c)
 		for i := int64(0); i < hi; i++ {
 			v, ok := st.Next()
-			if !ok || seekStopped(ctx, i) || (i >= lo && !yield(Scenario{Input: v.Clone()})) {
+			if !ok || seekStopped(ctx, i) {
+				return
+			}
+			if i < lo {
+				continue
+			}
+			in := g.input(len(v))
+			copy(in, v)
+			if !yield(Scenario{Input: in}) {
 				return
 			}
 		}
@@ -182,7 +252,7 @@ func RandomInputs(seed int64, n, m, count int) ScenarioSource {
 	}
 	return funcSource{
 		size: int64(count), sized: true,
-		ranged: func(ctx context.Context, lo, hi int64, yield func(Scenario) bool) {
+		ranged: func(ctx context.Context, g *genStore, lo, hi int64, yield func(Scenario) bool) {
 			hi = min(hi, int64(count))
 			if lo >= hi {
 				return
@@ -190,7 +260,7 @@ func RandomInputs(seed int64, n, m, count int) ScenarioSource {
 			// Fast-forward the seed stream past the first lo vectors (n
 			// draws each) without building them, so a shard yields exactly
 			// the bytes the unsharded stream would at the same indices.
-			rng := rand.New(rand.NewSource(seed))
+			rng := g.rand(seed)
 			for s := int64(0); s < lo*int64(n); s++ {
 				if seekStopped(ctx, s) {
 					return
@@ -198,7 +268,7 @@ func RandomInputs(seed int64, n, m, count int) ScenarioSource {
 				rng.Intn(m)
 			}
 			for i := lo; i < hi; i++ {
-				in := make(Vector, n)
+				in := g.input(n)
 				for j := range in {
 					in[j] = Value(1 + rng.Intn(m))
 				}
@@ -217,14 +287,14 @@ func RandomInputs(seed int64, n, m, count int) ScenarioSource {
 // underlying source instead of replaying it.
 func crossSource(src ScenarioSource, k int, set func(sc Scenario, j int) Scenario) ScenarioSource {
 	size, sized := scaled(src, k)
-	return funcSource{size: size, sized: sized, ranged: func(ctx context.Context, lo, hi int64, yield func(Scenario) bool) {
+	return funcSource{size: size, sized: sized, ranged: func(ctx context.Context, g *genStore, lo, hi int64, yield func(Scenario) bool) {
 		if k == 0 {
 			return
 		}
 		k64 := int64(k)
 		i := lo / k64 * k64 // product index of the outer range's start
 		// (hi−1)/k+1 is ⌈hi/k⌉ without the overflow of hi+k−1.
-		forEachRange(ctx, src, lo/k64, (hi-1)/k64+1, func(sc Scenario) bool {
+		forEachRange(ctx, g, src, lo/k64, (hi-1)/k64+1, func(sc Scenario) bool {
 			for j := 0; j < k; j++ {
 				if i >= hi {
 					return false
@@ -291,7 +361,7 @@ func Concat(srcs ...ScenarioSource) ScenarioSource {
 		}
 		size += n
 	}
-	return funcSource{size: size, sized: sized, ranged: func(ctx context.Context, lo, hi int64, yield func(Scenario) bool) {
+	return funcSource{size: size, sized: sized, ranged: func(ctx context.Context, g *genStore, lo, hi int64, yield func(Scenario) bool) {
 		stopped := false
 		pass := func(sc Scenario) bool {
 			stopped = !yield(sc)
@@ -301,7 +371,7 @@ func Concat(srcs ...ScenarioSource) ScenarioSource {
 		for _, s := range srcs {
 			n, ok := s.Size()
 			if ok {
-				forEachRange(ctx, s, max(lo-off, 0), min(hi-off, n), pass)
+				forEachRange(ctx, g, s, max(lo-off, 0), min(hi-off, n), pass)
 			} else {
 				// An unsized child is walked whole (up to hi), counting,
 				// because the next child's offset is this one's length.

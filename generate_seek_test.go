@@ -17,9 +17,9 @@ import (
 func TestFaultSchedulesSeeksBase(t *testing.T) {
 	inner := RandomInputs(3, 4, 3, 40).(funcSource)
 	askedLo, pulled := int64(math.MaxInt64), int64(0)
-	base := funcSource{size: inner.size, sized: true, ranged: func(ctx context.Context, lo, hi int64, yield func(Scenario) bool) {
+	base := funcSource{size: inner.size, sized: true, ranged: func(ctx context.Context, g *genStore, lo, hi int64, yield func(Scenario) bool) {
 		askedLo = min(askedLo, lo)
-		inner.ranged(ctx, lo, hi, func(sc Scenario) bool {
+		inner.ranged(ctx, g, lo, hi, func(sc Scenario) bool {
 			pulled++
 			return yield(sc)
 		})

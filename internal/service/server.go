@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -372,11 +373,27 @@ func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request, j *Job) {
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
 
+	// Each event is one frame: its id, event and data lines and a blank
+	// line. A batch's frames are built in the stream's one buffer, grown
+	// once to fit them (an id is at most 20 digits), and written together.
+	var buf []byte
 	_ = j.Events(r.Context(), func(batch []Event) error {
+		size := 0
 		for _, ev := range batch {
-			if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, ev.Data); err != nil {
-				return err
-			}
+			size += len("id: \nevent: \ndata: \n\n") + 20 + len(ev.Type) + len(ev.Data)
+		}
+		buf = slices.Grow(buf[:0], size)
+		for _, ev := range batch {
+			buf = append(buf, "id: "...)
+			buf = strconv.AppendInt(buf, int64(ev.Seq), 10)
+			buf = append(buf, "\nevent: "...)
+			buf = append(buf, ev.Type...)
+			buf = append(buf, "\ndata: "...)
+			buf = append(buf, ev.Data...)
+			buf = append(buf, "\n\n"...)
+		}
+		if _, err := w.Write(buf); err != nil {
+			return err
 		}
 		flusher.Flush()
 		return nil

@@ -229,9 +229,11 @@ func parseSSE(t *testing.T, raw string) []sseEvent {
 // snapshot ticker effectively off, a completed job streams exactly
 // running → snapshot → stats, with contiguous ids, a final snapshot
 // covering every run, and a stats payload byte-identical to running the
-// same spec through the facade in-process.
+// same spec through the facade in-process. The whole stream is pinned
+// byte for byte: the job's logged events, each framed as its id, event
+// and data lines and a blank line.
 func TestSSEStreamDeterminism(t *testing.T) {
-	_, ts := newTestServer(t, Config{SnapshotInterval: time.Hour})
+	svc, ts := newTestServer(t, Config{SnapshotInterval: time.Hour})
 
 	resp, data := post(t, ts.URL+"/v1/campaigns?wait=1", validSpec)
 	if resp.StatusCode != http.StatusOK {
@@ -245,6 +247,16 @@ func TestSSEStreamDeterminism(t *testing.T) {
 		t.Fatalf("state = %q, want done (error %q)", status.State, status.Error)
 	}
 
+	var wire strings.Builder
+	err := svc.lookup(status.ID).Events(context.Background(), func(batch []Event) error {
+		for _, ev := range batch {
+			fmt.Fprintf(&wire, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, ev.Data)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	streamOnce := func() []sseEvent {
 		resp, err := http.Get(ts.URL + "/v1/campaigns/" + status.ID + "/events")
 		if err != nil {
@@ -257,6 +269,9 @@ func TestSSEStreamDeterminism(t *testing.T) {
 		raw, err := io.ReadAll(resp.Body)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if string(raw) != wire.String() {
+			t.Errorf("stream bytes diverge from the framed event log:\n%q\nvs\n%q", raw, wire.String())
 		}
 		return parseSSE(t, string(raw))
 	}

@@ -5,6 +5,7 @@ import (
 
 	"kset"
 	"kset/internal/condition"
+	"kset/internal/vector"
 )
 
 // JobSpec is the declarative wire form of one agreement job: everything a
@@ -444,13 +445,13 @@ func compileSource(spec *JobSpec, p kset.Params, cond kset.Condition, fps []kset
 	var src kset.ScenarioSource
 	switch spec.Source.Kind {
 	case "exhaustive":
-		if m < 1 {
-			return nil, badSpec("exhaustive source needs a value domain (source.m or condition.m)")
+		if err := sourceDomain("exhaustive", m); err != nil {
+			return nil, err
 		}
 		src = kset.ExhaustiveInputs(p.N, m)
 	case "random":
-		if m < 1 {
-			return nil, badSpec("random source needs a value domain (source.m or condition.m)")
+		if err := sourceDomain("random", m); err != nil {
+			return nil, err
 		}
 		if spec.Source.Count < 1 {
 			return nil, badSpec("random source needs count ≥ 1, got %d", spec.Source.Count)
@@ -486,6 +487,21 @@ func compileSource(spec *JobSpec, p kset.Params, cond kset.Condition, fps []kset
 	return src, nil
 }
 
+// sourceDomain checks a generated source's value domain {1..m}, m being
+// source.m or else condition.m: it must be non-empty, and within the
+// 64-value cap that conditions and explicit inputs are held to: an input
+// holding a value past it fails its run, so the job would be accepted
+// only to fail run by run.
+func sourceDomain(kind string, m int) error {
+	if m < 1 {
+		return badSpec("%s source needs a value domain (source.m or condition.m)", kind)
+	}
+	if m > int(vector.MaxSetValue) {
+		return fmt.Errorf("%s source: m=%d exceeds the cap %d: %w", kind, m, vector.MaxSetValue, kset.ErrDomainTooLarge)
+	}
+	return nil
+}
+
 // compileInputs validates an explicit input list at submission time:
 // wrong lengths, ⊥ entries and out-of-domain values are 400s wrapping
 // ErrBadInput, not per-run campaign errors.
@@ -493,7 +509,7 @@ func compileInputs(raw [][]int, n, m int) ([]kset.Vector, error) {
 	if len(raw) == 0 {
 		return nil, badSpec("inputs source needs at least one vector")
 	}
-	maxV := 64
+	maxV := int(vector.MaxSetValue)
 	if m > 0 && m < maxV {
 		maxV = m
 	}

@@ -82,6 +82,12 @@ cd "$(dirname "$0")/.."
 # d=12, max condition m=8, the t crashes staggered over the rounds with
 # mid-row prefixes — the run in which the round loop's own per-process
 # cost is largest (measured: 0 at PR 24).
+# Sweep/generator-fed is one fixed 4096-run campaign pulled from a
+# generator — 1024 seeded random inputs × a 4-pattern crash family —
+# whose worker draws every input into its own vector with its own
+# reseeded generator: the per-run cost is zero and the rest is campaign
+# set-up (measured: 1057 while each input was a fresh vector and each
+# claim a new math/rand source; 31 since).
 # LoopbackRun/pipe is one Figure-2 run at the benchmark's wire_udp shape
 # (n=6, t=3, k=2, d=1, m=4, one mid-row crash) over a warmed
 # PipeTransport, on a held core.Runner with a recycled Result: every copy
@@ -113,6 +119,7 @@ BenchmarkEngineRound/early-crashes 0
 BenchmarkEngineRound/storm 0
 BenchmarkEngineRound/figure2-crashes 0
 BenchmarkLoopbackRun/pipe 0
+BenchmarkSweep/generator-fed 64
 '
 
 # Budgets on a benchmark's own metric: name, unit, maximum. FinishedJob
@@ -124,7 +131,7 @@ metricbudgets='
 BenchmarkFinishedJob B/job 4096
 '
 
-raw="$(go test -run '^$' -bench 'E1Lattice$|E9Adversary$|CampaignThroughput/campaign|CollectorPath$|EngineTransport|SubmitPath$|FinishedJob$|CheckpointEncode$|WireEncode$|E10Async$|SnapshotScan|AsyncCampaign$|ConditionIndex|EngineRound|LoopbackRun/pipe$' \
+raw="$(go test -run '^$' -bench 'E1Lattice$|E9Adversary$|CampaignThroughput/campaign|CollectorPath$|EngineTransport|SubmitPath$|FinishedJob$|CheckpointEncode$|WireEncode$|E10Async$|SnapshotScan|AsyncCampaign$|ConditionIndex|EngineRound|LoopbackRun/pipe$|Sweep/generator-fed$' \
 	-benchmem -benchtime "$benchtime" -count 1 -cpu 1 . ./internal/rounds/ ./internal/service/ ./internal/wire/ ./internal/condition/)"
 printf '%s\n' "$raw"
 

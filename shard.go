@@ -72,23 +72,24 @@ func Range(src ScenarioSource, lo, hi int64) ScenarioSource {
 	if sized {
 		lo, hi = min(lo, n), min(hi, n)
 	}
-	return funcSource{size: hi - lo, sized: sized, ranged: func(ctx context.Context, rlo, rhi int64, yield func(Scenario) bool) {
+	return funcSource{size: hi - lo, sized: sized, ranged: func(ctx context.Context, g *genStore, rlo, rhi int64, yield func(Scenario) bool) {
 		// Clamp before offsetting: rhi is math.MaxInt64 under ForEach.
 		if rhi = min(rhi, hi-lo); rlo < rhi {
-			forEachRange(ctx, src, lo+rlo, lo+rhi, yield)
+			forEachRange(ctx, g, src, lo+rlo, lo+rhi, yield)
 		}
 	}}
 }
 
 // forEachRange yields src's scenarios with stream indices in [lo, hi):
-// through the source's range function when it is one of ours, and for a
-// foreign ScenarioSource by replaying and discarding the prefix.
-func forEachRange(ctx context.Context, src ScenarioSource, lo, hi int64, yield func(Scenario) bool) {
+// through the source's range function, generating into g, when it is one
+// of ours, and for a foreign ScenarioSource by replaying and discarding
+// the prefix, whose inputs the source owns.
+func forEachRange(ctx context.Context, g *genStore, src ScenarioSource, lo, hi int64, yield func(Scenario) bool) {
 	if lo >= hi {
 		return
 	}
 	if fs, ok := src.(funcSource); ok {
-		fs.ranged(ctx, lo, hi, yield)
+		fs.ranged(ctx, g, lo, hi, yield)
 		return
 	}
 	i := int64(0)

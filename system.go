@@ -329,8 +329,9 @@ func mapCanceled(ctx context.Context, res *Result, err error) (*Result, error) {
 }
 
 // worker bundles the per-worker reusable state of a System: the engine and
-// protocol buffers, a recycled Result for stats-only campaign runs, and a
-// lazily created fault-injecting transport for runs under a FaultPlan.
+// protocol buffers, a recycled Result for stats-only campaign runs, the
+// generation storage of pulled campaigns, and a lazily created
+// fault-injecting transport for runs under a FaultPlan.
 type worker struct {
 	runner *core.Runner
 	res    *rounds.Result
@@ -347,6 +348,11 @@ type worker struct {
 	// handed a pointer to this slot, cleared when the worker goes back to
 	// the pool.
 	sc Scenario
+
+	// gen is the generation storage a pulled campaign lends the source's
+	// range iterator: every input this worker runs is drawn into its one
+	// vector by its one generator. Both outlive the campaign in the pool.
+	gen genStore
 
 	// wt is the worker's wire transport under WithTransport, created by
 	// the owning System's factory on first use. Workers outlive Systems
