@@ -2,6 +2,7 @@ package adversary
 
 import (
 	"math/rand"
+	"sync"
 
 	"kset/internal/rounds"
 )
@@ -87,11 +88,27 @@ func StaggerFamily(n, t, maxRounds int) Family {
 }
 
 // RandomFamily is a family of count seeded random patterns (at most t
-// crashes within maxRounds rounds each). Pattern i is drawn from its own
-// source seeded with seed+i, so the family is random-access deterministic:
-// the same (seed, n, t, maxRounds, count) always yields the same patterns.
+// crashes within maxRounds rounds each). Pattern i is drawn from the stream
+// rand.New(rand.NewSource(seed+i)) yields, so the family is random-access
+// deterministic: the same (seed, n, t, maxRounds, count) always yields the
+// same patterns. Every pattern is drawn from the package's one generator,
+// reseeded with seed+i: Seed resets its source and read position, so the
+// stream is that same one, without a fresh ~5 kB source per pattern.
 func RandomFamily(seed int64, n, t, maxRounds, count int) Family {
 	return newFamily("random", count, func(i int) rounds.FailurePattern {
-		return Random(rand.New(rand.NewSource(seed+int64(i))), n, t, maxRounds)
+		gen.Lock()
+		defer gen.Unlock()
+		gen.r.Seed(seed + int64(i))
+		return Random(gen.r, n, t, maxRounds)
 	})
 }
+
+// gen is the generator RandomFamily draws from. A family cannot hold one
+// of its own, as Pattern is a value method that callers may use from
+// several goroutines; they take turns on the lock instead. (A sync.Pool
+// would register with the runtime anew after every collection, an
+// allocation that then lands in whatever the caller does next.)
+var gen = struct {
+	sync.Mutex
+	r *rand.Rand
+}{r: rand.New(rand.NewSource(0))}

@@ -78,6 +78,9 @@ func FuzzJobSpecCompile(f *testing.F) {
 	}
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"params": {"n": -1, "t": -1, "k": -1, "d": -1, "l": -1}, "source": {"kind": "inputs"}}`))
+	// Bytes after a spec make the body a bad_json, whatever the spec.
+	f.Add([]byte(`{"source": {"kind": "exhaustive"}}{"params": {"n": "oops"}}`))
+	f.Add([]byte(`{"source": {"kind": "exhaustive"}} trailing garbage`))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		spec, err := decodeSpec(bytes.NewReader(body))
 		if err != nil {

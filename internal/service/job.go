@@ -235,8 +235,17 @@ func (j *Job) run(ctx context.Context, snapshotEvery time.Duration) {
 	ticking.Wait()
 
 	// The stream always carries at least one snapshot, emitted after the
-	// run settles so the last snapshot covers every completed scenario.
-	j.publish("snapshot", progress.Snapshot())
+	// run settles so the last snapshot covers every completed scenario. A
+	// completed campaign returned that accumulator itself: Progress saw
+	// every observation it did, and an accumulator's encoding is fixed by
+	// its observations, so stats.Metrics encodes to the bytes a merge of
+	// the Progress shards would. A sweep, or a run cut short, has no such
+	// accumulator and merges the shards.
+	if err == nil && stats != nil {
+		j.publish("snapshot", stats.Metrics)
+	} else {
+		j.publish("snapshot", progress.Snapshot())
+	}
 
 	switch {
 	case err != nil && ctx.Err() != nil:

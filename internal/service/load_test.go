@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -156,6 +157,35 @@ func BenchmarkSubmitPath(b *testing.B) {
 			// Keep the resident queue bounded; the drop is amortized noise.
 			s.queues["bench"] = s.queues["bench"][:0]
 			s.queued = 0
+		}
+	}
+}
+
+// randomFailuresSpec is a job under a 4-pattern random crash family, the
+// crash failures of the benchmark's ksetd_jobs rotation.
+const randomFailuresSpec = `{
+	"params": {"n": 8, "t": 5, "k": 2, "d": 3, "l": 1},
+	"condition": {"kind": "max", "m": 4},
+	"source": {"kind": "random", "seed": 1, "count": 64},
+	"failures": {"kind": "random", "seed": 7, "count": 4}
+}`
+
+// BenchmarkCompileRandomFailures prices decoding and compiling a spec with
+// a random crash family, whose every pattern Compile draws in the POST
+// handler. CI gates its allocations per op (scripts/benchgate.sh), so a
+// fresh math/rand source per pattern — about 5 kB each — cannot return
+// unnoticed.
+func BenchmarkCompileRandomFailures(b *testing.B) {
+	body := []byte(randomFailuresSpec)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		spec, err := decodeSpec(bytes.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := Compile(spec); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

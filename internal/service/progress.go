@@ -14,7 +14,11 @@ import (
 // stream monotone mid-run snapshots. The final, worker-count-invariant
 // statistics are NOT read from here — they come from the campaign's own
 // Wait(), so the stream's terminal event is byte-identical to an
-// in-process RunCampaign of the same job.
+// in-process RunCampaign of the same job. A completed campaign's last
+// snapshot is not read from here either: it is that same accumulator,
+// which encodes to the bytes a Snapshot of its every observation would.
+// Snapshot serves the ticker, sweeps, and jobs that failed or were
+// canceled mid-run.
 type Progress struct {
 	mu     sync.Mutex
 	joined stats.Accumulator

@@ -207,13 +207,31 @@ func (s *Server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// decodeSpec decodes a JobSpec, rejecting unknown fields so typos in
-// field names fail loudly instead of silently configuring nothing.
-func decodeSpec(body io.Reader) (JobSpec, error) {
-	var spec JobSpec
+// decodeBody decodes a request body that must be exactly one JSON value
+// into v. It rejects unknown fields, so typos in field names fail loudly
+// instead of silently configuring nothing, and anything after the value
+// but whitespace, so a body is never half read: a trailing newline is
+// fine, a second value or stray text is not.
+func decodeBody(body io.Reader, v any) error {
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
-	return spec, dec.Decode(&spec)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	switch _, err := dec.Token(); {
+	case err == io.EOF:
+		return nil
+	case err != nil:
+		return fmt.Errorf("after the JSON value: %w", err) // a 413 stays one
+	default:
+		return errors.New("more than one JSON value in the body")
+	}
+}
+
+// decodeSpec decodes a JobSpec body.
+func decodeSpec(body io.Reader) (JobSpec, error) {
+	var spec JobSpec
+	return spec, decodeBody(body, &spec)
 }
 
 // addJob registers a compiled job under a fresh ID.
@@ -374,26 +392,21 @@ func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request, j *Job) {
 	flusher.Flush()
 
 	// Each event is one frame: its id, event and data lines and a blank
-	// line. A batch's frames are built in the stream's one buffer, grown
-	// once to fit them (an id is at most 20 digits), and written together.
-	var buf []byte
+	// line. The pieces go straight into the ResponseWriter, which buffers
+	// them, and a batch's frames leave in one flush.
 	_ = j.Events(r.Context(), func(batch []Event) error {
-		size := 0
 		for _, ev := range batch {
-			size += len("id: \nevent: \ndata: \n\n") + 20 + len(ev.Type) + len(ev.Data)
-		}
-		buf = slices.Grow(buf[:0], size)
-		for _, ev := range batch {
-			buf = append(buf, "id: "...)
-			buf = strconv.AppendInt(buf, int64(ev.Seq), 10)
-			buf = append(buf, "\nevent: "...)
-			buf = append(buf, ev.Type...)
-			buf = append(buf, "\ndata: "...)
-			buf = append(buf, ev.Data...)
-			buf = append(buf, "\n\n"...)
-		}
-		if _, err := w.Write(buf); err != nil {
-			return err
+			for _, s := range [...]string{"id: ", strconv.Itoa(ev.Seq), "\nevent: ", ev.Type, "\ndata: "} {
+				if _, err := io.WriteString(w, s); err != nil {
+					return err
+				}
+			}
+			if _, err := w.Write(ev.Data); err != nil {
+				return err
+			}
+			if _, err := io.WriteString(w, "\n\n"); err != nil {
+				return err
+			}
 		}
 		flusher.Flush()
 		return nil
@@ -416,9 +429,7 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 	var body struct {
 		Shards []json.RawMessage `json:"shards"`
 	}
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&body); err != nil {
+	if err := decodeBody(r.Body, &body); err != nil {
 		writeDecodeError(w, err)
 		return
 	}
@@ -525,9 +536,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		Params experiments.Params `json:"params"`
 	}
 	if r.ContentLength != 0 {
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&body); err != nil {
+		if err := decodeBody(r.Body, &body); err != nil {
 			writeDecodeError(w, err)
 			return
 		}

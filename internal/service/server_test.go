@@ -114,6 +114,44 @@ func TestSubmitValidationVectors(t *testing.T) {
 	}
 }
 
+// TestTrailingBytesRefused: a body is one JSON value and nothing after it
+// but whitespace. A second value or stray text after a valid spec or
+// experiment override is a 400 bad_json, and no job is accepted; trailing
+// whitespace, such as the newline `curl -d @file` sends, is accepted.
+func TestTrailingBytesRefused(t *testing.T) {
+	_, ts := newTestServer(t, Config{SnapshotInterval: time.Hour})
+	override := `{"params": {"n": 3, "m": 2, "xmax": 1, "lmax": 2}}`
+	for _, tc := range []struct {
+		name, path, body string
+		status           int
+	}{
+		{"spec, second value", "/v1/campaigns", validSpec + `{"params":{"n":"oops"}}`, http.StatusBadRequest},
+		{"spec, stray text", "/v1/campaigns", validSpec + ` trailing garbage`, http.StatusBadRequest},
+		{"spec, stray bracket", "/v1/campaigns", validSpec + `]`, http.StatusBadRequest},
+		{"spec, trailing newline", "/v1/campaigns", validSpec + "\n", http.StatusAccepted},
+		{"spec, trailing whitespace", "/v1/campaigns", validSpec + " \r\n\t ", http.StatusAccepted},
+		{"override, second value", "/v1/experiments/E1", override + `{"params": {"n": 2}}`, http.StatusBadRequest},
+		{"override, stray text", "/v1/experiments/E1", override + ` nonsense`, http.StatusBadRequest},
+		{"override, trailing newline", "/v1/experiments/E1", override + "\n", http.StatusOK},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, data := post(t, ts.URL+tc.path, tc.body)
+			if resp.StatusCode != tc.status {
+				t.Fatalf("status %d, want %d: %s", resp.StatusCode, tc.status, data)
+			}
+			if tc.status != http.StatusBadRequest {
+				return
+			}
+			var body struct {
+				Error errorBody `json:"error"`
+			}
+			if err := json.Unmarshal(data, &body); err != nil || body.Error.Code != "bad_json" || body.Error.Message == "" {
+				t.Fatalf("reply %s, want a structured bad_json", data)
+			}
+		})
+	}
+}
+
 // TestErrorTable walks every row of ksetd's error taxonomy: an error
 // wrapping the row's sentinel is written at the row's status under the
 // row's code, in the structured shape; codes are distinct; the one row
@@ -335,6 +373,77 @@ func TestSSEStreamDeterminism(t *testing.T) {
 	}
 }
 
+// TestFinalSnapshotIsCampaignMetrics pins the post-run snapshot of a
+// completed job at several worker counts: its bytes are the terminal stats
+// event's "metrics", and those of an accumulator that an in-process run of
+// the same spec fed through CollectInto — the snapshot a merge of the
+// job's progress shards would give.
+func TestFinalSnapshotIsCampaignMetrics(t *testing.T) {
+	svc, ts := newTestServer(t, Config{SnapshotInterval: time.Hour})
+	for _, workers := range []int{1, 2, 4, 7} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			body := fmt.Sprintf(`{
+				"params": {"n": 6, "t": 3, "k": 2, "d": 1, "l": 1},
+				"condition": {"kind": "max", "m": 4},
+				"source": {"kind": "random", "seed": 5, "count": 300},
+				"failures": {"kind": "random", "seed": 7, "count": 4},
+				"workers": %d
+			}`, workers)
+			resp, data := post(t, ts.URL+"/v1/campaigns?wait=1", body)
+			var status statusPayload
+			if err := json.Unmarshal(data, &status); err != nil || resp.StatusCode != http.StatusOK || status.State != StateDone {
+				t.Fatalf("submit: status %d: %s", resp.StatusCode, data)
+			}
+			var snapshot, terminal Event
+			err := svc.lookup(status.ID).Events(context.Background(), func(batch []Event) error {
+				for _, ev := range batch {
+					if ev.Type == "snapshot" {
+						snapshot = ev
+					}
+					terminal = ev
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var final struct {
+				Runs    int64           `json:"runs"`
+				Metrics json.RawMessage `json:"metrics"`
+			}
+			if err := json.Unmarshal(terminal.Data, &final); err != nil || terminal.Type != "stats" {
+				t.Fatalf("terminal event %q: %s", terminal.Type, terminal.Data)
+			}
+			if final.Runs != 1200 {
+				t.Fatalf("job ran %d scenarios, want 1200", final.Runs)
+			}
+			if !bytes.Equal(snapshot.Data, final.Metrics) {
+				t.Errorf("last snapshot diverges from the stats event's metrics:\n%s\nvs\n%s", snapshot.Data, final.Metrics)
+			}
+
+			var spec JobSpec
+			if err := json.Unmarshal([]byte(body), &spec); err != nil {
+				t.Fatal(err)
+			}
+			compiled, err := Compile(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			acc := kset.NewAccumulator()
+			if _, err := compiled.sys.RunSource(context.Background(), compiled.src, compiled.options([]kset.CampaignOption{kset.CollectInto(acc)})...); err != nil {
+				t.Fatal(err)
+			}
+			want, err := json.Marshal(acc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(snapshot.Data, want) {
+				t.Errorf("last snapshot diverges from an in-process CollectInto accumulator:\n%s\nvs\n%s", snapshot.Data, want)
+			}
+		})
+	}
+}
+
 // TestSnapshotMonotone runs a job with a fast ticker and checks every
 // streamed snapshot's run counter is non-decreasing and the stream still
 // terminates in the stats event.
@@ -470,7 +579,8 @@ func TestSnapshotLogBounded(t *testing.T) {
 
 // TestCancelRunningJob cancels an in-flight job via DELETE and checks
 // the stream terminates with the canceled event and the job settles in
-// StateCanceled without counting aborted runs as errors.
+// StateCanceled without counting aborted runs as errors, its last
+// snapshot covering the runs it completed.
 func TestCancelRunningJob(t *testing.T) {
 	svc, ts := newTestServer(t, Config{SnapshotInterval: time.Hour})
 	body := `{
@@ -552,6 +662,18 @@ func TestCancelRunningJob(t *testing.T) {
 	}
 	if aborted.Code != "canceled" || !bytes.Equal(aborted.Stats, final.Stats) {
 		t.Fatalf("canceled event = %s, want code canceled and the stats the GET serves", last.data)
+	}
+	// The snapshot before it, merged from the progress shards because the
+	// campaign did not complete, covers exactly the runs the job counts.
+	snapshot := evs[len(evs)-2]
+	var snap struct {
+		Runs int64 `json:"runs"`
+	}
+	if err := json.Unmarshal([]byte(snapshot.data), &snap); err != nil || snapshot.event != "snapshot" {
+		t.Fatalf("event before the terminal one = %q: %s", snapshot.event, snapshot.data)
+	}
+	if snap.Runs != final.Runs {
+		t.Fatalf("last snapshot covers %d runs, the canceled job %d", snap.Runs, final.Runs)
 	}
 }
 

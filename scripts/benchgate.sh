@@ -47,6 +47,12 @@ cd "$(dirname "$0")/.."
 # stay flat for the daemon to absorb thousands of queued submissions on a
 # 1-CPU container (measured: 30 at PR 7; 31 at PR 21, where newJob
 # preallocates the three-slot event log).
+# CompileRandomFailures decodes and compiles a spec whose crash family is
+# 4 random patterns, the failures of a ksetd_jobs job: Compile draws every
+# pattern in the POST handler, from one shared generator reseeded per
+# pattern. Its budget sits between the two counts, so a fresh math/rand
+# source per pattern (two allocations, ~5 kB) cannot return unnoticed
+# (measured: 49 with a source per pattern, 41 with the shared one).
 # CheckpointEncode prices one checkpoint emission — accumulator snapshot
 # plus versioned JSON envelope. Its cost must scale with breakdown keys,
 # never with the runs the checkpoint covers, so periodic checkpointing
@@ -104,6 +110,7 @@ BenchmarkEngineTransport/matrix-seam 0
 BenchmarkEngineTransport/faultnet 0
 BenchmarkEngineTransport/faultnet-storm 0
 BenchmarkSubmitPath 40
+BenchmarkCompileRandomFailures 45
 BenchmarkCheckpointEncode 60
 BenchmarkWireEncode 0
 BenchmarkSnapshotScan/registers 1
@@ -131,7 +138,7 @@ metricbudgets='
 BenchmarkFinishedJob B/job 4096
 '
 
-raw="$(go test -run '^$' -bench 'E1Lattice$|E9Adversary$|CampaignThroughput/campaign|CollectorPath$|EngineTransport|SubmitPath$|FinishedJob$|CheckpointEncode$|WireEncode$|E10Async$|SnapshotScan|AsyncCampaign$|ConditionIndex|EngineRound|LoopbackRun/pipe$|Sweep/generator-fed$' \
+raw="$(go test -run '^$' -bench 'E1Lattice$|E9Adversary$|CampaignThroughput/campaign|CollectorPath$|EngineTransport|SubmitPath$|CompileRandomFailures$|FinishedJob$|CheckpointEncode$|WireEncode$|E10Async$|SnapshotScan|AsyncCampaign$|ConditionIndex|EngineRound|LoopbackRun/pipe$|Sweep/generator-fed$' \
 	-benchmem -benchtime "$benchtime" -count 1 -cpu 1 . ./internal/rounds/ ./internal/service/ ./internal/wire/ ./internal/condition/)"
 printf '%s\n' "$raw"
 
