@@ -24,23 +24,30 @@ func ExampleNew() {
 	// Output: figure2 n = 6 x = 2
 }
 
-// ExampleSystem_Run executes one agreement run: six processes propose,
-// nobody crashes, and everyone decides within the condition-based bound.
+// ExampleSystem_Run executes one agreement run and checks it against the
+// k-set agreement specification: six processes propose an input of the
+// condition, two crash before they send anything, and the rest decide
+// within the condition-based bound.
 func ExampleSystem_Run() {
 	p := kset.Params{N: 6, T: 3, K: 2, D: 1, L: 1}
 	cond, _ := kset.NewMaxCondition(p.N, 4, p.X(), p.L)
 	sys, _ := kset.New(kset.WithParams(p), kset.WithCondition(cond))
 
 	input := kset.VectorOf(4, 4, 4, 2, 1, 2)
-	res, err := sys.Run(context.Background(), input, kset.NoFailures())
+	fp := kset.InitialCrashes(p.N, 2)
+	res, err := sys.Run(context.Background(), input, fp)
 	if err != nil {
 		log.Fatal(err)
 	}
+	fmt.Println("input in the condition:", cond.Contains(input))
 	fmt.Println("decisions:", res.Decisions)
 	fmt.Println("decided in round", res.MaxDecisionRound(), "of at most", p.RMax())
+	fmt.Println("specification:", kset.Verify(input, fp, res, p.K))
 	// Output:
-	// decisions: map[1:4 2:4 3:4 4:4 5:4 6:4]
+	// input in the condition: true
+	// decisions: map[1:4 2:4 3:4 4:4]
 	// decided in round 2 of at most 2
+	// specification: ok (decided {4} by round 2)
 }
 
 // ExampleCampaign submits a handful of scenarios to a campaign and reads
@@ -190,6 +197,65 @@ func ExampleExplicitCondition() {
 	// all decided by round 2
 }
 
+// ExampleCheckLegal designs a condition for a known workload: five
+// replicas whose votes take a handful of known patterns, each with the
+// value it should decide. CheckLegal finds the largest x for which that
+// set, with that decoding, is (x,1)-legal; a System with d = t−x then
+// decides every pattern in two rounds where the classical bound is
+// ⌊t/k⌋+1 = 4, despite a crash.
+func ExampleCheckLegal() {
+	p := kset.Params{N: 5, T: 3, K: 1, L: 1}
+	cond, _ := kset.NewExplicitCondition(p.N, 4, p.L)
+	patterns := []struct {
+		in      kset.Vector
+		decided kset.Value
+	}{
+		{kset.VectorOf(1, 1, 1, 1, 1), 1},
+		{kset.VectorOf(1, 1, 1, 1, 2), 1},
+		{kset.VectorOf(2, 2, 2, 2, 1), 2},
+		{kset.VectorOf(3, 3, 3, 3, 3), 3},
+		{kset.VectorOf(3, 3, 3, 4, 4), 3},
+	}
+	for _, pt := range patterns {
+		if err := cond.Add(pt.in, kset.SetOf(pt.decided)); err != nil {
+			log.Fatal(err)
+		}
+	}
+	best := -1
+	for x := 0; x < p.N; x++ {
+		if v := kset.CheckLegal(cond, x, 0); v != nil {
+			fmt.Printf("x=%d: %v\n", x, v)
+			continue
+		}
+		best = x
+	}
+	fmt.Printf("(x,1)-legal up to x = %d\n", best)
+
+	p.D = p.T - best
+	sys, err := kset.New(kset.WithParams(p), kset.WithCondition(cond))
+	if err != nil {
+		log.Fatal(err)
+	}
+	fp := kset.InitialCrashes(p.N, 1)
+	for _, pt := range patterns {
+		res, err := sys.Run(context.Background(), pt.in, fp)
+		if err != nil {
+			log.Fatal(err)
+		}
+		v := kset.Verify(pt.in, fp, res, p.K)
+		fmt.Printf("%v: %v, designed %d\n", pt.in, v, pt.decided)
+	}
+	// Output:
+	// x=3: (x,ℓ)-density violated: Σ_{v∈h(I)}#_v(I) = 3 ≤ x = 3 for I=[3 3 3 4 4], h={3}
+	// x=4: (x,ℓ)-density violated: Σ_{v∈h(I)}#_v(I) = 4 ≤ x = 4 for I=[1 1 1 1 2], h={1}
+	// (x,1)-legal up to x = 2
+	// [1 1 1 1 1]: ok (decided {1} by round 2), designed 1
+	// [1 1 1 1 2]: ok (decided {1} by round 2), designed 1
+	// [2 2 2 2 1]: ok (decided {2} by round 2), designed 2
+	// [3 3 3 3 3]: ok (decided {3} by round 2), designed 3
+	// [3 3 3 4 4]: ok (decided {3} by round 2), designed 3
+}
+
 // ExampleRandomInputs draws seeded random inputs: the same seed yields
 // the same stream, every time it is iterated.
 func ExampleRandomInputs() {
@@ -256,7 +322,9 @@ func ExampleSystem_RunSource() {
 }
 
 // ExampleRunSweep runs one campaign per parameter-grid point: the d-axis
-// trade-off between condition size and decision round, in one call.
+// trade-off of Section 5 between condition size and decision round, in
+// one call. The adversary crashes more than x = t−d processes before they
+// speak, which forces the slow path: the decision round rises with d.
 func ExampleRunSweep() {
 	const n, m, t, k = 6, 4, 3, 1
 	input := kset.VectorOf(4, 4, 4, 4, 2, 1)
@@ -276,13 +344,65 @@ func ExampleRunSweep() {
 	}
 	for _, r := range results {
 		nb, _ := kset.ConditionSize(n, m, r.Params.X(), r.Params.L)
-		fmt.Printf("%s: |C| = %s, decided in round %d\n",
-			r.Key, nb, r.Stats.MaxDecisionRound())
+		frac, _ := kset.ConditionFraction(n, m, r.Params.X(), r.Params.L)
+		fmt.Printf("%s: |C| = %s (%.4f of all inputs), decided in round %d\n",
+			r.Key, nb, frac, r.Stats.MaxDecisionRound())
 	}
 	// Output:
-	// d=0: |C| = 250, decided in round 2
-	// d=1: |C| = 970, decided in round 2
-	// d=2: |C| = 2440, decided in round 3
+	// d=0: |C| = 250 (0.0610 of all inputs), decided in round 2
+	// d=1: |C| = 970 (0.2368 of all inputs), decided in round 2
+	// d=2: |C| = 2440 (0.5957 of all inputs), decided in round 3
+}
+
+// ExampleSweepExecutors crosses the f-axis of initial crashes with the
+// algorithm axis (Section 8): n = 9, t = 8, k = 2 and d = t, so no
+// condition helps. The classical baseline always takes ⌊t/k⌋+1 = 5
+// rounds, and Figure 2 does once anyone crashes: both pay for the t
+// crashes that could happen. The early-deciding variant pays for the f
+// crashes that do happen.
+func ExampleSweepExecutors() {
+	p := kset.Params{N: 9, T: 8, K: 2, D: 8, L: 1}
+	cond, _ := kset.NewMaxCondition(p.N, 4, p.X(), p.L)
+	base := kset.SweepPoint{
+		Options: []kset.Option{kset.WithParams(p), kset.WithCondition(cond)},
+		Source:  kset.Inputs(kset.VectorOf(4, 3, 2, 1, 1, 2, 3, 1, 2)),
+	}
+	points := kset.SweepExecutors(
+		kset.SweepFailures(base, kset.InitialCrashFamily(p.N, p.T)),
+		kset.Figure2, kset.EarlyDeciding, kset.Classical)
+	results, err := kset.RunSweep(context.Background(), points, kset.VerifyRuns())
+	if err != nil {
+		log.Fatal(err)
+	}
+	rounds := make(map[string]int) // keyed "early/initial=3"
+	var messages, errs, violations int64
+	for _, r := range results {
+		rounds[r.Key] = r.Stats.MaxDecisionRound()
+		messages += r.Stats.MessagesDelivered
+		errs += r.Stats.Errors
+		violations += r.Stats.Violations
+	}
+	fmt.Println("f  figure2  early  classical")
+	for f := 0; f <= p.T; f++ {
+		fmt.Printf("%d  %7d  %5d  %9d\n", f,
+			rounds[fmt.Sprintf("figure2/initial=%d", f)],
+			rounds[fmt.Sprintf("early/initial=%d", f)],
+			rounds[fmt.Sprintf("classical/initial=%d", f)])
+	}
+	fmt.Printf("%d points, %d messages, %d errors, %d violations\n",
+		len(results), messages, errs, violations)
+	// Output:
+	// f  figure2  early  classical
+	// 0        2      2          5
+	// 1        5      3          5
+	// 2        5      3          5
+	// 3        5      3          5
+	// 4        5      4          5
+	// 5        5      4          5
+	// 6        5      5          5
+	// 7        5      5          5
+	// 8        5      5          5
+	// 27 points, 5130 messages, 0 errors, 0 violations
 }
 
 // ExampleSweepFaults expands one grid point along the fault axis — a
@@ -314,4 +434,52 @@ func ExampleSweepFaults() {
 	// loss=0: runs 50, lost 0, violations 0, undecided runs 0
 	// loss=1: runs 50, lost 939, violations 1, undecided runs 0
 	// loss=2: runs 50, lost 1775, violations 1, undecided runs 0
+}
+
+// Example_asynchronous runs the Section-4 algorithm through the
+// Asynchronous executor, which takes its resilience from the params:
+// x = t−d. On an input of the condition every correct process decides,
+// although process 5 crashes before it writes and process 6 after. On an
+// input no member of the condition explains, the algorithm must not
+// decide: every process gives up after its scan budget.
+func Example_asynchronous() {
+	cond, _ := kset.NewMaxCondition(6, 4, 2, 2)
+	sys, _ := kset.New(
+		kset.WithParams(kset.Params{N: 6, T: 2, K: 2, D: 0, L: 2}),
+		kset.WithCondition(cond),
+		kset.WithExecutor(kset.Asynchronous))
+	res, err := sys.RunScenario(context.Background(), kset.Scenario{
+		Input: kset.VectorOf(4, 4, 4, 2, 1, 2),
+		Seed:  42,
+		AsyncCrashes: map[int]kset.CrashPoint{
+			5: kset.CrashBeforeWrite,
+			6: kset.CrashAfterWrite,
+		},
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println("decisions:", res.Decisions, "distinct:", res.DistinctDecisions())
+
+	strict, _ := kset.NewExplicitCondition(4, 4, 1)
+	if err := strict.Add(kset.VectorOf(1, 1, 2, 3), kset.SetOf(1)); err != nil {
+		log.Fatal(err)
+	}
+	blocked, _ := kset.New(
+		kset.WithParams(kset.Params{N: 4, T: 1, K: 1, D: 0, L: 1}),
+		kset.WithCondition(strict),
+		kset.WithExecutor(kset.Asynchronous),
+		kset.WithAsyncBudget(8))
+	res, err = blocked.RunScenario(context.Background(), kset.Scenario{
+		Input: kset.VectorOf(2, 2, 3, 1),
+		Seed:  7,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("strict condition {[1 1 2 3]}, input [2 2 3 1]: %d of 4 undecided\n",
+		4-len(res.Decisions))
+	// Output:
+	// decisions: map[1:4 2:4 3:4 4:4] distinct: {4}
+	// strict condition {[1 1 2 3]}, input [2 2 3 1]: 4 of 4 undecided
 }

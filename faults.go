@@ -1,8 +1,6 @@
 package kset
 
 import (
-	"fmt"
-
 	"kset/internal/adversary"
 	"kset/internal/faultnet"
 )
@@ -126,19 +124,9 @@ func FaultSchedules(src ScenarioSource, fam FaultFamily) ScenarioSource {
 // is empty) — the fault axis of a trade-off grid. Each point's source is
 // the base source crossed with that single plan.
 func SweepFaults(base SweepPoint, fam FaultFamily) []SweepPoint {
-	points := make([]SweepPoint, 0, fam.Size())
-	for i := 0; i < fam.Size(); i++ {
-		key := fmt.Sprintf("%s=%d", fam.Name(), i)
-		if base.Key != "" {
-			key = base.Key + "/" + key
-		}
-		points = append(points, SweepPoint{
-			Key:     key,
-			Options: base.Options,
-			Source:  CrossFaults(base.Source, fam.Plan(i)),
-		})
-	}
-	return points
+	return sweepAxis(base, fam.Name(), fam.Size(), func(src ScenarioSource, i int) ScenarioSource {
+		return CrossFaults(src, fam.Plan(i))
+	})
 }
 
 // faultSeed derives the per-run transport seed: an FNV-1a mix of the

@@ -6,9 +6,10 @@ import (
 	"testing"
 )
 
-// These tests run every command and example binary end to end through the
-// Go toolchain, checking the load-bearing markers of their output. They
-// are the closest thing to a user smoke test the module has.
+// These tests run the commands end to end through the Go toolchain,
+// checking the load-bearing markers of their output. They are the closest
+// thing to a user smoke test the module has; the walkthroughs of the
+// library itself are the Example functions, whose output go test pins.
 
 func runMain(t *testing.T, pkg string, args ...string) string {
 	t.Helper()
@@ -20,48 +21,37 @@ func runMain(t *testing.T, pkg string, args ...string) string {
 	return string(out)
 }
 
-// TestCmdLattice runs E1, the paper's Figure-1 lattice, on a small grid.
-// Its report is OK only if every cell verifies.
-func TestCmdLattice(t *testing.T) {
+// TestCmdExperiments runs two experiments off their defaults, in text
+// and in the shared -json report encoding: E1, the paper's Figure-1
+// lattice, whose report is OK only if every cell verifies, and E3, the
+// NB(x,ℓ) tables at 3^5 = 243 vectors, few enough that E3 cross-checks
+// every cell against brute force and a mismatch fails the report.
+func TestCmdExperiments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns the toolchain")
 	}
-	args := []string{"-only", "E1", "-params", "n=4,m=3,xmax=1,lmax=2"}
-	out := runMain(t, "./cmd/experiments", args...)
-	for _, want := range []string{"✓", "[VERIFIED]"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("E1 output lacks %q:\n%s", want, out)
-		}
-	}
-	// The -json form emits the shared structured report encoding.
-	out = runMain(t, "./cmd/experiments", append(args, "-json")...)
-	for _, want := range []string{`"id": "E1"`, `"ok": true`, `"sections"`} {
-		if !strings.Contains(out, want) {
-			t.Errorf("E1 -json output lacks %q:\n%s", want, out)
-		}
-	}
-}
-
-// TestCmdNBCount runs E3, the NB(x,ℓ) tables, at 3^5 = 243 vectors: few
-// enough that E3 cross-checks every cell against brute force, and a
-// mismatch fails the report.
-func TestCmdNBCount(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns the toolchain")
-	}
-	args := []string{"-only", "E3", "-params", "n=5,m=3,lmax=2"}
-	out := runMain(t, "./cmd/experiments", args...)
-	for _, want := range []string{"NB(x,ℓ)", "[VERIFIED]"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("E3 output lacks %q:\n%s", want, out)
-		}
-	}
-	// The -json form emits the shared structured report encoding.
-	out = runMain(t, "./cmd/experiments", append(args, "-json")...)
-	for _, want := range []string{`"id": "E3"`, `"ok": true`, `"columns"`} {
-		if !strings.Contains(out, want) {
-			t.Errorf("E3 -json output lacks %q:\n%s", want, out)
-		}
+	for _, tc := range []struct {
+		id, params string
+		text, json []string
+	}{
+		{"E1", "n=4,m=3,xmax=1,lmax=2", []string{"✓", "[VERIFIED]"}, []string{`"sections"`}},
+		{"E3", "n=5,m=3,lmax=2", []string{"NB(x,ℓ)", "[VERIFIED]"}, []string{`"columns"`}},
+	} {
+		t.Run(tc.id, func(t *testing.T) {
+			args := []string{"-only", tc.id, "-params", tc.params}
+			out := runMain(t, "./cmd/experiments", args...)
+			for _, want := range tc.text {
+				if !strings.Contains(out, want) {
+					t.Errorf("%s output lacks %q:\n%s", tc.id, want, out)
+				}
+			}
+			out = runMain(t, "./cmd/experiments", append(args, "-json")...)
+			for _, want := range append([]string{`"id": "` + tc.id + `"`, `"ok": true`}, tc.json...) {
+				if !strings.Contains(out, want) {
+					t.Errorf("%s -json output lacks %q:\n%s", tc.id, want, out)
+				}
+			}
+		})
 	}
 }
 
@@ -95,26 +85,5 @@ func TestCmdExperimentsSingle(t *testing.T) {
 	out := runMain(t, "./cmd/experiments", "-only", "E2")
 	if !strings.Contains(out, "E2") || !strings.Contains(out, "[VERIFIED]") {
 		t.Errorf("experiments output lacks verification:\n%s", out)
-	}
-}
-
-func TestExamples(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns the toolchain")
-	}
-	for _, tc := range []struct {
-		pkg  string
-		want string
-	}{
-		{"./examples/quickstart", "specification: ok"},
-		{"./examples/tradeoff", "classical baseline"},
-		{"./examples/faultstorm", "early decision tracks"},
-		{"./examples/asyncset", "expected: everyone"},
-		{"./examples/designer", "legal up to x=2"},
-	} {
-		out := runMain(t, tc.pkg)
-		if !strings.Contains(out, tc.want) {
-			t.Errorf("%s output lacks %q:\n%s", tc.pkg, tc.want, out)
-		}
 	}
 }

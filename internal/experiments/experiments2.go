@@ -56,8 +56,8 @@ func runE6(cfg Params) Report {
 	return r
 }
 
-// runE7 measures the early-deciding extension (Section 8) on the
-// faultstorm grid: one base point expanded along the f-axis by
+// runE7 measures the early-deciding extension (Section 8) on a sweep
+// grid: one base point expanded along the f-axis by
 // SweepFailures and along the algorithm axis by SweepExecutors; decision
 // rounds as a function of the number of actual crashes f.
 func runE7(cfg Params) Report {

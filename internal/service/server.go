@@ -535,11 +535,10 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	var body struct {
 		Params experiments.Params `json:"params"`
 	}
-	if r.ContentLength != 0 {
-		if err := decodeBody(r.Body, &body); err != nil {
-			writeDecodeError(w, err)
-			return
-		}
+	// A body holding no JSON value, however it is framed, means no overrides.
+	if err := decodeBody(r.Body, &body); err != nil && err != io.EOF {
+		writeDecodeError(w, err)
+		return
 	}
 	p, err := sp.With(body.Params)
 	for key, v := range body.Params {

@@ -117,7 +117,10 @@ func TestSubmitValidationVectors(t *testing.T) {
 // TestTrailingBytesRefused: a body is one JSON value and nothing after it
 // but whitespace. A second value or stray text after a valid spec or
 // experiment override is a 400 bad_json, and no job is accepted; trailing
-// whitespace, such as the newline `curl -d @file` sends, is accepted.
+// whitespace, such as the newline `curl -d @file` sends, is accepted. An
+// experiment body with no JSON value at all means no overrides. Every
+// body is sent twice, with a Content-Length and chunked, and the verdict
+// must not depend on the framing.
 func TestTrailingBytesRefused(t *testing.T) {
 	_, ts := newTestServer(t, Config{SnapshotInterval: time.Hour})
 	override := `{"params": {"n": 3, "m": 2, "xmax": 1, "lmax": 2}}`
@@ -133,20 +136,36 @@ func TestTrailingBytesRefused(t *testing.T) {
 		{"override, second value", "/v1/experiments/E1", override + `{"params": {"n": 2}}`, http.StatusBadRequest},
 		{"override, stray text", "/v1/experiments/E1", override + ` nonsense`, http.StatusBadRequest},
 		{"override, trailing newline", "/v1/experiments/E1", override + "\n", http.StatusOK},
+		{"override, empty", "/v1/experiments/E2", "", http.StatusOK},
+		{"override, whitespace only", "/v1/experiments/E2", "\n", http.StatusOK},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			resp, data := post(t, ts.URL+tc.path, tc.body)
-			if resp.StatusCode != tc.status {
-				t.Fatalf("status %d, want %d: %s", resp.StatusCode, tc.status, data)
-			}
-			if tc.status != http.StatusBadRequest {
-				return
-			}
-			var body struct {
-				Error errorBody `json:"error"`
-			}
-			if err := json.Unmarshal(data, &body); err != nil || body.Error.Code != "bad_json" || body.Error.Message == "" {
-				t.Fatalf("reply %s, want a structured bad_json", data)
+			for _, framing := range []string{"length", "chunked"} {
+				var body io.Reader = strings.NewReader(tc.body)
+				if framing == "chunked" {
+					body = io.MultiReader(body) // unknown length: sent chunked
+				}
+				resp, err := http.Post(ts.URL+tc.path, "application/json", body)
+				if err != nil {
+					t.Fatal(err)
+				}
+				data, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if resp.StatusCode != tc.status {
+					t.Fatalf("%s: status %d, want %d: %s", framing, resp.StatusCode, tc.status, data)
+				}
+				if tc.status != http.StatusBadRequest {
+					continue
+				}
+				var reply struct {
+					Error errorBody `json:"error"`
+				}
+				if err := json.Unmarshal(data, &reply); err != nil || reply.Error.Code != "bad_json" || reply.Error.Message == "" {
+					t.Fatalf("%s: reply %s, want a structured bad_json", framing, data)
+				}
 			}
 		})
 	}

@@ -92,17 +92,22 @@ func SweepDegrees(base Params, m int, src func(p Params, c *MaxCondition) Scenar
 // is empty): the f-axis of a trade-off grid. Each point's source is the
 // base source crossed with that single pattern.
 func SweepFailures(base SweepPoint, fam FailureFamily) []SweepPoint {
-	points := make([]SweepPoint, 0, fam.Size())
-	for i := 0; i < fam.Size(); i++ {
-		key := fmt.Sprintf("%s=%d", fam.Name(), i)
+	return sweepAxis(base, fam.Name(), fam.Size(), func(src ScenarioSource, i int) ScenarioSource {
+		return CrossFailures(src, fam.Pattern(i))
+	})
+}
+
+// sweepAxis expands base along one axis of size items: point i is keyed
+// "<key>/<name>=<i>" (or "<name>=<i>" when the base key is empty), shares
+// base.Options, and runs cross(base.Source, i).
+func sweepAxis(base SweepPoint, name string, size int, cross func(ScenarioSource, int) ScenarioSource) []SweepPoint {
+	points := make([]SweepPoint, 0, size)
+	for i := 0; i < size; i++ {
+		key := fmt.Sprintf("%s=%d", name, i)
 		if base.Key != "" {
 			key = base.Key + "/" + key
 		}
-		points = append(points, SweepPoint{
-			Key:     key,
-			Options: base.Options,
-			Source:  CrossFailures(base.Source, fam.Pattern(i)),
-		})
+		points = append(points, SweepPoint{Key: key, Options: base.Options, Source: cross(base.Source, i)})
 	}
 	return points
 }
