@@ -162,11 +162,13 @@ type Campaign struct {
 
 	// The collector pipeline: acc backs Wait's CampaignStats, extra holds
 	// CollectInto additions; every worker observes into its own forked
-	// shard row, joined back in worker order by Wait.
+	// shard row, joined back in worker order by Wait, and publishes its
+	// acc shard to a TrackProgress handle through its tracker slot.
 	acc        *stats.Accumulator
 	extra      []Collector
 	collectors []Collector   // acc + extra
 	shards     [][]Collector // [worker][collector]
+	progress   *tracker      // nil without TrackProgress
 	wg         sync.WaitGroup
 
 	mu     sync.RWMutex
@@ -259,6 +261,12 @@ func (s *System) newCampaign(ctx context.Context, opts []CampaignOption) *Campai
 		}
 		c.shards[i] = row
 	}
+	if t := c.progress; t != nil {
+		t.slots = make([]progressSlot, c.nworkers)
+		t.p.mu.Lock()
+		t.p.live = append(t.p.live, t)
+		t.p.mu.Unlock()
+	}
 	return c
 }
 
@@ -328,9 +336,9 @@ func (c *Campaign) Close() {
 // Wait closes the campaign, waits for the workers to drain the queue,
 // joins every worker's collector shards back into their collectors — in
 // worker order, so any order-sensitive custom collector sees a fixed
-// merge sequence — and returns the merged stats. After cancellation it
-// returns the context's error together with the stats of the scenarios
-// that completed.
+// merge sequence — and into the TrackProgress handle, if any, and returns
+// the merged stats. After cancellation it returns the context's error
+// together with the stats of the scenarios that completed.
 func (c *Campaign) Wait() (*CampaignStats, error) {
 	c.waitOnce.Do(func() {
 		c.Close()
@@ -341,6 +349,9 @@ func (c *Campaign) Wait() (*CampaignStats, error) {
 			}
 		}
 		c.stats = newCampaignStats(c.acc)
+		if c.progress != nil {
+			c.progress.join(c.acc)
+		}
 		c.waitErr = c.ctx.Err()
 	})
 	return c.stats, c.waitErr
@@ -369,10 +380,9 @@ func (c *Campaign) worker(i int) {
 	defer c.wg.Done()
 	w := getWorker()
 	defer putWorker(w)
-	shard := c.shards[i]
 	if c.pull.ranged != nil {
 		run := func(sc Scenario) bool {
-			c.runOne(w, shard, sc)
+			c.runOne(w, i, sc)
 			return c.ctx.Err() == nil
 		}
 		for c.ctx.Err() == nil {
@@ -392,15 +402,16 @@ func (c *Campaign) worker(i int) {
 			if !ok {
 				return
 			}
-			c.runOne(w, shard, sc)
+			c.runOne(w, i, sc)
 		}
 	}
 }
 
-// runOne executes one scenario on worker w and folds its Observation into
-// the worker's collector shards. The worker recycles a single Result, so
-// the run — observation included — allocates nothing.
-func (c *Campaign) runOne(w *worker, shard []Collector, sc Scenario) {
+// runOne executes one scenario on worker w, number i, folds its
+// Observation into the worker's collector shards and polls its progress
+// slot. The worker recycles a single Result, so the run — observation
+// included — allocates nothing.
+func (c *Campaign) runOne(w *worker, i int, sc Scenario) {
 	// Executors take the scenario by pointer through an interface, which
 	// would move sc to the heap on every run; the worker's slot is there
 	// already.
@@ -442,7 +453,10 @@ func (c *Campaign) runOne(w *worker, shard []Collector, sc Scenario) {
 		o.Executor = ex.Name()
 	}
 	o.Label = sc.Label
-	for _, col := range shard {
+	for _, col := range c.shards[i] {
 		col.Observe(o)
+	}
+	if c.progress != nil {
+		c.progress.poll(i, c.shards[i][0])
 	}
 }

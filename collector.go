@@ -1,6 +1,12 @@
 package kset
 
-import "kset/internal/stats"
+import (
+	"slices"
+	"sync"
+	"sync/atomic"
+
+	"kset/internal/stats"
+)
 
 // Results-plane types. Every layer of the stack reports runs through one
 // pipeline: executions emit an Observation per run, Collectors fold
@@ -55,4 +61,101 @@ func NewAccumulator() *Accumulator { return stats.NewAccumulator() }
 // SweepResult carries its point's own Metrics).
 func CollectInto(c Collector) CampaignOption {
 	return func(camp *Campaign) { camp.extra = append(camp.extra, c) }
+}
+
+// Progress is a live view of the campaigns TrackProgress attaches it to,
+// safe to read from any goroutine while they run. A read bumps a request
+// counter that each worker loads once per run, publishing a copy of its
+// own accumulator shard when it has moved, and merges those copies onto
+// the ended campaigns: it lags one request behind the workers, but no
+// counter ever falls from one read to the next. Wait folds each campaign
+// in, so a handle reused across sequential campaigns (RunSweep's points,
+// RunCheckpointed's chunks) accumulates them all. The latest ended
+// campaign's CampaignStats.Metrics is read in place until the next one
+// ends: write into it only once the handle is no longer read. The zero
+// Progress is ready to use.
+type Progress struct {
+	requests atomic.Int64
+	mu       sync.Mutex
+	joined   stats.Accumulator  // the ended campaigns before the latest
+	latest   *stats.Accumulator // the latest ended campaign's
+	live     []*tracker
+}
+
+// TrackProgress attaches p to the campaign. Without it a run pays one nil
+// check for progress, with it and no reader one atomic load more.
+func TrackProgress(p *Progress) CampaignOption {
+	return func(c *Campaign) { c.progress = &tracker{p: p} }
+}
+
+// Snapshot merges what the handle covers into a fresh Accumulator.
+func (p *Progress) Snapshot() *Accumulator {
+	out := stats.NewAccumulator()
+	p.each(out.Merge)
+	return out
+}
+
+// Runs returns the runs a Snapshot taken now would count.
+func (p *Progress) Runs() (n int64) {
+	p.each(func(a *stats.Accumulator) { n += a.Runs })
+	return n
+}
+
+// each requests a publication, then calls fn on all the handle covers.
+func (p *Progress) each(fn func(*stats.Accumulator)) {
+	p.requests.Add(1)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	fn(&p.joined)
+	if p.latest != nil {
+		fn(p.latest)
+	}
+	for _, t := range p.live {
+		for i := range t.slots {
+			s := &t.slots[i]
+			s.mu.Lock()
+			fn(&s.copy)
+			s.mu.Unlock()
+		}
+	}
+}
+
+// tracker is one campaign's part in its Progress handle.
+type tracker struct {
+	p     *Progress
+	slots []progressSlot
+}
+
+// poll copies worker i's shard into its slot if a reader asked since.
+func (t *tracker) poll(i int, shard Collector) {
+	s := &t.slots[i]
+	if r := t.p.requests.Load(); r != s.seen {
+		s.seen = r
+		s.mu.Lock()
+		s.copy.Reset()
+		s.copy.Merge(shard.(*stats.Accumulator))
+		s.mu.Unlock()
+	}
+}
+
+// join swaps the ended campaign's slots for its accumulator, read in
+// place: a copy would cost a short job as much as its breakdown groups.
+func (t *tracker) join(acc *stats.Accumulator) {
+	p := t.p
+	p.mu.Lock()
+	if p.latest != nil {
+		p.joined.Merge(p.latest)
+	}
+	p.latest = acc
+	i := slices.Index(p.live, t)
+	p.live = slices.Delete(p.live, i, i+1)
+	p.mu.Unlock()
+}
+
+// progressSlot is what one worker publishes, under its lock; any other
+// per-worker sample a reader wants mid-run belongs here too.
+type progressSlot struct {
+	seen int64 // the request count last answered; the worker's alone
+	mu   sync.Mutex
+	copy stats.Accumulator
 }

@@ -172,6 +172,16 @@ func TestCampaignRunAllocations(t *testing.T) {
 		})
 	}
 
+	// The Figure-2 stream again, with a progress handle attached and no
+	// reader: a worker's one atomic load per run allocates nothing.
+	t.Run("random/progress", func(t *testing.T) {
+		sys := testSystem(t, kset.WithParams(p), kset.WithCondition(testCondition(t, p)), kset.WithWorkers(1))
+		src := kset.FailureSchedules(kset.RandomInputs(3, p.N, 4, 1024), fam)
+		sourceAllocs(t, src, func() (*kset.CampaignStats, error) {
+			return sys.RunSource(ctx, src, kset.TrackProgress(new(kset.Progress)))
+		})
+	})
+
 	// The other builders and the combinators, at n = 8.
 	wp := kset.Params{N: 8, T: 5, K: 2, D: 3, L: 1}
 	cond, err := kset.NewMaxCondition(wp.N, 4, wp.X(), wp.L)

@@ -12,8 +12,8 @@
 // Scheduler dispatches queues round-robin across tenants into a bounded
 // pool of run slots, so no tenant can starve another.
 //
-// Each running job observes its campaign through a Progress collector and
-// publishes periodic accumulator snapshots to its event log, which keeps
+// Each running job reads its campaign's shards through a kset.Progress
+// handle and publishes periodic snapshots to its event log, which keeps
 // the newest one; GET /v1/campaigns/{id}/events replays that log as
 // server-sent events and follows it live to the terminal event. A
 // finished job is that log and a few scalars, and only the 256 most

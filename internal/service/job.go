@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"sync"
@@ -78,7 +79,7 @@ type Job struct {
 	// Released (nil) at the terminal transition: a finished job must not
 	// pin a System, its scenario closures or an accumulator.
 	compiled *CompiledJob
-	progress *Progress
+	progress *kset.Progress
 	cancel   context.CancelFunc
 	// Set at the terminal transition.
 	runs    int64
@@ -92,7 +93,7 @@ func newJob(id string, c *CompiledJob) *Job {
 		Tenant:   c.Spec.Tenant,
 		label:    c.Spec.Label,
 		compiled: c,
-		progress: &Progress{},
+		progress: new(kset.Progress),
 		state:    StateQueued,
 		events:   make([]Event, 0, maxLogEvents),
 		done:     make(chan struct{}),
@@ -131,31 +132,36 @@ func (j *Job) appendLocked(typ string, data []byte) {
 }
 
 // publish appends one non-terminal event to the log.
-func (j *Job) publish(typ string, payload any) {
-	data := encode(payload)
+func (j *Job) publish(typ string, data []byte) {
 	j.mu.Lock()
 	j.appendLocked(typ, data)
 	j.mu.Unlock()
 }
 
 // finishLocked is the terminal transition; the caller holds mu. It
-// records the outcome, appends the terminal event, drops everything only
-// a live job needs and releases waiters.
-func (j *Job) finishLocked(state State, typ string, data []byte, errText string) {
+// records the outcome and the runs it covers, appends the terminal event,
+// drops everything only a live job needs and releases waiters.
+func (j *Job) finishLocked(state State, typ string, data []byte, errText string, runs int64) {
 	j.state = state
 	j.errText = errText
-	j.runs = j.progress.Runs()
+	j.runs = runs
 	j.compiled, j.progress, j.cancel = nil, nil, nil
 	j.appendLocked(typ, data)
 	close(j.done)
 }
 
 // finish moves a running job to a terminal state.
-func (j *Job) finish(state State, typ string, payload any, errText string) {
-	data := encode(payload)
+func (j *Job) finish(state State, typ string, data []byte, errText string, runs int64) {
 	j.mu.Lock()
-	j.finishLocked(state, typ, data, errText)
+	j.finishLocked(state, typ, data, errText, runs)
 	j.mu.Unlock()
+}
+
+// metricsOf cuts the accumulator out of a CampaignStats encoding, sharing
+// its bytes: it is the last field, and every field before it is numeric.
+func metricsOf(stats []byte) []byte {
+	_, m, _ := bytes.Cut(stats, []byte(`,"metrics":`))
+	return bytes.TrimSuffix(m, []byte("}"))
 }
 
 // canceledQueued is the terminal payload of a job canceled in its queue;
@@ -170,7 +176,7 @@ func (j *Job) Cancel() {
 	var cancel context.CancelFunc
 	switch j.state {
 	case StateQueued:
-		j.finishLocked(StateCanceled, "canceled", canceledQueued, "")
+		j.finishLocked(StateCanceled, "canceled", canceledQueued, "", 0)
 	case StateRunning:
 		cancel = j.cancel
 	}
@@ -199,7 +205,7 @@ func (j *Job) run(ctx context.Context, snapshotEvery time.Duration) {
 	// references.
 	compiled, progress := j.compiled, j.progress
 	j.mu.Unlock()
-	j.publish("running", statusPayload{ID: j.ID, Tenant: j.Tenant, State: StateRunning})
+	j.publish("running", encode(statusPayload{ID: j.ID, Tenant: j.Tenant, State: StateRunning}))
 
 	stop := make(chan struct{})
 	var ticking sync.WaitGroup
@@ -214,7 +220,7 @@ func (j *Job) run(ctx context.Context, snapshotEvery time.Duration) {
 				case <-stop:
 					return
 				case <-t.C:
-					j.publish("snapshot", progress.Snapshot())
+					j.publish("snapshot", encode(progress.Snapshot()))
 				}
 			}
 		}()
@@ -225,7 +231,7 @@ func (j *Job) run(ctx context.Context, snapshotEvery time.Duration) {
 		sweep []kset.SweepResult
 		err   error
 	)
-	opts := compiled.options([]kset.CampaignOption{kset.CollectInto(progress)})
+	opts := compiled.options([]kset.CampaignOption{kset.TrackProgress(progress)})
 	if compiled.Sweep() {
 		sweep, err = kset.RunSweep(ctx, compiled.points, opts...)
 	} else {
@@ -235,27 +241,29 @@ func (j *Job) run(ctx context.Context, snapshotEvery time.Duration) {
 	ticking.Wait()
 
 	// The stream always carries at least one snapshot, emitted after the
-	// run settles so the last snapshot covers every completed scenario. A
-	// completed campaign returned that accumulator itself: Progress saw
-	// every observation it did, and an accumulator's encoding is fixed by
-	// its observations, so stats.Metrics encodes to the bytes a merge of
-	// the Progress shards would. A sweep, or a run cut short, has no such
-	// accumulator and merges the shards.
-	if err == nil && stats != nil {
-		j.publish("snapshot", stats.Metrics)
+	// run settles so the last one covers every completed scenario: the
+	// campaign's Metrics, cut from the one encoding of its stats, or for a
+	// sweep the handle, which every point — a canceled one too — joined.
+	var statsJSON, snapshot []byte
+	var runs int64
+	if stats != nil {
+		statsJSON, runs = encode(stats), stats.Runs
+		snapshot = metricsOf(statsJSON)
 	} else {
-		j.publish("snapshot", progress.Snapshot())
+		acc := progress.Snapshot()
+		snapshot, runs = encode(acc), acc.Runs
 	}
+	j.publish("snapshot", snapshot)
 
 	switch {
 	case err != nil && ctx.Err() != nil:
-		j.finish(StateCanceled, "canceled", abortBody{errorBody{"canceled", err.Error()}, stats, sweep}, err.Error())
+		j.finish(StateCanceled, "canceled", encode(abortBody{errorBody{"canceled", err.Error()}, statsJSON, sweep}), err.Error(), runs)
 	case err != nil:
-		j.finish(StateFailed, "error", abortBody{errorBody{"run_failed", err.Error()}, stats, sweep}, err.Error())
+		j.finish(StateFailed, "error", encode(abortBody{errorBody{"run_failed", err.Error()}, statsJSON, sweep}), err.Error(), runs)
 	case sweep != nil:
-		j.finish(StateDone, "sweep", sweep, "")
+		j.finish(StateDone, "sweep", encode(sweep), "", runs)
 	default:
-		j.finish(StateDone, "stats", stats, "")
+		j.finish(StateDone, "stats", statsJSON, "", runs)
 	}
 }
 
@@ -375,6 +383,6 @@ type errorBody struct {
 // complete: the error, and beside it the results of what did run.
 type abortBody struct {
 	errorBody
-	Stats *kset.CampaignStats `json:"stats,omitempty"`
-	Sweep []kset.SweepResult  `json:"sweep,omitempty"`
+	Stats json.RawMessage    `json:"stats,omitempty"`
+	Sweep []kset.SweepResult `json:"sweep,omitempty"`
 }

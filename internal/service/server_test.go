@@ -696,6 +696,79 @@ func TestCancelRunningJob(t *testing.T) {
 	}
 }
 
+// TestCancelRunningSweep cancels a sweep job partway through a grid
+// point. The terminal event's results keep the points that completed;
+// the job's run count and its last snapshot keep the canceled point's
+// runs too, and agree.
+func TestCancelRunningSweep(t *testing.T) {
+	svc, ts := newTestServer(t, Config{SnapshotInterval: time.Hour})
+	// The members of max conditions at n = 10, m = 4: 25 594 at d = 0,
+	// then 95 146, 261 886, … as d grows.
+	resp, data := post(t, ts.URL+"/v1/campaigns", `{
+		"params": {"n": 10, "t": 5, "k": 2, "l": 1},
+		"sweep": {"kind": "degrees", "m": 4},
+		"source": {"kind": "members"}
+	}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: status %d: %s", resp.StatusCode, data)
+	}
+	var status statusPayload
+	if err := json.Unmarshal(data, &status); err != nil {
+		t.Fatal(err)
+	}
+	j := svc.lookup(status.ID)
+
+	// Past the first point, then cancel.
+	deadline := time.Now().Add(30 * time.Second)
+	for j.Status(false).Runs <= 25594 {
+		if time.Now().After(deadline) {
+			t.Fatal("the sweep never got past its first point")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	j.Cancel()
+	<-j.Done()
+
+	final := j.Status(true)
+	if final.State != StateCanceled {
+		t.Fatalf("state = %q, want canceled", final.State)
+	}
+	var sweep []kset.SweepResult
+	if err := json.Unmarshal(final.Sweep, &sweep); err != nil {
+		t.Fatalf("sweep payload: %v\n%s", err, final.Sweep)
+	}
+	var completed int64
+	for _, r := range sweep {
+		completed += r.Stats.Runs
+	}
+	t.Logf("%d runs, %d points completed with %d", final.Runs, len(sweep), completed)
+	if len(sweep) == 0 || final.Runs <= completed {
+		t.Fatalf("canceled sweep counts %d runs over %d completed points of %d runs, want more",
+			final.Runs, len(sweep), completed)
+	}
+	var last Event
+	err := j.Events(context.Background(), func(batch []Event) error {
+		for _, ev := range batch {
+			if ev.Type == "snapshot" {
+				last = ev
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap struct {
+		Runs int64 `json:"runs"`
+	}
+	if err := json.Unmarshal(last.Data, &snap); err != nil {
+		t.Fatalf("last snapshot %q: %v", last.Data, err)
+	}
+	if snap.Runs != final.Runs {
+		t.Fatalf("last snapshot covers %d runs, the canceled sweep %d", snap.Runs, final.Runs)
+	}
+}
+
 // TestCancelQueuedJob cancels a job that never left its queue: with a
 // single busy slot, the queued job must settle as canceled without
 // running a single scenario.

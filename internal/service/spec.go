@@ -186,7 +186,7 @@ func (c *CompiledJob) Sweep() bool { return c.points != nil }
 func (c *CompiledJob) TotalRuns() (int64, bool) { return c.total, c.sized }
 
 // options returns the campaign options of a run: the compiled defaults
-// plus any extras (the job's progress collector, above all).
+// plus any extras (the job's progress handle, above all).
 func (c *CompiledJob) options(extra []kset.CampaignOption) []kset.CampaignOption {
 	opts := make([]kset.CampaignOption, 0, len(c.copts)+len(extra))
 	opts = append(opts, c.copts...)
