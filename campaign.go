@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -86,6 +87,37 @@ func newCampaignStats(acc *Accumulator) *CampaignStats {
 		Metrics:           acc,
 	}
 }
+
+// AppendJSON appends the stats' JSON encoding to dst: the bytes
+// encoding/json writes for the struct tags, the accumulator's through
+// Accumulator.AppendJSON, with no reflection.
+func (s *CampaignStats) AppendJSON(dst []byte) []byte {
+	dst = strconv.AppendInt(append(dst, `{"runs":`...), s.Runs, 10)
+	dst = strconv.AppendInt(append(dst, `,"errors":`...), s.Errors, 10)
+	dst = strconv.AppendInt(append(dst, `,"condition_hits":`...), s.ConditionHits, 10)
+	dst = strconv.AppendInt(append(dst, `,"violations":`...), s.Violations, 10)
+	if s.UndecidedRuns != 0 {
+		dst = strconv.AppendInt(append(dst, `,"undecided_runs":`...), s.UndecidedRuns, 10)
+	}
+	dst = strconv.AppendInt(append(dst, `,"messages_delivered":`...), s.MessagesDelivered, 10)
+	if len(s.DecisionRounds) > 0 {
+		dst = append(dst, `,"decision_rounds":[`...)
+		for i, n := range s.DecisionRounds {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = strconv.AppendInt(dst, n, 10)
+		}
+		dst = append(dst, ']')
+	}
+	if s.Metrics != nil {
+		dst = s.Metrics.AppendJSON(append(dst, `,"metrics":`...))
+	}
+	return append(dst, '}')
+}
+
+// MarshalJSON encodes the stats through AppendJSON.
+func (s *CampaignStats) MarshalJSON() ([]byte, error) { return s.AppendJSON(nil), nil }
 
 // HitRate returns the fraction of runs whose input was in the condition.
 func (s *CampaignStats) HitRate() float64 {
@@ -264,6 +296,12 @@ func (s *System) newCampaign(ctx context.Context, opts []CampaignOption) *Campai
 	if t := c.progress; t != nil {
 		t.slots = make([]progressSlot, c.nworkers)
 		t.p.mu.Lock()
+		// A read made before the campaign registers has nothing of it to
+		// see: answering that read would cost its first run a slot copy.
+		seen := t.p.requests.Load()
+		for i := range t.slots {
+			t.slots[i].seen = seen
+		}
 		t.p.live = append(t.p.live, t)
 		t.p.mu.Unlock()
 	}

@@ -1,6 +1,7 @@
 package kset_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -245,5 +246,48 @@ func TestRunCheckpointedValidation(t *testing.T) {
 	}
 	if got, want := marshal(t, st), marshal(t, base); string(got) != string(want) {
 		t.Fatalf("fully-resumed stats differ\n%s\nvs\n%s", got, want)
+	}
+}
+
+// TestCampaignStatsJSONMatchesReflection checks CampaignStats' appended
+// envelope against encoding/json over a method-free mirror: a campaign's
+// stats, and hand-built ones without metrics, histogram or undecided runs.
+// The metrics' own bytes are FuzzAccumulatorJSON's to pin.
+func TestCampaignStatsJSONMatchesReflection(t *testing.T) {
+	type mirror struct {
+		Runs              int64           `json:"runs"`
+		Errors            int64           `json:"errors"`
+		ConditionHits     int64           `json:"condition_hits"`
+		Violations        int64           `json:"violations"`
+		UndecidedRuns     int64           `json:"undecided_runs,omitempty"`
+		MessagesDelivered int64           `json:"messages_delivered"`
+		DecisionRounds    []int64         `json:"decision_rounds,omitempty"`
+		Metrics           json.RawMessage `json:"metrics,omitempty"`
+	}
+	sys, src := checkpointSystem(t)
+	ran, err := sys.RunSource(context.Background(), src, kset.VerifyRuns())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range []*kset.CampaignStats{
+		ran,
+		{},
+		{Runs: 5, Errors: 1, UndecidedRuns: 2, MessagesDelivered: 70, DecisionRounds: []int64{}},
+		{Runs: 3, DecisionRounds: []int64{0, 1, 2}, Metrics: kset.NewAccumulator()},
+	} {
+		m := mirror{st.Runs, st.Errors, st.ConditionHits, st.Violations, st.UndecidedRuns, st.MessagesDelivered, st.DecisionRounds, nil}
+		if st.Metrics != nil {
+			m.Metrics = st.Metrics.AppendJSON(nil)
+		}
+		want, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := st.AppendJSON(nil); !bytes.Equal(got, want) {
+			t.Fatalf("AppendJSON differs from reflection:\n got: %s\nwant: %s", got, want)
+		}
+		if got := marshal(t, st); !bytes.Equal(got, want) {
+			t.Fatalf("json.Marshal differs from reflection:\n got: %s\nwant: %s", got, want)
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"kset"
+	"kset/internal/stats"
 )
 
 // State is a job's lifecycle phase.
@@ -81,6 +82,8 @@ type Job struct {
 	compiled *CompiledJob
 	progress *kset.Progress
 	cancel   context.CancelFunc
+	// The periodic snapshot timer of a running job; nil once it settles.
+	ticker *time.Timer
 	// Set at the terminal transition.
 	runs    int64
 	errText string
@@ -207,27 +210,24 @@ func (j *Job) run(ctx context.Context, snapshotEvery time.Duration) {
 	j.mu.Unlock()
 	j.publish("running", encode(statusPayload{ID: j.ID, Tenant: j.Tenant, State: StateRunning}))
 
-	stop := make(chan struct{})
-	var ticking sync.WaitGroup
 	if snapshotEvery > 0 {
-		ticking.Add(1)
-		go func() {
-			defer ticking.Done()
-			t := time.NewTicker(snapshotEvery)
-			defer t.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-t.C:
-					j.publish("snapshot", encode(progress.Snapshot()))
-				}
+		// One timer per running job, re-armed by its own callback: a job
+		// shorter than the period never fires it.
+		j.mu.Lock()
+		j.ticker = time.AfterFunc(snapshotEvery, func() {
+			data := stats.Encode(progress.Snapshot().AppendJSON)
+			j.mu.Lock()
+			defer j.mu.Unlock()
+			if j.ticker != nil { // nil once the run settled: drop it
+				j.appendLocked("snapshot", data)
+				j.ticker.Reset(snapshotEvery)
 			}
-		}()
+		})
+		j.mu.Unlock()
 	}
 
 	var (
-		stats *kset.CampaignStats
+		cs    *kset.CampaignStats
 		sweep []kset.SweepResult
 		err   error
 	)
@@ -235,10 +235,14 @@ func (j *Job) run(ctx context.Context, snapshotEvery time.Duration) {
 	if compiled.Sweep() {
 		sweep, err = kset.RunSweep(ctx, compiled.points, opts...)
 	} else {
-		stats, err = compiled.sys.RunSource(ctx, compiled.src, opts...)
+		cs, err = compiled.sys.RunSource(ctx, compiled.src, opts...)
 	}
-	close(stop)
-	ticking.Wait()
+	j.mu.Lock()
+	if j.ticker != nil {
+		j.ticker.Stop()
+		j.ticker = nil
+	}
+	j.mu.Unlock()
 
 	// The stream always carries at least one snapshot, emitted after the
 	// run settles so the last one covers every completed scenario: the
@@ -246,12 +250,12 @@ func (j *Job) run(ctx context.Context, snapshotEvery time.Duration) {
 	// sweep the handle, which every point — a canceled one too — joined.
 	var statsJSON, snapshot []byte
 	var runs int64
-	if stats != nil {
-		statsJSON, runs = encode(stats), stats.Runs
+	if cs != nil {
+		statsJSON, runs = stats.Encode(cs.AppendJSON), cs.Runs
 		snapshot = metricsOf(statsJSON)
 	} else {
 		acc := progress.Snapshot()
-		snapshot, runs = encode(acc), acc.Runs
+		snapshot, runs = stats.Encode(acc.AppendJSON), acc.Runs
 	}
 	j.publish("snapshot", snapshot)
 

@@ -209,6 +209,7 @@ func BenchmarkFinishedJob(b *testing.B) {
 	}
 	finished := func() *Job {
 		j := newJob("j-bench", compiled)
+		j.Status(false) // the 202 response reads the job before it runs
 		j.run(context.Background(), 0)
 		if st := j.Status(false); st.State != StateDone || st.Runs != 256 {
 			b.Fatalf("job ended %q after %d runs", st.State, st.Runs)

@@ -129,9 +129,19 @@ func (s *Server) Handler() http.Handler {
 	})
 }
 
+// Response header values, shared by every response: assigning one to a
+// header key costs nothing, where Header.Set allocates its slice per call.
+// net/http only reads them.
+var (
+	jsonContentType = []string{"application/json"}
+	sseContentType  = []string{"text/event-stream"}
+	noCache         = []string{"no-cache"}
+	keepAlive       = []string{"keep-alive"}
+)
+
 // writeJSON writes one JSON response.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -385,9 +395,9 @@ func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request, j *Job) {
 	_ = rc.SetReadDeadline(time.Time{})
 	_ = rc.SetWriteDeadline(time.Time{})
 	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	h.Set("Connection", "keep-alive")
+	h["Content-Type"] = sseContentType
+	h["Cache-Control"] = noCache
+	h["Connection"] = keepAlive
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
 

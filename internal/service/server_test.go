@@ -395,8 +395,8 @@ func TestSSEStreamDeterminism(t *testing.T) {
 // TestFinalSnapshotIsCampaignMetrics pins the post-run snapshot of a
 // completed job at several worker counts: its bytes are the terminal stats
 // event's "metrics", and those of an accumulator that an in-process run of
-// the same spec fed through CollectInto — the snapshot a merge of the
-// job's progress shards would give.
+// the same spec fed through CollectInto — what the job's kset.Progress
+// handle reads once the run has ended.
 func TestFinalSnapshotIsCampaignMetrics(t *testing.T) {
 	svc, ts := newTestServer(t, Config{SnapshotInterval: time.Hour})
 	for _, workers := range []int{1, 2, 4, 7} {
@@ -682,8 +682,8 @@ func TestCancelRunningJob(t *testing.T) {
 	if aborted.Code != "canceled" || !bytes.Equal(aborted.Stats, final.Stats) {
 		t.Fatalf("canceled event = %s, want code canceled and the stats the GET serves", last.data)
 	}
-	// The snapshot before it, merged from the progress shards because the
-	// campaign did not complete, covers exactly the runs the job counts.
+	// The snapshot before it, the metrics of the canceled campaign's
+	// stats, covers exactly the runs the job counts.
 	snapshot := evs[len(evs)-2]
 	var snap struct {
 		Runs int64 `json:"runs"`

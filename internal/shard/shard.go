@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
 
 	"kset/internal/stats"
 )
@@ -140,13 +141,27 @@ func (c Checkpoint) Validate() error {
 
 // Encode renders the checkpoint as its canonical JSON encoding,
 // validating first so a corrupt envelope can never be persisted. The
-// encoding is byte-deterministic for a fixed checkpoint (struct field
-// order; the accumulator's map keys are sorted by encoding/json).
+// encoding is the bytes encoding/json writes for the struct tags, and so
+// byte-deterministic for a fixed checkpoint, appended without reflection:
+// the envelope here, the snapshot by Accumulator.AppendJSON (breakdown
+// keys sorted as encoding/json sorts them), into one exactly sized copy.
 func (c Checkpoint) Encode() ([]byte, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	return json.Marshal(c)
+	return stats.Encode(c.appendJSON), nil
+}
+
+// appendJSON appends the envelope's encoding to dst.
+func (c *Checkpoint) appendJSON(dst []byte) []byte {
+	dst = strconv.AppendInt(append(dst, `{"version":`...), int64(c.Version), 10)
+	dst = strconv.AppendInt(append(dst, `,"cursor":{"lo":`...), c.Cursor.Lo, 10)
+	dst = strconv.AppendInt(append(dst, `,"hi":`...), c.Cursor.Hi, 10)
+	dst = strconv.AppendInt(append(dst, `},"runs_done":`...), c.RunsDone, 10)
+	if c.Stats != nil {
+		dst = c.Stats.AppendJSON(append(dst, `,"stats":`...))
+	}
+	return append(dst, '}')
 }
 
 // Decode parses and validates a checkpoint encoding. Decoding is strict:

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
@@ -181,5 +182,42 @@ func TestDecodeRejects(t *testing.T) {
 	}
 	if _, err := Decode(valid); err != nil {
 		t.Fatalf("Decode(valid) = %v", err)
+	}
+}
+
+// TestEncodeMatchesReflection checks the appended envelope against
+// encoding/json over a method-free mirror of Checkpoint: the empty
+// checkpoint without stats and one carrying a filled snapshot. The
+// snapshot's own bytes are FuzzAccumulatorJSON's to pin.
+func TestEncodeMatchesReflection(t *testing.T) {
+	type mirror struct {
+		Version  int             `json:"version"`
+		Cursor   Cursor          `json:"cursor"`
+		RunsDone int64           `json:"runs_done"`
+		Stats    json.RawMessage `json:"stats,omitempty"`
+	}
+	acc := stats.NewAccumulator()
+	for i := 0; i < 9; i++ {
+		acc.Observe(stats.Observation{Round: 1 + i%3, Crashes: i % 4, Executor: "figure2", Label: "<a&b>", Lost: int64(i % 2)})
+	}
+	for _, c := range []Checkpoint{
+		{Version: Version, Cursor: Cursor{Lo: 3, Hi: 40}},
+		{Version: Version, Cursor: Cursor{Lo: 0, Hi: 1 << 40}, RunsDone: 9, Stats: acc},
+	} {
+		got, err := c.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := mirror{Version: c.Version, Cursor: c.Cursor, RunsDone: c.RunsDone}
+		if c.Stats != nil {
+			m.Stats = c.Stats.AppendJSON(nil)
+		}
+		want, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("Encode differs from reflection:\n got: %s\nwant: %s", got, want)
+		}
 	}
 }

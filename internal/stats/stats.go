@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"encoding/json"
-	"sort"
-)
+import "sort"
 
 // Observation is one run's flat metric record: the quantities every
 // execution layer can report about a single agreement run without
@@ -161,20 +158,6 @@ func (h *Histogram) Slice() []int64 {
 	return out
 }
 
-// MarshalJSON encodes the histogram as its trimmed bucket slice plus the
-// overflow summary when non-empty, keeping reports compact and
-// byte-deterministic.
-func (h Histogram) MarshalJSON() ([]byte, error) {
-	var overflow *Summary
-	if h.Overflow.Count > 0 {
-		overflow = &h.Overflow
-	}
-	return json.Marshal(struct {
-		Counts   []int64  `json:"counts"`
-		Overflow *Summary `json:"overflow,omitempty"`
-	}{Counts: h.Slice(), Overflow: overflow})
-}
-
 // Summary is an exact min/mean/max fold of an integer quantity.
 type Summary struct {
 	// Count is the number of observations.
@@ -299,8 +282,8 @@ func (t *FaultTally) Merge(o *FaultTally) {
 // and merge grouping — worker-count-invariant by construction.
 //
 // The zero Accumulator is ready to use. Observe allocates nothing once
-// the breakdown keys have been seen; Merge never allocates beyond new
-// breakdown keys.
+// the breakdown keys have been seen; Merge allocates only for breakdowns
+// that gain keys, one group slab each.
 type Accumulator struct {
 	// Runs counts every observed run, errored ones included.
 	Runs int64 `json:"runs"`
@@ -413,10 +396,31 @@ func (a *Accumulator) Merge(o *Accumulator) {
 	mergeGroups(&a.ByLabel, o.ByLabel)
 }
 
-// mergeGroups folds the groups of src into dst key-wise.
+// mergeGroups folds the groups of src into dst key-wise. The keys new to
+// dst get their groups from one exactly sized slab, so a merge allocates
+// per breakdown, not per key.
 func mergeGroups[K comparable](dst *map[K]*Group, src map[K]*Group) {
+	fresh := 0
+	for key := range src {
+		if (*dst)[key] == nil {
+			fresh++
+		}
+	}
+	var slab []Group
+	if fresh > 0 {
+		if *dst == nil {
+			*dst = make(map[K]*Group, len(src))
+		}
+		slab = make([]Group, fresh)
+	}
 	for key, g := range src {
-		groupOf(dst, key).merge(g)
+		d := (*dst)[key]
+		if d == nil {
+			d = &slab[0]
+			slab = slab[1:]
+			(*dst)[key] = d
+		}
+		d.merge(g)
 	}
 }
 

@@ -26,7 +26,9 @@ cd "$(dirname "$0")/.."
 # ≤ 1 alloc/run (measured: 556 for 512 runs + campaign setup at PR 5;
 # 47, all of it campaign setup, since PR 19 — a campaign run borrows the
 # worker's scenario slot and allocates nothing, which is also what holds
-# CampaignThroughput/campaign at 0 per run).
+# CampaignThroughput/campaign at 0 per run). The join gives the new keys
+# of each breakdown one group slab (measured: 47 with a group per key, 42
+# with the slab; the budget of 45 sits between).
 # EngineTransport prices delivery on a recycled engine: the matrix arm
 # has no transport — the campaign hot path, on the engine's shared row —
 # and must stay allocation-free; the matrix-seam arm installs a
@@ -56,7 +58,12 @@ cd "$(dirname "$0")/.."
 # CheckpointEncode prices one checkpoint emission — accumulator snapshot
 # plus versioned JSON envelope. Its cost must scale with breakdown keys,
 # never with the runs the checkpoint covers, so periodic checkpointing
-# cannot regress the allocation-free campaign hot path (measured: 25 at PR 8).
+# cannot regress the allocation-free campaign hot path (measured: 25
+# while encoding/json encoded it and the snapshot copied a group per key;
+# 8 with each breakdown's groups copied into one slab and the envelope
+# appended, accumulator included, into a pooled buffer copied out once).
+# Its budget of 11 sits between, so a group per key (12) or an encode by
+# reflection cannot return unnoticed.
 # WireEncode prices encoding one state-carrying data frame — since frame
 # v2 (PR 20) the triple's three bytes, not a packed key — into a caller
 # buffer: the per-copy cost of every wire-transport send and ksetpeer
@@ -107,19 +114,24 @@ cd "$(dirname "$0")/.."
 # budget sits between the two counts, so a second collector or a second
 # encode of the accumulator cannot return unnoticed (measured: 85 with a
 # second collector, service.Progress, and two encodes; 58 with the handle
-# and one encode).
+# and one encode). The job is read once before it runs, as the 202
+# response reads it (measured: 64 while that read made the first run copy
+# its shard, the stats were encoded by reflection and the join and the
+# progress copy took a group per key; 43 with the read free, the stats
+# appended and one group slab per breakdown). Its budget of 48 sits
+# between, under the 49 that the first run's copy alone adds back.
 budgets='
 BenchmarkE1Lattice 2400
 BenchmarkE9Adversary 400
 BenchmarkCampaignThroughput/campaign 1
-BenchmarkCollectorPath 64
+BenchmarkCollectorPath 45
 BenchmarkEngineTransport/matrix 0
 BenchmarkEngineTransport/matrix-seam 0
 BenchmarkEngineTransport/faultnet 0
 BenchmarkEngineTransport/faultnet-storm 0
 BenchmarkSubmitPath 40
 BenchmarkCompileRandomFailures 45
-BenchmarkCheckpointEncode 60
+BenchmarkCheckpointEncode 11
 BenchmarkWireEncode 0
 BenchmarkSnapshotScan/registers 1
 BenchmarkSnapshotScan/waitfree 1
@@ -135,7 +147,7 @@ BenchmarkEngineRound/storm 0
 BenchmarkEngineRound/figure2-crashes 0
 BenchmarkLoopbackRun/pipe 0
 BenchmarkSweep/generator-fed 64
-BenchmarkFinishedJob 70
+BenchmarkFinishedJob 48
 '
 
 # Budgets on a benchmark's own metric: name, unit, maximum. FinishedJob
