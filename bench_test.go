@@ -248,7 +248,7 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 		for j := range input {
 			input[j] = kset.Value(1 + rng.Intn(4))
 		}
-		base[i] = kset.Scenario{Input: input, FP: kset.RandomCrashes(rng, p.N, p.T, p.RMax())}
+		base[i] = kset.Scenario{Input: input, FP: adversary.Random(rng, p.N, p.T, p.RMax())}
 	}
 	ctx := context.Background()
 
@@ -283,7 +283,7 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 // slice arm through RunCampaign, the source arm through RunSource, one
 // code path) and pushed (submit: NewCampaign + SubmitAll through the
 // bounded queue) — on the same materialized scenarios, so only the feed
-// differs, at CampaignWorkers 1, 2 and 4 and at a run size where the feed
+// differs, at 1, 2 and 4 workers (one System each) and at a run size where the feed
 // is a visible share (n=8, ~2 µs) and one where it is not (n=48, ~10 µs).
 // The random arm pulls failure-free RandomInputs instead — generated on the
 // workers, and the one arm whose claims pay a seek (lo·n draws each), so it
@@ -304,10 +304,6 @@ func BenchmarkCampaignFeeds(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		sys, err := kset.New(kset.WithParams(p), kset.WithCondition(c))
-		if err != nil {
-			b.Fatal(err)
-		}
 		rng := rand.New(rand.NewSource(11))
 		base := make([]kset.Scenario, 256)
 		for i := range base {
@@ -315,39 +311,43 @@ func BenchmarkCampaignFeeds(b *testing.B) {
 			for j := range input {
 				input[j] = kset.Value(1 + rng.Intn(shape.m))
 			}
-			base[i] = kset.Scenario{Input: input, FP: kset.RandomCrashes(rng, p.N, p.T, p.RMax())}
+			base[i] = kset.Scenario{Input: input, FP: adversary.Random(rng, p.N, p.T, p.RMax())}
 		}
 		feeds := []struct {
 			name string
-			run  func(scs []kset.Scenario, workers kset.CampaignOption) (*kset.CampaignStats, error)
+			run  func(sys *kset.System, scs []kset.Scenario) (*kset.CampaignStats, error)
 		}{
-			{"slice", func(scs []kset.Scenario, workers kset.CampaignOption) (*kset.CampaignStats, error) {
-				return sys.RunCampaign(ctx, scs, workers)
+			{"slice", func(sys *kset.System, scs []kset.Scenario) (*kset.CampaignStats, error) {
+				return sys.RunCampaign(ctx, scs)
 			}},
-			{"source", func(scs []kset.Scenario, workers kset.CampaignOption) (*kset.CampaignStats, error) {
-				return sys.RunSource(ctx, kset.ScenariosOf(scs...), workers)
+			{"source", func(sys *kset.System, scs []kset.Scenario) (*kset.CampaignStats, error) {
+				return sys.RunSource(ctx, kset.ScenariosOf(scs...))
 			}},
-			{"submit", func(scs []kset.Scenario, workers kset.CampaignOption) (*kset.CampaignStats, error) {
-				camp := sys.NewCampaign(ctx, workers)
+			{"submit", func(sys *kset.System, scs []kset.Scenario) (*kset.CampaignStats, error) {
+				camp := sys.NewCampaign(ctx)
 				if err := camp.SubmitAll(scs); err != nil {
 					return nil, err
 				}
 				return camp.Wait()
 			}},
-			{"random", func(scs []kset.Scenario, workers kset.CampaignOption) (*kset.CampaignStats, error) {
-				return sys.RunSource(ctx, kset.RandomInputs(11, p.N, shape.m, len(scs)), workers)
+			{"random", func(sys *kset.System, scs []kset.Scenario) (*kset.CampaignStats, error) {
+				return sys.RunSource(ctx, kset.RandomInputs(11, p.N, shape.m, len(scs)))
 			}},
 		}
 		for _, feed := range feeds {
 			for _, workers := range []int{1, 2, 4} {
 				feed := feed
+				sys, err := kset.New(kset.WithParams(p), kset.WithCondition(c), kset.WithWorkers(workers))
+				if err != nil {
+					b.Fatal(err)
+				}
 				b.Run(fmt.Sprintf("n%d/%s/w%d", p.N, feed.name, workers), func(b *testing.B) {
 					scs := make([]kset.Scenario, b.N)
 					for i := range scs {
 						scs[i] = base[i%len(base)]
 					}
 					b.ResetTimer()
-					stats, err := feed.run(scs, kset.CampaignWorkers(workers))
+					stats, err := feed.run(sys, scs)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -425,7 +425,7 @@ func BenchmarkCollectorPath(b *testing.B) {
 		for j := range input {
 			input[j] = kset.Value(1 + rng.Intn(4))
 		}
-		scs[i] = kset.Scenario{Input: input, FP: kset.RandomCrashes(rng, p.N, p.T, p.RMax())}
+		scs[i] = kset.Scenario{Input: input, FP: adversary.Random(rng, p.N, p.T, p.RMax())}
 	}
 	acc := kset.NewAccumulator()
 	ctx := context.Background()

@@ -15,15 +15,6 @@ import (
 // CampaignOption configures a campaign before its workers start.
 type CampaignOption func(*Campaign)
 
-// CampaignWorkers overrides the system's worker count for this campaign.
-func CampaignWorkers(n int) CampaignOption {
-	return func(c *Campaign) {
-		if n > 0 {
-			c.nworkers = n
-		}
-	}
-}
-
 // VerifyRuns makes every synchronous run's result checked against the
 // k-set agreement specification; failures increment
 // CampaignStats.Violations.
@@ -165,18 +156,17 @@ func (s *CampaignStats) MeanDecisionRound() float64 {
 // Observation into its collectors: the Accumulator behind CampaignStats
 // and any CollectInto additions. That is its only per-run output; a run
 // is a pure function of its scenario, so System.RunScenario replays one
-// that needs a closer look. Build one with System.NewCampaign, feed it
-// with Submit/SubmitAll, then Close (or just Wait) and read the stats:
+// that needs a closer look. RunSource runs a source through one and
+// returns its stats; System.NewCampaign starts one to feed with SubmitAll
+// before Wait:
 //
 //	camp := sys.NewCampaign(ctx)
-//	for _, sc := range scenarios {
-//		if err := camp.Submit(sc); err != nil {
-//			break
-//		}
+//	if err := camp.SubmitAll(scenarios); err != nil {
+//		// cancelled, or the campaign was already waited on
 //	}
 //	stats, err := camp.Wait()
 //
-// Submit is safe from multiple goroutines. Cancelling the context stops
+// SubmitAll is safe from multiple goroutines. Cancelling the context stops
 // the workers; Wait then reports the context error alongside the stats of
 // the scenarios that did run.
 type Campaign struct {
@@ -212,7 +202,7 @@ type Campaign struct {
 }
 
 // NewCampaign starts a campaign's workers and returns the handle. The
-// scenario queue is bounded, so Submit exerts backpressure on producers
+// scenario queue is bounded, so SubmitAll exerts backpressure on producers
 // that outrun the workers.
 func (s *System) NewCampaign(ctx context.Context, opts ...CampaignOption) *Campaign {
 	c := s.newCampaign(ctx, opts)
@@ -242,9 +232,11 @@ func (s *System) RunSource(ctx context.Context, src ScenarioSource, opts ...Camp
 	}
 	c.start()
 	if c.queue != nil {
-		// A submission error means cancellation (Close is ours alone); Wait
-		// reports it alongside the stats of the scenarios that did run.
-		_ = c.SubmitSource(src)
+		// Generated lazily, under the queue's backpressure: an m^n-sized
+		// source never materializes. A submission error means cancellation
+		// (only Wait closes), which Wait reports with the stats of the
+		// scenarios that did run.
+		src.ForEach(func(sc Scenario) bool { return c.submit(sc) == nil })
 	}
 	return c.Wait()
 }
@@ -319,10 +311,10 @@ func (c *Campaign) start() {
 	}
 }
 
-// Submit enqueues one scenario, blocking while the queue is full. It
+// submit enqueues one scenario, blocking while the queue is full. It
 // returns the context's error after cancellation and ErrCampaignClosed
-// after Close.
-func (c *Campaign) Submit(sc Scenario) error {
+// after Wait.
+func (c *Campaign) submit(sc Scenario) error {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	if c.closed {
@@ -336,39 +328,16 @@ func (c *Campaign) Submit(sc Scenario) error {
 	}
 }
 
-// SubmitAll enqueues the scenarios in order, stopping at the first error.
+// SubmitAll enqueues the scenarios in order, blocking while the queue is
+// full and stopping at the first error: the context's after cancellation,
+// ErrCampaignClosed after Wait.
 func (c *Campaign) SubmitAll(scs []Scenario) error {
 	for i := range scs {
-		if err := c.Submit(scs[i]); err != nil {
+		if err := c.submit(scs[i]); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// SubmitSource streams every scenario the source yields into the
-// campaign, stopping at the first error (cancellation or Close). The
-// source is consumed lazily: the campaign's bounded queue exerts
-// backpressure on generation, so an m^n-sized source never materializes.
-func (c *Campaign) SubmitSource(src ScenarioSource) error {
-	var err error
-	src.ForEach(func(sc Scenario) bool {
-		err = c.Submit(sc)
-		return err == nil
-	})
-	return err
-}
-
-// Close marks the campaign complete: no further Submit calls are accepted
-// and the workers drain the queue and exit. Close is idempotent; Wait
-// calls it implicitly.
-func (c *Campaign) Close() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.closed {
-		c.closed = true
-		close(c.queue)
-	}
 }
 
 // Wait closes the campaign, waits for the workers to drain the queue,
@@ -379,7 +348,12 @@ func (c *Campaign) Close() {
 // together with the stats of the scenarios that completed.
 func (c *Campaign) Wait() (*CampaignStats, error) {
 	c.waitOnce.Do(func() {
-		c.Close()
+		c.mu.Lock() // no submission after this: the workers drain the queue
+		if !c.closed {
+			c.closed = true
+			close(c.queue)
+		}
+		c.mu.Unlock()
 		c.wg.Wait()
 		for j, col := range c.collectors {
 			for i := range c.shards {

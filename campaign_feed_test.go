@@ -64,9 +64,16 @@ func TestCampaignFeeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := New(WithParams(p), WithCondition(cond))
-	if err != nil {
-		t.Fatal(err)
+	systems := map[int]*System{}
+	at := func(workers int) *System { // one System per worker count
+		if systems[workers] == nil {
+			sys, err := New(WithParams(p), WithCondition(cond), WithWorkers(workers))
+			if err != nil {
+				t.Fatal(err)
+			}
+			systems[workers] = sys
+		}
+		return systems[workers]
 	}
 	ctx := context.Background()
 	lit := []Vector{
@@ -79,7 +86,7 @@ func TestCampaignFeeds(t *testing.T) {
 		{Input: lit[1], FP: crashes.Pattern(1), Executor: EarlyDeciding},
 		{Input: lit[2], Executor: Classical, Label: "b"},
 		{Input: VectorOf(1, 2)}, // wrong length: a per-run error, counted
-		{Input: lit[4], Faults: UniformLoss(3, 0.3)},
+		{Input: lit[4], Faults: &FaultPlan{Seed: 3, Default: LinkFaults{Loss: 0.3}}},
 	}
 	sources := []struct {
 		name string
@@ -92,7 +99,7 @@ func TestCampaignFeeds(t *testing.T) {
 		{"RandomInputs", RandomInputs(7, p.N, 3, 61)},
 		{"CrossFailures", CrossFailures(Inputs(lit...), NoFailures(), crashes.Pattern(0))},
 		{"CrossExecutors", CrossExecutors(RandomInputs(3, p.N, 3, 9), Figure2, EarlyDeciding, Classical, Asynchronous)},
-		{"CrossFaults", CrossFaults(ExhaustiveInputs(p.N, 2), nil, UniformLoss(5, 0.2))},
+		{"CrossFaults", CrossFaults(ExhaustiveInputs(p.N, 2), nil, &FaultPlan{Seed: 5, Default: LinkFaults{Loss: 0.2}})},
 		{"Labeled", Labeled(Inputs(lit...), "job")},
 		{"FailureSchedules", FailureSchedules(RandomInputs(13, p.N, 3, 10), crashes)},
 		{"FaultSchedules", FaultSchedules(FailureSchedules(RandomInputs(5, p.N, 3, 6), crashes), StormFamily(11, 3, 2, 0.3))},
@@ -109,7 +116,7 @@ func TestCampaignFeeds(t *testing.T) {
 			if n, _ := src.Size(); int64(len(scs)) != n {
 				t.Fatalf("%s: %d scenarios, Size() = %d", tc.name, len(scs), n)
 			}
-			camp := sys.NewCampaign(ctx, VerifyRuns(), CampaignWorkers(1))
+			camp := at(1).NewCampaign(ctx, VerifyRuns())
 			if err := camp.SubmitAll(scs); err != nil {
 				t.Fatal(err)
 			}
@@ -119,11 +126,11 @@ func TestCampaignFeeds(t *testing.T) {
 				t.Fatalf("%s: pushed %d scenarios, %d ran", tc.name, len(scs), st.Runs)
 			}
 			for _, w := range []int{1, 2, 4, 7} {
-				st, err := sys.RunSource(ctx, src, VerifyRuns(), CampaignWorkers(w))
+				st, err := at(w).RunSource(ctx, src, VerifyRuns())
 				if got := feedJSON(t, st, err); got != want {
 					t.Errorf("%s: RunSource at %d workers\n%s\nwant\n%s", tc.name, w, got, want)
 				}
-				st, err = sys.RunCampaign(ctx, scs, VerifyRuns(), CampaignWorkers(w))
+				st, err = at(w).RunCampaign(ctx, scs, VerifyRuns())
 				if got := feedJSON(t, st, err); got != want {
 					t.Errorf("%s: RunCampaign at %d workers\n%s\nwant\n%s", tc.name, w, got, want)
 				}
@@ -134,7 +141,7 @@ func TestCampaignFeeds(t *testing.T) {
 	// What RunSource cannot cut into ranges goes through the queue: a
 	// foreign source, sized or not, and a combinator left unsized by one.
 	scs := materialize(CrossExecutors(RandomInputs(3, p.N, 3, 40), Figure2, Classical))
-	st, err := sys.RunCampaign(ctx, scs, CampaignWorkers(1))
+	st, err := at(1).RunCampaign(ctx, scs)
 	want := feedJSON(t, st, err)
 	for name, src := range map[string]ScenarioSource{
 		"foreign sized":   listSource{scs: scs, sized: true},
@@ -142,7 +149,7 @@ func TestCampaignFeeds(t *testing.T) {
 		"unsized concat":  Concat(ScenariosOf(scs[:7]...), listSource{scs: scs[7:30]}, ScenariosOf(scs[30:]...)),
 	} {
 		for _, w := range []int{1, 4} {
-			st, err := sys.RunSource(ctx, src, CampaignWorkers(w))
+			st, err := at(w).RunSource(ctx, src)
 			if got := feedJSON(t, st, err); got != want {
 				t.Errorf("%s at %d workers\n%s\nwant\n%s", name, w, got, want)
 			}
@@ -166,7 +173,7 @@ func TestCampaignFeeds(t *testing.T) {
 				return yield(sc)
 			})
 		}}
-		st, err := sys.RunSource(cctx, src, CampaignWorkers(w))
+		st, err := at(w).RunSource(cctx, src)
 		cancel()
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("cancelled at %d workers: err = %v", w, err)
@@ -187,7 +194,7 @@ func TestCampaignFeeds(t *testing.T) {
 	crossed := CrossFailures(base, NoFailures(), crashes.Pattern(0), crashes.Pattern(2))
 	for _, w := range []int{1, 2, 4, 7} {
 		base.yields.Store(0)
-		st, err := sys.RunSource(ctx, crossed, CampaignWorkers(w))
+		st, err := at(w).RunSource(ctx, crossed)
 		if err != nil || st.Runs != 900 {
 			t.Fatalf("crossed foreign base at %d workers: %v, %d runs", w, err, st.Runs)
 		}

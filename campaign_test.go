@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"kset"
+	"kset/internal/adversary"
 )
 
 // TestCampaignStats runs a small fixed scenario set and pins every
@@ -98,19 +99,12 @@ func TestCampaignCancellation(t *testing.T) {
 	camp := sys.NewCampaign(ctx, kset.CollectInto(th))
 
 	const total = 10000
+	scs := make([]kset.Scenario, total)
+	for i := range scs {
+		scs[i] = kset.Scenario{Input: kset.VectorOf(4, 4, 4, 2, 1, 2), FP: kset.NoFailures()}
+	}
 	submitErr := make(chan error, 1)
-	go func() {
-		for i := 0; i < total; i++ {
-			if err := camp.Submit(kset.Scenario{
-				Input: kset.VectorOf(4, 4, 4, 2, 1, 2),
-				FP:    kset.NoFailures(),
-			}); err != nil {
-				submitErr <- err
-				return
-			}
-		}
-		submitErr <- nil
-	}()
+	go func() { submitErr <- camp.SubmitAll(scs) }()
 
 	// Let a handful of runs through the throttle, then pull the plug and
 	// release the workers.
@@ -121,7 +115,7 @@ func TestCampaignCancellation(t *testing.T) {
 	close(th.release)
 
 	if err := <-submitErr; !errors.Is(err, context.Canceled) {
-		t.Fatalf("Submit error = %v, want context.Canceled", err)
+		t.Fatalf("SubmitAll error = %v, want context.Canceled", err)
 	}
 	stats, err := camp.Wait()
 	if !errors.Is(err, context.Canceled) {
@@ -138,17 +132,17 @@ func TestCampaignCancellation(t *testing.T) {
 	}
 }
 
-// TestCampaignSubmitAfterClose pins the closed-campaign error.
+// TestCampaignSubmitAfterClose pins the closed-campaign error: Wait closes
+// the campaign, and a later SubmitAll is refused.
 func TestCampaignSubmitAfterClose(t *testing.T) {
 	p := testParams()
 	sys := testSystem(t, kset.WithParams(p), kset.WithCondition(testCondition(t, p)))
 	camp := sys.NewCampaign(context.Background())
-	camp.Close()
-	if err := camp.Submit(kset.Scenario{Input: kset.VectorOf(4, 4, 4, 2, 1, 2)}); !errors.Is(err, kset.ErrCampaignClosed) {
-		t.Fatalf("Submit after Close: %v, want ErrCampaignClosed", err)
-	}
 	if _, err := camp.Wait(); err != nil {
 		t.Fatal(err)
+	}
+	if err := camp.SubmitAll([]kset.Scenario{{Input: kset.VectorOf(4, 4, 4, 2, 1, 2)}}); !errors.Is(err, kset.ErrCampaignClosed) {
+		t.Fatalf("SubmitAll after Wait: %v, want ErrCampaignClosed", err)
 	}
 }
 
@@ -165,7 +159,7 @@ func seededScenarios(p kset.Params, m, runs int, seed int64) []kset.Scenario {
 		}
 		scs[i] = kset.Scenario{
 			Input:    input,
-			FP:       kset.RandomCrashes(rng, p.N, p.T, p.RMax()),
+			FP:       adversary.Random(rng, p.N, p.T, p.RMax()),
 			Executor: execs[rng.Intn(len(execs))],
 		}
 	}
@@ -198,68 +192,6 @@ func TestCampaignDeterminism(t *testing.T) {
 	for _, workers := range []int{4, 1, 7} {
 		if again := run(workers); !reflect.DeepEqual(first, again) {
 			t.Fatalf("same seed diverged at workers=%d:\n%+v\nvs\n%+v", workers, first, again)
-		}
-	}
-}
-
-// TestAsyncCampaignWorkerCountInvariance: asynchronous campaigns are a
-// pure function of their scenario list — the virtual scheduler replaces
-// wall-clock jitter, so the same seeds must yield byte-identical stats
-// whether one worker runs the sweep or sixteen race through it.
-func TestAsyncCampaignWorkerCountInvariance(t *testing.T) {
-	const n, m, x, l = 6, 4, 2, 2
-	cond, err := kset.NewMaxCondition(n, m, x, l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := kset.Params{N: n, T: x, K: l, D: 0, L: l}
-
-	// Seeded workload mixing in-condition and arbitrary inputs, crash
-	// draws and all three memory substrates' default — the async plane's
-	// analogue of seededScenarios.
-	rng := rand.New(rand.NewSource(23))
-	const runs = 600
-	scs := make([]kset.Scenario, runs)
-	for i := range scs {
-		input := make(kset.Vector, n)
-		for j := range input {
-			input[j] = kset.Value(1 + rng.Intn(m))
-		}
-		var crashes map[int]kset.CrashPoint
-		if k := rng.Intn(x + 1); k > 0 {
-			crashes = make(map[int]kset.CrashPoint, k)
-			for len(crashes) < k {
-				id := 1 + rng.Intn(n)
-				if rng.Intn(2) == 0 {
-					crashes[id] = kset.CrashBeforeWrite
-				} else {
-					crashes[id] = kset.CrashAfterWrite
-				}
-			}
-		}
-		scs[i] = kset.Scenario{Input: input, Seed: rng.Int63(), AsyncCrashes: crashes}
-	}
-
-	run := func(workers int) *kset.CampaignStats {
-		sys := testSystem(t, kset.WithParams(p), kset.WithCondition(cond),
-			kset.WithExecutor(kset.Asynchronous), kset.WithWorkers(workers))
-		stats, err := sys.RunCampaign(context.Background(), scs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return stats
-	}
-
-	first := run(1)
-	if first.Runs != runs || first.Errors != 0 {
-		t.Fatalf("campaign ran %d/%d scenarios with %d errors", first.Runs, runs, first.Errors)
-	}
-	if first.UndecidedRuns == 0 {
-		t.Fatal("workload never exercised the give-up path; stats too weak to pin invariance")
-	}
-	for _, workers := range []int{4, 16} {
-		if again := run(workers); !reflect.DeepEqual(first, again) {
-			t.Fatalf("same scenarios diverged at workers=%d:\n%+v\nvs\n%+v", workers, first, again)
 		}
 	}
 }

@@ -202,6 +202,7 @@ func TestRunCheckpointedValidation(t *testing.T) {
 		{"cursor starts past the source", kset.Cursor{Lo: 60, Hi: 70}, 0, nil, -1},
 		{"runs_done without stats", kset.Cursor{Lo: 0, Hi: 50}, 10, nil, -1},
 		{"stats short of runs_done", kset.Cursor{Lo: 0, Hi: 50}, 10, &kset.Accumulator{Runs: 9}, -1},
+		{"stats with a null group", kset.Cursor{Lo: 0, Hi: 50}, 5, &kset.Accumulator{Runs: 5, ByExecutor: map[string]*kset.Group{"figure2": nil}}, -1},
 		{"whole source", kset.Cursor{Lo: 0, Hi: 50}, 0, nil, 50},
 		{"inner shard", kset.Cursor{Lo: 10, Hi: 30}, 0, nil, 20},
 		{"resumed mid-shard", kset.Cursor{Lo: 10, Hi: 30}, 5, &kset.Accumulator{Runs: 5}, 20},
@@ -246,6 +247,17 @@ func TestRunCheckpointedValidation(t *testing.T) {
 	}
 	if got, want := marshal(t, st), marshal(t, base); string(got) != string(want) {
 		t.Fatalf("fully-resumed stats differ\n%s\nvs\n%s", got, want)
+	}
+}
+
+// TestDecodeCheckpointNullGroup: an envelope whose stats hold a JSON null
+// in a breakdown decodes to no checkpoint, since no merge could fold it.
+func TestDecodeCheckpointNullGroup(t *testing.T) {
+	for _, breakdown := range []string{"by_executor", "by_crashes", "by_label"} {
+		data := `{"version":1,"cursor":{"lo":0,"hi":1},"runs_done":0,"stats":{"runs":0,"` + breakdown + `":{"1":null}}}`
+		if _, err := kset.DecodeCheckpoint([]byte(data)); !errors.Is(err, kset.ErrBadCheckpoint) {
+			t.Errorf("%s: DecodeCheckpoint = %v, want ErrBadCheckpoint", breakdown, err)
+		}
 	}
 }
 

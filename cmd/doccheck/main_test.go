@@ -2,15 +2,20 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/printer"
 	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -165,100 +170,30 @@ var harness = map[string]string{
 
 // TestNoDeadInternalExports fails on an exported top-level function in
 // internal/ that no non-test file outside its own file names (bench/ and
-// cmd/ count as callers), unless harness lists it. Selectors resolve
-// through each file's imports; a package's own files name it unqualified.
+// cmd/ count as callers), unless harness lists it.
 func TestNoDeadInternalExports(t *testing.T) {
-	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	module := strings.Fields(string(mod))[1]
-	type fn struct{ name, file string } // "pkg.Name", where it is declared
-	defined := map[string]fn{}          // keyed by "import/path.Name"
-	type file struct {
-		path, name string // import path of its directory, file name
-		ast        *ast.File
-	}
-	var files []file // non-test files only
-	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if n := d.Name(); path != root && (strings.HasPrefix(n, ".") || n == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		rel, _ := filepath.Rel(root, filepath.Dir(path))
-		ip := filepath.ToSlash(filepath.Join(module, rel))
-		files = append(files, file{ip, path, f})
-		if strings.HasPrefix(rel, "internal") {
-			for _, decl := range f.Decls {
-				if d, ok := decl.(*ast.FuncDecl); ok && d.Recv == nil && d.Name.IsExported() {
-					defined[ip+"."+d.Name.Name] = fn{filepath.Base(rel) + "." + d.Name.Name, path}
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	called := map[string]bool{}
-	for _, f := range files {
-		imports := map[string]string{}
-		for _, im := range f.ast.Imports {
-			p := strings.Trim(im.Path.Value, `"`)
-			local := p[strings.LastIndex(p, "/")+1:]
-			if im.Name != nil {
-				local = im.Name.Name
-			}
-			imports[local] = p
-		}
-		decl := map[*ast.Ident]bool{} // names that declare, not refer
-		ast.Inspect(f.ast, func(n ast.Node) bool {
-			key := ""
-			switch x := n.(type) {
-			case *ast.FuncDecl:
-				decl[x.Name] = true
-			case *ast.Field:
-				for _, id := range x.Names {
-					decl[id] = true
-				}
-			case *ast.SelectorExpr:
-				decl[x.Sel] = true
-				if id, ok := x.X.(*ast.Ident); ok && imports[id.Name] != "" {
-					key = imports[id.Name] + "." + x.Sel.Name
-				}
-			case *ast.Ident:
-				if !decl[x] {
-					key = f.path + "." + x.Name
-				}
-			}
-			if d, ok := defined[key]; ok && d.file != f.name {
-				called[key] = true
-			}
-			return true
-		})
-	}
+	m := loadModule(t)
 	var bad []string
-	listed := 0
-	for key, d := range defined {
+	listed, total := 0, 0
+	for _, obj := range m.funcs {
+		path := obj.Pkg().Path()
+		if !strings.HasPrefix(path, m.path+"/internal/") {
+			continue
+		}
+		total++
+		name := path[strings.LastIndex(path, "/")+1:] + "." + obj.Name()
+		file := m.fset.Position(obj.Pos()).Filename
+		called := false
+		for _, u := range m.users[obj] {
+			called = called || u != file
+		}
 		switch {
-		case harness[d.name] != "" && called[key]:
-			bad = append(bad, d.name+" is listed in harness but has a non-test caller: drop the entry")
-		case harness[d.name] != "":
+		case harness[name] != "" && called:
+			bad = append(bad, name+" is listed in harness but has a non-test caller: drop the entry")
+		case harness[name] != "":
 			listed++
-		case !called[key]:
-			bad = append(bad, d.name+" ("+d.file+") has no non-test caller outside its file: delete it, unexport it, or list it in harness with a reason")
+		case !called:
+			bad = append(bad, name+" ("+file+") has no non-test caller outside its file: delete it, unexport it, or list it in harness with a reason")
 		}
 	}
 	if listed != len(harness) {
@@ -268,5 +203,225 @@ func TestNoDeadInternalExports(t *testing.T) {
 	for _, b := range bad {
 		t.Error(b)
 	}
-	t.Logf("%d exported top-level functions in internal/, %d of them harness", len(defined), listed)
+	t.Logf("%d exported top-level functions in internal/, %d of them harness", total, listed)
+}
+
+// rootAllow lists the exported functions and methods of package kset that
+// nothing outside its tests calls, each with the reason it stays exported.
+// "A root test uses it" is no reason: a test-only helper belongs in a
+// _test.go file. NewCampaign, SubmitAll, Wait and RunCampaign need no
+// entry while bench/ calls them (its campaign.submit_us_per_run and
+// campaign.slice_us_per_run rows, and wide_sync); they go when bench/
+// stops.
+var rootAllow = map[string]string{
+	"IsLegalizable":             "the paper's question whether some recognizer makes a hand-built condition legal",
+	"ScenariosOf":               "the one way to run explicit Scenarios (per-scenario Seed and AsyncCrashes) through RunSource",
+	"CampaignStats.MarshalJSON": "satisfies json.Marshaler",
+}
+
+// TestNoDeadRootExports fails on an exported function or method of package
+// kset that is named by no non-test file under cmd/, internal/ or bench/
+// and by no Example in example_test.go, unless rootAllow lists it. Types,
+// vars and consts are TestPublicAPI's.
+func TestNoDeadRootExports(t *testing.T) {
+	m := loadModule(t)
+	var bad []string
+	listed := 0
+	for _, obj := range m.funcs {
+		if obj.Pkg().Path() != m.path {
+			continue
+		}
+		name := obj.Name()
+		if recv := obj.Type().(*types.Signature).Recv(); recv != nil {
+			name = types.TypeString(recv.Type(), func(*types.Package) string { return "" })
+			name = strings.TrimPrefix(name, "*") + "." + obj.Name()
+		}
+		called := false
+		for _, u := range m.users[obj] {
+			called = called || u == exampleFile || filepath.Dir(u) != m.root
+		}
+		switch {
+		case rootAllow[name] != "" && called:
+			bad = append(bad, name+" is listed in rootAllow but has a caller: drop the entry")
+		case rootAllow[name] != "":
+			listed++
+		case !called:
+			bad = append(bad, name+" has no caller in cmd/, internal/, bench/ or an Example: delete it, unexport it, or list it in rootAllow with a reason")
+		}
+	}
+	if listed != len(rootAllow) {
+		bad = append(bad, "rootAllow lists a name package kset no longer declares")
+	}
+	sort.Strings(bad)
+	for _, b := range bad {
+		t.Error(b)
+	}
+}
+
+// exampleFile is the root test file whose Example functions count as
+// callers of package kset.
+const exampleFile = "example_test.go"
+
+// A module is every package of this module type-checked from its non-test
+// files for the host platform, plus the Examples of the root's
+// example_test.go, with the exported functions and methods it declares
+// and the files that name each one.
+type module struct {
+	path, root string // module path; absolute directory of the root package
+	fset       *token.FileSet
+	std        types.Importer
+	pkgs       map[string]*types.Package
+
+	// funcs holds the exported top-level functions of every package and
+	// the exported methods of the root package's exported types; users
+	// maps each to the absolute names of the files that name it, and to
+	// exampleFile for a use inside an Example.
+	funcs []*types.Func
+	users map[types.Object][]string
+}
+
+var (
+	moduleOnce    sync.Once
+	loaded        *module
+	moduleLoadErr error
+)
+
+// loadModule type-checks the module once per test binary.
+func loadModule(t *testing.T) *module {
+	t.Helper()
+	moduleOnce.Do(func() { loaded, moduleLoadErr = newModule() })
+	if moduleLoadErr != nil {
+		t.Fatal(moduleLoadErr)
+	}
+	return loaded
+}
+
+func newModule() (*module, error) {
+	dir, err := filepath.Abs(root)
+	if err != nil {
+		return nil, err
+	}
+	mod, err := os.ReadFile(filepath.Join(dir, "go.mod"))
+	if err != nil {
+		return nil, err
+	}
+	// The module uses no cgo, and with it off the standard library
+	// type-checks from pure Go files, needing no C toolchain.
+	build.Default.CgoEnabled = false
+	fset := token.NewFileSet()
+	m := &module{
+		path: strings.Fields(string(mod))[1], root: dir, fset: fset,
+		std:   importer.ForCompiler(fset, "source", nil),
+		pkgs:  map[string]*types.Package{},
+		users: map[types.Object][]string{},
+	}
+	err = filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if n := d.Name(); path != dir && (strings.HasPrefix(n, ".") || n == "testdata") {
+			return filepath.SkipDir
+		}
+		rel, _ := filepath.Rel(dir, path)
+		_, err = m.Import(filepath.ToSlash(filepath.Join(m.path, rel)))
+		var none *build.NoGoError
+		if errors.As(err, &none) {
+			return nil
+		}
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	// The Examples are the root's walkthroughs: what they call is used.
+	f, err := parser.ParseFile(fset, filepath.Join(dir, exampleFile), nil, parser.SkipObjectResolution)
+	if err != nil {
+		return nil, err
+	}
+	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+	if _, err := (&types.Config{Importer: m}).Check(m.path+"_test", fset, []*ast.File{f}, info); err != nil {
+		return nil, err
+	}
+	for _, decl := range f.Decls {
+		if d, ok := decl.(*ast.FuncDecl); ok && strings.HasPrefix(d.Name.Name, "Example") {
+			ast.Inspect(d, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && info.Uses[id] != nil {
+					obj := origin(info.Uses[id])
+					m.users[obj] = append(m.users[obj], exampleFile)
+				}
+				return true
+			})
+		}
+	}
+	return m, nil
+}
+
+// Import type-checks a package of the module from its non-test files,
+// recording what it declares and names; any other path goes to the
+// source importer.
+func (m *module) Import(path string) (*types.Package, error) {
+	if !m.contains(path) {
+		return m.std.Import(path)
+	}
+	if p := m.pkgs[path]; p != nil {
+		return p, nil
+	}
+	bp, err := build.ImportDir(filepath.Join(m.root, strings.TrimPrefix(path, m.path)), 0)
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, name := range bp.GoFiles {
+		f, err := parser.ParseFile(m.fset, filepath.Join(bp.Dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+	p, err := (&types.Config{Importer: m}).Check(path, m.fset, files, info)
+	if err != nil {
+		return nil, err
+	}
+	m.pkgs[path] = p
+	for id, obj := range info.Uses {
+		if obj.Pkg() != nil && m.contains(obj.Pkg().Path()) {
+			obj = origin(obj)
+			m.users[obj] = append(m.users[obj], m.fset.Position(id.Pos()).Filename)
+		}
+	}
+	scope := p.Scope()
+	for _, name := range scope.Names() {
+		switch obj := scope.Lookup(name).(type) {
+		case *types.Func:
+			if obj.Exported() {
+				m.funcs = append(m.funcs, obj)
+			}
+		case *types.TypeName:
+			named, ok := obj.Type().(*types.Named)
+			if path != m.path || !obj.Exported() || obj.IsAlias() || !ok {
+				continue
+			}
+			for i := 0; i < named.NumMethods(); i++ {
+				if fn := named.Method(i); fn.Exported() {
+					m.funcs = append(m.funcs, fn)
+				}
+			}
+		}
+	}
+	return p, nil
+}
+
+// contains reports whether an import path is in the module.
+func (m *module) contains(path string) bool {
+	return path == m.path || strings.HasPrefix(path, m.path+"/")
+}
+
+// origin maps an instantiated generic function or method to its
+// declaration.
+func origin(obj types.Object) types.Object {
+	if fn, ok := obj.(*types.Func); ok {
+		return fn.Origin()
+	}
+	return obj
 }

@@ -1,60 +1,139 @@
 package kset_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"math/rand"
 	"sync/atomic"
 	"testing"
 
 	"kset"
 )
 
-// invarianceSource builds the worker-invariance workload: a generated
-// scenario stream (seeded random inputs × a seeded crash family × two
-// executors) identical across calls.
-func invarianceSource(p kset.Params, seed int64) kset.ScenarioSource {
-	return kset.CrossExecutors(
-		kset.FailureSchedules(
-			kset.RandomInputs(seed, p.N, 4, 150),
-			kset.RandomCrashFamily(seed+1, p.N, p.T, p.RMax(), 5),
-		),
-		kset.Figure2, kset.EarlyDeciding,
-	)
-}
-
 // TestCampaignWorkerCountInvariance is the results-plane determinism
 // gate: the same seed and source must produce a byte-identical JSON
 // report — flat stats, histogram, summaries and every breakdown — for
-// workers ∈ {1, 4, 16}.
+// workers ∈ {1, 4, 16}, on each plane:
+//   - sync: seeded random inputs × a seeded crash family × two executors;
+//   - lossy: the fault plane — under a lossy, delaying, duplicating,
+//     reordering transport the fault tallies and undecided counts agree
+//     too, because fault draws are seeded per scenario, never per worker;
+//   - async: asynchronous campaigns are a pure function of their scenario
+//     list — the virtual scheduler replaces wall-clock jitter, so one
+//     worker or sixteen racing through it give the same stats.
 func TestCampaignWorkerCountInvariance(t *testing.T) {
 	p := testParams()
 	cond := testCondition(t, p)
-	const seed = 23
-
-	report := func(workers int) []byte {
-		sys := testSystem(t, kset.WithParams(p), kset.WithCondition(cond), kset.WithWorkers(workers))
-		stats, err := sys.RunSource(context.Background(), invarianceSource(p, seed), kset.VerifyRuns())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stats.Runs != 150*5*2 || stats.Errors != 0 || stats.Violations != 0 {
-			t.Fatalf("workers=%d: runs=%d errors=%d violations=%d",
-				workers, stats.Runs, stats.Errors, stats.Violations)
-		}
-		raw, err := json.Marshal(stats)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return raw
+	ap := kset.Params{N: 6, T: 2, K: 2, D: 0, L: 2} // x = ℓ = 2
+	acond, err := kset.NewMaxCondition(ap.N, 4, ap.X(), ap.L)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	first := report(1)
-	for _, workers := range []int{4, 16} {
-		if got := report(workers); string(got) != string(first) {
-			t.Fatalf("JSON report diverged between workers=1 and workers=%d:\n%s\nvs\n%s",
-				workers, first, got)
-		}
+	rows := []struct {
+		name  string
+		opts  []kset.Option
+		src   kset.ScenarioSource
+		runs  int64
+		check func(*kset.CampaignStats) string // a row's own check; "" passes
+	}{
+		{"sync", []kset.Option{kset.WithParams(p), kset.WithCondition(cond)},
+			kset.CrossExecutors(
+				kset.FailureSchedules(
+					kset.RandomInputs(23, p.N, 4, 150),
+					kset.RandomCrashFamily(24, p.N, p.T, p.RMax(), 5),
+				),
+				kset.Figure2, kset.EarlyDeciding,
+			), 150 * 5 * 2,
+			func(st *kset.CampaignStats) string {
+				if st.Violations != 0 {
+					return fmt.Sprintf("%d violations", st.Violations)
+				}
+				return ""
+			}},
+		{"lossy", []kset.Option{kset.WithParams(p), kset.WithCondition(cond)},
+			kset.CrossFaults(
+				kset.CrossExecutors(
+					kset.FailureSchedules(
+						kset.RandomInputs(29, p.N, 4, 40),
+						kset.RandomCrashFamily(30, p.N, p.T, p.RMax(), 3),
+					),
+					kset.Figure2, kset.EarlyDeciding, kset.Classical,
+				),
+				nil, stormPlan(31),
+			), 40 * 3 * 3 * 2,
+			func(st *kset.CampaignStats) string {
+				if st.Metrics.Faults == nil {
+					return "no fault tally under a storm plan"
+				}
+				return ""
+			}},
+		{"async", []kset.Option{kset.WithParams(ap), kset.WithCondition(acond), kset.WithExecutor(kset.Asynchronous)},
+			kset.ScenariosOf(asyncScenarios(ap.N, 4, ap.X(), 600, 23)...), 600,
+			func(st *kset.CampaignStats) string {
+				if st.UndecidedRuns == 0 {
+					return "the workload never exercised the give-up path: too weak to pin invariance"
+				}
+				return ""
+			}},
 	}
+	for _, row := range rows {
+		row := row
+		t.Run(row.name, func(t *testing.T) {
+			var first []byte
+			for _, workers := range []int{1, 4, 16} {
+				sys := testSystem(t, append(row.opts, kset.WithWorkers(workers))...)
+				st, err := sys.RunSource(context.Background(), row.src, kset.VerifyRuns())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.Runs != row.runs || st.Errors != 0 {
+					t.Fatalf("workers=%d: runs=%d (want %d) errors=%d", workers, st.Runs, row.runs, st.Errors)
+				}
+				if msg := row.check(st); msg != "" {
+					t.Fatalf("workers=%d: %s", workers, msg)
+				}
+				raw, err := json.Marshal(st)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if first == nil {
+					first = raw
+				} else if !bytes.Equal(raw, first) {
+					t.Fatalf("JSON report diverged between workers=1 and workers=%d:\n%s\nvs\n%s", workers, first, raw)
+				}
+			}
+		})
+	}
+}
+
+// asyncScenarios builds a seeded asynchronous workload of n-process runs
+// over values 1..m: in-condition and arbitrary inputs, up to x crashes at
+// random crash points, and a scheduling seed per run.
+func asyncScenarios(n, m, x, runs int, seed int64) []kset.Scenario {
+	rng := rand.New(rand.NewSource(seed))
+	scs := make([]kset.Scenario, runs)
+	for i := range scs {
+		input := make(kset.Vector, n)
+		for j := range input {
+			input[j] = kset.Value(1 + rng.Intn(m))
+		}
+		var crashes map[int]kset.CrashPoint
+		if k := rng.Intn(x + 1); k > 0 {
+			crashes = make(map[int]kset.CrashPoint, k)
+			for len(crashes) < k {
+				id := 1 + rng.Intn(n)
+				if rng.Intn(2) == 0 {
+					crashes[id] = kset.CrashBeforeWrite
+				} else {
+					crashes[id] = kset.CrashAfterWrite
+				}
+			}
+		}
+		scs[i] = kset.Scenario{Input: input, Seed: rng.Int63(), AsyncCrashes: crashes}
+	}
+	return scs
 }
 
 // shardCounter is a minimal custom Collector for the shard protocol

@@ -31,7 +31,7 @@
 //     claims are demonstrated on;
 //   - a fault-injection plane that goes beyond the paper's reliable-link
 //     model: deterministic seeded link adversaries (FaultPlan,
-//     WithFaultPlan, Scenario.Faults) that drop, delay, duplicate and
+//     Scenario.Faults) that drop, delay, duplicate and
 //     reorder messages, with FaultFamily sweeps and undecided-run
 //     accounting for measuring how the algorithms degrade off-model.
 //
@@ -112,9 +112,9 @@
 // A campaign has two feeds. RunSource pulls a sized source: the workers
 // claim index ranges of the stream and generate their own scenarios, with
 // no producer and no queue (RunCampaign is RunSource over ScenariosOf).
-// NewCampaign with Submit, SubmitAll or SubmitSource pushes through a
-// bounded queue — for callers that produce scenarios as they go, and for
-// sources whose size is unknown, which cannot be cut into ranges. A
+// An unsized or foreign source cannot be cut into ranges: RunSource
+// generates it and pushes it through a bounded queue instead, and so does
+// NewCampaign's SubmitAll. A
 // campaign reports through its collectors alone (CollectInto adds custom
 // ones); a run is a pure function of its scenario, so RunScenario replays
 // any one of them.
@@ -130,15 +130,16 @@
 // describes a seeded link adversary — per-link loss, delay-by-rounds and
 // duplication rates, a reorder rate, scheduled per-copy faults — that
 // the synchronous executors inject between send and receive, composable
-// with any crash FailurePattern:
+// with any crash FailurePattern. A scenario carries its plan in
+// Scenario.Faults; CrossFaults installs plans on a whole source:
 //
-//	sys, _ := kset.New(kset.WithParams(p), kset.WithCondition(c),
-//		kset.WithFaultPlan(&kset.FaultPlan{Seed: 1, Default: kset.LinkFaults{Loss: 0.05}}))
+//	plan := &kset.FaultPlan{Seed: 1, Default: kset.LinkFaults{Loss: 0.05}}
+//	stats, _ := sys.RunSource(ctx, kset.CrossFaults(src, plan))
 //
-// Add kset.WithTransport(kset.PipeWire()) — or UDPLoopback — and the same
-// faults, draw for draw, hit copies that travel as encoded datagrams.
-// Scenario.Faults overrides the system plan per run; the asynchronous
-// executor ignores both. Fault draws are seeded per scenario (plan seed
+// Build the System with kset.WithTransport(kset.UDPLoopback(cfg)) and the
+// same faults, draw for draw, hit copies that travel as encoded
+// datagrams. The asynchronous executor ignores the plan. Fault draws are
+// seeded per scenario (plan seed
 // × scenario seed × input), so lossy campaigns stay byte-reproducible at
 // any worker count. Runs always terminate within the model's round
 // bound: a process that loses every copy halts undecided, counted in

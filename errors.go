@@ -21,9 +21,9 @@ var (
 	// or x); the counting functions ConditionSize, ConditionFraction (bad
 	// n, m, ℓ or x out of 0 ≤ x < n); Asynchronous runs (bad n, x,
 	// condition dimensions, or more crashes than x); and the
-	// fault plane — New on an invalid WithFaultPlan plan, and runs whose
-	// Scenario.Faults plan fails validation (out-of-range rates, bad
-	// process IDs, scheduled delays without a delay bound).
+	// fault plane — runs whose Scenario.Faults plan fails validation
+	// (out-of-range rates, bad process IDs, scheduled delays without a
+	// delay bound).
 	ErrBadParams = kerr.ErrBadParams
 
 	// ErrDomainTooLarge marks a value domain beyond the 64-value cap of
@@ -57,23 +57,24 @@ var (
 	// a peer's port; such frames are dropped and counted, not decoded.
 	ErrBadFrame = kerr.ErrBadFrame
 
-	// ErrCampaignClosed is returned by Campaign.Submit, SubmitAll and
-	// SubmitSource after Close (or after Wait, which closes implicitly).
+	// ErrCampaignClosed is returned by Campaign.SubmitAll after Wait,
+	// which closes the campaign.
 	ErrCampaignClosed = errors.New("kset: campaign closed")
 
 	// ErrUnsizedSource marks a scenario source whose Size is unknown where
 	// sharding needs one: index ranges only partition streams of known
 	// length.
 	//
-	// Returned by: NewShardPlan and ShardSource on an unsized source, and
+	// Returned by: ShardSource on an unsized source, and
 	// System.RunCheckpointed when started fresh (resume == nil) over one —
 	// resuming needs no size, the checkpoint's cursor carries it.
 	ErrUnsizedSource = errors.New("kset: source size unknown")
 
 	// ErrBadCheckpoint marks a checkpoint or cursor that failed decoding
 	// or validation: malformed JSON, unknown fields, trailing bytes, a
-	// version this build does not read, or a cursor, progress count and
-	// stats snapshot that contradict each other.
+	// version this build does not read, a cursor, progress count and
+	// stats snapshot that contradict each other, or a stats snapshot
+	// holding a null breakdown group.
 	//
 	// Returned by: DecodeCheckpoint on any such input, EncodeCheckpoint on
 	// an envelope that fails validation, and System.RunCheckpointed when

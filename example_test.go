@@ -58,14 +58,16 @@ func ExampleCampaign() {
 	cond, _ := kset.NewMaxCondition(p.N, 4, p.X(), p.L)
 	sys, _ := kset.New(kset.WithParams(p), kset.WithCondition(cond))
 
-	camp := sys.NewCampaign(context.Background(), kset.VerifyRuns())
+	var scs []kset.Scenario
 	for f := 0; f <= p.T; f++ {
-		if err := camp.Submit(kset.Scenario{
+		scs = append(scs, kset.Scenario{
 			Input: kset.VectorOf(4, 4, 4, 2, 1, 2),
 			FP:    kset.InitialCrashes(p.N, f),
-		}); err != nil {
-			log.Fatal(err)
-		}
+		})
+	}
+	camp := sys.NewCampaign(context.Background(), kset.VerifyRuns())
+	if err := camp.SubmitAll(scs); err != nil {
+		log.Fatal(err)
 	}
 	stats, err := camp.Wait()
 	if err != nil {

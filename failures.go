@@ -1,10 +1,6 @@
 package kset
 
-import (
-	"math/rand"
-
-	"kset/internal/adversary"
-)
+import "kset/internal/adversary"
 
 // CrashSpec schedules one crash for Crashes: process ID crashes during its
 // send phase of Round, after delivering to the first AfterSends processes
@@ -31,41 +27,12 @@ func Crashes(specs ...CrashSpec) FailurePattern {
 	return fp
 }
 
-// MidRoundCrashes returns a pattern in which each listed process crashes
-// during its send phase of the given round after delivering to the first
-// ⌈n/2⌉ processes — the adversary that splits a round's receivers into
-// those that heard the crashed sender and those that did not.
-func MidRoundCrashes(n, round int, ids ...ProcessID) FailurePattern {
-	return adversary.MidRound(n, round, ids...)
-}
-
-// RandomCrashes returns a random pattern with at most t crashes within
-// maxRounds rounds, drawn from the seeded source: uniformly random crash
-// subjects, rounds and send prefixes. The same *rand.Rand state yields the
-// same pattern, so seeded sweeps are reproducible.
-func RandomCrashes(r *rand.Rand, n, t, maxRounds int) FailurePattern {
-	return adversary.Random(r, n, t, maxRounds)
-}
-
-// StaggeredCrashes returns the containment-chain worst-case adversary of
-// the agreement proof's counting argument: c1 round-1 crashes with
-// increasing send prefixes, then perRound further crashes per round, until
-// t crashes are spent.
-func StaggeredCrashes(n, t, c1, perRound, maxRounds int) FailurePattern {
-	return adversary.Stagger(n, t, c1, perRound, maxRounds)
-}
-
 // FailureFamily is a finite, deterministic, indexed family of failure
 // patterns: Size patterns, Pattern(i) always the same for the same i.
 // Families are the adversary side of the generator subsystem — cross one
 // with an input source via FailureSchedules, or expand a sweep grid point
 // per pattern via SweepFailures.
 type FailureFamily = adversary.Family
-
-// FailuresOf wraps an explicit pattern list as a family.
-func FailuresOf(fps ...FailurePattern) FailureFamily {
-	return adversary.FixedFamily("fixed", fps...)
-}
 
 // InitialCrashFamily is the family {InitialCrashes(n, f) : f = 0..maxF} —
 // the f-sweep of the early-decision experiments. Pattern i crashes the
@@ -74,18 +41,18 @@ func InitialCrashFamily(n, maxF int) FailureFamily {
 	return adversary.InitialFamily(n, maxF)
 }
 
-// StaggeredCrashFamily is the family {StaggeredCrashes(n, t, c1, 1,
-// maxRounds) : c1 = 0..t} of containment-chain worst cases, one per
-// round-1 crash budget.
+// StaggeredCrashFamily is the family of containment-chain worst cases of
+// the agreement proof's counting argument, one per round-1 crash budget:
+// pattern c1 = 0..t crashes c1 processes in round 1 with increasing send
+// prefixes, then one more per round until t crashes are spent.
 func StaggeredCrashFamily(n, t, maxRounds int) FailureFamily {
 	return adversary.StaggerFamily(n, t, maxRounds)
 }
 
 // RandomCrashFamily is a family of count seeded random patterns with at
-// most t crashes within maxRounds rounds. Pattern i is drawn from its own
-// source seeded with seed+i, so the family is deterministic and
-// random-access: unlike RandomCrashes it does not thread one *rand.Rand
-// through the sweep.
+// most t crashes within maxRounds rounds: uniformly random crash subjects,
+// rounds and send prefixes. Pattern i is drawn from its own source seeded
+// with seed+i, so the family is deterministic and random-access.
 func RandomCrashFamily(seed int64, n, t, maxRounds, count int) FailureFamily {
 	return adversary.RandomFamily(seed, n, t, maxRounds, count)
 }

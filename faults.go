@@ -18,7 +18,7 @@ import (
 // FaultPlan is a deterministic link-fault plan: per-link loss, delay and
 // duplication rates plus explicitly scheduled faults, replayed
 // identically for a given seed. A plan is immutable once installed on a
-// System or Scenario. The zero plan injects no faults.
+// Scenario. The zero plan injects no faults.
 type FaultPlan = faultnet.Plan
 
 // LinkFaults is the per-link fault profile of a FaultPlan: loss, delay
@@ -48,29 +48,12 @@ const (
 	FaultDuplicate = faultnet.Duplicate
 )
 
-// UniformLoss returns the plan that loses every message copy, on every
-// link, with the given probability.
-func UniformLoss(seed int64, rate float64) *FaultPlan {
-	return &FaultPlan{Seed: seed, Default: LinkFaults{Loss: rate}}
-}
-
-// UniformDelay returns the plan that defers every message copy, on every
-// link, with the given probability by a uniform 1..maxDelay rounds.
-func UniformDelay(seed int64, prob float64, maxDelay int) *FaultPlan {
-	return &FaultPlan{Seed: seed, Default: LinkFaults{DelayProb: prob, MaxDelay: maxDelay}}
-}
-
 // FaultFamily is a finite, deterministic, indexed family of fault plans:
 // Size plans, Plan(i) equivalent for the same i, index 0 fault-free by
 // convention. Families are the fault-plane counterpart of FailureFamily —
 // cross one with an input source via FaultSchedules, or expand a sweep
 // grid point per plan via SweepFaults.
 type FaultFamily = adversary.FaultFamily
-
-// FaultPlansOf wraps an explicit plan list as a family.
-func FaultPlansOf(plans ...*FaultPlan) FaultFamily {
-	return adversary.NewFaultFamily("plans", len(plans), func(i int) *FaultPlan { return plans[i] })
-}
 
 // LossSweepFamily is the family of size plans ramping the uniform loss
 // rate linearly from 0 (plan 0: fault-free) to maxLoss — the loss axis of

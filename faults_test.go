@@ -20,14 +20,14 @@ func stormPlan(seed int64) *kset.FaultPlan {
 }
 
 // TestFaultPlanEndToEnd drives a lossy plan through the full stack:
-// System option, per-run Result counters, campaign accumulator tallies
+// scenario plan, per-run Result counters, campaign accumulator tallies
 // and the undecided-runs outcome, with no hangs and no panics.
 func TestFaultPlanEndToEnd(t *testing.T) {
 	p := testParams()
-	sys := testSystem(t, kset.WithParams(p), kset.WithCondition(testCondition(t, p)),
-		kset.WithFaultPlan(&kset.FaultPlan{Seed: 9, Default: kset.LinkFaults{Loss: 0.9}}))
+	sys := testSystem(t, kset.WithParams(p), kset.WithCondition(testCondition(t, p)))
+	plan := &kset.FaultPlan{Seed: 9, Default: kset.LinkFaults{Loss: 0.9}}
 
-	res, err := sys.Run(context.Background(), kset.VectorOf(4, 4, 4, 2, 1, 2), kset.FailurePattern{})
+	res, err := sys.RunScenario(context.Background(), kset.Scenario{Input: kset.VectorOf(4, 4, 4, 2, 1, 2), Faults: plan})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestFaultPlanEndToEnd(t *testing.T) {
 	}
 
 	stats, err := sys.RunSource(context.Background(),
-		kset.RandomInputs(11, p.N, 4, 60), kset.VerifyRuns())
+		kset.CrossFaults(kset.RandomInputs(11, p.N, 4, 60), plan), kset.VerifyRuns())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,8 +55,8 @@ func TestFaultPlanEndToEnd(t *testing.T) {
 	}
 }
 
-// TestScenarioFaultsOverride: a scenario's plan overrides the system's,
-// and a fault-free system accepts per-scenario plans.
+// TestScenarioFaultsOverride: a fault-free system runs a scenario's plan
+// for that scenario alone.
 func TestScenarioFaultsOverride(t *testing.T) {
 	p := testParams()
 	sys := testSystem(t, kset.WithParams(p), kset.WithCondition(testCondition(t, p)))
@@ -81,18 +81,13 @@ func TestScenarioFaultsOverride(t *testing.T) {
 	}
 }
 
-// TestFaultPlanValidation: invalid plans are rejected with ErrBadParams —
-// at New for the system plan, per run for a scenario plan.
+// TestFaultPlanValidation: an invalid scenario plan is rejected with
+// ErrBadParams when its run starts.
 func TestFaultPlanValidation(t *testing.T) {
 	p := testParams()
 	bad := &kset.FaultPlan{Default: kset.LinkFaults{Loss: 1.5}}
-	_, err := kset.New(kset.WithParams(p), kset.WithCondition(testCondition(t, p)), kset.WithFaultPlan(bad))
-	if !errors.Is(err, kset.ErrBadParams) {
-		t.Errorf("New with a bad plan: %v, want ErrBadParams", err)
-	}
-
 	sys := testSystem(t, kset.WithParams(p), kset.WithCondition(testCondition(t, p)))
-	_, err = sys.RunScenario(context.Background(), kset.Scenario{
+	_, err := sys.RunScenario(context.Background(), kset.Scenario{
 		Input:  kset.VectorOf(4, 4, 4, 2, 1, 2),
 		Faults: bad,
 	})
@@ -110,57 +105,6 @@ func TestFaultPlanValidation(t *testing.T) {
 	}
 }
 
-// TestLossyCampaignWorkerCountInvariance extends the results-plane
-// determinism gate to the fault plane: under a lossy, delaying,
-// duplicating, reordering transport the same seed and source must still
-// produce byte-identical JSON — flat stats, fault tallies, undecided
-// counts — for workers ∈ {1, 4, 16}, because fault draws are seeded per
-// scenario, never per worker.
-func TestLossyCampaignWorkerCountInvariance(t *testing.T) {
-	p := testParams()
-	cond := testCondition(t, p)
-	const seed = 29
-
-	source := func() kset.ScenarioSource {
-		return kset.FaultSchedules(
-			kset.CrossExecutors(
-				kset.FailureSchedules(
-					kset.RandomInputs(seed, p.N, 4, 40),
-					kset.RandomCrashFamily(seed+1, p.N, p.T, p.RMax(), 3),
-				),
-				kset.Figure2, kset.EarlyDeciding, kset.Classical,
-			),
-			kset.FaultPlansOf(nil, stormPlan(seed+2)),
-		)
-	}
-	report := func(workers int) []byte {
-		sys := testSystem(t, kset.WithParams(p), kset.WithCondition(cond), kset.WithWorkers(workers))
-		stats, err := sys.RunSource(context.Background(), source(), kset.VerifyRuns())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := int64(40 * 3 * 3 * 2); stats.Runs != want || stats.Errors != 0 {
-			t.Fatalf("workers=%d: runs=%d (want %d) errors=%d", workers, stats.Runs, want, stats.Errors)
-		}
-		if stats.Metrics.Faults == nil {
-			t.Fatalf("workers=%d: no fault tally under a storm plan", workers)
-		}
-		raw, err := json.Marshal(stats)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return raw
-	}
-
-	first := report(1)
-	for _, workers := range []int{4, 16} {
-		if got := report(workers); string(got) != string(first) {
-			t.Fatalf("lossy JSON report diverged between workers=1 and workers=%d:\n%s\nvs\n%s",
-				workers, first, got)
-		}
-	}
-}
-
 // TestZeroFaultPlansLeaveTheSeam: a plan that injects nothing is validated
 // and then run as if there were none — the campaign's stats JSON is
 // byte-identical to the plan-free campaign's at any worker count, with no
@@ -170,16 +114,16 @@ func TestZeroFaultPlansLeaveTheSeam(t *testing.T) {
 	p := testParams()
 	cond := testCondition(t, p)
 	const seed = 31
-	report := func(workers int, plans kset.FaultFamily) []byte {
+	report := func(workers int, plans ...*kset.FaultPlan) []byte {
 		sys := testSystem(t, kset.WithParams(p), kset.WithCondition(cond), kset.WithWorkers(workers))
-		src := kset.FaultSchedules(
+		src := kset.CrossFaults(
 			kset.CrossExecutors(
 				kset.FailureSchedules(
 					kset.RandomInputs(seed, p.N, 4, 40),
 					kset.RandomCrashFamily(seed+1, p.N, p.T, p.RMax(), 3),
 				),
 				kset.Figure2, kset.EarlyDeciding, kset.Classical,
-			), plans)
+			), plans...)
 		stats, err := sys.RunSource(context.Background(), src, kset.VerifyRuns())
 		if err != nil {
 			t.Fatal(err)
@@ -196,9 +140,9 @@ func TestZeroFaultPlansLeaveTheSeam(t *testing.T) {
 		}
 		return raw
 	}
-	want := report(1, kset.FaultPlansOf(nil, nil))
+	want := report(1, nil, nil)
 	for _, workers := range []int{1, 4} {
-		got := report(workers, kset.FaultPlansOf(&kset.FaultPlan{}, kset.UniformLoss(seed, 0)))
+		got := report(workers, &kset.FaultPlan{}, &kset.FaultPlan{Seed: seed, Default: kset.LinkFaults{Loss: 0}})
 		if string(got) != string(want) {
 			t.Fatalf("workers=%d: zero-plan campaign diverged from the plan-free one:\n%s\nvs\n%s", workers, got, want)
 		}
@@ -218,7 +162,7 @@ func TestZeroFaultPlansLeaveTheSeam(t *testing.T) {
 			t.Errorf("%s: err = %v, want ErrBadParams", name, err)
 		}
 	}
-	wired := testSystem(t, kset.WithParams(p), kset.WithCondition(cond), kset.WithTransport(kset.PipeWire()))
+	wired := testSystem(t, kset.WithParams(p), kset.WithCondition(cond), kset.WithTransport(pipeWire))
 	want1, err := wired.RunScenario(context.Background(), kset.Scenario{Input: input})
 	if err != nil {
 		t.Fatal(err)
@@ -239,8 +183,8 @@ func TestFaultCampaignAcrossSystemSizes(t *testing.T) {
 	plan := &kset.FaultPlan{Seed: 5, Reorder: 0.5}
 	report := func(n int) []byte {
 		sys := testSystem(t, kset.WithParams(kset.Params{N: n, T: n / 2, K: 2, L: 1}),
-			kset.WithExecutor(kset.Classical), kset.WithFaultPlan(plan))
-		stats, err := sys.RunSource(context.Background(), kset.RandomInputs(3, n, 4, 200))
+			kset.WithExecutor(kset.Classical))
+		stats, err := sys.RunSource(context.Background(), kset.CrossFaults(kset.RandomInputs(3, n, 4, 200), plan))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,7 +211,7 @@ func TestFaultCampaignAcrossSystemSizes(t *testing.T) {
 func TestFaultGenerators(t *testing.T) {
 	inputs := kset.Inputs(kset.VectorOf(1, 1, 1, 1, 1, 1), kset.VectorOf(2, 2, 2, 2, 2, 2))
 
-	crossed := kset.CrossFaults(inputs, nil, kset.UniformLoss(1, 0.5))
+	crossed := kset.CrossFaults(inputs, nil, &kset.FaultPlan{Seed: 1, Default: kset.LinkFaults{Loss: 0.5}})
 	if n, ok := crossed.Size(); !ok || n != 4 {
 		t.Errorf("CrossFaults size = %d, %v, want 4", n, ok)
 	}
@@ -320,9 +264,11 @@ func TestFaultGenerators(t *testing.T) {
 func TestAsyncIgnoresFaults(t *testing.T) {
 	p := testParams()
 	sys := testSystem(t, kset.WithParams(p), kset.WithCondition(testCondition(t, p)),
-		kset.WithExecutor(kset.Asynchronous),
-		kset.WithFaultPlan(&kset.FaultPlan{Default: kset.LinkFaults{Loss: 1}}))
-	res, err := sys.Run(context.Background(), kset.VectorOf(4, 4, 4, 2, 1, 2), kset.FailurePattern{})
+		kset.WithExecutor(kset.Asynchronous))
+	res, err := sys.RunScenario(context.Background(), kset.Scenario{
+		Input:  kset.VectorOf(4, 4, 4, 2, 1, 2),
+		Faults: &kset.FaultPlan{Default: kset.LinkFaults{Loss: 1}},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

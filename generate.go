@@ -20,7 +20,7 @@ import (
 // Build sources with the builders (ScenariosOf, Inputs, ExhaustiveInputs,
 // ConditionMembers, RandomInputs), shape them with the combinators
 // (CrossFailures, FailureSchedules, CrossExecutors, Labeled, Concat), and
-// feed them to System.RunSource, Campaign.SubmitSource or a Sweep.
+// feed them to System.RunSource, RunCheckpointed or a Sweep.
 //
 // Ownership: scenarios ForEach yields remain valid after yield returns,
 // but their Input vectors must be treated as read-only — a source may

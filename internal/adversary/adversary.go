@@ -48,18 +48,6 @@ func Stagger(n, t, c1, perRound, maxRounds int) rounds.FailurePattern {
 	return fp
 }
 
-// MidRound returns a pattern in which each listed process crashes during
-// its send phase of the given round, after delivering to the first ⌈n/2⌉
-// processes: the mid-round adversary that splits a round's receivers into
-// those that heard the crashed sender and those that did not.
-func MidRound(n, round int, ids ...rounds.ProcessID) rounds.FailurePattern {
-	fp := rounds.FailurePattern{Crashes: make(map[rounds.ProcessID]rounds.Crash, len(ids))}
-	for _, id := range ids {
-		fp.Crashes[id] = rounds.Crash{Round: round, AfterSends: (n + 1) / 2}
-	}
-	return fp
-}
-
 // Random returns a random pattern with at most t crashes within maxRounds
 // rounds, with uniformly random crash rounds and send prefixes.
 func Random(r *rand.Rand, n, t, maxRounds int) rounds.FailurePattern {

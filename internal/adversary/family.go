@@ -61,11 +61,6 @@ func (f Family) Patterns() []rounds.FailurePattern {
 	return fps
 }
 
-// FixedFamily wraps an explicit pattern list as a family.
-func FixedFamily(name string, fps ...rounds.FailurePattern) Family {
-	return newFamily(name, len(fps), func(i int) rounds.FailurePattern { return fps[i] })
-}
-
 // InitialFamily is the family {InitialLast(n, f) : f = 0..maxCrashes} —
 // the f-sweep of the early-decision experiments: pattern i crashes the
 // last i processes before they send anything.

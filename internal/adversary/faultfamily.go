@@ -20,10 +20,10 @@ type FaultFamily struct {
 	gen  func(i int) *faultnet.Plan
 }
 
-// NewFaultFamily builds a family from a name, a size and a pure index →
+// newFaultFamily builds a family from a name, a size and a pure index →
 // plan function. gen must be deterministic; it is called with indices
 // 0..size-1.
-func NewFaultFamily(name string, size int, gen func(i int) *faultnet.Plan) FaultFamily {
+func newFaultFamily(name string, size int, gen func(i int) *faultnet.Plan) FaultFamily {
 	if size < 0 {
 		size = 0
 	}
@@ -57,7 +57,7 @@ func frac(i, size int) float64 {
 // every-link loss rate linearly from 0 (index 0: fault-free) to maxLoss —
 // the loss axis of a fault trade-off grid.
 func LossSweep(seed int64, size int, maxLoss float64) FaultFamily {
-	return NewFaultFamily("loss", size, func(i int) *faultnet.Plan {
+	return newFaultFamily("loss", size, func(i int) *faultnet.Plan {
 		p := &faultnet.Plan{Seed: seed + int64(i)}
 		if rate := maxLoss * frac(i, size); rate > 0 {
 			p.Default = faultnet.LinkFaults{Loss: rate}
@@ -70,7 +70,7 @@ func LossSweep(seed int64, size int, maxLoss float64) FaultFamily {
 // each copy with probability prob by up to i rounds (index 0:
 // fault-free) — the delay-bound axis of a fault trade-off grid.
 func DelaySweep(seed int64, size int, prob float64) FaultFamily {
-	return NewFaultFamily("delay", size, func(i int) *faultnet.Plan {
+	return newFaultFamily("delay", size, func(i int) *faultnet.Plan {
 		p := &faultnet.Plan{Seed: seed + int64(i)}
 		if i > 0 && prob > 0 {
 			p.Default = faultnet.LinkFaults{DelayProb: prob, MaxDelay: i}
@@ -88,7 +88,7 @@ func Storm(seed int64, size, maxDelay int, intensity float64) FaultFamily {
 	if maxDelay < 1 {
 		maxDelay = 1
 	}
-	return NewFaultFamily("storm", size, func(i int) *faultnet.Plan {
+	return newFaultFamily("storm", size, func(i int) *faultnet.Plan {
 		p := &faultnet.Plan{Seed: seed + int64(i)}
 		if x := intensity * frac(i, size); x > 0 {
 			p.Default = faultnet.LinkFaults{

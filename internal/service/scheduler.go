@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 )
 
@@ -16,10 +17,13 @@ var ErrDraining = errors.New("service: draining, not accepting jobs")
 
 // Scheduler dispatches queued jobs into a bounded pool of run slots with
 // round-robin fairness across tenants: each tenant has its own bounded
-// FIFO queue, and the dispatcher cycles tenants in first-seen order, so
-// a tenant flooding its queue delays only itself. Draining flips the
-// scheduler into shutdown mode: new submissions are rejected while
-// everything already accepted runs to completion.
+// FIFO queue, and the dispatcher cycles the tenants with queued jobs in
+// the order their queues last became non-empty, so a tenant flooding its
+// queue delays only itself. A tenant whose queue empties is forgotten:
+// the scheduler holds only tenants with work waiting, however many names
+// clients invent. Draining flips the scheduler into shutdown mode: new
+// submissions are rejected while everything already accepted runs to
+// completion.
 type Scheduler struct {
 	run       func(*Job)
 	maxActive int
@@ -27,9 +31,9 @@ type Scheduler struct {
 
 	mu       sync.Mutex
 	cond     *sync.Cond
-	queues   map[string][]*Job
-	order    []string
-	next     int
+	queues   map[string][]*Job // non-empty queues only
+	order    []string          // the keys of queues, in dispatch order
+	next     int               // index into order of the next tenant
 	active   int
 	queued   int
 	draining bool
@@ -131,22 +135,26 @@ func (s *Scheduler) Stop() {
 }
 
 // pick pops the next job in round-robin tenant order; the caller holds
-// mu. It returns nil when every queue is empty.
+// mu. It returns nil when every queue is empty. A tenant whose queue it
+// empties leaves order, and the tenant after it takes its index.
 func (s *Scheduler) pick() *Job {
-	for i := 0; i < len(s.order); i++ {
-		idx := (s.next + i) % len(s.order)
-		t := s.order[idx]
-		q := s.queues[t]
-		if len(q) == 0 {
-			continue
-		}
-		j := q[0]
-		s.queues[t] = q[1:]
-		s.queued--
-		s.next = (idx + 1) % len(s.order)
-		return j
+	if len(s.order) == 0 {
+		return nil
 	}
-	return nil
+	t := s.order[s.next]
+	q := s.queues[t]
+	if len(q) == 1 {
+		delete(s.queues, t)
+		s.order = slices.Delete(s.order, s.next, s.next+1)
+	} else {
+		s.queues[t] = q[1:]
+		s.next++
+	}
+	if s.next >= len(s.order) {
+		s.next = 0
+	}
+	s.queued--
+	return q[0]
 }
 
 // dispatch is the scheduler loop: wait for a free slot and a queued job,

@@ -487,12 +487,16 @@ func decodeShard(raw json.RawMessage) (*stats.Accumulator, error) {
 }
 
 // strictAccumulator decodes an accumulator encoding, rejecting unknown
-// fields so a mis-shaped upload fails loudly instead of merging zeros.
+// fields so a mis-shaped upload fails loudly instead of merging zeros, and
+// an accumulator Merge cannot fold (Accumulator.Check).
 func strictAccumulator(raw []byte) (*stats.Accumulator, error) {
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
 	acc := stats.NewAccumulator()
 	if err := dec.Decode(acc); err != nil {
+		return nil, err
+	}
+	if err := acc.Check(); err != nil {
 		return nil, err
 	}
 	return acc, nil

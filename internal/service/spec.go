@@ -568,9 +568,9 @@ func compileFailures(fs *FailuresSpec, p kset.Params) ([]kset.FailurePattern, er
 }
 
 // applyFaults crosses the source with the spec's link-fault plans. The
-// plans themselves are validated by the System (WithFaultPlan-equivalent
-// checks run per scenario), but the family shapes are checked here so a
-// malformed fault spec is a 400.
+// plans themselves are validated by the System when each scenario's run
+// starts, but the family shapes are checked here so a malformed fault
+// spec is a 400.
 func applyFaults(src kset.ScenarioSource, fs *FaultsSpec) (kset.ScenarioSource, error) {
 	if fs == nil {
 		return src, nil

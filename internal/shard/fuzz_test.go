@@ -22,6 +22,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 	f.Add([]byte(`{"version":1,"cursor":{"lo":9,"hi":2},"runs_done":0}`))
 	f.Add([]byte(`{"version":1,"cursor":{"lo":0,"hi":2},"runs_done":1}`))
 	f.Add([]byte(`{"version":1,"cursor":{"lo":0,"hi":1},"runs_done":0,"extra":true}`))
+	f.Add([]byte(`{"version":1,"cursor":{"lo":0,"hi":1},"runs_done":0,"stats":{"runs":0,"by_executor":{"x":null}}}`))
 	f.Add(valid[:len(valid)/2])
 	f.Add(append(append([]byte{}, valid...), '0'))
 	f.Add([]byte(`null`))

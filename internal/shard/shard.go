@@ -115,7 +115,7 @@ type Checkpoint struct {
 
 // Validate checks the envelope's internal consistency: the version must
 // be this build's, the cursor well-formed, RunsDone within it, and Stats
-// a snapshot over exactly RunsDone runs.
+// a snapshot over exactly RunsDone runs that passes Accumulator.Check.
 func (c Checkpoint) Validate() error {
 	if c.Version != Version {
 		return fmt.Errorf("%w: version %d (this build reads version %d)",
@@ -130,6 +130,9 @@ func (c Checkpoint) Validate() error {
 	}
 	var covered int64
 	if c.Stats != nil {
+		if err := c.Stats.Check(); err != nil {
+			return fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
+		}
 		covered = c.Stats.Runs
 	}
 	if covered != c.RunsDone {

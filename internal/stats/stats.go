@@ -1,6 +1,9 @@
 package stats
 
-import "sort"
+import (
+	"errors"
+	"sort"
+)
 
 // Observation is one run's flat metric record: the quantities every
 // execution layer can report about a single agreement run without
@@ -394,6 +397,26 @@ func (a *Accumulator) Merge(o *Accumulator) {
 	mergeGroups(&a.ByExecutor, o.ByExecutor)
 	mergeGroups(&a.ByCrashes, o.ByCrashes)
 	mergeGroups(&a.ByLabel, o.ByLabel)
+}
+
+// Check refuses an accumulator that Observe and Merge could not have
+// built and that Merge cannot fold: a breakdown holding a nil group, which
+// a decoded JSON null leaves. Decoders call it before anything merges
+// what they decoded; it allocates nothing on a clean accumulator.
+func (a *Accumulator) Check() error {
+	if hasNilGroup(a.ByExecutor) || hasNilGroup(a.ByCrashes) || hasNilGroup(a.ByLabel) {
+		return errors.New("stats: a breakdown holds a null group")
+	}
+	return nil
+}
+
+func hasNilGroup[K comparable](groups map[K]*Group) bool {
+	for _, g := range groups {
+		if g == nil {
+			return true
+		}
+	}
+	return false
 }
 
 // mergeGroups folds the groups of src into dst key-wise. The keys new to

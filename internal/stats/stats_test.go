@@ -178,6 +178,29 @@ func TestObserveAllocFree(t *testing.T) {
 	}
 }
 
+// TestCheck: an accumulator Observe and Merge built passes Check without
+// allocating, and a nil group in any breakdown is refused.
+func TestCheck(t *testing.T) {
+	a := NewAccumulator()
+	a.Observe(Observation{Round: 2, Crashes: 1, Executor: "figure2", Label: "steady"})
+	a.Merge(a.Snapshot())
+	if err := a.Check(); err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(100, func() { _ = a.Check() }); got != 0 {
+		t.Errorf("Check allocates %.1f/op, want 0", got)
+	}
+	for name, dirty := range map[string]*Accumulator{
+		"by_executor": {ByExecutor: map[string]*Group{"figure2": nil}},
+		"by_crashes":  {ByCrashes: map[int]*Group{0: {}, 1: nil}},
+		"by_label":    {ByLabel: map[string]*Group{"x": nil}},
+	} {
+		if err := dirty.Check(); err == nil {
+			t.Errorf("%s: a nil group passed Check", name)
+		}
+	}
+}
+
 // TestReset clears totals while keeping the accumulator usable.
 func TestReset(t *testing.T) {
 	a := NewAccumulator()

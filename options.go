@@ -26,18 +26,6 @@ func WithExecutor(e Executor) Option {
 	return func(s *System) { s.exec = e }
 }
 
-// WithFaultPlan makes every synchronous run of the System inject link
-// faults — loss, delay, duplication, reordering — according to the plan,
-// composed on top of whatever crash FailurePattern each run carries and
-// over whatever message plane it uses: the default one, or WithTransport's
-// wire plane, with identical draws either way.
-// The plan is validated by New (errors wrap ErrBadParams) and must be
-// treated as immutable afterwards; individual scenarios may still
-// override it via Scenario.Faults. Asynchronous runs ignore it.
-func WithFaultPlan(p *FaultPlan) Option {
-	return func(s *System) { s.faults = p }
-}
-
 // WithWorkers sets the default campaign worker-pool size (default:
 // GOMAXPROCS). Each worker owns its engine and protocol buffers, so the
 // count bounds both parallelism and resident scratch memory.

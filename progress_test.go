@@ -160,9 +160,12 @@ func TestProgressSnapshots(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		for i := range points {
+			points[i].Options = append(points[i].Options, kset.WithWorkers(3))
+		}
 		prog, total := new(kset.Progress), kset.NewAccumulator()
 		stop := readProgress(t, prog)
-		results, err := kset.RunSweep(ctx, points, kset.CampaignWorkers(3), kset.TrackProgress(prog), kset.CollectInto(total))
+		results, err := kset.RunSweep(ctx, points, kset.TrackProgress(prog), kset.CollectInto(total))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,7 +21,7 @@ func TestCampaignReplaysByRunScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := New(WithParams(p), WithCondition(cond))
+	sys, err := New(WithParams(p), WithCondition(cond), WithWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestCampaignReplaysByRunScenario(t *testing.T) {
 		StormFamily(seed+2, 3, 2, 0.3),
 	)
 	ctx := context.Background()
-	st, err := sys.RunSource(ctx, src, VerifyRuns(), CampaignWorkers(4))
+	st, err := sys.RunSource(ctx, src, VerifyRuns())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,39 +7,28 @@ import (
 	"kset/internal/shard"
 )
 
-// ShardPlan is the deterministic partition of a sized scenario stream
-// into K contiguous, disjoint, collectively exhaustive index ranges.
-// Every process that builds the same plan — same source parameters, same
-// K — agrees on every shard boundary without coordination, which is what
-// lets independent processes split one campaign and fold the results
-// back together. Build one with NewShardPlan.
-type ShardPlan = shard.Plan
-
 // Cursor addresses the half-open index range [Lo, Hi) of a deterministic
 // scenario stream: the serializable identity of one campaign shard.
 // Sources are deterministic and re-iterable, so a cursor plus the
 // source's construction parameters fully determine the shard's scenarios
 // across processes and machines. Turn one back into a stream with
-// CursorSource.
+// Range(src, cur.Lo, cur.Hi).
 type Cursor = shard.Cursor
 
-// NewShardPlan partitions src's stream into k balanced shards. The
-// source must be sized (ErrUnsizedSource otherwise); k < 1 is an error,
-// while k larger than the stream leaves the surplus shards empty.
-func NewShardPlan(src ScenarioSource, k int) (ShardPlan, error) {
+// ShardSource returns shard i of src split k ways: the sub-stream
+// covering the i-th of k balanced, contiguous index ranges. The union of
+// the k shard streams is exactly the unsharded stream — disjoint,
+// collectively exhaustive, in order within each shard — and every process
+// that cuts the same source the same k ways agrees on every boundary
+// without coordination. The source must be sized (ErrUnsizedSource
+// otherwise); k < 1 is an error, while k larger than the stream leaves the
+// surplus shards empty.
+func ShardSource(src ScenarioSource, i, k int) (ScenarioSource, error) {
 	total, ok := src.Size()
 	if !ok {
-		return ShardPlan{}, fmt.Errorf("%w: cannot plan shards", ErrUnsizedSource)
+		return nil, fmt.Errorf("%w: cannot plan shards", ErrUnsizedSource)
 	}
-	return shard.NewPlan(total, k)
-}
-
-// ShardSource returns shard i of src split k ways: the sub-stream
-// covering the plan's i-th index range. The union of the k shard streams
-// is exactly the unsharded stream — disjoint, collectively exhaustive,
-// in order within each shard.
-func ShardSource(src ScenarioSource, i, k int) (ScenarioSource, error) {
-	plan, err := NewShardPlan(src, k)
+	plan, err := shard.NewPlan(total, k)
 	if err != nil {
 		return nil, err
 	}
@@ -48,12 +37,6 @@ func ShardSource(src ScenarioSource, i, k int) (ScenarioSource, error) {
 	}
 	lo, hi := plan.Bounds(i)
 	return Range(src, lo, hi), nil
-}
-
-// CursorSource returns the sub-stream of src a cursor addresses —
-// the resume half of a serialized shard or checkpoint.
-func CursorSource(src ScenarioSource, cur Cursor) ScenarioSource {
-	return Range(src, cur.Lo, cur.Hi)
 }
 
 // Range returns the sub-stream of src covering stream indices [lo, hi),

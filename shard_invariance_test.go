@@ -102,7 +102,8 @@ func shardKinds(t *testing.T) map[string]kset.ScenarioSource {
 			kset.StormFamily(11, 3, 2, 0.3),
 		),
 		"crossfaults": kset.CrossFaults(kset.ExhaustiveInputs(2, 3),
-			nil, kset.UniformLoss(5, 0.2), kset.UniformDelay(6, 0.1, 2)),
+			nil, &kset.FaultPlan{Seed: 5, Default: kset.LinkFaults{Loss: 0.2}},
+			&kset.FaultPlan{Seed: 6, Default: kset.LinkFaults{DelayProb: 0.1, MaxDelay: 2}}),
 		"foreign": kset.Concat(
 			kset.ExhaustiveInputs(2, 2),
 			foreignSource{lit[2][:2], lit[0][:2], lit[4][:2]},
@@ -243,11 +244,6 @@ func TestRangeSemantics(t *testing.T) {
 	if len(open) != 10 || open[0] != full[3] || open[9] != full[7] {
 		t.Fatalf("Range(Range(cross,4,16),2,max) = %v, want full[3:8] twice each", open)
 	}
-	// A cursor is just a serializable range address.
-	cur := kset.Cursor{Lo: 3, Hi: 6}
-	if got := sigs(kset.CursorSource(src, cur)); len(got) != 3 || got[0] != full[3] {
-		t.Fatalf("CursorSource(%+v) = %v", cur, got)
-	}
 }
 
 // TestShardUnsizedSource pins the ErrUnsizedSource contract: streams of
@@ -256,9 +252,6 @@ func TestShardUnsizedSource(t *testing.T) {
 	unsized := kset.ExhaustiveInputs(64, 4) // m^n overflows int64: size unknown
 	if _, ok := unsized.Size(); ok {
 		t.Fatal("test premise broken: source is sized")
-	}
-	if _, err := kset.NewShardPlan(unsized, 4); !errors.Is(err, kset.ErrUnsizedSource) {
-		t.Fatalf("NewShardPlan on unsized source: %v, want ErrUnsizedSource", err)
 	}
 	if _, err := kset.ShardSource(unsized, 0, 4); !errors.Is(err, kset.ErrUnsizedSource) {
 		t.Fatalf("ShardSource on unsized source: %v, want ErrUnsizedSource", err)
@@ -273,10 +266,9 @@ func TestShardUnsizedSource(t *testing.T) {
 }
 
 // statsJSON runs src through sys and renders the campaign stats JSON.
-func statsJSON(t *testing.T, sys *kset.System, src kset.ScenarioSource, workers int) []byte {
+func statsJSON(t *testing.T, sys *kset.System, src kset.ScenarioSource) []byte {
 	t.Helper()
-	st, err := sys.RunSource(context.Background(), src,
-		kset.VerifyRuns(), kset.CampaignWorkers(workers))
+	st, err := sys.RunSource(context.Background(), src, kset.VerifyRuns())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +290,10 @@ func TestShardedStatsByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys := testSystem(t, kset.WithParams(p), kset.WithCondition(cond))
+	systems := map[int]*kset.System{} // one per worker count
+	for _, workers := range []int{1, 4, 16} {
+		systems[workers] = testSystem(t, kset.WithParams(p), kset.WithCondition(cond), kset.WithWorkers(workers))
+	}
 
 	sources := map[string]kset.ScenarioSource{
 		"exhaustive": kset.ExhaustiveInputs(p.N, 3),
@@ -314,7 +309,7 @@ func TestShardedStatsByteIdentical(t *testing.T) {
 	}
 	for name, src := range sources {
 		t.Run(name, func(t *testing.T) {
-			baseline := statsJSON(t, sys, src, 1)
+			baseline := statsJSON(t, systems[1], src)
 			for _, workers := range []int{1, 4, 16} {
 				for _, k := range []int{1, 3, 16} {
 					merged := &kset.Accumulator{}
@@ -323,8 +318,7 @@ func TestShardedStatsByteIdentical(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						st, err := sys.RunSource(context.Background(), sh,
-							kset.VerifyRuns(), kset.CampaignWorkers(workers))
+						st, err := systems[workers].RunSource(context.Background(), sh, kset.VerifyRuns())
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -39,7 +39,8 @@ type SweepResult struct {
 // and streams its Source through a campaign, and the results arrive keyed
 // in grid order. Points run sequentially, so a sweep is exactly as
 // deterministic as its sources; the campaign options (VerifyRuns,
-// CampaignWorkers, …) apply to every point. RunSweep stops at the first
+// CollectInto, …) apply to every point, and a point's worker count is its
+// Options' WithWorkers. RunSweep stops at the first
 // construction or cancellation error, returning the results of the
 // points that completed.
 func RunSweep(ctx context.Context, points []SweepPoint, opts ...CampaignOption) ([]SweepResult, error) {

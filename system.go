@@ -35,7 +35,6 @@ type System struct {
 	hasParams   bool
 	cond        Condition
 	exec        Executor
-	faults      *FaultPlan
 	wireFactory TransportFactory
 
 	workers     int
@@ -63,11 +62,6 @@ func New(opts ...Option) (*System, error) {
 	}
 	if err := s.exec.check(s); err != nil {
 		return nil, err
-	}
-	if s.faults != nil {
-		if err := s.faults.Validate(s.p.N); err != nil {
-			return nil, fmt.Errorf("kset: bad fault plan: %w: %w", err, ErrBadParams)
-		}
 	}
 	return s, nil
 }
@@ -144,9 +138,11 @@ type Scenario struct {
 	// under a FaultPlan.
 	Seed int64
 	// Faults injects link faults (loss, delay, duplication, reordering)
-	// into this scenario's synchronous run, overriding the system's
-	// WithFaultPlan default. The plan must be treated as immutable once
-	// installed. Asynchronous runs ignore it.
+	// into this scenario's synchronous run, over whatever message plane the
+	// System has; CrossFaults, FaultSchedules and SweepFaults install one
+	// on a whole source. The plan is validated per run (errors wrap
+	// ErrBadParams) and must be treated as immutable once installed.
+	// Asynchronous runs ignore it.
 	Faults *FaultPlan
 	// AsyncCrashes, when non-nil, replaces the FP mapping for
 	// Asynchronous runs.
@@ -365,9 +361,9 @@ type worker struct {
 
 // transport builds the run's one message stack. The base is the System's
 // wire transport when one is installed (cached per worker), else nil —
-// the engine's allocation-free shared row. The scenario's fault plan
-// (falling back to the system default), unless there is none or it
-// injects nothing, rides the fault transport over that base.
+// the engine's allocation-free shared row. The scenario's fault plan,
+// unless there is none or it injects nothing, rides the fault transport
+// over that base.
 // Fault-transport draws are reseeded per run so they depend only on
 // (plan, scenario), never on worker count or submission order.
 func (w *worker) transport(s *System, sc *Scenario) (rounds.Transport, error) {
@@ -386,9 +382,6 @@ func (w *worker) transport(s *System, sc *Scenario) (rounds.Transport, error) {
 		base = w.wt
 	}
 	plan := sc.Faults
-	if plan == nil {
-		plan = s.faults
-	}
 	if plan == nil {
 		return base, nil
 	}

@@ -138,7 +138,7 @@ func TestSystemConcurrentRun(t *testing.T) {
 	fps := []kset.FailurePattern{
 		kset.NoFailures(),
 		kset.InitialCrashes(p.N, 2),
-		kset.MidRoundCrashes(p.N, 1, 6),
+		kset.Crashes(kset.CrashSpec{ID: 6, Round: 1, AfterSends: 3}), // mid-round: heard by half
 	}
 
 	var wg sync.WaitGroup
@@ -258,7 +258,7 @@ func TestAsynchronousExecutor(t *testing.T) {
 	}
 }
 
-// TestFailureBuilders pins the new root-level failure-pattern builders.
+// TestFailureBuilders pins the explicit failure-pattern builder.
 func TestFailureBuilders(t *testing.T) {
 	fp := kset.Crashes(
 		kset.CrashSpec{ID: 6, Round: 1, AfterSends: 2},
@@ -266,12 +266,5 @@ func TestFailureBuilders(t *testing.T) {
 	)
 	if len(fp.Crashes) != 2 || fp.Crashes[6] != (kset.Crash{Round: 1, AfterSends: 2}) || fp.Crashes[7] != (kset.Crash{Round: 2}) {
 		t.Errorf("Crashes built %+v", fp.Crashes)
-	}
-
-	mid := kset.MidRoundCrashes(9, 2, 1, 9)
-	for _, id := range []kset.ProcessID{1, 9} {
-		if mid.Crashes[id] != (kset.Crash{Round: 2, AfterSends: 5}) {
-			t.Errorf("MidRoundCrashes[%d] = %+v", id, mid.Crashes[id])
-		}
 	}
 }

@@ -14,7 +14,7 @@ import (
 // the default in-memory delivery and the wire plane installed by
 // WithTransport, which moves every copy through encoded datagrams (and,
 // for the UDP transports, through real sockets) — and one decorator, the
-// fault injector installed by WithFaultPlan, which rides whichever
+// fault injector a Scenario.Faults plan installs, which rides whichever
 // carrier the run has. All satisfy one contract, pinned by a shared
 // conformance suite, so a scenario produces the same decisions on any
 // lossless plane and the same faults over any carrier.
@@ -27,25 +27,15 @@ type Transport = rounds.Transport
 type TransportFactory func(n int) (Transport, error)
 
 // WithTransport makes every synchronous run of the System move its round
-// payloads through transports built by the factory — see PipeWire and
-// UDPLoopback. A fault plan (WithFaultPlan, Scenario.Faults) stacks on
-// top: the fault plane takes its toll first and hands only the on-time
-// survivors to the wire, so a copy is lost at exactly one layer — one the
-// plan drops is never waited for below, one that misses the wire's
-// delivery deadline is written off there — and Result.Lost is the sum of
-// the two. Asynchronous runs have no message plane and ignore it.
+// payloads through transports built by the factory — see UDPLoopback. A
+// fault plan (Scenario.Faults) stacks on top: the fault plane takes its
+// toll first and hands only the on-time survivors to the wire, so a copy
+// is lost at exactly one layer — one the plan drops is never waited for
+// below, one that misses the wire's delivery deadline is written off
+// there — and Result.Lost is the sum of the two. Asynchronous runs have no
+// message plane and ignore it.
 func WithTransport(f TransportFactory) Option {
 	return func(s *System) { s.wireFactory = f }
-}
-
-// PipeWire returns a factory for the deterministic in-process wire
-// harness: every copy is encoded to datagram bytes and decoded back with
-// no sockets or timing anywhere. A lossless run over it is
-// byte-identical to the default matrix run — it exists to keep the wire
-// codec honest against the in-memory semantics, and as the fastest way
-// to exercise the serialization in tests and campaigns.
-func PipeWire() TransportFactory {
-	return func(int) (Transport, error) { return &wire.PipeTransport{}, nil }
 }
 
 // WireConfig tunes the UDP loopback wire transport.

@@ -26,8 +26,12 @@ func wireScenario() kset.Scenario {
 	}
 }
 
+// pipeWire builds the deterministic in-process wire harness: every copy is
+// encoded to datagram bytes and decoded back, with no sockets or timing.
+func pipeWire(int) (kset.Transport, error) { return &wire.PipeTransport{}, nil }
+
 // TestWireTransportMatchesMatrix: for every synchronous executor, a run
-// whose payloads cross the wire codec (PipeWire) or real UDP datagrams
+// whose payloads cross the wire codec (pipeWire) or real UDP datagrams
 // (UDPLoopback) produces a Result deeply equal to the default in-memory
 // matrix run — decisions, rounds, message counts, everything.
 func TestWireTransportMatchesMatrix(t *testing.T) {
@@ -37,7 +41,7 @@ func TestWireTransportMatchesMatrix(t *testing.T) {
 		name string
 		f    kset.TransportFactory
 	}{
-		{"pipe", kset.PipeWire()},
+		{"pipe", pipeWire},
 		{"udp", kset.UDPLoopback(kset.WireConfig{})},
 	}
 	for _, ex := range []kset.Executor{kset.Figure2, kset.EarlyDeciding, kset.Classical} {
@@ -66,11 +70,10 @@ func TestWireTransportMatchesMatrix(t *testing.T) {
 // TestPlaneEquivalence: the fault plane rides whatever message plane the
 // run has, and which one that is cannot be seen in the results. One seeded
 // stream — random inputs × a random crash family × the three synchronous
-// executors, every run verified — goes through the default plane, PipeWire
+// executors, every run verified — goes through the default plane, pipeWire
 // and UDPLoopback, under each plan of a storm family (plan 0 injects
-// nothing: those are the planes' plan-less runs), with the plan installed
-// once by WithFaultPlan and once per scenario, at one and at two workers.
-// The stats JSON of a plan is the same bytes in all twelve settings.
+// nothing: those are the planes' plan-less runs), at one and at two
+// workers. The stats JSON of a plan is the same bytes in all six settings.
 func TestPlaneEquivalence(t *testing.T) {
 	p := testParams()
 	cond := testCondition(t, p)
@@ -87,7 +90,7 @@ func TestPlaneEquivalence(t *testing.T) {
 		opts []kset.Option
 	}{
 		{"matrix", nil},
-		{"pipe", []kset.Option{kset.WithTransport(kset.PipeWire())}},
+		{"pipe", []kset.Option{kset.WithTransport(pipeWire)}},
 		{"udp", []kset.Option{kset.WithTransport(kset.UDPLoopback(kset.WireConfig{}))}},
 	}
 	storm := kset.StormFamily(seed+2, 3, 2, 0.3)
@@ -95,39 +98,31 @@ func TestPlaneEquivalence(t *testing.T) {
 		plan := storm.Plan(i)
 		var want []byte
 		for _, pl := range planes {
-			for _, perScenario := range []bool{false, true} {
-				for _, workers := range []int{1, 2} {
-					name := fmt.Sprintf("plan %d/%s/perScenario=%v/workers=%d", i, pl.name, perScenario, workers)
-					opts := append([]kset.Option{kset.WithParams(p), kset.WithCondition(cond), kset.WithWorkers(workers)}, pl.opts...)
-					src := base
-					if perScenario {
-						src = kset.CrossFaults(base, plan)
-					} else {
-						opts = append(opts, kset.WithFaultPlan(plan))
+			for _, workers := range []int{1, 2} {
+				name := fmt.Sprintf("plan %d/%s/workers=%d", i, pl.name, workers)
+				opts := append([]kset.Option{kset.WithParams(p), kset.WithCondition(cond), kset.WithWorkers(workers)}, pl.opts...)
+				stats, err := testSystem(t, opts...).RunSource(context.Background(), kset.CrossFaults(base, plan), kset.VerifyRuns())
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if stats.Runs != 60*4*3 || stats.Errors != 0 {
+					t.Fatalf("%s: runs=%d errors=%d", name, stats.Runs, stats.Errors)
+				}
+				if f := stats.Metrics.Faults; plan.Zero() {
+					if f != nil || stats.Violations != 0 {
+						t.Fatalf("%s: fault tally %+v, %d violations on a reliable plane", name, f, stats.Violations)
 					}
-					stats, err := testSystem(t, opts...).RunSource(context.Background(), src, kset.VerifyRuns())
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					if stats.Runs != 60*4*3 || stats.Errors != 0 {
-						t.Fatalf("%s: runs=%d errors=%d", name, stats.Runs, stats.Errors)
-					}
-					if f := stats.Metrics.Faults; plan.Zero() {
-						if f != nil || stats.Violations != 0 {
-							t.Fatalf("%s: fault tally %+v, %d violations on a reliable plane", name, f, stats.Violations)
-						}
-					} else if f == nil || f.Lost.Sum == 0 || f.Delayed.Sum == 0 || f.Duplicated.Sum == 0 {
-						t.Fatalf("%s: the storm left a fault kind out: %+v", name, f)
-					}
-					got, err := json.Marshal(stats)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if want == nil {
-						want = got
-					} else if !bytes.Equal(got, want) {
-						t.Fatalf("%s diverged from the default plane:\n%s\nvs\n%s", name, got, want)
-					}
+				} else if f == nil || f.Lost.Sum == 0 || f.Delayed.Sum == 0 || f.Duplicated.Sum == 0 {
+					t.Fatalf("%s: the storm left a fault kind out: %+v", name, f)
+				}
+				got, err := json.Marshal(stats)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want == nil {
+					want = got
+				} else if !bytes.Equal(got, want) {
+					t.Fatalf("%s diverged from the default plane:\n%s\nvs\n%s", name, got, want)
 				}
 			}
 		}
@@ -164,8 +159,8 @@ func TestFaultPlanOverLossyWire(t *testing.T) {
 		{Round: 1, From: 4, To: 6, Kind: kset.FaultDrop},
 	}}
 	sys := testSystem(t, kset.WithParams(p), kset.WithCondition(testCondition(t, p)),
-		kset.WithTransport(lossy), kset.WithFaultPlan(plan))
-	res, err := sys.Run(context.Background(), kset.VectorOf(4, 4, 4, 2, 1, 2), kset.FailurePattern{})
+		kset.WithTransport(lossy))
+	res, err := sys.RunScenario(context.Background(), kset.Scenario{Input: kset.VectorOf(4, 4, 4, 2, 1, 2), Faults: plan})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +212,7 @@ func TestWireTransportAfterFaultSystem(t *testing.T) {
 	p := testParams()
 	cond := testCondition(t, p)
 	wired := testSystem(t, kset.WithParams(p), kset.WithCondition(cond),
-		kset.WithTransport(kset.PipeWire()))
+		kset.WithTransport(pipeWire))
 	plain := testSystem(t, kset.WithParams(p), kset.WithCondition(cond))
 	for i := 0; i < 4; i++ {
 		if _, err := wired.RunScenario(context.Background(), wireScenario()); err != nil {
