@@ -399,6 +399,41 @@ func BenchmarkSweep(b *testing.B) {
 	})
 }
 
+// BenchmarkRunCheckpointed times a checkpointed generator-fed campaign:
+// BenchmarkSweep's 4096-run stream (1024 seeded random inputs × 4
+// patterns) on one worker, in 16 chunks of 256 runs, each checkpoint's
+// stats built and handed to a sink that keeps nothing. allocs/op is the
+// call's set-up plus, per chunk, one checkpoint accumulator and the
+// claim's iterator closures: the benchgate budget fails if a chunk pays
+// a campaign's set-up again.
+func BenchmarkRunCheckpointed(b *testing.B) {
+	p := kset.Params{N: 8, T: 5, K: 2, D: 3, L: 1}
+	c, err := kset.NewMaxCondition(p.N, 4, p.X(), p.L)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sys, err := kset.New(kset.WithParams(p), kset.WithCondition(c), kset.WithWorkers(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	const inputs, every = 1024, 256
+	fam := kset.RandomCrashFamily(11, p.N, p.T, p.RMax(), 4)
+	src := kset.FailureSchedules(kset.RandomInputs(11, p.N, 4, inputs), fam)
+	want := int64(inputs * fam.Size())
+	sink := func(kset.Checkpoint) error { return nil }
+	ctx := context.Background()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		stats, err := sys.RunCheckpointed(ctx, src, nil, every, sink)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if stats.Runs != want || stats.Errors != 0 {
+			b.Fatalf("checkpointed run ran %d/%d with %d errors", stats.Runs, want, stats.Errors)
+		}
+	}
+}
+
 // BenchmarkCollectorPath times the full results-plane pipeline per
 // iteration: one fixed 512-scenario stats-only campaign through
 // RunCampaign with an additional CollectInto accumulator, so every run

@@ -173,14 +173,16 @@ type Campaign struct {
 	sys      *System
 	ctx      context.Context
 	nworkers int
-	verify   bool
 
 	// The two feeds: producers push through queue (NewCampaign), or the
-	// workers claim claim-long index ranges of pull off next (RunSource).
-	queue chan Scenario
-	pull  funcSource
-	claim int64
-	next  atomic.Int64
+	// workers claim claim-long index ranges of pull off next, up to
+	// pull.size: the stream's end under RunSource, the open chunk's under
+	// RunCheckpointed, whose barrier parks the workers there.
+	queue  chan Scenario
+	pull   funcSource
+	claim  int64
+	next   atomic.Int64
+	chunks *barrier // nil outside RunCheckpointed
 
 	// The collector pipeline: acc backs Wait's CampaignStats, extra holds
 	// CollectInto additions; every worker observes into its own forked
@@ -193,9 +195,12 @@ type Campaign struct {
 	progress   *tracker      // nil without TrackProgress
 	wg         sync.WaitGroup
 
-	mu     sync.RWMutex
-	closed bool
-
+	// closed is guarded by mu. It and verify (VerifyRuns) sit before
+	// waitOnce's 12 bytes, sharing their word: that keeps a Campaign in the
+	// 256-byte size class (TestCampaignSizeClass).
+	mu       sync.RWMutex
+	closed   bool
+	verify   bool
 	waitOnce sync.Once
 	stats    *CampaignStats
 	waitErr  error
@@ -227,7 +232,8 @@ func (s *System) RunCampaign(ctx context.Context, scenarios []Scenario, opts ...
 func (s *System) RunSource(ctx context.Context, src ScenarioSource, opts ...CampaignOption) (*CampaignStats, error) {
 	c := s.newCampaign(ctx, opts)
 	if fs, ok := src.(funcSource); ok && fs.sized {
-		c.pull, c.claim = fs, claimLen(fs.size, c.nworkers)
+		c.pull = fs
+		c.openChunk(0, fs.size)
 		c.closed = true // nothing to submit to, no queue to close
 	}
 	c.start()
@@ -244,27 +250,37 @@ func (s *System) RunSource(ctx context.Context, src ScenarioSource, opts ...Camp
 // claimsPerWorker cuts a pulled stream into that many claims per worker.
 // Both directions cost; BenchmarkCampaignFeeds -cpu 1,2 priced them (n=8,
 // lower quartile of 10 alternating repetitions, ns per run; CHANGES.md PR
-// 18): every claim seeks, so the random arm at four workers read 2245,
-// 2275, 2236, 3513, 3846 for 1, 2, 4, 8, 16 (20 more repetitions split
-// the first three: 2141, 2585, 2664) with the seek-free source arm flat,
-// and one claim per worker is a static split — a stream whose second half
-// is the dearer ran at 12.4 µs per run against 9.9 with two (n=48, two
-// workers, two Ps). Two is the smallest count that rebalances.
+// 18): every claim then sought, so the random arm at four workers read
+// 2245, 2275, 2236, 3513, 3846 for 1, 2, 4, 8, 16 (20 more repetitions
+// split the first three: 2141, 2585, 2664) with the seek-free source arm
+// flat, and one claim per worker is a static split — a stream whose second
+// half is the dearer ran at 12.4 µs per run against 9.9 with two (n=48,
+// two workers, two Ps). Two is the smallest count that rebalances.
 const claimsPerWorker = 2
 
 // claimLen returns how many stream indices a pulling worker claims at a
-// time: the whole stream when it is alone (nothing to balance), otherwise
+// time: the whole stream (or chunk) when it is alone, otherwise
 // ⌈size / (claimsPerWorker·workers)⌉. A share of the stream, never a fixed
-// count: RandomInputs burns lo·n draws to reach lo, so fixed-length claims
-// would make a long stream quadratic, while claimsPerWorker·workers claims
-// cost (claims+1)/2 stream lengths of generation at worst (a replayed
-// foreign base), whatever the length.
+// count: a claim that does not start where its worker's generator stopped
+// (see genStore) burns lo·n RandomInputs draws to reach lo, and several
+// workers' claims interleave, so fixed-length claims would make a long
+// stream quadratic, while claimsPerWorker·workers claims cost (claims+1)/2
+// stream lengths of generation at worst (a replayed foreign base),
+// whatever the length. A lone worker's claims continue one another.
 func claimLen(size int64, workers int) int64 {
 	parts := int64(1)
 	if workers > 1 {
 		parts = claimsPerWorker * int64(workers)
 	}
 	return (size-1)/parts + 1
+}
+
+// openChunk points the pulled feed at stream indices [lo, hi): the
+// workers claim from lo, claimLen(hi−lo) at a time, and stop at hi. It
+// runs before the workers start or while every one is parked.
+func (c *Campaign) openChunk(lo, hi int64) {
+	c.next.Store(lo)
+	c.pull.size, c.claim = hi, claimLen(hi-lo, c.nworkers)
 }
 
 // newCampaign builds the campaign shell: options applied, workers not yet
@@ -387,7 +403,9 @@ func safeRun(ctx context.Context, ex Executor, s *System, w *worker, sc *Scenari
 // pulled source, generated into its own storage, or whatever the queue
 // hands it — until the feed ends or the context is cancelled, folding
 // each run's Observation into its own collector shards (joined,
-// deterministically, by Wait).
+// deterministically, by Wait). Under RunCheckpointed a worker parks at
+// each chunk's end, cancelled or not, until the next chunk opens or the
+// run ends.
 func (c *Campaign) worker(i int) {
 	defer c.wg.Done()
 	w := getWorker()
@@ -397,14 +415,18 @@ func (c *Campaign) worker(i int) {
 			c.runOne(w, i, sc)
 			return c.ctx.Err() == nil
 		}
-		for c.ctx.Err() == nil {
-			lo := c.next.Add(c.claim) - c.claim
-			if lo >= c.pull.size {
+		for {
+			for c.ctx.Err() == nil {
+				lo := c.next.Add(c.claim) - c.claim
+				if lo >= c.pull.size {
+					break
+				}
+				c.pull.ranged(c.ctx, &w.gen, lo, min(lo+c.claim, c.pull.size), run)
+			}
+			if c.chunks == nil || !c.chunks.park() {
 				return
 			}
-			c.pull.ranged(c.ctx, &w.gen, lo, min(lo+c.claim, c.pull.size), run)
 		}
-		return
 	}
 	for {
 		select {
@@ -472,3 +494,41 @@ func (c *Campaign) runOne(w *worker, i int, sc Scenario) {
 		c.progress.poll(i, c.shards[i][0])
 	}
 }
+
+// barrier parks a checkpointed campaign's workers at each chunk's end. A
+// worker reports on parked, then waits on resume; RunCheckpointed waits
+// for every report, reads the shards, and opens the next chunk with one
+// resume per worker or ends the run. A report follows each resume a
+// worker takes, so with all reports in no worker is running, whichever
+// worker took which resume.
+type barrier struct {
+	parked chan struct{}
+	resume chan bool
+}
+
+func newBarrier(workers int) *barrier {
+	return &barrier{make(chan struct{}, workers), make(chan bool, workers)}
+}
+
+// park waits, on a worker, for the next chunk; false when the run ended.
+func (b *barrier) park() bool {
+	b.parked <- struct{}{}
+	return <-b.resume
+}
+
+// wait blocks until every worker has parked.
+func (b *barrier) wait() {
+	for i := 0; i < cap(b.parked); i++ {
+		<-b.parked
+	}
+}
+
+// open sends the parked workers into the next chunk.
+func (b *barrier) open() {
+	for i := 0; i < cap(b.resume); i++ {
+		b.resume <- true
+	}
+}
+
+// end sends every worker, parked or still to park, home.
+func (b *barrier) end() { close(b.resume) }

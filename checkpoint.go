@@ -43,8 +43,8 @@ func CampaignStatsOf(metrics *Accumulator) *CampaignStats {
 // accumulated so far); persist-and-continue sinks simply return nil.
 type CheckpointSink func(Checkpoint) error
 
-// RunCheckpointed streams a scenario source (or the shard of one that a
-// resumed checkpoint addresses) through campaigns in chunks of every
+// RunCheckpointed runs a scenario source (or the shard of one that a
+// resumed checkpoint addresses) through one campaign in chunks of every
 // runs, emitting a checkpoint to sink after each chunk. The source must
 // be sized (ErrUnsizedSource otherwise). every ≤ 0 disables chunking —
 // the whole remainder runs as one chunk, with one final checkpoint.
@@ -52,23 +52,30 @@ type CheckpointSink func(Checkpoint) error
 // Resume semantics: pass resume = nil to start fresh over the whole
 // source, or a checkpoint to continue an interrupted run — its cursor
 // selects the shard, its RunsDone runs are skipped, and its snapshot
-// seeds the accumulator. The checkpoint is validated: a corrupt one, or
-// one whose cursor runs past a sized source (it was taken over a
-// different stream), is ErrBadCheckpoint. A resumed run is byte-identical
-// to the uninterrupted one: chunks only ever cut the stream at run
-// boundaries, and the accumulator's Merge is order- and
-// grouping-invariant, so where the stream was cut leaves no trace in the
-// result.
+// seeds the stats. The checkpoint is validated: a corrupt one, or one
+// whose cursor runs past a sized source (it was taken over a different
+// stream), is ErrBadCheckpoint. A resumed run is byte-identical to the
+// uninterrupted one: chunks only ever cut the stream at run boundaries,
+// and the accumulator's Merge is order- and grouping-invariant, so where
+// the stream was cut leaves no trace in the result.
 //
-// Checkpoints are emitted only at chunk boundaries — the workers inside
-// a chunk finish out of order, so no consistent cursor exists mid-chunk.
-// The emitted checkpoint's Stats snapshot is isolated from the live
-// accumulator: sinks may retain it, serialize it later, or upload it to
-// a ksetd merge endpoint as is.
+// A chunk boundary is a barrier: the workers claim only inside the open
+// chunk and park at its end — they finish out of order, so no consistent
+// cursor exists mid-chunk — and once all have parked, the checkpoint's
+// Stats are the resumed snapshot and every worker's shard merged into a
+// fresh accumulator, isolated from the campaign: sinks may retain them,
+// serialize them later, or upload them to a ksetd merge endpoint as is.
+// Workers, buffers, shards and goroutines are set up once per call, and a
+// worker's generator continues across the boundary (see genStore), so
+// one worker draws each random input once however small the chunks.
+//
+// A sink error ends the run with the stats of the runs its checkpoint
+// covers; a cancellation, with those of the runs that completed and no
+// further checkpoint.
 func (s *System) RunCheckpointed(ctx context.Context, src ScenarioSource, resume *Checkpoint, every int64, sink CheckpointSink, opts ...CampaignOption) (*CampaignStats, error) {
-	acc := stats.NewAccumulator()
 	var cur Cursor
 	var done int64
+	var resumed *stats.Accumulator
 	if resume != nil {
 		if err := resume.Validate(); err != nil {
 			return nil, err
@@ -77,10 +84,7 @@ func (s *System) RunCheckpointed(ctx context.Context, src ScenarioSource, resume
 			return nil, fmt.Errorf("%w: cursor [%d, %d) runs past the source's %d scenarios",
 				ErrBadCheckpoint, resume.Cursor.Lo, resume.Cursor.Hi, total)
 		}
-		cur, done = resume.Cursor, resume.RunsDone
-		if resume.Stats != nil {
-			acc.Merge(resume.Stats)
-		}
+		cur, done, resumed = resume.Cursor, resume.RunsDone, resume.Stats
 	} else {
 		total, ok := src.Size()
 		if !ok {
@@ -88,30 +92,54 @@ func (s *System) RunCheckpointed(ctx context.Context, src ScenarioSource, resume
 		}
 		cur = Cursor{Lo: 0, Hi: total}
 	}
+	chunkEnd := func() int64 {
+		if every > 0 && cur.Len()-done > every {
+			return done + every
+		}
+		return cur.Len()
+	}
+	c := s.newCampaign(ctx, opts)
+	c.pull, c.chunks, c.closed = Range(src, cur.Lo, cur.Hi).(funcSource), newBarrier(c.nworkers), true
+	c.openChunk(done, chunkEnd())
+	c.start()
+	var err error
 	for done < cur.Len() {
-		chunk := cur.Len() - done
-		if every > 0 && chunk > every {
-			chunk = every
+		c.chunks.wait()
+		// A cancelled chunk ran an unknown prefix: surface the partial
+		// stats, but no checkpoint — its cursor would be inconsistent.
+		if err = ctx.Err(); err != nil {
+			break
 		}
-		st, err := s.RunSource(ctx, Range(src, cur.Lo+done, cur.Lo+done+chunk), opts...)
-		acc.Merge(st.Metrics)
-		if err != nil {
-			// A cancelled chunk ran an unknown prefix: surface the partial
-			// stats, but no checkpoint — its cursor would be inconsistent.
-			return CampaignStatsOf(acc), err
-		}
-		done += chunk
+		done = c.pull.size
 		if sink != nil {
-			cp := Checkpoint{
-				Version:  CheckpointVersion,
-				Cursor:   cur,
-				RunsDone: done,
-				Stats:    acc.Snapshot(),
+			cp := Checkpoint{Version: CheckpointVersion, Cursor: cur, RunsDone: done, Stats: c.snapshot(resumed)}
+			if err = sink(cp); err != nil {
+				break
 			}
-			if err := sink(cp); err != nil {
-				return CampaignStatsOf(acc), err
-			}
+		}
+		if done < cur.Len() {
+			c.openChunk(done, chunkEnd())
+			c.chunks.open()
 		}
 	}
-	return CampaignStatsOf(acc), nil
+	c.chunks.end()
+	st, _ := c.Wait()
+	if resumed != nil {
+		st = CampaignStatsOf(c.snapshot(resumed))
+	}
+	return st, err
+}
+
+// snapshot merges base, when there is one, and every worker's
+// accumulator shard into a fresh accumulator. It reads the shards, so it
+// runs while the workers are parked or after Wait.
+func (c *Campaign) snapshot(base *stats.Accumulator) *stats.Accumulator {
+	acc := stats.NewAccumulator()
+	if base != nil {
+		acc.Merge(base)
+	}
+	for _, row := range c.shards {
+		acc.Join(row[0])
+	}
+	return acc
 }

@@ -70,7 +70,9 @@ func CollectInto(c Collector) CampaignOption {
 // the ended campaigns: it lags one request behind the workers, but no
 // counter ever falls from one read to the next. Wait folds each campaign
 // in, so a handle reused across sequential campaigns (RunSweep's points,
-// RunCheckpointed's chunks) accumulates them all. The latest ended
+// say) accumulates them all; a RunCheckpointed call is one campaign, its
+// chunks included, and a resumed one's handle covers the runs it ran,
+// not the checkpoint's. The latest ended
 // campaign's CampaignStats.Metrics is read in place until the next one
 // ends: write into it only once the handle is no longer read. The zero
 // Progress is ready to use.

@@ -285,10 +285,11 @@ func TestCampaignRunAllocations(t *testing.T) {
 		})
 	}
 
-	// RunCheckpointed runs a campaign per chunk, whose set-up and
-	// breakdown groups cost a few dozen allocations whatever feeds it; the
-	// generator path's share is what the source-fed stream costs over the
-	// same scenarios, materialized, in the same chunks.
+	// RunCheckpointed's one campaign costs a few dozen allocations of
+	// set-up and breakdown groups, and each chunk its claims' iterator
+	// closures, whatever feeds it; the generator path's share is what the
+	// source-fed stream costs over the same scenarios, materialized, in
+	// the same chunks.
 	t.Run("checkpointed", func(t *testing.T) {
 		src := kset.FailureSchedules(kset.RandomInputs(7, wp.N, 4, 1024), kset.RandomCrashFamily(13, wp.N, wp.X(), wp.RMax(), 4))
 		var scs []kset.Scenario

@@ -80,9 +80,31 @@ func (s funcSource) Size() (int64, bool) { return s.size, s.sized }
 //   - Nothing keeps a run's Input after Campaign.runOne returns: the
 //     Observation carries no input, and Verify, Contains and the fault
 //     plane's seed read it during the run only.
+//
+// The generator remembers where it stopped: the RandomInputs stream
+// (seed, n, m) it draws and the index of the next input. Those fix the
+// draws to come exactly (how much of the source Intn(m) consumes depends
+// on m), so a range that starts there continues drawing, and any other
+// range reseeds and seeks. A worker that claims adjacent ranges — one
+// worker across RunCheckpointed's chunks, say — draws each input once.
+// The store outlives its campaign in the worker pool; a continuation is
+// exact whichever campaign drew the prefix.
 type genStore struct {
 	in  Vector
 	rng *rand.Rand
+	at  randPos // where rng stopped; the zero randPos matches no stream
+
+	// reseeds and draws count the generator's restarts and the values it
+	// drew, seeks included.
+	reseeds, draws int64
+}
+
+// randPos is a position in a RandomInputs stream: the stream's
+// parameters and the index of the next input.
+type randPos struct {
+	seed int64
+	n, m int
+	next int64
 }
 
 // input returns an n-entry vector for the next input: the store's own,
@@ -98,19 +120,54 @@ func (g *genStore) input(n int) Vector {
 	return g.in
 }
 
-// rand returns a generator seeded with seed: the store's own, reseeded —
-// Seed restarts the same source and zeroes its read position, so the
-// stream is exactly a new generator's — or a new one when g is nil.
-func (g *genStore) rand(seed int64) *rand.Rand {
+// randAt returns a generator at input lo of the stream (seed, n, m): the
+// store's own, continued if it stopped there, else reseeded — Seed
+// restarts the same source, so the stream is exactly a new generator's —
+// and advanced past lo inputs of n draws each; a new one when g is nil.
+// It returns nil when ctx ends the seek.
+func (g *genStore) randAt(ctx context.Context, seed int64, n, m int, lo int64) *rand.Rand {
+	skip := lo * int64(n)
 	if g == nil {
-		return rand.New(rand.NewSource(seed))
+		return seek(ctx, rand.New(rand.NewSource(seed)), skip, m)
+	}
+	want := randPos{seed: seed, n: n, m: m, next: lo}
+	if g.rng != nil && g.at == want {
+		return g.rng
 	}
 	if g.rng == nil {
 		g.rng = rand.New(rand.NewSource(seed))
 	} else {
 		g.rng.Seed(seed)
 	}
+	g.at = randPos{}
+	g.reseeds++
+	g.draws += skip
+	if seek(ctx, g.rng, skip, m) == nil {
+		return nil
+	}
+	g.at = want
 	return g.rng
+}
+
+// drew records that the store's generator drew one more input of n
+// values.
+func (g *genStore) drew(n int) {
+	if g != nil {
+		g.at.next++
+		g.draws += int64(n)
+	}
+}
+
+// seek discards skip draws of Intn(m) from rng and returns it, or nil
+// when ctx ends the seek first.
+func seek(ctx context.Context, rng *rand.Rand, skip int64, m int) *rand.Rand {
+	for s := int64(0); s < skip; s++ {
+		if seekStopped(ctx, s) {
+			return nil
+		}
+		rng.Intn(m)
+	}
+	return rng
 }
 
 // seekStopped reports, once every 64k steps of a seek, whether ctx is done.
@@ -257,21 +314,20 @@ func RandomInputs(seed int64, n, m, count int) ScenarioSource {
 			if lo >= hi {
 				return
 			}
-			// Fast-forward the seed stream past the first lo vectors (n
-			// draws each) without building them, so a shard yields exactly
-			// the bytes the unsharded stream would at the same indices.
-			rng := g.rand(seed)
-			for s := int64(0); s < lo*int64(n); s++ {
-				if seekStopped(ctx, s) {
-					return
-				}
-				rng.Intn(m)
+			// Continue the worker's generator, or fast-forward the seed
+			// stream past the first lo vectors without building them, so a
+			// shard yields exactly the bytes the unsharded stream would at
+			// the same indices.
+			rng := g.randAt(ctx, seed, n, m, lo)
+			if rng == nil {
+				return
 			}
 			for i := lo; i < hi; i++ {
 				in := g.input(n)
 				for j := range in {
 					in[j] = Value(1 + rng.Intn(m))
 				}
+				g.drew(n)
 				if !yield(Scenario{Input: in}) {
 					return
 				}

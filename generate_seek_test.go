@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"testing"
+	"unsafe"
 )
 
 // TestFaultSchedulesSeeksBase pins that a fault-crossed source seeks its
@@ -53,5 +54,56 @@ func TestFaultSchedulesSeeksBase(t *testing.T) {
 		if want := (hi-1)/k + 1 - lo/k; pulled != want {
 			t.Errorf("[%d,%d): base yielded %d scenarios, want %d", lo, hi, pulled, want)
 		}
+	}
+}
+
+// TestCheckpointedGeneratorContinues counts, off the genStore the source
+// is handed, what a one-worker RunCheckpointed over RandomInputs in
+// 64-run chunks costs its generator: one reseed, and each input's n values
+// drawn once. A worker that reseeded at each chunk and drew its way back
+// to the chunk's start drew about chunks/2 = 128 times that.
+func TestCheckpointedGeneratorContinues(t *testing.T) {
+	const n, count = 4, 1 << 14
+	p := Params{N: n, T: 2, K: 2, D: 1, L: 1}
+	cond, err := NewMaxCondition(p.N, 3, p.X(), p.L)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := New(WithParams(p), WithCondition(cond), WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner := RandomInputs(5, n, 3, count).(funcSource)
+	var g *genStore
+	var reseeds, draws int64
+	src := funcSource{size: inner.size, sized: true, ranged: func(ctx context.Context, gs *genStore, lo, hi int64, yield func(Scenario) bool) {
+		if g == nil {
+			g, reseeds, draws = gs, gs.reseeds, gs.draws
+		} else if gs != g {
+			t.Error("a second generation store joined the one-worker run")
+		}
+		inner.ranged(ctx, gs, lo, hi, yield)
+	}}
+	chunks := 0
+	st, err := sys.RunCheckpointed(context.Background(), src, nil, 64, func(Checkpoint) error {
+		chunks++
+		return nil
+	})
+	if err != nil || st.Runs != count || chunks != count/64 {
+		t.Fatalf("err %v, %d runs in %d chunks", err, st.Runs, chunks)
+	}
+	if got := g.reseeds - reseeds; got != 1 {
+		t.Errorf("the generator was reseeded %d times, want 1", got)
+	}
+	if got := g.draws - draws; got != count*n {
+		t.Errorf("the generator drew %d values, want %d", got, count*n)
+	}
+}
+
+// TestCampaignSizeClass: a Campaign stays in the 256-byte size class;
+// the next class, 288 bytes, moved every workload's bytes per run.
+func TestCampaignSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(Campaign{}); size > 256 {
+		t.Errorf("a Campaign is %d bytes, over its 256-byte size class", size)
 	}
 }

@@ -3,7 +3,10 @@ package shard
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
+
+	"kset/internal/stats"
 )
 
 // FuzzCheckpointDecode feeds the strict checkpoint decoder arbitrary
@@ -23,6 +26,8 @@ func FuzzCheckpointDecode(f *testing.F) {
 	f.Add([]byte(`{"version":1,"cursor":{"lo":0,"hi":2},"runs_done":1}`))
 	f.Add([]byte(`{"version":1,"cursor":{"lo":0,"hi":1},"runs_done":0,"extra":true}`))
 	f.Add([]byte(`{"version":1,"cursor":{"lo":0,"hi":1},"runs_done":0,"stats":{"runs":0,"by_executor":{"x":null}}}`))
+	f.Add([]byte(`{"version":1,"cursor":{"lo":0,"hi":1},"runs_done":1,"stats":{"runs":1,"rounds":{"counts":[1` + strings.Repeat(",0", stats.HistogramBuckets) + `]}}}`))
+	f.Add([]byte(`{"version":1,"cursor":{"lo":0,"hi":1},"runs_done":1,"stats":{"runs":1,"condition_hits":-1,"rounds":{"counts":[1]}}}`))
 	f.Add(valid[:len(valid)/2])
 	f.Add(append(append([]byte{}, valid...), '0'))
 	f.Add([]byte(`null`))

@@ -108,7 +108,9 @@ func TestCheckpointRoundTrip(t *testing.T) {
 }
 
 func TestCheckpointValidate(t *testing.T) {
-	runs := func(n int64) *stats.Accumulator { return &stats.Accumulator{Runs: n} }
+	// n errored runs: the one accumulator of n runs that needs no
+	// histogram to pass Check.
+	runs := func(n int64) *stats.Accumulator { return &stats.Accumulator{Runs: n, Errors: n} }
 	cases := []struct {
 		name string
 		cp   Checkpoint

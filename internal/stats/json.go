@@ -3,6 +3,7 @@ package stats
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"slices"
 	"strconv"
 	"sync"
@@ -241,13 +242,16 @@ type histogramJSON struct {
 
 // UnmarshalJSON decodes the trimmed-bucket encoding MarshalJSON emits.
 // Decoding then re-encoding is byte-identical, and a decoded histogram
-// merges exactly like the original: counts beyond the tracked range are
-// rejected nowhere because MarshalJSON never emits more than
-// HistogramBuckets tracked counts.
+// merges exactly like the original. MarshalJSON never emits more than
+// HistogramBuckets tracked counts, so a longer list is refused: cut to
+// the tracked range, its later rounds would vanish from the histogram.
 func (h *Histogram) UnmarshalJSON(data []byte) error {
 	var raw histogramJSON
 	if err := json.Unmarshal(data, &raw); err != nil {
 		return err
+	}
+	if len(raw.Counts) > HistogramBuckets {
+		return errLongHistogram
 	}
 	*h = Histogram{}
 	copy(h.Buckets[:], raw.Counts)
@@ -256,6 +260,8 @@ func (h *Histogram) UnmarshalJSON(data []byte) error {
 	}
 	return nil
 }
+
+var errLongHistogram = errors.New("stats: a histogram lists more rounds than it tracks")
 
 // Snapshot returns a deep copy of the accumulator: the fixed-size
 // counters and histograms by value, the fault tally and every breakdown

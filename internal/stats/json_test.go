@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -99,6 +100,27 @@ func TestHistogramJSONRoundTrip(t *testing.T) {
 		if back != hist {
 			t.Fatalf("round trip changed histogram: %+v != %+v", back, hist)
 		}
+	}
+}
+
+// TestHistogramRefusesLongCounts: a counts list as long as the tracked
+// range decodes, one count more is an error, alone or inside an
+// accumulator, instead of a histogram that lost its last rounds.
+func TestHistogramRefusesLongCounts(t *testing.T) {
+	counts := func(k int) string {
+		return "[" + strings.TrimSuffix(strings.Repeat("1,", k), ",") + "]"
+	}
+	var h Histogram
+	if err := json.Unmarshal([]byte(`{"counts":`+counts(HistogramBuckets)+`}`), &h); err != nil || h.Buckets[HistogramBuckets-1] != 1 {
+		t.Fatalf("%d counts: %v, last bucket %d", HistogramBuckets, err, h.Buckets[HistogramBuckets-1])
+	}
+	if err := json.Unmarshal([]byte(`{"counts":`+counts(HistogramBuckets+1)+`}`), &h); err == nil {
+		t.Errorf("%d counts decoded", HistogramBuckets+1)
+	}
+	var acc Accumulator
+	body := `{"runs":65,"rounds":{"counts":` + counts(HistogramBuckets+1) + `}}`
+	if err := json.Unmarshal([]byte(body), &acc); err == nil {
+		t.Errorf("an accumulator with %d counts decoded", HistogramBuckets+1)
 	}
 }
 

@@ -399,13 +399,71 @@ func (a *Accumulator) Merge(o *Accumulator) {
 	mergeGroups(&a.ByLabel, o.ByLabel)
 }
 
+// The refusals of Check, one per broken invariant.
+var (
+	errNullGroup  = errors.New("stats: a breakdown holds a null group")
+	errNegative   = errors.New("stats: a negative count")
+	errErrors     = errors.New("stats: more errors than runs")
+	errVerified   = errors.New("stats: more verified runs than successful ones")
+	errViolations = errors.New("stats: more violations than verified runs")
+	errHits       = errors.New("stats: more condition hits than successful runs")
+	errUndecided  = errors.New("stats: more undecided runs than successful ones")
+	errRounds     = errors.New("stats: the decision-round histogram does not count every successful run once")
+)
+
 // Check refuses an accumulator that Observe and Merge could not have
-// built and that Merge cannot fold: a breakdown holding a nil group, which
-// a decoded JSON null leaves. Decoders call it before anything merges
-// what they decoded; it allocates nothing on a clean accumulator.
+// built: a breakdown holding a nil group, which a decoded JSON null
+// leaves and Merge cannot fold, or counts that contradict each other.
+// Each count below is kept by the Observe line it names, and Merge only
+// adds counts, so every invariant survives it. Decoders call Check before
+// anything merges what they decoded; it allocates nothing.
 func (a *Accumulator) Check() error {
 	if hasNilGroup(a.ByExecutor) || hasNilGroup(a.ByCrashes) || hasNilGroup(a.ByLabel) {
-		return errors.New("stats: a breakdown holds a null group")
+		return errNullGroup
+	}
+	// Observe only ever increments.
+	if a.Runs < 0 || a.Errors < 0 || a.ConditionHits < 0 || a.Verified < 0 ||
+		a.Violations < 0 || a.UndecidedRuns < 0 || a.Rounds.Overflow.Count < 0 {
+		return errNegative
+	}
+	// "a.Runs++" counts every run, "a.Errors++" only a run with o.Err.
+	if a.Errors > a.Runs {
+		return errErrors
+	}
+	// The rest of Observe runs past "if o.Err { ...; return }", once per
+	// successful run.
+	ok := a.Runs - a.Errors
+	// "a.Verified++" sits in "if o.Verified".
+	if a.Verified > ok {
+		return errVerified
+	}
+	// "a.Violations++" sits in "if o.Violation" inside "if o.Verified".
+	if a.Violations > a.Verified {
+		return errViolations
+	}
+	// "a.ConditionHits++" sits in "if o.InCondition".
+	if a.ConditionHits > ok {
+		return errHits
+	}
+	// "a.UndecidedRuns++" sits in "if o.Undecided > 0".
+	if a.UndecidedRuns > ok {
+		return errUndecided
+	}
+	// "a.Rounds.Observe(o.Round)" counts the run in one bucket or in the
+	// overflow summary. Counting down keeps adversarial counts from
+	// wrapping the sum.
+	rest := ok - a.Rounds.Overflow.Count
+	for _, n := range a.Rounds.Buckets {
+		if n < 0 {
+			return errNegative
+		}
+		if n > rest {
+			return errRounds
+		}
+		rest -= n
+	}
+	if rest != 0 {
+		return errRounds
 	}
 	return nil
 }

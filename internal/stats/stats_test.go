@@ -2,6 +2,7 @@ package stats
 
 import (
 	"encoding/json"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -179,10 +180,15 @@ func TestObserveAllocFree(t *testing.T) {
 }
 
 // TestCheck: an accumulator Observe and Merge built passes Check without
-// allocating, and a nil group in any breakdown is refused.
+// allocating, and each broken invariant is refused with its own error:
+// a nil group in any breakdown, and every count that contradicts the
+// others.
 func TestCheck(t *testing.T) {
 	a := NewAccumulator()
 	a.Observe(Observation{Round: 2, Crashes: 1, Executor: "figure2", Label: "steady"})
+	a.Observe(Observation{Round: 2, InCondition: true, Verified: true, Violation: true})
+	a.Observe(Observation{Round: HistogramBuckets + 6, Undecided: 1, Verified: true})
+	a.Observe(Observation{Err: true, Executor: "early"})
 	a.Merge(a.Snapshot())
 	if err := a.Check(); err != nil {
 		t.Fatal(err)
@@ -190,13 +196,35 @@ func TestCheck(t *testing.T) {
 	if got := testing.AllocsPerRun(100, func() { _ = a.Check() }); got != 0 {
 		t.Errorf("Check allocates %.1f/op, want 0", got)
 	}
-	for name, dirty := range map[string]*Accumulator{
-		"by_executor": {ByExecutor: map[string]*Group{"figure2": nil}},
-		"by_crashes":  {ByCrashes: map[int]*Group{0: {}, 1: nil}},
-		"by_label":    {ByLabel: map[string]*Group{"x": nil}},
+	ok := a.Runs - a.Errors
+	for _, tc := range []struct {
+		name  string
+		spoil func(*Accumulator)
+		want  error
+	}{
+		{"by_executor", func(d *Accumulator) { d.ByExecutor["figure2"] = nil }, errNullGroup},
+		{"by_crashes", func(d *Accumulator) { d.ByCrashes[1] = nil }, errNullGroup},
+		{"by_label", func(d *Accumulator) { d.ByLabel["x"] = nil }, errNullGroup},
+		{"negative runs", func(d *Accumulator) { d.Runs = -1 }, errNegative},
+		{"negative undecided", func(d *Accumulator) { d.UndecidedRuns = -1 }, errNegative},
+		{"negative bucket", func(d *Accumulator) { d.Rounds.Buckets[5], d.Rounds.Buckets[6] = -1, 1 }, errNegative},
+		{"negative overflow", func(d *Accumulator) { d.Rounds.Overflow.Count = -1 }, errNegative},
+		{"errors past runs", func(d *Accumulator) { d.Errors = d.Runs + 1 }, errErrors},
+		{"verified past successful runs", func(d *Accumulator) { d.Verified = ok + 1 }, errVerified},
+		{"violations past verified", func(d *Accumulator) { d.Violations = d.Verified + 1 }, errViolations},
+		{"hits past successful runs", func(d *Accumulator) { d.ConditionHits = ok + 1 }, errHits},
+		{"undecided past successful runs", func(d *Accumulator) { d.UndecidedRuns = ok + 1 }, errUndecided},
+		{"histogram short", func(d *Accumulator) { d.Rounds.Buckets[2]-- }, errRounds},
+		{"histogram long", func(d *Accumulator) { d.Rounds.Buckets[3]++ }, errRounds},
+		{"overflow past successful runs", func(d *Accumulator) { d.Rounds.Overflow.Count = ok + 1 }, errRounds},
+		{"histogram wrapping", func(d *Accumulator) {
+			d.Rounds.Buckets[1], d.Rounds.Buckets[3] = math.MaxInt64, math.MaxInt64
+		}, errRounds},
 	} {
-		if err := dirty.Check(); err == nil {
-			t.Errorf("%s: a nil group passed Check", name)
+		d := a.Snapshot()
+		tc.spoil(d)
+		if err := d.Check(); err != tc.want {
+			t.Errorf("%s: Check = %v, want %v", tc.name, err, tc.want)
 		}
 	}
 }

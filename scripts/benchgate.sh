@@ -107,6 +107,13 @@ cd "$(dirname "$0")/.."
 # is encoded and decoded back into the transport's own slots, where the
 # decoder used to allocate a *StateMsg per flood-round copy (measured: 30
 # → 0 at PR 25; the UDP Loopback shares that path).
+# RunCheckpointed is Sweep/generator-fed's 4096-run stream on one worker
+# through System.RunCheckpointed in 16 chunks of 256 runs, a checkpoint
+# built per chunk. It is one campaign whose chunk ends are barriers, so the
+# set-up is paid once and a chunk costs its checkpoint accumulator and its
+# claim's iterator closures. Its budget sits between the two counts, so a
+# campaign per chunk cannot return unnoticed (measured: 586 with a campaign
+# per chunk, 175 with one campaign).
 # FinishedJob runs one 256-run ksetd job to its terminal event in
 # process. Each run is observed once, into the campaign's own shards,
 # which a kset.Progress handle reads only on request, and the job encodes
@@ -147,6 +154,7 @@ BenchmarkEngineRound/storm 0
 BenchmarkEngineRound/figure2-crashes 0
 BenchmarkLoopbackRun/pipe 0
 BenchmarkSweep/generator-fed 64
+BenchmarkRunCheckpointed 200
 BenchmarkFinishedJob 48
 '
 
@@ -161,7 +169,7 @@ metricbudgets='
 BenchmarkFinishedJob B/job 4096
 '
 
-raw="$(go test -run '^$' -bench 'E1Lattice$|E9Adversary$|CampaignThroughput/campaign|CollectorPath$|EngineTransport|SubmitPath$|CompileRandomFailures$|FinishedJob$|CheckpointEncode$|WireEncode$|E10Async$|SnapshotScan|AsyncCampaign$|ConditionIndex|EngineRound|LoopbackRun/pipe$|Sweep/generator-fed$' \
+raw="$(go test -run '^$' -bench 'E1Lattice$|E9Adversary$|CampaignThroughput/campaign|CollectorPath$|EngineTransport|SubmitPath$|CompileRandomFailures$|FinishedJob$|CheckpointEncode$|WireEncode$|E10Async$|SnapshotScan|AsyncCampaign$|ConditionIndex|EngineRound|LoopbackRun/pipe$|Sweep/generator-fed$|RunCheckpointed$' \
 	-benchmem -benchtime "$benchtime" -count 1 -cpu 1 . ./internal/rounds/ ./internal/service/ ./internal/wire/ ./internal/condition/)"
 printf '%s\n' "$raw"
 
