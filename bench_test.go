@@ -182,23 +182,33 @@ func BenchmarkE8Baseline(b *testing.B) {
 }
 
 // BenchmarkE9Adversary times an exhaustive safety sweep of one input over
-// every ≤t-crash prefix-send pattern (the model-checking kernel), on the
-// buffer-reusing Exhaust driver: one engine, protocol state and Result
-// serve the whole sweep.
+// every ≤t-crash prefix-send pattern (the model-checking kernel): the
+// patterns of adversary.ExhaustiveFamily, built before the timer starts,
+// run on one held Runner into one recycled Result.
 func BenchmarkE9Adversary(b *testing.B) {
 	p := core.Params{N: 4, T: 2, K: 2, D: 1, L: 1}
 	c := condition.MustNewMax(p.N, 2, p.X(), p.L)
 	input := vector.OfInts(2, 2, 1, 1)
+	if err := p.ValidateWith(c); err != nil {
+		b.Fatal(err)
+	}
+	fam, err := adversary.ExhaustiveFamily(p.N, p.T, p.RMax())
+	if err != nil {
+		b.Fatal(err)
+	}
+	fps := fam.Patterns()
+	runner := core.NewRunner()
+	var res rounds.Result
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		err := core.Exhaust(p, c, input, func(fp rounds.FailurePattern, res *rounds.Result) bool {
-			if !core.Verify(input, fp, res, p.K).OK() {
+		for _, fp := range fps {
+			out, err := runner.RunCond(p, c, input, fp, false, nil, nil, &res)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !core.Verify(input, fp, out, p.K).OK() {
 				b.Fatal("spec violated")
 			}
-			return true
-		})
-		if err != nil {
-			b.Fatal(err)
 		}
 	}
 }

@@ -1,6 +1,6 @@
 // Command experiments drives the declarative experiment registry: every
 // evaluation artifact of the paper (E1–E11) is a registered spec executed
-// on the Campaign/Sweep/Exhaust infrastructure, producing a structured
+// on the Campaign/Sweep infrastructure, producing a structured
 // report rendered as text or JSON. JSON reports are byte-deterministic
 // for a fixed registry, so CI diffs them structurally (see the golden
 // test next to this file).

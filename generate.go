@@ -84,11 +84,12 @@ func (s funcSource) Size() (int64, bool) { return s.size, s.sized }
 // The generator remembers where it stopped: the RandomInputs stream
 // (seed, n, m) it draws and the index of the next input. Those fix the
 // draws to come exactly (how much of the source Intn(m) consumes depends
-// on m), so a range that starts there continues drawing, and any other
-// range reseeds and seeks. A worker that claims adjacent ranges — one
-// worker across RunCheckpointed's chunks, say — draws each input once.
-// The store outlives its campaign in the worker pool; a continuation is
-// exact whichever campaign drew the prefix.
+// on m), so a range that starts there or later on the same stream draws
+// on from there, and any other range reseeds and seeks. A worker whose
+// claims only move forward — every worker of a pulled campaign,
+// RunCheckpointed's chunks included — draws at most the stream once. The
+// store outlives its campaign in the worker pool; a continuation is exact
+// whichever campaign drew the prefix.
 type genStore struct {
 	in  Vector
 	rng *rand.Rand
@@ -121,31 +122,32 @@ func (g *genStore) input(n int) Vector {
 }
 
 // randAt returns a generator at input lo of the stream (seed, n, m): the
-// store's own, continued if it stopped there, else reseeded — Seed
-// restarts the same source, so the stream is exactly a new generator's —
-// and advanced past lo inputs of n draws each; a new one when g is nil.
-// It returns nil when ctx ends the seek.
+// store's own, drawn on from where it stopped if that is on the stream at
+// or before lo, else reseeded — Seed restarts the same source, so the
+// stream is exactly a new generator's — and advanced past lo inputs of n
+// draws each; a new one when g is nil. It returns nil when ctx ends the
+// seek.
 func (g *genStore) randAt(ctx context.Context, seed int64, n, m int, lo int64) *rand.Rand {
-	skip := lo * int64(n)
 	if g == nil {
-		return seek(ctx, rand.New(rand.NewSource(seed)), skip, m)
+		return seek(ctx, rand.New(rand.NewSource(seed)), lo*int64(n), m)
 	}
-	want := randPos{seed: seed, n: n, m: m, next: lo}
-	if g.rng != nil && g.at == want {
-		return g.rng
+	at := g.at
+	if g.rng == nil || at.seed != seed || at.n != n || at.m != m || at.next > lo {
+		if g.rng == nil {
+			g.rng = rand.New(rand.NewSource(seed))
+		} else {
+			g.rng.Seed(seed)
+		}
+		g.reseeds++
+		at = randPos{seed: seed, n: n, m: m}
 	}
-	if g.rng == nil {
-		g.rng = rand.New(rand.NewSource(seed))
-	} else {
-		g.rng.Seed(seed)
-	}
+	skip := (lo - at.next) * int64(n)
 	g.at = randPos{}
-	g.reseeds++
 	g.draws += skip
 	if seek(ctx, g.rng, skip, m) == nil {
 		return nil
 	}
-	g.at = want
+	g.at = randPos{seed: seed, n: n, m: m, next: lo}
 	return g.rng
 }
 

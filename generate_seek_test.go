@@ -3,6 +3,7 @@ package kset
 import (
 	"context"
 	"math"
+	"sync"
 	"testing"
 	"unsafe"
 )
@@ -97,6 +98,57 @@ func TestCheckpointedGeneratorContinues(t *testing.T) {
 	}
 	if got := g.draws - draws; got != count*n {
 		t.Errorf("the generator drew %d values, want %d", got, count*n)
+	}
+}
+
+// TestCheckpointedGeneratorSeeksForward counts what a three-worker
+// RunCheckpointed over RandomInputs costs its generators, in one chunk and
+// in 64-run chunks. The workers' claims interleave, but each worker's only
+// move forward, so summed over the pooled stores that served the call the
+// generators reseed at most once per worker and draw at most the stream
+// once per worker. A store that reseeded for every claim not starting
+// where it stopped, and drew its way back to the claim's start, reseeded
+// hundreds of times and drew the stream hundreds of times over.
+func TestCheckpointedGeneratorSeeksForward(t *testing.T) {
+	const n, count, workers = 4, 1 << 14, 3
+	p := Params{N: n, T: 2, K: 2, D: 1, L: 1}
+	cond, err := NewMaxCondition(p.N, 3, p.X(), p.L)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := New(WithParams(p), WithCondition(cond), WithWorkers(workers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner := RandomInputs(5, n, 3, count).(funcSource)
+	for _, every := range []int64{0, 64} {
+		// Each store's counters when this call first hands it a range.
+		var mu sync.Mutex
+		start := map[*genStore][2]int64{}
+		src := funcSource{size: inner.size, sized: true, ranged: func(ctx context.Context, gs *genStore, lo, hi int64, yield func(Scenario) bool) {
+			mu.Lock()
+			if _, ok := start[gs]; !ok {
+				start[gs] = [2]int64{gs.reseeds, gs.draws}
+			}
+			mu.Unlock()
+			inner.ranged(ctx, gs, lo, hi, yield)
+		}}
+		st, err := sys.RunCheckpointed(context.Background(), src, nil, every, nil)
+		if err != nil || st.Runs != count {
+			t.Fatalf("every %d: err %v, %d runs", every, err, st.Runs)
+		}
+		var reseeds, draws int64
+		for g, s := range start {
+			reseeds += g.reseeds - s[0]
+			draws += g.draws - s[1]
+		}
+		if reseeds > workers {
+			t.Errorf("every %d: the generators were reseeded %d times, want at most %d", every, reseeds, workers)
+		}
+		if draws > workers*count*n {
+			t.Errorf("every %d: the generators drew %d values, want at most %d (%.2f× the stream)", every, draws, workers*count*n, float64(draws)/(count*n))
+		}
+		t.Logf("every %d: %d stores, %d reseeds, %.2f× the stream", every, len(start), reseeds, float64(draws)/(count*n))
 	}
 }
 

@@ -1,7 +1,6 @@
 package adversary
 
 import (
-	"fmt"
 	"math/rand"
 
 	"kset/internal/rounds"
@@ -61,44 +60,4 @@ func Random(r *rand.Rand, n, t, maxRounds int) rounds.FailurePattern {
 		}
 	}
 	return fp
-}
-
-// Enumerate calls fn on every prefix-send failure pattern with at most t
-// crashes in rounds 1..maxRounds over n processes, including the
-// failure-free pattern. Enumeration stops early if fn returns false.
-//
-// The pattern space is Σ_{f≤t} C(n,f)·(maxRounds·(n+1))^f: exhaustive model
-// checking is practical for small n, t and round counts only. The callback
-// must not retain the pattern: one pattern and its Crashes map are reused
-// across every step, so the enumeration itself allocates nothing after its
-// single map. core.Exhaust couples this with a reused engine and Result for
-// allocation-free safety sweeps.
-func Enumerate(n, t, maxRounds int, fn func(rounds.FailurePattern) bool) error {
-	if n < 1 || t < 0 || t > n || maxRounds < 1 {
-		return fmt.Errorf("adversary: bad enumeration domain n=%d t=%d rounds=%d", n, t, maxRounds)
-	}
-	fp := rounds.FailurePattern{Crashes: make(map[rounds.ProcessID]rounds.Crash)}
-	var rec func(firstID int) bool
-	rec = func(firstID int) bool {
-		if !fn(fp) {
-			return false
-		}
-		if len(fp.Crashes) == t {
-			return true
-		}
-		for id := firstID; id <= n; id++ {
-			for r := 1; r <= maxRounds; r++ {
-				for sends := 0; sends <= n; sends++ {
-					fp.Crashes[rounds.ProcessID(id)] = rounds.Crash{Round: r, AfterSends: sends}
-					if !rec(id + 1) {
-						return false
-					}
-					delete(fp.Crashes, rounds.ProcessID(id))
-				}
-			}
-		}
-		return true
-	}
-	rec(1)
-	return nil
 }

@@ -1,7 +1,11 @@
 package adversary
 
 import (
+	"fmt"
+	"maps"
+	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"kset/internal/rounds"
@@ -86,48 +90,118 @@ func TestRandomValid(t *testing.T) {
 	}
 }
 
-func TestEnumerateMatchesCount(t *testing.T) {
-	for _, tc := range []struct{ n, t, r int }{
-		{2, 1, 2}, {3, 1, 2}, {3, 2, 2}, {4, 2, 1},
-	} {
-		var got int64
-		err := Enumerate(tc.n, tc.t, tc.r, func(fp rounds.FailurePattern) bool {
-			got++
-			if err := fp.Validate(tc.n); err != nil {
-				t.Fatalf("enumerated invalid pattern: %v", err)
-			}
-			return true
-		})
-		if err != nil {
-			t.Fatal(err)
+// Enumerate is the reference oracle of ExhaustiveFamily: it calls fn on
+// every prefix-send failure pattern with at most t crashes in rounds
+// 1..maxRounds over n processes by recursion, depth first — the pattern,
+// then its extensions by the next crashed id, round and sends — stopping
+// early if fn returns false. One pattern and its Crashes map are reused
+// across every step.
+func Enumerate(n, t, maxRounds int, fn func(rounds.FailurePattern) bool) error {
+	if n < 1 || t < 0 || t > n || maxRounds < 1 {
+		return fmt.Errorf("adversary: bad enumeration domain n=%d t=%d rounds=%d", n, t, maxRounds)
+	}
+	fp := rounds.FailurePattern{Crashes: make(map[rounds.ProcessID]rounds.Crash)}
+	var rec func(firstID int) bool
+	rec = func(firstID int) bool {
+		if !fn(fp) {
+			return false
 		}
-		if want := countPatterns(tc.n, tc.t, tc.r); got != want {
-			t.Errorf("Enumerate(n=%d,t=%d,r=%d) = %d patterns, Count = %d",
-				tc.n, tc.t, tc.r, got, want)
+		if len(fp.Crashes) == t {
+			return true
+		}
+		for id := firstID; id <= n; id++ {
+			for r := 1; r <= maxRounds; r++ {
+				for sends := 0; sends <= n; sends++ {
+					fp.Crashes[rounds.ProcessID(id)] = rounds.Crash{Round: r, AfterSends: sends}
+					if !rec(id + 1) {
+						return false
+					}
+					delete(fp.Crashes, rounds.ProcessID(id))
+				}
+			}
+		}
+		return true
+	}
+	rec(1)
+	return nil
+}
+
+// TestEnumerateMatchesCount pins ExhaustiveFamily to the oracle at every
+// n ≤ 5, t ≤ min(n, 3) and r ≤ 3: its size is countPatterns' formula, and
+// Pattern(i) is the oracle's i-th pattern, a valid one, in the oracle's
+// order.
+func TestEnumerateMatchesCount(t *testing.T) {
+	for n := 1; n <= 5; n++ {
+		for tt := 0; tt <= min(n, 3); tt++ {
+			for r := 1; r <= 3; r++ {
+				fam, err := ExhaustiveFamily(n, tt, r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := countPatterns(n, tt, r); int64(fam.Size()) != want {
+					t.Fatalf("ExhaustiveFamily(%d, %d, %d).Size() = %d, countPatterns = %d", n, tt, r, fam.Size(), want)
+				}
+				i := 0
+				err = Enumerate(n, tt, r, func(want rounds.FailurePattern) bool {
+					got := fam.Pattern(i)
+					if !maps.Equal(got.Crashes, want.Crashes) || got.Orders != nil {
+						t.Fatalf("ExhaustiveFamily(%d, %d, %d).Pattern(%d) = %+v, oracle %+v", n, tt, r, i, got, want)
+					}
+					if err := got.Validate(n); err != nil {
+						t.Fatalf("ExhaustiveFamily(%d, %d, %d).Pattern(%d): %v", n, tt, r, i, err)
+					}
+					i++
+					return true
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
 	}
 }
 
+// TestEnumerateEarlyStop: walking the exhaustive family stops where the
+// walker says.
 func TestEnumerateEarlyStop(t *testing.T) {
-	var seen int
-	if err := Enumerate(3, 2, 2, func(rounds.FailurePattern) bool {
-		seen++
-		return seen < 10
-	}); err != nil {
+	fam, err := ExhaustiveFamily(3, 2, 2)
+	if err != nil {
 		t.Fatal(err)
 	}
+	var seen int
+	fam.ForEach(func(int, rounds.FailurePattern) bool {
+		seen++
+		return seen < 10
+	})
 	if seen != 10 {
 		t.Errorf("early stop after %d", seen)
 	}
 }
 
+// TestEnumerateErrors: both exhaustive families refuse a bad domain and
+// a size past the int range — which, where int is 32 bits, includes
+// ExhaustiveFamily(10, 5, 3)'s 9.9·10⁹ patterns.
 func TestEnumerateErrors(t *testing.T) {
 	for _, tc := range []struct{ n, t, r int }{
-		{0, 0, 1}, {3, -1, 1}, {3, 4, 1}, {3, 1, 0},
+		{0, 0, 1}, {3, -1, 1}, {3, 4, 1}, {3, 1, 0}, {60, 30, 10}, {255, 254, 255},
 	} {
-		if err := Enumerate(tc.n, tc.t, tc.r, func(rounds.FailurePattern) bool { return true }); err == nil {
-			t.Errorf("Enumerate(%+v): want error", tc)
+		if _, err := ExhaustiveFamily(tc.n, tc.t, tc.r); err == nil {
+			t.Errorf("ExhaustiveFamily(%+v): want error", tc)
 		}
+		if _, err := ExhaustiveOrdersFamily(tc.n, tc.t, tc.r); err == nil {
+			t.Errorf("ExhaustiveOrdersFamily(%+v): want error", tc)
+		}
+	}
+	want := countPatterns(10, 5, 3)
+	if want <= math.MaxInt32 {
+		t.Fatalf("countPatterns(10, 5, 3) = %d fits 32 bits", want)
+	}
+	fam, err := ExhaustiveFamily(10, 5, 3)
+	switch {
+	case strconv.IntSize == 32 && err == nil:
+		t.Errorf("ExhaustiveFamily(10, 5, 3) = %d patterns with a 32-bit int", fam.Size())
+	case strconv.IntSize == 64 && (err != nil || int64(fam.Size()) != want):
+		t.Errorf("ExhaustiveFamily(10, 5, 3) = %d patterns, %v; want %d", fam.Size(), err, want)
 	}
 }
 

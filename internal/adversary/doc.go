@@ -13,9 +13,12 @@
 //     initial family, staggered and seeded-random families) — the
 //     adversary side of the root package's scenario generators, where
 //     random-access determinism keeps generated campaigns reproducible;
-//   - exhaustive enumeration of every prefix-send crash pattern
-//     (Enumerate, EnumerateWithOrders) for model checking small
-//     configurations; the pattern space is Σ_{f≤t} C(n,f)·(r·(n+1))^f.
+//   - the exhaustive families of every prefix-send crash pattern
+//     (ExhaustiveFamily, and ExhaustiveOrdersFamily with the reversed
+//     send orders of late-round partial crashes) for model checking
+//     small configurations: indexed like the others, Pattern(i) ranks
+//     the i-th pattern directly; the pattern space is
+//     Σ_{f≤t} C(n,f)·(r·(n+1))^f.
 //
 // Beyond the paper's crash-only model, the package also builds the link
 // adversary: deterministic indexed FaultFamily values over faultnet

@@ -80,9 +80,9 @@ func MustNewExplicit(n, m, l int) *Explicit {
 }
 
 // Enumerate builds the explicit form of any condition: each member of
-// c.ForEachMember, in that order, recognized by c.Recognize. Like
-// SetRecognized it does not validate the recognized sets (Check reports
-// those); it rejects a member of the wrong size or with a value outside
+// c.ForEachMember, in that order, recognized by c.Recognize. Unlike Add
+// it does not validate the recognized sets (Check reports those); it
+// rejects a member of the wrong size or with a value outside
 // {1..m}, and it skips a member it has already added. Enumerating a
 // max_ℓ or min_ℓ condition walks {1..m}^n, so it is practical at small n
 // and m only.
@@ -177,14 +177,3 @@ func (c *Explicit) MustAdd(i vector.Vector, h vector.Set) {
 
 // AddAuto inserts i recognized by the given Recognizer.
 func (c *Explicit) AddAuto(i vector.Vector, h Recognizer) error { return c.Add(i, h(i)) }
-
-// SetRecognized replaces the recognized set of an existing member. It
-// accepts any set: Check is what reports a validity violation.
-func (c *Explicit) SetRecognized(i vector.Vector, h vector.Set) error {
-	k, ok := c.IndexOf(i)
-	if !ok {
-		return fmt.Errorf("condition: %v is not a member", i)
-	}
-	c.hs[k] = h
-	return nil
-}

@@ -1,11 +1,24 @@
 package condition
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"kset/internal/vector"
 )
+
+// SetRecognized replaces the recognized set of an existing member. It
+// accepts any set, so the tests can build the validity violations Check
+// reports.
+func (c *Explicit) SetRecognized(i vector.Vector, h vector.Set) error {
+	k, ok := c.IndexOf(i)
+	if !ok {
+		return fmt.Errorf("condition: %v is not a member", i)
+	}
+	c.hs[k] = h
+	return nil
+}
 
 // randomExplicit builds an explicit condition from count distinct random
 // vectors of {1..m}^n recognized by max_ℓ.

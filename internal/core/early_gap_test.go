@@ -46,47 +46,31 @@ type gapVector struct {
 const gapFile = "early_gap_v1.json"
 
 // TestEarlyGapWitnesses enumerates every input and every
-// adversary.Enumerate pattern at (n, t, k, d, ℓ) = (4, 3, 1, 1, 1), m = 2
-// — 551 696 runs of the early-deciding algorithm on one Runner — and
-// holds the runs deciding past min(⌊f/k⌋+2, ⌊t/k⌋+1) to the pinned set.
+// adversary.ExhaustiveFamily pattern, in the family's order, at
+// (n, t, k, d, ℓ) = (4, 3, 1, 1, 1), m = 2 — 551 696 runs of the
+// early-deciding algorithm on one Runner — and holds the runs deciding
+// past min(⌊f/k⌋+2, ⌊t/k⌋+1) to the pinned set.
 func TestEarlyGapWitnesses(t *testing.T) {
 	p := Params{N: 4, T: 3, K: 1, D: 1, L: 1}
 	const m = 2
 	c := condition.MustNewMax(p.N, m, p.X(), p.L)
-	if err := p.ValidateWith(c); err != nil {
-		t.Fatal(err)
-	}
-	r := NewRunner()
-	var res rounds.Result
 	var got []gapVector
-	vector.ForEach(p.N, m, func(in vector.Vector) bool {
-		input := in.Clone()
-		err := adversary.Enumerate(p.N, p.T, p.RMax(), func(fp rounds.FailurePattern) bool {
-			out, err := r.RunEarly(p, c, input, fp, false, nil, nil, &res)
-			if err != nil {
-				t.Fatal(err)
+	exhaust(t, p, c, m, adversary.ExhaustiveFamily, func(e *exhaustive, input vector.Vector, inC bool, fp rounds.FailurePattern) {
+		bound := min(fp.NumCrashes()/p.K+2, p.T/p.K+1)
+		if round := e.run("early", input, fp).MaxDecisionRound(); round > bound {
+			v := gapVector{
+				Input:       strings.Trim(fmt.Sprint(input), "[]"),
+				Crashes:     crashSpec(fp),
+				InCondition: inC,
+				Bound:       bound,
+				Round:       round,
 			}
-			bound := min(fp.NumCrashes()/p.K+2, p.T/p.K+1)
-			if round := out.MaxDecisionRound(); round > bound {
-				v := gapVector{
-					Input:       strings.Trim(fmt.Sprint(input), "[]"),
-					Crashes:     crashSpec(fp),
-					InCondition: c.Contains(input),
-					Bound:       bound,
-					Round:       round,
-				}
-				v.Name = "input=" + strings.ReplaceAll(v.Input, " ", "") + "/failure-free"
-				if v.Crashes != "" {
-					v.Name = strings.Replace(v.Name, "failure-free", "crashes="+v.Crashes, 1)
-				}
-				got = append(got, v)
+			v.Name = "input=" + strings.ReplaceAll(v.Input, " ", "") + "/failure-free"
+			if v.Crashes != "" {
+				v.Name = strings.Replace(v.Name, "failure-free", "crashes="+v.Crashes, 1)
 			}
-			return true
-		})
-		if err != nil {
-			t.Fatal(err)
+			got = append(got, v)
 		}
-		return true
 	})
 
 	path := filepath.Join("testdata", gapFile)

@@ -45,36 +45,21 @@ func TestEarlyCondExhaustive(t *testing.T) {
 	for _, cfg := range configs {
 		p := cfg.p
 		c := condition.MustNewMax(p.N, cfg.m, p.X(), p.L)
-		runs := 0
-		vector.ForEach(p.N, cfg.m, func(in vector.Vector) bool {
-			input := in.Clone()
-			inC := c.Contains(input)
-			err := adversary.Enumerate(p.N, p.T, p.RMax(), func(fp rounds.FailurePattern) bool {
-				res, err := runOnce("early", p, c, input, fp)
-				if err != nil {
-					t.Fatal(err)
-				}
-				verdict := Verify(input, fp, res, p.K)
-				if !verdict.OK() {
-					t.Fatalf("cfg %+v input %v (inC=%v) fp %+v: %v", p, input, inC, fp.Crashes, verdict)
-				}
-				// The stability guard costs one round over the classical
-				// early bound: measured bound min(plain, ⌊f/k⌋+3).
-				bound := PredictRounds(p, inC, fp)
-				if eb := fp.NumCrashes()/p.K + 3; eb < bound {
-					bound = eb
-				}
-				if verdict.MaxRound > bound {
-					t.Fatalf("cfg %+v input %v (inC=%v) fp %+v: decided at %d > bound %d",
-						p, input, inC, fp.Crashes, verdict.MaxRound, bound)
-				}
-				runs++
-				return true
-			})
-			if err != nil {
-				t.Fatal(err)
+		runs := exhaust(t, p, c, cfg.m, adversary.ExhaustiveFamily, func(e *exhaustive, input vector.Vector, inC bool, fp rounds.FailurePattern) {
+			verdict := Verify(input, fp, e.run("early", input, fp), p.K)
+			if !verdict.OK() {
+				t.Fatalf("cfg %+v input %v (inC=%v) fp %+v: %v", p, input, inC, fp.Crashes, verdict)
 			}
-			return true
+			// The stability guard costs one round over the classical
+			// early bound: measured bound min(plain, ⌊f/k⌋+3).
+			bound := PredictRounds(p, inC, fp)
+			if eb := fp.NumCrashes()/p.K + 3; eb < bound {
+				bound = eb
+			}
+			if verdict.MaxRound > bound {
+				t.Fatalf("cfg %+v input %v (inC=%v) fp %+v: decided at %d > bound %d",
+					p, input, inC, fp.Crashes, verdict.MaxRound, bound)
+			}
 		})
 		t.Logf("cfg %+v m=%d: %d executions verified", p, cfg.m, runs)
 	}

@@ -42,24 +42,11 @@ func TestMinConditionExhaustive(t *testing.T) {
 	}
 	p := Params{N: 4, T: 2, K: 2, D: 1, L: 1}
 	c := condition.MustNewMin(p.N, 2, p.X(), p.L)
-	vector.ForEach(p.N, 2, func(in vector.Vector) bool {
-		input := in.Clone()
-		inC := c.Contains(input)
-		err := adversary.Enumerate(p.N, p.T, p.RMax(), func(fp rounds.FailurePattern) bool {
-			res, err := runOnce("figure2", p, c, input, fp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			verdict := Verify(input, fp, res, p.K)
-			if !verdict.OK() || verdict.MaxRound > PredictRounds(p, inC, fp) {
-				t.Fatalf("input %v (inC=%v) fp %+v: %v", input, inC, fp.Crashes, verdict)
-			}
-			return true
-		})
-		if err != nil {
-			t.Fatal(err)
+	exhaust(t, p, c, 2, adversary.ExhaustiveFamily, func(e *exhaustive, input vector.Vector, inC bool, fp rounds.FailurePattern) {
+		verdict := Verify(input, fp, e.run("figure2", input, fp), p.K)
+		if !verdict.OK() || verdict.MaxRound > PredictRounds(p, inC, fp) {
+			t.Fatalf("input %v (inC=%v) fp %+v: %v", input, inC, fp.Crashes, verdict)
 		}
-		return true
 	})
 }
 

@@ -11,7 +11,7 @@ import (
 // The campaign layer fills in what the engine cannot know — condition
 // membership, the verdict, executor and label — before folding the
 // observation into its collectors. Observe reads the Result without
-// retaining it, so it composes with recycled Results (RunInto, Exhaust).
+// retaining it, so it composes with recycled Results.
 func Observe(res *rounds.Result) stats.Observation {
 	return stats.Observation{
 		Round:      res.MaxDecisionRound(),

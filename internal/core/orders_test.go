@@ -29,50 +29,32 @@ func TestExhaustiveWithOrderPermutations(t *testing.T) {
 	for _, cfg := range configs {
 		p := cfg.p
 		c := condition.MustNewMax(p.N, cfg.m, p.X(), p.L)
-		runs := 0
-		vector.ForEach(p.N, cfg.m, func(in vector.Vector) bool {
-			input := in.Clone()
-			inC := c.Contains(input)
-			err := adversary.EnumerateWithOrders(p.N, p.T, p.RMax(), func(fp rounds.FailurePattern) bool {
-				res, err := runOnce("figure2", p, c, input, fp)
-				if err != nil {
-					t.Fatalf("cfg %+v input %v: %v", p, input, err)
-				}
-				verdict := Verify(input, fp, res, p.K)
-				if !verdict.OK() {
-					t.Fatalf("cfg %+v input %v (inC=%v) fp %+v orders %+v: %v",
-						p, input, inC, fp.Crashes, fp.Orders, verdict)
-				}
-				if bound := PredictRounds(p, inC, fp); verdict.MaxRound > bound {
-					t.Fatalf("cfg %+v input %v fp %+v orders %+v: round %d > bound %d",
-						p, input, fp.Crashes, fp.Orders, verdict.MaxRound, bound)
-				}
-
-				early, err := runOnce("early", p, c, input, fp)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ev := Verify(input, fp, early, p.K)
-				if !ev.OK() {
-					t.Fatalf("EARLY cfg %+v input %v (inC=%v) fp %+v orders %+v: %v",
-						p, input, inC, fp.Crashes, fp.Orders, ev)
-				}
-				bound := PredictRounds(p, inC, fp)
-				if eb := fp.NumCrashes()/p.K + 3; eb < bound {
-					bound = eb
-				}
-				if ev.MaxRound > bound {
-					t.Fatalf("EARLY cfg %+v input %v fp %+v orders %+v: round %d > bound %d",
-						p, input, fp.Crashes, fp.Orders, ev.MaxRound, bound)
-				}
-				runs += 2
-				return true
-			})
-			if err != nil {
-				t.Fatal(err)
+		pairs := exhaust(t, p, c, cfg.m, adversary.ExhaustiveOrdersFamily, func(e *exhaustive, input vector.Vector, inC bool, fp rounds.FailurePattern) {
+			verdict := Verify(input, fp, e.run("figure2", input, fp), p.K)
+			if !verdict.OK() {
+				t.Fatalf("cfg %+v input %v (inC=%v) fp %+v orders %+v: %v",
+					p, input, inC, fp.Crashes, fp.Orders, verdict)
 			}
-			return true
+			if bound := PredictRounds(p, inC, fp); verdict.MaxRound > bound {
+				t.Fatalf("cfg %+v input %v fp %+v orders %+v: round %d > bound %d",
+					p, input, fp.Crashes, fp.Orders, verdict.MaxRound, bound)
+			}
+
+			ev := Verify(input, fp, e.run("early", input, fp), p.K)
+			if !ev.OK() {
+				t.Fatalf("EARLY cfg %+v input %v (inC=%v) fp %+v orders %+v: %v",
+					p, input, inC, fp.Crashes, fp.Orders, ev)
+			}
+			bound := PredictRounds(p, inC, fp)
+			if eb := fp.NumCrashes()/p.K + 3; eb < bound {
+				bound = eb
+			}
+			if ev.MaxRound > bound {
+				t.Fatalf("EARLY cfg %+v input %v fp %+v orders %+v: round %d > bound %d",
+					p, input, fp.Crashes, fp.Orders, ev.MaxRound, bound)
+			}
 		})
+		runs := 2 * pairs
 		t.Logf("cfg %+v m=%d: %d executions verified (incl. order permutations)", p, cfg.m, runs)
 	}
 }

@@ -49,11 +49,6 @@ func (p Params) Validate() error {
 // x = t − d.
 func (p Params) X() int { return p.T - p.D }
 
-// ConditionHelps reports the paper's ℓ ≤ t−d requirement: when it fails,
-// S^d_t[ℓ] contains the all-vectors condition and the algorithm cannot beat
-// the classical bound (footnote 6).
-func (p Params) ConditionHelps() bool { return p.L <= p.T-p.D }
-
 // RCond is the round at which processes decide when the input vector
 // belongs to the condition (or when more than t−d processes crashed
 // initially): ⌊(d+ℓ−1)/k⌋ + 1, clamped to at least 2 because the algorithm

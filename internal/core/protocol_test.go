@@ -32,6 +32,71 @@ func runOnce(alg string, p Params, c condition.Condition, input vector.Vector, f
 	return r.RunCond(p, c, input, fp, false, nil, nil, nil)
 }
 
+// exhaustive is one model-checking sweep: a configuration validated once,
+// one Runner and one Result recycled by every run.
+type exhaustive struct {
+	t   *testing.T
+	p   Params
+	c   condition.Condition // nil for the classical baseline
+	r   *Runner
+	res rounds.Result
+}
+
+// run runs alg ("figure2", "early" or "classical") on the sweep's Runner.
+// The Result it returns is valid until the next run.
+func (e *exhaustive) run(alg string, input vector.Vector, fp rounds.FailurePattern) *rounds.Result {
+	var res *rounds.Result
+	var err error
+	switch alg {
+	case "classical":
+		res, err = e.r.RunClassical(e.p.N, e.p.T, e.p.K, input, fp, false, nil, nil, &e.res)
+	case "early":
+		res, err = e.r.RunEarly(e.p, e.c, input, fp, false, nil, nil, &e.res)
+	default:
+		res, err = e.r.RunCond(e.p, e.c, input, fp, false, nil, nil, &e.res)
+	}
+	if err != nil {
+		e.t.Fatalf("cfg %+v input %v fp %+v: %v", e.p, input, fp.Crashes, err)
+	}
+	return res
+}
+
+// exhaust model-checks one configuration: it validates p against c (as
+// the classical baseline when c is nil, over ⌊t/k⌋+1 rounds, else over
+// p.RMax()), builds the family's patterns once, and calls check on every
+// input of {1..m}^n crossed with every pattern, in the family's order,
+// with the input's membership in c. It returns the number of pairs.
+func exhaust(t *testing.T, p Params, c condition.Condition, m int, family func(n, t, r int) (adversary.Family, error), check func(e *exhaustive, input vector.Vector, inC bool, fp rounds.FailurePattern)) int {
+	t.Helper()
+	var err error
+	rmax := p.RMax()
+	if c == nil {
+		rmax, err = p.T/p.K+1, ValidateClassical(p.N, p.T, p.K)
+	} else {
+		err = p.ValidateWith(c)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	fam, err := family(p.N, p.T, rmax)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fps := fam.Patterns()
+	e := &exhaustive{t: t, p: p, c: c, r: NewRunner()}
+	pairs := 0
+	vector.ForEach(p.N, m, func(in vector.Vector) bool {
+		input := in.Clone()
+		inC := c != nil && c.Contains(input)
+		for _, fp := range fps {
+			check(e, input, inC, fp)
+		}
+		pairs += len(fps)
+		return true
+	})
+	return pairs
+}
+
 func TestParamsValidate(t *testing.T) {
 	tests := []struct {
 		name    string
@@ -89,13 +154,6 @@ func TestRoundFormulas(t *testing.T) {
 				t.Errorf("RMax = %d, want %d", got, tc.rMax)
 			}
 		})
-	}
-	p := Params{N: 8, T: 5, K: 2, D: 2, L: 1}
-	if !p.ConditionHelps() {
-		t.Error("ℓ=1 ≤ t−d=3 must help")
-	}
-	if (Params{N: 8, T: 5, K: 2, D: 5, L: 1}).ConditionHelps() {
-		t.Error("ℓ=1 > t−d=0 must not help")
 	}
 }
 
@@ -258,30 +316,15 @@ func TestExhaustiveSmall(t *testing.T) {
 	for _, cfg := range configs {
 		p := cfg.p
 		c := condition.MustNewMax(p.N, cfg.m, p.X(), p.L)
-		runs := 0
-		vector.ForEach(p.N, cfg.m, func(in vector.Vector) bool {
-			input := in.Clone()
-			inC := c.Contains(input)
-			err := adversary.Enumerate(p.N, p.T, p.RMax(), func(fp rounds.FailurePattern) bool {
-				res, err := runOnce("figure2", p, c, input, fp)
-				if err != nil {
-					t.Fatalf("cfg %+v input %v: %v", p, input, err)
-				}
-				verdict := Verify(input, fp, res, p.K)
-				if !verdict.OK() {
-					t.Fatalf("cfg %+v input %v (inC=%v) fp %+v: %v", p, input, inC, fp.Crashes, verdict)
-				}
-				if bound := PredictRounds(p, inC, fp); verdict.MaxRound > bound {
-					t.Fatalf("cfg %+v input %v (inC=%v) fp %+v: decided at %d > bound %d",
-						p, input, inC, fp.Crashes, verdict.MaxRound, bound)
-				}
-				runs++
-				return true
-			})
-			if err != nil {
-				t.Fatal(err)
+		runs := exhaust(t, p, c, cfg.m, adversary.ExhaustiveFamily, func(e *exhaustive, input vector.Vector, inC bool, fp rounds.FailurePattern) {
+			verdict := Verify(input, fp, e.run("figure2", input, fp), p.K)
+			if !verdict.OK() {
+				t.Fatalf("cfg %+v input %v (inC=%v) fp %+v: %v", p, input, inC, fp.Crashes, verdict)
 			}
-			return true
+			if bound := PredictRounds(p, inC, fp); verdict.MaxRound > bound {
+				t.Fatalf("cfg %+v input %v (inC=%v) fp %+v: decided at %d > bound %d",
+					p, input, inC, fp.Crashes, verdict.MaxRound, bound)
+			}
 		})
 		t.Logf("cfg %+v m=%d: %d executions verified", p, cfg.m, runs)
 	}
@@ -410,15 +453,8 @@ func TestExecutorsAgree(t *testing.T) {
 	}
 	p := Params{N: 4, T: 3, K: 2, D: 1, L: 1}
 	c := condition.MustNewMax(p.N, 2, p.X(), p.L)
-	vector.ForEach(p.N, 2, func(in vector.Vector) bool {
-		input := in.Clone()
-		if err := adversary.Enumerate(p.N, p.T, p.RMax(), func(fp rounds.FailurePattern) bool {
-			executorsAgree(t, runner, eng, p, c, input, fp)
-			return true
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return true
+	exhaust(t, p, c, 2, adversary.ExhaustiveFamily, func(e *exhaustive, input vector.Vector, _ bool, fp rounds.FailurePattern) {
+		executorsAgree(t, e.r, eng, p, c, input, fp)
 	})
 }
 
@@ -455,22 +491,10 @@ func TestClassicalExhaustive(t *testing.T) {
 		t.Skip("exhaustive model check")
 	}
 	n, tt, k, m := 4, 2, 2, 2
-	vector.ForEach(n, m, func(in vector.Vector) bool {
-		input := in.Clone()
-		err := adversary.Enumerate(n, tt, tt/k+1, func(fp rounds.FailurePattern) bool {
-			res, err := runOnce("classical", Params{N: n, T: tt, K: k}, nil, input, fp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if verdict := Verify(input, fp, res, k); !verdict.OK() {
-				t.Fatalf("input %v fp %+v: %v", input, fp.Crashes, verdict)
-			}
-			return true
-		})
-		if err != nil {
-			t.Fatal(err)
+	exhaust(t, Params{N: n, T: tt, K: k}, nil, m, adversary.ExhaustiveFamily, func(e *exhaustive, input vector.Vector, _ bool, fp rounds.FailurePattern) {
+		if verdict := Verify(input, fp, e.run("classical", input, fp), k); !verdict.OK() {
+			t.Fatalf("input %v fp %+v: %v", input, fp.Crashes, verdict)
 		}
-		return true
 	})
 }
 

@@ -8,10 +8,11 @@
 //
 // The runners execute on the library's batch infrastructure — System
 // campaigns with labeled scenarios, SweepDegrees/SweepFailures/
-// SweepExecutors grids under RunSweep, and core.Exhaust for exhaustive
-// model checks — and read their measurements off the results plane
-// (internal/stats): campaign accumulators, per-label/per-crash-count
-// breakdowns and decision-round histograms.
+// SweepExecutors grids under RunSweep, and RunScenario replays of
+// adversary.ExhaustiveFamily for exhaustive model checks — and read
+// their measurements off the results plane (internal/stats): campaign
+// accumulators, per-label/per-crash-count breakdowns and decision-round
+// histograms.
 //
 // Paper map (experiment → claim):
 //

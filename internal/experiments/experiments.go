@@ -172,8 +172,8 @@ func bruteForceable(n, m int) bool {
 // runE4 measures decision rounds for every scenario class of Theorem 10
 // and Lemmas 1–2 and compares them with the predictions: the named
 // scenarios one verified run each, then a seeded random-adversary sweep
-// whose bound checks fold into an accumulator, as E9's exhaustive sweep
-// does.
+// whose bound checks fold into an accumulator, as E9's exhaustive
+// replays do.
 func runE4(cfg Params) Report {
 	r := begin("E4", cfg)
 	p := core.Params{N: cfg["n"], T: cfg["t"], K: cfg["k"], D: cfg["d"], L: cfg["l"]}

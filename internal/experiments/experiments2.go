@@ -168,8 +168,9 @@ func runE8(cfg Params) Report {
 
 // runE9 searches adversaries for the latest reachable decision round
 // (tightness of the bounds) via a labeled campaign over the chain grid,
-// and model-checks a small configuration exhaustively with core.Exhaust
-// feeding a results-plane accumulator.
+// and model-checks a small configuration exhaustively — every input
+// against every pattern of adversary.ExhaustiveFamily, each replayed with
+// RunScenario — feeding a results-plane accumulator.
 func runE9(cfg Params) Report {
 	r := begin("E9", cfg)
 	n, m, t, k, d := cfg["n"], cfg["m"], cfg["t"], cfg["k"], cfg["d"]
@@ -217,28 +218,38 @@ func runE9(cfg Params) Report {
 	r.Check(st.Errors == 0 && st.Violations == 0 && worst == p.RMax())
 
 	// Exhaustive safety: every pattern × every input on a small instance,
-	// on the buffer-reusing sweep (one engine, one Result for all runs),
 	// folded into one accumulator through the same observation pipeline.
 	sp := core.Params{N: 4, T: 2, K: 2, D: 1, L: 1}
 	sc, err := condition.NewMax(sp.N, 2, sp.X(), sp.L)
 	if err != nil {
 		return r.Fail(err)
 	}
+	fam, err := adversary.ExhaustiveFamily(sp.N, sp.T, sp.RMax())
+	if err != nil {
+		return r.Fail(err)
+	}
+	ssys, err := kset.New(kset.WithParams(sp), kset.WithCondition(sc))
+	if err != nil {
+		return r.Fail(err)
+	}
+	patterns := fam.Patterns()
 	acc := stats.NewAccumulator()
+	ctx := context.Background()
 	vector.ForEach(sp.N, 2, func(in vector.Vector) bool {
 		input := in.Clone()
 		inCond := sc.Contains(input)
-		err := core.Exhaust(sp, sc, input, func(fp kset.FailurePattern, res *kset.Result) bool {
+		for _, fp := range patterns {
+			res, err := ssys.RunScenario(ctx, kset.Scenario{Input: input, FP: fp})
+			if err != nil {
+				acc.Observe(stats.Observation{Err: true})
+				continue
+			}
 			o := core.Observe(res)
 			o.InCondition = inCond
 			v := core.Verify(input, fp, res, sp.K)
 			o.Verified = true
 			o.Violation = !v.OK() || v.MaxRound > core.PredictRounds(sp, inCond, fp)
 			acc.Observe(o)
-			return true
-		})
-		if err != nil {
-			acc.Observe(stats.Observation{Err: true})
 		}
 		return true
 	})

@@ -17,7 +17,7 @@ type Params map[string]int
 // parameters and the runner that produces its Report. The registry of
 // Specs is the declarative face of the evaluation — consumers enumerate
 // it (cmd/experiments -list), parameterize it (Spec.With) and execute
-// it on the Campaign/Sweep/Exhaust infrastructure via Run.
+// it on the Campaign/Sweep infrastructure via Run.
 type Spec struct {
 	// ID is the experiment identifier ("E1".."E11").
 	ID string `json:"id"`

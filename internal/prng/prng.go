@@ -26,9 +26,6 @@ func (r *Rand) Next() uint64 {
 // Intn returns a draw from {0, …, n−1}; n must be positive.
 func (r *Rand) Intn(n int) int { return int(r.Next() % uint64(n)) }
 
-// Float64 returns a uniform draw from [0, 1).
-func (r *Rand) Float64() float64 { return float64(r.Next()>>11) / (1 << 53) }
-
 // Shuffle permutes xs in place (Fisher–Yates, one Intn draw per element
 // from the last down to the second).
 func Shuffle[T any](r *Rand, xs []T) {

@@ -16,16 +16,13 @@ func TestReferenceVector(t *testing.T) {
 	}
 }
 
-// TestDerivedDraws checks Intn, Float64 and Shuffle consume exactly the
-// draws they document — one each, and one per shuffled element but the
-// first — and stay in range, so a reseeded stream replays them.
+// TestDerivedDraws checks Intn and Shuffle consume exactly the draws they
+// document — one, and one per shuffled element but the first — and stay
+// in range, so a reseeded stream replays them.
 func TestDerivedDraws(t *testing.T) {
 	a, b := New(42), New(42)
 	if got, want := a.Intn(10), int(b.Next()%10); got != want {
 		t.Fatalf("Intn = %d, want %d", got, want)
-	}
-	if got, want := a.Float64(), float64(b.Next()>>11)/(1<<53); got != want || got < 0 || got >= 1 {
-		t.Fatalf("Float64 = %v, want %v in [0,1)", got, want)
 	}
 	xs := []int{0, 1, 2, 3, 4, 5, 6}
 	Shuffle(&a, xs)

@@ -8,9 +8,10 @@
 // validated kset.System plus scenario stream (or sweep grid), reusing the
 // facade's sentinel errors so malformed submissions become structured
 // 400s with machine-readable codes (bad_params, domain_too_large,
-// bad_input). Accepted jobs enter their tenant's bounded FIFO queue; the
-// Scheduler dispatches queues round-robin across tenants into a bounded
-// pool of run slots, so no tenant can starve another.
+// bad_input). Accepted jobs enter their tenant's bounded FIFO queue, and
+// all tenants' queues together are bounded too; the Scheduler dispatches
+// queues round-robin across tenants into a bounded pool of run slots, so
+// no tenant can starve another.
 //
 // Each running job reads its campaign's shards through a kset.Progress
 // handle and publishes periodic snapshots to its event log, which keeps

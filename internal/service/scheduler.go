@@ -7,9 +7,16 @@ import (
 	"sync"
 )
 
-// ErrQueueFull rejects a submission whose tenant queue is at capacity
-// (HTTP 429).
-var ErrQueueFull = errors.New("service: tenant queue full")
+// ErrQueueFull rejects a submission whose tenant queue, or the
+// scheduler's queue as a whole, is at capacity (HTTP 429).
+var ErrQueueFull = errors.New("service: queue full")
+
+// maxQueuedJobs bounds the jobs queued across all tenants, which the
+// per-tenant bound alone does not: a client that invents tenant names
+// would queue without limit. A queued job holds its compiled spec, about
+// 0.25 MB for a 1024-pattern crash family, so the queue holds at most
+// about 1 GB.
+const maxQueuedJobs = 4096
 
 // ErrDraining rejects submissions while the daemon drains for shutdown
 // (HTTP 503).
@@ -17,7 +24,8 @@ var ErrDraining = errors.New("service: draining, not accepting jobs")
 
 // Scheduler dispatches queued jobs into a bounded pool of run slots with
 // round-robin fairness across tenants: each tenant has its own bounded
-// FIFO queue, and the dispatcher cycles the tenants with queued jobs in
+// FIFO queue, all of them together hold at most maxQueuedJobs, and the
+// dispatcher cycles the tenants with queued jobs in
 // the order their queues last became non-empty, so a tenant flooding its
 // queue delays only itself. A tenant whose queue empties is forgotten:
 // the scheduler holds only tenants with work waiting, however many names
@@ -76,7 +84,8 @@ func (s *Scheduler) Start() {
 	go s.dispatch()
 }
 
-// Enqueue accepts a job into its tenant's queue.
+// Enqueue accepts a job into its tenant's queue, unless that queue or the
+// scheduler's whole queue is full.
 func (s *Scheduler) Enqueue(j *Job) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -84,7 +93,7 @@ func (s *Scheduler) Enqueue(j *Job) error {
 		return ErrDraining
 	}
 	q := s.queues[j.Tenant]
-	if len(q) >= s.maxQueued {
+	if len(q) >= s.maxQueued || s.queued >= maxQueuedJobs {
 		return ErrQueueFull
 	}
 	if q == nil {

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -63,8 +64,9 @@ func TestSchedulerRoundRobinFairness(t *testing.T) {
 	}
 }
 
-// TestSchedulerForgetsIdleTenants: 20 000 jobs from 20 000 tenants leave
-// no trace once they have run. While they run, the tenants the scheduler
+// TestSchedulerForgetsIdleTenants: 20 000 jobs from 20 000 tenants,
+// submitted as fast as the queue takes them, leave no trace once they
+// have run. While they run, the tenants the scheduler
 // holds are exactly those with a queued job (each has one here, so at
 // most s.queued of them); after Drain it holds none.
 func TestSchedulerForgetsIdleTenants(t *testing.T) {
@@ -81,7 +83,12 @@ func TestSchedulerForgetsIdleTenants(t *testing.T) {
 	s.Start()
 	defer s.Stop()
 	for i := 0; i < tenants; i++ {
-		if err := s.Enqueue(stubJob("j", strconv.Itoa(i))); err != nil {
+		err := s.Enqueue(stubJob("j", strconv.Itoa(i)))
+		for errors.Is(err, ErrQueueFull) { // maxQueuedJobs are waiting
+			runtime.Gosched()
+			err = s.Enqueue(stubJob("j", strconv.Itoa(i)))
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -114,6 +121,21 @@ func TestSchedulerQueueBound(t *testing.T) {
 	}
 	if err := s.Enqueue(stubJob("j", "polite")); err != nil {
 		t.Fatalf("other tenant rejected: %v", err)
+	}
+}
+
+// TestSchedulerGlobalQueueBound pins the bound across tenants: with the
+// dispatcher not started, maxQueuedJobs jobs from as many tenants queue,
+// and one more, from a tenant of its own, fails with ErrQueueFull.
+func TestSchedulerGlobalQueueBound(t *testing.T) {
+	s := NewScheduler(1, 2, func(j *Job) {})
+	for i := 0; i < maxQueuedJobs; i++ {
+		if err := s.Enqueue(stubJob("j", strconv.Itoa(i))); err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
+	}
+	if err := s.Enqueue(stubJob("j", "one-more")); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("enqueue past %d queued jobs: %v, want ErrQueueFull", maxQueuedJobs, err)
 	}
 }
 

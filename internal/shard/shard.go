@@ -62,12 +62,6 @@ func (p Plan) Bounds(i int) (lo, hi int64) {
 	return lo, hi
 }
 
-// Cursor returns shard i's range as a serializable cursor.
-func (p Plan) Cursor(i int) Cursor {
-	lo, hi := p.Bounds(i)
-	return Cursor{Lo: lo, Hi: hi}
-}
-
 // Cursor addresses the half-open index range [Lo, Hi) of a deterministic
 // scenario stream: the serializable identity of one campaign shard.
 // Because every source in the root package is deterministic and

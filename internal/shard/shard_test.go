@@ -26,9 +26,6 @@ func TestPlanPartition(t *testing.T) {
 				if lo != next || hi < lo {
 					t.Fatalf("plan(%d,%d) shard %d = [%d,%d), want lo %d", total, k, i, lo, hi, next)
 				}
-				if c := p.Cursor(i); c.Lo != lo || c.Hi != hi {
-					t.Fatalf("Cursor(%d) = %+v, want [%d,%d)", i, c, lo, hi)
-				}
 				minLen, maxLen = min(minLen, hi-lo), max(maxLen, hi-lo)
 				next = hi
 			}

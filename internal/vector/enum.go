@@ -1,21 +1,18 @@
 package vector
 
-import "math"
-
 // Enum is a resumable enumerator over the full vectors of {1..m}^n in
 // lexicographic order. Unlike the callback-style ForEach it is a pull
 // iterator: callers interleave Next with other work, suspend, and resume
 // where they left off — the shape streaming scenario generators need.
-// Resumption also works across processes: Pos is the serializable cursor
-// and SeekTo repositions a fresh enumerator to it in O(n), which is what
-// checkpointed and sharded campaigns ride. The zero Enum is empty; build
+// Resumption also works across processes: SeekTo repositions a fresh
+// enumerator to any index in O(n), which is what checkpointed and sharded
+// campaigns ride. The zero Enum is empty; build
 // one with NewEnum.
 type Enum struct {
 	n, m    int
 	cur     Vector
 	started bool
 	done    bool
-	pos     int64
 }
 
 // NewEnum returns an enumerator positioned before the first vector of
@@ -46,7 +43,6 @@ func (e *Enum) Next() (Vector, bool) {
 		for i := range e.cur {
 			e.cur[i] = 1
 		}
-		e.pos++
 		return e.cur, true
 	}
 	// Odometer increment over {1..m}^n.
@@ -63,7 +59,6 @@ func (e *Enum) Next() (Vector, bool) {
 		e.done = true
 		return nil, false
 	}
-	e.pos++
 	return e.cur, true
 }
 
@@ -71,22 +66,13 @@ func (e *Enum) Next() (Vector, bool) {
 func (e *Enum) Reset() {
 	e.started = false
 	e.done = e.n < 0 || e.m < 1
-	e.pos = 0
 }
-
-// Pos returns the number of vectors yielded so far — the enumeration's
-// serializable cursor. NewEnum(n, m) followed by SeekTo(pos) positions a
-// fresh enumerator (in this or any later process) exactly where an
-// enumeration that had yielded pos vectors stands, so Pos/SeekTo are the
-// suspend/resume pair of a persisted exhaustive sweep.
-func (e *Enum) Pos() int64 { return e.pos }
 
 // SeekTo repositions the enumerator so that the next Next call yields the
 // vector with 0-based lexicographic index idx, in O(n) time: the digits
 // of idx in base m are written straight into the odometer buffer, so no
 // prefix of the enumeration is replayed. A non-positive idx rewinds to
-// the start; idx ≥ m^n exhausts the enumeration with the cursor parked
-// at m^n. The n=0 domain has exactly one (empty) vector and m=1 domains
+// the start; idx ≥ m^n exhausts the enumeration. The n=0 domain has exactly one (empty) vector and m=1 domains
 // exactly one all-ones vector, so for both, SeekTo(0) is the only position
 // with anything left to yield.
 func (e *Enum) SeekTo(idx int64) {
@@ -105,24 +91,9 @@ func (e *Enum) SeekTo(idx int64) {
 	}
 	if rem > 0 { // idx−1 ≥ m^n: past the end
 		e.done = true
-		e.pos = e.size()
 		return
 	}
 	e.started = true
-	e.pos = idx
-}
-
-// size returns m^n, saturating at MaxInt64 (callers only compare it
-// against in-range cursors, which saturation preserves).
-func (e *Enum) size() int64 {
-	size := int64(1)
-	for i := 0; i < e.n; i++ {
-		if size > math.MaxInt64/int64(e.m) {
-			return math.MaxInt64
-		}
-		size *= int64(e.m)
-	}
-	return size
 }
 
 // ForEach enumerates every full input vector of size n over the value

@@ -64,24 +64,8 @@ func (s Set) Empty() bool { return s.bits == 0 }
 // Max returns the greatest value of s, or Bottom if s is empty.
 func (s Set) Max() Value { return Value(bits.Len64(s.bits)) }
 
-// Min returns the smallest value of s, or Bottom if s is empty.
-func (s Set) Min() Value {
-	if s.bits == 0 {
-		return Bottom
-	}
-	return Value(bits.TrailingZeros64(s.bits) + 1)
-}
-
-// Clone returns an independent copy of s. Sets are immutable values, so
-// this is the identity; it survives for compatibility with the previous
-// slice-backed representation.
-func (s Set) Clone() Set { return s }
-
 // Intersect returns s ∩ t.
 func (s Set) Intersect(t Set) Set { return Set{s.bits & t.bits} }
-
-// Union returns s ∪ t.
-func (s Set) Union(t Set) Set { return Set{s.bits | t.bits} }
 
 // Minus returns s \ t.
 func (s Set) Minus(t Set) Set { return Set{s.bits &^ t.bits} }
@@ -129,16 +113,6 @@ func (s Set) ForEachDesc(fn func(Value) bool) {
 		}
 		b &^= 1 << top
 	}
-}
-
-// Values returns the values of s in ascending order as a fresh slice.
-func (s Set) Values() []Value {
-	out := make([]Value, 0, s.Len())
-	s.ForEach(func(v Value) bool {
-		out = append(out, v)
-		return true
-	})
-	return out
 }
 
 // String renders the set as {a,b,c}.

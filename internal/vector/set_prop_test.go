@@ -40,14 +40,6 @@ func (r refSet) intersect(t refSet) refSet {
 	return out
 }
 
-func (r refSet) union(t refSet) refSet {
-	out := append(refSet{}, r...)
-	for _, v := range t {
-		out = out.add(v)
-	}
-	return out
-}
-
 func (r refSet) minus(t refSet) refSet {
 	var out refSet
 	for _, v := range r {
@@ -79,6 +71,17 @@ func (r refSet) bottomL(l int) refSet {
 		return r
 	}
 	return r[:l]
+}
+
+// Values returns the values of s in ascending order as a fresh slice:
+// the reference sets compare against it.
+func (s Set) Values() []Value {
+	out := make([]Value, 0, s.Len())
+	s.ForEach(func(v Value) bool {
+		out = append(out, v)
+		return true
+	})
+	return out
 }
 
 func (r refSet) equalTo(s Set) bool {
@@ -122,9 +125,6 @@ func TestPropSetAgainstReference(t *testing.T) {
 		if !refA.intersect(refB).equalTo(a.Intersect(b)) {
 			t.Fatalf("Intersect(%v, %v) = %v, reference %v", a, b, a.Intersect(b), refA.intersect(refB))
 		}
-		if !refA.union(refB).equalTo(a.Union(b)) {
-			t.Fatalf("Union(%v, %v) = %v, reference %v", a, b, a.Union(b), refA.union(refB))
-		}
 		if !refA.minus(refB).equalTo(a.Minus(b)) {
 			t.Fatalf("Minus(%v, %v) = %v, reference %v", a, b, a.Minus(b), refA.minus(refB))
 		}
@@ -139,12 +139,11 @@ func TestPropSetAgainstReference(t *testing.T) {
 			t.Fatalf("Len(%v) = %d, reference %d", a, a.Len(), len(refA))
 		}
 		if len(refA) > 0 {
-			if a.Max() != refA[len(refA)-1] || a.Min() != refA[0] {
-				t.Fatalf("extrema of %v: (%v,%v), reference (%v,%v)",
-					a, a.Min(), a.Max(), refA[0], refA[len(refA)-1])
+			if a.Max() != refA[len(refA)-1] {
+				t.Fatalf("Max(%v) = %v, reference %v", a, a.Max(), refA[len(refA)-1])
 			}
-		} else if a.Max() != Bottom || a.Min() != Bottom {
-			t.Fatalf("extrema of empty set: (%v,%v)", a.Min(), a.Max())
+		} else if a.Max() != Bottom {
+			t.Fatalf("Max of empty set: %v", a.Max())
 		}
 	}
 }

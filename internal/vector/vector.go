@@ -99,20 +99,6 @@ func (v Vector) Max() Value {
 	return best
 }
 
-// Min returns the smallest non-⊥ value of v, or Bottom if v has none.
-func (v Vector) Min() Value {
-	best := Bottom
-	for _, x := range v {
-		if x == Bottom {
-			continue
-		}
-		if best == Bottom || x < best {
-			best = x
-		}
-	}
-	return best
-}
-
 // Vals returns val(v): the set of non-⊥ values present in v. It is a
 // single pass with no allocation.
 func (v Vector) Vals() Set {

@@ -171,8 +171,9 @@ func TestSystemConcurrentRun(t *testing.T) {
 
 // TestNewSnapshotsExplicitCondition pins that New holds its own copy of
 // an explicit condition: a vector added to the caller's handle afterwards
-// is no condition hit, and a recognized set changed on it afterwards does
-// not move the decisions on that member.
+// is no condition hit, and a member added beside an old one, which would
+// give a view of the old one a second completion, does not move the
+// decisions on the old one when a process crashes initially.
 func TestNewSnapshotsExplicitCondition(t *testing.T) {
 	p := kset.Params{N: 4, T: 2, K: 1, D: 1, L: 1}
 	ec, err := kset.NewExplicitCondition(p.N, 3, p.L)
@@ -188,7 +189,8 @@ func TestNewSnapshotsExplicitCondition(t *testing.T) {
 	}
 	sys := testSystem(t, kset.WithParams(p), kset.WithCondition(ec))
 	ctx := context.Background()
-	before, err := sys.Run(ctx, old, kset.NoFailures())
+	crashP3 := kset.FailurePattern{Crashes: map[kset.ProcessID]kset.Crash{3: {Round: 1}}}
+	before, err := sys.Run(ctx, old, crashP3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +199,7 @@ func TestNewSnapshotsExplicitCondition(t *testing.T) {
 	if err := ec.Add(added, kset.SetOf(1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := ec.SetRecognized(old, kset.SetOf(3)); err != nil {
+	if err := ec.Add(kset.VectorOf(2, 2, 1, 2), kset.SetOf(1)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -208,7 +210,7 @@ func TestNewSnapshotsExplicitCondition(t *testing.T) {
 	if stats.Runs != 1 || stats.ConditionHits != 0 {
 		t.Errorf("campaign over the added vector: runs=%d hits=%d, want 1 and 0", stats.Runs, stats.ConditionHits)
 	}
-	after, err := sys.Run(ctx, old, kset.NoFailures())
+	after, err := sys.Run(ctx, old, crashP3)
 	if err != nil {
 		t.Fatal(err)
 	}
